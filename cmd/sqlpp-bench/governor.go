@@ -136,10 +136,13 @@ func runGovernor(scale int, outPath string) bool {
 	}{
 		{"output-rows", sqlpp.Limits{MaxOutputRows: 100},
 			`SELECT e.name AS n FROM emp AS e`},
+		// Returning the GROUP AS collection is what materializes every
+		// row; an aggregate-only GROUP BY streams and retains one state per
+		// group.
 		{"materialized-values", sqlpp.Limits{MaxMaterializedValues: 100},
-			`SELECT e.deptno AS dno, COUNT(*) AS n FROM emp AS e GROUP BY e.deptno`},
+			`SELECT dno AS dno, g AS members FROM emp AS e GROUP BY e.deptno AS dno GROUP AS g`},
 		{"materialized-bytes", sqlpp.Limits{MaxMaterializedBytes: 4096},
-			`SELECT e.deptno AS dno, COUNT(*) AS n FROM emp AS e GROUP BY e.deptno`},
+			`SELECT dno AS dno, g AS members FROM emp AS e GROUP BY e.deptno AS dno GROUP AS g`},
 		{"nesting-depth", sqlpp.Limits{MaxDepth: 1},
 			`SELECT e.name AS n, (SELECT VALUE d.name FROM dept AS d WHERE d.dno = e.deptno) AS dn FROM emp AS e`},
 		{"wall-time", sqlpp.Limits{MaxWallTime: time.Millisecond},

@@ -92,8 +92,19 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			want: `query in=0 out=0
   select(1:1) in=0 out=2
     scan(e) in=6 out=6 est_rows=6
-    group-by in=6 out=4
+    group-by(stream: COUNT) in=6 out=4
     filter(having) in=4 out=2
+`,
+		},
+		{
+			// Returning the GROUP AS collection needs the groups themselves:
+			// the block keeps the materializing operator.
+			name:  "group-as-returned",
+			query: `SELECT title, g AS members FROM emp AS e GROUP BY e.title AS title GROUP AS g`,
+			want: `query in=0 out=0
+  select(1:1) in=0 out=4
+    scan(e) in=6 out=6 est_rows=6
+    group-by(materialize) in=6 out=4
 `,
 		},
 		{
@@ -199,7 +210,7 @@ func TestExplainAnalyzeGoldenParallel(t *testing.T) {
 			want: `query in=0 out=0
   select(1:1) in=0 out=15
     scan(e) in=1500 out=1500 chunks=4 est_rows=1500
-    group-by in=1500 out=40
+    group-by(stream: COUNT) in=1500 out=40
     filter(having) in=40 out=15
 `,
 		},

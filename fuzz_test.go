@@ -37,6 +37,11 @@ func FuzzEvalPermissive(f *testing.F) {
 	f.Add(`WITH w AS (SELECT VALUE x.a FROM t AS x) SELECT VALUE v FROM w AS v WHERE v IN [1, null, 3]`)
 	f.Add(`SELECT CASE WHEN x.a > 1 THEN {'hi': [x.a, missing]} ELSE {{x.b}} END AS c FROM t AS x`)
 	f.Add(`SELECT VALUE x.a FROM t AS x WHERE x.a = ANY (SELECT VALUE u.v FROM u AS u)`)
+	// GROUP BY in both physical forms: folds only (streamed; heterogeneous
+	// rows fault SUM per group) and the group collection returned beside a
+	// fold (materialized).
+	f.Add(`SELECT x.b AS b, COUNT(*) AS n, SUM(x.a) AS s, MAX(x.a) AS m, ARRAY_AGG(x.a) AS xs FROM t AS x GROUP BY x.b HAVING COUNT(x.a) >= 0 ORDER BY SUM(x.a), b`)
+	f.Add(`FROM t AS x GROUP BY x.a AS a GROUP AS g SELECT a AS a, g AS members, COLL_COUNT(g) AS n, COLL_SUM(SELECT VALUE v.x.a FROM g AS v WHERE v.x.a > 0) AS s`)
 
 	db := sqlpp.New(&sqlpp.Options{MaxCollectionSize: 4096})
 	interp := sqlpp.New(&sqlpp.Options{MaxCollectionSize: 4096, NoCompile: true})

@@ -68,16 +68,47 @@ func TestGovernorOutputRows(t *testing.T) {
 	}
 }
 
+// groupAsQuery returns each group's collection, so the GROUP BY has to
+// materialize every input row — the governor's materialization example.
+// (An aggregate-only GROUP BY streams and retains one state per group;
+// see TestGovernorStreamedAggregateChargesGroups.)
+const groupAsQuery = `SELECT k AS k, g AS members FROM rows AS r GROUP BY r.k AS k GROUP AS g`
+
 func TestGovernorMaterializedValues(t *testing.T) {
-	db := govEngine(t, 1000, Limits{MaxMaterializedValues: 50})
-	_, err := db.Query(`SELECT r.k AS k, COUNT(*) AS n FROM rows AS r GROUP BY r.k`)
-	wantResource(t, err, ResourceValues)
+	db := govEngine(t, 1000, Limits{MaxMaterializedValues: 900})
+	_, err := db.Query(groupAsQuery)
+	if re := wantResource(t, err, ResourceValues); re.Site != "group-by" {
+		t.Errorf("site %s, want group-by", re.Site)
+	}
 }
 
 func TestGovernorMaterializedBytes(t *testing.T) {
 	db := govEngine(t, 1000, Limits{MaxMaterializedBytes: 2048})
-	_, err := db.Query(`SELECT r.k AS k, COUNT(*) AS n FROM rows AS r GROUP BY r.k`)
-	wantResource(t, err, ResourceBytes)
+	_, err := db.Query(groupAsQuery)
+	if re := wantResource(t, err, ResourceBytes); re.Site != "group-by" {
+		t.Errorf("site %s, want group-by", re.Site)
+	}
+}
+
+// TestGovernorStreamedAggregateChargesGroups: 1,000 rows fold into 53
+// groups. The streamed operator retains 53 group states, not 1,000 rows:
+// a budget of exactly 53 materialized values passes and 52 trips on the
+// 53rd group. ARRAY_AGG retains its inputs and pays for each.
+func TestGovernorStreamedAggregateChargesGroups(t *testing.T) {
+	const agg = `SELECT r.k AS k, COUNT(*) AS n, SUM(r.id) AS s FROM rows AS r GROUP BY r.k`
+	if _, err := govEngine(t, 1000, Limits{MaxMaterializedValues: 53}).Query(agg); err != nil {
+		t.Errorf("a budget of 53 covers 53 group states: %v", err)
+	}
+	_, err := govEngine(t, 1000, Limits{MaxMaterializedValues: 52}).Query(agg)
+	if re := wantResource(t, err, ResourceValues); re.Site != "group-by" || re.Observed != 53 {
+		t.Errorf("want the 53rd group to trip at group-by, got site %s observed %d", re.Site, re.Observed)
+	}
+	const arr = `SELECT r.k AS k, ARRAY_AGG(r.id) AS ids FROM rows AS r GROUP BY r.k`
+	if _, err := govEngine(t, 1000, Limits{MaxMaterializedValues: 1053}).Query(arr); err != nil {
+		t.Errorf("a budget of 1053 covers 53 groups and 1,000 retained values: %v", err)
+	}
+	_, err = govEngine(t, 1000, Limits{MaxMaterializedValues: 1052}).Query(arr)
+	wantResource(t, err, ResourceValues)
 }
 
 func TestGovernorDepth(t *testing.T) {
@@ -218,7 +249,7 @@ func TestPaperListingsUnderGovernor(t *testing.T) {
 // must stay at the seed's level.
 func BenchmarkGovernorOverhead(b *testing.B) {
 	const n = 20000
-	q := `SELECT r.k AS k, COUNT(*) AS c FROM rows AS r GROUP BY r.k`
+	q := groupAsQuery
 	b.Run("ungoverned", func(b *testing.B) {
 		db := govEngine(b, n, Limits{})
 		p, err := db.Prepare(q)

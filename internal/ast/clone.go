@@ -3,7 +3,25 @@ package ast
 // CloneExpr returns a deep copy of e. The rewriter substitutes
 // subexpressions into multiple positions; cloning keeps each occurrence
 // independently rewritable.
-func CloneExpr(e Expr) Expr {
+func CloneExpr(e Expr) Expr { return cloner{}.expr(e) }
+
+// CloneReplace copies e like CloneExpr, except that every node for which
+// replace returns a non-nil expression is substituted by that expression
+// as is: it is neither copied nor descended into. Nodes are offered to
+// replace in pre-order, nested query blocks included — returning such a
+// block itself keeps it shared with the original tree, physical
+// annotation and all, which is how the optimizer derives rewritten
+// expressions without touching the tree it annotates.
+func CloneReplace(e Expr, replace func(Expr) Expr) Expr { return cloner{replace}.expr(e) }
+
+type cloner struct{ replace func(Expr) Expr }
+
+func (cn cloner) expr(e Expr) Expr {
+	if cn.replace != nil && e != nil {
+		if r := cn.replace(e); r != nil {
+			return r
+		}
+	}
 	switch x := e.(type) {
 	case nil:
 		return nil
@@ -18,217 +36,217 @@ func CloneExpr(e Expr) Expr {
 		return &c
 	case *FieldAccess:
 		c := *x
-		c.Base = CloneExpr(x.Base)
+		c.Base = cn.expr(x.Base)
 		return &c
 	case *IndexAccess:
 		c := *x
-		c.Base = CloneExpr(x.Base)
-		c.Index = CloneExpr(x.Index)
+		c.Base = cn.expr(x.Base)
+		c.Index = cn.expr(x.Index)
 		return &c
 	case *Unary:
 		c := *x
-		c.Operand = CloneExpr(x.Operand)
+		c.Operand = cn.expr(x.Operand)
 		return &c
 	case *Binary:
 		c := *x
-		c.L = CloneExpr(x.L)
-		c.R = CloneExpr(x.R)
+		c.L = cn.expr(x.L)
+		c.R = cn.expr(x.R)
 		return &c
 	case *Like:
 		c := *x
-		c.Target = CloneExpr(x.Target)
-		c.Pattern = CloneExpr(x.Pattern)
-		c.Escape = CloneExpr(x.Escape)
+		c.Target = cn.expr(x.Target)
+		c.Pattern = cn.expr(x.Pattern)
+		c.Escape = cn.expr(x.Escape)
 		return &c
 	case *Between:
 		c := *x
-		c.Target = CloneExpr(x.Target)
-		c.Lo = CloneExpr(x.Lo)
-		c.Hi = CloneExpr(x.Hi)
+		c.Target = cn.expr(x.Target)
+		c.Lo = cn.expr(x.Lo)
+		c.Hi = cn.expr(x.Hi)
 		return &c
 	case *In:
 		c := *x
-		c.Target = CloneExpr(x.Target)
-		c.Set = CloneExpr(x.Set)
-		c.List = cloneExprs(x.List)
+		c.Target = cn.expr(x.Target)
+		c.Set = cn.expr(x.Set)
+		c.List = cn.cloneExprs(x.List)
 		return &c
 	case *Is:
 		c := *x
-		c.Target = CloneExpr(x.Target)
+		c.Target = cn.expr(x.Target)
 		return &c
 	case *Quantified:
 		c := *x
-		c.Target = CloneExpr(x.Target)
-		c.Set = CloneExpr(x.Set)
+		c.Target = cn.expr(x.Target)
+		c.Set = cn.expr(x.Set)
 		return &c
 	case *Case:
 		c := *x
-		c.Operand = CloneExpr(x.Operand)
+		c.Operand = cn.expr(x.Operand)
 		c.Whens = make([]When, len(x.Whens))
 		for i, w := range x.Whens {
-			c.Whens[i] = When{Cond: CloneExpr(w.Cond), Result: CloneExpr(w.Result)}
+			c.Whens[i] = When{Cond: cn.expr(w.Cond), Result: cn.expr(w.Result)}
 		}
-		c.Else = CloneExpr(x.Else)
+		c.Else = cn.expr(x.Else)
 		return &c
 	case *Call:
 		c := *x
-		c.Args = cloneExprs(x.Args)
+		c.Args = cn.cloneExprs(x.Args)
 		return &c
 	case *TupleCtor:
 		c := *x
 		c.Fields = make([]TupleField, len(x.Fields))
 		for i, f := range x.Fields {
-			c.Fields[i] = TupleField{Name: CloneExpr(f.Name), Value: CloneExpr(f.Value)}
+			c.Fields[i] = TupleField{Name: cn.expr(f.Name), Value: cn.expr(f.Value)}
 		}
 		return &c
 	case *ArrayCtor:
 		c := *x
-		c.Elems = cloneExprs(x.Elems)
+		c.Elems = cn.cloneExprs(x.Elems)
 		return &c
 	case *BagCtor:
 		c := *x
-		c.Elems = cloneExprs(x.Elems)
+		c.Elems = cn.cloneExprs(x.Elems)
 		return &c
 	case *Exists:
 		c := *x
-		c.Operand = CloneExpr(x.Operand)
+		c.Operand = cn.expr(x.Operand)
 		return &c
 	case *SFW:
-		return cloneSFW(x)
+		return cn.cloneSFW(x)
 	case *PivotQuery:
 		c := *x
-		c.Value = CloneExpr(x.Value)
-		c.Name = CloneExpr(x.Name)
-		c.From = cloneFromItems(x.From)
-		c.Lets = cloneLets(x.Lets)
-		c.Where = CloneExpr(x.Where)
-		c.GroupBy = cloneGroupBy(x.GroupBy)
-		c.Having = CloneExpr(x.Having)
+		c.Value = cn.expr(x.Value)
+		c.Name = cn.expr(x.Name)
+		c.From = cn.cloneFromItems(x.From)
+		c.Lets = cn.cloneLets(x.Lets)
+		c.Where = cn.expr(x.Where)
+		c.GroupBy = cn.cloneGroupBy(x.GroupBy)
+		c.Having = cn.expr(x.Having)
 		return &c
 	case *SetOp:
 		c := *x
-		c.L = CloneExpr(x.L)
-		c.R = CloneExpr(x.R)
+		c.L = cn.expr(x.L)
+		c.R = cn.expr(x.R)
 		return &c
 	case *With:
 		c := *x
 		c.Bindings = make([]WithBinding, len(x.Bindings))
 		for i, b := range x.Bindings {
 			cb := b
-			cb.Expr = CloneExpr(b.Expr)
+			cb.Expr = cn.expr(b.Expr)
 			c.Bindings[i] = cb
 		}
-		c.Body = CloneExpr(x.Body)
+		c.Body = cn.expr(x.Body)
 		return &c
 	case *Window:
 		c := *x
-		c.Fn = CloneExpr(x.Fn).(*Call)
-		c.Spec = cloneWindowSpec(x.Spec)
+		c.Fn = cn.expr(x.Fn).(*Call)
+		c.Spec = cn.cloneWindowSpec(x.Spec)
 		return &c
 	}
 	panic("ast: CloneExpr of unknown node type")
 }
 
-func cloneExprs(es []Expr) []Expr {
+func (cn cloner) cloneExprs(es []Expr) []Expr {
 	if es == nil {
 		return nil
 	}
 	out := make([]Expr, len(es))
 	for i, e := range es {
-		out[i] = CloneExpr(e)
+		out[i] = cn.expr(e)
 	}
 	return out
 }
 
-func cloneSFW(q *SFW) *SFW {
+func (cn cloner) cloneSFW(q *SFW) *SFW {
 	c := *q
 	c.Phys = nil // physical annotations never survive a clone
-	c.Select.Value = CloneExpr(q.Select.Value)
+	c.Select.Value = cn.expr(q.Select.Value)
 	c.Select.Items = make([]SelectItem, len(q.Select.Items))
 	for i, it := range q.Select.Items {
 		c.Select.Items[i] = SelectItem{
-			Expr:     CloneExpr(it.Expr),
+			Expr:     cn.expr(it.Expr),
 			Alias:    it.Alias,
 			HasAlias: it.HasAlias,
-			StarOf:   CloneExpr(it.StarOf),
+			StarOf:   cn.expr(it.StarOf),
 		}
 	}
-	c.From = cloneFromItems(q.From)
-	c.Lets = cloneLets(q.Lets)
-	c.Where = CloneExpr(q.Where)
-	c.GroupBy = cloneGroupBy(q.GroupBy)
-	c.Having = CloneExpr(q.Having)
+	c.From = cn.cloneFromItems(q.From)
+	c.Lets = cn.cloneLets(q.Lets)
+	c.Where = cn.expr(q.Where)
+	c.GroupBy = cn.cloneGroupBy(q.GroupBy)
+	c.Having = cn.expr(q.Having)
 	c.OrderBy = make([]OrderItem, len(q.OrderBy))
 	for i, o := range q.OrderBy {
-		c.OrderBy[i] = OrderItem{Expr: CloneExpr(o.Expr), Desc: o.Desc, NullsFirst: o.NullsFirst}
+		c.OrderBy[i] = OrderItem{Expr: cn.expr(o.Expr), Desc: o.Desc, NullsFirst: o.NullsFirst}
 	}
-	c.Limit = CloneExpr(q.Limit)
-	c.Offset = CloneExpr(q.Offset)
+	c.Limit = cn.expr(q.Limit)
+	c.Offset = cn.expr(q.Offset)
 	c.Windows = make([]NamedWindow, len(q.Windows))
 	for i, w := range q.Windows {
 		cw := w
-		cw.Fn = CloneExpr(w.Fn).(*Call)
-		cw.Spec = cloneWindowSpec(w.Spec)
+		cw.Fn = cn.expr(w.Fn).(*Call)
+		cw.Spec = cn.cloneWindowSpec(w.Spec)
 		c.Windows[i] = cw
 	}
 	return &c
 }
 
-func cloneFromItems(items []FromItem) []FromItem {
+func (cn cloner) cloneFromItems(items []FromItem) []FromItem {
 	if items == nil {
 		return nil
 	}
 	out := make([]FromItem, len(items))
 	for i, f := range items {
-		out[i] = cloneFromItem(f)
+		out[i] = cn.cloneFromItem(f)
 	}
 	return out
 }
 
-func cloneFromItem(f FromItem) FromItem {
+func (cn cloner) cloneFromItem(f FromItem) FromItem {
 	switch x := f.(type) {
 	case *FromExpr:
 		c := *x
-		c.Expr = CloneExpr(x.Expr)
+		c.Expr = cn.expr(x.Expr)
 		return &c
 	case *FromUnpivot:
 		c := *x
-		c.Expr = CloneExpr(x.Expr)
+		c.Expr = cn.expr(x.Expr)
 		return &c
 	case *FromJoin:
 		c := *x
-		c.Left = cloneFromItem(x.Left)
-		c.Right = cloneFromItem(x.Right)
-		c.On = CloneExpr(x.On)
+		c.Left = cn.cloneFromItem(x.Left)
+		c.Right = cn.cloneFromItem(x.Right)
+		c.On = cn.expr(x.On)
 		return &c
 	}
 	panic("ast: cloneFromItem of unknown node type")
 }
 
-func cloneLets(ls []LetBinding) []LetBinding {
+func (cn cloner) cloneLets(ls []LetBinding) []LetBinding {
 	if ls == nil {
 		return nil
 	}
 	out := make([]LetBinding, len(ls))
 	for i, l := range ls {
 		cl := l
-		cl.Expr = CloneExpr(l.Expr)
+		cl.Expr = cn.expr(l.Expr)
 		out[i] = cl
 	}
 	return out
 }
 
-func cloneWindowSpec(w WindowSpec) WindowSpec {
+func (cn cloner) cloneWindowSpec(w WindowSpec) WindowSpec {
 	out := WindowSpec{}
-	out.PartitionBy = cloneExprs(w.PartitionBy)
+	out.PartitionBy = cn.cloneExprs(w.PartitionBy)
 	out.OrderBy = make([]OrderItem, len(w.OrderBy))
 	for i, o := range w.OrderBy {
-		out.OrderBy[i] = OrderItem{Expr: CloneExpr(o.Expr), Desc: o.Desc, NullsFirst: o.NullsFirst}
+		out.OrderBy[i] = OrderItem{Expr: cn.expr(o.Expr), Desc: o.Desc, NullsFirst: o.NullsFirst}
 	}
 	return out
 }
 
-func cloneGroupBy(g *GroupBy) *GroupBy {
+func (cn cloner) cloneGroupBy(g *GroupBy) *GroupBy {
 	if g == nil {
 		return nil
 	}
@@ -236,7 +254,7 @@ func cloneGroupBy(g *GroupBy) *GroupBy {
 	c.Keys = make([]GroupKey, len(g.Keys))
 	for i, k := range g.Keys {
 		ck := k
-		ck.Expr = CloneExpr(k.Expr)
+		ck.Expr = cn.expr(k.Expr)
 		c.Keys[i] = ck
 	}
 	return &c

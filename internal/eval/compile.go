@@ -628,7 +628,7 @@ func compileTupleCtor(x *ast.TupleCtor, o CompileOpts) CompiledExpr {
 	}
 	pos := x.Pos()
 	return func(ctx *Context, env *Env) (value.Value, error) {
-		t := value.EmptyTuple()
+		t := value.NewTupleCap(len(names))
 		for i := range names {
 			nameV, err := names[i](ctx, env)
 			if err != nil {

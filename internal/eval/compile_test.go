@@ -320,3 +320,25 @@ func TestIdentityCorpusParses(t *testing.T) {
 		t.Fatal("unreachable")
 	}
 }
+
+// TestTupleCtorAllocatesOnce: a projected row costs its Tuple header and
+// one attribute slice sized for the constructor's fields — two
+// allocations for two columns, compiled or interpreted, not a third from
+// growing the slice.
+func TestTupleCtorAllocatesOnce(t *testing.T) {
+	e, err := parser.Parse(`{'a': t.a, 'n': s}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := identityEnv(t)
+	ctx := &Context{}
+	c := Compile(e, CompileOpts{})
+	for name, run := range map[string]func(){
+		"compiled":    func() { _, _ = c(ctx, env) },
+		"interpreted": func() { _, _ = Eval(ctx, env, e) },
+	} {
+		if n := testing.AllocsPerRun(100, run); n > 2 {
+			t.Errorf("%s two-field projection: %.0f allocations, want 2", name, n)
+		}
+	}
+}

@@ -50,7 +50,40 @@ type FuncDef struct {
 	MinArgs int
 	MaxArgs int // -1 for variadic
 	Fn      Func
+	// NewAcc, set on the COLL_* aggregates only, returns a fresh
+	// accumulator whose fold over a collection's elements is Fn's result.
+	// The plan's streaming GROUP BY folds rows into it directly instead of
+	// materializing the collection first.
+	NewAcc func() Accumulator
 }
+
+// Accumulator is the incremental form of a COLL_* aggregate.
+type Accumulator interface {
+	// Step folds one element in, applying the aggregate's own element
+	// rules (absent-skipping, single-attribute tuple unwrapping, fault
+	// latching). Elements must be stepped in collection order.
+	Step(v value.Value)
+	// Merge folds in an accumulator of the same aggregate whose elements
+	// all follow this one's in collection order.
+	Merge(other Accumulator)
+	// Result is the aggregate of everything folded so far. A *TypeError
+	// (position unset) is the aggregate's type fault, subject to the
+	// typing mode like any function fault.
+	Result() (value.Value, error)
+}
+
+// AggFault is what a streamed aggregate's slot binds when its fold
+// failed: the error, deferred until (and unless) a post-group expression
+// actually reads the slot through $AGG, so faults surface at the same
+// evaluation point as the COLL_* call they replace. It never escapes the
+// slot binding; consumers other than $AGG see MISSING.
+type AggFault struct{ Err error }
+
+// Kind reports KindMissing.
+func (AggFault) Kind() value.Kind { return value.KindMissing }
+
+// String renders the deferred error for diagnostics.
+func (f AggFault) String() string { return "fault(" + f.Err.Error() + ")" }
 
 // FuncSource resolves function names (upper-cased) to definitions.
 type FuncSource interface {
@@ -233,6 +266,12 @@ func NewEnv() *Env { return &Env{} }
 // Child returns a new environment scope whose lookups fall back to e.
 func (e *Env) Child() *Env { return &Env{parent: e} }
 
+// Rebase nests this scope under a new parent, keeping its bindings so
+// the caller can rebind them in place. The plan's hash probe moves its
+// one reusable candidate scope from one left binding to the next with it;
+// only safe when nothing retains the scope across rows.
+func (e *Env) Rebase(parent *Env) { e.parent = parent }
+
 // Bind adds or replaces a binding in this scope (not in parents).
 func (e *Env) Bind(name string, v value.Value) {
 	if v == nil {
@@ -267,7 +306,7 @@ func (e *Env) Names() []string { return e.names }
 // Snapshot captures this scope's bindings (not parents') as a tuple, the
 // group-content shape used by GROUP AS.
 func (e *Env) Snapshot() *value.Tuple {
-	t := value.EmptyTuple()
+	t := value.NewTupleCap(len(e.names))
 	for i, n := range e.names {
 		t.Put(n, e.vals[i])
 	}
@@ -302,11 +341,16 @@ func (e *Env) RechainBelow(stop *Env, order []int) *Env {
 // (Listing 14). Inner bindings shadow outer ones of the same name;
 // within the tuple, outermost bindings come first.
 func (e *Env) SnapshotBelow(stop *Env) *value.Tuple {
-	var scopes []*Env
+	// Query blocks rarely nest more than a few FROM scopes; the stack
+	// buffer keeps the scope list off the heap.
+	var buf [8]*Env
+	scopes := buf[:0]
+	n := 0
 	for s := e; s != nil && s != stop; s = s.parent {
 		scopes = append(scopes, s)
+		n += len(s.names)
 	}
-	t := value.EmptyTuple()
+	t := value.NewTupleCap(n)
 	for i := len(scopes) - 1; i >= 0; i-- {
 		s := scopes[i]
 		for j, n := range s.names {

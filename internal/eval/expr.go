@@ -732,7 +732,7 @@ func callFunc(ctx *Context, def *FuncDef, args []value.Value, pos lexer.Pos) (va
 }
 
 func evalTupleCtor(ctx *Context, env *Env, x *ast.TupleCtor) (value.Value, error) {
-	t := value.EmptyTuple()
+	t := value.NewTupleCap(len(x.Fields))
 	for _, f := range x.Fields {
 		nameV, err := Eval(ctx, env, f.Name)
 		if err != nil {

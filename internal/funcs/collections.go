@@ -101,186 +101,6 @@ func distinct(elems []value.Value) []value.Value {
 	return out
 }
 
-// aggregate input handling: COLL_* functions take one collection-valued
-// argument. Absent collection arguments propagate; non-collection
-// arguments are a type fault.
-func aggInput(op string, args []value.Value) ([]value.Value, error) {
-	elems, ok := value.Elements(args[0])
-	if !ok {
-		return nil, typeErr(op, "argument is "+args[0].Kind().String()+", not a collection")
-	}
-	return elems, nil
-}
-
-// unwrapAggElem lets aggregates accept elements produced by a SQL-style
-// single-column SELECT: a one-attribute tuple stands for its value. The
-// paper's Listing 18 writes COLL_AVG(FROM g AS gi SELECT gi.e.salary) —
-// a sugar SELECT whose rows are {'salary': v} tuples.
-func unwrapAggElem(e value.Value) value.Value {
-	if t, ok := e.(*value.Tuple); ok && t.Len() == 1 {
-		return t.Fields()[0].Value
-	}
-	return e
-}
-
-func (r *Registry) registerAggregates() {
-	// COLL_COUNT counts the non-absent elements of a collection. The SQL
-	// COUNT(*) rewrite passes the GROUP AS collection, whose elements
-	// are never absent, so it yields the group size.
-	r.Register("COLL_COUNT", 1, 1, func(ctx *eval.Context, args []value.Value) (value.Value, error) {
-		if v, done := propagateAbsent(ctx, args); done {
-			return v, nil
-		}
-		elems, err := aggInput("COLL_COUNT", args)
-		if err != nil {
-			return nil, err
-		}
-		n := int64(0)
-		for _, e := range elems {
-			if !value.IsAbsent(e) {
-				n++
-			}
-		}
-		return value.Int(n), nil
-	})
-
-	sum := func(op string, avg bool) eval.Func {
-		return func(ctx *eval.Context, args []value.Value) (value.Value, error) {
-			if v, done := propagateAbsent(ctx, args); done {
-				return v, nil
-			}
-			elems, err := aggInput(op, args)
-			if err != nil {
-				return nil, err
-			}
-			var sumI int64
-			var sumF float64
-			isFloat := false
-			n := 0
-			for _, e := range elems {
-				e = unwrapAggElem(e)
-				if value.IsAbsent(e) {
-					continue // SQL aggregates ignore absent inputs
-				}
-				switch x := e.(type) {
-				case value.Int:
-					sumI += int64(x)
-					sumF += float64(x)
-				case value.Float:
-					isFloat = true
-					sumF += float64(x)
-				default:
-					return nil, typeErr(op, "element is "+e.Kind().String())
-				}
-				n++
-			}
-			if n == 0 {
-				return value.Null, nil // SQL: aggregate of empty input is NULL
-			}
-			if avg {
-				return value.Float(sumF / float64(n)), nil
-			}
-			if isFloat {
-				return value.Float(sumF), nil
-			}
-			return value.Int(sumI), nil
-		}
-	}
-	r.Register("COLL_SUM", 1, 1, sum("COLL_SUM", false))
-	r.Register("COLL_AVG", 1, 1, sum("COLL_AVG", true))
-
-	extreme := func(op string, wantMax bool) eval.Func {
-		return func(ctx *eval.Context, args []value.Value) (value.Value, error) {
-			if v, done := propagateAbsent(ctx, args); done {
-				return v, nil
-			}
-			elems, err := aggInput(op, args)
-			if err != nil {
-				return nil, err
-			}
-			var best value.Value
-			for _, e := range elems {
-				e = unwrapAggElem(e)
-				if value.IsAbsent(e) {
-					continue
-				}
-				if best == nil {
-					best = e
-					continue
-				}
-				c := value.Compare(e, best)
-				if (wantMax && c > 0) || (!wantMax && c < 0) {
-					best = e
-				}
-			}
-			if best == nil {
-				return value.Null, nil
-			}
-			return best, nil
-		}
-	}
-	r.Register("COLL_MIN", 1, 1, extreme("COLL_MIN", false))
-	r.Register("COLL_MAX", 1, 1, extreme("COLL_MAX", true))
-
-	quant := func(op string, every bool) eval.Func {
-		return func(ctx *eval.Context, args []value.Value) (value.Value, error) {
-			if v, done := propagateAbsent(ctx, args); done {
-				return v, nil
-			}
-			elems, err := aggInput(op, args)
-			if err != nil {
-				return nil, err
-			}
-			result := every
-			sawAbsent := false
-			for _, e := range elems {
-				e = unwrapAggElem(e)
-				if value.IsAbsent(e) {
-					sawAbsent = true
-					continue
-				}
-				b, ok := e.(value.Bool)
-				if !ok {
-					return nil, typeErr(op, "element is "+e.Kind().String())
-				}
-				if every && !bool(b) {
-					return value.False, nil
-				}
-				if !every && bool(b) {
-					return value.True, nil
-				}
-			}
-			if sawAbsent {
-				return value.Null, nil
-			}
-			return value.Bool(result), nil
-		}
-	}
-	r.Register("COLL_EVERY", 1, 1, quant("COLL_EVERY", true))
-	r.Register("COLL_ANY", 1, 1, quant("COLL_ANY", false))
-	r.Register("COLL_SOME", 1, 1, quant("COLL_SOME", false))
-
-	// ARRAY_AGG materializes a collection as an array, keeping absent
-	// elements as NULLs (positional).
-	r.Register("COLL_ARRAY_AGG", 1, 1, func(ctx *eval.Context, args []value.Value) (value.Value, error) {
-		if v, done := propagateAbsent(ctx, args); done {
-			return v, nil
-		}
-		elems, err := aggInput("COLL_ARRAY_AGG", args)
-		if err != nil {
-			return nil, err
-		}
-		out := make(value.Array, 0, len(elems))
-		for _, e := range elems {
-			if e.Kind() == value.KindMissing {
-				e = value.Null
-			}
-			out = append(out, e)
-		}
-		return out, nil
-	})
-}
-
 // registerInternal registers the functions the rewriter targets: subquery
 // coercions and DISTINCT argument folding.
 func (r *Registry) registerInternal() {
@@ -358,6 +178,21 @@ func (r *Registry) registerInternal() {
 			out.Put(string(name), v)
 		}
 		return out, nil
+	})
+	// $AGG reads a streamed aggregate's slot (see plan/streamagg.go): the
+	// slot's value, or the fault its fold latched — raised here, where the
+	// COLL_* call it replaces would have raised it. A type fault is handed
+	// out as a copy because the evaluator stamps the call position into it.
+	r.Register("$AGG", 1, 1, func(_ *eval.Context, args []value.Value) (value.Value, error) {
+		f, ok := args[0].(eval.AggFault)
+		if !ok {
+			return args[0], nil
+		}
+		if te, ok := f.Err.(*eval.TypeError); ok {
+			c := *te
+			return nil, &c
+		}
+		return nil, f.Err
 	})
 	// $DISTINCT deduplicates a collection by grouping equality; the
 	// rewriter wraps aggregate DISTINCT arguments with it.

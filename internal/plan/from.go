@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -274,6 +273,9 @@ type physState struct {
 	// parallel), records per step the source ordinal of its current
 	// binding; the reorder buffer reads it to key each produced row.
 	ord []int64
+	// seq is the chain of the block's one sequential consumer (produce);
+	// the workers of a parallel scan each run a chain of their own.
+	seq chain
 }
 
 // stepStats is one FROM step's pre-resolved instrumentation.
@@ -386,40 +388,89 @@ func (st *physState) produce(ctx *eval.Context, k emit) error {
 	if st.phys.reorder != nil {
 		return st.produceReordered(ctx, k)
 	}
-	return st.run(ctx, st.outer, 0, k)
+	return st.seq.init(st, ctx, k).run(st.outer, 0)
+}
+
+// chain is one consumer's run of the block's step chain: the physState
+// (shared by the workers of a parallel scan) plus what is the consumer's
+// own — its context, its sink k, and the per-step continuations and hash
+// probes. Those closures are built once here, not once per binding, so a
+// row crossing a step allocates nothing for the plumbing.
+type chain struct {
+	st  *physState
+	ctx *eval.Context
+	k   emit
+	// fns[i] applies step i's pushed filters to a binding it produced and
+	// runs step i+1 over it; fns[n+i] is hash step i's probe of one left
+	// binding, nil for other steps.
+	fns []emit
+	// buf backs fns for one-step chains, so the per-row subquery — a block
+	// invocation per outer row — sets its chain up without allocating it.
+	buf [2]emit
+}
+
+func (c *chain) init(st *physState, ctx *eval.Context, k emit) *chain {
+	n := len(st.phys.steps)
+	c.st, c.ctx, c.k, c.fns = st, ctx, k, c.buf[:]
+	if 2*n > len(c.buf) {
+		c.fns = make([]emit, 2*n)
+	}
+	for i := range st.phys.steps {
+		c.fns[i], c.fns[n+i] = c.nextFor(i), nil
+		if h := st.phys.steps[i].hash; h != nil {
+			c.fns[n+i] = c.probeFor(i, h)
+		}
+	}
+	return c
+}
+
+func (c *chain) nextFor(i int) emit {
+	step := &c.st.phys.steps[i]
+	var filter *eval.StatsNode
+	if c.st.stats != nil {
+		filter = c.st.stats[i].filter
+	}
+	if len(step.filters) == 0 && i == len(c.st.phys.steps)-1 {
+		return c.k // the last step's unfiltered bindings go straight to the sink
+	}
+	return func(child *eval.Env) error {
+		if filter != nil {
+			filter.AddIn(1)
+		}
+		ok, err := filtersPass(c.ctx, child, step.filters, step.filtersC)
+		if err != nil || !ok {
+			return err
+		}
+		if filter != nil {
+			filter.AddOut(1)
+		}
+		return c.run(child, i+1)
+	}
 }
 
 // run produces step i's bindings over env and forwards each through the
 // step's pushed filters to the next step.
-func (st *physState) run(ctx *eval.Context, env *eval.Env, i int, k emit) error {
+func (c *chain) run(env *eval.Env, i int) error {
+	st, ctx := c.st, c.ctx
 	if i == len(st.phys.steps) {
-		return k(env)
+		return c.k(env)
 	}
 	step := &st.phys.steps[i]
 	var ss *stepStats
 	if st.stats != nil {
 		ss = &st.stats[i]
 	}
-	next := func(child *eval.Env) error {
-		if ss != nil && ss.filter != nil {
-			ss.filter.AddIn(1)
-		}
-		ok, err := filtersPass(ctx, child, step.filters, step.filtersC)
-		if err != nil || !ok {
-			return err
-		}
-		if ss != nil && ss.filter != nil {
-			ss.filter.AddOut(1)
-		}
-		return st.run(ctx, child, i+1, k)
-	}
+	next, probe := c.fns[i], c.fns[len(st.phys.steps)+i]
 	if step.hash != nil {
 		if step.hash.buildIdx != nil {
 			if ix := st.idxs[i].get(func() *index.Index { return resolveIndex(ctx, step.hash.buildIdx) }); ix != nil {
 				return st.runIndexJoin(ctx, env, i, step.hash, ix, next)
 			}
 		}
-		return st.runHash(ctx, env, i, step.hash, next)
+		if step.hash.left != nil {
+			return produceItem(ctx, env, step.hash.left, probe)
+		}
+		return probe(env)
 	}
 	if step.idx != nil {
 		// A nil resolution (index dropped or redeclared since planning)
@@ -440,10 +491,9 @@ func (st *physState) run(ctx *eval.Context, env *eval.Env, i int, k emit) error 
 		emitNext := next
 		if ss != nil {
 			n := ss.node
-			inner := next
 			emitNext = func(child *eval.Env) error {
 				n.AddOut(1)
-				return inner(child)
+				return next(child)
 			}
 		}
 		switch x := step.item.(type) {
@@ -636,6 +686,31 @@ func compiledAt(cs []eval.CompiledExpr, i int) eval.CompiledExpr {
 	return cs[i]
 }
 
+// grouper is a block's GROUP BY operator: rows fold in through add, one
+// binding per group comes out of flush, and a parallel scan merges its
+// workers' groupers in chunk order. groupState materializes the groups
+// (what GROUP AS means); streamGroup (streamagg.go) folds aggregates as
+// the rows arrive, for blocks that never look at the collection itself.
+type grouper interface {
+	add(env *eval.Env) error
+	flush(k emit) error
+	// merge folds in the grouper of a later chunk; it has the receiver's
+	// concrete type.
+	merge(other grouper) error
+}
+
+// newGrouper picks the block's GROUP BY operator from its physical plan.
+func newGrouper(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, phys *sfwPhys) grouper {
+	if phys != nil && phys.stream != nil {
+		return newStreamGroup(ctx, outer, spec, phys)
+	}
+	g := newGroupState(ctx, outer, spec)
+	if phys != nil && phys.compiled {
+		g.keysC = phys.groupC
+	}
+	return g
+}
+
 // groupState materializes GROUP BY groups (§V-B). Each input binding
 // contributes its block variables as one content tuple; groups key on
 // the canonical encoding of their key values, so NULL and MISSING each
@@ -668,7 +743,7 @@ func newGroupState(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy) *group
 		content: map[string]value.Bag{},
 	}
 	if ctx.Stats != nil {
-		g.st = ctx.Stats.Node(statsParent(ctx), spec, "group", "group-by", "")
+		g.st = ctx.Stats.Node(statsParent(ctx), spec, "group", "group-by", "materialize")
 	}
 	// The implicit single group of aggregate-only queries exists even
 	// for empty input (SELECT AVG(x) over nothing yields one NULL row).
@@ -689,23 +764,9 @@ func (g *groupState) add(env *eval.Env) error {
 		g.st.AddIn(1)
 	}
 	keys := make([]value.Value, len(g.spec.Keys))
-	var kb []byte
-	for i, key := range g.spec.Keys {
-		v, err := evalMaybe(g.ctx, env, key.Expr, compiledAt(g.keysC, i))
-		if err != nil {
-			return err
-		}
-		keys[i] = v
-		// SQL compatibility mode must not let a query distinguish null
-		// from missing (§IV-B): a missing grouping key joins the NULL
-		// group instead of forming its own. Only the encoding coalesces;
-		// the representative stays MISSING unless some contributor was
-		// null (mergeCompatKeys), so an all-missing image keeps
-		// missing-style output per the guarantee.
-		if g.ctx.Compat && v.Kind() == value.KindMissing {
-			v = value.Null
-		}
-		kb = value.AppendKey(kb, v)
+	kb, err := groupKey(g.ctx, env, g.spec, g.keysC, keys, nil)
+	if err != nil {
+		return err
 	}
 	ks := string(kb)
 	if have, ok := g.keyVals[ks]; !ok {
@@ -722,6 +783,30 @@ func (g *groupState) add(env *eval.Env) error {
 		}
 	}
 	return checkSize(g.ctx, len(g.content[ks]))
+}
+
+// groupKey evaluates the grouping keys of env into vals and returns their
+// canonical encoding appended to buf[:0].
+func groupKey(ctx *eval.Context, env *eval.Env, spec *ast.GroupBy, keysC []eval.CompiledExpr, vals []value.Value, buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	for i := range spec.Keys {
+		v, err := evalMaybe(ctx, env, spec.Keys[i].Expr, compiledAt(keysC, i))
+		if err != nil {
+			return nil, err
+		}
+		vals[i] = v
+		// SQL compatibility mode must not let a query distinguish null
+		// from missing (§IV-B): a missing grouping key joins the NULL
+		// group instead of forming its own. Only the encoding coalesces;
+		// the representative stays MISSING unless some contributor was
+		// null (mergeCompatKeys), so an all-missing image keeps
+		// missing-style output per the guarantee.
+		if ctx.Compat && v.Kind() == value.KindMissing {
+			v = value.Null
+		}
+		buf = value.AppendKey(buf, v)
+	}
+	return buf, nil
 }
 
 // mergeCompatKeys upgrades MISSING representatives to NULL when another
@@ -745,11 +830,7 @@ func (g *groupState) flush(k emit) error {
 		}
 		env := g.outer.Child()
 		for i, key := range g.spec.Keys {
-			alias := key.Alias
-			if alias == "" {
-				alias = "$k" + strconv.Itoa(i+1)
-			}
-			env.Bind(alias, g.keyVals[ks][i])
+			env.Bind(keyAlias(key, i), g.keyVals[ks][i])
 		}
 		if g.spec.GroupAs != "" {
 			bag := g.content[ks]

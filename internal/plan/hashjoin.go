@@ -91,15 +91,38 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep) (*hashT
 	return t, nil
 }
 
-// runHash produces the bindings of a hash-join step. When h.left is set
-// (JOIN ... ON), the left subtree's bindings probe; otherwise the
-// incoming environment itself probes (comma cross product).
-func (st *physState) runHash(ctx *eval.Context, env *eval.Env, i int, h *hashJoinStep, k emit) error {
+// probeFor builds hash step i's probe: the work done per left binding.
+// When h.left is set (JOIN ... ON) the left subtree's bindings probe;
+// otherwise the environment incoming to the step itself probes (comma
+// cross product). The closure, its probe-key buffer and — when the plan
+// allows rebinding row environments in place (phys.reuseEnv) — its one
+// candidate environment live as long as the chain, so a probe allocates
+// nothing of its own.
+func (c *chain) probeFor(i int, h *hashJoinStep) emit {
+	st, ctx, k := c.st, c.ctx, c.fns[i]
 	var ss *stepStats
 	if st.stats != nil {
 		ss = &st.stats[i]
 	}
-	probe := func(lenv *eval.Env) error {
+	reuse := st.phys.reuseEnv
+	var kb []byte
+	var cand *eval.Env
+	// candidate returns the environment a build row (or the LEFT JOIN
+	// padding) binds into, nested in lenv. Every candidate binds the same
+	// names — the build side's variables — so a reused one is rebound in
+	// place.
+	candidate := func(lenv *eval.Env) *eval.Env {
+		if !reuse {
+			return lenv.Child()
+		}
+		if cand == nil {
+			cand = lenv.Child()
+		} else {
+			cand.Rebase(lenv)
+		}
+		return cand
+	}
+	return func(lenv *eval.Env) error {
 		if err := ctx.Interrupted(); err != nil {
 			return err
 		}
@@ -127,7 +150,7 @@ func (st *physState) runHash(ctx *eval.Context, env *eval.Env, i int, h *hashJoi
 		if ss != nil {
 			ss.node.AddIn(1)
 		}
-		var kb []byte
+		kb = kb[:0]
 		absent := false
 		for j, pk := range h.probeKeys {
 			v, err := evalMaybe(ctx, lenv, pk, compiledAt(h.probeC, j))
@@ -152,7 +175,7 @@ func (st *physState) runHash(ctx *eval.Context, env *eval.Env, i int, h *hashJoi
 			if st.ord != nil {
 				st.ord[i] = row.seq
 			}
-			cand := lenv.Child()
+			cand := candidate(lenv)
 			for j, n := range row.names {
 				cand.Bind(n, row.vals[j])
 			}
@@ -177,7 +200,7 @@ func (st *physState) runHash(ctx *eval.Context, env *eval.Env, i int, h *hashJoi
 				ss.pads.Add(1)
 				ss.node.AddOut(1)
 			}
-			padded := lenv.Child()
+			padded := candidate(lenv)
 			for _, n := range h.padVars {
 				padded.Bind(n, value.Null)
 			}
@@ -185,8 +208,4 @@ func (st *physState) runHash(ctx *eval.Context, env *eval.Env, i int, h *hashJoi
 		}
 		return nil
 	}
-	if h.left != nil {
-		return produceItem(ctx, env, h.left, probe)
-	}
-	return probe(env)
 }

@@ -134,6 +134,10 @@ type sfwPhys struct {
 	// means use the runtime default).
 	scanEst   int64
 	chunkHint int
+	// stream, when non-nil, runs the block's GROUP BY as a streaming hash
+	// aggregate and its post-group clauses from stream.post (see
+	// streamagg.go); nil keeps the materializing groupState.
+	stream *streamPlan
 	// Compiled forms of pre/residual, LET sources, HAVING, the SELECT
 	// projection, ORDER BY keys, and GROUP BY keys. All nil when
 	// compilation is off.
@@ -210,14 +214,26 @@ type hashJoinStep struct {
 // are written once here and only read during execution.
 func Optimize(root ast.Expr, o OptOptions) []string {
 	var notes []string
+	// folded are the fold subqueries of streamed GROUP BY blocks: replaced
+	// by aggregate slots, they never run and get no plan. (Blocks nested
+	// inside their arguments are shared with the slots and do.)
+	var folded map[*ast.SFW]bool
 	ast.Inspect(root, func(e ast.Expr) bool {
 		q, ok := e.(*ast.SFW)
-		if !ok {
+		if !ok || folded[q] {
 			return true
 		}
 		phys, ns := analyzeSFW(q, o)
 		q.Phys = phys
 		notes = append(notes, ns...)
+		if phys != nil && phys.stream != nil && len(phys.stream.folded) > 0 {
+			if folded == nil {
+				folded = map[*ast.SFW]bool{}
+			}
+			for _, f := range phys.stream.folded {
+				folded[f] = true
+			}
+		}
 		return true
 	})
 	return notes
@@ -461,6 +477,19 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 		}
 	}
 
+	// GROUP BY form: stream the aggregates when the group collection is
+	// only ever folded, materialize it when anything else looks at it.
+	groupNote := ""
+	if q.GroupBy != nil {
+		var blocked string
+		if phys.stream, blocked = planStreamAgg(q, o); phys.stream != nil {
+			phys.stream.post.Phys = phys
+			groupNote = fmt.Sprintf("stream-agg(%d)", len(phys.stream.slots))
+		} else {
+			groupNote = fmt.Sprintf("group-materialize(%s)", blocked)
+		}
+	}
+
 	if o.Compile {
 		compileSFW(q, phys, eval.CompileOpts{Mode: o.Mode, Compat: o.Compat, Funcs: o.Funcs})
 	}
@@ -496,6 +525,9 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 	if parallelNote != "" {
 		add("%s", parallelNote)
 	}
+	if groupNote != "" {
+		add("%s", groupNote)
+	}
 	if phys.compiled {
 		add("compiled")
 	}
@@ -510,6 +542,16 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 // from; every execution site falls back to interpreting the AST when
 // its compiled field is nil, so partially-compiled plans stay correct.
 func compileSFW(q *ast.SFW, phys *sfwPhys, co eval.CompileOpts) {
+	if phys.stream != nil {
+		// The post-group clauses compile from their slot-reading forms, the
+		// folds' arguments against the pre-group variables.
+		q = phys.stream.post
+		for i := range phys.stream.slots {
+			s := &phys.stream.slots[i]
+			s.argC = eval.Compile(s.arg, co)
+			s.condC = eval.Compile(s.cond, co)
+		}
+	}
 	phys.compiled = true
 	phys.reuseEnv = len(q.Windows) == 0
 	phys.preC = eval.CompileAll(phys.pre, co)

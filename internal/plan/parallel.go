@@ -114,7 +114,7 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 
 	type worker struct {
 		sink    *rowSink
-		grouper *groupState
+		grouper grouper
 		err     error
 	}
 	ws := make([]worker, workers)
@@ -133,10 +133,7 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 		ws[w].sink = sink
 		var consume emit
 		if q.GroupBy != nil {
-			ws[w].grouper = newGroupState(wctx, outer, q.GroupBy)
-			if phys.compiled {
-				ws[w].grouper.keysC = phys.groupC
-			}
+			ws[w].grouper = newGrouper(wctx, outer, q.GroupBy, phys)
 			consume = ws[w].grouper.add
 		} else {
 			consume = havingChain(wctx, q, phys, sink.project)
@@ -159,6 +156,7 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 					return
 				}
 			}
+			rest := new(chain).init(st, wctx, consume)
 			var child *eval.Env
 			for j := lo; j < hi; j++ {
 				if err := wctx.Interrupted(); err != nil {
@@ -194,7 +192,7 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 				if filterNode != nil {
 					filterNode.AddOut(1)
 				}
-				if err := st.run(wctx, child, 1, consume); err != nil {
+				if err := rest.run(child, 1); err != nil {
 					if err == errStop {
 						return
 					}
@@ -212,7 +210,7 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 	}
 
 	if q.GroupBy != nil {
-		merged := newGroupState(ctx, outer, q.GroupBy)
+		merged := newGrouper(ctx, outer, q.GroupBy, phys)
 		for i := range ws {
 			if err := merged.merge(ws[i].grouper); err != nil {
 				return nil, true, err
@@ -273,7 +271,8 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 // governor:charged-at groupState.add (from.go) — every row moved here
 // was charged when its worker grouped it; checkSize re-bounds the
 // merged group sizes.
-func (g *groupState) merge(w *groupState) error {
+func (g *groupState) merge(other grouper) error {
+	w := other.(*groupState)
 	for _, ks := range w.order {
 		if _, ok := g.content[ks]; !ok {
 			g.order = append(g.order, ks)

@@ -414,6 +414,11 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 	}
 
 	phys, _ := q.Phys.(*sfwPhys)
+	if phys != nil && phys.stream != nil {
+		// A streamed GROUP BY runs its post-group clauses from the copy of
+		// the block whose fold calls read aggregate slots.
+		q = phys.stream.post
+	}
 
 	// EXPLAIN ANALYZE: create this block's node and pre-create its
 	// operator skeleton in pipeline order, then make the block the parent
@@ -466,13 +471,10 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 
 	// The consumer of FROM/WHERE bindings.
 	var consume emit
-	var grouper *groupState
+	var grp grouper
 	if q.GroupBy != nil {
-		grouper = newGroupState(ctx, outer, q.GroupBy)
-		if phys != nil && phys.compiled {
-			grouper.keysC = phys.groupC
-		}
-		consume = grouper.add
+		grp = newGrouper(ctx, outer, q.GroupBy, phys)
+		consume = grp.add
 	} else {
 		consume = postGroup
 	}
@@ -487,8 +489,8 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 		return nil, err
 	}
 
-	if grouper != nil {
-		if err := grouper.flush(postGroup); err != nil && err != errStop {
+	if grp != nil {
+		if err := grp.flush(postGroup); err != nil && err != errStop {
 			return nil, err
 		}
 	}

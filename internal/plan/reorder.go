@@ -52,7 +52,7 @@ func (st *physState) produceReordered(ctx *eval.Context, k emit) error {
 		if node != nil {
 			defer node.Timer()()
 		}
-		err = st.run(ctx, st.outer, 0, func(env *eval.Env) error {
+		err = st.seq.init(st, ctx, func(env *eval.Env) error {
 			if node != nil {
 				node.AddIn(1)
 			}
@@ -67,7 +67,7 @@ func (st *physState) produceReordered(ctx *eval.Context, k emit) error {
 				}
 			}
 			return checkSize(ctx, len(rows))
-		})
+		}).run(st.outer, 0)
 	}()
 	if err != nil {
 		return err

@@ -143,7 +143,11 @@ func buildBlockSkeleton(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, limit, off
 		}
 	}
 	if q.GroupBy != nil {
-		ctx.Stats.Node(block, q.GroupBy, "group", "group-by", "")
+		label := "materialize"
+		if phys != nil && phys.stream != nil {
+			label = phys.stream.label
+		}
+		ctx.Stats.Node(block, q.GroupBy, "group", "group-by", label)
 	}
 	if q.Having != nil {
 		ctx.Stats.Node(block, q, "having", "filter", "having")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -188,6 +189,46 @@ func TestScatterByteIdentity(t *testing.T) {
 			if len(res.MissingShards) != 0 {
 				t.Errorf("%q: unexpected missing shards %v", tc.query, res.MissingShards)
 			}
+		}
+	}
+}
+
+// TestScatterSumOverflowWidens: three shards whose partial SUMs each fit
+// int64 while the total does not. The merge must return the same Float a
+// single node does — neither side may wrap.
+func TestScatterSumOverflowWidens(t *testing.T) {
+	const third = math.MaxInt64/2 + 1
+	rows := value.Array{}
+	for i := 0; i < 3; i++ {
+		rows = append(rows, value.NewTuple(
+			value.Field{Name: "g", Value: value.String("a")},
+			value.Field{Name: "v", Value: value.Int(third)}))
+	}
+	single := sqlpp.New(nil)
+	if err := single.Register("big", rows); err != nil {
+		t.Fatal(err)
+	}
+	co := NewLocalCluster(3, nil, Policy{})
+	if err := co.Distribute("big", rows, Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT x.g AS g, SUM(x.v) AS s, AVG(x.v) AS a FROM big AS x GROUP BY x.g AS g",
+		"SELECT SUM(x.v) AS s FROM big AS x",
+	} {
+		want, err := single.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := co.Exec(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Class != "group" {
+			t.Errorf("%q: class %s, want group", q, res.Class)
+		}
+		if got := res.Value.String(); got != want.String() || !strings.Contains(got, "1.3835058055282164e+19") {
+			t.Errorf("%q:\n sharded %s\n single  %s\n want SUM 1.3835058055282164e+19", q, got, want)
 		}
 	}
 }

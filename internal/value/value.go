@@ -162,6 +162,11 @@ func NewTuple(fields ...Field) *Tuple {
 // EmptyTuple returns a new tuple with no attributes.
 func EmptyTuple() *Tuple { return &Tuple{} }
 
+// NewTupleCap returns an empty tuple with room for n attributes, so a
+// constructor that knows its field count allocates the attribute slice
+// once instead of growing it append by append.
+func NewTupleCap(n int) *Tuple { return &Tuple{fields: make([]Field, 0, n)} }
+
 // Put appends attribute name with value v. If v is MISSING the attribute
 // is not added. Put does not replace an existing attribute of the same
 // name; use Set for replacement semantics.

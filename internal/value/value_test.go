@@ -193,3 +193,24 @@ func TestPretty(t *testing.T) {
 		t.Error("empty array should pretty-print compactly")
 	}
 }
+
+func TestNewTupleCapPutDoesNotReallocate(t *testing.T) {
+	tup := NewTupleCap(3)
+	if tup.Len() != 0 {
+		t.Fatalf("pre-sized tuple has %d attributes", tup.Len())
+	}
+	tup.Put("a", Int(1))
+	first := &tup.Fields()[0]
+	tup.Put("b", Int(2))
+	tup.Put("c", Int(3))
+	if &tup.Fields()[0] != first {
+		t.Error("Put within the pre-sized capacity moved the attribute slice")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		p := NewTupleCap(2)
+		p.Put("a", True)
+		p.Put("b", False)
+	}); n > 2 {
+		t.Errorf("pre-sized two-attribute tuple: %.0f allocations, want 2", n)
+	}
+}
