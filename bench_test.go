@@ -270,39 +270,6 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// Execution-strategy ablation: the streaming clause pipeline against
-// full clause-boundary materialization (semantics identical; see
-// DESIGN.md §4). LIMIT shows the pushdown difference; the full scan
-// shows the intermediate-list overhead.
-func BenchmarkPipelineVsMaterialized(b *testing.B) {
-	data := bench.FlatEmp(20000, 10, 42)
-	queries := map[string]string{
-		"scan-filter": `SELECT e.name AS n FROM emp AS e WHERE e.salary > 100000`,
-		"early-limit": `SELECT e.name AS n FROM emp AS e WHERE e.salary > 100000 LIMIT 10`,
-		"group":       `SELECT e.deptno, AVG(e.salary) AS a FROM emp AS e GROUP BY e.deptno`,
-	}
-	for _, strategy := range []string{"pipeline", "materialized"} {
-		db := sqlpp.New(&sqlpp.Options{MaterializeClauses: strategy == "materialized"})
-		if err := db.Register("emp", data); err != nil {
-			b.Fatal(err)
-		}
-		for qname, q := range queries {
-			p, err := db.Prepare(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(strategy+"/"+qname, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.Exec(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // Window functions at scale (the §V-B compatibility claim).
 func BenchmarkWindowFunctions(b *testing.B) {
 	db := sqlpp.New(nil)

@@ -12,11 +12,6 @@
 //	sqlpp-bench -vet         measure static-analysis (sema) cost and write BENCH_vet.json
 //	sqlpp-bench -index       measure secondary-index build and probe cost vs full scans
 //	                         and write BENCH_index.json
-//	sqlpp-bench -vector      measure the compiled-expression execution core against
-//	                         the tree-walking interpreter and write BENCH_vector.json
-//	sqlpp-bench -planner     run identical queries through the heuristic and the
-//	                         cost-based planner (one shared executor) and write
-//	                         BENCH_planner.json
 //	sqlpp-bench -shard       measure fault-tolerant scatter-gather over in-process
 //	                         shards (4-shard speedup, byte identity, failure
 //	                         policies) and write BENCH_shard.json
@@ -60,10 +55,6 @@ func main() {
 	vetOut := flag.String("vet-out", "BENCH_vet.json", "machine-readable output of -vet")
 	indexBench := flag.Bool("index", false, "measure secondary-index build and probe cost vs full scans")
 	indexOut := flag.String("index-out", "BENCH_index.json", "machine-readable output of -index")
-	vector := flag.Bool("vector", false, "measure compiled-expression execution vs the interpreter")
-	vectorOut := flag.String("vector-out", "BENCH_vector.json", "machine-readable output of -vector")
-	planner := flag.Bool("planner", false, "run the planner-quality differential harness")
-	plannerOut := flag.String("planner-out", "BENCH_planner.json", "machine-readable output of -planner")
 	shardBench := flag.Bool("shard", false, "measure fault-tolerant scatter-gather over in-process shards")
 	shardOut := flag.String("shard-out", "BENCH_shard.json", "machine-readable output of -shard")
 	lintBench := flag.Bool("lint", false, "time the full static-analysis suite; fail if over budget")
@@ -72,7 +63,7 @@ func main() {
 	scale := flag.Int("scale", 1, "scale factor for the performance experiments")
 	flag.Parse()
 
-	all := !*listings && !*kit && !*perf && !*formats && !*serve && !*joins && !*explain && !*governor && !*vet && !*indexBench && !*vector && !*planner && !*shardBench && !*lintBench
+	all := !*listings && !*kit && !*perf && !*formats && !*serve && !*joins && !*explain && !*governor && !*vet && !*indexBench && !*shardBench && !*lintBench
 	failed := false
 	if *listings || all {
 		failed = runListings() || failed
@@ -103,12 +94,6 @@ func main() {
 	}
 	if *indexBench || all {
 		failed = runIndexBench(*scale, *indexOut) || failed
-	}
-	if *vector || all {
-		failed = runVector(*scale, *vectorOut) || failed
-	}
-	if *planner || all {
-		failed = runPlanner(*scale, *plannerOut) || failed
 	}
 	if *shardBench || all {
 		failed = runShard(*scale, *shardOut) || failed

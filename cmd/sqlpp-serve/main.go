@@ -17,9 +17,8 @@
 //	-max-concurrent n   queries executing at once (default 4×GOMAXPROCS)
 //	-timeout d          default per-query timeout (default 30s)
 //	-max-timeout d      cap on client-requested timeouts (default 5m)
-//	-no-opt             disable the physical optimizer (naive clause pipeline)
-//	-no-compile         disable closure compilation (tree-walking interpreter)
-//	-no-stats           disable statistics-driven cost-based planning
+//	-no-opt             run the reference implementation the identity tests
+//	                    compare against (naive clause pipeline, interpreter)
 //	-parallel n         parallel-scan workers: 0 = GOMAXPROCS, 1 = sequential
 //	-max-rows n         server-wide cap on per-query output rows (0 = unlimited)
 //	-max-bytes n        server-wide cap on per-query materialized bytes (0 = unlimited)
@@ -102,9 +101,7 @@ func run() error {
 	maxConcurrent := flag.Int("max-concurrent", 0, "queries executing at once (0 = 4×GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query timeout")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested timeouts")
-	noOpt := flag.Bool("no-opt", false, "disable the physical optimizer")
-	noCompile := flag.Bool("no-compile", false, "disable closure compilation (evaluate through the interpreter)")
-	noStats := flag.Bool("no-stats", false, "disable statistics-driven cost-based planning")
+	noOpt := flag.Bool("no-opt", false, "run the reference implementation the identity tests compare against (naive clause pipeline, interpreter)")
 	parallel := flag.Int("parallel", 0, "parallel-scan workers (0 = GOMAXPROCS, 1 = sequential)")
 	maxRows := flag.Int64("max-rows", 0, "server-wide cap on per-query output rows (0 = unlimited)")
 	maxBytes := flag.Int64("max-bytes", 0, "server-wide cap on per-query materialized bytes (0 = unlimited)")
@@ -127,8 +124,6 @@ func run() error {
 		Compat:           *compat,
 		StopOnError:      *strict,
 		DisableOptimizer: *noOpt,
-		NoCompile:        *noCompile,
-		NoStats:          *noStats,
 		Parallelism:      *parallel,
 	}
 	db := sqlpp.New(&opts)

@@ -35,9 +35,8 @@
 //	-explain          execute with EXPLAIN ANALYZE: print the per-operator
 //	                  stats tree (rows in/out, wall time, counters) after
 //	                  the result
-//	-no-opt           disable the physical optimizer (naive clause pipeline)
-//	-no-compile       disable closure compilation (tree-walking interpreter)
-//	-no-stats         disable statistics-driven cost-based planning
+//	-no-opt           run the reference implementation the identity tests
+//	                  compare against (naive clause pipeline, interpreter)
 //	-parallel n       parallel-scan workers: 0 = GOMAXPROCS, 1 = sequential
 //
 // With no query and no -f, sqlpp starts a REPL. REPL commands:
@@ -124,9 +123,7 @@ func run() error {
 	showCore := flag.Bool("core", false, "print the SQL++ Core rewriting instead of executing")
 	vet := flag.Bool("vet", false, "print static-analysis diagnostics instead of executing; exit 1 on error-severity diagnostics, 2 if the analysis itself fails")
 	explain := flag.Bool("explain", false, "execute with EXPLAIN ANALYZE and print the per-operator stats tree")
-	noOpt := flag.Bool("no-opt", false, "disable the physical optimizer")
-	noCompile := flag.Bool("no-compile", false, "disable closure compilation (evaluate through the interpreter)")
-	noStats := flag.Bool("no-stats", false, "disable statistics-driven cost-based planning")
+	noOpt := flag.Bool("no-opt", false, "run the reference implementation the identity tests compare against (naive clause pipeline, interpreter)")
 	parallel := flag.Int("parallel", 0, "parallel-scan workers (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
 
@@ -134,8 +131,6 @@ func run() error {
 		Compat:           *compat,
 		StopOnError:      *strict,
 		DisableOptimizer: *noOpt,
-		NoCompile:        *noCompile,
-		NoStats:          *noStats,
 		Parallelism:      *parallel,
 		Limits: sqlpp.Limits{
 			MaxOutputRows:        *maxRows,
@@ -540,8 +535,8 @@ func command(db *sqlpp.Engine, line, outFormat string) bool {
 		statsCommand(db, rest)
 	case "\\mode":
 		o := db.Options()
-		fmt.Printf("compat=%v strict=%v optimizer=%v compile=%v stats=%v parallel=%d\n",
-			o.Compat, o.StopOnError, !o.DisableOptimizer, !o.NoCompile, !o.NoStats, o.Parallelism)
+		fmt.Printf("compat=%v strict=%v optimizer=%v parallel=%d\n",
+			o.Compat, o.StopOnError, !o.DisableOptimizer, o.Parallelism)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown command %s\n", cmd)
 	}

@@ -12,11 +12,12 @@ import (
 
 // FuzzEvalPermissive drives the whole engine end to end: parse arbitrary
 // input and, when it parses, execute it in permissive mode against a
-// small fixed catalog — once on the default compiled engine and once on
-// the interpreter-only engine. Neither may panic, and the two must
-// agree: same rendering when both succeed, and never a success on one
-// side paired with a real failure on the other (deadline expiry is
-// timing, not semantics, and is exempt).
+// small fixed catalog — once on the production engine and once on the
+// reference oracle (DisableOptimizer: naive clause pipeline, tree-walking
+// interpreter). Neither may panic, and the two must agree: same rendering
+// when both succeed, and never a success on one side paired with a real
+// failure on the other (deadline expiry is timing, not semantics, and is
+// exempt).
 //
 // MaxCollectionSize bounds materialized intermediates and the deadline
 // bounds wall time, so fuzz-invented cross joins fail fast instead of
@@ -28,8 +29,8 @@ func FuzzEvalPermissive(f *testing.F) {
 	f.Add(`SELECT VALUE t FROM t AS t WHERE t.a + 'x' > 0`)
 	f.Add(`SELECT COUNT(*) AS n FROM t AS x GROUP BY x.a HAVING COUNT(*) > 0`)
 	f.Add(`SELECT VALUE v FROM t AS x, UNPIVOT x AS v AT n ORDER BY v LIMIT 3`)
-	// Compiled-fallback boundaries: forms the compiler specializes
-	// (LIKE/BETWEEN/IN/CASE/constructors) mixed with forms it lowers to
+	// Compiler boundaries: forms the compiler specializes
+	// (LIKE/BETWEEN/IN/CASE/constructors) mixed with forms it hands to
 	// the interpreter (subqueries, WITH), absent inputs, and malformed
 	// patterns — the seams where the two paths could drift.
 	f.Add(`SELECT VALUE x.a FROM t AS x WHERE x.b LIKE 'o%' AND x.a BETWEEN 1 AND 2`)
@@ -44,8 +45,8 @@ func FuzzEvalPermissive(f *testing.F) {
 	f.Add(`FROM t AS x GROUP BY x.a AS a GROUP AS g SELECT a AS a, g AS members, COLL_COUNT(g) AS n, COLL_SUM(SELECT VALUE v.x.a FROM g AS v WHERE v.x.a > 0) AS s`)
 
 	db := sqlpp.New(&sqlpp.Options{MaxCollectionSize: 4096})
-	interp := sqlpp.New(&sqlpp.Options{MaxCollectionSize: 4096, NoCompile: true})
-	for _, e := range []*sqlpp.Engine{db, interp} {
+	oracle := sqlpp.New(&sqlpp.Options{MaxCollectionSize: 4096, DisableOptimizer: true})
+	for _, e := range []*sqlpp.Engine{db, oracle} {
 		if err := e.RegisterSION("t", `{{ {'a': 1, 'b': 'one'}, {'a': 2}, {'a': null, 'b': 3.5}, 7, 'str', [1, 2] }}`); err != nil {
 			f.Fatal(err)
 		}
@@ -57,19 +58,19 @@ func FuzzEvalPermissive(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		cv, cerr := db.QueryContext(ctx, src) // errors fine; panics are not
-		iv, ierr := interp.QueryContext(ctx, src)
-		timedOut := errors.Is(cerr, context.DeadlineExceeded) || errors.Is(ierr, context.DeadlineExceeded)
+		pv, perr := db.QueryContext(ctx, src) // errors fine; panics are not
+		ov, oerr := oracle.QueryContext(ctx, src)
+		timedOut := errors.Is(perr, context.DeadlineExceeded) || errors.Is(oerr, context.DeadlineExceeded)
 		if timedOut {
 			return
 		}
-		if (cerr == nil) != (ierr == nil) {
-			t.Fatalf("compiled/interpreted error divergence on %q:\n  compiled    err=%v\n  interpreted err=%v",
-				src, cerr, ierr)
+		if (perr == nil) != (oerr == nil) {
+			t.Fatalf("production/oracle error divergence on %q:\n  production err=%v\n  oracle     err=%v",
+				src, perr, oerr)
 		}
-		if cerr == nil && cv.String() != iv.String() {
-			t.Fatalf("compiled/interpreted result divergence on %q:\n  compiled    %s\n  interpreted %s",
-				src, cv, iv)
+		if perr == nil && pv.String() != ov.String() {
+			t.Fatalf("production/oracle result divergence on %q:\n  production %s\n  oracle     %s",
+				src, pv, ov)
 		}
 	})
 }

@@ -143,40 +143,15 @@ func render(v value.Value) string {
 // engine wired from the internal packages; the kit must not depend on
 // any particular vendor facade.
 func Execute(data map[string]string, query string, compatMode, strict bool) (value.Value, error) {
-	cat := catalog.New()
+	vals := make(map[string]value.Value, len(data))
 	for name, src := range data {
 		v, err := sion.Parse(src)
 		if err != nil {
 			return nil, fmt.Errorf("compat: data %s: %w", name, err)
 		}
-		if err := cat.Register(name, v); err != nil {
-			return nil, err
-		}
+		vals[name] = v
 	}
-	tree, err := parser.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	core, err := rewrite.Rewrite(tree, rewrite.Options{Compat: compatMode, Names: cat})
-	if err != nil {
-		return nil, err
-	}
-	mode := eval.Permissive
-	if strict {
-		mode = eval.StopOnError
-	}
-	// The kit exercises the optimized physical plans: listing results
-	// must be identical with every rewrite enabled.
-	plan.Optimize(core, plan.OptOptions{Mode: mode})
-	ctx := &eval.Context{
-		Mode:        mode,
-		Compat:      compatMode,
-		Names:       cat,
-		Funcs:       sharedFuncs,
-		Run:         plan.Run,
-		Parallelism: runtime.GOMAXPROCS(0),
-	}
-	return plan.Run(ctx, eval.NewEnv(), core)
+	return ExecuteValues(vals, query, compatMode, strict)
 }
 
 // ExecuteValues is Execute over already-decoded values, used by the
@@ -201,7 +176,9 @@ func ExecuteValues(data map[string]value.Value, query string, compatMode, strict
 	if strict {
 		mode = eval.StopOnError
 	}
-	plan.Optimize(core, plan.OptOptions{Mode: mode})
+	// The kit exercises the production path: listing results must be
+	// identical with every rewrite enabled and every expression compiled.
+	plan.Optimize(core, plan.OptOptions{Mode: mode, Compat: compatMode, Indexes: cat, Funcs: sharedFuncs, Stats: cat})
 	ctx := &eval.Context{
 		Mode:        mode,
 		Compat:      compatMode,

@@ -20,9 +20,9 @@ import (
 // closure delegates to the same value-level helpers Eval uses (Arith,
 // Comparison, Navigate, likeValue, inValues, ...), evaluates operands
 // in the same order, and produces the same error values. Node kinds the
-// compiler does not lower — nested query blocks chiefly — fall back to
-// a closure around Eval, so compiled and interpreted subtrees mix
-// freely.
+// compiler does not lower — nested query blocks chiefly — become a
+// closure around Eval (Interpret), so compiled and interpreted subtrees
+// mix freely.
 //
 // A CompiledExpr is only valid under a Context whose Mode and Compat
 // match the CompileOpts it was compiled with; the planner guarantees
@@ -97,7 +97,7 @@ func Compile(e ast.Expr, o CompileOpts) CompiledExpr {
 	// Query blocks (SFW, PIVOT, set ops) and any future node kinds run
 	// through the interpreter; their sub-blocks get their own compiled
 	// physical plans when they execute.
-	return compileFallback(e)
+	return Interpret(e)
 }
 
 // CompileAll compiles a slice of expressions; nil in, nil out.
@@ -112,7 +112,15 @@ func CompileAll(es []ast.Expr, o CompileOpts) []CompiledExpr {
 	return out
 }
 
-func compileFallback(e ast.Expr) CompiledExpr {
+// Interpret returns e's evaluator through the tree-walking interpreter:
+// what Compile produces for node kinds it does not lower, and what a
+// block that runs without a physical plan (the reference oracle, FROM-less
+// blocks) hands the operators it shares with planned blocks. A nil
+// expression yields nil.
+func Interpret(e ast.Expr) CompiledExpr {
+	if e == nil {
+		return nil
+	}
 	return func(ctx *Context, env *Env) (value.Value, error) {
 		return Eval(ctx, env, e)
 	}
@@ -196,7 +204,7 @@ func compileUnary(x *ast.Unary, o CompileOpts) CompiledExpr {
 	switch x.Op {
 	case "-", "NOT":
 	default:
-		return compileFallback(x)
+		return Interpret(x)
 	}
 	operand := Compile(x.Operand, o)
 	op, pos := x.Op, x.Pos()
@@ -220,7 +228,7 @@ func compileBinary(x *ast.Binary, o CompileOpts) CompiledExpr {
 	case "=", "<>", "<", "<=", ">", ">=":
 		return compileComparison(x, o)
 	}
-	return compileFallback(x)
+	return Interpret(x)
 }
 
 func compileArith(x *ast.Binary, o CompileOpts) CompiledExpr {
@@ -594,7 +602,7 @@ func compileCase(x *ast.Case, o CompileOpts) CompiledExpr {
 // argument evaluates.
 func compileCall(x *ast.Call, o CompileOpts) CompiledExpr {
 	if o.Funcs == nil {
-		return compileFallback(x)
+		return Interpret(x)
 	}
 	def, ok := o.Funcs.LookupFunc(x.Name)
 	if !ok {

@@ -113,11 +113,6 @@ type Context struct {
 	// MaxCollectionSize bounds materialized intermediate collections as
 	// a resource guard; zero means unlimited.
 	MaxCollectionSize int
-	// MaterializeClauses disables the streaming clause pipeline and
-	// materializes every clause boundary instead. It exists only for the
-	// ablation benchmark comparing the two execution strategies; the
-	// semantics are identical.
-	MaterializeClauses bool
 	// Parallelism bounds the worker pool a parallel outer scan may use;
 	// values below 2 keep execution fully sequential.
 	Parallelism int

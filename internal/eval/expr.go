@@ -200,6 +200,9 @@ func unaryValue(ctx *Context, op string, v value.Value, pos lexer.Pos) (value.Va
 	if op == "-" {
 		switch n := v.(type) {
 		case value.Int:
+			if n == math.MinInt64 {
+				return value.Float(-float64(n)), nil // 2^63 does not fit int64
+			}
 			return value.Int(-n), nil
 		case value.Float:
 			return value.Float(-n), nil
@@ -272,9 +275,10 @@ func evalLogical(ctx *Context, env *Env, x *ast.Binary) (value.Value, error) {
 }
 
 // Arith evaluates an arithmetic operator with SQL++ typing: integer
-// arithmetic stays integral (with integer division), any float operand
-// promotes to float, absent values propagate, and non-numeric operands
-// are a type fault (the paper's 2 * 'some string' example).
+// arithmetic stays integral (with integer division) while the result fits
+// int64, any float operand promotes to float, absent values propagate, and
+// non-numeric operands are a type fault (the paper's 2 * 'some string'
+// example).
 func Arith(ctx *Context, op string, l, r value.Value, pos lexer.Pos) (value.Value, error) {
 	if value.IsAbsent(l) || value.IsAbsent(r) {
 		return absentOut(ctx, l.Kind() == value.KindMissing || r.Kind() == value.KindMissing), nil
@@ -282,19 +286,29 @@ func Arith(ctx *Context, op string, l, r value.Value, pos lexer.Pos) (value.Valu
 	li, lIsInt := l.(value.Int)
 	ri, rIsInt := r.(value.Int)
 	if lIsInt && rIsInt {
+		// A result that does not fit int64 widens to the Float arithmetic
+		// below instead of wrapping, as COLL_SUM does.
 		a, b := int64(li), int64(ri)
 		switch op {
 		case "+":
-			return value.Int(a + b), nil
+			if s := a + b; (s > a) == (b > 0) {
+				return value.Int(s), nil
+			}
 		case "-":
-			return value.Int(a - b), nil
+			if d := a - b; (d < a) == (b > 0) {
+				return value.Int(d), nil
+			}
 		case "*":
-			return value.Int(a * b), nil
+			if p := a * b; a == 0 || (p/a == b && !(a == -1 && b == math.MinInt64)) {
+				return value.Int(p), nil
+			}
 		case "/":
 			if b == 0 {
 				return ctx.mistyped(pos, op, "division by zero")
 			}
-			return value.Int(a / b), nil
+			if !(a == math.MinInt64 && b == -1) {
+				return value.Int(a / b), nil
+			}
 		case "%":
 			if b == 0 {
 				return ctx.mistyped(pos, op, "modulo by zero")

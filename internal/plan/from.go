@@ -16,8 +16,8 @@ import (
 // its materialization: unlike a streamed scan, a hoisted source is held
 // for the lifetime of the block, so its full size counts against the
 // governor's materialization budget.
-func hoistSource(ctx *eval.Context, outer *eval.Env, expr ast.Expr, srcC eval.CompiledExpr) (value.Value, error) {
-	src, err := evalMaybe(ctx, outer, expr, srcC)
+func hoistSource(ctx *eval.Context, outer *eval.Env, srcC eval.CompiledExpr) (value.Value, error) {
+	src, err := srcC(ctx, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -378,7 +378,7 @@ func (st *physState) produce(ctx *eval.Context, k emit) error {
 	if st.preFilter != nil {
 		st.preFilter.AddIn(1)
 	}
-	ok, err := filtersPass(ctx, st.outer, st.phys.pre, st.phys.preC)
+	ok, err := filtersPass(ctx, st.outer, st.phys.preC)
 	if err != nil || !ok {
 		return err
 	}
@@ -437,7 +437,7 @@ func (c *chain) nextFor(i int) emit {
 		if filter != nil {
 			filter.AddIn(1)
 		}
-		ok, err := filtersPass(c.ctx, child, step.filters, step.filtersC)
+		ok, err := filtersPass(c.ctx, child, step.filtersC)
 		if err != nil || !ok {
 			return err
 		}
@@ -480,13 +480,17 @@ func (c *chain) run(env *eval.Env, i int) error {
 			return st.runIndexScan(ctx, env, i, step, ix, next)
 		}
 	}
-	if st.phys.compiled {
-		if x, ok := step.item.(*ast.FromExpr); ok {
-			return st.runScanFused(ctx, env, i, x, step, ss, next)
-		}
+	if x, ok := step.item.(*ast.FromExpr); ok {
+		return st.runScanFused(ctx, env, i, x, step, ss, next)
 	}
-	if step.hoist {
-		// The hoisted paths bypass produceItem, so the step node's
+	if x, ok := step.item.(*ast.FromUnpivot); ok && step.hoist {
+		src, err := st.sources[i].get(func() (value.Value, error) {
+			return hoistSource(ctx, st.outer, step.srcC)
+		})
+		if err != nil {
+			return err
+		}
+		// The hoisted path bypasses produceItem, so the step node's
 		// emitted-row count is recorded here.
 		emitNext := next
 		if ss != nil {
@@ -496,37 +500,22 @@ func (c *chain) run(env *eval.Env, i int) error {
 				return next(child)
 			}
 		}
-		switch x := step.item.(type) {
-		case *ast.FromExpr:
-			src, err := st.sources[i].get(func() (value.Value, error) {
-				return hoistSource(ctx, st.outer, x.Expr, step.srcC)
-			})
-			if err != nil {
-				return err
-			}
-			return scanValue(ctx, env, x, src, emitNext)
-		case *ast.FromUnpivot:
-			src, err := st.sources[i].get(func() (value.Value, error) {
-				return hoistSource(ctx, st.outer, x.Expr, step.srcC)
-			})
-			if err != nil {
-				return err
-			}
-			return unpivotValue(ctx, env, x, src, emitNext)
-		}
+		return unpivotValue(ctx, env, x, src, emitNext)
 	}
+	// Nested-loop JOIN ... ON and correlated UNPIVOT: the producers planned
+	// and unplanned blocks share, which interpret their own expressions.
 	return produceItem(ctx, env, step.item, next)
 }
 
-// scanBatch is the row-slice size of the fused compiled scan loop: the
+// scanBatch is the row-slice size of the fused scan loop: the
 // cancellation poll and the stats row-count charges are amortized to one
 // per batch. A power of two a few multiples of the eval pollInterval, so
 // batched polling stays on the interpreter's cadence.
 const scanBatch = 256
 
-// runScanFused is the batched scan loop of the compiled pipeline,
-// replacing produceItem+scanValue (and the hoisted scanValue path) for
-// plain FromExpr steps. The source evaluates through its precompiled
+// runScanFused is the batched scan loop of the physical plan: every plain
+// FromExpr step runs it in place of the naive pipeline's
+// produceItem+scanValue. The source evaluates through its compiled
 // closure (or the shared hoist cell); the element loop then binds,
 // filters (inside next), and recurses exactly like the row-at-a-time
 // path, but batch-at-a-time: one InterruptedN poll per batch and one
@@ -534,7 +523,7 @@ const scanBatch = 256
 // holds, one child Env is allocated per invocation and rebound in place
 // per row instead of allocating per row. Observable row order, error
 // points, stats totals, and fault-injection sites are identical to the
-// interpreted path.
+// naive pipeline's.
 //
 // governor: the fused loop materializes nothing — rows stream to next
 // and are charged at the pipeline's sinks (rowSink, groupState, hash
@@ -544,10 +533,10 @@ func (st *physState) runScanFused(ctx *eval.Context, env *eval.Env, i int, x *as
 	var err error
 	if step.hoist {
 		src, err = st.sources[i].get(func() (value.Value, error) {
-			return hoistSource(ctx, st.outer, x.Expr, step.srcC)
+			return hoistSource(ctx, st.outer, step.srcC)
 		})
 	} else {
-		src, err = evalMaybe(ctx, env, x.Expr, step.srcC)
+		src, err = step.srcC(ctx, env)
 	}
 	if err != nil {
 		return err
@@ -557,8 +546,8 @@ func (st *physState) runScanFused(ctx *eval.Context, env *eval.Env, i int, x *as
 	if ss != nil {
 		node = ss.node
 		if !step.hoist {
-			// Hoisted steps have no timer in the interpreted path either
-			// (their per-row work is the continuation's); keep that shape.
+			// A hoisted step's per-row work is the continuation's, so it
+			// carries no timer of its own.
 			defer node.Timer()()
 		}
 	}
@@ -636,29 +625,10 @@ func (st *physState) runScanFused(ctx *eval.Context, env *eval.Env, i int, x *as
 	return nil
 }
 
-// evalFilters evaluates pushed conjuncts; the binding survives only when
+// filtersPass evaluates a conjunct list; the binding survives only when
 // every conjunct is exactly TRUE, the same test WHERE applies.
-func evalFilters(ctx *eval.Context, env *eval.Env, filters []ast.Expr) (bool, error) {
+func filtersPass(ctx *eval.Context, env *eval.Env, filters []eval.CompiledExpr) (bool, error) {
 	for _, f := range filters {
-		cond, err := eval.Eval(ctx, env, f)
-		if err != nil {
-			return false, err
-		}
-		if !eval.IsTrue(cond) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// filtersPass is evalFilters through the compiled closures when the plan
-// carries them, the interpreter otherwise. compiled is nil exactly when
-// compilation was off for the block, so the nil test selects the path.
-func filtersPass(ctx *eval.Context, env *eval.Env, filters []ast.Expr, compiled []eval.CompiledExpr) (bool, error) {
-	if compiled == nil {
-		return evalFilters(ctx, env, filters)
-	}
-	for _, f := range compiled {
 		cond, err := f(ctx, env)
 		if err != nil {
 			return false, err
@@ -668,22 +638,6 @@ func filtersPass(ctx *eval.Context, env *eval.Env, filters []ast.Expr, compiled 
 		}
 	}
 	return true, nil
-}
-
-// evalMaybe evaluates e through its compiled form when available.
-func evalMaybe(ctx *eval.Context, env *eval.Env, e ast.Expr, c eval.CompiledExpr) (value.Value, error) {
-	if c != nil {
-		return c(ctx, env)
-	}
-	return eval.Eval(ctx, env, e)
-}
-
-// compiledAt indexes a compiled slice that may be nil (compilation off).
-func compiledAt(cs []eval.CompiledExpr, i int) eval.CompiledExpr {
-	if cs == nil {
-		return nil
-	}
-	return cs[i]
 }
 
 // grouper is a block's GROUP BY operator: rows fold in through add, one
@@ -699,16 +653,13 @@ type grouper interface {
 	merge(other grouper) error
 }
 
-// newGrouper picks the block's GROUP BY operator from its physical plan.
-func newGrouper(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, phys *sfwPhys) grouper {
+// newGrouper picks the block's GROUP BY operator from its physical plan;
+// keys evaluate the grouping keys.
+func newGrouper(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, keys []eval.CompiledExpr, phys *sfwPhys) grouper {
 	if phys != nil && phys.stream != nil {
-		return newStreamGroup(ctx, outer, spec, phys)
+		return newStreamGroup(ctx, outer, spec, keys, phys.stream)
 	}
-	g := newGroupState(ctx, outer, spec)
-	if phys != nil && phys.compiled {
-		g.keysC = phys.groupC
-	}
-	return g
+	return newGroupState(ctx, outer, spec, keys)
 }
 
 // groupState materializes GROUP BY groups (§V-B). Each input binding
@@ -728,17 +679,16 @@ type groupState struct {
 	// same keyed node, so rows-in sums across workers and groups-out is
 	// recorded once by the merged state's flush.
 	st *eval.StatsNode
-	// keysC are the compiled grouping-key expressions, set by the plan
-	// runner when the block was compiled; nil falls back to interpreting
-	// spec.Keys[i].Expr.
+	// keysC evaluate the grouping keys.
 	keysC []eval.CompiledExpr
 }
 
-func newGroupState(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy) *groupState {
+func newGroupState(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, keys []eval.CompiledExpr) *groupState {
 	g := &groupState{
 		ctx:     ctx,
 		outer:   outer,
 		spec:    spec,
+		keysC:   keys,
 		keyVals: map[string][]value.Value{},
 		content: map[string]value.Bag{},
 	}
@@ -764,7 +714,7 @@ func (g *groupState) add(env *eval.Env) error {
 		g.st.AddIn(1)
 	}
 	keys := make([]value.Value, len(g.spec.Keys))
-	kb, err := groupKey(g.ctx, env, g.spec, g.keysC, keys, nil)
+	kb, err := groupKey(g.ctx, env, g.keysC, keys, nil)
 	if err != nil {
 		return err
 	}
@@ -787,10 +737,10 @@ func (g *groupState) add(env *eval.Env) error {
 
 // groupKey evaluates the grouping keys of env into vals and returns their
 // canonical encoding appended to buf[:0].
-func groupKey(ctx *eval.Context, env *eval.Env, spec *ast.GroupBy, keysC []eval.CompiledExpr, vals []value.Value, buf []byte) ([]byte, error) {
+func groupKey(ctx *eval.Context, env *eval.Env, keysC []eval.CompiledExpr, vals []value.Value, buf []byte) ([]byte, error) {
 	buf = buf[:0]
-	for i := range spec.Keys {
-		v, err := evalMaybe(ctx, env, spec.Keys[i].Expr, compiledAt(keysC, i))
+	for i, key := range keysC {
+		v, err := key(ctx, env)
 		if err != nil {
 			return nil, err
 		}

@@ -57,8 +57,8 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep) (*hashT
 			return err
 		}
 		kb = kb[:0]
-		for j, bk := range h.buildKeys {
-			v, err := evalMaybe(ctx, renv, bk, compiledAt(h.buildC, j))
+		for _, bk := range h.buildC {
+			v, err := bk(ctx, renv)
 			if err != nil {
 				return err
 			}
@@ -152,8 +152,8 @@ func (c *chain) probeFor(i int, h *hashJoinStep) emit {
 		}
 		kb = kb[:0]
 		absent := false
-		for j, pk := range h.probeKeys {
-			v, err := evalMaybe(ctx, lenv, pk, compiledAt(h.probeC, j))
+		for _, pk := range h.probeC {
+			v, err := pk(ctx, lenv)
 			if err != nil {
 				return err
 			}
@@ -179,7 +179,7 @@ func (c *chain) probeFor(i int, h *hashJoinStep) emit {
 			for j, n := range row.names {
 				cand.Bind(n, row.vals[j])
 			}
-			ok, err := filtersPass(ctx, cand, h.verify, h.verifyC)
+			ok, err := filtersPass(ctx, cand, h.verifyC)
 			if err != nil {
 				return err
 			}

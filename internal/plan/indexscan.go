@@ -87,7 +87,7 @@ func probePositions(ctx *eval.Context, env *eval.Env, ia *indexAccess, ix *index
 		return nil, nil
 	}
 	if ia.eq != nil {
-		key, err := evalMaybe(ctx, env, ia.eq, ia.eqC)
+		key, err := ia.eqC(ctx, env)
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +101,7 @@ func probePositions(ctx *eval.Context, env *eval.Env, ia *indexAccess, ix *index
 	}
 	var lo, hi value.Value
 	if ia.lo != nil {
-		v, err := evalMaybe(ctx, env, ia.lo, ia.loC)
+		v, err := ia.loC(ctx, env)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +111,7 @@ func probePositions(ctx *eval.Context, env *eval.Env, ia *indexAccess, ix *index
 		lo = v
 	}
 	if ia.hi != nil {
-		v, err := evalMaybe(ctx, env, ia.hi, ia.hiC)
+		v, err := ia.hiC(ctx, env)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +205,7 @@ func (st *physState) runIndexJoin(ctx *eval.Context, env *eval.Env, i int, h *ha
 			ss.node.AddIn(1)
 			ss.probes.Add(1)
 		}
-		key, err := evalMaybe(ctx, lenv, h.buildIdx.eq, h.buildIdx.eqC)
+		key, err := h.buildIdx.eqC(ctx, lenv)
 		if err != nil {
 			return err
 		}
@@ -237,7 +237,7 @@ func (st *physState) runIndexJoin(ctx *eval.Context, env *eval.Env, i int, h *ha
 					cand.Bind(x.AtVar, value.Missing)
 				}
 			}
-			ok, err := filtersPass(ctx, cand, h.verify, h.verifyC)
+			ok, err := filtersPass(ctx, cand, h.verifyC)
 			if err != nil {
 				return err
 			}

@@ -49,17 +49,16 @@ type OptOptions struct {
 	// Compat is the engine's SQL-compatibility bit; compiled expressions
 	// specialize on it, so it must match the execution Context.
 	Compat bool
-	// Compile lowers every per-row expression of each block to a closure
-	// (internal/eval/compile.go) stored alongside its AST in the
-	// physical plan; execution then runs the compiled pipeline. Off,
-	// everything evaluates through the tree-walking interpreter.
+	// Deprecated: ignored — plans are always compiled; kept only until
+	// the next benchmark PR drops the reference.
 	Compile bool
 	// Funcs resolves function names at compile time; nil leaves calls on
-	// the interpreted path.
+	// the interpreter.
 	Funcs eval.FuncSource
-	// Stats resolves per-collection statistics at plan time; nil disables
-	// every cost-based decision (join reordering, index vetoes, parallel
-	// sizing, est_rows annotations) and keeps the heuristic plan.
+	// Stats resolves per-collection statistics at plan time. A collection
+	// without a profile (and every collection, when Stats is nil) takes the
+	// default priors: no join reordering, index veto, parallel sizing or
+	// est_rows annotation is based on it.
 	Stats StatsSource
 	// Parallelism is the executor's worker budget, used only to size
 	// parallel-scan chunks from estimated row counts.
@@ -95,7 +94,7 @@ type indexAccess struct {
 	// estRows is the estimated probe result cardinality (-1 unknown),
 	// surfaced as est_rows on the EXPLAIN node.
 	estRows int64
-	// Compiled forms of eq/lo/hi; nil when compilation is off.
+	// Compiled forms of eq/lo/hi, nil like them.
 	eqC, loC, hiC eval.CompiledExpr
 }
 
@@ -114,10 +113,6 @@ type sfwPhys struct {
 	// parallel marks the outermost scan as eligible for partitioned
 	// execution.
 	parallel bool
-	// compiled marks the block as carrying closure-compiled forms of its
-	// per-row expressions (the *C fields below and on steps); execution
-	// prefers them over interpreting the AST.
-	compiled bool
 	// reuseEnv permits the fused scan loop to reuse one child Env across
 	// the rows of a scan, rebinding in place. Safe only when nothing
 	// downstream of the pipeline retains row environments; window
@@ -138,16 +133,11 @@ type sfwPhys struct {
 	// aggregate and its post-group clauses from stream.post (see
 	// streamagg.go); nil keeps the materializing groupState.
 	stream *streamPlan
-	// Compiled forms of pre/residual, LET sources, HAVING, the SELECT
-	// projection, ORDER BY keys, and GROUP BY keys. All nil when
-	// compilation is off.
-	preC      []eval.CompiledExpr
-	residualC []eval.CompiledExpr
-	letsC     []eval.CompiledExpr
-	havingC   eval.CompiledExpr
-	selectC   eval.CompiledExpr
-	orderC    []eval.CompiledExpr
-	groupC    []eval.CompiledExpr
+	// preC is the compiled form of pre; clauseExprs those of the clause
+	// expressions (its where is residual's), lowered from stream.post when
+	// the block streams.
+	preC []eval.CompiledExpr
+	clauseExprs
 }
 
 // fromStep is the physical form of one top-level FROM item.
@@ -171,7 +161,7 @@ type fromStep struct {
 	// of this step (-1 unknown), surfaced as est_rows on EXPLAIN nodes.
 	estSrc, estOut int64
 	// Compiled forms of filters and of the item's source expression
-	// (FromExpr/FromUnpivot only); nil when compilation is off.
+	// (FromExpr/FromUnpivot only).
 	filtersC []eval.CompiledExpr
 	srcC     eval.CompiledExpr
 }
@@ -202,8 +192,7 @@ type hashJoinStep struct {
 	// estBuild/estOut are the estimated build-side and join-output row
 	// counts (-1 unknown), surfaced as est_rows on EXPLAIN nodes.
 	estBuild, estOut int64
-	// Compiled forms of probeKeys/buildKeys/verify; nil when compilation
-	// is off.
+	// Compiled forms of probeKeys/buildKeys/verify.
 	probeC, buildC, verifyC []eval.CompiledExpr
 }
 
@@ -281,7 +270,7 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 	// (reorder.go), and every predicate stays a verify filter, so
 	// results are byte-identical to the written plan.
 	var reorderNotes []string
-	if permissive && o.Compile && o.Stats != nil {
+	if permissive && o.Stats != nil {
 		if ro := planJoinOrder(q, o, pool, late); ro != nil {
 			n = len(ro.items)
 			phys.steps = make([]fromStep, n)
@@ -490,14 +479,7 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 		}
 	}
 
-	if o.Compile {
-		compileSFW(q, phys, eval.CompileOpts{Mode: o.Mode, Compat: o.Compat, Funcs: o.Funcs})
-	}
-	if phys.reorder != nil {
-		// The reorder buffer retains row environments until the chain
-		// finishes, so the fused scan must not rebind them in place.
-		phys.reuseEnv = false
-	}
+	compileSFW(q, phys, eval.CompileOpts{Mode: o.Mode, Compat: o.Compat, Funcs: o.Funcs})
 
 	var notes []string
 	pos := q.Pos()
@@ -528,9 +510,7 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 	if groupNote != "" {
 		add("%s", groupNote)
 	}
-	if phys.compiled {
-		add("compiled")
-	}
+	add("compiled")
 	return phys, notes
 }
 
@@ -539,64 +519,46 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 // keys, LET sources, HAVING, GROUP BY keys, the SELECT projection, and
 // ORDER BY keys — to eval closures, once, at plan time. The compiled
 // forms ride in the physical plan next to the AST they were lowered
-// from; every execution site falls back to interpreting the AST when
-// its compiled field is nil, so partially-compiled plans stay correct.
+// from, and are what execution runs.
 func compileSFW(q *ast.SFW, phys *sfwPhys, co eval.CompileOpts) {
+	compile := func(e ast.Expr) eval.CompiledExpr { return eval.Compile(e, co) }
 	if phys.stream != nil {
 		// The post-group clauses compile from their slot-reading forms, the
 		// folds' arguments against the pre-group variables.
 		q = phys.stream.post
 		for i := range phys.stream.slots {
 			s := &phys.stream.slots[i]
-			s.argC = eval.Compile(s.arg, co)
-			s.condC = eval.Compile(s.cond, co)
+			s.argC = compile(s.arg)
+			s.condC = compile(s.cond)
 		}
 	}
-	phys.compiled = true
-	phys.reuseEnv = len(q.Windows) == 0
+	// The fused scan may rebind one row environment in place unless
+	// something downstream retains them: window functions do (plan.go
+	// windowEnvs), and so does the reorder buffer until its chain finishes.
+	phys.reuseEnv = len(q.Windows) == 0 && phys.reorder == nil
 	phys.preC = eval.CompileAll(phys.pre, co)
-	phys.residualC = eval.CompileAll(phys.residual, co)
-	if len(q.Lets) > 0 {
-		phys.letsC = make([]eval.CompiledExpr, len(q.Lets))
-		for i, l := range q.Lets {
-			phys.letsC[i] = eval.Compile(l.Expr, co)
-		}
-	}
-	phys.havingC = eval.Compile(q.Having, co)
-	phys.selectC = eval.Compile(q.Select.Value, co)
-	if len(q.OrderBy) > 0 {
-		phys.orderC = make([]eval.CompiledExpr, len(q.OrderBy))
-		for i, ob := range q.OrderBy {
-			phys.orderC[i] = eval.Compile(ob.Expr, co)
-		}
-	}
-	if q.GroupBy != nil && len(q.GroupBy.Keys) > 0 {
-		phys.groupC = make([]eval.CompiledExpr, len(q.GroupBy.Keys))
-		for i, key := range q.GroupBy.Keys {
-			phys.groupC[i] = eval.Compile(key.Expr, co)
-		}
-	}
+	phys.clauseExprs = newClauseExprs(q, phys.residual, compile)
 	for i := range phys.steps {
 		step := &phys.steps[i]
 		step.filtersC = eval.CompileAll(step.filters, co)
 		switch x := step.item.(type) {
 		case *ast.FromExpr:
-			step.srcC = eval.Compile(x.Expr, co)
+			step.srcC = compile(x.Expr)
 		case *ast.FromUnpivot:
-			step.srcC = eval.Compile(x.Expr, co)
+			step.srcC = compile(x.Expr)
 		}
 		if h := step.hash; h != nil {
 			h.probeC = eval.CompileAll(h.probeKeys, co)
 			h.buildC = eval.CompileAll(h.buildKeys, co)
 			h.verifyC = eval.CompileAll(h.verify, co)
 			if h.buildIdx != nil {
-				h.buildIdx.eqC = eval.Compile(h.buildIdx.eq, co)
+				h.buildIdx.eqC = compile(h.buildIdx.eq)
 			}
 		}
 		if ia := step.idx; ia != nil {
-			ia.eqC = eval.Compile(ia.eq, co)
-			ia.loC = eval.Compile(ia.lo, co)
-			ia.hiC = eval.Compile(ia.hi, co)
+			ia.eqC = compile(ia.eq)
+			ia.loC = compile(ia.lo)
+			ia.hiC = compile(ia.hi)
 		}
 	}
 }

@@ -39,10 +39,11 @@ const parallelMinChunk = 256
 // checkSize bounding the combined cardinality.
 func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhys) (result value.Value, done bool, err error) {
 	scan := q.From[0].(*ast.FromExpr)
+	ex := &phys.clauseExprs
 
 	// The pre filters and the outer source evaluate exactly once, as in
 	// the sequential plan.
-	ok, err := filtersPass(ctx, outer, phys.pre, phys.preC)
+	ok, err := filtersPass(ctx, outer, phys.preC)
 	if err != nil {
 		return nil, true, err
 	}
@@ -52,7 +53,7 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 		}
 		return value.Bag(nil), true, nil
 	}
-	src, err := evalMaybe(ctx, outer, scan.Expr, phys.steps[0].srcC)
+	src, err := phys.steps[0].srcC(ctx, outer)
 	if err != nil {
 		return nil, true, err
 	}
@@ -90,12 +91,11 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 	// Steps 1..n share one physState: hoisted sources and hash tables
 	// build once (under sync.Once) and are read-only afterwards.
 	st := newPhysState(ctx, phys, outer)
-	filters := phys.steps[0].filters
 	filtersC := phys.steps[0].filtersC
 	// Each worker owns its chunk's child environment exclusively, so the
 	// same per-row reuse the fused sequential scan applies is safe here —
 	// one rebindable env per worker, gated on the same window-free check.
-	reuse := phys.compiled && phys.reuseEnv
+	reuse := phys.reuseEnv
 
 	// EXPLAIN ANALYZE: the workers fold into the same keyed nodes the
 	// sequential plan would use; only the counters below are recorded
@@ -127,18 +127,17 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 			hi = len(elems)
 		}
 		wctx := ctx.Fork()
-		sink := newRowSink(wctx, q, false, -1, 0)
+		sink := newRowSink(wctx, q, ex, false, -1, 0)
 		sink.keepKeys = q.Select.Distinct
-		sink.bindCompiled(phys)
 		ws[w].sink = sink
 		var consume emit
 		if q.GroupBy != nil {
-			ws[w].grouper = newGrouper(wctx, outer, q.GroupBy, phys)
+			ws[w].grouper = newGrouper(wctx, outer, q.GroupBy, ex.group, phys)
 			consume = ws[w].grouper.add
 		} else {
-			consume = havingChain(wctx, q, phys, sink.project)
+			consume = havingChain(wctx, q, ex, sink.project)
 		}
-		consume = preGroupChain(wctx, q, phys, consume)
+		consume = preGroupChain(wctx, q, ex, consume)
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
@@ -181,7 +180,7 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 						filterNode.AddIn(1)
 					}
 				}
-				ok, err := filtersPass(wctx, child, filters, filtersC)
+				ok, err := filtersPass(wctx, child, filtersC)
 				if err != nil {
 					ws[w].err = err
 					return
@@ -210,15 +209,14 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 	}
 
 	if q.GroupBy != nil {
-		merged := newGrouper(ctx, outer, q.GroupBy, phys)
+		merged := newGrouper(ctx, outer, q.GroupBy, ex.group, phys)
 		for i := range ws {
 			if err := merged.merge(ws[i].grouper); err != nil {
 				return nil, true, err
 			}
 		}
-		sink := newRowSink(ctx, q, false, -1, 0)
-		sink.bindCompiled(phys)
-		if err := merged.flush(havingChain(ctx, q, phys, sink.project)); err != nil && err != errStop {
+		sink := newRowSink(ctx, q, ex, false, -1, 0)
+		if err := merged.flush(havingChain(ctx, q, ex, sink.project)); err != nil && err != errStop {
 			return nil, true, err
 		}
 		return value.Bag(sink.out), true, nil

@@ -79,14 +79,62 @@ func runBlock(ctx *eval.Context, env *eval.Env, e ast.Expr) (value.Value, error)
 // stream (errStop aborts without failing the query).
 type emit func(*eval.Env) error
 
+// clauseExprs are the evaluators of the clause expressions every block
+// runs, planned or not: the WHERE conjuncts left in clause position, LET
+// sources, GROUP BY keys, HAVING, the SELECT projection and ORDER BY keys.
+// The evaluator is chosen once, where the closures are made — eval.Compile
+// when the optimizer plans the block, eval.Interpret when a block runs
+// without a plan (the reference oracle, FROM-less blocks) — so the
+// operators below hold closures and no AST to fall back on.
+type clauseExprs struct {
+	where  []eval.CompiledExpr
+	lets   []eval.CompiledExpr
+	group  []eval.CompiledExpr
+	having eval.CompiledExpr
+	sel    eval.CompiledExpr
+	order  []eval.CompiledExpr
+}
+
+// newClauseExprs lowers q's clause expressions with compile; where are the
+// WHERE conjuncts that run in clause position.
+//
+// governor: accumulation bounded by the block's clause count, AST size.
+func newClauseExprs(q *ast.SFW, where []ast.Expr, compile func(ast.Expr) eval.CompiledExpr) clauseExprs {
+	ex := clauseExprs{having: compile(q.Having), sel: compile(q.Select.Value)}
+	for _, w := range where {
+		ex.where = append(ex.where, compile(w))
+	}
+	for _, l := range q.Lets {
+		ex.lets = append(ex.lets, compile(l.Expr))
+	}
+	if q.GroupBy != nil {
+		ex.group = groupKeyExprs(q.GroupBy, compile)
+	}
+	for _, ob := range q.OrderBy {
+		ex.order = append(ex.order, compile(ob.Expr))
+	}
+	return ex
+}
+
+// groupKeyExprs lowers a GROUP BY's key expressions with compile.
+func groupKeyExprs(spec *ast.GroupBy, compile func(ast.Expr) eval.CompiledExpr) []eval.CompiledExpr {
+	keys := make([]eval.CompiledExpr, len(spec.Keys))
+	for i, key := range spec.Keys {
+		keys[i] = compile(key.Expr)
+	}
+	return keys
+}
+
 // rowSink collects a block's projected rows: DISTINCT filtering, ORDER
 // BY key evaluation (full sort or bounded top-K heap), LIMIT early-stop,
 // and the collection-size guard. The parallel executor runs one sink per
 // worker and merges them in chunk order, which is why the sink is a
 // struct rather than closure state.
 type rowSink struct {
-	ctx     *eval.Context
-	q       *ast.SFW
+	ctx *eval.Context
+	q   *ast.SFW
+	// ex evaluates the SELECT projection and the ORDER BY keys.
+	ex      *clauseExprs
 	ordered bool
 	// stopAt is offset+limit when LIMIT can stop the pipeline early
 	// (no ORDER BY, DISTINCT, GROUP BY, or windows); -1 otherwise.
@@ -109,25 +157,10 @@ type rowSink struct {
 	stDistinct *eval.StatsNode
 	stOrder    *eval.StatsNode
 	stLimit    *eval.StatsNode
-	// Compiled SELECT projection and ORDER BY keys, set via bindCompiled
-	// when the block was compiled; nil falls back to the interpreter.
-	selectC eval.CompiledExpr
-	orderC  []eval.CompiledExpr
 }
 
-// bindCompiled points the sink at the block's precompiled projection and
-// ORDER BY key closures. A nil or uncompiled phys leaves the sink on the
-// interpreted path.
-func (s *rowSink) bindCompiled(phys *sfwPhys) {
-	if phys == nil || !phys.compiled {
-		return
-	}
-	s.selectC = phys.selectC
-	s.orderC = phys.orderC
-}
-
-func newRowSink(ctx *eval.Context, q *ast.SFW, ordered bool, limit, offset int64) *rowSink {
-	s := &rowSink{ctx: ctx, q: q, ordered: ordered, stopAt: -1, gov: ctx.Gov}
+func newRowSink(ctx *eval.Context, q *ast.SFW, ex *clauseExprs, ordered bool, limit, offset int64) *rowSink {
+	s := &rowSink{ctx: ctx, q: q, ex: ex, ordered: ordered, stopAt: -1, gov: ctx.Gov}
 	if q.Select.Distinct {
 		s.seen = map[string]bool{}
 	}
@@ -162,7 +195,7 @@ func newRowSink(ctx *eval.Context, q *ast.SFW, ordered bool, limit, offset int64
 
 // project evaluates SELECT VALUE for one binding and folds the row in.
 func (s *rowSink) project(env *eval.Env) error {
-	v, err := evalMaybe(s.ctx, env, s.q.Select.Value, s.selectC)
+	v, err := s.ex.sel(s.ctx, env)
 	if err != nil {
 		return err
 	}
@@ -209,9 +242,9 @@ func (s *rowSink) project(env *eval.Env) error {
 		if s.stOrder != nil {
 			s.stOrder.AddIn(1)
 		}
-		keys := make([]value.Value, len(s.q.OrderBy))
-		for i, o := range s.q.OrderBy {
-			kv, err := evalMaybe(s.ctx, env, o.Expr, compiledAt(s.orderC, i))
+		keys := make([]value.Value, len(s.ex.order))
+		for i, key := range s.ex.order {
+			kv, err := key(s.ctx, env)
 			if err != nil {
 				return err
 			}
@@ -294,13 +327,9 @@ func (s *rowSink) finish(limit, offset int64) value.Value {
 }
 
 // havingChain wraps inner with the HAVING filter.
-func havingChain(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, inner emit) emit {
+func havingChain(ctx *eval.Context, q *ast.SFW, ex *clauseExprs, inner emit) emit {
 	if q.Having == nil {
 		return inner
-	}
-	var havingC eval.CompiledExpr
-	if phys != nil && phys.compiled {
-		havingC = phys.havingC
 	}
 	var st *eval.StatsNode
 	if ctx.Stats != nil {
@@ -310,7 +339,7 @@ func havingChain(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, inner emit) emit 
 		if st != nil {
 			st.AddIn(1)
 		}
-		cond, err := evalMaybe(ctx, env, q.Having, havingC)
+		cond, err := ex.having(ctx, env)
 		if err != nil {
 			return err
 		}
@@ -324,49 +353,28 @@ func havingChain(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, inner emit) emit 
 	}
 }
 
-// preGroupChain wraps consume with the block's WHERE (or the optimizer's
-// residual conjuncts) and LET clauses, in pipeline order: LETs bind
-// first, then WHERE filters.
-func preGroupChain(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, consume emit) emit {
-	if phys != nil {
-		if len(phys.residual) > 0 {
-			inner := consume
-			residual := phys.residual
-			var st *eval.StatsNode
-			if ctx.Stats != nil {
-				st = ctx.Stats.Node(statsParent(ctx), q, "where", "filter", "residual")
-			}
-			residualC := phys.residualC
-			consume = func(env *eval.Env) error {
-				if st != nil {
-					st.AddIn(1)
-				}
-				ok, err := filtersPass(ctx, env, residual, residualC)
-				if err != nil || !ok {
-					return err
-				}
-				if st != nil {
-					st.AddOut(1)
-				}
-				return inner(env)
-			}
-		}
-	} else if q.Where != nil {
+// preGroupChain wraps consume with the block's clause-position WHERE
+// conjuncts (all of WHERE without a plan, the optimizer's residual with
+// one) and LET clauses, in pipeline order: LETs bind first, then WHERE
+// filters.
+func preGroupChain(ctx *eval.Context, q *ast.SFW, ex *clauseExprs, consume emit) emit {
+	if len(ex.where) > 0 {
 		inner := consume
 		var st *eval.StatsNode
 		if ctx.Stats != nil {
-			st = ctx.Stats.Node(statsParent(ctx), q, "where", "filter", "where")
+			label := "where"
+			if q.Phys != nil {
+				label = "residual"
+			}
+			st = ctx.Stats.Node(statsParent(ctx), q, "where", "filter", label)
 		}
 		consume = func(env *eval.Env) error {
 			if st != nil {
 				st.AddIn(1)
 			}
-			cond, err := eval.Eval(ctx, env, q.Where)
-			if err != nil {
+			ok, err := filtersPass(ctx, env, ex.where)
+			if err != nil || !ok {
 				return err
-			}
-			if !eval.IsTrue(cond) {
-				return nil
 			}
 			if st != nil {
 				st.AddOut(1)
@@ -377,13 +385,9 @@ func preGroupChain(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, consume emit) e
 	if len(q.Lets) > 0 {
 		inner := consume
 		lets := q.Lets
-		var letsC []eval.CompiledExpr
-		if phys != nil && phys.compiled {
-			letsC = phys.letsC
-		}
 		consume = func(env *eval.Env) error {
 			for i, l := range lets {
-				v, err := evalMaybe(ctx, env, l.Expr, compiledAt(letsC, i))
+				v, err := ex.lets[i](ctx, env)
 				if err != nil {
 					return err
 				}
@@ -403,9 +407,6 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 	if q.Select.Value == nil {
 		return nil, fmt.Errorf("plan: query block not in Core form (SELECT sugar not lowered) at %s", q.Pos())
 	}
-	if ctx.MaterializeClauses {
-		return runSFWMaterialized(ctx, outer, q)
-	}
 
 	ordered := len(q.OrderBy) > 0
 	limit, offset, err := evalLimitOffset(ctx, outer, q)
@@ -414,10 +415,21 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 	}
 
 	phys, _ := q.Phys.(*sfwPhys)
-	if phys != nil && phys.stream != nil {
-		// A streamed GROUP BY runs its post-group clauses from the copy of
-		// the block whose fold calls read aggregate slots.
-		q = phys.stream.post
+	var ex *clauseExprs
+	if phys != nil {
+		ex = &phys.clauseExprs
+		if phys.stream != nil {
+			// A streamed GROUP BY runs its post-group clauses from the copy
+			// of the block whose fold calls read aggregate slots.
+			q = phys.stream.post
+		}
+	} else {
+		var where []ast.Expr
+		if q.Where != nil {
+			where = []ast.Expr{q.Where}
+		}
+		interpreted := newClauseExprs(q, where, eval.Interpret)
+		ex = &interpreted
 	}
 
 	// EXPLAIN ANALYZE: create this block's node and pre-create its
@@ -442,8 +454,7 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 		}
 	}
 
-	sink := newRowSink(ctx, q, ordered, limit, offset)
-	sink.bindCompiled(phys)
+	sink := newRowSink(ctx, q, ex, ordered, limit, offset)
 
 	// Window functions force materialization of the post-group bindings:
 	// each partition must be complete before any row's value is known.
@@ -467,18 +478,18 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 
 	// postGroup runs HAVING and then projection (or window collection)
 	// for a group-output binding.
-	postGroup := havingChain(ctx, q, phys, postHaving)
+	postGroup := havingChain(ctx, q, ex, postHaving)
 
 	// The consumer of FROM/WHERE bindings.
 	var consume emit
 	var grp grouper
 	if q.GroupBy != nil {
-		grp = newGrouper(ctx, outer, q.GroupBy, phys)
+		grp = newGrouper(ctx, outer, q.GroupBy, ex.group, phys)
 		consume = grp.add
 	} else {
 		consume = postGroup
 	}
-	consume = preGroupChain(ctx, q, phys, consume)
+	consume = preGroupChain(ctx, q, ex, consume)
 
 	if phys != nil {
 		err = newPhysState(ctx, phys, outer).produce(ctx, consume)
@@ -729,7 +740,7 @@ func runPivot(ctx *eval.Context, outer *eval.Env, q *ast.PivotQuery) (value.Valu
 	var consume emit
 	var grouper *groupState
 	if q.GroupBy != nil {
-		grouper = newGroupState(ctx, outer, q.GroupBy)
+		grouper = newGroupState(ctx, outer, q.GroupBy, groupKeyExprs(q.GroupBy, eval.Interpret))
 		consume = grouper.add
 	} else {
 		consume = post

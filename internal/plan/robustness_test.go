@@ -17,10 +17,11 @@ import (
 	"sqlpp/internal/value"
 )
 
-// execRobust runs query through the physical optimizer with a chosen
-// cancellation context and governor limits — the harness for the
-// robustness tests.
-func execRobust(t *testing.T, data map[string]string, query string, parallelism int, ctx0 context.Context, lim eval.Limits) (value.Value, error) {
+// prepareRobust registers data and plans query through the physical
+// optimizer; the returned function runs the plan with a chosen
+// cancellation context and governor limits, so a test can arm a deadline
+// after the set-up it must not time.
+func prepareRobust(t *testing.T, data map[string]string, query string, parallelism int) func(ctx0 context.Context, lim eval.Limits) (value.Value, error) {
 	t.Helper()
 	cat := catalog.New()
 	for name, src := range data {
@@ -34,15 +35,23 @@ func execRobust(t *testing.T, data map[string]string, query string, parallelism 
 	}
 	core, err := rewrite.Rewrite(tree, rewrite.Options{Names: cat})
 	if err != nil {
-		return nil, err
+		return func(context.Context, eval.Limits) (value.Value, error) { return nil, err }
 	}
 	Optimize(core, OptOptions{Mode: eval.Permissive})
-	ec := &eval.Context{Mode: eval.Permissive, Names: cat, Funcs: registry, Run: Run, Parallelism: parallelism}
-	if ctx0 != nil && ctx0.Done() != nil {
-		ec.Ctx = ctx0
+	return func(ctx0 context.Context, lim eval.Limits) (value.Value, error) {
+		ec := &eval.Context{Mode: eval.Permissive, Names: cat, Funcs: registry, Run: Run, Parallelism: parallelism}
+		if ctx0 != nil && ctx0.Done() != nil {
+			ec.Ctx = ctx0
+		}
+		ec.Gov = eval.NewGovernor(lim)
+		return Run(ec, eval.NewEnv(), core)
 	}
-	ec.Gov = eval.NewGovernor(lim)
-	return Run(ec, eval.NewEnv(), core)
+}
+
+// execRobust is prepareRobust and one run.
+func execRobust(t *testing.T, data map[string]string, query string, parallelism int, ctx0 context.Context, lim eval.Limits) (value.Value, error) {
+	t.Helper()
+	return prepareRobust(t, data, query, parallelism)(ctx0, lim)
 }
 
 // rowsSION builds a bag of n {'id': i, 'k': i % mod} tuples.
@@ -94,24 +103,32 @@ func TestWorkerPanicContained(t *testing.T) {
 // TestDeadlineDuringHashBuild: a deadline that fires while the hash
 // join is building over a 100k-row side must stop the build promptly —
 // the blocking build loop polls cancellation itself (it produces no
-// output rows, so the output-path polls never run).
+// output rows, so the output-path polls never run). The join is nearly
+// all build (8 probes, 800 result rows), so an uninterrupted run times
+// the build, and a deadline at a twentieth of it lands inside the build.
 func TestDeadlineDuringHashBuild(t *testing.T) {
-	data := map[string]string{
+	run := prepareRobust(t, map[string]string{
 		"small": rowsSION(8, 8),
 		"big":   rowsSION(100_000, 1000),
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
+	}, `SELECT s.id AS sid, b.id AS bid FROM small AS s, big AS b WHERE s.k = b.k`, 1)
+
 	start := time.Now()
-	_, err := execRobust(t, data,
-		`SELECT s.id AS sid, b.id AS bid FROM small AS s, big AS b WHERE s.k = b.k`,
-		1, ctx, eval.Limits{})
+	if _, err := run(nil, eval.Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+
+	ctx, cancel := context.WithTimeout(context.Background(), full/20)
+	defer cancel()
+	start = time.Now()
+	_, err := run(ctx, eval.Limits{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
-	if elapsed > 2*time.Second {
-		t.Errorf("deadline honoured too slowly: %v", elapsed)
+	t.Logf("uninterrupted %v, deadline %v, stopped after %v", full, full/20, elapsed)
+	if elapsed > full/2 {
+		t.Errorf("build not cut short: stopped after %v of an uninterrupted %v", elapsed, full)
 	}
 }
 

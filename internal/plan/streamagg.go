@@ -33,7 +33,7 @@ type streamPlan struct {
 	// post is a shallow copy of the block whose HAVING, SELECT VALUE,
 	// ORDER BY and window expressions have every fold call replaced by
 	// $AGG($agg<i>), a read of slot i. Execution of a streamed block runs
-	// its post-group half from post, compiled or interpreted.
+	// its post-group half from post.
 	post  *ast.SFW
 	slots []aggSlot
 	// folded are the fold subqueries the slots replaced. They never run,
@@ -339,13 +339,13 @@ type streamGroup struct {
 	st      *eval.StatsNode
 }
 
-func newStreamGroup(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, phys *sfwPhys) *streamGroup {
+func newStreamGroup(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, keys []eval.CompiledExpr, plan *streamPlan) *streamGroup {
 	g := &streamGroup{
 		ctx:     ctx,
 		outer:   outer,
 		spec:    spec,
-		slots:   phys.stream.slots,
-		keysC:   phys.groupC,
+		slots:   plan.slots,
+		keysC:   keys,
 		groups:  map[string]*streamEntry{},
 		keyVals: make([]value.Value, len(spec.Keys)),
 	}
@@ -353,7 +353,7 @@ func newStreamGroup(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, phys 
 		g.retains = g.retains || g.slots[i].retains
 	}
 	if ctx.Stats != nil {
-		g.st = ctx.Stats.Node(statsParent(ctx), spec, "group", "group-by", phys.stream.label)
+		g.st = ctx.Stats.Node(statsParent(ctx), spec, "group", "group-by", plan.label)
 	}
 	// The implicit single group of aggregate-only queries exists even
 	// for empty input (SELECT AVG(x) over nothing yields one NULL row).
@@ -381,7 +381,7 @@ func (g *streamGroup) add(env *eval.Env) error {
 	if g.st != nil {
 		g.st.AddIn(1)
 	}
-	kb, err := groupKey(g.ctx, env, g.spec, g.keysC, g.keyVals, g.keyBuf)
+	kb, err := groupKey(g.ctx, env, g.keysC, g.keyVals, g.keyBuf)
 	if err != nil {
 		return err
 	}
@@ -430,7 +430,7 @@ func (g *streamGroup) step(e *streamEntry, i int, env *eval.Env) error {
 		return nil
 	}
 	if s.cond != nil {
-		c, err := evalMaybe(g.ctx, env, s.cond, s.condC)
+		c, err := s.condC(g.ctx, env)
 		if err != nil {
 			return e.latch(i, err)
 		}
@@ -438,7 +438,7 @@ func (g *streamGroup) step(e *streamEntry, i int, env *eval.Env) error {
 			return nil
 		}
 	}
-	v, err := evalMaybe(g.ctx, env, s.arg, s.argC)
+	v, err := s.argC(g.ctx, env)
 	if err != nil {
 		return e.latch(i, err)
 	}

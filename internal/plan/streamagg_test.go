@@ -22,7 +22,7 @@ func prepareOptimized(t testing.TB, cat *catalog.Catalog, query string, mode eva
 	if err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
-	return core, Optimize(core, OptOptions{Mode: mode, Compile: true, Funcs: registry})
+	return core, Optimize(core, OptOptions{Mode: mode, Funcs: registry})
 }
 
 func TestStreamRecognizer(t *testing.T) {

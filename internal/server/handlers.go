@@ -53,22 +53,14 @@ type queryRequest struct {
 }
 
 type queryOptions struct {
-	Compat             *bool `json:"compat,omitempty"`
-	Strict             *bool `json:"strict,omitempty"`
-	MaxCollectionSize  *int  `json:"max_collection_size,omitempty"`
-	MaterializeClauses *bool `json:"materialize_clauses,omitempty"`
-	// DisableOptimizer skips the physical optimization pass for this
-	// request; Parallelism bounds the parallel-scan worker pool (0 =
-	// GOMAXPROCS, 1 = sequential).
+	Compat            *bool `json:"compat,omitempty"`
+	Strict            *bool `json:"strict,omitempty"`
+	MaxCollectionSize *int  `json:"max_collection_size,omitempty"`
+	// DisableOptimizer runs this request on the reference implementation
+	// (no physical plan, tree-walking interpreter); Parallelism bounds the
+	// parallel-scan worker pool (0 = GOMAXPROCS, 1 = sequential).
 	DisableOptimizer *bool `json:"disable_optimizer,omitempty"`
-	// NoCompile disables the closure-compilation pass for this request;
-	// expressions evaluate through the tree-walking interpreter instead.
-	NoCompile *bool `json:"no_compile,omitempty"`
-	// NoStats disables statistics-driven planning for this request; the
-	// optimizer falls back to its heuristics (written join order, right
-	// build side, fixed parallel chunks).
-	NoStats     *bool `json:"no_stats,omitempty"`
-	Parallelism *int  `json:"parallelism,omitempty"`
+	Parallelism      *int  `json:"parallelism,omitempty"`
 	// MaxRows / MaxBytes set this request's governor budgets for output
 	// rows and materialized bytes. The server's own caps clamp both: a
 	// request may tighten the budget below the cap but never exceed it.
@@ -215,17 +207,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if req.Options.MaxCollectionSize != nil {
 			opts.MaxCollectionSize = *req.Options.MaxCollectionSize
 		}
-		if req.Options.MaterializeClauses != nil {
-			opts.MaterializeClauses = *req.Options.MaterializeClauses
-		}
 		if req.Options.DisableOptimizer != nil {
 			opts.DisableOptimizer = *req.Options.DisableOptimizer
-		}
-		if req.Options.NoCompile != nil {
-			opts.NoCompile = *req.Options.NoCompile
-		}
-		if req.Options.NoStats != nil {
-			opts.NoStats = *req.Options.NoStats
 		}
 		if req.Options.Parallelism != nil {
 			opts.Parallelism = *req.Options.Parallelism

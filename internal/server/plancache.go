@@ -71,20 +71,8 @@ func CacheKey(opts sqlpp.Options, paramNames []string, query string, extras ...s
 	sb.WriteString(strconv.FormatBool(opts.StopOnError))
 	sb.WriteByte('m')
 	sb.WriteString(strconv.Itoa(opts.MaxCollectionSize))
-	sb.WriteByte('z')
-	sb.WriteString(strconv.FormatBool(opts.MaterializeClauses))
 	sb.WriteByte('o')
 	sb.WriteString(strconv.FormatBool(opts.DisableOptimizer))
-	// NoCompile changes the physical plan (compiled closures vs the
-	// interpreter), so compiled and interpreted plans of the same text are
-	// distinct cache entries.
-	sb.WriteByte('k')
-	sb.WriteString(strconv.FormatBool(opts.NoCompile))
-	// NoStats changes which physical plan the optimizer picks (join
-	// order, index choices, parallel sizing), so statistics-driven and
-	// heuristic plans of the same text are distinct cache entries.
-	sb.WriteByte('S')
-	sb.WriteString(strconv.FormatBool(opts.NoStats))
 	sb.WriteByte('w')
 	sb.WriteString(strconv.Itoa(opts.Parallelism))
 	// Vet changes Prepare's outcome (error-severity diagnostics reject

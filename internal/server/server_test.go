@@ -295,6 +295,39 @@ func TestPerRequestOptions(t *testing.T) {
 	}
 }
 
+// TestRetiredOptionsIgnored pins mixed-version fleet behaviour during a
+// rollout: a client, or an older coordinator's shard wire request, still
+// carrying the retired execution-strategy options is accepted, and the
+// options select nothing — the request runs (and caches) as the plain one.
+func TestRetiredOptionsIgnored(t *testing.T) {
+	_, ts := newTestServer(t, nil, server.Config{})
+	ingest(t, ts.URL, "emp", "sion", `{{ {'name':'Ada','salary':1} }}`)
+
+	base := `"query": "SELECT e.name FROM emp AS e", "format": "sion"`
+	status, plain := postQuery(t, ts.URL, `{`+base+`}`)
+	if status != http.StatusOK {
+		t.Fatalf("plain: %d (%s)", status, plain.Error)
+	}
+	for name, options := range map[string]string{
+		"client":     `{"no_compile": true, "no_stats": true, "materialize_clauses": true}`,
+		"shard wire": `{"compat": false, "strict": false, "disable_optimizer": false, "no_compile": true, "no_stats": true, "parallelism": 0, "max_rows": 0, "max_bytes": 0}`,
+	} {
+		status, r := postQuery(t, ts.URL, `{`+base+`, "options": `+options+`}`)
+		if status != http.StatusOK {
+			t.Fatalf("%s request with retired options: %d (%s)", name, status, r.Error)
+		}
+		if !r.Cached {
+			t.Errorf("%s: retired options selected a different plan-cache entry", name)
+		}
+		if fmt.Sprint(r.Plan) != fmt.Sprint(plain.Plan) {
+			t.Errorf("%s: retired options changed the plan: %v, want %v", name, r.Plan, plain.Plan)
+		}
+		if got, want := sionResult(t, r.Result), sionResult(t, plain.Result); !value.Equivalent(got, want) {
+			t.Errorf("%s: retired options changed the result: %s, want %s", name, got, want)
+		}
+	}
+}
+
 // TestConcurrentQueries hammers one cached plan through the gate from
 // many goroutines; run under -race this is the service-level shared-
 // Prepared soundness check.

@@ -25,8 +25,6 @@ type ExecOptions struct {
 	Compat           bool
 	Strict           bool
 	DisableOptimizer bool
-	NoCompile        bool
-	NoStats          bool
 	Parallelism      int
 	MaxRows          int64
 	MaxBytes         int64
@@ -38,8 +36,6 @@ func OptionsFrom(o sqlpp.Options) ExecOptions {
 		Compat:           o.Compat,
 		Strict:           o.StopOnError,
 		DisableOptimizer: o.DisableOptimizer,
-		NoCompile:        o.NoCompile,
-		NoStats:          o.NoStats,
 		Parallelism:      o.Parallelism,
 		MaxRows:          o.Limits.MaxOutputRows,
 		MaxBytes:         o.Limits.MaxMaterializedBytes,
@@ -51,8 +47,6 @@ func (eo ExecOptions) apply(base sqlpp.Options) sqlpp.Options {
 	base.Compat = eo.Compat
 	base.StopOnError = eo.Strict
 	base.DisableOptimizer = eo.DisableOptimizer
-	base.NoCompile = eo.NoCompile
-	base.NoStats = eo.NoStats
 	base.Parallelism = eo.Parallelism
 	base.Limits.MaxOutputRows = eo.MaxRows
 	base.Limits.MaxMaterializedBytes = eo.MaxBytes
@@ -275,8 +269,6 @@ type wireOptions struct {
 	Compat           *bool  `json:"compat"`
 	Strict           *bool  `json:"strict"`
 	DisableOptimizer *bool  `json:"disable_optimizer"`
-	NoCompile        *bool  `json:"no_compile"`
-	NoStats          *bool  `json:"no_stats"`
 	Parallelism      *int   `json:"parallelism"`
 	MaxRows          *int64 `json:"max_rows"`
 	MaxBytes         *int64 `json:"max_bytes"`
@@ -303,8 +295,6 @@ func (x *HTTPExecutor) Exec(ctx context.Context, req Request) (*Response, error)
 			Compat:           &req.Options.Compat,
 			Strict:           &req.Options.Strict,
 			DisableOptimizer: &req.Options.DisableOptimizer,
-			NoCompile:        &req.Options.NoCompile,
-			NoStats:          &req.Options.NoStats,
 			Parallelism:      &req.Options.Parallelism,
 			MaxRows:          &req.Options.MaxRows,
 			MaxBytes:         &req.Options.MaxBytes,

@@ -1,9 +1,12 @@
 package sqlpp_test
 
-// The physical optimizer's end-to-end contract: for any query the
-// optimized engine (pushdown, hoisting, hash joins, parallel scans) must
-// render byte-identically to the naive sequential engine. These tests
-// check it over a generated corpus and over every paper listing.
+// The engine's end-to-end contract: for any query the production path
+// (a physical plan with pushdown, hoisting, hash joins, index probes,
+// cost-based join order and parallel scans, every expression compiled to
+// a closure) must render byte-identically to the reference oracle — the
+// DisableOptimizer engine, which has no physical plan and runs the naive
+// clause pipeline through the tree-walking interpreter. These tests check
+// it over a generated corpus and over every paper listing.
 
 import (
 	"fmt"
@@ -12,6 +15,8 @@ import (
 	"sqlpp"
 	"sqlpp/internal/bench"
 	"sqlpp/internal/compat"
+	"sqlpp/internal/sion"
+	"sqlpp/internal/value"
 )
 
 // optimizerBattery covers the shapes the physical layer rewrites:
@@ -35,86 +40,125 @@ var optimizerBattery = []string{
 	 WHERE EXISTS (SELECT VALUE d FROM dept AS d WHERE d.dno = e.deptno AND d.budget > 400000)`,
 }
 
-func optimizerEngines(t *testing.T, seed int64) (naive, optimized *sqlpp.Engine) {
+// batteryEngine returns an engine with the given options over the
+// battery's generated data.
+func batteryEngine(t *testing.T, seed int64, opts sqlpp.Options) *sqlpp.Engine {
 	t.Helper()
-	naive = sqlpp.New(&sqlpp.Options{DisableOptimizer: true, Parallelism: 1})
-	optimized = sqlpp.New(&sqlpp.Options{Parallelism: 8})
-	for _, db := range []*sqlpp.Engine{naive, optimized} {
-		if err := db.Register("emp", bench.FlatEmp(1500, 40, seed)); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Register("dept", bench.Departments(40, seed)); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Register("hr", bench.HR(bench.HROptions{N: 200, ScalarProjects: true, Seed: seed})); err != nil {
-			t.Fatal(err)
-		}
+	db := sqlpp.New(&opts)
+	if err := db.Register("emp", bench.FlatEmp(1500, 40, seed)); err != nil {
+		t.Fatal(err)
 	}
-	return naive, optimized
+	if err := db.Register("dept", bench.Departments(40, seed)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Register("hr", bench.HR(bench.HROptions{N: 200, ScalarProjects: true, Seed: seed})); err != nil {
+		t.Fatal(err)
+	}
+	return db
 }
 
-// TestOptimizerEquivalenceProperty: over several random datasets, every
-// battery query renders byte-identically on the naive sequential engine
-// and the fully optimized parallel one.
-func TestOptimizerEquivalenceProperty(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		naive, optimized := optimizerEngines(t, seed)
-		for i, q := range optimizerBattery {
-			want, err := naive.Query(q)
-			if err != nil {
-				t.Fatalf("seed %d query %d naive: %v", seed, i, err)
-			}
-			got, err := optimized.Query(q)
-			if err != nil {
-				t.Fatalf("seed %d query %d optimized: %v", seed, i, err)
-			}
-			if want.String() != got.String() {
-				t.Errorf("seed %d: optimizer changed query %d (%s):\n  naive     %s\n  optimized %s",
-					seed, i, q, want, got)
-			}
-		}
-	}
-}
-
-// TestPaperListingsUnchangedByOptimizer: every paper listing renders
-// byte-identically with the optimizer on and off, in each mode the
-// listing declares.
-func TestPaperListingsUnchangedByOptimizer(t *testing.T) {
-	for _, c := range compat.PaperCases() {
+// TestProductionMatchesOracleProperty: over several random datasets, in
+// both typing modes, with and without SQL compatibility, sequentially and
+// with parallel scans, every battery query gives on the production path
+// (planned, compiled, statistics-informed) exactly what the reference
+// oracle (DisableOptimizer: naive clause pipeline, tree-walking
+// interpreter, sequential) gives: the same rendering or the same error
+// text.
+func TestProductionMatchesOracleProperty(t *testing.T) {
+	for _, strict := range []bool{false, true} {
 		for _, compatMode := range []bool{false, true} {
-			if c.Mode == compat.Core && compatMode {
-				continue
-			}
-			if c.Mode == compat.Compat && !compatMode {
-				continue
-			}
-			run := func(disable bool) (string, error) {
-				db := sqlpp.New(&sqlpp.Options{
-					Compat:           compatMode,
-					StopOnError:      c.Strict,
-					DisableOptimizer: disable,
-				})
-				for name, src := range c.Data {
-					if err := db.RegisterSION(name, src); err != nil {
-						return "", fmt.Errorf("register %s: %w", name, err)
+			for seed := int64(0); seed < 3; seed++ {
+				opts := sqlpp.Options{Compat: compatMode, StopOnError: strict, Parallelism: 1}
+				sequential := batteryEngine(t, seed, opts)
+				opts.Parallelism = 8
+				parallel := batteryEngine(t, seed, opts)
+				opts.Parallelism, opts.DisableOptimizer = 1, true
+				oracle := batteryEngine(t, seed, opts)
+				for i, q := range optimizerBattery {
+					want := outcome(oracle.Query(q))
+					for _, production := range []*sqlpp.Engine{sequential, parallel} {
+						if got := outcome(production.Query(q)); got != want {
+							t.Errorf("strict=%v compat=%v p=%d seed %d: query %d (%s) diverges:\n  oracle     %s\n  production %s",
+								strict, compatMode, production.Options().Parallelism, seed, i, q, want, got)
+						}
 					}
 				}
-				v, err := db.Query(c.Query)
-				if err != nil {
-					return "", err
-				}
-				return v.String(), nil
 			}
-			naive, nerr := run(true)
-			opt, oerr := run(false)
-			if (nerr == nil) != (oerr == nil) {
-				t.Errorf("%s (compat=%v): error behavior diverges: naive=%v optimized=%v",
-					c.Name, compatMode, nerr, oerr)
-				continue
-			}
-			if naive != opt {
-				t.Errorf("%s (compat=%v): optimizer changed the listing:\n  naive     %s\n  optimized %s",
-					c.Name, compatMode, naive, opt)
+		}
+	}
+}
+
+// TestIndexedProductionMatchesOracle: index probes (equality and range),
+// their verify filters and an index join return exactly what the oracle,
+// which never looks at an index, returns.
+func TestIndexedProductionMatchesOracle(t *testing.T) {
+	oracle := batteryEngine(t, 7, sqlpp.Options{Parallelism: 1, DisableOptimizer: true})
+	production := batteryEngine(t, 7, sqlpp.Options{Parallelism: 1})
+	for _, ix := range [][4]string{
+		{"ix_sal", "emp", "salary", "ordered"},
+		{"ix_dept", "emp", "deptno", "hash"},
+		{"ix_dno", "dept", "dno", "hash"},
+	} {
+		if err := production.CreateIndex(ix[0], ix[1], ix[2], ix[3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, q := range []string{
+		`SELECT VALUE e.name FROM emp AS e WHERE e.salary = 120000`,
+		`SELECT VALUE e.name FROM emp AS e WHERE e.salary >= 100000 AND e.salary < 140000 ORDER BY e.name`,
+		`SELECT e.name AS n FROM emp AS e WHERE e.salary BETWEEN 90000 AND 110000 AND e.deptno = 3`,
+		`SELECT e.name AS n, d.name AS dn FROM emp AS e JOIN dept AS d ON e.deptno = d.dno WHERE e.salary > 150000`,
+	} {
+		want := outcome(oracle.Query(q))
+		if got := outcome(production.Query(q)); got != want {
+			t.Errorf("indexed query %d (%s) diverges:\n  oracle     %s\n  production %s", i, q, want, got)
+		}
+	}
+}
+
+// TestPaperListingsProductionMatchesOracle: every paper listing, in both
+// typing modes, with and without SQL compatibility, gives the same
+// rendering or the same error text on the production path and on the
+// oracle; in the modes the listing declares, that answer is the paper's.
+func TestPaperListingsProductionMatchesOracle(t *testing.T) {
+	for _, c := range compat.PaperCases() {
+		for _, compatMode := range []bool{false, true} {
+			for _, strict := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/compat=%v/strict=%v", c.Name, compatMode, strict), func(t *testing.T) {
+					run := func(oracle bool) (value.Value, error) {
+						db := sqlpp.New(&sqlpp.Options{Compat: compatMode, StopOnError: strict, DisableOptimizer: oracle})
+						for name, src := range c.Data {
+							if err := db.RegisterSION(name, src); err != nil {
+								t.Fatalf("register %s: %v", name, err)
+							}
+						}
+						return db.Query(c.Query)
+					}
+					ov, oerr := run(true)
+					pv, perr := run(false)
+					if want, got := outcome(ov, oerr), outcome(pv, perr); got != want {
+						t.Fatalf("listing diverges:\n  oracle     %s\n  production %s", want, got)
+					}
+					declared := strict == c.Strict &&
+						(c.Mode == compat.Both || compatMode == (c.Mode == compat.Compat))
+					if !declared {
+						return
+					}
+					if c.ExpectError {
+						if perr == nil {
+							t.Fatalf("listing succeeded, the paper expects an error: %s", pv)
+						}
+						return
+					}
+					if perr != nil {
+						t.Fatalf("listing failed: %v", perr)
+					}
+					if c.Expect != "" {
+						if want := sion.MustParse(c.Expect); !value.Equivalent(want, pv) {
+							t.Fatalf("result diverges from the paper:\n  got  %s\n  want %s", pv, want)
+						}
+					}
+				})
 			}
 		}
 	}

@@ -4,10 +4,10 @@ package sqlpp_test
 // change how a query runs, never what it returns. Randomized
 // heterogeneous catalogs (mixed-type join keys, NULLs, MISSING fields,
 // bags and arrays, secondary indexes) are driven through randomized
-// join/filter templates on a statistics-aware engine and on a fully
-// naive one (-no-opt: no pushdown, no hash joins, no reordering); the
-// renderings must be byte-identical. The paper listings get the same
-// guarantee explicitly.
+// join/filter templates on the production engine and on the reference
+// oracle (-no-opt: no pushdown, no hash joins, no reordering, no
+// compiled closures); the renderings must be byte-identical. The paper
+// listings get the same guarantee in optimizer_test.go.
 
 import (
 	"fmt"
@@ -15,8 +15,6 @@ import (
 	"testing"
 
 	"sqlpp"
-	"sqlpp/internal/compat"
-	"sqlpp/internal/sion"
 	"sqlpp/internal/value"
 )
 
@@ -142,54 +140,6 @@ func TestCostBasedIdentityProperty(t *testing.T) {
 		if nv.String() != cv.String() {
 			t.Fatalf("trial %d: divergence on %q:\n  naive      %s\n  cost-based %s",
 				trial, query, nv, cv)
-		}
-	}
-}
-
-// TestPaperListingsUnchangedByStatistics re-runs every paper listing
-// with statistics enabled (the default) against the same engine with
-// statistics disabled. The paper's query-stability tenet extends to the
-// cost model: profiling the data must never change (or break) a
-// working query.
-func TestPaperListingsUnchangedByStatistics(t *testing.T) {
-	for _, c := range compat.PaperCases() {
-		for _, compatMode := range []bool{false, true} {
-			if (c.Mode == compat.Core && compatMode) || (c.Mode == compat.Compat && !compatMode) {
-				continue
-			}
-			name := fmt.Sprintf("%s/compat=%v", c.Name, compatMode)
-			t.Run(name, func(t *testing.T) {
-				blind := sqlpp.New(&sqlpp.Options{Compat: compatMode, StopOnError: c.Strict, Parallelism: 1, NoStats: true})
-				costed := sqlpp.New(&sqlpp.Options{Compat: compatMode, StopOnError: c.Strict, Parallelism: 1})
-				for dn, srcText := range c.Data {
-					if err := blind.RegisterSION(dn, srcText); err != nil {
-						t.Fatal(err)
-					}
-					if err := costed.RegisterSION(dn, srcText); err != nil {
-						t.Fatal(err)
-					}
-				}
-				bv, berr := blind.Query(c.Query)
-				cv, cerr := costed.Query(c.Query)
-				if (berr == nil) != (cerr == nil) {
-					t.Fatalf("error divergence: %v vs %v", berr, cerr)
-				}
-				if berr != nil {
-					if c.ExpectError {
-						return
-					}
-					t.Fatalf("listing failed in both engines: %v", berr)
-				}
-				if bv.String() != cv.String() {
-					t.Fatalf("listing result changed by statistics:\n  heuristic  %s\n  cost-based %s", bv, cv)
-				}
-				if c.Expect != "" && !c.ExpectError {
-					want := sion.MustParse(c.Expect)
-					if !value.Equivalent(want, cv) {
-						t.Fatalf("cost-based result diverges from the paper:\n  got  %s\n  want %s", cv, want)
-					}
-				}
-			})
 		}
 	}
 }

@@ -51,31 +51,15 @@ type Options struct {
 	// MaxCollectionSize caps materialized intermediate results; 0 means
 	// unlimited.
 	MaxCollectionSize int
-	// MaterializeClauses switches the executor from the streaming clause
-	// pipeline to full clause-boundary materialization. Semantics are
-	// identical; the option exists for the execution-strategy ablation
-	// (see EXPERIMENTS.md).
-	MaterializeClauses bool
-	// DisableOptimizer skips the physical optimization pass (predicate
-	// pushdown, source hoisting, hash joins, parallel scans), executing
-	// every block with the naive clause pipeline. Results are identical;
-	// the option exists for debugging and A/B measurement.
+	// DisableOptimizer selects the reference implementation the identity
+	// batteries compare against: no physical plan, so every block runs the
+	// naive clause pipeline through the tree-walking interpreter. Results
+	// are identical to the production path (planned, closure-compiled,
+	// statistics-informed), which is everything else.
 	DisableOptimizer bool
 	// Parallelism bounds the worker pool of parallel outer scans. Zero
 	// selects GOMAXPROCS; 1 restores fully sequential execution.
 	Parallelism int
-	// NoCompile disables the closure-compilation pass: expressions the
-	// optimizer would lower to prepared closures evaluate through the
-	// tree-walking interpreter instead, and fused batch scans revert to
-	// row-at-a-time production. Results are identical; the option exists
-	// for debugging and A/B measurement (see BENCH_vector.json).
-	NoCompile bool
-	// NoStats disables statistics-driven cost-based planning (join
-	// reordering, index-vs-scan vetoes, parallel sizing, est_rows
-	// annotations); plans fall back to the pure heuristics. Results are
-	// identical; the option exists for debugging and the planner-quality
-	// A/B harness (see BENCH_planner.json).
-	NoStats bool
 	// Limits is the per-query resource budget enforced by the governor:
 	// output rows, materialized values/bytes, nesting depth, and wall
 	// time. The zero value means unlimited and costs nothing per row; a
@@ -421,26 +405,31 @@ func (e *Engine) optimize(core ast.Expr) []string {
 	if e.opts.DisableOptimizer {
 		return nil
 	}
-	mode := eval.Permissive
-	if e.opts.StopOnError {
-		mode = eval.StopOnError
-	}
-	parallelism := e.opts.Parallelism
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	po := plan.OptOptions{
-		Mode:        mode,
+	return plan.Optimize(core, plan.OptOptions{
+		Mode:        e.mode(),
 		Indexes:     e.cat,
 		Compat:      e.opts.Compat,
-		Compile:     !e.opts.NoCompile,
 		Funcs:       e.funcs,
-		Parallelism: parallelism,
+		Stats:       e.cat,
+		Parallelism: e.parallelism(),
+	})
+}
+
+// mode is the typing mode Options.StopOnError selects.
+func (e *Engine) mode() eval.TypingMode {
+	if e.opts.StopOnError {
+		return eval.StopOnError
 	}
-	if !e.opts.NoStats {
-		po.Stats = e.cat
+	return eval.Permissive
+}
+
+// parallelism is the worker budget of parallel scans: Options.Parallelism,
+// or GOMAXPROCS when unset.
+func (e *Engine) parallelism() int {
+	if e.opts.Parallelism > 0 {
+		return e.opts.Parallelism
 	}
-	return plan.Optimize(core, po)
+	return runtime.GOMAXPROCS(0)
 }
 
 // PlanNotes describes the physical optimizations applied to the prepared
@@ -526,23 +515,14 @@ func (p *Prepared) ExplainAnalyze(ctx context.Context) (value.Value, *OpStats, e
 // here or in the Env, which is what makes concurrent execution of a
 // shared Prepared sound.
 func (e *Engine) newContext(ctx context.Context) *eval.Context {
-	mode := eval.Permissive
-	if e.opts.StopOnError {
-		mode = eval.StopOnError
-	}
-	parallelism := e.opts.Parallelism
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
 	ec := &eval.Context{
-		Mode:               mode,
-		Compat:             e.opts.Compat,
-		Names:              e.cat,
-		Funcs:              e.funcs,
-		Run:                plan.Run,
-		MaxCollectionSize:  e.opts.MaxCollectionSize,
-		MaterializeClauses: e.opts.MaterializeClauses,
-		Parallelism:        parallelism,
+		Mode:              e.mode(),
+		Compat:            e.opts.Compat,
+		Names:             e.cat,
+		Funcs:             e.funcs,
+		Run:               plan.Run,
+		MaxCollectionSize: e.opts.MaxCollectionSize,
+		Parallelism:       e.parallelism(),
 	}
 	// Only install contexts that can actually fire, so queries run with
 	// context.Background() skip the per-row poll entirely.

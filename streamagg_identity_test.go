@@ -249,3 +249,56 @@ func TestSumOverflowRegression(t *testing.T) {
 		}
 	}
 }
+
+// TestIntegerOverflowWidens: scalar integer arithmetic used to wrap
+// silently at the int64 edges. On the production path and on the oracle,
+// in both typing modes, a result that does not fit widens to Float (as
+// COLL_SUM does) and one that fits stays an exact Int.
+func TestIntegerOverflowWidens(t *testing.T) {
+	const max, min = math.MaxInt64, math.MinInt64
+	cases := []struct {
+		expr string
+		a, b int64
+		want string
+	}{
+		{"r.a + r.b", max, 1, "9.223372036854776e+18"},
+		{"r.a + r.b", min, -1, "-9.223372036854776e+18"},
+		{"r.a + r.b", max, min, "-1"},
+		{"r.a + r.b", max - 1, 1, "9223372036854775807"},
+		{"r.a - r.b", min, 1, "-9.223372036854776e+18"},
+		{"r.a - r.b", max, -1, "9.223372036854776e+18"},
+		{"r.a - r.b", -1, min, "9223372036854775807"},
+		{"r.a - r.b", 0, min, "9.223372036854776e+18"},
+		{"r.a - r.b", min + 1, 1, "-9223372036854775808"},
+		{"r.a * r.b", max, 2, "1.8446744073709552e+19"},
+		{"r.a * r.b", min, -1, "9.223372036854776e+18"},
+		{"r.a * r.b", -1, min, "9.223372036854776e+18"},
+		{"r.a * r.b", min, 2, "-1.8446744073709552e+19"},
+		{"r.a * r.b", min, 1, "-9223372036854775808"},
+		{"r.a * r.b", max, -1, "-9223372036854775807"},
+		{"r.a * r.b", 3037000500, 3037000500, "9.22337203700025e+18"},
+		{"r.a * r.b", 3037000499, 3037000499, "9223372030926249001"},
+		{"r.a / r.b", min, -1, "9.223372036854776e+18"},
+		{"r.a / r.b", min, 1, "-9223372036854775808"},
+		{"r.a / r.b", max, -1, "-9223372036854775807"},
+		{"r.a % r.b", min, -1, "0"},
+		{"-r.a", min, 0, "9.223372036854776e+18"},
+		{"-r.a", max, 0, "-9223372036854775807"},
+		{"-r.a", min + 1, 0, "9223372036854775807"},
+	}
+	for _, strict := range []bool{false, true} {
+		for _, oracle := range []bool{false, true} {
+			db := sqlpp.New(&sqlpp.Options{StopOnError: strict, DisableOptimizer: oracle})
+			for _, c := range cases {
+				row := value.NewTuple(value.Field{Name: "a", Value: value.Int(c.a)}, value.Field{Name: "b", Value: value.Int(c.b)})
+				if err := db.Register("t", value.Bag{row}); err != nil {
+					t.Fatal(err)
+				}
+				got := outcome(db.Query("SELECT VALUE " + c.expr + " FROM t AS r"))
+				if got != "{{"+c.want+"}}" {
+					t.Errorf("strict=%v oracle=%v: %s with a=%d b=%d = %s, want {{%s}}", strict, oracle, c.expr, c.a, c.b, got, c.want)
+				}
+			}
+		}
+	}
+}

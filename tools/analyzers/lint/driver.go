@@ -246,15 +246,15 @@ func (h *Host) LoadRepo() (*Repo, error) {
 
 // loader owns the parse products and the memoized type-checking.
 type loader struct {
-	root   string
-	module string
-	fset   *token.FileSet
-	files  []*File            // every non-test file, sorted by path
-	active map[string][]*File // dir → default-build files
-	pkgs   map[string]*Package
+	root     string
+	module   string
+	fset     *token.FileSet
+	files    []*File            // every non-test file, sorted by path
+	active   map[string][]*File // dir → default-build files
+	pkgs     map[string]*Package
 	inFlight map[string]bool
-	srcImp types.Importer
-	errs   []error
+	srcImp   types.Importer
+	errs     []error
 }
 
 func newLoader(root string) (*loader, error) {
