@@ -6,6 +6,8 @@ package catalog
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -56,6 +58,29 @@ func New() *Catalog {
 		stats:   make(map[string]*stats.Collection),
 		shards:  make(map[string]ShardMeta),
 	}
+}
+
+// Clone returns a catalog holding c's bindings, statistics and indexes as
+// they are now; afterwards the two change independently. Values, profiles
+// and indexes are immutable snapshots, so only map entries are copied —
+// a per-query scratch catalog costs its collection count, not their
+// rows. Shard topology is not carried over: a clone holds whatever is
+// registered on it whole.
+func (c *Catalog) Clone() *Catalog {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := &Catalog{
+		named:   maps.Clone(c.named),
+		indexes: maps.Clone(c.indexes),
+		byColl:  make(map[string][]string, len(c.byColl)),
+		stats:   maps.Clone(c.stats),
+		shards:  make(map[string]ShardMeta),
+	}
+	for coll, names := range c.byColl {
+		out.byColl[coll] = slices.Clone(names)
+	}
+	out.epoch.Store(c.epoch.Load())
+	return out
 }
 
 // Register binds name (which may be dotted, e.g. "hr.emp") to v,

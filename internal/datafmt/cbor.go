@@ -3,6 +3,7 @@ package datafmt
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"sqlpp/internal/value"
@@ -18,44 +19,162 @@ import (
 
 const cborBagTag = 258
 
+// CBORContentType is the media type of a CBOR body.
+const CBORContentType = "application/cbor"
+
+// maxCBORDepth bounds how deeply arrays, maps and tags may nest, so that
+// hostile input (0x81 0x81 …) is an error and not a stack overflow.
+const maxCBORDepth = 1000
+
+// CBORSyntaxError describes malformed or truncated CBOR input with the
+// byte offset it was detected at. Truncated input wraps
+// io.ErrUnexpectedEOF.
+type CBORSyntaxError struct {
+	Offset int64
+	Msg    string
+	Err    error
+}
+
+// Error implements the error interface.
+func (e *CBORSyntaxError) Error() string {
+	return fmt.Sprintf("datafmt: cbor offset %d: %s", e.Offset, e.Msg)
+}
+
+// Unwrap exposes io.ErrUnexpectedEOF for truncated input.
+func (e *CBORSyntaxError) Unwrap() error { return e.Err }
+
 // DecodeCBOR decodes a single CBOR data item.
 func DecodeCBOR(data []byte) (value.Value, error) {
-	d := &cborDecoder{buf: data}
+	d := &cborDecoder{buf: data, credit: len(data)}
 	v, err := d.value()
 	if err != nil {
 		return nil, err
 	}
 	if d.pos != len(d.buf) {
-		return nil, fmt.Errorf("datafmt: %d trailing bytes after CBOR item", len(d.buf)-d.pos)
+		return nil, d.errf("%d trailing bytes after CBOR item", len(d.buf)-d.pos)
 	}
 	return v, nil
 }
 
+// DecodeCBORFrom decodes a single CBOR data item from r as the bytes
+// arrive, holding only a window of the input; r must end where the item
+// does.
+func DecodeCBORFrom(r io.Reader) (value.Value, error) {
+	d := &cborDecoder{r: r, buf: make([]byte, 0, cborChunk)}
+	v, err := d.value()
+	if err != nil {
+		return nil, err
+	}
+	if err := d.fill(1); err == nil {
+		return nil, d.errf("trailing bytes after CBOR item")
+	} else if d.rerr != io.EOF {
+		return nil, err
+	}
+	return v, nil
+}
+
+// cborDecoder reads from buf[pos:]. With r nil, buf is the whole input;
+// otherwise it is a window that fill slides along r.
 type cborDecoder struct {
 	buf []byte
 	pos int
+	r   io.Reader
+	// base is the input offset of buf[0]; rerr the error that ended r.
+	base int64
+	rerr error
+	// depth counts the open arrays, maps and tags.
+	depth int
+	// credit is how many collection slots may still be allocated ahead of
+	// their elements: one per input byte seen, since every element takes
+	// at least a byte. A head that claims 2^32 elements therefore costs
+	// what the input could fill, not what it claims.
+	credit int
+	// names interns attribute names (see key).
+	names map[string]string
 }
 
+// Bounds on the interning table: names longer than the one, or arriving
+// after the other many distinct names, are allocated per occurrence.
+const (
+	maxInternedName  = 64
+	maxInternedNames = 1024
+)
+
 func (d *cborDecoder) errf(format string, args ...any) error {
-	return fmt.Errorf("datafmt: cbor offset %d: %s", d.pos, fmt.Sprintf(format, args...))
+	return &CBORSyntaxError{Offset: d.base + int64(d.pos), Msg: fmt.Sprintf(format, args...)}
+}
+
+// fill makes buf[pos:pos+n] available, reading on from r.
+func (d *cborDecoder) fill(n int) error {
+	if n <= len(d.buf)-d.pos {
+		return nil
+	}
+	if d.r == nil || d.rerr != nil {
+		return d.truncated(n)
+	}
+	d.base += int64(d.pos)
+	d.buf = d.buf[:copy(d.buf, d.buf[d.pos:])]
+	d.pos = 0
+	for len(d.buf) < n {
+		if len(d.buf) == cap(d.buf) {
+			// Grow only as fast as bytes actually arrive, whatever length
+			// the item's head claims.
+			d.buf = append(d.buf, 0)[:len(d.buf)]
+		}
+		m, err := d.r.Read(d.buf[len(d.buf):cap(d.buf)])
+		d.buf = d.buf[:len(d.buf)+m]
+		d.credit += m
+		if err != nil {
+			d.rerr = err
+			if len(d.buf) < n {
+				return d.truncated(n)
+			}
+		}
+	}
+	return nil
+}
+
+func (d *cborDecoder) truncated(n int) error {
+	if d.rerr != nil && d.rerr != io.EOF {
+		return fmt.Errorf("datafmt: cbor offset %d: %w", d.base+int64(len(d.buf)), d.rerr)
+	}
+	return &CBORSyntaxError{Offset: d.base + int64(len(d.buf)), Err: io.ErrUnexpectedEOF,
+		Msg: fmt.Sprintf("truncated item (need %d bytes)", n)}
 }
 
 func (d *cborDecoder) byte() (byte, error) {
 	if d.pos >= len(d.buf) {
-		return 0, d.errf("unexpected end of input")
+		if err := d.fill(1); err != nil {
+			return 0, err
+		}
 	}
 	b := d.buf[d.pos]
 	d.pos++
 	return b, nil
 }
 
-func (d *cborDecoder) take(n int) ([]byte, error) {
-	if n < 0 || d.pos+n > len(d.buf) {
-		return nil, d.errf("truncated item (need %d bytes)", n)
+// take returns the next n input bytes; the slice is valid until the next
+// read.
+func (d *cborDecoder) take(n uint64) ([]byte, error) {
+	if n > uint64(len(d.buf)-d.pos) {
+		if n > math.MaxInt32 {
+			return nil, d.errf("item of %d bytes is too large", n)
+		}
+		if err := d.fill(int(n)); err != nil {
+			return nil, err
+		}
 	}
-	out := d.buf[d.pos : d.pos+n]
-	d.pos += n
+	out := d.buf[d.pos : d.pos+int(n)]
+	d.pos += int(n)
 	return out, nil
+}
+
+// presize grants the capacity to allocate for a collection whose head
+// claims n elements.
+func (d *cborDecoder) presize(n uint64) int {
+	g := int(min(n, uint64(d.credit)))
+	d.credit -= g
+	return g
 }
 
 // head reads a major type, its additional-info bits, and its argument.
@@ -113,7 +232,7 @@ func (d *cborDecoder) value() (value.Value, error) {
 		}
 		return value.Int(-1 - int64(arg)), nil
 	case 2: // byte string
-		bs, err := d.take(int(arg))
+		bs, err := d.take(arg)
 		if err != nil {
 			return nil, err
 		}
@@ -121,50 +240,19 @@ func (d *cborDecoder) value() (value.Value, error) {
 		copy(out, bs)
 		return out, nil
 	case 3: // text string
-		bs, err := d.take(int(arg))
+		bs, err := d.take(arg)
 		if err != nil {
 			return nil, err
 		}
 		return value.String(bs), nil
-	case 4: // array
-		out := make(value.Array, 0, min(int(arg), 1024))
-		for i := uint64(0); i < arg; i++ {
-			v, err := d.value()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
+	case 4, 5, 6:
+		if d.depth == maxCBORDepth {
+			return nil, d.errf("nesting deeper than %d", maxCBORDepth)
 		}
-		return out, nil
-	case 5: // map
-		t := value.EmptyTuple()
-		for i := uint64(0); i < arg; i++ {
-			k, err := d.value()
-			if err != nil {
-				return nil, err
-			}
-			ks, ok := k.(value.String)
-			if !ok {
-				return nil, d.errf("map key is %s; only text keys map to tuples", k.Kind())
-			}
-			v, err := d.value()
-			if err != nil {
-				return nil, err
-			}
-			t.Put(string(ks), v)
-		}
-		return t, nil
-	case 6: // tag
-		v, err := d.value()
-		if err != nil {
-			return nil, err
-		}
-		if arg == cborBagTag {
-			if a, ok := v.(value.Array); ok {
-				return value.Bag(a), nil
-			}
-		}
-		return v, nil
+		d.depth++
+		v, err := d.nested(major, arg)
+		d.depth--
+		return v, err
 	case 7: // simple / float
 		if info < 24 {
 			switch arg {
@@ -188,6 +276,78 @@ func (d *cborDecoder) value() (value.Value, error) {
 		return nil, d.errf("unsupported simple value %d", arg)
 	}
 	return nil, d.errf("unsupported major type %d", major)
+}
+
+// key decodes a map key, which must be a text string. Rows of a
+// collection repeat their attribute names, so short names are interned:
+// one string per distinct name instead of one per occurrence.
+func (d *cborDecoder) key() (string, error) {
+	major, _, arg, err := d.head()
+	if err != nil {
+		return "", err
+	}
+	if major != 3 {
+		return "", d.errf("map key has major type %d; only text keys map to tuples", major)
+	}
+	bs, err := d.take(arg)
+	if err != nil {
+		return "", err
+	}
+	if len(bs) > maxInternedName {
+		return string(bs), nil
+	}
+	if name, ok := d.names[string(bs)]; ok {
+		return name, nil
+	}
+	name := string(bs)
+	if d.names == nil {
+		d.names = map[string]string{}
+	}
+	if len(d.names) < maxInternedNames {
+		d.names[name] = name
+	}
+	return name, nil
+}
+
+// nested decodes the items inside an array, map or tag head.
+func (d *cborDecoder) nested(major byte, arg uint64) (value.Value, error) {
+	switch major {
+	case 4: // array
+		out := make(value.Array, 0, d.presize(arg))
+		for i := uint64(0); i < arg; i++ {
+			v, err := d.value()
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, v)
+		}
+		return out, nil
+	case 5: // map
+		t := value.NewTupleCap(d.presize(arg))
+		for i := uint64(0); i < arg; i++ {
+			name, err := d.key()
+			if err != nil {
+				return nil, err
+			}
+			v, err := d.value()
+			if err != nil {
+				return nil, err
+			}
+			t.Put(name, v)
+		}
+		return t, nil
+	}
+	// tag
+	v, err := d.value()
+	if err != nil {
+		return nil, err
+	}
+	if arg == cborBagTag {
+		if a, ok := v.(value.Array); ok {
+			return value.Bag(a), nil
+		}
+	}
+	return v, nil
 }
 
 // float16ToFloat64 decodes an IEEE-754 half-precision value.
@@ -221,71 +381,105 @@ func float16ToFloat64(h uint16) float64 {
 // EncodeCBOR encodes v as a single CBOR item. Bags carry tag 258 so they
 // round-trip; MISSING is not encodable.
 func EncodeCBOR(v value.Value) ([]byte, error) {
-	return appendCBOR(nil, v)
+	e := cborEncoder{}
+	if err := e.value(v); err != nil {
+		return nil, err
+	}
+	return e.buf, nil
 }
 
-func appendCBOR(dst []byte, v value.Value) ([]byte, error) {
+// WriteCBOR encodes v as EncodeCBOR does, writing to w as it goes in
+// chunks of about cborChunk bytes, and returns how many bytes w took.
+// Nothing is written before the first chunk fills, so a small value that
+// fails to encode leaves w untouched.
+func WriteCBOR(w io.Writer, v value.Value) (int64, error) {
+	e := cborEncoder{w: w, buf: make([]byte, 0, cborChunk+1<<10)}
+	err := e.value(v)
+	if err == nil {
+		err = e.flush()
+	}
+	return e.written, err
+}
+
+// cborChunk is the unit of streaming: the encoder's write size and the
+// reader decoder's initial window.
+const cborChunk = 32 << 10
+
+// cborEncoder appends to buf and, when w is set, hands buf to w each time
+// it passes cborChunk.
+type cborEncoder struct {
+	w       io.Writer
+	buf     []byte
+	written int64
+}
+
+func (e *cborEncoder) flush() error {
+	n, err := e.w.Write(e.buf)
+	e.written += int64(n)
+	e.buf = e.buf[:0]
+	return err
+}
+
+func (e *cborEncoder) value(v value.Value) error {
+	if e.w != nil && len(e.buf) >= cborChunk {
+		if err := e.flush(); err != nil {
+			return err
+		}
+	}
 	switch x := v.(type) {
 	case value.Bool:
 		if x {
-			return append(dst, 0xf5), nil
+			e.buf = append(e.buf, 0xf5)
+		} else {
+			e.buf = append(e.buf, 0xf4)
 		}
-		return append(dst, 0xf4), nil
 	case value.Int:
 		if x >= 0 {
-			return appendCBORHead(dst, 0, uint64(x)), nil
+			e.buf = appendCBORHead(e.buf, 0, uint64(x))
+		} else {
+			e.buf = appendCBORHead(e.buf, 1, uint64(-1-int64(x)))
 		}
-		return appendCBORHead(dst, 1, uint64(-1-int64(x))), nil
 	case value.Float:
-		dst = append(dst, 0xfb)
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(float64(x)))
-		return append(dst, buf[:]...), nil
+		e.buf = binary.BigEndian.AppendUint64(append(e.buf, 0xfb), math.Float64bits(float64(x)))
 	case value.String:
-		dst = appendCBORHead(dst, 3, uint64(len(x)))
-		return append(dst, x...), nil
+		e.buf = append(appendCBORHead(e.buf, 3, uint64(len(x))), x...)
 	case value.Bytes:
-		dst = appendCBORHead(dst, 2, uint64(len(x)))
-		return append(dst, x...), nil
+		e.buf = append(appendCBORHead(e.buf, 2, uint64(len(x))), x...)
 	case value.Array:
-		dst = appendCBORHead(dst, 4, uint64(len(x)))
-		var err error
-		for _, e := range x {
-			if dst, err = appendCBOR(dst, e); err != nil {
-				return nil, err
-			}
-		}
-		return dst, nil
+		e.buf = appendCBORHead(e.buf, 4, uint64(len(x)))
+		return e.values(x)
 	case value.Bag:
-		dst = appendCBORHead(dst, 6, cborBagTag)
-		dst = appendCBORHead(dst, 4, uint64(len(x)))
-		var err error
-		for _, e := range x {
-			if dst, err = appendCBOR(dst, e); err != nil {
-				return nil, err
-			}
-		}
-		return dst, nil
+		e.buf = appendCBORHead(e.buf, 6, cborBagTag)
+		e.buf = appendCBORHead(e.buf, 4, uint64(len(x)))
+		return e.values(x)
 	case *value.Tuple:
-		dst = appendCBORHead(dst, 5, uint64(x.Len()))
-		var err error
+		e.buf = appendCBORHead(e.buf, 5, uint64(x.Len()))
 		for _, f := range x.Fields() {
-			dst = appendCBORHead(dst, 3, uint64(len(f.Name)))
-			dst = append(dst, f.Name...)
-			if dst, err = appendCBOR(dst, f.Value); err != nil {
-				return nil, err
+			e.buf = append(appendCBORHead(e.buf, 3, uint64(len(f.Name))), f.Name...)
+			if err := e.value(f.Value); err != nil {
+				return err
 			}
 		}
-		return dst, nil
 	default:
 		switch v.Kind() {
 		case value.KindNull:
-			return append(dst, 0xf6), nil
+			e.buf = append(e.buf, 0xf6)
 		case value.KindMissing:
-			return nil, fmt.Errorf("datafmt: MISSING cannot be encoded as CBOR")
+			return fmt.Errorf("datafmt: MISSING cannot be encoded as CBOR")
+		default:
+			return fmt.Errorf("datafmt: cannot encode %s as CBOR", v.Kind())
 		}
 	}
-	return nil, fmt.Errorf("datafmt: cannot encode %s as CBOR", v.Kind())
+	return nil
+}
+
+func (e *cborEncoder) values(vs []value.Value) error {
+	for _, v := range vs {
+		if err := e.value(v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func appendCBORHead(dst []byte, major byte, arg uint64) []byte {

@@ -146,6 +146,10 @@ type rowSink struct {
 	keepKeys bool
 	rows     []sortRow
 	top      *topKHeap
+	// lateKeys is non-nil when projection is deferred behind the top-K
+	// heap (see projectTopK): the scratch the ORDER BY keys of the row on
+	// offer are evaluated into.
+	lateKeys []value.Value
 	seen     map[string]bool
 	keyBuf   []byte
 	seq      int
@@ -170,6 +174,12 @@ func newRowSink(ctx *eval.Context, q *ast.SFW, ex *clauseExprs, ordered bool, li
 			// smallest rows under (sort key, arrival order), which is
 			// exactly what a stable full sort would slice off.
 			s.top = newTopKHeap(int(offset+limit), q.OrderBy)
+			// Under stop-on-error typing every row's projection must run, so
+			// that a type fault in a row the heap would discard still fails
+			// the query; DISTINCT needs the projected value before the heap.
+			if !q.Select.Distinct && ctx.Mode != eval.StopOnError {
+				s.lateKeys = make([]value.Value, len(ex.order))
+			}
 		} else if !q.Select.Distinct && q.GroupBy == nil && len(q.Windows) == 0 {
 			s.stopAt = offset + limit
 		}
@@ -195,6 +205,9 @@ func newRowSink(ctx *eval.Context, q *ast.SFW, ex *clauseExprs, ordered bool, li
 
 // project evaluates SELECT VALUE for one binding and folds the row in.
 func (s *rowSink) project(env *eval.Env) error {
+	if s.lateKeys != nil {
+		return s.projectTopK(env)
+	}
 	v, err := s.ex.sel(s.ctx, env)
 	if err != nil {
 		return err
@@ -282,6 +295,52 @@ func (s *rowSink) project(env *eval.Env) error {
 	}
 	if s.stopAt >= 0 && int64(len(s.out)) >= s.stopAt {
 		return errStop
+	}
+	return nil
+}
+
+// projectTopK is project for ORDER BY … LIMIT under permissive typing:
+// the sort keys are evaluated first, into a reused scratch, and SELECT
+// VALUE only for a row the heap admits — of n rows all are counted and
+// compared, but only the O(k log n) that enter the heap are projected,
+// and a row that replaces the root takes over the root's key slice.
+func (s *rowSink) projectTopK(env *eval.Env) error {
+	if err := s.ctx.Interrupted(); err != nil {
+		return err
+	}
+	if s.stOrder != nil {
+		s.stOrder.AddIn(1)
+	}
+	for i, key := range s.ex.order {
+		kv, err := key(s.ctx, env)
+		if err != nil {
+			return err
+		}
+		s.lateKeys[i] = kv
+	}
+	r := sortRow{keys: s.lateKeys, seq: s.seq}
+	s.seq++
+	if !s.top.admits(r) {
+		return nil
+	}
+	v, err := s.ex.sel(s.ctx, env)
+	if err != nil {
+		return err
+	}
+	if v.Kind() == value.KindMissing {
+		v = value.Null // an ordered result keeps positions
+	}
+	r.val = v
+	grew := s.top.Len() < s.top.k
+	if grew {
+		r.keys = append([]value.Value(nil), s.lateKeys...)
+	} else {
+		r.keys = s.top.rows[0].keys
+		copy(r.keys, s.lateKeys)
+	}
+	s.top.insert(r)
+	if grew && s.gov != nil {
+		return s.gov.ChargeOutput("order-by", 1, v)
 	}
 	return nil
 }
@@ -665,18 +724,25 @@ func (h *topKHeap) Pop() any {
 // tying the current worst is discarded: its arrival order places it
 // after every row already kept.
 func (h *topKHeap) offer(r sortRow) {
-	if h.k == 0 {
-		return
+	if h.admits(r) {
+		h.insert(r)
 	}
+}
+
+// admits reports whether r belongs among the k rows kept so far.
+func (h *topKHeap) admits(r sortRow) bool {
+	return len(h.rows) < h.k || (h.k > 0 && h.before(r, h.rows[0]))
+}
+
+// insert adds an admitted row, evicting the root once the heap is full.
+func (h *topKHeap) insert(r sortRow) {
 	if len(h.rows) < h.k {
 		heap.Push(h, r)
 		return
 	}
-	if h.before(r, h.rows[0]) {
-		h.rows[0] = r
-		heap.Fix(h, 0)
-		h.evicted++
-	}
+	h.rows[0] = r
+	heap.Fix(h, 0)
+	h.evicted++
 }
 
 // finish returns the kept rows in output order.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"sqlpp"
@@ -32,7 +33,13 @@ type queryRequest struct {
 	// server's MaxTimeout caps it.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Format selects the result encoding: "json" (default), "sion"
-	// (the paper's object notation, lossless for MISSING), or "pretty".
+	// (the paper's object notation, lossless for MISSING), "pretty", or
+	// "cbor". CBOR replaces the JSON envelope: the response body is the
+	// result as one CBOR item, Content-Type application/cbor. A request
+	// that sends Accept: application/cbor gets the same whatever Format
+	// says, unless it asks for "explain" (the stats tree needs the
+	// envelope) — so a client can prefer CBOR and still talk to a server
+	// that predates it.
 	Format string `json:"format,omitempty"`
 	// Explain set to "analyze" executes the query with per-operator
 	// instrumentation and returns the stats tree in the response's
@@ -158,6 +165,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.fail(w, http.StatusBadRequest, "unknown explain mode %q (want \"analyze\")", req.Explain)
 		return
+	}
+	if explain && req.Format == "cbor" {
+		s.fail(w, http.StatusBadRequest, "format \"cbor\" has no envelope to carry the explain stats; use json or sion")
+		return
+	}
+	if !explain && strings.Contains(r.Header.Get("Accept"), datafmt.CBORContentType) {
+		req.Format = "cbor"
 	}
 
 	timeout := s.cfg.DefaultTimeout
@@ -332,6 +346,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.metrics.ObserveOps(stats)
 	}
 
+	if req.Format == "cbor" {
+		s.writeCBOR(w, result)
+		return
+	}
 	raw, err := encodeResult(result, req.Format)
 	if err != nil {
 		s.fail(w, http.StatusUnprocessableEntity, "encode result: %v", err)
@@ -497,7 +515,23 @@ func encodeResult(v value.Value, format string) (json.RawMessage, error) {
 	case "pretty":
 		return json.Marshal(value.Pretty(v))
 	}
-	return nil, fmt.Errorf("unknown result format %q (want json, sion, or pretty)", format)
+	return nil, fmt.Errorf("unknown result format %q (want json, sion, pretty, or cbor)", format)
+}
+
+// writeCBOR streams v to the client as one CBOR item, with no envelope
+// and no intermediate copy of the encoding. The status line goes out with
+// the first chunk, so a result that cannot be encoded (MISSING) is still
+// a 422 unless it fails more than a chunk in — then the body ends short
+// of what its collection heads announce and cannot decode as complete.
+func (s *Server) writeCBOR(w http.ResponseWriter, v value.Value) {
+	w.Header().Set("Content-Type", datafmt.CBORContentType)
+	if n, err := datafmt.WriteCBOR(w, v); err != nil {
+		if n == 0 {
+			s.fail(w, http.StatusUnprocessableEntity, "encode result: %v", err)
+			return
+		}
+		s.metrics.Errors.Add(1)
+	}
 }
 
 // handleIngest loads a request body into the catalog under the path's
@@ -602,7 +636,7 @@ func formatFromContentType(ct string) string {
 		return "jsonl"
 	case ct == "text/csv":
 		return "csv"
-	case ct == "application/cbor":
+	case ct == datafmt.CBORContentType:
 		return "cbor"
 	}
 	return "sion"

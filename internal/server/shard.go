@@ -51,6 +51,15 @@ func (s *Server) handleShardedQuery(ctx context.Context, w http.ResponseWriter, 
 	if res.Stats != nil {
 		s.metrics.ObserveOps(res.Stats)
 	}
+	if req.Format == "cbor" {
+		// The one annotation that changes what the result means travels as
+		// a header when there is no envelope to carry it.
+		if len(res.MissingShards) > 0 {
+			w.Header().Set("Sqlpp-Missing-Shards", strings.Join(res.MissingShards, ","))
+		}
+		s.writeCBOR(w, res.Value)
+		return
+	}
 	raw, err := encodeResult(res.Value, req.Format)
 	if err != nil {
 		s.fail(w, http.StatusUnprocessableEntity, "encode result: %v", err)

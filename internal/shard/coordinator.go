@@ -531,7 +531,7 @@ func (c *Coordinator) execSplit(ctx context.Context, req ExecRequest, opts sqlpp
 		stats = append(stats, st)
 	}
 
-	meng, err := c.ephemeral(opts, map[string]value.Value{partialsName: value.Bag(partials)}, false)
+	meng, err := c.scratch(opts, map[string]value.Value{partialsName: value.Bag(partials)}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -610,7 +610,7 @@ func (c *Coordinator) execGather(ctx context.Context, req ExecRequest, opts sqlp
 		}
 	}
 
-	geng, err := c.ephemeral(opts, gathered, true)
+	geng, err := c.scratch(opts, gathered, true)
 	if err != nil {
 		return nil, err
 	}
@@ -685,22 +685,17 @@ func scatterOptions(opts sqlpp.Options) ExecOptions {
 	return eo
 }
 
-// ephemeral builds a per-query engine holding extras plus (for gathers,
-// which re-run the original query) the coordinator's own collections.
-// Values are immutable, so copying a catalog is pointer-cheap.
-func (c *Coordinator) ephemeral(opts sqlpp.Options, extras map[string]value.Value, withLocal bool) (*sqlpp.Engine, error) {
-	eng := sqlpp.New(&opts)
+// scratch builds a per-query engine holding extras. For gathers, which
+// re-run the original query, it starts from a fork of the coordinator's
+// engine: the local collections with the statistics and indexes they
+// already have, so that the plan is the one a single node would choose
+// and nothing but the gathered collections is profiled per query.
+func (c *Coordinator) scratch(opts sqlpp.Options, extras map[string]value.Value, withLocal bool) (*sqlpp.Engine, error) {
+	var eng *sqlpp.Engine
 	if withLocal {
-		for _, name := range c.engine.Names() {
-			if _, shadowed := extras[name]; shadowed {
-				continue
-			}
-			if v, ok := c.engine.Lookup(name); ok {
-				if err := eng.Register(name, v); err != nil {
-					return nil, err
-				}
-			}
-		}
+		eng = c.engine.Fork(opts)
+	} else {
+		eng = sqlpp.New(&opts)
 	}
 	for name, v := range extras {
 		if err := eng.Register(name, v); err != nil {

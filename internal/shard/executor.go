@@ -7,12 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"net/url"
 	"strconv"
 	"time"
 
 	"sqlpp"
+	"sqlpp/internal/datafmt"
 	"sqlpp/internal/eval"
 	"sqlpp/internal/faultinject"
 	"sqlpp/internal/value"
@@ -188,18 +190,26 @@ func (x *LocalExecutor) classify(err error) error {
 }
 
 // HTTPExecutor runs shard queries on a remote sqlpp-serve data node
-// through the existing HTTP/JSON protocol. Results travel in the
-// paper's object notation (format "sion"), which is lossless for
-// MISSING and bag/array kinds, so remote shards merge bit-identically
-// to local ones. The data node's own admission gate, governor, and
-// deadline machinery provide per-shard backpressure; its 429 +
-// Retry-After shedding surfaces here as a transient error carrying the
-// backoff hint.
+// through its stock HTTP protocol. It asks for the result as CBOR by
+// content negotiation (Accept: application/cbor) and decodes the body as
+// it arrives; a node that predates CBOR responses ignores the header and
+// answers with the JSON envelope holding the paper's object notation
+// (format "sion"), which is accepted too. Both are lossless for bag/array
+// kinds, so remote shards merge bit-identically to local ones. The data
+// node's own admission gate, governor, and deadline machinery provide
+// per-shard backpressure; its 429 + Retry-After shedding surfaces here as
+// a transient error carrying the backoff hint.
 type HTTPExecutor struct {
 	name   string
 	base   string
 	client *http.Client
+	// maxBody bounds how much of a response body is read.
+	maxBody int64
 }
+
+// maxResponseBytes is the most a data node may answer with; a larger
+// body is an error rather than a coordinator out of memory.
+const maxResponseBytes = 1 << 30
 
 // NewHTTP builds an executor for the data node at baseURL (e.g.
 // "http://10.0.0.7:8642"). client nil uses a dedicated default client.
@@ -207,7 +217,7 @@ func NewHTTP(name, baseURL string, client *http.Client) *HTTPExecutor {
 	if client == nil {
 		client = &http.Client{}
 	}
-	return &HTTPExecutor{name: name, base: trimSlash(baseURL), client: client}
+	return &HTTPExecutor{name: name, base: trimSlash(baseURL), client: client, maxBody: maxResponseBytes}
 }
 
 // trimSlash trims a trailing slash so path joins stay canonical.
@@ -281,7 +291,7 @@ type wireResponse struct {
 	Error  string              `json:"error"`
 }
 
-// Exec posts the query to the data node and decodes the sion result.
+// Exec posts the query to the data node and decodes its answer.
 func (x *HTTPExecutor) Exec(ctx context.Context, req Request) (*Response, error) {
 	if faultinject.Enabled {
 		if err := faultinject.Fire(faultinject.ShardExec); err != nil {
@@ -324,26 +334,61 @@ func (x *HTTPExecutor) Exec(ctx context.Context, req Request) (*Response, error)
 		return nil, fmt.Errorf("shard %s: %w", x.name, err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Accept", datafmt.CBORContentType)
 	hresp, err := x.client.Do(hreq)
 	if err != nil {
 		// Transport-level failure: connection refused, reset, deadline.
 		return nil, Transient(fmt.Errorf("shard %s: %w", x.name, err))
 	}
 	defer hresp.Body.Close()
-	raw, err := io.ReadAll(hresp.Body)
+	resp, err := x.decode(hresp)
 	if err != nil {
-		return nil, Transient(fmt.Errorf("shard %s: read response: %w", x.name, err))
+		// Wrapping keeps a transient mark (and its backoff hint) reachable.
+		return nil, fmt.Errorf("shard %s: %w", x.name, err)
+	}
+	return resp, nil
+}
+
+// decode reads a data node's answer, whichever form it took: a CBOR item
+// streamed into values as it arrives, or the JSON envelope (every error,
+// every EXPLAIN answer, and every answer of a node that predates CBOR).
+// Either the whole result decodes or an error is returned; a body cut
+// short may be complete on a retry, so that error is transient.
+func (x *HTTPExecutor) decode(hresp *http.Response) (*Response, error) {
+	body := &io.LimitedReader{R: hresp.Body, N: x.maxBody + 1}
+	oversized := func() error {
+		return fmt.Errorf("response body exceeds %d bytes", x.maxBody)
+	}
+	ctype, _, _ := mime.ParseMediaType(hresp.Header.Get("Content-Type"))
+	if hresp.StatusCode == http.StatusOK && ctype == datafmt.CBORContentType {
+		v, err := datafmt.DecodeCBORFrom(body)
+		switch {
+		case body.N <= 0:
+			return nil, oversized()
+		case err == nil:
+			return &Response{Value: v}, nil
+		}
+		var syn *datafmt.CBORSyntaxError
+		if errors.As(err, &syn) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, fmt.Errorf("decode result: %w", err)
+		}
+		return nil, Transient(fmt.Errorf("read response: %w", err))
+	}
+	raw, err := io.ReadAll(body)
+	if body.N <= 0 {
+		return nil, oversized()
+	}
+	if err != nil {
+		return nil, Transient(fmt.Errorf("read response: %w", err))
 	}
 	var wresp wireResponse
-	if err := json.Unmarshal(raw, &wresp); err != nil && hresp.StatusCode == http.StatusOK {
-		return nil, fmt.Errorf("shard %s: decode response: %w", x.name, err)
-	}
+	jerr := json.Unmarshal(raw, &wresp)
 	if hresp.StatusCode != http.StatusOK {
 		msg := wresp.Error
 		if msg == "" {
 			msg = hresp.Status
 		}
-		ferr := fmt.Errorf("shard %s: %s", x.name, msg)
+		ferr := fmt.Errorf("%s", msg)
 		switch hresp.StatusCode {
 		case http.StatusTooManyRequests:
 			// A shedding shard names its own backoff; honor it.
@@ -354,15 +399,24 @@ func (x *HTTPExecutor) Exec(ctx context.Context, req Request) (*Response, error)
 		}
 		return nil, ferr
 	}
+	if ctype != "application/json" {
+		return nil, fmt.Errorf("unexpected response content type %q", hresp.Header.Get("Content-Type"))
+	}
+	if jerr != nil {
+		return nil, fmt.Errorf("decode response: %w", jerr)
+	}
+	if wresp.Error != "" {
+		return nil, fmt.Errorf("status 200 with error: %s", wresp.Error)
+	}
 	// format "sion" returns the rendered text as a JSON string; parse it
 	// back to a value losslessly.
 	var text string
 	if err := json.Unmarshal(wresp.Result, &text); err != nil {
-		return nil, fmt.Errorf("shard %s: decode result: %w", x.name, err)
+		return nil, fmt.Errorf("decode result: %w", err)
 	}
 	v, err := sqlpp.ParseValue(text)
 	if err != nil {
-		return nil, fmt.Errorf("shard %s: parse result: %w", x.name, err)
+		return nil, fmt.Errorf("parse result: %w", err)
 	}
 	return &Response{Value: v, Stats: wresp.Stats}, nil
 }

@@ -691,7 +691,6 @@ func splitGroup(q *ast.SFW, name string) *scatterPlan {
 	for i, k := range keys {
 		fields = append(fields, ast.TupleField{Name: strLit("__k" + strconv.Itoa(i)), Value: ast.CloneExpr(k.Expr)})
 	}
-	needFaultCheck := false
 	for _, s := range order {
 		j := strconv.Itoa(s.slot)
 		arg := func() *ast.Call {
@@ -699,11 +698,8 @@ func splitGroup(q *ast.SFW, name string) *scatterPlan {
 			return c
 		}
 		switch s.fn {
-		case "COUNT", "MIN", "MAX":
+		case "COUNT", "MIN", "MAX", "SUM":
 			fields = append(fields, ast.TupleField{Name: strLit("__a" + j), Value: arg()})
-		case "SUM":
-			fields = append(fields, ast.TupleField{Name: strLit("__a" + j), Value: arg()})
-			needFaultCheck = true
 		case "AVG":
 			sum := arg()
 			sum.Name = "SUM"
@@ -712,7 +708,6 @@ func splitGroup(q *ast.SFW, name string) *scatterPlan {
 			fields = append(fields,
 				ast.TupleField{Name: strLit("__a" + j), Value: sum},
 				ast.TupleField{Name: strLit("__n" + j), Value: cnt})
-			needFaultCheck = true
 		}
 	}
 	local.Select.Value = &ast.TupleCtor{Fields: fields}
@@ -725,13 +720,6 @@ func splitGroup(q *ast.SFW, name string) *scatterPlan {
 	merge := &ast.SFW{
 		From: []ast.FromItem{&ast.FromExpr{Expr: varRef(partialsName), As: "__r"}},
 	}
-	groupAsRef := func() ast.Expr { return varRef("__g") }
-	faultedSrc := groupAsRef
-	partialPath := func(slot string) ast.Expr {
-		// Inside the fault-check subquery: group-as elements are tuples
-		// of the merge block's bindings, so the partial row is gi.__r.
-		return fieldOf(fieldOf(varRef("__gi"), "__r"), slot)
-	}
 	if hasGroup {
 		mkeys := make([]ast.GroupKey, len(keys))
 		for i := range keys {
@@ -741,31 +729,9 @@ func splitGroup(q *ast.SFW, name string) *scatterPlan {
 			}
 		}
 		merge.GroupBy = &ast.GroupBy{Keys: mkeys}
-		if needFaultCheck {
-			merge.GroupBy.GroupAs = "__g"
-		}
-	} else if needFaultCheck {
-		// Implicit grouping merges the whole partials collection, so the
-		// fault check scans __partials directly.
-		faultedSrc = func() ast.Expr { return varRef(partialsName) }
-		partialPath = func(slot string) ast.Expr { return fieldOf(varRef("__gi"), slot) }
 	}
 
-	sub := &groupMergeSubst{
-		keyText: keyText,
-		slots:   slots,
-		hasKeys: hasGroup,
-		faulted: func(slot string) ast.Expr {
-			// EXISTS(SELECT VALUE 1 FROM <group> AS __gi WHERE __gi…__a<j>
-			// IS MISSING): true iff some shard's partial aggregate
-			// faulted, in which case the merged aggregate is MISSING too.
-			return &ast.Exists{Operand: &ast.SFW{
-				Select: ast.SelectClause{Value: intLit(1)},
-				From:   []ast.FromItem{&ast.FromExpr{Expr: faultedSrc(), As: "__gi"}},
-				Where:  &ast.Is{Target: partialPath(slot), What: "MISSING"},
-			}}
-		},
-	}
+	sub := &groupMergeSubst{keyText: keyText, slots: slots, hasKeys: hasGroup}
 
 	bad = false
 	reb := func(e ast.Expr) ast.Expr {
@@ -843,7 +809,6 @@ type groupMergeSubst struct {
 	keyText map[string]int
 	slots   map[string]*aggSlot
 	hasKeys bool
-	faulted func(slot string) ast.Expr
 	bad     bool
 }
 
@@ -868,25 +833,28 @@ func (s *groupMergeSubst) mergedAgg(a *aggSlot) ast.Expr {
 	case "MAX":
 		return aggOver("MAX", part("__a"))
 	case "SUM":
-		return s.faultGuard(j, aggOver("SUM", part("__a")))
+		return faultGuard(part("__a"), aggOver("SUM", part("__a")))
 	case "AVG":
 		// (1.0 * SUM(__a)) / SUM(__n): float division like COLL_AVG, and
 		// absent propagation gives NULL for all-absent groups before the
 		// zero divisor could matter.
 		num := &ast.Binary{Op: "*", L: &ast.Literal{Val: value.Float(1)}, R: aggOver("SUM", part("__a"))}
 		div := &ast.Binary{Op: "/", L: num, R: aggOver("SUM", part("__n"))}
-		return s.faultGuard(j, div)
+		return faultGuard(part("__a"), div)
 	}
 	s.bad = true
 	return varRef("__bad")
 }
 
 // faultGuard wraps a merged SUM/AVG: if any shard's partial faulted to
-// MISSING, the merged aggregate is MISSING.
-func (s *groupMergeSubst) faultGuard(slot string, merged ast.Expr) ast.Expr {
+// MISSING (and so is absent from its row), the merged aggregate is
+// MISSING. The test is itself an aggregate over the partial rows, so the
+// merge block folds it row by row like the rest and never needs the
+// group's rows as a collection.
+func faultGuard(partial, merged ast.Expr) ast.Expr {
 	return &ast.Case{
 		Whens: []ast.When{{
-			Cond:   s.faulted("__a" + slot),
+			Cond:   &ast.Call{Name: "SOME", Args: []ast.Expr{&ast.Is{Target: partial, What: "MISSING"}}},
 			Result: &ast.Literal{Val: value.Missing},
 		}},
 		Else: merged,

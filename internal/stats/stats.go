@@ -117,7 +117,7 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func hashKey(key string) uint64 {
+func hashKey[K string | []byte](key K) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -149,20 +149,21 @@ func (s *sketch) clone() *sketch {
 }
 
 // add folds one present value into the sketch, charging the governor for
-// each newly retained sample value. It reports whether the value was
-// already saturated out (callers don't care; errors do).
-func (s *sketch) add(v value.Value, gov *eval.Governor) error {
+// each newly retained sample value. key is v's canonical key in the
+// caller's scratch buffer: most values hash to an entry already held or
+// to nothing the sketch admits, so the key becomes a string only when an
+// entry keeps it.
+func (s *sketch) add(v value.Value, key []byte, gov *eval.Governor) error {
 	if faultinject.Enabled {
 		if err := faultinject.Fire(faultinject.StatsSketchAdd); err != nil {
 			return err
 		}
 	}
-	key := value.Key(v)
 	h := hashKey(key)
 	if e, ok := s.m[h]; ok {
-		if key < e.key {
+		if string(key) < e.key {
 			// Hash collision: keep the smaller key deterministically.
-			e.key, e.val = key, v
+			e.key, e.val = string(key), v
 		}
 		e.count++
 		s.m[h] = e
@@ -188,7 +189,7 @@ func (s *sketch) add(v value.Value, gov *eval.Governor) error {
 			return err
 		}
 	}
-	s.m[h] = entry{key: key, val: v, count: 1}
+	s.m[h] = entry{key: string(key), val: v, count: 1}
 	return nil
 }
 
@@ -297,6 +298,9 @@ type Collection struct {
 	// incremental extend; everything else is shared with the snapshot it
 	// was extended from.
 	owned map[string]bool
+	// keyBuf is the scratch sketch keys are encoded into while rows are
+	// being added; like owned it is dropped from a finished snapshot.
+	keyBuf []byte
 }
 
 // Build scans src (a collection, or a single value treated as one row)
@@ -312,7 +316,7 @@ func Build(src value.Value, gov *eval.Governor) (*Collection, error) {
 			return nil, err
 		}
 	}
-	c.owned = nil
+	c.owned, c.keyBuf = nil, nil
 	return c, nil
 }
 
@@ -334,7 +338,7 @@ func (c *Collection) Extended(elems []value.Value, gov *eval.Governor) (*Collect
 			return nil, err
 		}
 	}
-	n.owned = nil
+	n.owned, n.keyBuf = nil, nil
 	return n, nil
 }
 
@@ -368,7 +372,8 @@ func (c *Collection) walk(t *value.Tuple, prefix string, depth int, gov *eval.Go
 			default:
 				ps.present++
 				ps.classes[classOf(f.Value)].observe(f.Value)
-				if err := ps.sk.add(f.Value, gov); err != nil {
+				c.keyBuf = value.AppendKey(c.keyBuf[:0], f.Value)
+				if err := ps.sk.add(f.Value, c.keyBuf, gov); err != nil {
 					return err
 				}
 			}

@@ -182,27 +182,71 @@ func sortedBag(b Bag) []Value {
 // name then value, so attribute order is irrelevant, matching the
 // unordered-tuple data model.
 func compareTuple(a, b *Tuple) int {
-	fa, fb := sortedFields(a), sortedFields(b)
-	n := min(len(fa), len(fb))
+	var oa, ob [inlineFields]int
+	ia, ok := nameOrder(a.fields, oa[:0])
+	if !ok {
+		ia = fieldOrder(a.fields)
+	}
+	ib, ok := nameOrder(b.fields, ob[:0])
+	if !ok {
+		ib = fieldOrder(b.fields)
+	}
+	n := min(len(ia), len(ib))
 	for i := 0; i < n; i++ {
-		if c := strings.Compare(fa[i].Name, fb[i].Name); c != 0 {
+		fa, fb := a.fields[ia[i]], b.fields[ib[i]]
+		if c := strings.Compare(fa.Name, fb.Name); c != 0 {
 			return c
 		}
-		if c := Compare(fa[i].Value, fb[i].Value); c != 0 {
+		if c := Compare(fa.Value, fb.Value); c != 0 {
 			return c
 		}
 	}
-	return cmpInt(len(fa), len(fb))
+	return cmpInt(len(ia), len(ib))
 }
 
-func sortedFields(t *Tuple) []Field {
-	fs := make([]Field, len(t.fields))
-	copy(fs, t.fields)
-	sort.SliceStable(fs, func(i, j int) bool {
-		if fs[i].Name != fs[j].Name {
-			return fs[i].Name < fs[j].Name
+// inlineFields is how many attributes nameOrder sorts.
+const inlineFields = 16
+
+// nameOrder is fieldOrder without allocating, for the tuples that allow
+// it: at most inlineFields attributes, no name twice (so values never
+// decide the order). idx is an empty slice over an array in the caller's
+// frame and takes the result. Comparing and keying tuples is per-row
+// work — ORDER BY, GROUP BY, DISTINCT, the statistics sketch. It must
+// stay free of calls that lead back to Compare: inside that recursion,
+// escape analysis moves every caller's array to the heap.
+func nameOrder(fs []Field, idx []int) ([]int, bool) {
+	if len(fs) > inlineFields {
+		return nil, false
+	}
+	for i := range fs {
+		idx = append(idx, i)
+		for j := i; j > 0; j-- {
+			prev, cur := fs[idx[j-1]].Name, fs[idx[j]].Name
+			if prev == cur {
+				return nil, false
+			}
+			if prev < cur {
+				break
+			}
+			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
-		return Compare(fs[i].Value, fs[j].Value) < 0
+	}
+	return idx, true
+}
+
+// fieldOrder returns the positions of fs sorted by name, then value: the
+// canonical attribute order behind tuple comparison and keying.
+func fieldOrder(fs []Field) []int {
+	idx := make([]int, len(fs))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(i, j int) bool {
+		a, b := fs[idx[i]], fs[idx[j]]
+		if a.Name != b.Name {
+			return a.Name < b.Name
+		}
+		return Compare(a.Value, b.Value) < 0
 	})
-	return fs
+	return idx
 }

@@ -52,9 +52,14 @@ func AppendKey(dst []byte, v Value) []byte {
 		return dst
 	case *Tuple:
 		dst = append(dst, 't')
-		fs := sortedFields(x)
-		dst = appendLen(dst, len(fs))
-		for _, f := range fs {
+		dst = appendLen(dst, len(x.fields))
+		var buf [inlineFields]int
+		order, ok := nameOrder(x.fields, buf[:0])
+		if !ok {
+			order = fieldOrder(x.fields)
+		}
+		for _, i := range order {
+			f := x.fields[i]
 			dst = appendLen(dst, len(f.Name))
 			dst = append(dst, f.Name...)
 			dst = AppendKey(dst, f.Value)

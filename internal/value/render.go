@@ -1,6 +1,7 @@
 package value
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 	"strings"
@@ -26,74 +27,110 @@ func (i Int) String() string { return strconv.FormatInt(int64(i), 10) }
 // String renders the value in the paper's object notation. Integral
 // floats keep a trailing ".0" so the rendering round-trips kind.
 func (f Float) String() string {
-	v := float64(f)
+	var buf [32]byte
+	return string(appendFloat(buf[:0], float64(f)))
+}
+
+func appendFloat(dst []byte, v float64) []byte {
 	switch {
 	case math.IsNaN(v):
-		return "NaN"
+		return append(dst, "NaN"...)
 	case math.IsInf(v, 1):
-		return "+Inf"
+		return append(dst, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		return append(dst, "-Inf"...)
 	}
-	s := strconv.FormatFloat(v, 'g', -1, 64)
-	if !strings.ContainsAny(s, ".eE") {
-		s += ".0"
+	n := len(dst)
+	dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+	if bytes.ContainsAny(dst[n:], ".eE") {
+		return dst
 	}
-	return s
+	return append(dst, ".0"...)
 }
 
 // String renders the value in the paper's object notation: single quotes,
 // with embedded single quotes doubled, as in SQL literals.
-func (s String) String() string {
-	return "'" + strings.ReplaceAll(string(s), "'", "''") + "'"
+func (s String) String() string { return string(appendQuoted(nil, string(s))) }
+
+func appendQuoted(dst []byte, s string) []byte {
+	dst = append(dst, '\'')
+	for {
+		i := strings.IndexByte(s, '\'')
+		if i < 0 {
+			break
+		}
+		dst = append(append(dst, s[:i+1]...), '\'')
+		s = s[i+1:]
+	}
+	return append(append(dst, s...), '\'')
 }
 
 // String renders the value as a hexadecimal blob literal.
-func (b Bytes) String() string {
+func (b Bytes) String() string { return string(appendBlob(nil, b)) }
+
+func appendBlob(dst []byte, b Bytes) []byte {
 	const hex = "0123456789abcdef"
-	var sb strings.Builder
-	sb.WriteString("x'")
+	dst = append(dst, "x'"...)
 	for _, c := range b {
-		sb.WriteByte(hex[c>>4])
-		sb.WriteByte(hex[c&0xf])
+		dst = append(dst, hex[c>>4], hex[c&0xf])
 	}
-	sb.WriteString("'")
-	return sb.String()
+	return append(dst, '\'')
 }
 
 // String renders the array in the paper's object notation.
-func (a Array) String() string { return renderSeq(a, "[", "]") }
+func (a Array) String() string { return string(appendSeq(nil, a, "[", "]")) }
 
 // String renders the bag in the paper's object notation.
-func (b Bag) String() string { return renderSeq(b, "{{", "}}") }
+func (b Bag) String() string { return string(appendSeq(nil, b, "{{", "}}")) }
 
 // String renders the tuple in the paper's object notation.
-func (t *Tuple) String() string {
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, f := range t.fields {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(String(f.Name).String())
-		sb.WriteString(": ")
-		sb.WriteString(f.Value.String())
+func (t *Tuple) String() string { return string(appendTuple(nil, t)) }
+
+// appendValue renders v onto dst. Nested values render into the one
+// buffer the outermost String call owns, so a collection costs its
+// rendering once rather than once per nesting level.
+func appendValue(dst []byte, v Value) []byte {
+	switch x := v.(type) {
+	case Int:
+		return strconv.AppendInt(dst, int64(x), 10)
+	case Float:
+		return appendFloat(dst, float64(x))
+	case String:
+		return appendQuoted(dst, string(x))
+	case Bytes:
+		return appendBlob(dst, x)
+	case Array:
+		return appendSeq(dst, x, "[", "]")
+	case Bag:
+		return appendSeq(dst, x, "{{", "}}")
+	case *Tuple:
+		return appendTuple(dst, x)
 	}
-	sb.WriteByte('}')
-	return sb.String()
+	return append(dst, v.String()...) // MISSING, null, booleans: constant strings
 }
 
-func renderSeq(vs []Value, open, close string) string {
-	var sb strings.Builder
-	sb.WriteString(open)
+func appendTuple(dst []byte, t *Tuple) []byte {
+	dst = append(dst, '{')
+	for i, f := range t.fields {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = appendQuoted(dst, f.Name)
+		dst = append(dst, ": "...)
+		dst = appendValue(dst, f.Value)
+	}
+	return append(dst, '}')
+}
+
+func appendSeq(dst []byte, vs []Value, open, close string) []byte {
+	dst = append(dst, open...)
 	for i, v := range vs {
 		if i > 0 {
-			sb.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		sb.WriteString(v.String())
+		dst = appendValue(dst, v)
 	}
-	sb.WriteString(close)
-	return sb.String()
+	return append(dst, close...)
 }
 
 // Pretty renders v with newline indentation, two spaces per level, in the

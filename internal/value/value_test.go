@@ -1,7 +1,13 @@
 package value
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -212,5 +218,103 @@ func TestNewTupleCapPutDoesNotReallocate(t *testing.T) {
 		p.Put("b", False)
 	}); n > 2 {
 		t.Errorf("pre-sized two-attribute tuple: %.0f allocations, want 2", n)
+	}
+}
+
+// referenceString is the renderer String replaced: each nested value is
+// rendered on its own and copied into its parent's text. The append-style
+// writer must produce the same bytes.
+func referenceString(v Value) string {
+	seq := func(vs []Value, open, close string) string {
+		parts := make([]string, len(vs))
+		for i, e := range vs {
+			parts[i] = referenceString(e)
+		}
+		return open + strings.Join(parts, ", ") + close
+	}
+	switch x := v.(type) {
+	case Float:
+		f := float64(x)
+		switch {
+		case math.IsNaN(f):
+			return "NaN"
+		case math.IsInf(f, 1):
+			return "+Inf"
+		case math.IsInf(f, -1):
+			return "-Inf"
+		}
+		s := strconv.FormatFloat(f, 'g', -1, 64)
+		if !strings.ContainsAny(s, ".eE") {
+			s += ".0"
+		}
+		return s
+	case String:
+		return "'" + strings.ReplaceAll(string(x), "'", "''") + "'"
+	case Bytes:
+		return fmt.Sprintf("x'%x'", []byte(x))
+	case Array:
+		return seq(x, "[", "]")
+	case Bag:
+		return seq(x, "{{", "}}")
+	case *Tuple:
+		parts := make([]string, len(x.fields))
+		for i, f := range x.fields {
+			parts[i] = referenceString(String(f.Name)) + ": " + referenceString(f.Value)
+		}
+		return "{" + strings.Join(parts, ", ") + "}"
+	}
+	return v.String() // MISSING, null, booleans, integers
+}
+
+func TestRenderingMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	fixed := []Value{Float(math.Inf(1)), Float(math.Inf(-1)), Float(1e21), Float(-0.0), Float(1e-7),
+		String("''"), String(""), Bytes{}, Array{}, Bag{}, EmptyTuple(),
+		NewTuple(Field{"it's", Bag{Array{String("'")}}})}
+	for i := 0; i < 2000; i++ {
+		v := genValue(r, 4)
+		if i < len(fixed) {
+			v = fixed[i]
+		}
+		if got, want := v.String(), referenceString(v); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+	}
+}
+
+// nameOrder, where it applies, and fieldOrder must order attributes
+// exactly as a stable sort by (name, value) does.
+func TestFieldOrderMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	inline := 0
+	for i := 0; i < 1000; i++ {
+		fs := make([]Field, 1+r.Intn(2*inlineFields))
+		for j := range fs {
+			fs[j] = Field{Name: string(rune('a' + r.Intn(40))), Value: nonMissing(r, 1)}
+		}
+		want := make([]int, len(fs))
+		for j := range want {
+			want[j] = j
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			fa, fb := fs[want[a]], fs[want[b]]
+			if fa.Name != fb.Name {
+				return fa.Name < fb.Name
+			}
+			return Compare(fa.Value, fb.Value) < 0
+		})
+		if got := fieldOrder(fs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fieldOrder of %d fields: %v, want %v", len(fs), got, want)
+		}
+		var buf [inlineFields]int
+		if got, ok := nameOrder(fs, buf[:0]); ok {
+			inline++
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("nameOrder of %d fields: %v, want %v", len(fs), got, want)
+			}
+		}
+	}
+	if inline < 100 {
+		t.Errorf("only %d of 1000 tuples took the inline path; the generator no longer tests it", inline)
 	}
 }

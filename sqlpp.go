@@ -170,6 +170,15 @@ func (e *Engine) WithOptions(opts Options) *Engine {
 	return &Engine{opts: opts, cat: e.cat, funcs: e.funcs, types: e.types}
 }
 
+// Fork returns a new Engine with opts over a copy of this engine's
+// catalog as it is now — collections, statistics and indexes are shared
+// snapshots, not rebuilt — and this engine's schemas and function
+// registry. Registrations on either engine afterwards are invisible to
+// the other: a scratch engine for one query.
+func (e *Engine) Fork(opts Options) *Engine {
+	return &Engine{opts: opts, cat: e.cat.Clone(), funcs: e.funcs, types: e.types}
+}
+
 // Register binds a named value (the name may be dotted, e.g. "hr.emp").
 func (e *Engine) Register(name string, v value.Value) error {
 	return e.cat.Register(name, v)
