@@ -44,13 +44,12 @@ type indexProbe struct {
 // and range key), grp low-cardinality, pad ballast so rows are not
 // trivially small.
 func indexRows(n int) value.Bag {
+	shape := value.ShapeOf("id", "grp", "pad")
 	out := make(value.Bag, 0, n)
 	for i := 0; i < n; i++ {
-		t := value.EmptyTuple()
-		t.Put("id", value.Int(int64(i)))
-		t.Put("grp", value.Int(int64(i%100)))
-		t.Put("pad", value.String(fmt.Sprintf("row-%08d", i)))
-		out = append(out, t)
+		out = append(out, shape.New([]value.Value{
+			value.Int(int64(i)), value.Int(int64(i % 100)), value.String(fmt.Sprintf("row-%08d", i)),
+		}))
 	}
 	return out
 }

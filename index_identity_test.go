@@ -152,11 +152,7 @@ func topLevelPaths(src string) []string {
 	if !ok {
 		return nil
 	}
-	var out []string
-	for _, f := range tup.Fields() {
-		out = append(out, f.Name)
-	}
-	return out
+	return tup.Names()
 }
 
 // TestPaperListingsUnchangedByIndexes re-runs every paper listing with

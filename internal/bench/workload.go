@@ -60,6 +60,7 @@ func HR(opts HROptions) value.Bag {
 	if maxProjects == 0 {
 		maxProjects = 4
 	}
+	projectShape := value.ShapeOf("name")
 	out := make(value.Bag, 0, opts.N)
 	for i := 0; i < opts.N; i++ {
 		t := value.EmptyTuple()
@@ -79,9 +80,7 @@ func HR(opts HROptions) value.Bag {
 			if opts.ScalarProjects {
 				projects = append(projects, value.String(name))
 			} else {
-				pt := value.EmptyTuple()
-				pt.Put("name", value.String(name))
-				projects = append(projects, pt)
+				projects = append(projects, projectShape.New([]value.Value{value.String(name)}))
 			}
 		}
 		t.Put("projects", projects)
@@ -97,14 +96,15 @@ func FlatEmp(n, depts int, seed int64) value.Bag {
 	if depts < 1 {
 		depts = 1
 	}
+	shape := value.ShapeOf("name", "deptno", "title", "salary")
 	out := make(value.Bag, 0, n)
 	for i := 0; i < n; i++ {
-		t := value.EmptyTuple()
-		t.Put("name", value.String(personName(r, i+1)))
-		t.Put("deptno", value.Int(int64(r.Intn(depts)+1)))
-		t.Put("title", value.String(titles[r.Intn(len(titles))]))
-		t.Put("salary", value.Int(int64(50000+r.Intn(150000))))
-		out = append(out, t)
+		out = append(out, shape.New([]value.Value{
+			value.String(personName(r, i+1)),
+			value.Int(int64(r.Intn(depts) + 1)),
+			value.String(titles[r.Intn(len(titles))]),
+			value.Int(int64(50000 + r.Intn(150000))),
+		}))
 	}
 	return out
 }
@@ -113,13 +113,14 @@ func FlatEmp(n, depts int, seed int64) value.Bag {
 // per department number, pairing with FlatEmp's deptno for equi-joins.
 func Departments(n int, seed int64) value.Bag {
 	r := rand.New(rand.NewSource(seed + 3))
+	shape := value.ShapeOf("dno", "name", "budget")
 	out := make(value.Bag, 0, n)
 	for i := 0; i < n; i++ {
-		t := value.EmptyTuple()
-		t.Put("dno", value.Int(int64(i+1)))
-		t.Put("name", value.String(fmt.Sprintf("Dept %d", i+1)))
-		t.Put("budget", value.Int(int64(100000+r.Intn(900000))))
-		out = append(out, t)
+		out = append(out, shape.New([]value.Value{
+			value.Int(int64(i + 1)),
+			value.String(fmt.Sprintf("Dept %d", i+1)),
+			value.Int(int64(100000 + r.Intn(900000))),
+		}))
 	}
 	return out
 }
@@ -128,31 +129,26 @@ func Departments(n int, seed int64) value.Bag {
 // a SQL database would use: one (emp_id, project) row per membership.
 // It pairs with HR for the unnest-versus-join comparison.
 func FlatEmpProjects(nested value.Bag) (emps, memberships value.Bag) {
+	memberShape := value.ShapeOf("emp_id", "project")
 	emps = make(value.Bag, 0, len(nested))
 	for _, e := range nested {
 		t := e.(*value.Tuple)
 		flat := value.EmptyTuple()
-		for _, f := range t.Fields() {
-			if f.Name == "projects" {
-				continue
+		vals := t.Values()
+		for i, name := range t.Names() {
+			if name != "projects" {
+				flat.Put(name, vals[i])
 			}
-			flat.Put(f.Name, f.Value)
 		}
 		emps = append(emps, flat)
 		id, _ := t.Get("id")
 		projects, _ := t.Get("projects")
 		if elems, ok := value.Elements(projects); ok {
 			for _, p := range elems {
-				m := value.EmptyTuple()
-				m.Put("emp_id", id)
-				switch pv := p.(type) {
-				case *value.Tuple:
-					name, _ := pv.Get("name")
-					m.Put("project", name)
-				default:
-					m.Put("project", p)
+				if pt, ok := p.(*value.Tuple); ok {
+					p, _ = pt.Get("name")
 				}
-				memberships = append(memberships, m)
+				memberships = append(memberships, memberShape.New([]value.Value{id, p}))
 			}
 		}
 	}
@@ -195,15 +191,12 @@ func ClosingPrices(days, symbols int, seed int64) value.Bag {
 func StockPrices(days, symbols int, seed int64) value.Bag {
 	r := rand.New(rand.NewSource(seed + 4))
 	syms := StockSymbols(symbols)
+	shape := value.ShapeOf("date", "symbol", "price")
 	out := make(value.Bag, 0, days*symbols)
 	for d := 0; d < days; d++ {
 		date := value.String(dateString(d))
 		for _, s := range syms {
-			t := value.EmptyTuple()
-			t.Put("date", date)
-			t.Put("symbol", value.String(s))
-			t.Put("price", value.Int(int64(100+r.Intn(2000))))
-			out = append(out, t)
+			out = append(out, shape.New([]value.Value{date, value.String(s), value.Int(int64(100 + r.Intn(2000)))}))
 		}
 	}
 	return out

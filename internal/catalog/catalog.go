@@ -92,6 +92,10 @@ func (c *Catalog) Clone() *Catalog {
 // collection, or a rebuild fails, the affected indexes are dropped and
 // the first rebuild error is returned — the binding itself always takes
 // effect, and queries fall back to scans, so results stay correct.
+//
+// lockorder: Catalog.mu before value.shapeMu. Profiling and indexing key
+// tuples, and the first keying of a shape takes shapeMu to count its name
+// order against the shape tree's bound; nothing is called under shapeMu.
 func (c *Catalog) Register(name string, v value.Value) error {
 	if v == nil {
 		panic("catalog: nil value for " + name)
@@ -131,6 +135,8 @@ func (c *Catalog) Register(name string, v value.Value) error {
 // array/bag kind) and extends its indexes incrementally instead of
 // rebuilding them. An index whose extension fails is dropped and the
 // first error returned; the appended value always takes effect.
+//
+// lockorder: Catalog.mu before value.shapeMu, as in Register.
 func (c *Catalog) Append(name string, elems []value.Value, gov *eval.Governor) error {
 	if len(elems) == 0 {
 		return nil
@@ -296,6 +302,8 @@ func (c *Catalog) ShardMetas() map[string]ShardMeta {
 
 // CreateIndex builds spec over its (already registered) collection and
 // installs it. gov, when non-nil, bounds the build's memory.
+//
+// lockorder: Catalog.mu before value.shapeMu, as in Register.
 func (c *Catalog) CreateIndex(spec index.Spec, gov *eval.Governor) error {
 	if spec.Name == "" {
 		return fmt.Errorf("catalog: empty index name")

@@ -89,16 +89,7 @@ type cborDecoder struct {
 	// at least a byte. A head that claims 2^32 elements therefore costs
 	// what the input could fill, not what it claims.
 	credit int
-	// names interns attribute names (see key).
-	names map[string]string
 }
-
-// Bounds on the interning table: names longer than the one, or arriving
-// after the other many distinct names, are allocated per occurrence.
-const (
-	maxInternedName  = 64
-	maxInternedNames = 1024
-)
 
 func (d *cborDecoder) errf(format string, args ...any) error {
 	return &CBORSyntaxError{Offset: d.base + int64(d.pos), Msg: fmt.Sprintf(format, args...)}
@@ -278,35 +269,17 @@ func (d *cborDecoder) value() (value.Value, error) {
 	return nil, d.errf("unsupported major type %d", major)
 }
 
-// key decodes a map key, which must be a text string. Rows of a
-// collection repeat their attribute names, so short names are interned:
-// one string per distinct name instead of one per occurrence.
-func (d *cborDecoder) key() (string, error) {
+// key decodes a map key, which must be a text string, as a window of
+// the input: valid until the next read.
+func (d *cborDecoder) key() ([]byte, error) {
 	major, _, arg, err := d.head()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if major != 3 {
-		return "", d.errf("map key has major type %d; only text keys map to tuples", major)
+		return nil, d.errf("map key has major type %d; only text keys map to tuples", major)
 	}
-	bs, err := d.take(arg)
-	if err != nil {
-		return "", err
-	}
-	if len(bs) > maxInternedName {
-		return string(bs), nil
-	}
-	if name, ok := d.names[string(bs)]; ok {
-		return name, nil
-	}
-	name := string(bs)
-	if d.names == nil {
-		d.names = map[string]string{}
-	}
-	if len(d.names) < maxInternedNames {
-		d.names[name] = name
-	}
-	return name, nil
+	return d.take(arg)
 }
 
 // nested decodes the items inside an array, map or tag head.
@@ -323,19 +296,21 @@ func (d *cborDecoder) nested(major byte, arg uint64) (value.Value, error) {
 		}
 		return out, nil
 	case 5: // map
-		t := value.NewTupleCap(d.presize(arg))
+		shape := value.ShapeOf()
+		vals := make([]value.Value, 0, d.presize(arg))
 		for i := uint64(0); i < arg; i++ {
 			name, err := d.key()
 			if err != nil {
 				return nil, err
 			}
+			shape = shape.WithBytes(name)
 			v, err := d.value()
 			if err != nil {
 				return nil, err
 			}
-			t.Put(name, v)
+			vals = append(vals, v)
 		}
-		return t, nil
+		return shape.New(vals), nil
 	}
 	// tag
 	v, err := d.value()
@@ -454,9 +429,10 @@ func (e *cborEncoder) value(v value.Value) error {
 		return e.values(x)
 	case *value.Tuple:
 		e.buf = appendCBORHead(e.buf, 5, uint64(x.Len()))
-		for _, f := range x.Fields() {
-			e.buf = append(appendCBORHead(e.buf, 3, uint64(len(f.Name))), f.Name...)
-			if err := e.value(f.Value); err != nil {
+		vals := x.Values()
+		for i, name := range x.Names() {
+			e.buf = append(appendCBORHead(e.buf, 3, uint64(len(name))), name...)
+			if err := e.value(vals[i]); err != nil {
 				return err
 			}
 		}

@@ -53,19 +53,20 @@ func DecodeCSV(r io.Reader, opts CSVOptions) (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		t := value.EmptyTuple()
+		shape := value.ShapeOf()
+		vals := make([]value.Value, 0, len(rec))
 		for i, field := range rec {
-			name := columnName(header, i)
 			if field == "" && opts.EmptyAsMissing {
 				continue
 			}
+			shape = shape.With(columnName(header, i))
 			if opts.Strings {
-				t.Put(name, value.String(field))
-				continue
+				vals = append(vals, value.String(field))
+			} else {
+				vals = append(vals, inferCSVValue(field))
 			}
-			t.Put(name, inferCSVValue(field))
 		}
-		out = append(out, t)
+		out = append(out, shape.New(vals))
 	}
 }
 
@@ -118,10 +119,10 @@ func EncodeCSV(w io.Writer, v value.Value) error {
 		if !ok {
 			return fmt.Errorf("datafmt: CSV encoding requires tuples, got %s", e.Kind())
 		}
-		for _, f := range t.Fields() {
-			if _, seen := index[f.Name]; !seen {
-				index[f.Name] = len(header)
-				header = append(header, f.Name)
+		for _, name := range t.Names() {
+			if _, seen := index[name]; !seen {
+				index[name] = len(header)
+				header = append(header, name)
 			}
 		}
 	}
@@ -135,8 +136,9 @@ func EncodeCSV(w io.Writer, v value.Value) error {
 		for i := range row {
 			row[i] = ""
 		}
-		for _, f := range t.Fields() {
-			row[index[f.Name]] = csvField(f.Value)
+		vals := t.Values()
+		for i, name := range t.Names() {
+			row[index[name]] = csvField(vals[i])
 		}
 		if err := cw.Write(row); err != nil {
 			return err

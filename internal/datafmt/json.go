@@ -22,22 +22,53 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"sqlpp/internal/value"
 )
 
-// DecodeJSON reads one JSON value from r into the SQL++ data model.
-// Numbers become Int when they are integral and fit int64, else Float.
+// JSONSyntaxError describes malformed or truncated JSON input with the
+// byte offset it was detected at. Truncated input wraps
+// io.ErrUnexpectedEOF.
+type JSONSyntaxError struct {
+	Offset int64
+	Msg    string
+	Err    error
+}
+
+// Error implements the error interface.
+func (e *JSONSyntaxError) Error() string {
+	return fmt.Sprintf("datafmt: json offset %d: %s", e.Offset, e.Msg)
+}
+
+// Unwrap exposes io.ErrUnexpectedEOF for truncated input.
+func (e *JSONSyntaxError) Unwrap() error { return e.Err }
+
+// maxJSONDepth bounds how deeply arrays and objects may nest (the bound
+// encoding/json uses), so hostile input is an error and not a stack the
+// size of the input.
+const maxJSONDepth = 10000
+
+// jsonWindow is how much input the decoder holds at a time, beyond a
+// token longer than that.
+const jsonWindow = 64 << 10
+
+// DecodeJSON reads one JSON value from r into the SQL++ data model, as
+// the bytes arrive; r must end where the value does. Numbers become Int
+// when they are integral and fit int64, else Float; a number outside
+// float64's range is an error.
 func DecodeJSON(r io.Reader) (value.Value, error) {
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
-	v, err := decodeJSONValue(dec)
+	d := newJSONDecoder(r)
+	v, err := d.value()
 	if err != nil {
 		return nil, err
 	}
-	// Disallow trailing content beyond whitespace.
-	if dec.More() {
-		return nil, fmt.Errorf("datafmt: trailing content after JSON value")
+	if d.skipSpace() {
+		return nil, d.errf("trailing content after JSON value")
+	}
+	if d.rerr != nil {
+		return nil, d.truncated()
 	}
 	return v, nil
 }
@@ -62,90 +93,506 @@ func DecodeJSONBag(r io.Reader) (value.Value, error) {
 
 // DecodeJSONLines reads newline-delimited JSON documents as a bag.
 func DecodeJSONLines(r io.Reader) (value.Value, error) {
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
-	var out value.Bag
-	for dec.More() {
-		v, err := decodeJSONValue(dec)
+	d := newJSONDecoder(r)
+	for d.skipSpace() {
+		v, err := d.value()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, v)
+		d.stack = append(d.stack, v)
 	}
-	return out, nil
+	if d.rerr != nil {
+		return nil, d.truncated()
+	}
+	return value.Bag(d.pop(0)), nil
 }
 
-func decodeJSONValue(dec *json.Decoder) (value.Value, error) {
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, err
-	}
-	return decodeJSONToken(dec, tok)
+// jsonDecoder decodes by recursive descent, straight into values: object
+// keys walk the shape tree as bytes, so a row of a known shape allocates
+// its values and nothing for its names. It reads buf[pos:], a window that
+// more slides along r, so decoding holds the values and one window of the
+// input, not the input.
+type jsonDecoder struct {
+	buf []byte
+	pos int
+	// r is nil once it has ended; rerr is what ended it, unless io.EOF.
+	r    io.Reader
+	rerr error
+	// base is the input offset of buf[0].
+	base int64
+	// mark is where the token being read began, which the window must
+	// keep; -1 between tokens.
+	mark  int
+	depth int
+	// stack holds the elements of the open arrays and objects, innermost
+	// last; a container that closes copies its own into a slice of
+	// exactly their number.
+	stack []value.Value
+	// unquoted is the scratch that strings with escapes or invalid UTF-8
+	// are rebuilt in.
+	unquoted []byte
 }
 
-func decodeJSONToken(dec *json.Decoder, tok json.Token) (value.Value, error) {
-	switch t := tok.(type) {
-	case nil:
-		return value.Null, nil
-	case bool:
-		return value.Bool(t), nil
-	case string:
-		return value.String(t), nil
-	case json.Number:
-		return jsonNumber(t), nil
-	case json.Delim:
-		switch t {
-		case '[':
-			var out value.Array
-			for dec.More() {
-				v, err := decodeJSONValue(dec)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, v)
+func newJSONDecoder(r io.Reader) *jsonDecoder {
+	return &jsonDecoder{r: r, buf: make([]byte, 0, 512), mark: -1}
+}
+
+// more reads further input, first sliding the window past what has been
+// decoded, and reports whether any came. It moves pos and mark with the
+// window and invalidates every slice of it. The window doubles while
+// reads fill it, up to jsonWindow, and after that only for a token that
+// does not fit.
+func (d *jsonDecoder) more() bool {
+	if d.r == nil {
+		return false
+	}
+	full := len(d.buf) == cap(d.buf)
+	keep := d.pos
+	if d.mark >= 0 {
+		keep, d.mark = d.mark, 0
+	}
+	rest := d.buf[keep:]
+	d.base += int64(keep)
+	d.pos -= keep
+	if full && (keep == 0 || cap(d.buf) < jsonWindow) {
+		d.buf = append(make([]byte, 0, 2*cap(d.buf)), rest...)
+	} else {
+		d.buf = d.buf[:copy(d.buf, rest)]
+	}
+	for {
+		n, err := d.r.Read(d.buf[len(d.buf):cap(d.buf)])
+		d.buf = d.buf[:len(d.buf)+n]
+		if err != nil {
+			d.r = nil
+			if err != io.EOF {
+				d.rerr = err
 			}
-			if _, err := dec.Token(); err != nil { // consume ']'
-				return nil, err
-			}
-			if out == nil {
-				out = value.Array{}
-			}
-			return out, nil
-		case '{':
-			tup := value.EmptyTuple()
-			for dec.More() {
-				keyTok, err := dec.Token()
-				if err != nil {
-					return nil, err
-				}
-				key, ok := keyTok.(string)
-				if !ok {
-					return nil, fmt.Errorf("datafmt: non-string JSON object key %v", keyTok)
-				}
-				v, err := decodeJSONValue(dec)
-				if err != nil {
-					return nil, err
-				}
-				tup.Put(key, v)
-			}
-			if _, err := dec.Token(); err != nil { // consume '}'
-				return nil, err
-			}
-			return tup, nil
+		}
+		if n > 0 || err != nil {
+			return n > 0
 		}
 	}
-	return nil, fmt.Errorf("datafmt: unexpected JSON token %v", tok)
 }
 
-func jsonNumber(n json.Number) value.Value {
-	if i, err := n.Int64(); err == nil {
-		return value.Int(i)
+// need makes buf[pos:pos+n] present and reports whether it could.
+func (d *jsonDecoder) need(n int) bool {
+	for len(d.buf)-d.pos < n {
+		if !d.more() {
+			return false
+		}
 	}
-	f, err := n.Float64()
+	return true
+}
+
+// peek returns the next input byte, or 0 (which no token holds) at the
+// end of input.
+func (d *jsonDecoder) peek() byte {
+	if !d.need(1) {
+		return 0
+	}
+	return d.buf[d.pos]
+}
+
+func (d *jsonDecoder) errf(format string, args ...any) error {
+	return &JSONSyntaxError{Offset: d.base + int64(d.pos), Msg: fmt.Sprintf(format, args...)}
+}
+
+// truncated is the error for input that ended, or failed, inside a value.
+func (d *jsonDecoder) truncated() error {
+	end := d.base + int64(len(d.buf))
+	if d.rerr != nil {
+		return fmt.Errorf("datafmt: json offset %d: %w", end, d.rerr)
+	}
+	return &JSONSyntaxError{Offset: end, Msg: "unexpected end of input", Err: io.ErrUnexpectedEOF}
+}
+
+// skipSpace moves past white space and reports whether input remains.
+func (d *jsonDecoder) skipSpace() bool {
+	for {
+		for d.pos < len(d.buf) {
+			switch d.buf[d.pos] {
+			case ' ', '\t', '\n', '\r':
+				d.pos++
+			default:
+				return true
+			}
+		}
+		if !d.more() {
+			return false
+		}
+	}
+}
+
+// pop removes the stack above base and returns it as a slice of its own.
+func (d *jsonDecoder) pop(base int) []value.Value {
+	out := make([]value.Value, len(d.stack)-base)
+	copy(out, d.stack[base:])
+	d.stack = d.stack[:base]
+	return out
+}
+
+func (d *jsonDecoder) value() (value.Value, error) {
+	if !d.skipSpace() {
+		return nil, d.truncated()
+	}
+	switch c := d.buf[d.pos]; c {
+	case '{', '[':
+		if d.depth == maxJSONDepth {
+			return nil, d.errf("nesting deeper than %d", maxJSONDepth)
+		}
+		d.pos++
+		d.depth++
+		var v value.Value
+		var err error
+		if c == '{' {
+			v, err = d.object()
+		} else {
+			v, err = d.array()
+		}
+		d.depth--
+		return v, err
+	case '"':
+		s, err := d.stringBytes()
+		if err != nil {
+			return nil, err
+		}
+		return value.String(s), nil
+	case 't':
+		return d.literal("true", value.True)
+	case 'f':
+		return d.literal("false", value.False)
+	case 'n':
+		return d.literal("null", value.Null)
+	default:
+		if c == '-' || '0' <= c && c <= '9' {
+			return d.number()
+		}
+		return nil, d.errf("unexpected character %q at the start of a value", c)
+	}
+}
+
+func (d *jsonDecoder) literal(word string, v value.Value) (value.Value, error) {
+	for i := 0; i < len(word); i++ {
+		if !d.need(i + 1) {
+			return nil, d.truncated()
+		}
+		if d.buf[d.pos+i] != word[i] {
+			return nil, d.errf("invalid literal (want %s)", word)
+		}
+	}
+	d.pos += len(word)
+	return v, nil
+}
+
+// array decodes the elements after '['.
+func (d *jsonDecoder) array() (value.Value, error) {
+	base := len(d.stack)
+	if !d.skipSpace() {
+		return nil, d.truncated()
+	}
+	if d.buf[d.pos] == ']' {
+		d.pos++
+		return value.Array{}, nil
+	}
+	for {
+		v, err := d.value()
+		if err != nil {
+			return nil, err
+		}
+		d.stack = append(d.stack, v)
+		more, err := d.next(']')
+		if err != nil {
+			return nil, err
+		}
+		if !more {
+			return value.Array(d.pop(base)), nil
+		}
+	}
+}
+
+// object decodes the members after '{'. Member order and duplicate names
+// are kept.
+func (d *jsonDecoder) object() (value.Value, error) {
+	base := len(d.stack)
+	shape := value.ShapeOf()
+	if !d.skipSpace() {
+		return nil, d.truncated()
+	}
+	if d.buf[d.pos] == '}' {
+		d.pos++
+		return shape.New(nil), nil
+	}
+	for {
+		if !d.skipSpace() {
+			return nil, d.truncated()
+		}
+		if d.buf[d.pos] != '"' {
+			return nil, d.errf("expected a string object key, found %q", d.buf[d.pos])
+		}
+		key, err := d.stringBytes()
+		if err != nil {
+			return nil, err
+		}
+		shape = shape.WithBytes(key)
+		if !d.skipSpace() {
+			return nil, d.truncated()
+		}
+		if d.buf[d.pos] != ':' {
+			return nil, d.errf("expected ':' after object key, found %q", d.buf[d.pos])
+		}
+		d.pos++
+		v, err := d.value()
+		if err != nil {
+			return nil, err
+		}
+		d.stack = append(d.stack, v)
+		more, err := d.next('}')
+		if err != nil {
+			return nil, err
+		}
+		if !more {
+			return shape.New(d.pop(base)), nil
+		}
+	}
+}
+
+// next consumes what follows an element of a container: a comma (more
+// elements follow) or the closer.
+func (d *jsonDecoder) next(closer byte) (more bool, err error) {
+	if !d.skipSpace() {
+		return false, d.truncated()
+	}
+	switch c := d.buf[d.pos]; c {
+	case ',':
+		d.pos++
+		return true, nil
+	case closer:
+		d.pos++
+		return false, nil
+	default:
+		return false, d.errf("expected ',' or %q, found %q", closer, c)
+	}
+}
+
+// number decodes a number by the JSON grammar. Integer literals that fit
+// int64 become Int (-0 is Int 0); every other literal is a Float.
+func (d *jsonDecoder) number() (value.Value, error) {
+	d.mark = d.pos
+	neg := d.buf[d.pos] == '-'
+	if neg {
+		d.pos++
+	}
+	sign := d.pos - d.mark // the integer digits begin at mark+sign
+	intDigits := d.digits()
+	if intDigits == 0 {
+		return nil, d.badNumber()
+	}
+	if d.buf[d.mark+sign] == '0' && intDigits > 1 {
+		d.pos = d.mark + sign + 1
+		return nil, d.errf("digit after a leading zero")
+	}
+	integral := true
+	if d.peek() == '.' {
+		integral = false
+		d.pos++
+		if d.digits() == 0 {
+			return nil, d.badNumber()
+		}
+	}
+	if c := d.peek(); c == 'e' || c == 'E' {
+		integral = false
+		d.pos++
+		if c := d.peek(); c == '+' || c == '-' {
+			d.pos++
+		}
+		if d.digits() == 0 {
+			return nil, d.badNumber()
+		}
+	}
+	lit := d.buf[d.mark:d.pos]
+	d.mark = -1
+	if integral && intDigits <= 18 { // 18 digits always fit int64
+		var i int64
+		for _, c := range lit[sign:] {
+			i = i*10 + int64(c-'0')
+		}
+		if neg {
+			i = -i
+		}
+		return value.Int(i), nil
+	}
+	if integral {
+		if i, err := strconv.ParseInt(string(lit), 10, 64); err == nil {
+			return value.Int(i), nil
+		}
+	}
+	f, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
-		return value.Null
+		d.pos -= len(lit)
+		return nil, d.errf("number %s is outside the float64 range", lit)
 	}
-	return value.Float(f)
+	return value.Float(f), nil
+}
+
+// digits moves past a run of digits and returns its length.
+func (d *jsonDecoder) digits() int {
+	n := 0
+	for {
+		for d.pos < len(d.buf) && '0' <= d.buf[d.pos] && d.buf[d.pos] <= '9' {
+			d.pos++
+			n++
+		}
+		if d.pos < len(d.buf) || !d.more() {
+			return n
+		}
+	}
+}
+
+// badNumber is the error for a number that lacks a digit at pos.
+func (d *jsonDecoder) badNumber() error {
+	if d.pos == len(d.buf) {
+		return d.truncated()
+	}
+	return d.errf("invalid character %q in number", d.buf[d.pos])
+}
+
+// stringBytes decodes the string at pos (which holds its opening quote).
+// The result is a part of the window when the string needs no rewriting,
+// else of the scratch: valid until the decoder next reads.
+func (d *jsonDecoder) stringBytes() ([]byte, error) {
+	d.pos++
+	d.mark = d.pos
+	ascii := true
+	for {
+		for ; d.pos < len(d.buf); d.pos++ {
+			switch c := d.buf[d.pos]; {
+			case c == '"':
+				s := d.buf[d.mark:d.pos]
+				if !ascii && !utf8.Valid(s) {
+					return d.unquote()
+				}
+				d.pos++
+				d.mark = -1
+				return s, nil
+			case c == '\\':
+				return d.unquote()
+			case c < ' ':
+				return nil, d.errf("control character %q in string", c)
+			case c >= utf8.RuneSelf:
+				ascii = false
+			}
+		}
+		if !d.more() {
+			return nil, d.truncated()
+		}
+	}
+}
+
+// unquote is stringBytes for a string with escapes or invalid UTF-8: it
+// starts over from mark and rebuilds the string in the scratch, mapping
+// each invalid byte and unpaired surrogate to U+FFFD as encoding/json
+// does.
+func (d *jsonDecoder) unquote() ([]byte, error) {
+	d.pos, d.mark = d.mark, -1
+	out := d.unquoted[:0]
+	for d.need(1) {
+		switch c := d.buf[d.pos]; {
+		case c == '"':
+			d.pos++
+			d.unquoted = out
+			return out, nil
+		case c < ' ':
+			return nil, d.errf("control character %q in string", c)
+		case c >= utf8.RuneSelf:
+			if !utf8.FullRune(d.buf[d.pos:]) {
+				d.need(utf8.UTFMax) // a rune cut by the window's end, if not by the input's
+			}
+			r, size := utf8.DecodeRune(d.buf[d.pos:])
+			out = utf8.AppendRune(out, r)
+			d.pos += size
+		case c != '\\':
+			out = append(out, c)
+			d.pos++
+		default:
+			r, err := d.escape()
+			if err != nil {
+				return nil, err
+			}
+			out = utf8.AppendRune(out, r)
+		}
+	}
+	return nil, d.truncated()
+}
+
+// escape decodes the escape sequence whose backslash is at pos.
+func (d *jsonDecoder) escape() (rune, error) {
+	if !d.need(2) {
+		return 0, d.truncated()
+	}
+	d.pos += 2
+	switch c := d.buf[d.pos-1]; c {
+	case '"', '\\', '/':
+		return rune(c), nil
+	case 'b':
+		return '\b', nil
+	case 'f':
+		return '\f', nil
+	case 'n':
+		return '\n', nil
+	case 'r':
+		return '\r', nil
+	case 't':
+		return '\t', nil
+	case 'u':
+		r, err := d.hex4()
+		if err != nil || !utf16.IsSurrogate(r) {
+			return r, err
+		}
+		// A surrogate stands for a rune only together with the \u low
+		// surrogate after it; alone it is U+FFFD and what follows is read
+		// on its own.
+		if d.need(2) && d.buf[d.pos] == '\\' && d.buf[d.pos+1] == 'u' {
+			d.mark = d.pos
+			d.pos += 2
+			r2, err := d.hex4()
+			if err != nil {
+				return 0, err
+			}
+			if pair := utf16.DecodeRune(r, r2); pair != utf8.RuneError {
+				d.mark = -1
+				return pair, nil
+			}
+			d.pos, d.mark = d.mark, -1
+		}
+		return utf8.RuneError, nil
+	default:
+		d.pos--
+		return 0, d.errf("invalid escape character %q in string", c)
+	}
+}
+
+// hex4 reads the four hex digits of a \u escape.
+func (d *jsonDecoder) hex4() (rune, error) {
+	var r rune
+	for i := 0; i < 4; i++ {
+		if !d.need(1) {
+			return 0, d.truncated()
+		}
+		c := d.buf[d.pos]
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, d.errf("invalid hex digit %q in \\u escape", c)
+		}
+		r = r<<4 | rune(c)
+		d.pos++
+	}
+	return r, nil
 }
 
 // EncodeJSON writes v as JSON. MISSING cannot be encoded (it denotes
@@ -212,17 +659,18 @@ func appendJSON(buf *bytes.Buffer, v value.Value) error {
 		return appendJSONSeq(buf, sorted)
 	case *value.Tuple:
 		buf.WriteByte('{')
-		for i, f := range x.Fields() {
+		vals := x.Values()
+		for i, name := range x.Names() {
 			if i > 0 {
 				buf.WriteByte(',')
 			}
-			b, err := json.Marshal(f.Name)
+			b, err := json.Marshal(name)
 			if err != nil {
 				return err
 			}
 			buf.Write(b)
 			buf.WriteByte(':')
-			if err := appendJSON(buf, f.Value); err != nil {
+			if err := appendJSON(buf, vals[i]); err != nil {
 				return err
 			}
 		}

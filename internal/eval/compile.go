@@ -627,16 +627,37 @@ func compileCall(x *ast.Call, o CompileOpts) CompiledExpr {
 	}
 }
 
+// compileTupleCtor lowers a tuple constructor. One whose attribute names
+// are all string literals resolves its shape here, once; any other walks
+// the shape tree per evaluation.
+//
+// governor: accumulation bounded by len(x.Fields), a parse-time constant.
 func compileTupleCtor(x *ast.TupleCtor, o CompileOpts) CompiledExpr {
-	names := make([]CompiledExpr, len(x.Fields))
 	vals := make([]CompiledExpr, len(x.Fields))
 	for i, f := range x.Fields {
-		names[i] = Compile(f.Name, o)
 		vals[i] = Compile(f.Value, o)
+	}
+	if shape, ok := literalShape(x); ok {
+		return func(ctx *Context, env *Env) (value.Value, error) {
+			out := make([]value.Value, len(vals))
+			for i, val := range vals {
+				v, err := val(ctx, env)
+				if err != nil {
+					return nil, err
+				}
+				out[i] = v
+			}
+			return shape.New(out), nil
+		}
+	}
+	names := make([]CompiledExpr, len(x.Fields))
+	for i, f := range x.Fields {
+		names[i] = Compile(f.Name, o)
 	}
 	pos := x.Pos()
 	return func(ctx *Context, env *Env) (value.Value, error) {
-		t := value.NewTupleCap(len(names))
+		shape := value.ShapeOf()
+		out := make([]value.Value, 0, len(names))
 		for i := range names {
 			nameV, err := names[i](ctx, env)
 			if err != nil {
@@ -653,10 +674,29 @@ func compileTupleCtor(x *ast.TupleCtor, o CompileOpts) CompiledExpr {
 			if err != nil {
 				return nil, err
 			}
-			t.Put(name, v)
+			shape = shape.With(name)
+			out = append(out, v)
 		}
-		return t, nil
+		return shape.New(out), nil
 	}
+}
+
+// literalShape is the shape of a constructor whose attribute names are
+// all string literals.
+func literalShape(x *ast.TupleCtor) (*value.Shape, bool) {
+	shape := value.ShapeOf()
+	for _, f := range x.Fields {
+		lit, ok := f.Name.(*ast.Literal)
+		if !ok {
+			return nil, false
+		}
+		name, ok := lit.Val.(value.String)
+		if !ok {
+			return nil, false
+		}
+		shape = shape.With(string(name))
+	}
+	return shape, true
 }
 
 func compileArrayCtor(x *ast.ArrayCtor, o CompileOpts) CompiledExpr {

@@ -8,6 +8,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"sqlpp/internal/ast"
 	"sqlpp/internal/lexer"
@@ -301,11 +302,7 @@ func (e *Env) Names() []string { return e.names }
 // Snapshot captures this scope's bindings (not parents') as a tuple, the
 // group-content shape used by GROUP AS.
 func (e *Env) Snapshot() *value.Tuple {
-	t := value.NewTupleCap(len(e.names))
-	for i, n := range e.names {
-		t.Put(n, e.vals[i])
-	}
-	return t
+	return value.ShapeOf(e.names...).New(slices.Clone(e.vals))
 }
 
 // RechainBelow rebuilds the scope chain between e (inclusive) and stop
@@ -345,7 +342,9 @@ func (e *Env) SnapshotBelow(stop *Env) *value.Tuple {
 		scopes = append(scopes, s)
 		n += len(s.names)
 	}
-	t := value.NewTupleCap(n)
+	// Names are not known up front (an inner binding replaces an outer
+	// one), their number is: Set fills the one slice in place.
+	t := value.ShapeOf().New(make([]value.Value, 0, n))
 	for i := len(scopes) - 1; i >= 0; i-- {
 		s := scopes[i]
 		for j, n := range s.names {

@@ -746,7 +746,8 @@ func callFunc(ctx *Context, def *FuncDef, args []value.Value, pos lexer.Pos) (va
 }
 
 func evalTupleCtor(ctx *Context, env *Env, x *ast.TupleCtor) (value.Value, error) {
-	t := value.NewTupleCap(len(x.Fields))
+	shape := value.ShapeOf()
+	vals := make([]value.Value, 0, len(x.Fields))
 	for _, f := range x.Fields {
 		nameV, err := Eval(ctx, env, f.Name)
 		if err != nil {
@@ -763,9 +764,10 @@ func evalTupleCtor(ctx *Context, env *Env, x *ast.TupleCtor) (value.Value, error
 		if err != nil {
 			return nil, err
 		}
-		t.Put(name, v)
+		shape = shape.With(name)
+		vals = append(vals, v)
 	}
-	return t, nil
+	return shape.New(vals), nil
 }
 
 // tupleFieldName validates an evaluated attribute-name operand. A

@@ -58,7 +58,7 @@ func (r *Registry) registerAggregates() {
 // a sugar SELECT whose rows are {'salary': v} tuples.
 func unwrapAggElem(e value.Value) value.Value {
 	if t, ok := e.(*value.Tuple); ok && t.Len() == 1 {
-		return t.Fields()[0].Value
+		return t.Values()[0]
 	}
 	return e
 }

@@ -81,8 +81,8 @@ func (r *Registry) registerCollections() {
 			return nil, typeErr("ATTRIBUTE_NAMES", "argument is "+args[0].Kind().String())
 		}
 		out := make(value.Array, 0, t.Len())
-		for _, f := range t.Fields() {
-			out = append(out, value.String(f.Name))
+		for _, name := range t.Names() {
+			out = append(out, value.String(name))
 		}
 		return out, nil
 	}))
@@ -125,7 +125,7 @@ func (r *Registry) registerInternal() {
 			if t.Len() != 1 {
 				return nil, typeErr("scalar subquery", "row has more than one column")
 			}
-			return t.Fields()[0].Value, nil
+			return t.Values()[0], nil
 		default:
 			return nil, typeErr("scalar subquery", "more than one row")
 		}
@@ -147,7 +147,7 @@ func (r *Registry) registerInternal() {
 			if t.Len() != 1 {
 				return nil, typeErr("IN subquery", "row has more than one column")
 			}
-			out = append(out, t.Fields()[0].Value)
+			out = append(out, t.Values()[0])
 		}
 		return out, nil
 	})
@@ -164,8 +164,9 @@ func (r *Registry) registerInternal() {
 			}
 			v := args[i+1]
 			if t, ok := v.(*value.Tuple); ok {
-				for _, f := range t.Fields() {
-					out.Put(f.Name, f.Value)
+				vals := t.Values()
+				for j, name := range t.Names() {
+					out.Put(name, vals[j])
 				}
 				continue
 			}

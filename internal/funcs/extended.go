@@ -3,6 +3,7 @@ package funcs
 import (
 	"math"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 
@@ -195,8 +196,9 @@ func (r *Registry) registerTupleFunctions() {
 			if !ok {
 				return nil, typeErr("OBJECT_MERGE", "argument is "+a.Kind().String())
 			}
-			for _, f := range t.Fields() {
-				out.Set(f.Name, f.Value)
+			vals := t.Values()
+			for i, name := range t.Names() {
+				out.Set(name, vals[i])
 			}
 		}
 		return out, nil
@@ -216,9 +218,10 @@ func (r *Registry) registerTupleFunctions() {
 			drop[string(name)] = true
 		}
 		out := value.EmptyTuple()
-		for _, f := range t.Fields() {
-			if !drop[f.Name] {
-				out.Put(f.Name, f.Value)
+		vals := t.Values()
+		for i, name := range t.Names() {
+			if !drop[name] {
+				out.Put(name, vals[i])
 			}
 		}
 		return out, nil
@@ -229,11 +232,7 @@ func (r *Registry) registerTupleFunctions() {
 		if !ok {
 			return nil, typeErr("OBJECT_VALUES", "argument is "+args[0].Kind().String())
 		}
-		out := make(value.Array, 0, t.Len())
-		for _, f := range t.Fields() {
-			out = append(out, f.Value)
-		}
-		return out, nil
+		return value.Array(slices.Clone(t.Values())), nil
 	}))
 }
 

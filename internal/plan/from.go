@@ -177,7 +177,7 @@ func unpivotValue(ctx *eval.Context, env *eval.Env, x *ast.FromUnpivot, src valu
 	if ctx.Stats != nil {
 		n := itemNode(ctx, x)
 		if t, ok := src.(*value.Tuple); ok {
-			n.AddIn(int64(len(t.Fields())))
+			n.AddIn(int64(t.Len()))
 		} else if src.Kind() != value.KindMissing {
 			n.AddIn(1)
 		}
@@ -193,8 +193,9 @@ func unpivotValue(ctx *eval.Context, env *eval.Env, x *ast.FromUnpivot, src valu
 	}
 	switch t := src.(type) {
 	case *value.Tuple:
-		for _, f := range t.Fields() {
-			if err := bind(f.Name, f.Value); err != nil {
+		vals := t.Values()
+		for i, name := range t.Names() {
+			if err := bind(name, vals[i]); err != nil {
 				return err
 			}
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -487,15 +488,15 @@ func jsonToValue(x any) (value.Value, error) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		t := value.EmptyTuple()
-		for _, k := range keys {
+		vals := make([]value.Value, len(keys))
+		for i, k := range keys {
 			ev, err := jsonToValue(v[k])
 			if err != nil {
 				return nil, err
 			}
-			t.Put(k, ev)
+			vals[i] = ev
 		}
-		return t, nil
+		return value.ShapeOf(keys...).New(vals), nil
 	}
 	return nil, fmt.Errorf("unsupported JSON value %T", x)
 }
@@ -565,7 +566,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var data []byte
-		if data, err = io.ReadAll(body); err == nil {
+		if data, err = readBody(body, r.ContentLength); err == nil {
 			err = s.engine.AppendSION(name, string(data))
 		}
 		if err != nil {
@@ -586,7 +587,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	switch format {
 	case "sion", "":
 		var data []byte
-		if data, err = io.ReadAll(body); err == nil {
+		if data, err = readBody(body, r.ContentLength); err == nil {
 			var v value.Value
 			if v, err = sion.Parse(string(data)); err == nil {
 				err = s.engine.Register(name, v)
@@ -600,7 +601,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		err = s.engine.RegisterCSV(name, body)
 	case "cbor":
 		var data []byte
-		if data, err = io.ReadAll(body); err == nil {
+		if data, err = readBody(body, r.ContentLength); err == nil {
 			err = s.engine.RegisterCBOR(name, data)
 		}
 	default:
@@ -626,6 +627,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{"name": name, "count": count})
+}
+
+// readBody is io.ReadAll for a request body: the buffer starts at the
+// length the client declared, so a body that keeps its word is read
+// without regrowing, and at no more than 1 MiB, so one that declares much
+// and sends little holds little.
+func readBody(body io.Reader, declared int64) ([]byte, error) {
+	var b bytes.Buffer
+	b.Grow(int(min(max(declared, 0), 1<<20)) + bytes.MinRead)
+	_, err := b.ReadFrom(body)
+	return b.Bytes(), err
 }
 
 func formatFromContentType(ct string) string {

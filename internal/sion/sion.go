@@ -57,6 +57,18 @@ func MustParse(src string) value.Value {
 type parser struct {
 	src string
 	pos int
+	// stack holds the elements of the open collections and tuples,
+	// innermost last; one that closes copies its own into a slice of
+	// exactly their number.
+	stack []value.Value
+}
+
+// pop removes the stack above base and returns it as a slice of its own.
+func (p *parser) pop(base int) []value.Value {
+	out := make([]value.Value, len(p.stack)-base)
+	copy(out, p.stack[base:])
+	p.stack = p.stack[:base]
+	return out
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -120,25 +132,25 @@ func (p *parser) parseValue() (value.Value, error) {
 
 // parseSeqUntil parses comma-separated values until the closing token.
 func (p *parser) parseSeqUntil(close string, wrap func([]value.Value) value.Value) (value.Value, error) {
-	var elems []value.Value
+	base := len(p.stack)
 	p.skipSpace()
 	if p.hasPrefix(close) {
 		p.pos += len(close)
-		return wrap(elems), nil
+		return wrap(nil), nil
 	}
 	for {
 		v, err := p.parseValue()
 		if err != nil {
 			return nil, err
 		}
-		elems = append(elems, v)
+		p.stack = append(p.stack, v)
 		p.skipSpace()
 		switch {
 		case p.peek() == ',':
 			p.pos++
 		case p.hasPrefix(close):
 			p.pos += len(close)
-			return wrap(elems), nil
+			return wrap(p.pop(base)), nil
 		default:
 			return nil, p.errf("expected ',' or %q", close)
 		}
@@ -146,11 +158,12 @@ func (p *parser) parseSeqUntil(close string, wrap func([]value.Value) value.Valu
 }
 
 func (p *parser) parseTuple() (value.Value, error) {
-	t := value.EmptyTuple()
+	base := len(p.stack)
+	shape := value.ShapeOf()
 	p.skipSpace()
 	if p.peek() == '}' {
 		p.pos++
-		return t, nil
+		return value.EmptyTuple(), nil
 	}
 	for {
 		p.skipSpace()
@@ -182,14 +195,15 @@ func (p *parser) parseTuple() (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Put(name, v)
+		shape = shape.With(name)
+		p.stack = append(p.stack, v)
 		p.skipSpace()
 		switch p.peek() {
 		case ',':
 			p.pos++
 		case '}':
 			p.pos++
-			return t, nil
+			return shape.New(p.pop(base)), nil
 		default:
 			return nil, p.errf("expected ',' or '}' in tuple")
 		}

@@ -110,6 +110,10 @@ type entry struct {
 type sketch struct {
 	m         map[uint64]entry
 	saturated bool // an eviction has happened: counts below are a sample
+	// maxH caches the largest retained hash, the admission threshold of a
+	// full sketch; zero means not known (recomputed on demand, dropped by
+	// whatever changes the retained set).
+	maxH uint64
 }
 
 const (
@@ -141,7 +145,7 @@ func newSketch() *sketch { return &sketch{m: make(map[uint64]entry, 8)} }
 // clone deep-copies the sketch for copy-on-write extension.
 // governor:bounded by sketchK entries
 func (s *sketch) clone() *sketch {
-	n := &sketch{m: make(map[uint64]entry, len(s.m)), saturated: s.saturated}
+	n := &sketch{m: make(map[uint64]entry, len(s.m)), saturated: s.saturated, maxH: s.maxH}
 	for h, e := range s.m {
 		n.m[h] = e
 	}
@@ -171,18 +175,15 @@ func (s *sketch) add(v value.Value, key []byte, gov *eval.Governor) error {
 	}
 	if len(s.m) >= sketchK {
 		// Full: admit only hashes below the current maximum, evicting it.
-		maxH := uint64(0)
-		for eh := range s.m {
-			if eh > maxH {
-				maxH = eh
-			}
+		s.saturated = true
+		if s.maxH == 0 {
+			s.maxH = s.maxHash()
 		}
-		if h >= maxH {
-			s.saturated = true
+		if h >= s.maxH {
 			return nil
 		}
-		delete(s.m, maxH)
-		s.saturated = true
+		delete(s.m, s.maxH)
+		s.maxH = 0
 	}
 	if gov != nil {
 		if err := gov.ChargeValues("stats-build", 1, v); err != nil {
@@ -193,17 +194,22 @@ func (s *sketch) add(v value.Value, key []byte, gov *eval.Governor) error {
 	return nil
 }
 
+// maxHash returns the largest retained hash.
+// governor:bounded by sketchK entries
+func (s *sketch) maxHash() uint64 {
+	maxH := uint64(0)
+	for h := range s.m {
+		maxH = max(maxH, h)
+	}
+	return maxH
+}
+
 // ndv estimates the number of distinct values seen.
 func (s *sketch) ndv() (est float64, exact bool) {
 	if !s.saturated {
 		return float64(len(s.m)), true
 	}
-	maxH := uint64(0)
-	for h := range s.m {
-		if h > maxH {
-			maxH = h
-		}
-	}
+	maxH := s.maxHash()
 	if maxH == 0 {
 		return float64(len(s.m)), false
 	}
@@ -232,6 +238,7 @@ func (s *sketch) sample() []entry {
 // summing counts for shared hashes and trimming back to the k smallest.
 // governor:bounded by 2*sketchK entries
 func (s *sketch) merge(o *sketch) {
+	s.maxH = 0
 	for h, oe := range o.m {
 		if e, ok := s.m[h]; ok {
 			if oe.key < e.key {
@@ -356,14 +363,15 @@ func (c *Collection) addRow(row value.Value, gov *eval.Governor) error {
 // tuples to maxDepth.
 // governor:charged-at sketch.add per retained sample value; path count bounded by maxPaths
 func (c *Collection) walk(t *value.Tuple, prefix string, depth int, gov *eval.Governor) error {
-	for _, f := range t.Fields() {
-		path := f.Name
+	vals := t.Values()
+	for i, path := range t.Names() {
+		v := vals[i]
 		if prefix != "" {
-			path = prefix + "." + f.Name
+			path = prefix + "." + path
 		}
 		ps := c.admit(path)
 		if ps != nil {
-			switch f.Value.Kind() {
+			switch v.Kind() {
 			case value.KindMissing:
 				// An explicit MISSING field is indistinguishable from an
 				// absent one; the derived missing count covers it.
@@ -371,14 +379,14 @@ func (c *Collection) walk(t *value.Tuple, prefix string, depth int, gov *eval.Go
 				ps.null++
 			default:
 				ps.present++
-				ps.classes[classOf(f.Value)].observe(f.Value)
-				c.keyBuf = value.AppendKey(c.keyBuf[:0], f.Value)
-				if err := ps.sk.add(f.Value, c.keyBuf, gov); err != nil {
+				ps.classes[classOf(v)].observe(v)
+				c.keyBuf = value.AppendKey(c.keyBuf[:0], v)
+				if err := ps.sk.add(v, c.keyBuf, gov); err != nil {
 					return err
 				}
 			}
 		}
-		if sub, ok := f.Value.(*value.Tuple); ok && depth < maxDepth {
+		if sub, ok := v.(*value.Tuple); ok && depth < maxDepth {
 			if err := c.walk(sub, path, depth+1, gov); err != nil {
 				return err
 			}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"sqlpp/internal/value"
@@ -253,5 +254,52 @@ func TestPathBudgetDeterministic(t *testing.T) {
 	}
 	if got, want := s.Paths[len(s.Paths)-1].Path, fmt.Sprintf("p%03d", maxPaths-1); got != want {
 		t.Fatalf("largest retained path = %s, want %s", got, want)
+	}
+}
+
+// TestSketchRetainsBottomK: past saturation the sketch holds exactly the
+// sketchK smallest hashes seen, whether it grew by add alone, across a
+// clone, or by merge — the cached admission threshold changes no result.
+func TestSketchRetainsBottomK(t *testing.T) {
+	var hashes []uint64
+	whole, half := newSketch(), newSketch()
+	var ext *sketch
+	for i := 0; i < 20*sketchK; i++ {
+		v := value.Int(int64(i) * 7919)
+		key := value.AppendKey(nil, v)
+		hashes = append(hashes, hashKey(key))
+		if err := whole.add(v, key, nil); err != nil {
+			t.Fatal(err)
+		}
+		if i == 10*sketchK {
+			ext = half.clone()
+		}
+		if i >= 10*sketchK {
+			if err := ext.add(v, key, nil); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := half.add(v, key, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
+	merged := half.clone()
+	rest := newSketch()
+	for i := 10 * sketchK; i < 20*sketchK; i++ {
+		v := value.Int(int64(i) * 7919)
+		if err := rest.add(v, value.AppendKey(nil, v), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged.merge(rest)
+	for name, s := range map[string]*sketch{"add": whole, "clone+add": ext, "merge": merged} {
+		if len(s.m) != sketchK || !s.saturated {
+			t.Fatalf("%s: %d entries, saturated=%v", name, len(s.m), s.saturated)
+		}
+		for _, h := range hashes[:sketchK] {
+			if _, ok := s.m[h]; !ok {
+				t.Fatalf("%s: hash %d is among the %d smallest but not retained", name, h, sketchK)
+			}
+		}
 	}
 }

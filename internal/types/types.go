@@ -206,8 +206,8 @@ func (s *Struct) Matches(v value.Value) bool {
 		}
 	}
 	if !s.Open {
-		for _, f := range t.Fields() {
-			if !declared[f.Name] {
+		for _, name := range t.Names() {
+			if !declared[name] {
 				return false
 			}
 		}
@@ -290,9 +290,9 @@ func validateAt(v value.Value, t Type, path string) error {
 			}
 		}
 		if !x.Open {
-			for _, f := range tup.Fields() {
-				if !declared[f.Name] {
-					return fmt.Errorf("types: %s: undeclared attribute %q in closed struct", path, f.Name)
+			for _, name := range tup.Names() {
+				if !declared[name] {
+					return fmt.Errorf("types: %s: undeclared attribute %q in closed struct", path, name)
 				}
 			}
 		}
@@ -323,8 +323,9 @@ func Infer(v value.Value) Type {
 		return &BagOf{Elem: inferElems(x)}
 	case *value.Tuple:
 		s := &Struct{}
-		for _, f := range x.Fields() {
-			s.Fields = append(s.Fields, Field{Name: f.Name, Type: Infer(f.Value)})
+		vals := x.Values()
+		for i, name := range x.Names() {
+			s.Fields = append(s.Fields, Field{Name: name, Type: Infer(vals[i])})
 		}
 		return s
 	default:

@@ -22,11 +22,11 @@ func Clone(v Value) Value {
 		}
 		return out
 	case *Tuple:
-		out := &Tuple{fields: make([]Field, len(x.fields))}
-		for i, f := range x.fields {
-			out.fields[i] = Field{Name: f.Name, Value: Clone(f.Value)}
+		vals := make([]Value, len(x.vals))
+		for i, v := range x.vals {
+			vals[i] = Clone(v)
 		}
-		return out
+		return &Tuple{shape: x.shape, vals: vals}
 	default:
 		return v
 	}

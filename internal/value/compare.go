@@ -182,71 +182,38 @@ func sortedBag(b Bag) []Value {
 // name then value, so attribute order is irrelevant, matching the
 // unordered-tuple data model.
 func compareTuple(a, b *Tuple) int {
-	var oa, ob [inlineFields]int
-	ia, ok := nameOrder(a.fields, oa[:0])
-	if !ok {
-		ia = fieldOrder(a.fields)
-	}
-	ib, ok := nameOrder(b.fields, ob[:0])
-	if !ok {
-		ib = fieldOrder(b.fields)
-	}
+	ia, ib := a.attrOrder(), b.attrOrder()
+	an, bn := a.shape.names, b.shape.names
 	n := min(len(ia), len(ib))
 	for i := 0; i < n; i++ {
-		fa, fb := a.fields[ia[i]], b.fields[ib[i]]
-		if c := strings.Compare(fa.Name, fb.Name); c != 0 {
+		pa, pb := ia[i], ib[i]
+		if c := strings.Compare(an[pa], bn[pb]); c != 0 {
 			return c
 		}
-		if c := Compare(fa.Value, fb.Value); c != 0 {
+		if c := Compare(a.vals[pa], b.vals[pb]); c != 0 {
 			return c
 		}
 	}
 	return cmpInt(len(ia), len(ib))
 }
 
-// inlineFields is how many attributes nameOrder sorts.
-const inlineFields = 16
-
-// nameOrder is fieldOrder without allocating, for the tuples that allow
-// it: at most inlineFields attributes, no name twice (so values never
-// decide the order). idx is an empty slice over an array in the caller's
-// frame and takes the result. Comparing and keying tuples is per-row
-// work — ORDER BY, GROUP BY, DISTINCT, the statistics sketch. It must
-// stay free of calls that lead back to Compare: inside that recursion,
-// escape analysis moves every caller's array to the heap.
-func nameOrder(fs []Field, idx []int) ([]int, bool) {
-	if len(fs) > inlineFields {
-		return nil, false
+// attrOrder returns the positions of t's attributes sorted by name, then
+// value: the canonical attribute order behind tuple comparison and
+// keying. Values decide only between attributes of one name, so every
+// tuple of a shape without such a repeat reads the shape's cached order.
+func (t *Tuple) attrOrder() []int32 {
+	order, dup := t.shape.sorted()
+	if !dup {
+		return order
 	}
-	for i := range fs {
-		idx = append(idx, i)
-		for j := i; j > 0; j-- {
-			prev, cur := fs[idx[j-1]].Name, fs[idx[j]].Name
-			if prev == cur {
-				return nil, false
-			}
-			if prev < cur {
-				break
-			}
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	return idx, true
-}
-
-// fieldOrder returns the positions of fs sorted by name, then value: the
-// canonical attribute order behind tuple comparison and keying.
-func fieldOrder(fs []Field) []int {
-	idx := make([]int, len(fs))
-	for i := range idx {
-		idx[i] = i
-	}
+	names := t.shape.names
+	idx := append([]int32(nil), order...)
 	sort.SliceStable(idx, func(i, j int) bool {
-		a, b := fs[idx[i]], fs[idx[j]]
-		if a.Name != b.Name {
-			return a.Name < b.Name
+		a, b := idx[i], idx[j]
+		if names[a] != names[b] {
+			return names[a] < names[b]
 		}
-		return Compare(a.Value, b.Value) < 0
+		return Compare(t.vals[a], t.vals[b]) < 0
 	})
 	return idx
 }

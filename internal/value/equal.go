@@ -1,5 +1,7 @@
 package value
 
+import "slices"
+
 // DeepEqual reports structural equality, sensitive to element order in
 // both arrays and bags and to attribute order in tuples. It is the
 // cheapest equality and is what the executor uses when it already
@@ -36,16 +38,10 @@ func DeepEqual(a, b Value) bool {
 		return deepEqualSeq(x, []Value(b.(Bag)))
 	case *Tuple:
 		y := b.(*Tuple)
-		if len(x.fields) != len(y.fields) {
+		if x.shape != y.shape && !slices.Equal(x.shape.names, y.shape.names) {
 			return false
 		}
-		for i := range x.fields {
-			if x.fields[i].Name != y.fields[i].Name ||
-				!DeepEqual(x.fields[i].Value, y.fields[i].Value) {
-				return false
-			}
-		}
-		return true
+		return deepEqualSeq(x.vals, y.vals)
 	}
 	return false
 }

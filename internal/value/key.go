@@ -52,17 +52,12 @@ func AppendKey(dst []byte, v Value) []byte {
 		return dst
 	case *Tuple:
 		dst = append(dst, 't')
-		dst = appendLen(dst, len(x.fields))
-		var buf [inlineFields]int
-		order, ok := nameOrder(x.fields, buf[:0])
-		if !ok {
-			order = fieldOrder(x.fields)
-		}
-		for _, i := range order {
-			f := x.fields[i]
-			dst = appendLen(dst, len(f.Name))
-			dst = append(dst, f.Name...)
-			dst = AppendKey(dst, f.Value)
+		dst = appendLen(dst, len(x.vals))
+		names := x.shape.names
+		for _, i := range x.attrOrder() {
+			dst = appendLen(dst, len(names[i]))
+			dst = append(dst, names[i]...)
+			dst = AppendKey(dst, x.vals[i])
 		}
 		return dst
 	}

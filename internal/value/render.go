@@ -111,13 +111,13 @@ func appendValue(dst []byte, v Value) []byte {
 
 func appendTuple(dst []byte, t *Tuple) []byte {
 	dst = append(dst, '{')
-	for i, f := range t.fields {
+	for i, name := range t.shape.names {
 		if i > 0 {
 			dst = append(dst, ", "...)
 		}
-		dst = appendQuoted(dst, f.Name)
+		dst = appendQuoted(dst, name)
 		dst = append(dst, ": "...)
-		dst = appendValue(dst, f.Value)
+		dst = appendValue(dst, t.vals[i])
 	}
 	return append(dst, '}')
 }
@@ -150,17 +150,17 @@ func pretty(sb *strings.Builder, v Value, depth int) {
 	case Bag:
 		prettySeq(sb, x, "{{", "}}", indent, child, depth)
 	case *Tuple:
-		if len(x.fields) == 0 {
+		if len(x.vals) == 0 {
 			sb.WriteString("{}")
 			return
 		}
 		sb.WriteString("{\n")
-		for i, f := range x.fields {
+		for i, name := range x.shape.names {
 			sb.WriteString(child)
-			sb.WriteString(String(f.Name).String())
+			sb.WriteString(String(name).String())
 			sb.WriteString(": ")
-			pretty(sb, f.Value, depth+1)
-			if i < len(x.fields)-1 {
+			pretty(sb, x.vals[i], depth+1)
+			if i < len(x.vals)-1 {
 				sb.WriteByte(',')
 			}
 			sb.WriteByte('\n')

@@ -34,8 +34,8 @@ func ApproxSize(v Value) int64 {
 		return s
 	case *Tuple:
 		s := int64(tupleBase)
-		for _, f := range x.Fields() {
-			s += header + int64(len(f.Name)) + ApproxSize(f.Value)
+		for i, name := range x.shape.names {
+			s += header + int64(len(name)) + ApproxSize(x.vals[i])
 		}
 		return s
 	default:

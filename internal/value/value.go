@@ -129,7 +129,7 @@ type Bag []Value
 // Kind reports KindBag.
 func (Bag) Kind() Kind { return KindBag }
 
-// Field is one attribute of a tuple.
+// Field is one attribute handed to NewTuple.
 type Field struct {
 	Name  string
 	Value Value
@@ -140,8 +140,12 @@ type Field struct {
 // deterministic rendering. Duplicate attribute names are permitted (for
 // compatibility with non-strict formats); navigation resolves to the first
 // occurrence, which the paper documents as potentially nonreproducible.
+//
+// A tuple holds its names by reference to a Shape and its values in a
+// slice parallel to the shape's names.
 type Tuple struct {
-	fields []Field
+	shape *Shape
+	vals  []Value
 }
 
 // Kind reports KindTuple.
@@ -152,7 +156,7 @@ func (*Tuple) Kind() Kind { return KindTuple }
 // (paper §II). A nil field value is treated as a programming error and
 // panics.
 func NewTuple(fields ...Field) *Tuple {
-	t := &Tuple{fields: make([]Field, 0, len(fields))}
+	t := &Tuple{shape: rootShape, vals: make([]Value, 0, len(fields))}
 	for _, f := range fields {
 		t.Put(f.Name, f.Value)
 	}
@@ -160,12 +164,32 @@ func NewTuple(fields ...Field) *Tuple {
 }
 
 // EmptyTuple returns a new tuple with no attributes.
-func EmptyTuple() *Tuple { return &Tuple{} }
+func EmptyTuple() *Tuple { return &Tuple{shape: rootShape} }
 
-// NewTupleCap returns an empty tuple with room for n attributes, so a
-// constructor that knows its field count allocates the attribute slice
-// once instead of growing it append by append.
-func NewTupleCap(n int) *Tuple { return &Tuple{fields: make([]Field, 0, n)} }
+// New returns the tuple whose i-th attribute is s's i-th name with value
+// vals[i]. It takes ownership of vals, which must hold one value per name;
+// Put and Set append within vals' spare capacity.
+// Attributes whose value is MISSING are dropped (MISSING may not appear
+// as an attribute value, paper §II), which costs a walk to the shape
+// without them; a nil value is a programming error and panics.
+func (s *Shape) New(vals []Value) *Tuple {
+	if len(vals) != len(s.names) {
+		panic("value: tuple values do not match its shape")
+	}
+	for i, v := range vals {
+		if v == nil {
+			panic("value: nil Value put into tuple attribute " + s.names[i])
+		}
+		if v.Kind() == KindMissing {
+			t := &Tuple{shape: ShapeOf(s.names[:i]...), vals: vals[:i]}
+			for j := i + 1; j < len(vals); j++ {
+				t.Put(s.names[j], vals[j])
+			}
+			return t
+		}
+	}
+	return &Tuple{shape: s, vals: vals}
+}
 
 // Put appends attribute name with value v. If v is MISSING the attribute
 // is not added. Put does not replace an existing attribute of the same
@@ -177,7 +201,8 @@ func (t *Tuple) Put(name string, v Value) {
 	if v.Kind() == KindMissing {
 		return
 	}
-	t.fields = append(t.fields, Field{Name: name, Value: v})
+	t.shape = t.shape.With(name)
+	t.vals = append(t.vals, v)
 }
 
 // Set replaces the first attribute named name, or appends it if absent.
@@ -190,44 +215,51 @@ func (t *Tuple) Set(name string, v Value) {
 		t.Delete(name)
 		return
 	}
-	for i := range t.fields {
-		if t.fields[i].Name == name {
-			t.fields[i].Value = v
+	for i, n := range t.shape.names {
+		if n == name {
+			t.vals[i] = v
 			return
 		}
 	}
-	t.fields = append(t.fields, Field{Name: name, Value: v})
+	t.Put(name, v)
 }
 
 // Delete removes every attribute named name.
 func (t *Tuple) Delete(name string) {
-	out := t.fields[:0]
-	for _, f := range t.fields {
-		if f.Name != name {
-			out = append(out, f)
+	names, vals := t.shape.names, t.vals
+	t.shape, t.vals = rootShape, vals[:0]
+	for i, n := range names {
+		if n != name {
+			t.Put(n, vals[i])
 		}
 	}
-	t.fields = out
 }
 
 // Get navigates to attribute name. Navigation into a missing attribute
 // yields MISSING (paper §IV-B case 1), so the second result reports
 // whether the attribute was present.
 func (t *Tuple) Get(name string) (Value, bool) {
-	for _, f := range t.fields {
-		if f.Name == name {
-			return f.Value, true
+	for i, n := range t.shape.names {
+		if n == name {
+			return t.vals[i], true
 		}
 	}
 	return Missing, false
 }
 
 // Len reports the number of attributes, counting duplicates.
-func (t *Tuple) Len() int { return len(t.fields) }
+func (t *Tuple) Len() int { return len(t.vals) }
 
-// Fields returns the attributes in insertion order. The slice is shared;
-// callers must not mutate it.
-func (t *Tuple) Fields() []Field { return t.fields }
+// Shape returns the tuple's attribute-name sequence.
+func (t *Tuple) Shape() *Shape { return t.shape }
+
+// Names returns the attribute names in insertion order, parallel to
+// Values. The slice is shared; callers must not mutate it.
+func (t *Tuple) Names() []string { return t.shape.names }
+
+// Values returns the attribute values in insertion order. The slice is
+// shared; callers must not mutate it.
+func (t *Tuple) Values() []Value { return t.vals }
 
 // NewInt returns an Int value.
 func NewInt(i int64) Value { return Int(i) }

@@ -200,20 +200,20 @@ func TestPretty(t *testing.T) {
 	}
 }
 
-func TestNewTupleCapPutDoesNotReallocate(t *testing.T) {
-	tup := NewTupleCap(3)
+func TestPutWithinCapacityDoesNotReallocate(t *testing.T) {
+	tup := ShapeOf().New(make([]Value, 0, 3))
 	if tup.Len() != 0 {
 		t.Fatalf("pre-sized tuple has %d attributes", tup.Len())
 	}
 	tup.Put("a", Int(1))
-	first := &tup.Fields()[0]
+	first := &tup.Values()[0]
 	tup.Put("b", Int(2))
 	tup.Put("c", Int(3))
-	if &tup.Fields()[0] != first {
-		t.Error("Put within the pre-sized capacity moved the attribute slice")
+	if &tup.Values()[0] != first {
+		t.Error("Put within the pre-sized capacity moved the value slice")
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		p := NewTupleCap(2)
+		p := ShapeOf().New(make([]Value, 0, 2))
 		p.Put("a", True)
 		p.Put("b", False)
 	}); n > 2 {
@@ -257,9 +257,9 @@ func referenceString(v Value) string {
 	case Bag:
 		return seq(x, "{{", "}}")
 	case *Tuple:
-		parts := make([]string, len(x.fields))
-		for i, f := range x.fields {
-			parts[i] = referenceString(String(f.Name)) + ": " + referenceString(f.Value)
+		parts := make([]string, x.Len())
+		for i, name := range x.Names() {
+			parts[i] = referenceString(String(name)) + ": " + referenceString(x.Values()[i])
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
 	}
@@ -282,19 +282,20 @@ func TestRenderingMatchesReference(t *testing.T) {
 	}
 }
 
-// nameOrder, where it applies, and fieldOrder must order attributes
-// exactly as a stable sort by (name, value) does.
-func TestFieldOrderMatchesStableSort(t *testing.T) {
+// attrOrder must order attributes exactly as a stable sort by (name,
+// value) does, through the shape's cached order when no name repeats
+// and by value among repeats.
+func TestAttrOrderMatchesStableSort(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
-	inline := 0
+	cached := 0
 	for i := 0; i < 1000; i++ {
-		fs := make([]Field, 1+r.Intn(2*inlineFields))
+		fs := make([]Field, 1+r.Intn(32))
 		for j := range fs {
 			fs[j] = Field{Name: string(rune('a' + r.Intn(40))), Value: nonMissing(r, 1)}
 		}
-		want := make([]int, len(fs))
+		want := make([]int32, len(fs))
 		for j := range want {
-			want[j] = j
+			want[j] = int32(j)
 		}
 		sort.SliceStable(want, func(a, b int) bool {
 			fa, fb := fs[want[a]], fs[want[b]]
@@ -303,18 +304,15 @@ func TestFieldOrderMatchesStableSort(t *testing.T) {
 			}
 			return Compare(fa.Value, fb.Value) < 0
 		})
-		if got := fieldOrder(fs); !reflect.DeepEqual(got, want) {
-			t.Fatalf("fieldOrder of %d fields: %v, want %v", len(fs), got, want)
+		tup := NewTuple(fs...)
+		if got := tup.attrOrder(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("attrOrder of %d fields: %v, want %v", len(fs), got, want)
 		}
-		var buf [inlineFields]int
-		if got, ok := nameOrder(fs, buf[:0]); ok {
-			inline++
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("nameOrder of %d fields: %v, want %v", len(fs), got, want)
-			}
+		if _, dup := tup.shape.sorted(); !dup {
+			cached++
 		}
 	}
-	if inline < 100 {
-		t.Errorf("only %d of 1000 tuples took the inline path; the generator no longer tests it", inline)
+	if cached < 100 {
+		t.Errorf("only %d of 1000 tuples had no repeated name; the generator no longer tests the cached order", cached)
 	}
 }

@@ -71,11 +71,12 @@ func dropNullAttrs(v value.Value) value.Value {
 	switch x := v.(type) {
 	case *value.Tuple:
 		out := value.EmptyTuple()
-		for _, f := range x.Fields() {
-			if f.Value.Kind() == value.KindNull {
+		vals := x.Values()
+		for i, name := range x.Names() {
+			if vals[i].Kind() == value.KindNull {
 				continue
 			}
-			out.Put(f.Name, dropNullAttrs(f.Value))
+			out.Put(name, dropNullAttrs(vals[i]))
 		}
 		return out
 	case value.Array:
@@ -136,11 +137,12 @@ func dropNullAttrsSubset(r *rand.Rand, v value.Value) value.Value {
 	switch x := v.(type) {
 	case *value.Tuple:
 		out := value.EmptyTuple()
-		for _, f := range x.Fields() {
-			if f.Value.Kind() == value.KindNull && r.Intn(2) == 0 {
+		vals := x.Values()
+		for i, name := range x.Names() {
+			if vals[i].Kind() == value.KindNull && r.Intn(2) == 0 {
 				continue
 			}
-			out.Put(f.Name, dropNullAttrsSubset(r, f.Value))
+			out.Put(name, dropNullAttrsSubset(r, vals[i]))
 		}
 		return out
 	case value.Array:
