@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"sqlpp"
-	"sqlpp/internal/bench"
 	"sqlpp/internal/compat"
 )
 
@@ -27,13 +26,13 @@ func TestInstrumentationInertProperty(t *testing.T) {
 		optSeq := sqlpp.New(&sqlpp.Options{Parallelism: 1})
 		optPar := sqlpp.New(&sqlpp.Options{Parallelism: 8})
 		for _, db := range []*sqlpp.Engine{naive, optSeq, optPar} {
-			if err := db.Register("emp", bench.FlatEmp(1500, 40, seed)); err != nil {
+			if err := db.Register("emp", FlatEmp(1500, 40, seed)); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Register("dept", bench.Departments(40, seed)); err != nil {
+			if err := db.Register("dept", Departments(40, seed)); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Register("hr", bench.HR(bench.HROptions{N: 200, ScalarProjects: true, Seed: seed})); err != nil {
+			if err := db.Register("hr", HR(HROptions{N: 200, ScalarProjects: true, Seed: seed})); err != nil {
 				t.Fatal(err)
 			}
 		}

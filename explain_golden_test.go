@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"sqlpp"
-	"sqlpp/internal/bench"
 )
 
 func goldenEngine(t *testing.T) *sqlpp.Engine {
@@ -187,7 +186,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 // globally correct (not per worker).
 func TestExplainAnalyzeGoldenParallel(t *testing.T) {
 	db := sqlpp.New(&sqlpp.Options{Parallelism: 4})
-	if err := db.Register("emp", bench.FlatEmp(1500, 40, 7)); err != nil {
+	if err := db.Register("emp", FlatEmp(1500, 40, 7)); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {

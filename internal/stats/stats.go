@@ -35,6 +35,9 @@
 package stats
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -105,15 +108,19 @@ type entry struct {
 }
 
 // sketch is a bottom-k distinct sketch over 64-bit FNV-1a hashes of
-// canonical key encodings. Membership depends only on the hash value,
-// never on arrival order, so permuted ingest builds an identical sketch.
+// canonical key encodings, held in ascending hash order: the admission
+// threshold of a full sketch is the last entry and lookups are binary
+// searches. Membership depends only on the hash value, never on arrival
+// order, so permuted ingest builds an identical sketch.
 type sketch struct {
-	m         map[uint64]entry
+	es        []hashed
 	saturated bool // an eviction has happened: counts below are a sample
-	// maxH caches the largest retained hash, the admission threshold of a
-	// full sketch; zero means not known (recomputed on demand, dropped by
-	// whatever changes the retained set).
-	maxH uint64
+}
+
+// hashed is one retained entry under its hash.
+type hashed struct {
+	h uint64
+	entry
 }
 
 const (
@@ -140,16 +147,30 @@ func hashKey[K string | []byte](key K) uint64 {
 	return h
 }
 
-func newSketch() *sketch { return &sketch{m: make(map[uint64]entry, 8)} }
+func newSketch() *sketch { return &sketch{es: make([]hashed, 0, 8)} }
 
-// clone deep-copies the sketch for copy-on-write extension.
-// governor:bounded by sketchK entries
+// clone copies the sketch for copy-on-write extension.
 func (s *sketch) clone() *sketch {
-	n := &sketch{m: make(map[uint64]entry, len(s.m)), saturated: s.saturated, maxH: s.maxH}
-	for h, e := range s.m {
-		n.m[h] = e
+	return &sketch{es: slices.Clone(s.es), saturated: s.saturated}
+}
+
+// find returns the position of hash h, or where it would be inserted.
+func (s *sketch) find(h uint64) (int, bool) {
+	return slices.BinarySearchFunc(s.es, h, func(e hashed, h uint64) int { return cmp.Compare(e.h, h) })
+}
+
+// fold counts another sighting of e's hash into it: on a collision the
+// smaller key is kept, and for the same key the tie-break picks which of
+// the grouping-equal values represents it. A []byte key becomes a string
+// only if it is kept.
+func fold[K string | []byte](e *entry, key K, v value.Value, count int64) {
+	switch {
+	case string(key) < e.key:
+		e.key, e.val = string(key), v
+	case string(key) == e.key:
+		e.val = keep(e.val, v)
 	}
-	return n
+	e.count += count
 }
 
 // add folds one present value into the sketch, charging the governor for
@@ -164,66 +185,50 @@ func (s *sketch) add(v value.Value, key []byte, gov *eval.Governor) error {
 		}
 	}
 	h := hashKey(key)
-	if e, ok := s.m[h]; ok {
-		if string(key) < e.key {
-			// Hash collision: keep the smaller key deterministically.
-			e.key, e.val = string(key), v
-		}
-		e.count++
-		s.m[h] = e
+	full := len(s.es) >= sketchK
+	if full && h > s.es[len(s.es)-1].h {
+		// Full: only hashes below the largest retained one are admitted.
+		s.saturated = true
 		return nil
 	}
-	if len(s.m) >= sketchK {
-		// Full: admit only hashes below the current maximum, evicting it.
+	i, ok := s.find(h)
+	if ok {
+		fold(&s.es[i].entry, key, v, 1)
+		return nil
+	}
+	if full {
 		s.saturated = true
-		if s.maxH == 0 {
-			s.maxH = s.maxHash()
-		}
-		if h >= s.maxH {
-			return nil
-		}
-		delete(s.m, s.maxH)
-		s.maxH = 0
+		s.es = s.es[:len(s.es)-1] // evict the largest to admit h
 	}
 	if gov != nil {
 		if err := gov.ChargeValues("stats-build", 1, v); err != nil {
 			return err
 		}
 	}
-	s.m[h] = entry{key: string(key), val: v, count: 1}
+	s.es = slices.Insert(s.es, i, hashed{h, entry{key: string(key), val: v, count: 1}})
 	return nil
-}
-
-// maxHash returns the largest retained hash.
-// governor:bounded by sketchK entries
-func (s *sketch) maxHash() uint64 {
-	maxH := uint64(0)
-	for h := range s.m {
-		maxH = max(maxH, h)
-	}
-	return maxH
 }
 
 // ndv estimates the number of distinct values seen.
 func (s *sketch) ndv() (est float64, exact bool) {
 	if !s.saturated {
-		return float64(len(s.m)), true
+		return float64(len(s.es)), true
 	}
-	maxH := s.maxHash()
+	maxH := s.es[len(s.es)-1].h
 	if maxH == 0 {
-		return float64(len(s.m)), false
+		return float64(len(s.es)), false
 	}
 	norm := float64(maxH) / float64(1<<63) / 2 // maxH / 2^64
-	return float64(len(s.m)-1) / norm, false
+	return float64(len(s.es)-1) / norm, false
 }
 
 // sample returns the retained entries sorted by value order — the
 // deterministic substrate for histograms and range estimates.
 // governor:bounded by sketchK entries
 func (s *sketch) sample() []entry {
-	out := make([]entry, 0, len(s.m))
-	for _, e := range s.m {
-		out = append(out, e)
+	out := make([]entry, 0, len(s.es))
+	for _, e := range s.es {
+		out = append(out, e.entry)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if c := value.Compare(out[i].val, out[j].val); c != 0 {
@@ -235,33 +240,56 @@ func (s *sketch) sample() []entry {
 }
 
 // merge unions another sketch into this one (receiver must be owned),
-// summing counts for shared hashes and trimming back to the k smallest.
-// governor:bounded by 2*sketchK entries
+// summing counts for shared hashes and keeping the k smallest.
+// governor:bounded by sketchK entries
 func (s *sketch) merge(o *sketch) {
-	s.maxH = 0
-	for h, oe := range o.m {
-		if e, ok := s.m[h]; ok {
-			if oe.key < e.key {
-				e.key, e.val = oe.key, oe.val
-			}
-			e.count += oe.count
-			s.m[h] = e
-		} else {
-			s.m[h] = oe
-		}
-	}
+	a, b := s.es, o.es
+	out := make([]hashed, 0, min(len(a)+len(b), sketchK))
 	s.saturated = s.saturated || o.saturated
-	if len(s.m) > sketchK {
-		hashes := make([]uint64, 0, len(s.m))
-		for h := range s.m {
-			hashes = append(hashes, h)
+	for len(a) > 0 || len(b) > 0 {
+		if len(out) == sketchK {
+			s.saturated = true
+			break
 		}
-		sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-		for _, h := range hashes[sketchK:] {
-			delete(s.m, h)
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].h < b[0].h:
+			out, a = append(out, a[0]), a[1:]
+		case len(a) == 0 || b[0].h < a[0].h:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			e := a[0]
+			fold(&e.entry, b[0].key, b[0].val, b[0].count)
+			out, a, b = append(out, e), a[1:], b[1:]
 		}
-		s.saturated = true
 	}
+	s.es = out
+}
+
+// keep returns which of two Compare-equal values statistics retain.
+// Grouping-equal values can still render differently (Int 0 and Float
+// 0.0, tuples with permuted attributes), and which one arrives first
+// depends on ingest order, so every tie goes by one fixed rule: the lower
+// Kind, then the smaller bit pattern or rendering (collections that are
+// DeepEqual are taken to render alike, which spares the common tie a
+// rendering).
+func keep(a, b value.Value) value.Value {
+	ka, kb := a.Kind(), b.Kind()
+	switch {
+	case ka != kb:
+		if kb < ka {
+			return b
+		}
+	case ka == value.KindFloat:
+		// -0.0 and 0.0 compare equal but render apart.
+		if math.Float64bits(float64(b.(value.Float))) < math.Float64bits(float64(a.(value.Float))) {
+			return b
+		}
+	case ka == value.KindArray || ka == value.KindTuple || ka == value.KindBag:
+		if !value.DeepEqual(a, b) && b.String() < a.String() {
+			return b
+		}
+	}
+	return a
 }
 
 // classStats is the exact per-class breakdown for one path.
@@ -272,12 +300,23 @@ type classStats struct {
 
 func (c *classStats) observe(v value.Value) {
 	c.rows++
-	if c.min == nil || value.Compare(v, c.min) < 0 {
-		c.min = v
+	c.min = extreme(c.min, v, -1)
+	c.max = extreme(c.max, v, 1)
+}
+
+// extreme returns whichever of cur and v lies further in direction dir
+// (-1 for the minimum, 1 for the maximum); nil cur means none yet.
+func extreme(cur, v value.Value, dir int) value.Value {
+	if cur == nil {
+		return v
 	}
-	if c.max == nil || value.Compare(v, c.max) > 0 {
-		c.max = v
+	switch c := value.Compare(v, cur); {
+	case c*dir > 0:
+		return v
+	case c == 0:
+		return keep(cur, v)
 	}
+	return cur
 }
 
 // pathStats is everything tracked for one dotted path.
@@ -454,11 +493,9 @@ func Merge(a, b *Collection) *Collection {
 		for i := range ap.classes {
 			bc := bp.classes[i]
 			ap.classes[i].rows += bc.rows
-			if bc.min != nil && (ap.classes[i].min == nil || value.Compare(bc.min, ap.classes[i].min) < 0) {
-				ap.classes[i].min = bc.min
-			}
-			if bc.max != nil && (ap.classes[i].max == nil || value.Compare(bc.max, ap.classes[i].max) > 0) {
-				ap.classes[i].max = bc.max
+			if bc.min != nil {
+				ap.classes[i].min = extreme(ap.classes[i].min, bc.min, -1)
+				ap.classes[i].max = extreme(ap.classes[i].max, bc.max, 1)
 			}
 		}
 		ap.sk.merge(bp.sk)
@@ -521,8 +558,8 @@ func (c *Collection) EqFraction(path []string, v value.Value) (frac float64, ok 
 		return 0, true
 	}
 	key := value.Key(v)
-	if e, hit := ps.sk.m[hashKey(key)]; hit && e.key == key {
-		return float64(e.count) / float64(c.rows), true
+	if i, hit := ps.sk.find(hashKey(key)); hit && ps.sk.es[i].key == key {
+		return float64(ps.sk.es[i].count) / float64(c.rows), true
 	}
 	if !ps.sk.saturated {
 		return 0, true // every distinct value is sampled; v never occurs

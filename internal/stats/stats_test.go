@@ -259,7 +259,7 @@ func TestPathBudgetDeterministic(t *testing.T) {
 
 // TestSketchRetainsBottomK: past saturation the sketch holds exactly the
 // sketchK smallest hashes seen, whether it grew by add alone, across a
-// clone, or by merge — the cached admission threshold changes no result.
+// clone, or by merge, and holds them in ascending order.
 func TestSketchRetainsBottomK(t *testing.T) {
 	var hashes []uint64
 	whole, half := newSketch(), newSketch()
@@ -293,12 +293,12 @@ func TestSketchRetainsBottomK(t *testing.T) {
 	}
 	merged.merge(rest)
 	for name, s := range map[string]*sketch{"add": whole, "clone+add": ext, "merge": merged} {
-		if len(s.m) != sketchK || !s.saturated {
-			t.Fatalf("%s: %d entries, saturated=%v", name, len(s.m), s.saturated)
+		if len(s.es) != sketchK || !s.saturated {
+			t.Fatalf("%s: %d entries, saturated=%v", name, len(s.es), s.saturated)
 		}
-		for _, h := range hashes[:sketchK] {
-			if _, ok := s.m[h]; !ok {
-				t.Fatalf("%s: hash %d is among the %d smallest but not retained", name, h, sketchK)
+		for i, h := range hashes[:sketchK] {
+			if s.es[i].h != h {
+				t.Fatalf("%s: entry %d has hash %d, want the %d-th smallest %d", name, i, s.es[i].h, i, h)
 			}
 		}
 	}

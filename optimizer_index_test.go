@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sqlpp"
+	"sqlpp/internal/value"
 )
 
 // indexedEngine is a small fixture with heterogeneous, partly-absent
@@ -199,6 +200,66 @@ func TestExplainAnalyzeIndexOperators(t *testing.T) {
 	// ids never enter the class-restricted range.
 	if rngOp.Counters["probes"] != 1 || rngOp.Counters["hits"] != 3 {
 		t.Errorf("index_range counters = %v, want probes=1 hits=3", rngOp.Counters)
+	}
+}
+
+// TestIndexProbesExamineATenthOfScan is the index win in counters, not
+// nanoseconds: at 100k rows the equality and range probes answer like
+// the full scan while taking in at most a tenth of the rows it does.
+func TestIndexProbesExamineATenthOfScan(t *testing.T) {
+	const rows = 100000
+	shape := value.ShapeOf("id", "grp", "pad")
+	data := make(value.Bag, 0, rows)
+	for i := 0; i < rows; i++ {
+		data = append(data, shape.New([]value.Value{
+			value.Int(int64(i)), value.Int(int64(i % 100)), value.String(fmt.Sprintf("row-%08d", i)),
+		}))
+	}
+	scanDB := sqlpp.New(&sqlpp.Options{Parallelism: 1})
+	idxDB := sqlpp.New(&sqlpp.Options{Parallelism: 1})
+	for _, db := range []*sqlpp.Engine{scanDB, idxDB} {
+		if err := db.Register("rows", data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := idxDB.CreateIndex("ix_eq", "rows", "id", "hash"); err != nil {
+		t.Fatal(err)
+	}
+	if err := idxDB.CreateIndex("ix_rng", "rows", "id", "ordered"); err != nil {
+		t.Fatal(err)
+	}
+	explain := func(db *sqlpp.Engine, query string) (value.Value, *sqlpp.OpStats) {
+		t.Helper()
+		p, err := db.Prepare(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, st, err := p.ExplainAnalyze(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, st
+	}
+	lo := rows / 2
+	for _, tc := range []struct{ query, op string }{
+		{fmt.Sprintf(`SELECT VALUE r.pad FROM rows AS r WHERE r.id = %d`, lo), "index_probe"},
+		{fmt.Sprintf(`SELECT VALUE r.pad FROM rows AS r WHERE r.id >= %d AND r.id < %d`, lo, lo+100), "index_range"},
+	} {
+		scanRes, scanSt := explain(scanDB, tc.query)
+		idxRes, idxSt := explain(idxDB, tc.query)
+		if scanRes.String() != idxRes.String() {
+			t.Fatalf("%s: indexed result differs from the scan's", tc.op)
+		}
+		scan, probe := findOp(scanSt, "scan"), findOp(idxSt, tc.op)
+		if scan == nil || scan.RowsIn != rows {
+			t.Fatalf("%s: the unindexed plan is not a full scan:\n%s", tc.op, scanSt.Render(true))
+		}
+		if probe == nil {
+			t.Fatalf("no %s operator in stats:\n%s", tc.op, idxSt.Render(true))
+		}
+		if took := max(probe.RowsIn, probe.Counters["hits"]); took*10 > scan.RowsIn {
+			t.Errorf("%s took in %d rows, over a tenth of the scan's %d", tc.op, took, scan.RowsIn)
+		}
 	}
 }
 

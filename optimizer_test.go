@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"sqlpp"
-	"sqlpp/internal/bench"
 	"sqlpp/internal/compat"
 	"sqlpp/internal/sion"
 	"sqlpp/internal/value"
@@ -45,13 +44,13 @@ var optimizerBattery = []string{
 func batteryEngine(t *testing.T, seed int64, opts sqlpp.Options) *sqlpp.Engine {
 	t.Helper()
 	db := sqlpp.New(&opts)
-	if err := db.Register("emp", bench.FlatEmp(1500, 40, seed)); err != nil {
+	if err := db.Register("emp", FlatEmp(1500, 40, seed)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Register("dept", bench.Departments(40, seed)); err != nil {
+	if err := db.Register("dept", Departments(40, seed)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Register("hr", bench.HR(bench.HROptions{N: 200, ScalarProjects: true, Seed: seed})); err != nil {
+	if err := db.Register("hr", HR(HROptions{N: 200, ScalarProjects: true, Seed: seed})); err != nil {
 		t.Fatal(err)
 	}
 	return db

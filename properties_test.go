@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sqlpp"
-	"sqlpp/internal/bench"
 	"sqlpp/internal/value"
 )
 
@@ -36,7 +35,7 @@ func registerHR(t *testing.T, db *sqlpp.Engine, data value.Value) {
 // on existing data.
 func TestQueryStability(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		data := bench.HR(bench.HROptions{
+		data := HR(HROptions{
 			N: 60, ScalarProjects: true, AbsentTitleRate: 25, Seed: seed,
 		})
 		db := sqlpp.New(nil)
@@ -102,7 +101,7 @@ func dropNullAttrs(v value.Value) value.Value {
 // q(d') equals q(d) after dropping null-valued attributes from q(d).
 func TestNullMissingGuarantee(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		nullStyle := bench.HR(bench.HROptions{
+		nullStyle := HR(HROptions{
 			N: 50, ScalarProjects: true, AbsentTitleRate: 40, Seed: seed,
 		})
 		missingStyle := dropNullAttrs(nullStyle)
@@ -171,7 +170,7 @@ func dropNullAttrsSubset(r *rand.Rand, v value.Value) value.Value {
 func TestNullMissingRandomSubset(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed*31 + 7))
-		d := bench.HR(bench.HROptions{
+		d := HR(HROptions{
 			N: 50, ScalarProjects: true, AbsentTitleRate: 40, Seed: seed,
 		})
 		dPrime := dropNullAttrsSubset(r, d)
@@ -203,7 +202,7 @@ func TestNullMissingRandomSubset(t *testing.T) {
 // equivalent results.
 func TestDeterminism(t *testing.T) {
 	db := sqlpp.New(nil)
-	registerHR(t, db, bench.HR(bench.HROptions{N: 40, ScalarProjects: true, Seed: 9}))
+	registerHR(t, db, HR(HROptions{N: 40, ScalarProjects: true, Seed: 9}))
 	for _, q := range queryBattery {
 		p, err := db.Prepare(q)
 		if err != nil {
@@ -226,7 +225,7 @@ func TestDeterminism(t *testing.T) {
 // TestQueriesDoNotMutateData: executing queries leaves the registered
 // values untouched.
 func TestQueriesDoNotMutateData(t *testing.T) {
-	data := bench.HR(bench.HROptions{N: 30, ScalarProjects: true, AbsentTitleRate: 20, Seed: 4})
+	data := HR(HROptions{N: 30, ScalarProjects: true, AbsentTitleRate: 20, Seed: 4})
 	snapshot := value.Clone(data)
 	db := sqlpp.New(nil)
 	registerHR(t, db, data)

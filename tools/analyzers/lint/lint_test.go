@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 var (
@@ -13,7 +14,15 @@ var (
 	testHost *Host
 	testRepo *Repo
 	hostErr  error
+	loadTime time.Duration // the one parse + type-check of the module
 )
+
+// lintBudget caps one full-repo analysis, load plus every pass. The suite
+// runs on every push and every `go test`, so a pass that outgrows it needs
+// memoization, not a bigger budget. Zero leaves it unchecked: only plain
+// builds set it (budget_test.go), since the race detector slows the suite
+// several-fold.
+var lintBudget time.Duration
 
 // getRepo parses and type-checks the real module once for every test in
 // the package; the fixture tests type-check against the same host so
@@ -21,10 +30,12 @@ var (
 func getRepo(t *testing.T) (*Host, *Repo) {
 	t.Helper()
 	hostOnce.Do(func() {
+		start := time.Now()
 		testHost, hostErr = NewHost(filepath.Join("..", "..", ".."))
 		if hostErr == nil {
 			testRepo, hostErr = testHost.LoadRepo()
 		}
+		loadTime = time.Since(start)
 	})
 	if hostErr != nil {
 		t.Fatalf("loading module: %v", hostErr)
@@ -34,15 +45,24 @@ func getRepo(t *testing.T) (*Host, *Repo) {
 
 // TestRepoClean is the enforcement test: the repo's own tree must run
 // clean under every analyzer in the suite. A finding here is a build
-// break, exactly like a failing unit test.
+// break, exactly like a failing unit test, and so is a run over
+// lintBudget.
 func TestRepoClean(t *testing.T) {
 	_, repo := getRepo(t)
+	total := loadTime
 	for _, a := range All {
 		t.Run(a.Name, func(t *testing.T) {
-			for _, f := range Dedup(a.Run(repo)) {
+			start := time.Now()
+			findings := Dedup(a.Run(repo))
+			total += time.Since(start)
+			for _, f := range findings {
 				t.Errorf("%s", f)
 			}
 		})
+	}
+	t.Logf("load %s, load + %d passes %s", loadTime, len(All), total)
+	if lintBudget > 0 && total > lintBudget {
+		t.Errorf("full analysis took %s, over its %s budget", total, lintBudget)
 	}
 }
 
