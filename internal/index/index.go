@@ -167,33 +167,39 @@ func Build(spec Spec, src value.Value, gov *eval.Governor) (*Index, error) {
 		return nil, fmt.Errorf("index %s: collection %s exceeds %d elements", spec.Name, spec.Collection, math.MaxInt32)
 	}
 	ix := &Index{spec: spec, src: src, buckets: make(map[string][]int32)}
-	var reps map[string]value.Value
-	if spec.Kind == Ordered {
-		reps = make(map[string]value.Value)
-	}
+	var keyBuf []byte
 	for i, e := range elems {
-		if err := ix.insertBuild(int32(i), e, reps, gov); err != nil {
+		if err := ix.insertBuild(int32(i), e, &keyBuf, gov); err != nil {
 			return nil, err
 		}
 	}
 	ix.n = len(elems)
 	if spec.Kind == Ordered {
-		ix.keys = make([]value.Value, 0, len(reps))
-		for _, k := range reps {
-			ix.keys = append(ix.keys, k)
+		// Each bucket's first position names its representative key.
+		ix.keys = make([]value.Value, 0, len(ix.buckets))
+		ix.runs = make([][]int32, 0, len(ix.buckets))
+		for _, run := range ix.buckets {
+			ix.keys = append(ix.keys, Extract(elems[run[0]], spec.Path))
+			ix.runs = append(ix.runs, run)
 		}
-		sort.Slice(ix.keys, func(i, j int) bool { return value.Compare(ix.keys[i], ix.keys[j]) < 0 })
-		ix.runs = make([][]int32, len(ix.keys))
-		for i, k := range ix.keys {
-			ix.runs[i] = ix.buckets[value.Key(k)]
-		}
+		sort.Sort(byKey{ix})
 	}
 	return ix, nil
 }
 
-// insertBuild files one element during a full build. reps collects a
-// representative value per distinct key for ordered indexes.
-func (ix *Index) insertBuild(pos int32, elem value.Value, reps map[string]value.Value, gov *eval.Governor) error {
+// byKey sorts an ordered index's keys, and their runs with them.
+type byKey struct{ *Index }
+
+func (b byKey) Len() int           { return len(b.keys) }
+func (b byKey) Less(i, j int) bool { return value.Compare(b.keys[i], b.keys[j]) < 0 }
+func (b byKey) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.runs[i], b.runs[j] = b.runs[j], b.runs[i]
+}
+
+// insertBuild files one element during a full build, encoding its key
+// into the reused *keyBuf.
+func (ix *Index) insertBuild(pos int32, elem value.Value, keyBuf *[]byte, gov *eval.Governor) error {
 	if faultinject.Enabled {
 		if err := faultinject.Fire(faultinject.IndexBuildInsert); err != nil {
 			return fmt.Errorf("index %s: build: %w", ix.spec.Name, err)
@@ -211,13 +217,12 @@ func (ix *Index) insertBuild(pos int32, elem value.Value, reps map[string]value.
 	case value.KindNull:
 		ix.null = append(ix.null, pos)
 	default:
-		ks := value.Key(key)
-		if reps != nil {
-			if _, seen := reps[ks]; !seen {
-				reps[ks] = key
-			}
+		*keyBuf = value.AppendKey((*keyBuf)[:0], key)
+		if run, ok := ix.buckets[string(*keyBuf)]; ok {
+			ix.buckets[string(*keyBuf)] = append(run, pos)
+		} else {
+			ix.buckets[string(*keyBuf)] = []int32{pos}
 		}
-		ix.buckets[ks] = append(ix.buckets[ks], pos)
 	}
 	return nil
 }

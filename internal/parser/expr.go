@@ -9,179 +9,156 @@ import (
 	"sqlpp/internal/value"
 )
 
-// parseExpr parses a full expression (the OR precedence level).
+// parseExpr parses a full expression (the OR level).
 func (p *parser) parseExpr() (ast.Expr, error) {
-	return p.parseOr()
+	return p.parseBinding(ast.PrecOr)
 }
 
-func (p *parser) parseOr() (ast.Expr, error) {
-	left, err := p.parseAnd()
+// parseBinding parses an expression whose operators all bind at least as
+// tightly as min: a prefix form, then infix operators climbing the
+// precedence table of package ast. Every infix form is left-associative,
+// so its right operands are parsed one level up. An operator binding
+// tighter than the one just applied cannot take that result as its left
+// operand: after "a IS NULL" or "a IN (1, 2)", which end without a right
+// operand to absorb it, "* 2" is an error, not (a IS NULL) * 2.
+func (p *parser) parseBinding(min ast.Prec) (ast.Expr, error) {
+	left, err := p.parsePrefix(min)
 	if err != nil {
 		return nil, err
 	}
-	for p.at("OR") {
-		pos := p.next().Pos
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		b := &ast.Binary{Op: "OR", L: left, R: right}
-		setPos(b, pos)
-		left = b
-	}
-	return left, nil
-}
-
-func (p *parser) parseAnd() (ast.Expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.at("AND") {
-		pos := p.next().Pos
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		b := &ast.Binary{Op: "AND", L: left, R: right}
-		setPos(b, pos)
-		left = b
-	}
-	return left, nil
-}
-
-func (p *parser) parseNot() (ast.Expr, error) {
-	if p.at("NOT") {
-		pos := p.next().Pos
-		operand, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		u := &ast.Unary{Op: "NOT", Operand: operand}
-		setPos(u, pos)
-		return u, nil
-	}
-	return p.parsePredicate()
-}
-
-// comparison operators at the predicate level.
-var comparisonOps = []string{"=", "<>", "!=", "<=", ">=", "<", ">"}
-
-// parsePredicate parses comparisons, LIKE, BETWEEN, IN and IS.
-func (p *parser) parsePredicate() (ast.Expr, error) {
-	left, err := p.parseConcat()
-	if err != nil {
-		return nil, err
-	}
+	max := ast.PrecPrimary
 	for {
-		// Comparison chain (left-associative, as in SQL).
-		matched := false
-		for _, op := range comparisonOps {
-			if p.at(op) {
-				pos := p.next().Pos
-				canon := op
-				if canon == "!=" {
-					canon = "<>"
-				}
-				// Quantified comparison: op ANY|SOME|ALL (collection).
-				if quantAll, isQuant := p.atQuantifier(); isQuant {
-					p.next()
-					set, err := p.parseConcat()
-					if err != nil {
-						return nil, err
-					}
-					qc := &ast.Quantified{Op: canon, All: quantAll, Target: left, Set: set}
-					setPos(qc, pos)
-					left = qc
-					matched = true
-					break
-				}
-				right, err := p.parseConcat()
-				if err != nil {
-					return nil, err
-				}
-				b := &ast.Binary{Op: canon, L: left, R: right}
-				setPos(b, pos)
-				left = b
-				matched = true
-				break
-			}
-		}
-		if matched {
-			continue
-		}
-		negate := false
-		if p.at("NOT") && (p.atOffset(1, "LIKE") || p.atOffset(1, "BETWEEN") || p.atOffset(1, "IN")) {
-			p.next()
-			negate = true
-		}
-		switch {
-		case p.at("LIKE"):
-			pos := p.next().Pos
-			pattern, err := p.parseConcat()
-			if err != nil {
-				return nil, err
-			}
-			like := &ast.Like{Target: left, Pattern: pattern, Negate: negate}
-			setPos(like, pos)
-			if p.accept("ESCAPE") {
-				esc, err := p.parseConcat()
-				if err != nil {
-					return nil, err
-				}
-				like.Escape = esc
-			}
-			left = like
-		case p.at("BETWEEN"):
-			pos := p.next().Pos
-			lo, err := p.parseConcat()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect("AND"); err != nil {
-				return nil, err
-			}
-			hi, err := p.parseConcat()
-			if err != nil {
-				return nil, err
-			}
-			b := &ast.Between{Target: left, Lo: lo, Hi: hi, Negate: negate}
-			setPos(b, pos)
-			left = b
-		case p.at("IN"):
-			pos := p.next().Pos
-			in := &ast.In{Target: left, Negate: negate}
-			setPos(in, pos)
-			set, list, err := p.parseInRHS()
-			if err != nil {
-				return nil, err
-			}
-			in.Set, in.List = set, list
-			left = in
-		case p.at("IS"):
-			pos := p.next().Pos
-			neg := p.accept("NOT")
-			var what string
-			switch {
-			case p.accept("NULL"):
-				what = "NULL"
-			case p.accept("MISSING"):
-				what = "MISSING"
-			case p.accept("UNKNOWN"):
-				what = "UNKNOWN"
-			default:
-				return nil, p.errf(p.peek().Pos, "expected NULL, MISSING, or UNKNOWN after IS")
-			}
-			is := &ast.Is{Target: left, What: what, Negate: neg}
-			setPos(is, pos)
-			left = is
-		default:
-			if negate {
-				return nil, p.errf(p.peek().Pos, "expected LIKE, BETWEEN, or IN after NOT")
-			}
+		prec, ok := p.atInfix()
+		if !ok || prec < min || prec > max {
 			return left, nil
 		}
+		if left, err = p.parseInfix(left, prec); err != nil {
+			return nil, err
+		}
+		max = prec
 	}
+}
+
+// parsePrefix parses a prefix operator application or a path. NOT is
+// admitted only where its level is; '-', '+' and EXISTS bind tighter
+// than every infix operator, so they are admitted everywhere.
+func (p *parser) parsePrefix(min ast.Prec) (ast.Expr, error) {
+	tok := p.peek()
+	prec, ok := ast.PrefixPrec(tok.Text)
+	if !ok || tok.Type != lexer.Keyword && tok.Type != lexer.Symbol || prec < min && tok.Text == "NOT" {
+		return p.parsePath()
+	}
+	p.next()
+	operand, err := p.parseBinding(prec)
+	if err != nil {
+		return nil, err
+	}
+	var e ast.Expr
+	switch tok.Text {
+	case "+":
+		return operand, nil
+	case "EXISTS":
+		e = &ast.Exists{Operand: operand}
+	default:
+		e = &ast.Unary{Op: tok.Text, Operand: operand}
+	}
+	setPos(e, tok.Pos)
+	return e, nil
+}
+
+// atInfix reports the binding power of the infix operator at the
+// current token, if it is one. NOT is infix only as NOT LIKE, NOT
+// BETWEEN and NOT IN.
+func (p *parser) atInfix() (ast.Prec, bool) {
+	tok := p.peek()
+	if tok.Type != lexer.Keyword && tok.Type != lexer.Symbol {
+		return 0, false
+	}
+	if tok.Text == "NOT" {
+		if p.atOffset(1, "LIKE") || p.atOffset(1, "BETWEEN") || p.atOffset(1, "IN") {
+			return ast.PrecPredicate, true
+		}
+		return 0, false
+	}
+	return ast.InfixPrec(tok.Text)
+}
+
+// parseInfix applies the infix operator at the current token, of binding
+// power prec, to left: a binary operator, a (quantified) comparison, or
+// one of the LIKE, BETWEEN, IN and IS predicates.
+func (p *parser) parseInfix(left ast.Expr, prec ast.Prec) (ast.Expr, error) {
+	negate := p.accept("NOT")
+	tok := p.next()
+	var e ast.Expr
+	switch tok.Text {
+	case "LIKE":
+		pattern, err := p.parseBinding(prec + 1)
+		if err != nil {
+			return nil, err
+		}
+		like := &ast.Like{Target: left, Pattern: pattern, Negate: negate}
+		if p.accept("ESCAPE") {
+			if like.Escape, err = p.parseBinding(prec + 1); err != nil {
+				return nil, err
+			}
+		}
+		e = like
+	case "BETWEEN":
+		lo, err := p.parseBinding(prec + 1)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := p.expect("AND"); err != nil {
+			return nil, err
+		}
+		hi, err := p.parseBinding(prec + 1)
+		if err != nil {
+			return nil, err
+		}
+		e = &ast.Between{Target: left, Lo: lo, Hi: hi, Negate: negate}
+	case "IN":
+		set, list, err := p.parseInRHS()
+		if err != nil {
+			return nil, err
+		}
+		e = &ast.In{Target: left, List: list, Set: set, Negate: negate}
+	case "IS":
+		is := &ast.Is{Target: left, Negate: p.accept("NOT")}
+		switch {
+		case p.accept("NULL"):
+			is.What = "NULL"
+		case p.accept("MISSING"):
+			is.What = "MISSING"
+		case p.accept("UNKNOWN"):
+			is.What = "UNKNOWN"
+		default:
+			return nil, p.errf(p.peek().Pos, "expected NULL, MISSING, or UNKNOWN after IS")
+		}
+		e = is
+	default:
+		op := tok.Text
+		if op == "!=" {
+			op = "<>"
+		}
+		// Quantified comparison: op ANY|SOME|ALL (collection).
+		all, quantified := false, false
+		if prec == ast.PrecPredicate {
+			if all, quantified = p.atQuantifier(); quantified {
+				p.next()
+			}
+		}
+		right, err := p.parseBinding(prec + 1)
+		if err != nil {
+			return nil, err
+		}
+		if quantified {
+			e = &ast.Quantified{Op: op, All: all, Target: left, Set: right}
+		} else {
+			e = &ast.Binary{Op: op, L: left, R: right}
+		}
+	}
+	setPos(e, tok.Pos)
+	return e, nil
 }
 
 // atQuantifier reports whether the current token is the ANY/SOME/ALL
@@ -202,10 +179,10 @@ func (p *parser) atQuantifier() (all, ok bool) {
 }
 
 // parseInRHS parses the right side of IN: either a parenthesized list of
-// expressions, or a single collection-valued expression / subquery.
+// expressions or subquery, or a single collection-valued expression.
 func (p *parser) parseInRHS() (set ast.Expr, list []ast.Expr, err error) {
 	if !p.at("(") {
-		set, err = p.parseConcat()
+		set, err = p.parseBinding(ast.PrecConcat)
 		return set, nil, err
 	}
 	// "(": subquery, or an expression list. Parse inside the parens.
@@ -220,101 +197,20 @@ func (p *parser) parseInRHS() (set ast.Expr, list []ast.Expr, err error) {
 		}
 		return q, nil, nil
 	}
-	first, err := p.parseExpr()
-	if err != nil {
-		return nil, nil, err
-	}
-	list = []ast.Expr{first}
-	for p.accept(",") {
+	for {
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, nil, err
 		}
 		list = append(list, e)
+		if !p.accept(",") {
+			break
+		}
 	}
 	if _, err := p.expect(")"); err != nil {
 		return nil, nil, err
 	}
-	if len(list) == 1 {
-		// "(expr)" could be a parenthesized collection expression; SQL
-		// treats a single-element list the same as the element set.
-		return nil, list, nil
-	}
 	return nil, list, nil
-}
-
-func (p *parser) parseConcat() (ast.Expr, error) {
-	left, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	for p.at("||") {
-		pos := p.next().Pos
-		right, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		b := &ast.Binary{Op: "||", L: left, R: right}
-		setPos(b, pos)
-		left = b
-	}
-	return left, nil
-}
-
-func (p *parser) parseAdditive() (ast.Expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for p.at("+") || p.at("-") {
-		op := p.peek().Text
-		pos := p.next().Pos
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		b := &ast.Binary{Op: op, L: left, R: right}
-		setPos(b, pos)
-		left = b
-	}
-	return left, nil
-}
-
-func (p *parser) parseMultiplicative() (ast.Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.at("*") || p.at("/") || p.at("%") {
-		op := p.peek().Text
-		pos := p.next().Pos
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		b := &ast.Binary{Op: op, L: left, R: right}
-		setPos(b, pos)
-		left = b
-	}
-	return left, nil
-}
-
-func (p *parser) parseUnary() (ast.Expr, error) {
-	switch {
-	case p.at("-"):
-		pos := p.next().Pos
-		operand, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		u := &ast.Unary{Op: "-", Operand: operand}
-		setPos(u, pos)
-		return u, nil
-	case p.at("+"):
-		p.next()
-		return p.parseUnary()
-	}
-	return p.parsePath()
 }
 
 // parsePath parses a primary expression followed by navigation steps:
@@ -364,6 +260,10 @@ func (p *parser) parsePath() (ast.Expr, error) {
 	}
 }
 
+var keywordLiterals = map[string]value.Value{
+	"TRUE": value.True, "FALSE": value.False, "NULL": value.Null, "MISSING": value.Missing,
+}
+
 func (p *parser) parsePrimary() (ast.Expr, error) {
 	tok := p.peek()
 	switch tok.Type {
@@ -385,30 +285,13 @@ func (p *parser) parsePrimary() (ast.Expr, error) {
 		p.next()
 		return literal(value.String(tok.Text), tok.Pos), nil
 	}
+	if v, ok := keywordLiterals[tok.Text]; ok && tok.Type == lexer.Keyword {
+		p.next()
+		return literal(v, tok.Pos), nil
+	}
 	switch {
-	case p.at("TRUE"):
-		p.next()
-		return literal(value.True, tok.Pos), nil
-	case p.at("FALSE"):
-		p.next()
-		return literal(value.False, tok.Pos), nil
-	case p.at("NULL"):
-		p.next()
-		return literal(value.Null, tok.Pos), nil
-	case p.at("MISSING"):
-		p.next()
-		return literal(value.Missing, tok.Pos), nil
 	case p.at("CASE"):
 		return p.parseCase()
-	case p.at("EXISTS"):
-		p.next()
-		operand, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		ex := &ast.Exists{Operand: operand}
-		setPos(ex, tok.Pos)
-		return ex, nil
 	case p.at("CAST"):
 		return p.parseCast()
 	case p.at("("):
@@ -424,10 +307,8 @@ func (p *parser) parsePrimary() (ast.Expr, error) {
 			return nil, err
 		}
 		return inner, nil
-	case p.at("{") && p.atOffset(1, "{"):
-		return p.parseBagCtor("}", true)
-	case p.at("<<"):
-		return p.parseBagCtor(">>", false)
+	case p.at("{") && p.atOffset(1, "{"), p.at("<<"):
+		return p.parseBagCtor()
 	case p.at("{"):
 		return p.parseTupleCtor()
 	case p.at("["):
@@ -514,16 +395,9 @@ func (p *parser) parseWindow(fn *ast.Call) (ast.Expr, error) {
 			}
 		}
 	}
-	if p.at("ORDER") {
-		p.next()
-		if _, err := p.expect("BY"); err != nil {
-			return nil, err
-		}
-		items, err := p.parseOrderItems()
-		if err != nil {
-			return nil, err
-		}
-		w.Spec.OrderBy = items
+	var err error
+	if w.Spec.OrderBy, err = p.parseOrderBy(); err != nil {
+		return nil, err
 	}
 	if _, err := p.expect(")"); err != nil {
 		return nil, err
@@ -531,8 +405,15 @@ func (p *parser) parseWindow(fn *ast.Call) (ast.Expr, error) {
 	return w, nil
 }
 
-// parseOrderItems parses "expr [ASC|DESC] [NULLS FIRST|LAST], ...".
-func (p *parser) parseOrderItems() ([]ast.OrderItem, error) {
+// parseOrderBy parses an optional "ORDER BY expr [ASC|DESC] [NULLS
+// FIRST|LAST], ...".
+func (p *parser) parseOrderBy() ([]ast.OrderItem, error) {
+	if !p.accept("ORDER") {
+		return nil, nil
+	}
+	if _, err := p.expect("BY"); err != nil {
+		return nil, err
+	}
 	var out []ast.OrderItem
 	for {
 		e, err := p.parseExpr()
@@ -644,43 +525,16 @@ func (p *parser) parseTupleCtor() (ast.Expr, error) {
 		return t, nil
 	}
 	for {
-		nameTok := p.peek()
+		// A bare name or string literal immediately followed by ':' is
+		// the attribute name ({a: 1}, {'a': 1}); anything else is a name
+		// expression ('k' || '1': ...).
 		var name ast.Expr
-		switch nameTok.Type {
-		case lexer.StringLit:
-			// A string literal immediately followed by ':' is the
-			// attribute name; otherwise it starts a name expression
-			// ('k' || '1': ...).
-			if p.atOffset(1, ":") {
-				p.next()
-				name = literal(value.String(nameTok.Text), nameTok.Pos)
-			} else {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				name = e
-			}
-		case lexer.Ident, lexer.QuotedIdent:
-			// Bare attribute name shorthand: {a: 1}. A general
-			// expression is also allowed; disambiguate on the ':' that
-			// must follow a bare name.
-			if p.atOffset(1, ":") {
-				p.next()
-				name = literal(value.String(nameTok.Text), nameTok.Pos)
-			} else {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				name = e
-			}
-		default:
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			name = e
+		var err error
+		if tok := p.peek(); p.atOffset(1, ":") && (tok.Type == lexer.StringLit || tok.Type == lexer.Ident || tok.Type == lexer.QuotedIdent) {
+			p.next()
+			name = literal(value.String(tok.Text), tok.Pos)
+		} else if name, err = p.parseExpr(); err != nil {
+			return nil, err
 		}
 		if _, err := p.expect(":"); err != nil {
 			return nil, err
@@ -723,28 +577,26 @@ func (p *parser) parseArrayCtor() (ast.Expr, error) {
 	}
 }
 
-// parseBagCtor parses {{...}} (doubled=true, closed by "}}") or <<...>>
-// (closed by ">>").
-func (p *parser) parseBagCtor(closeSym string, doubled bool) (ast.Expr, error) {
-	pos := p.peek().Pos
+// parseBagCtor parses {{...}} (closed by "}}") or <<...>> (closed by
+// ">>").
+func (p *parser) parseBagCtor() (ast.Expr, error) {
+	open := p.next()
+	doubled := open.Text == "{"
 	if doubled {
-		p.next()
-		p.next()
-	} else {
 		p.next()
 	}
 	b := &ast.BagCtor{}
-	setPos(b, pos)
+	setPos(b, open.Pos)
 	closeBag := func() bool {
-		if doubled {
-			if p.at("}") && p.atOffset(1, "}") {
-				p.next()
-				p.next()
-				return true
-			}
-			return false
+		if !doubled {
+			return p.accept(">>")
 		}
-		return p.accept(closeSym)
+		if p.at("}") && p.atOffset(1, "}") {
+			p.next()
+			p.next()
+			return true
+		}
+		return false
 	}
 	if closeBag() {
 		return b, nil

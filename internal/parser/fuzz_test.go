@@ -1,7 +1,11 @@
 package parser_test
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"sqlpp/internal/ast"
@@ -14,14 +18,19 @@ import (
 
 // FuzzParse feeds arbitrary input through the full parser. Parsing must
 // either produce an AST or a positioned error — never panic — and any
-// AST it accepts must survive formatting and re-parsing (the printed
-// form is itself valid SQL++).
+// AST it accepts must format to text that parses back to the same tree,
+// positions aside: the formatted text is the tree's identity (plan keys,
+// the shard wire), so two trees must never share it.
 //
-// Seeded with every conformance-suite query so mutation explores the
-// grammar's real surface, not just garbage rejection.
+// Seeded with every conformance-suite query and every other committed
+// fuzz corpus in the repository, so mutation explores the grammar's real
+// surface, not just garbage rejection.
 func FuzzParse(f *testing.F) {
 	for _, c := range compat.Suite() {
 		f.Add(c.Query)
+	}
+	for _, src := range corpusQueries(f, "testdata/fuzz/FuzzSema", "../lexer/testdata/fuzz/FuzzLexer", "../../testdata/fuzz/FuzzEvalPermissive") {
+		f.Add(src)
 	}
 	f.Add("SELECT VALUE (FROM g AS v SELECT VALUE v) FROM t AS g")
 	f.Add("PIVOT x.v AT x.k FROM t AS x")
@@ -32,10 +41,43 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		printed := ast.Format(tree)
-		if _, err := parser.Parse(printed); err != nil {
+		again, err := parser.Parse(printed)
+		if err != nil {
 			t.Fatalf("accepted %q but rejected its own formatting %q: %v", src, printed, err)
 		}
+		if !parser.EqualTrees(tree, again) {
+			t.Fatalf("%q formats to %q, which parses to another tree (formats to %q)", src, printed, ast.Format(again))
+		}
 	})
+}
+
+// corpusQueries reads the string inputs of committed fuzz corpus files.
+func corpusQueries(tb testing.TB, dirs ...string) []string {
+	var out []string
+	for _, dir := range dirs {
+		files, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil || len(files) == 0 {
+			tb.Fatalf("no fuzz corpus under %s: %v", dir, err)
+		}
+		for _, file := range files {
+			data, err := os.ReadFile(file)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for _, line := range strings.Split(string(data), "\n") {
+				lit, ok := strings.CutPrefix(line, "string(")
+				if !ok {
+					continue
+				}
+				src, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+				if err != nil {
+					tb.Fatalf("%s: %v", file, err)
+				}
+				out = append(out, src)
+			}
+		}
+	}
+	return out
 }
 
 // FuzzSema pushes every parseable input through the static semantic

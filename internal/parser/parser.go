@@ -138,27 +138,17 @@ func (p *parser) parseQueryExpr() (ast.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		var op string
-		switch {
-		case p.at("UNION"):
-			op = "UNION"
-		case p.at("EXCEPT"):
-			op = "EXCEPT"
-		case p.at("INTERSECT"):
-			op = "INTERSECT"
-		default:
-			return left, nil
-		}
-		pos := p.next().Pos
+	for p.at("UNION") || p.at("EXCEPT") || p.at("INTERSECT") {
+		op := p.next()
 		all := p.accept("ALL")
 		right, err := p.parseQueryTerm()
 		if err != nil {
 			return nil, err
 		}
-		left = &ast.SetOp{Op: op, All: all, L: left, R: right}
-		setPos(left, pos)
+		left = &ast.SetOp{Op: op.Text, All: all, L: left, R: right}
+		setPos(left, op.Pos)
 	}
+	return left, nil
 }
 
 func (p *parser) parseQueryTerm() (ast.Expr, error) {
@@ -208,30 +198,24 @@ func (p *parser) parseQueryBlock() (ast.Expr, error) {
 	switch {
 	case p.at("PIVOT"):
 		return p.parsePivot()
-	case p.at("SELECT"):
-		q := &ast.SFW{}
+	case p.at("SELECT"), p.at("FROM"):
+		q := &ast.SFW{SelectLast: p.at("FROM")}
 		setPos(q, p.peek().Pos)
-		if err := p.parseSelectClause(q); err != nil {
-			return nil, err
+		if !q.SelectLast {
+			if err := p.parseSelectClause(q); err != nil {
+				return nil, err
+			}
 		}
 		if err := p.parseFromTail(q); err != nil {
 			return nil, err
 		}
-		if err := p.parseOrderLimit(q); err != nil {
-			return nil, err
-		}
-		return q, nil
-	case p.at("FROM"):
-		q := &ast.SFW{SelectLast: true}
-		setPos(q, p.peek().Pos)
-		if err := p.parseFromTail(q); err != nil {
-			return nil, err
-		}
-		if !p.at("SELECT") {
-			return nil, p.errf(p.peek().Pos, "expected SELECT clause to end FROM-first query block")
-		}
-		if err := p.parseSelectClause(q); err != nil {
-			return nil, err
+		if q.SelectLast {
+			if !p.at("SELECT") {
+				return nil, p.errf(p.peek().Pos, "expected SELECT clause to end FROM-first query block")
+			}
+			if err := p.parseSelectClause(q); err != nil {
+				return nil, err
+			}
 		}
 		if err := p.parseOrderLimit(q); err != nil {
 			return nil, err
@@ -243,17 +227,13 @@ func (p *parser) parseQueryBlock() (ast.Expr, error) {
 
 // parseFromTail parses FROM, LET, WHERE, GROUP BY and HAVING clauses into
 // q, all optional.
-func (p *parser) parseFromTail(q *ast.SFW) error {
-	if p.at("FROM") {
-		p.next()
-		items, err := p.parseFromList()
-		if err != nil {
+func (p *parser) parseFromTail(q *ast.SFW) (err error) {
+	if p.accept("FROM") {
+		if q.From, err = p.parseFromList(); err != nil {
 			return err
 		}
-		q.From = items
 	}
-	for p.at("LET") {
-		p.next()
+	for p.accept("LET") {
 		for {
 			namePos := p.peek().Pos
 			name, err := p.expectIdent("LET variable")
@@ -273,35 +253,26 @@ func (p *parser) parseFromTail(q *ast.SFW) error {
 			}
 		}
 	}
-	if p.at("WHERE") {
-		p.next()
-		e, err := p.parseExpr()
-		if err != nil {
+	if p.accept("WHERE") {
+		if q.Where, err = p.parseExpr(); err != nil {
 			return err
 		}
-		q.Where = e
 	}
 	if p.at("GROUP") {
-		g, err := p.parseGroupBy()
-		if err != nil {
+		if q.GroupBy, err = p.parseGroupBy(); err != nil {
 			return err
 		}
-		q.GroupBy = g
 	}
-	if p.at("HAVING") {
-		p.next()
-		e, err := p.parseExpr()
-		if err != nil {
+	if p.accept("HAVING") {
+		if q.Having, err = p.parseExpr(); err != nil {
 			return err
 		}
-		q.Having = e
 	}
 	return nil
 }
 
 func (p *parser) parseGroupBy() (*ast.GroupBy, error) {
-	pos := p.peek().Pos
-	p.next() // GROUP
+	pos := p.next().Pos // GROUP
 	if _, err := p.expect("BY"); err != nil {
 		return nil, err
 	}
@@ -340,31 +311,19 @@ func (p *parser) parseGroupBy() (*ast.GroupBy, error) {
 }
 
 // parseOrderLimit parses ORDER BY, LIMIT and OFFSET.
-func (p *parser) parseOrderLimit(q *ast.SFW) error {
-	if p.at("ORDER") {
-		p.next()
-		if _, err := p.expect("BY"); err != nil {
-			return err
-		}
-		items, err := p.parseOrderItems()
-		if err != nil {
-			return err
-		}
-		q.OrderBy = items
+func (p *parser) parseOrderLimit(q *ast.SFW) (err error) {
+	if q.OrderBy, err = p.parseOrderBy(); err != nil {
+		return err
 	}
 	if p.accept("LIMIT") {
-		e, err := p.parseExpr()
-		if err != nil {
+		if q.Limit, err = p.parseExpr(); err != nil {
 			return err
 		}
-		q.Limit = e
 	}
 	if p.accept("OFFSET") {
-		e, err := p.parseExpr()
-		if err != nil {
+		if q.Offset, err = p.parseExpr(); err != nil {
 			return err
 		}
-		q.Offset = e
 	}
 	return nil
 }
@@ -418,29 +377,19 @@ func (p *parser) parseSelectItem() (ast.SelectItem, error) {
 	item := ast.SelectItem{Expr: e}
 	switch {
 	case p.accept("AS"):
-		alias, err := p.expectAliasName()
-		if err != nil {
-			return ast.SelectItem{}, err
+		// A string literal also names the item ("AS 'name'", as in some
+		// dialects).
+		tok := p.peek()
+		if tok.Type != lexer.Ident && tok.Type != lexer.QuotedIdent && tok.Type != lexer.StringLit {
+			return ast.SelectItem{}, p.errf(tok.Pos, "expected alias name, found %q", tok.Text)
 		}
-		item.Alias, item.HasAlias = alias, true
+		item.Alias, item.HasAlias = p.next().Text, true
 	case p.peek().Type == lexer.Ident || p.peek().Type == lexer.QuotedIdent:
 		item.Alias, item.HasAlias = p.next().Text, true
 	default:
 		item.Alias = implicitAlias(e)
 	}
 	return item, nil
-}
-
-// expectAliasName is like expectIdent but also accepts a string literal
-// ("AS 'name'" appears in some dialects) and quoted identifiers.
-func (p *parser) expectAliasName() (string, error) {
-	tok := p.peek()
-	switch tok.Type {
-	case lexer.Ident, lexer.QuotedIdent, lexer.StringLit:
-		p.next()
-		return tok.Text, nil
-	}
-	return "", p.errf(tok.Pos, "expected alias name, found %q", tok.Text)
 }
 
 // implicitAlias derives the output attribute name of an unaliased SELECT
@@ -568,9 +517,10 @@ func (p *parser) parseFromUnit() (ast.FromItem, error) {
 		item.As = p.next().Text
 	default:
 		item.As = implicitAlias(e)
-		if item.As == "" {
-			return nil, p.errf(pos, "FROM item requires an AS alias")
-		}
+	}
+	// An empty alias ("" or ``) binds nothing the query could name.
+	if item.As == "" {
+		return nil, p.errf(pos, "FROM item requires an AS alias")
 	}
 	if p.accept("AT") {
 		name, err := p.expectIdent("AT ordinal variable")
@@ -583,8 +533,7 @@ func (p *parser) parseFromUnit() (ast.FromItem, error) {
 }
 
 func (p *parser) parsePivot() (ast.Expr, error) {
-	pos := p.peek().Pos
-	p.next() // PIVOT
+	pos := p.next().Pos // PIVOT
 	valueExpr, err := p.parseExpr()
 	if err != nil {
 		return nil, err

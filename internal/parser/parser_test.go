@@ -1,26 +1,79 @@
 package parser
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"sqlpp/internal/ast"
+	"sqlpp/internal/lexer"
 	"sqlpp/internal/value"
 )
 
-// reformat parses and formats, as a canonical-form check.
-func reformat(t *testing.T, src string) string {
+// EqualTrees reports whether two syntax trees are equal, ignoring
+// source positions. Exported for the external fuzz tests.
+func EqualTrees(a, b ast.Expr) bool {
+	return equalIgnoringPos(reflect.ValueOf(a), reflect.ValueOf(b))
+}
+
+var posType = reflect.TypeOf(lexer.Pos{})
+
+func equalIgnoringPos(a, b reflect.Value) bool {
+	if !a.IsValid() || !b.IsValid() || a.Type() != b.Type() {
+		return a.IsValid() == b.IsValid() && (!a.IsValid() || a.Type() == b.Type())
+	}
+	switch a.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return equalIgnoringPos(a.Elem(), b.Elem())
+	case reflect.Struct:
+		if a.Type() == posType {
+			return true
+		}
+		for i := 0; i < a.NumField(); i++ {
+			if !equalIgnoringPos(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !equalIgnoringPos(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Equal(b)
+}
+
+// roundTrip parses src, formats the tree and parses that again; the two
+// trees must be equal.
+func roundTrip(t *testing.T, src string) string {
 	t.Helper()
 	e, err := Parse(src)
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", src, err)
 	}
-	return ast.Format(e)
+	printed := ast.Format(e)
+	again, err := Parse(printed)
+	if err != nil {
+		t.Fatalf("Parse(%q) formats to %q, which does not parse: %v", src, printed, err)
+	}
+	if !EqualTrees(e, again) {
+		t.Errorf("Parse(%q) formats to %q, which parses to another tree", src, printed)
+	}
+	return printed
 }
 
 // TestParseFormatFixpoint checks that formatting a parsed query yields
-// text that re-parses to the identical formatted text (a fixpoint), for
-// a broad sample of the grammar.
+// text that parses back to the same tree, for a broad sample of the
+// grammar.
 func TestParseFormatFixpoint(t *testing.T) {
 	queries := []string{
 		`SELECT e.name AS emp_name, p.name AS proj_name FROM hr.emp AS e, e.projects AS p WHERE p.name LIKE '%Security%'`,
@@ -38,6 +91,7 @@ func TestParseFormatFixpoint(t *testing.T) {
 		`SELECT VALUE x.a BETWEEN 1 AND 10 FROM t AS x`,
 		`SELECT VALUE x.a NOT IN (1, 2, 3) FROM t AS x`,
 		`SELECT VALUE x.a IN (SELECT VALUE y.b FROM u AS y) FROM t AS x`,
+		`SELECT VALUE x.a IN (SELECT VALUE 1 UNION SELECT VALUE 2 UNION SELECT VALUE 3) FROM t AS x`,
 		`SELECT VALUE EXISTS (SELECT VALUE 1 FROM u AS y) FROM t AS x`,
 		`SELECT VALUE NOT (x.a OR x.b) AND x.c FROM t AS x`,
 		`SELECT VALUE -x.a * (x.b + 2) % 3 FROM t AS x`,
@@ -45,48 +99,98 @@ func TestParseFormatFixpoint(t *testing.T) {
 		`SELECT VALUE t.items[0].name FROM orders AS t`,
 		`SELECT VALUE t.items[t.i + 1] FROM orders AS t`,
 		`(SELECT VALUE a.x FROM t AS a) UNION ALL (SELECT VALUE b.y FROM u AS b)`,
+		`SELECT VALUE 1 UNION (SELECT VALUE 2 UNION SELECT VALUE 3)`,
+		`(WITH w AS 1 SELECT VALUE w) EXCEPT SELECT VALUE 2`,
 		`SELECT VALUE x.a FROM t AS x AT i`,
 		`SELECT VALUE v FROM t AS x LET v = x.a * 2 WHERE v > 3`,
 		`SELECT VALUE x.a IS MISSING FROM t AS x`,
 		`SELECT VALUE x.a LIKE '%a\%' ESCAPE '\' FROM t AS x`,
 		`SELECT VALUE CAST(x.a AS INT) FROM t AS x`,
+		`SELECT VALUE CAST(x.a AS "my type") FROM t AS x`,
 		`SELECT VALUE COLL_AVG(SELECT VALUE y.s FROM x.ys AS y) FROM t AS x`,
 		`SELECT x.a, ROW_NUMBER() OVER (PARTITION BY x.k ORDER BY x.a DESC) AS rn FROM t AS x`,
 		`SELECT VALUE SUM(x.a) OVER (ORDER BY x.b NULLS LAST) FROM t AS x`,
 		`WITH c AS (SELECT VALUE x.a FROM t AS x), d AS (SELECT VALUE 1) SELECT VALUE y FROM c AS y`,
+		`WITH a AS (x) (1 + 2) * 3`,
 		`SELECT VALUE x.a > ALL (SELECT VALUE y.b FROM u AS y) FROM t AS x`,
 		`SELECT VALUE x.a = ANY [1, 2] FROM t AS x`,
+		`SELECT VALUE x.a = ANY (1 + 2) FROM t AS x`,
+		`SELECT VALUE x.a = (any) FROM t AS x`,
+		`SELECT VALUE {(a): 1, 'b' || 'c': (EXISTS x).y} FROM t AS x`,
+		`SELECT VALUE {({}): 1} FROM t AS x`,
+		`SELECT VALUE (NOT x.a) = x.b AND x.a = (x.b IS NULL) FROM t AS x`,
+		`SELECT - -x.n AS a, (-x.n).a AS b, -(x.n.a) AS c, 1 - (2 - 3) AS d FROM t AS x`,
 	}
 	for _, q := range queries {
-		once := reformat(t, q)
-		twice := reformat(t, once)
-		if once != twice {
-			t.Errorf("format not a fixpoint:\n  src:   %s\n  once:  %s\n  twice: %s", q, once, twice)
-		}
+		roundTrip(t, q)
 	}
 }
 
+// TestPrecedence checks the tree each source builds against the same
+// expression written with every group parenthesized.
 func TestPrecedence(t *testing.T) {
 	cases := []struct {
-		src, want string
+		src, grouped string
 	}{
-		{"1 + 2 * 3", "(1 + (2 * 3))"},
-		{"1 * 2 + 3", "((1 * 2) + 3)"},
-		{"1 - 2 - 3", "((1 - 2) - 3)"},
-		{"a = 1 AND b = 2 OR c = 3", "(((a = 1) AND (b = 2)) OR (c = 3))"},
+		{"1 + 2 * 3", "1 + (2 * 3)"},
+		{"1 * 2 + 3", "(1 * 2) + 3"},
+		{"1 - 2 - 3", "(1 - 2) - 3"},
+		{"a = 1 AND b = 2 OR c = 3", "((a = 1) AND (b = 2)) OR (c = 3)"},
 		{"NOT a = 1", "NOT (a = 1)"},
-		{"- 2 + 3", "(-2 + 3)"},
-		{"'a' || 'b' = 'ab'", "(('a' || 'b') = 'ab')"},
-		{"1 < 2 = true", "((1 < 2) = true)"},
-		{"1 != 2", "(1 <> 2)"},
+		{"NOT a AND b", "(NOT a) AND b"},
+		{"a AND NOT b OR c", "(a AND (NOT b)) OR c"},
+		{"- 2 + 3", "(-2) + 3"},
+		{"-x.a * 2", "(-(x.a)) * 2"},
+		{"EXISTS x.a + 1", "(EXISTS (x.a)) + 1"},
+		{"'a' || 'b' = 'ab'", "('a' || 'b') = 'ab'"},
+		{"1 < 2 = true", "(1 < 2) = true"},
+		{"a = b IS NULL", "(a = b) IS NULL"},
+		{"a LIKE b || c ESCAPE d", "a LIKE (b || c) ESCAPE d"},
+		{"a BETWEEN b + 1 AND c AND d", "(a BETWEEN (b + 1) AND c) AND d"},
+		{"a IN b || c = d", "(a IN b || c) = d"},
+		{"a = ANY b || c", "a = ANY (b || c)"},
 	}
 	for _, c := range cases {
-		e, err := Parse(c.src)
+		got, err := Parse(c.src)
 		if err != nil {
 			t.Errorf("Parse(%q): %v", c.src, err)
 			continue
 		}
-		if got := ast.Format(e); got != c.want {
+		if !EqualTrees(got, MustParse(c.grouped)) {
+			t.Errorf("Parse(%q) = %s, want the tree of %s", c.src, ast.Format(got), c.grouped)
+		}
+	}
+	if e := MustParse("1 != 2").(*ast.Binary); e.Op != "<>" {
+		t.Errorf("!= parses as %q, want <>", e.Op)
+	}
+}
+
+// TestFormatParenthesizesExactlyWhereNeeded pins the printed text: a
+// child is parenthesized only when the parser would otherwise build
+// another tree.
+func TestFormatParenthesizesExactlyWhereNeeded(t *testing.T) {
+	cases := []struct {
+		src, want string
+	}{
+		{"1 + (2 * 3)", "1 + 2 * 3"},
+		{"(1 + 2) * 3", "(1 + 2) * 3"},
+		{"1 - (2 - 3)", "1 - (2 - 3)"},
+		{"(NOT a) = b", "(NOT a) = b"},
+		{"NOT (a = b)", "NOT a = b"},
+		{"a = (b IS NULL)", "a = (b IS NULL)"},
+		{"(-x).a", "(-x).a"},
+		{"-(x.a)", "-x.a"},
+		{"- -x", "- -x"},
+		{"a - -b", "a - -b"},
+		{"WITH A AS A 0%''", "WITH A AS A 0 % ''"},
+		{"SELECT 00IN 00%A(0)", "SELECT 0 IN 0 % A(0)"},
+		{"(SELECT VALUE 1)", "SELECT VALUE 1"},
+		{"(SELECT VALUE 1) UNION ALL (SELECT VALUE 2)", "SELECT VALUE 1 UNION ALL SELECT VALUE 2"},
+		{"x IN (SELECT VALUE 1 UNION SELECT VALUE 2)", "x IN (SELECT VALUE 1 UNION SELECT VALUE 2)"},
+		{"COLL_SUM(SELECT VALUE v FROM g AS v)", "COLL_SUM((SELECT VALUE v FROM g AS v))"},
+	}
+	for _, c := range cases {
+		if got := roundTrip(t, c.src); got != c.want {
 			t.Errorf("Parse(%q) formats to %s, want %s", c.src, got, c.want)
 		}
 	}
@@ -231,6 +335,8 @@ func TestParseErrors(t *testing.T) {
 		"PIVOT a.b AT a.c",              // PIVOT without FROM
 		"SELECT 1 FROM t AS x GROUP BY", // incomplete GROUP BY
 		"SELECT VALUE [1, ",             // unterminated array
+		"SELECT VALUE x IS NULL * 2",    // a tighter operator after a closed predicate
+		"SELECT VALUE x IN (1) + 1",
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {

@@ -51,7 +51,7 @@ var hrNames = nameSet{"hr.emp": true, "t": true, "u": true}
 
 func TestSelectSugarLowering(t *testing.T) {
 	got := mustRewrite(t, "SELECT e.name AS n, e.id FROM hr.emp AS e", Options{Names: hrNames})
-	want := "(SELECT VALUE {'n': e.name, 'id': e.id} FROM hr.emp AS e)"
+	want := "SELECT VALUE {'n': e.name, 'id': e.id} FROM hr.emp AS e"
 	if got != want {
 		t.Errorf("lowered to %s, want %s", got, want)
 	}
@@ -59,7 +59,7 @@ func TestSelectSugarLowering(t *testing.T) {
 
 func TestPositionalNames(t *testing.T) {
 	got := mustRewrite(t, "SELECT e.a + 1, e.b FROM t AS e", Options{Names: hrNames})
-	if !strings.Contains(got, "'_1': (e.a + 1)") {
+	if !strings.Contains(got, "'_1': e.a + 1") {
 		t.Errorf("unaliased computed item should get a positional name: %s", got)
 	}
 }
@@ -195,7 +195,7 @@ func TestStrayAggregateIsError(t *testing.T) {
 func TestOrderByAliasSubstitution(t *testing.T) {
 	got := mustRewrite(t, `
 		SELECT e.v * 2 AS dbl FROM t AS e ORDER BY dbl`, Options{Names: hrNames})
-	if !strings.Contains(got, "ORDER BY (e.v * 2)") {
+	if !strings.Contains(got, "ORDER BY e.v * 2") {
 		t.Errorf("ORDER BY alias should substitute the item expression: %s", got)
 	}
 }
@@ -247,6 +247,22 @@ func TestFromAliasRequired(t *testing.T) {
 	_, err := rewriteQuery(t, "SELECT VALUE x FROM (SELECT VALUE 1) x2, (SELECT VALUE 2) AS x", Options{Names: hrNames})
 	if err != nil {
 		t.Fatalf("aliased subquery sources should work: %v", err)
+	}
+}
+
+// TestGroupKeyMatchIsByTree: a post-group expression becomes the key
+// alias only when it is the key expression, not when it merely shares
+// a spelling with it once precedence is forgotten. (-e.x).a is not the
+// key -e.x.a, so it still names the pre-group variable e — out of scope
+// after GROUP BY.
+func TestGroupKeyMatchIsByTree(t *testing.T) {
+	got := mustRewrite(t, "SELECT k, -(e.x.a) AS w FROM t AS e GROUP BY -e.x.a AS k", Options{Names: hrNames})
+	if !strings.Contains(got, "'w': k") {
+		t.Errorf("-(e.x.a) is the key expression and should read the alias: %s", got)
+	}
+	_, err := rewriteQuery(t, "SELECT k, (-e.x).a AS v FROM t AS e GROUP BY -e.x.a AS k", Options{Names: hrNames})
+	if err == nil || !strings.Contains(err.Error(), `unresolved name "e"`) {
+		t.Errorf("(-e.x).a must not be rewritten to the key alias k; got err %v", err)
 	}
 }
 

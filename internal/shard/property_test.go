@@ -212,3 +212,36 @@ func TestPaperListingsUnchangedBySharding(t *testing.T) {
 		}
 	}
 }
+
+// TestShardWireKeepsPrecedence: shard and merge queries travel as
+// ast.Format text, so a tree that printed like another tree would run
+// as that other query on every shard. Two shards must answer exactly
+// what one node does.
+func TestShardWireKeepsPrecedence(t *testing.T) {
+	data := sqlpp.MustParseValue(`[{'n': 1, 'm': 1, 'a': true, 'b': null}, {'n': 1, 'm': false, 'a': false, 'b': 2},
+		{'n': 4, 'm': true, 'a': false, 'b': null}, {'n': -2, 'm': -2, 'a': true, 'b': 3}]`)
+	single := sqlpp.New(nil)
+	if err := single.Register("data", data); err != nil {
+		t.Fatal(err)
+	}
+	co := NewLocalCluster(2, nil, Policy{})
+	if err := co.Distribute("data", data, Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT VALUE x.a = (x.b IS NULL) FROM data AS x",
+		"SELECT VALUE x.n FROM data AS x WHERE x.a = (x.b IS NULL)",
+		"SELECT VALUE (NOT x.n) = x.m FROM data AS x",
+		"SELECT VALUE - -x.n FROM data AS x",
+	} {
+		want, werr := single.Query(q)
+		res, gerr := co.Exec(context.Background(), q)
+		if (werr != nil) != (gerr != nil) {
+			t.Errorf("%s: single err=%v, sharded err=%v", q, werr, gerr)
+			continue
+		}
+		if werr == nil && res.Value.String() != want.String() {
+			t.Errorf("%s (class %s): sharded %s, single %s\n notes %v", q, res.Class, res.Value, want, res.Notes)
+		}
+	}
+}

@@ -25,7 +25,8 @@ import (
 // at random. Between them they use every aggregate, SQL sugar and the
 // paper's explicit Core form, HAVING and ORDER BY on aggregates,
 // duplicated calls, filtered folds, several keys with a LET, a window
-// over aggregates, and aggregate-only blocks (over empty input, too).
+// over aggregates, aggregate-only blocks (over empty input, too), and
+// two folds whose arguments print alike unless precedence is honoured.
 var streamQueries = []string{
 	`SELECT r.k AS k, COUNT(*) AS c, COUNT(r.x) AS cx, SUM(r.x) AS s, AVG(r.x) AS a, MIN(r.x) AS mn, MAX(r.x) AS mx FROM t AS r GROUP BY r.k`,
 	`SELECT r.k AS k, EVERY(r.b) AS ev, SOME(r.b) AS sm, ANY(r.b) AS an, ARRAY_AGG(r.x) AS xs FROM t AS r GROUP BY r.k`,
@@ -38,6 +39,7 @@ var streamQueries = []string{
 	`SELECT k1 AS k1, k2 AS k2, COUNT(*) AS c, SUM(y) AS s FROM t AS r LET y = r.n.a GROUP BY r.k AS k1, r.b AS k2 ORDER BY c DESC, s`,
 	`SELECT r.k AS k, SUM(r.x) AS s, RANK() OVER (ORDER BY COUNT(*) DESC) AS rk FROM t AS r GROUP BY r.k`,
 	`SELECT VALUE COUNT(*) FROM t AS r GROUP BY r.b`,
+	`SELECT r.k AS k, SUM((-r.n).a) AS s1, SUM(-(r.n.a)) AS s2 FROM t AS r GROUP BY r.k`,
 }
 
 func randStreamRow(rng *rand.Rand, i int) value.Value {
