@@ -43,6 +43,12 @@ type Catalog struct {
 	stats   map[string]*stats.Collection // collection name -> statistics snapshot
 	shards  map[string]ShardMeta         // collection name -> shard topology
 
+	// tails maps a collection name to the slice its last Append built,
+	// published clipped (tail[:n:n]) so no reader can reach the spare
+	// capacity the next Append writes into. Clones start without tails,
+	// so two catalogs never write into one array.
+	tails map[string][]value.Value
+
 	// epoch counts catalog mutations. The server folds it into plan
 	// fingerprints so plans compiled before an index existed (or before
 	// its collection or statistics changed) cannot be replayed after.
@@ -57,6 +63,7 @@ func New() *Catalog {
 		byColl:  make(map[string][]string),
 		stats:   make(map[string]*stats.Collection),
 		shards:  make(map[string]ShardMeta),
+		tails:   make(map[string][]value.Value),
 	}
 }
 
@@ -75,6 +82,7 @@ func (c *Catalog) Clone() *Catalog {
 		byColl:  make(map[string][]string, len(c.byColl)),
 		stats:   maps.Clone(c.stats),
 		shards:  make(map[string]ShardMeta),
+		tails:   make(map[string][]value.Value),
 	}
 	for coll, names := range c.byColl {
 		out.byColl[coll] = slices.Clone(names)
@@ -106,6 +114,7 @@ func (c *Catalog) Register(name string, v value.Value) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.named[name] = v
+	delete(c.tails, name)
 	c.epoch.Add(1)
 	// Statistics are advisory: a failed build (resource budget, injected
 	// fault) drops them and planning falls back to heuristics, never
@@ -133,8 +142,11 @@ func (c *Catalog) Register(name string, v value.Value) error {
 
 // Append adds elems to the collection bound to name (preserving its
 // array/bag kind) and extends its indexes incrementally instead of
-// rebuilding them. An index whose extension fails is dropped and the
-// first error returned; the appended value always takes effect.
+// rebuilding them. While the binding still is the catalog's own tail,
+// the elements land in its spare capacity, so a run of appends copies
+// the collection only when the tail regrows. An index whose extension
+// fails is dropped and the first error returned; the appended value
+// always takes effect.
 //
 // lockorder: Catalog.mu before value.shapeMu, as in Register.
 func (c *Catalog) Append(name string, elems []value.Value, gov *eval.Governor) error {
@@ -151,21 +163,22 @@ func (c *Catalog) Append(name string, elems []value.Value, gov *eval.Governor) e
 	if !ok {
 		return fmt.Errorf("catalog: append to %q: %v is not a collection", name, cur.Kind())
 	}
-	merged := make([]value.Value, 0, len(old)+len(elems))
-	merged = append(merged, old...)
-	merged = append(merged, elems...)
-	var nv value.Value
+	tail := c.tails[name]
+	if len(old) == 0 || len(tail) != len(old) || &tail[0] != &old[0] {
+		tail = slices.Clip(old) // not ours: the append copies
+	}
+	tail = append(tail, elems...)
+	c.tails[name] = tail
+	nv := value.Value(value.Bag(slices.Clip(tail)))
 	if cur.Kind() == value.KindArray {
-		nv = value.Array(merged)
-	} else {
-		nv = value.Bag(merged)
+		nv = value.Array(slices.Clip(tail))
 	}
 	c.named[name] = nv
 	c.epoch.Add(1)
-	// Extend statistics copy-on-write, like indexes. The extend charges
-	// gov at the "stats-build" site; on failure the statistics are
-	// dropped (planning falls back to heuristics) and the append itself
-	// still takes effect.
+	// Extend statistics copy-on-write. The extend charges gov at the
+	// "stats-build" site; on failure the statistics are dropped
+	// (planning falls back to heuristics) and the append itself still
+	// takes effect.
 	if st, ok := c.stats[name]; ok {
 		if nst, err := st.Extended(elems, gov); err == nil {
 			c.stats[name] = nst
@@ -194,6 +207,7 @@ func (c *Catalog) Drop(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.named, name)
+	delete(c.tails, name)
 	delete(c.stats, name)
 	delete(c.shards, name)
 	for _, iname := range append([]string(nil), c.byColl[name]...) {

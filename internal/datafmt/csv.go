@@ -94,11 +94,16 @@ func inferCSVValue(field string) value.Value {
 	case "false", "FALSE":
 		return value.False
 	}
-	if i, err := strconv.ParseInt(field, 10, 64); err == nil {
-		return value.Int(i)
-	}
-	if f, err := strconv.ParseFloat(field, 64); err == nil {
-		return value.Float(f)
+	// A number starts with a sign, a digit, '.', or the i/n of inf and
+	// nan; skipping strconv otherwise spares each text field two errors.
+	switch c := field[0]; {
+	case c == '+', c == '-', c == '.', '0' <= c && c <= '9', c == 'i', c == 'I', c == 'n', c == 'N':
+		if i, err := strconv.ParseInt(field, 10, 64); err == nil {
+			return value.Int(i)
+		}
+		if f, err := strconv.ParseFloat(field, 64); err == nil {
+			return value.Float(f)
+		}
 	}
 	return value.String(field)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -174,6 +175,46 @@ func TestCSVDecode(t *testing.T) {
 	}}`)
 	if !value.Equivalent(v, want) {
 		t.Errorf("CSV = %s, want %s", v, want)
+	}
+}
+
+// inferCSVValueStrconv is inferCSVValue before its first-byte gate:
+// every field that is not a literal goes through both strconv parsers.
+func inferCSVValueStrconv(field string) value.Value {
+	switch field {
+	case "":
+		return value.String("")
+	case "null", "NULL":
+		return value.Null
+	case "true", "TRUE":
+		return value.True
+	case "false", "FALSE":
+		return value.False
+	}
+	if i, err := strconv.ParseInt(field, 10, 64); err == nil {
+		return value.Int(i)
+	}
+	if f, err := strconv.ParseFloat(field, 64); err == nil {
+		return value.Float(f)
+	}
+	return value.String(field)
+}
+
+// TestInferCSVValueMatchesStrconv: gating strconv on the first byte
+// changes no field's type or value.
+func TestInferCSVValueMatchesStrconv(t *testing.T) {
+	fields := []string{
+		"", "inf", "-Infinity", "NaN", "0x1p-2", "+.5", "1e999", " 1", "9223372036854775808",
+		"+inf", "Inf", "nan", "infinity", "none", "N/A", "nil", "1_000", "0x10", ".", "-", "+", "1.", "-0", "007",
+		"null", "NULL", "true", "FALSE", "True", "Ada", "9.5", "-17", "1e3",
+		// The fields of the benchmark's events CSV: header, ids, users, kinds, amounts.
+		"id", "usr", "kind", "amount", "0", "19999", "4821", "click", "view", "order", "refund", "login", "1", "999",
+	}
+	for _, f := range fields {
+		got, want := inferCSVValue(f), inferCSVValueStrconv(f)
+		if got.Kind() != want.Kind() || value.Key(got) != value.Key(want) {
+			t.Errorf("inferCSVValue(%q) = %s %s, want %s %s", f, got.Kind(), got, want.Kind(), want)
+		}
 	}
 }
 

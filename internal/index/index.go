@@ -20,13 +20,15 @@
 // scanned executions produce bit-identical results by construction.
 //
 // Published indexes are immutable: incremental maintenance goes through
-// Extended, which returns a copy-on-write successor, so concurrent
-// readers of the old version never observe a mutation.
+// Extended, which returns a successor sharing every segment it did not
+// merge, so concurrent readers of the old version never observe a
+// mutation and an append costs the rows it adds, not the collection.
 package index
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -79,11 +81,19 @@ func (s Spec) PathString() string { return strings.Join(s.Path, ".") }
 // Index is an immutable secondary index over one snapshot of a
 // collection. Positions are int32 element ordinals in the snapshot,
 // kept ascending everywhere so probe results replay in original scan
-// order.
+// order. It is a list of immutable segments, oldest first, each
+// covering the position range after its predecessor's.
 type Index struct {
-	spec Spec
-	src  value.Value // the collection snapshot the positions refer to
-	n    int         // elements covered
+	spec     Spec
+	src      value.Value // the collection snapshot the positions refer to
+	n        int         // elements covered
+	segs     []*segment
+	distinct int // distinct probeable keys across all segments
+}
+
+// segment indexes one contiguous run of positions.
+type segment struct {
+	n int // positions covered
 
 	// buckets maps the canonical key encoding (value.AppendKey — the
 	// engine's grouping equality, under which 1 and 1.0 collide exactly
@@ -117,7 +127,11 @@ func (ix *Index) Len() int { return ix.n }
 // Slots reports the population of the absent-key slots alongside the
 // number of distinct probeable keys.
 func (ix *Index) Slots() (keys, missing, null int) {
-	return len(ix.buckets), len(ix.missing), len(ix.null)
+	for _, s := range ix.segs {
+		missing += len(s.missing)
+		null += len(s.null)
+	}
+	return ix.distinct, missing, null
 }
 
 // Extract mirrors eval.Navigate's permissive dot-navigation: tuples
@@ -148,8 +162,6 @@ func Extract(v value.Value, path []string) value.Value {
 // (array or bag). gov, when non-nil, is charged per indexed element so
 // index construction competes for the same memory budget as query
 // evaluation.
-//
-// governor: every accumulated entry is charged in insertBuild.
 func Build(spec Spec, src value.Value, gov *eval.Governor) (*Index, error) {
 	if len(spec.Path) == 0 {
 		return nil, fmt.Errorf("index %s: empty key path", spec.Name)
@@ -166,29 +178,42 @@ func Build(spec Spec, src value.Value, gov *eval.Governor) (*Index, error) {
 	if len(elems) > math.MaxInt32 {
 		return nil, fmt.Errorf("index %s: collection %s exceeds %d elements", spec.Name, spec.Collection, math.MaxInt32)
 	}
-	ix := &Index{spec: spec, src: src, buckets: make(map[string][]int32)}
-	var keyBuf []byte
-	for i, e := range elems {
-		if err := ix.insertBuild(int32(i), e, &keyBuf, gov); err != nil {
-			return nil, err
-		}
+	ix := &Index{spec: spec, src: src, n: len(elems)}
+	s, err := ix.newSegment(0, elems, "build", gov)
+	if err != nil {
+		return nil, err
 	}
-	ix.n = len(elems)
-	if spec.Kind == Ordered {
-		// Each bucket's first position names its representative key.
-		ix.keys = make([]value.Value, 0, len(ix.buckets))
-		ix.runs = make([][]int32, 0, len(ix.buckets))
-		for _, run := range ix.buckets {
-			ix.keys = append(ix.keys, Extract(elems[run[0]], spec.Path))
-			ix.runs = append(ix.runs, run)
-		}
-		sort.Sort(byKey{ix})
-	}
+	ix.segs = []*segment{s}
+	ix.distinct = len(s.buckets)
 	return ix, nil
 }
 
-// byKey sorts an ordered index's keys, and their runs with them.
-type byKey struct{ *Index }
+// newSegment indexes elems as the positions from base on.
+//
+// governor: every accumulated entry is charged in insert.
+func (ix *Index) newSegment(base int, elems []value.Value, op string, gov *eval.Governor) (*segment, error) {
+	s := &segment{n: len(elems), buckets: make(map[string][]int32)}
+	var keyBuf []byte
+	for i, e := range elems {
+		if err := ix.insert(s, int32(base+i), e, &keyBuf, op, gov); err != nil {
+			return nil, err
+		}
+	}
+	if ix.spec.Kind == Ordered {
+		// Each bucket's first position names its representative key.
+		s.keys = make([]value.Value, 0, len(s.buckets))
+		s.runs = make([][]int32, 0, len(s.buckets))
+		for _, run := range s.buckets {
+			s.keys = append(s.keys, Extract(elems[int(run[0])-base], ix.spec.Path))
+			s.runs = append(s.runs, run)
+		}
+		sort.Sort(byKey{s})
+	}
+	return s, nil
+}
+
+// byKey sorts an ordered segment's keys, and their runs with them.
+type byKey struct{ *segment }
 
 func (b byKey) Len() int           { return len(b.keys) }
 func (b byKey) Less(i, j int) bool { return value.Compare(b.keys[i], b.keys[j]) < 0 }
@@ -197,12 +222,12 @@ func (b byKey) Swap(i, j int) {
 	b.runs[i], b.runs[j] = b.runs[j], b.runs[i]
 }
 
-// insertBuild files one element during a full build, encoding its key
-// into the reused *keyBuf.
-func (ix *Index) insertBuild(pos int32, elem value.Value, keyBuf *[]byte, gov *eval.Governor) error {
+// insert files one element into s, encoding its key into the reused
+// *keyBuf.
+func (ix *Index) insert(s *segment, pos int32, elem value.Value, keyBuf *[]byte, op string, gov *eval.Governor) error {
 	if faultinject.Enabled {
 		if err := faultinject.Fire(faultinject.IndexBuildInsert); err != nil {
-			return fmt.Errorf("index %s: build: %w", ix.spec.Name, err)
+			return fmt.Errorf("index %s: %s: %w", ix.spec.Name, op, err)
 		}
 	}
 	key := Extract(elem, ix.spec.Path)
@@ -213,15 +238,15 @@ func (ix *Index) insertBuild(pos int32, elem value.Value, keyBuf *[]byte, gov *e
 	}
 	switch key.Kind() {
 	case value.KindMissing:
-		ix.missing = append(ix.missing, pos)
+		s.missing = append(s.missing, pos)
 	case value.KindNull:
-		ix.null = append(ix.null, pos)
+		s.null = append(s.null, pos)
 	default:
 		*keyBuf = value.AppendKey((*keyBuf)[:0], key)
-		if run, ok := ix.buckets[string(*keyBuf)]; ok {
-			ix.buckets[string(*keyBuf)] = append(run, pos)
+		if run, ok := s.buckets[string(*keyBuf)]; ok {
+			s.buckets[string(*keyBuf)] = append(run, pos)
 		} else {
-			ix.buckets[string(*keyBuf)] = []int32{pos}
+			s.buckets[string(*keyBuf)] = []int32{pos}
 		}
 	}
 	return nil
@@ -230,12 +255,24 @@ func (ix *Index) insertBuild(pos int32, elem value.Value, keyBuf *[]byte, gov *e
 // Lookup returns the ascending positions whose key is grouping-equal to
 // key. An absent (MISSING or NULL) probe key matches nothing: equality
 // against an absent value never evaluates to TRUE. The returned slice
-// is shared with the index and must not be mutated.
+// may be shared with the index and must not be mutated.
+//
+// governor:charged-at the caller's "index-probe" site (plan/indexscan.go).
 func (ix *Index) Lookup(key value.Value) []int32 {
 	if value.IsAbsent(key) {
 		return nil
 	}
-	return ix.buckets[value.Key(key)]
+	var buf [64]byte
+	enc := value.AppendKey(buf[:0], key)
+	var out []int32
+	for _, s := range ix.segs {
+		if run := s.buckets[string(enc)]; out == nil {
+			out = run
+		} else if len(run) > 0 {
+			out = append(slices.Clip(out), run...)
+		}
+	}
+	return out
 }
 
 // Range returns the ascending positions whose key k satisfies
@@ -271,143 +308,129 @@ func (ix *Index) Range(lo, hi value.Value, loIncl, hiIncl bool, gov *eval.Govern
 	if !scalarClass(class) {
 		return nil, nil
 	}
-	// Narrow to the class segment of keys, then to the bound window.
-	a := sort.Search(len(ix.keys), func(i int) bool { return comparisonClass(ix.keys[i]) >= class })
-	b := a + sort.Search(len(ix.keys)-a, func(i int) bool { return comparisonClass(ix.keys[a+i]) > class })
-	if lo != nil {
-		a += sort.Search(b-a, func(i int) bool {
-			c := value.Compare(ix.keys[a+i], lo)
-			if loIncl {
-				return c >= 0
-			}
-			return c > 0
-		})
-	}
-	if hi != nil {
-		b = a + sort.Search(b-a, func(i int) bool {
-			c := value.Compare(ix.keys[a+i], hi)
-			if hiIncl {
-				return c > 0
-			}
-			return c >= 0
-		})
-	}
-	if a >= b {
-		return nil, nil
-	}
 	var out []int32
-	for _, run := range ix.runs[a:b] {
-		if gov != nil {
-			if err := gov.ChargeValues("index-probe", int64(len(run)), nil); err != nil {
-				return nil, err
-			}
+	for _, s := range ix.segs {
+		// Narrow to the class segment of keys, then to the bound window.
+		keys := s.keys
+		a := sort.Search(len(keys), func(i int) bool { return comparisonClass(keys[i]) >= class })
+		b := a + sort.Search(len(keys)-a, func(i int) bool { return comparisonClass(keys[a+i]) > class })
+		if lo != nil {
+			a += sort.Search(b-a, func(i int) bool {
+				c := value.Compare(keys[a+i], lo)
+				if loIncl {
+					return c >= 0
+				}
+				return c > 0
+			})
 		}
-		out = append(out, run...)
+		if hi != nil {
+			b = a + sort.Search(b-a, func(i int) bool {
+				c := value.Compare(keys[a+i], hi)
+				if hiIncl {
+					return c > 0
+				}
+				return c >= 0
+			})
+		}
+		for _, run := range s.runs[a:b] {
+			if gov != nil {
+				if err := gov.ChargeValues("index-probe", int64(len(run)), nil); err != nil {
+					return nil, err
+				}
+			}
+			out = append(out, run...)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
 }
 
 // Extended returns a new index covering src, which must be the previous
-// snapshot with elems appended; the receiver is unchanged. Untouched
-// buckets and runs are shared with the receiver (copy-on-write), so an
-// append of k elements costs O(k·log n + distinct keys), not a rebuild.
+// snapshot with elems appended; the receiver is unchanged. The appended
+// elements form a new segment, merged with its predecessors while the
+// one before is no larger, so an append of k elements onto n costs
+// amortized O(k·log(n/k)) and older segments are shared, never copied.
+//
+// governor: appended entries are charged in insert; merges re-file
+// entries already charged.
 func (ix *Index) Extended(src value.Value, elems []value.Value, gov *eval.Governor) (*Index, error) {
-	if ix.n+len(elems) > math.MaxInt32 {
+	n := ix.n + len(elems)
+	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("index %s: collection %s exceeds %d elements", ix.spec.Name, ix.spec.Collection, math.MaxInt32)
 	}
-	nx := &Index{
-		spec:    ix.spec,
-		src:     src,
-		n:       ix.n,
-		buckets: make(map[string][]int32, len(ix.buckets)),
-		missing: ix.missing,
-		null:    ix.null,
+	if all, ok := value.Elements(src); !ok || len(all) != n {
+		return nil, fmt.Errorf("index %s: extend: source is not the %d-element collection the append makes", ix.spec.Name, n)
 	}
-	for k, run := range ix.buckets {
-		nx.buckets[k] = run
+	s, err := ix.newSegment(ix.n, elems, "extend", gov)
+	if err != nil {
+		return nil, err
 	}
-	if ix.spec.Kind == Ordered {
-		nx.keys = append([]value.Value(nil), ix.keys...)
-		nx.runs = append([][]int32(nil), ix.runs...)
-	}
-	owned := map[string]bool{}
-	ownedAbsent := [2]bool{}
-	for _, e := range elems {
-		if err := nx.insertExtend(int32(nx.n), e, owned, &ownedAbsent, gov); err != nil {
-			return nil, err
+	nx := &Index{spec: ix.spec, src: src, n: n, distinct: ix.distinct}
+	for k := range s.buckets {
+		if !slices.ContainsFunc(ix.segs, func(o *segment) bool { _, ok := o.buckets[k]; return ok }) {
+			nx.distinct++
 		}
-		nx.n++
 	}
+	segs := append(slices.Clip(ix.segs), s)
+	for len(segs) > 1 && segs[len(segs)-2].n <= segs[len(segs)-1].n {
+		segs = append(segs[:len(segs)-2], merge(segs[len(segs)-2], segs[len(segs)-1], ix.spec.Kind == Ordered))
+	}
+	nx.segs = segs
 	return nx, nil
 }
 
-// insertExtend files one appended element copy-on-write: the first
-// touch of a bucket, run, or absent slot reallocates it so the base
-// index's slices are never appended to in place.
-func (nx *Index) insertExtend(pos int32, elem value.Value, owned map[string]bool, ownedAbsent *[2]bool, gov *eval.Governor) error {
-	if faultinject.Enabled {
-		if err := faultinject.Fire(faultinject.IndexBuildInsert); err != nil {
-			return fmt.Errorf("index %s: extend: %w", nx.spec.Name, err)
+// merge returns one segment holding a's positions followed by b's. A
+// key in both gets a's run then b's, carved from one arena; a key in one
+// keeps its run. Keys are re-encoded, never re-extracted.
+//
+// governor: re-files entries of a and b, charged when each was built.
+func merge(a, b *segment, ordered bool) *segment {
+	m := &segment{
+		n:       a.n + b.n,
+		buckets: make(map[string][]int32, len(a.buckets)+len(b.buckets)),
+		missing: slices.Concat(a.missing, b.missing),
+		null:    slices.Concat(a.null, b.null),
+	}
+	size := 0
+	for k, rb := range b.buckets {
+		if ra, ok := a.buckets[k]; ok {
+			size += len(ra) + len(rb)
+		} else {
+			m.buckets[k] = rb
 		}
 	}
-	key := Extract(elem, nx.spec.Path)
-	if gov != nil {
-		if err := gov.ChargeValues("index-build", 1, key); err != nil {
-			return err
+	arena := make([]int32, 0, size)
+	for k, ra := range a.buckets {
+		if rb, ok := b.buckets[k]; ok {
+			off := len(arena)
+			arena = append(append(arena, ra...), rb...)
+			ra = arena[off:len(arena):len(arena)]
 		}
+		m.buckets[k] = ra
 	}
-	switch key.Kind() {
-	case value.KindMissing:
-		if !ownedAbsent[0] {
-			nx.missing = append([]int32(nil), nx.missing...)
-			ownedAbsent[0] = true
-		}
-		nx.missing = append(nx.missing, pos)
-		return nil
-	case value.KindNull:
-		if !ownedAbsent[1] {
-			nx.null = append([]int32(nil), nx.null...)
-			ownedAbsent[1] = true
-		}
-		nx.null = append(nx.null, pos)
-		return nil
+	if !ordered {
+		return m
 	}
-	ks := value.Key(key)
-	run, existed := nx.buckets[ks]
-	if !owned[ks] {
-		run = append(append(make([]int32, 0, len(run)+1), run...), pos)
-		owned[ks] = true
-	} else {
-		run = append(run, pos)
-	}
-	nx.buckets[ks] = run
-	if nx.spec.Kind != Ordered {
-		return nil
-	}
-	if existed {
-		// The ordered run for this key must track the bucket: both
-		// views share the probeable positions.
-		i := sort.Search(len(nx.keys), func(i int) bool { return value.Compare(nx.keys[i], key) >= 0 })
-		for ; i < len(nx.keys); i++ {
-			if value.Key(nx.keys[i]) == ks {
-				nx.runs[i] = run
-				return nil
-			}
-			if value.Compare(nx.keys[i], key) != 0 {
-				break
+	m.keys = make([]value.Value, 0, len(m.buckets))
+	m.runs = make([][]int32, 0, len(m.buckets))
+	var buf []byte
+	i, j := 0, 0
+	for i < len(a.keys) || j < len(b.keys) {
+		var k value.Value
+		if j == len(b.keys) || i < len(a.keys) && value.Compare(a.keys[i], b.keys[j]) <= 0 {
+			k, i = a.keys[i], i+1
+			buf = value.AppendKey(buf[:0], k)
+		} else {
+			k, j = b.keys[j], j+1
+			buf = value.AppendKey(buf[:0], k)
+			if _, dup := a.buckets[string(buf)]; dup {
+				continue // a's representative stands for the key
 			}
 		}
-		return fmt.Errorf("index %s: internal: bucket %q missing from ordered runs", nx.spec.Name, ks)
+		m.keys = append(m.keys, k)
+		m.runs = append(m.runs, m.buckets[string(buf)])
 	}
-	i := sort.Search(len(nx.keys), func(i int) bool { return value.Compare(nx.keys[i], key) >= 0 })
-	nx.keys = append(nx.keys, nil)
-	copy(nx.keys[i+1:], nx.keys[i:])
-	nx.keys[i] = key
-	nx.runs = append(nx.runs, nil)
-	copy(nx.runs[i+1:], nx.runs[i:])
-	nx.runs[i] = run
-	return nil
+	return m
 }
 
 // comparisonClass buckets a value by the data model's comparison class

@@ -3,6 +3,7 @@ package index_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sqlpp/internal/eval"
@@ -264,9 +265,48 @@ func comparableClass(v value.Value) int {
 	return 0
 }
 
+// agreeWithFresh checks ix against a fresh Build over src: Len, Slots,
+// Lookup of every probe, and for ordered indexes Range between probes,
+// closed, open and one-sided, from every third probe.
+func agreeWithFresh(t *testing.T, ix *index.Index, src value.Value, probes []value.Value) {
+	t.Helper()
+	fresh := mustBuild(t, ix.Spec(), src)
+	if ix.Len() != fresh.Len() {
+		t.Fatalf("Len %d vs fresh %d", ix.Len(), fresh.Len())
+	}
+	ik, im, in := ix.Slots()
+	fk, fm, fn := fresh.Slots()
+	if ik != fk || im != fm || in != fn {
+		t.Fatalf("Slots (%d,%d,%d) vs fresh (%d,%d,%d)", ik, im, in, fk, fm, fn)
+	}
+	for _, k := range probes {
+		if got, want := ix.Lookup(k), fresh.Lookup(k); !positionsEqual(got, want) {
+			t.Fatalf("Lookup(%s) %v vs fresh %v", k, got, want)
+		}
+	}
+	if ix.Spec().Kind != index.Ordered {
+		return
+	}
+	for i := 0; i < len(probes); i += 3 {
+		lo, hi := probes[i], probes[(i*7+4)%len(probes)]
+		for _, b := range [][2]value.Value{{lo, hi}, {lo, nil}, {nil, hi}} {
+			loIncl, hiIncl := i&1 == 0, i&2 == 0
+			got, err1 := ix.Range(b[0], b[1], loIncl, hiIncl, nil)
+			want, err2 := fresh.Range(b[0], b[1], loIncl, hiIncl, nil)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("Range(%v, %v) errs %v %v", b[0], b[1], err1, err2)
+			}
+			if !positionsEqual(got, want) {
+				t.Fatalf("Range(%v, %v, %v, %v) %v vs fresh %v", b[0], b[1], loIncl, hiIncl, got, want)
+			}
+		}
+	}
+}
+
 // TestExtendedMatchesFreshBuild: incremental extension over random
 // batches must be indistinguishable from rebuilding over the merged
-// collection, for both kinds.
+// collection, for both kinds. Sixty batches of 1–300 rows cascade
+// segment merges, and 1 vs 1.0 keys collide across segments.
 func TestExtendedMatchesFreshBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	mk := func(n, base int) []value.Value {
@@ -289,13 +329,19 @@ func TestExtendedMatchesFreshBuild(t *testing.T) {
 		}
 		return out
 	}
+	probes := []value.Value{value.Null, value.Missing, value.True, value.Float(2.5), value.String("zz")}
+	for i := 0; i < 20; i++ {
+		probes = append(probes, value.Int(int64(i)), value.Float(float64(i)))
+	}
+	for c := 'a'; c < 'a'+6; c++ {
+		probes = append(probes, value.String(string(c)))
+	}
 
 	for _, kind := range []index.Kind{index.Hash, index.Ordered} {
 		elems := mk(100, 0)
-		src := value.Bag(elems)
-		ix := mustBuild(t, index.Spec{Name: "ix", Collection: "c", Path: []string{"k"}, Kind: kind}, src)
-		for batch := 0; batch < 5; batch++ {
-			add := mk(1+rng.Intn(30), len(elems))
+		ix := mustBuild(t, index.Spec{Name: "ix", Collection: "c", Path: []string{"k"}, Kind: kind}, value.Bag(elems))
+		for batch := 0; batch < 60; batch++ {
+			add := mk(1+rng.Intn(300), len(elems))
 			elems = append(elems, add...)
 			merged := value.Bag(elems)
 			var err error
@@ -303,32 +349,89 @@ func TestExtendedMatchesFreshBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v Extended batch %d: %v", kind, batch, err)
 			}
-			fresh := mustBuild(t, index.Spec{Name: "ix", Collection: "c", Path: []string{"k"}, Kind: kind}, merged)
-			if ix.Len() != fresh.Len() {
-				t.Fatalf("%v batch %d: Len %d vs fresh %d", kind, batch, ix.Len(), fresh.Len())
-			}
-			ik, im, in := ix.Slots()
-			fk, fm, fn := fresh.Slots()
-			if ik != fk || im != fm || in != fn {
-				t.Fatalf("%v batch %d: Slots (%d,%d,%d) vs fresh (%d,%d,%d)", kind, batch, ik, im, in, fk, fm, fn)
-			}
-			// Every probeable key agrees with a fresh build.
-			for i := 0; i < 20; i++ {
-				k := value.Int(int64(rng.Intn(20)))
-				if !positionsEqual(ix.Lookup(k), fresh.Lookup(k)) {
-					t.Fatalf("%v batch %d: Lookup(%s) %v vs fresh %v", kind, batch, k, ix.Lookup(k), fresh.Lookup(k))
+			agreeWithFresh(t, ix, merged, probes)
+			// The logarithmic method keeps segments strictly shrinking,
+			// oldest first.
+			sizes := index.SegmentSizes(ix)
+			for i := 1; i < len(sizes); i++ {
+				if sizes[i-1] <= sizes[i] {
+					t.Fatalf("%v batch %d: segment sizes %v not strictly decreasing", kind, batch, sizes)
 				}
 			}
-			if kind == index.Ordered {
-				got, err1 := ix.Range(value.Int(3), value.Int(15), true, false, nil)
-				want, err2 := fresh.Range(value.Int(3), value.Int(15), true, false, nil)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%v batch %d: Range errs %v %v", kind, batch, err1, err2)
-				}
-				if !positionsEqual(got, want) {
-					t.Fatalf("%v batch %d: Range %v vs fresh %v", kind, batch, got, want)
-				}
+		}
+	}
+}
+
+// rowsFrom returns n tuples {'k': i} for i from lo.
+func rowsFrom(lo, n int) []value.Value {
+	out := make([]value.Value, n)
+	for i := range out {
+		t0 := value.EmptyTuple()
+		t0.Put("k", value.Int(int64(lo+i)))
+		out[i] = t0
+	}
+	return out
+}
+
+var lookupSink []int32
+
+// TestLookupAllocatesNothing: a probe encodes its key on the stack, and
+// a key held by one segment returns that segment's run.
+func TestLookupAllocatesNothing(t *testing.T) {
+	for _, kind := range []index.Kind{index.Hash, index.Ordered} {
+		elems := rowsFrom(0, 4)
+		ix := mustBuild(t, index.Spec{Name: "ix", Collection: "c", Path: []string{"k"}, Kind: kind}, value.Bag(elems))
+		for _, n := range []int{2, 1} {
+			add := rowsFrom(len(elems), n)
+			elems = append(elems, add...)
+			var err error
+			if ix, err = ix.Extended(value.Bag(elems), add, nil); err != nil {
+				t.Fatal(err)
 			}
+		}
+		if got := index.SegmentSizes(ix); !slices.Equal(got, []int{4, 2, 1}) {
+			t.Fatalf("%v: segment sizes %v, want [4 2 1]", kind, got)
+		}
+		var key value.Value = value.Int(5)
+		if got := ix.Lookup(key); !positionsEqual(got, []int32{5}) {
+			t.Fatalf("%v: Lookup(5) = %v, want [5]", kind, got)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { lookupSink = ix.Lookup(key) }); allocs != 0 {
+			t.Errorf("%v: Lookup allocates %.0f times per probe, want 0", kind, allocs)
+		}
+	}
+}
+
+// TestExtendedRejectsWrongSource: the source must be the old snapshot
+// plus exactly the appended elements.
+func TestExtendedRejectsWrongSource(t *testing.T) {
+	elems := rowsFrom(0, 3)
+	ix := mustBuild(t, index.Spec{Name: "ix", Collection: "c", Path: []string{"k"}}, value.Bag(elems))
+	add := rowsFrom(3, 2)
+	for _, src := range []value.Value{value.Bag(elems), value.Bag(append(elems[:3:3], add[0])), value.Int(5)} {
+		if _, err := ix.Extended(src, add, nil); err == nil {
+			t.Errorf("Extended over %d-element source %s: want error, got nil", ix.Len(), src)
+		}
+	}
+}
+
+// TestExtendedChargesEachAppendOnce: every appended element is charged
+// exactly once, and merging older segments charges nothing.
+func TestExtendedChargesEachAppendOnce(t *testing.T) {
+	elems := rowsFrom(0, 8)
+	ix := mustBuild(t, index.Spec{Name: "ix", Collection: "c", Path: []string{"k"}, Kind: index.Ordered}, value.Bag(elems))
+	for batch := 0; batch < 24; batch++ {
+		add := rowsFrom(len(elems), 2+batch%5)
+		elems = append(elems, add...)
+		src := value.Bag(elems)
+		short := eval.NewGovernor(eval.Limits{MaxMaterializedValues: int64(len(add) - 1)})
+		if _, err := ix.Extended(src, add, short); err == nil {
+			t.Fatalf("batch %d: a budget one short of %d rows was enough", batch, len(add))
+		}
+		exact := eval.NewGovernor(eval.Limits{MaxMaterializedValues: int64(len(add))})
+		var err error
+		if ix, err = ix.Extended(src, add, exact); err != nil {
+			t.Fatalf("batch %d (segments %v): %v", batch, index.SegmentSizes(ix), err)
 		}
 	}
 }

@@ -559,8 +559,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("mode") == "append" {
-		// Appends extend the collection's secondary indexes incrementally
-		// instead of rebuilding them; only SION bodies are supported.
+		// Appends cost the rows they add, not the collection: the catalog
+		// writes them into its growable tail and adds one segment to each
+		// secondary index. Only SION bodies are supported.
 		if format != "sion" && format != "" {
 			s.fail(w, http.StatusBadRequest, "append mode supports only the sion format")
 			return

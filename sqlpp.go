@@ -196,8 +196,11 @@ func (e *Engine) RegisterSION(name, src string) error {
 
 // Append adds the elements of v (or v itself, when it is not a
 // collection) to the collection registered under name, preserving its
-// array/bag kind. Secondary indexes over the collection are extended
-// incrementally — appending k elements costs O(k log n), not a rebuild.
+// array/bag kind. The catalog writes the elements into its own growable
+// tail of the collection and adds them to each secondary index as a new
+// segment, merging segments logarithmically, so appending k elements
+// onto n costs amortized O(k·log(n/k)) — what the append adds, not what
+// the collection holds. Statistics are still cloned per append.
 func (e *Engine) Append(name string, v value.Value) error {
 	elems, ok := value.Elements(v)
 	if !ok {
