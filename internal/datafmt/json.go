@@ -14,14 +14,13 @@
 package datafmt
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
 
@@ -599,86 +598,166 @@ func (d *jsonDecoder) hex4() (rune, error) {
 // absence); encountering it anywhere is an error — construct results
 // first, where tuple construction drops MISSING attributes. Bags encode
 // as arrays (JSON has no unordered collection), in canonical order for
-// determinism.
+// determinism. The encoding streams to w as a JSONWriter's does: nothing
+// is written before the first chunk fills, so a small value that fails
+// to encode leaves w untouched.
 func EncodeJSON(w io.Writer, v value.Value) error {
-	var buf bytes.Buffer
-	if err := appendJSON(&buf, v); err != nil {
+	jw := NewJSONWriter(w)
+	defer jw.Release()
+	if err := jw.Value(v); err != nil {
 		return err
 	}
-	_, err := w.Write(buf.Bytes())
-	return err
+	return jw.Flush()
 }
 
 // JSONString renders v as a JSON string.
 func JSONString(v value.Value) (string, error) {
-	var buf bytes.Buffer
-	if err := appendJSON(&buf, v); err != nil {
+	jw := NewJSONWriter(nil)
+	defer jw.Release()
+	if err := jw.Value(v); err != nil {
 		return "", err
 	}
-	return buf.String(), nil
+	return string(jw.buf), nil
 }
 
-func appendJSON(buf *bytes.Buffer, v value.Value) error {
+// jsonChunk is the unit of streaming: a JSONWriter hands its buffer on
+// each time it passes this size.
+const jsonChunk = 32 << 10
+
+// A JSONWriter encodes JSON onto an io.Writer in chunks of about
+// jsonChunk bytes: values with Value, and the text around them (an
+// envelope's keys and scalars) with Raw, String, Int and Bool. Nothing
+// reaches the io.Writer before the first chunk fills, so a caller can
+// still answer otherwise when a small value fails to encode, and can
+// tell from Written whether anything went out. With a nil io.Writer the
+// encoding accumulates in memory.
+//
+// A value encodes into the one buffer, once: attribute names come
+// pre-escaped from their shape (value.Shape.JSONKeys), scalars are
+// appended in place, and bags are ordered in a copy on the writer's own
+// stack. Writers are pooled (NewJSONWriter, Release), so encoding a
+// result allocates nothing per row, nor, once the pool is warm, per
+// result.
+type JSONWriter struct {
+	w       io.Writer
+	buf     []byte
+	written int64
+	// bags holds the canonically ordered copies of the bags being
+	// encoded, innermost last.
+	bags []value.Value
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	return &JSONWriter{buf: make([]byte, 0, jsonChunk+1<<10)}
+}}
+
+// NewJSONWriter returns a pooled writer onto w (nil: into memory).
+func NewJSONWriter(w io.Writer) *JSONWriter {
+	jw := jsonWriters.Get().(*JSONWriter)
+	jw.w = w
+	return jw
+}
+
+// Release returns jw to the pool; jw must not be used after. A writer
+// whose buffer grew past four chunks, or whose bag stack past jsonChunk
+// elements, is left to the collector instead, so what the pool holds
+// stays bounded whatever results went through it.
+func (jw *JSONWriter) Release() {
+	if cap(jw.buf) > 4*jsonChunk || cap(jw.bags) > jsonChunk {
+		return
+	}
+	jw.w, jw.buf, jw.written, jw.bags = nil, jw.buf[:0], 0, jw.bags[:0]
+	jsonWriters.Put(jw)
+}
+
+// Written reports how many bytes the io.Writer has taken.
+func (jw *JSONWriter) Written() int64 { return jw.written }
+
+// Flush writes out what is buffered.
+func (jw *JSONWriter) Flush() error {
+	if jw.w == nil {
+		return nil
+	}
+	n, err := jw.w.Write(jw.buf)
+	jw.written += int64(n)
+	jw.buf = jw.buf[:0]
+	return err
+}
+
+// Raw appends s as it is; it must be JSON text in its place.
+func (jw *JSONWriter) Raw(s string) { jw.buf = append(jw.buf, s...) }
+
+// String appends s as a JSON string.
+func (jw *JSONWriter) String(s string) { jw.buf = value.AppendJSONString(jw.buf, s) }
+
+// Int appends i as a JSON number.
+func (jw *JSONWriter) Int(i int64) { jw.buf = strconv.AppendInt(jw.buf, i, 10) }
+
+// Bool appends b as a JSON boolean.
+func (jw *JSONWriter) Bool(b bool) { jw.buf = strconv.AppendBool(jw.buf, b) }
+
+// Value appends v as EncodeJSON encodes it, writing out each chunk as it
+// fills.
+func (jw *JSONWriter) Value(v value.Value) error {
+	if jw.w != nil && len(jw.buf) >= jsonChunk {
+		if err := jw.Flush(); err != nil {
+			return err
+		}
+	}
 	switch x := v.(type) {
 	case value.Bool:
-		if x {
-			buf.WriteString("true")
-		} else {
-			buf.WriteString("false")
-		}
+		jw.Bool(bool(x))
 	case value.Int:
-		buf.WriteString(strconv.FormatInt(int64(x), 10))
+		jw.Int(int64(x))
 	case value.Float:
 		f := float64(x)
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			buf.WriteString("null") // JSON cannot express them
+			jw.Raw("null") // JSON cannot express them
 			return nil
 		}
-		buf.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
+		jw.buf = strconv.AppendFloat(jw.buf, f, 'g', -1, 64)
 	case value.String:
-		b, err := json.Marshal(string(x))
-		if err != nil {
-			return err
-		}
-		buf.Write(b)
+		jw.String(string(x))
 	case value.Bytes:
 		// Bytes encode as a hex string, the closest JSON-safe mapping.
 		const hex = "0123456789abcdef"
-		buf.WriteByte('"')
+		jw.buf = append(jw.buf, '"')
 		for _, c := range x {
-			buf.WriteByte(hex[c>>4])
-			buf.WriteByte(hex[c&0xf])
+			jw.buf = append(jw.buf, hex[c>>4], hex[c&0xf])
 		}
-		buf.WriteByte('"')
+		jw.buf = append(jw.buf, '"')
 	case value.Array:
-		return appendJSONSeq(buf, x)
-	case value.Bag:
-		sorted := make([]value.Value, len(x))
-		copy(sorted, x)
-		sort.SliceStable(sorted, func(i, j int) bool { return value.Compare(sorted[i], sorted[j]) < 0 })
-		return appendJSONSeq(buf, sorted)
-	case *value.Tuple:
-		buf.WriteByte('{')
-		vals := x.Values()
-		for i, name := range x.Names() {
+		jw.buf = append(jw.buf, '[')
+		for i, el := range x {
 			if i > 0 {
-				buf.WriteByte(',')
+				jw.buf = append(jw.buf, ',')
 			}
-			b, err := json.Marshal(name)
-			if err != nil {
-				return err
-			}
-			buf.Write(b)
-			buf.WriteByte(':')
-			if err := appendJSON(buf, vals[i]); err != nil {
+			if err := jw.Value(el); err != nil {
 				return err
 			}
 		}
-		buf.WriteByte('}')
+		jw.buf = append(jw.buf, ']')
+	case value.Bag:
+		return jw.bag(x)
+	case *value.Tuple:
+		keys, ends := x.Shape().JSONKeys()
+		jw.buf = append(jw.buf, '{')
+		from := int32(0)
+		for i, el := range x.Values() {
+			if i > 0 {
+				jw.buf = append(jw.buf, ',')
+			}
+			jw.buf = append(jw.buf, keys[from:ends[i]]...)
+			from = ends[i]
+			if err := jw.Value(el); err != nil {
+				return err
+			}
+		}
+		jw.buf = append(jw.buf, '}')
 	default:
 		switch v.Kind() {
 		case value.KindNull:
-			buf.WriteString("null")
+			jw.Raw("null")
 		case value.KindMissing:
 			return fmt.Errorf("datafmt: MISSING cannot be encoded as JSON")
 		default:
@@ -688,16 +767,25 @@ func appendJSON(buf *bytes.Buffer, v value.Value) error {
 	return nil
 }
 
-func appendJSONSeq(buf *bytes.Buffer, vs []value.Value) error {
-	buf.WriteByte('[')
-	for i, v := range vs {
+// bag appends b's elements in canonical order as a JSON array. The order
+// is sorted in a copy pushed on jw.bags, read back by index because a
+// nested bag may move the stack.
+func (jw *JSONWriter) bag(b value.Bag) error {
+	base := len(jw.bags)
+	jw.bags = append(jw.bags, b...)
+	slices.SortStableFunc(jw.bags[base:], value.Compare)
+	jw.buf = append(jw.buf, '[')
+	var err error
+	for i := range b {
 		if i > 0 {
-			buf.WriteByte(',')
+			jw.buf = append(jw.buf, ',')
 		}
-		if err := appendJSON(buf, v); err != nil {
-			return err
+		if err = jw.Value(jw.bags[base+i]); err != nil {
+			break
 		}
 	}
-	buf.WriteByte(']')
-	return nil
+	jw.buf = append(jw.buf, ']')
+	clear(jw.bags[base:])
+	jw.bags = jw.bags[:base]
+	return err
 }

@@ -381,6 +381,9 @@ func FuzzDecodeJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted value does not encode: %v", err)
 		}
+		if want, _ := legacyJSONString(v); enc != want {
+			t.Fatalf("JSONString = %s, the legacy encoder wrote %s", enc, want)
+		}
 		// The encoder writes an integral Float without a fraction, so the
 		// way back may turn it into the Int it equals.
 		back, err := ParseJSON(enc)

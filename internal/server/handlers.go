@@ -76,11 +76,11 @@ type queryOptions struct {
 	MaxBytes *int64 `json:"max_bytes,omitempty"`
 }
 
-// queryResponse is the body of a successful POST /v1/query.
+// queryResponse is the body of a successful POST /v1/query after its
+// "result", which writeResult encodes into the response ahead of these
+// fields. writeFields writes them by hand, in this order and under these
+// names, as encoding/json would (TestEnvelopeMatchesEncodingJSON).
 type queryResponse struct {
-	// Result is the query result: raw JSON for format "json", a JSON
-	// string holding the rendered text for "sion"/"pretty".
-	Result json.RawMessage `json:"result"`
 	// Cached reports whether the plan came from the cache.
 	Cached bool `json:"cached"`
 	// ElapsedUS is the server-side latency in microseconds.
@@ -351,19 +351,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeCBOR(w, result)
 		return
 	}
-	raw, err := encodeResult(result, req.Format)
-	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, "encode result: %v", err)
-		return
-	}
 	var notes []string
 	if plan.Params != nil {
 		notes = plan.Params.PlanNotes()
 	} else {
 		notes = plan.Prepared.PlanNotes()
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		Result:      raw,
+	s.writeResult(w, result, req.Format, &queryResponse{
 		Cached:      cached,
 		ElapsedUS:   elapsed.Microseconds(),
 		Plan:        notes,
@@ -501,22 +495,109 @@ func jsonToValue(x any) (value.Value, error) {
 	return nil, fmt.Errorf("unsupported JSON value %T", x)
 }
 
-// encodeResult renders a query result in the requested format as a raw
-// JSON fragment for the response body.
-func encodeResult(v value.Value, format string) (json.RawMessage, error) {
+// jsonContentType is the Content-Type of every JSON answer, shared so
+// that setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
+
+// writeResult answers a query: {"result": v in the requested format,
+// then resp's fields}. The result is encoded once, straight into the
+// response, through a pooled datafmt.JSONWriter; "sion" and "pretty"
+// carry their rendering as one JSON string. An answer that fits in one
+// chunk goes out in one write; a longer one streams. The Content-Length
+// is left to net/http, which sets one only after the handler returns, so
+// no client holds a whole answer while its handler still runs. The
+// status line goes out with the first chunk, so a result that cannot be
+// encoded (MISSING) is still a 422 unless it fails more than a chunk in —
+// then the body ends short of valid JSON.
+func (s *Server) writeResult(w http.ResponseWriter, v value.Value, format string, resp *queryResponse) {
+	w.Header()["Content-Type"] = jsonContentType
+	jw := datafmt.NewJSONWriter(w)
+	defer jw.Release()
+	jw.Raw(`{"result":`)
+	var err error
 	switch format {
 	case "", "json":
-		s, err := datafmt.JSONString(v)
-		if err != nil {
-			return nil, err
-		}
-		return json.RawMessage(s), nil
+		err = jw.Value(v)
 	case "sion":
-		return json.Marshal(v.String())
+		jw.String(v.String())
 	case "pretty":
-		return json.Marshal(value.Pretty(v))
+		jw.String(value.Pretty(v))
+	default:
+		err = fmt.Errorf("unknown result format %q (want json, sion, pretty, or cbor)", format)
 	}
-	return nil, fmt.Errorf("unknown result format %q (want json, sion, pretty, or cbor)", format)
+	if err == nil {
+		err = resp.writeFields(jw)
+	}
+	if err != nil {
+		if jw.Written() == 0 {
+			s.fail(w, http.StatusUnprocessableEntity, "encode result: %v", err)
+			return
+		}
+		s.metrics.Errors.Add(1)
+		return
+	}
+	jw.Raw("}\n")
+	_ = jw.Flush() // a client that went away is not an error of the query's
+}
+
+// writeFields appends resp's fields to an envelope whose "result" jw has
+// written, leaving the object open.
+func (resp *queryResponse) writeFields(jw *datafmt.JSONWriter) error {
+	jw.Raw(`,"cached":`)
+	jw.Bool(resp.Cached)
+	jw.Raw(`,"elapsed_us":`)
+	jw.Int(resp.ElapsedUS)
+	writeStrings(jw, `,"plan":[`, resp.Plan)
+	// The operator tree and the diagnostics come only with explain and
+	// vet; they keep encoding/json.
+	if resp.Stats != nil {
+		if err := writeMarshaled(jw, `,"stats":`, resp.Stats); err != nil {
+			return err
+		}
+	}
+	if len(resp.Diagnostics) > 0 {
+		if err := writeMarshaled(jw, `,"diagnostics":`, resp.Diagnostics); err != nil {
+			return err
+		}
+	}
+	if resp.Class != "" {
+		jw.Raw(`,"class":`)
+		jw.String(resp.Class)
+	}
+	if resp.Sharded != "" {
+		jw.Raw(`,"sharded":`)
+		jw.String(resp.Sharded)
+	}
+	writeStrings(jw, `,"missing_shards":[`, resp.MissingShards)
+	return nil
+}
+
+// writeStrings appends key (`,"name":[`), ss's elements and the closing
+// bracket, unless ss is empty.
+func writeStrings(jw *datafmt.JSONWriter, key string, ss []string) {
+	if len(ss) == 0 {
+		return
+	}
+	jw.Raw(key)
+	for i, x := range ss {
+		if i > 0 {
+			jw.Raw(",")
+		}
+		jw.String(x)
+	}
+	jw.Raw("]")
+}
+
+// writeMarshaled appends key (`,"name":`) and x as encoding/json
+// encodes it.
+func writeMarshaled(jw *datafmt.JSONWriter, key string, x any) error {
+	b, err := json.Marshal(x)
+	if err != nil {
+		return err
+	}
+	jw.Raw(key)
+	jw.Raw(string(b))
+	return nil
 }
 
 // writeCBOR streams v to the client as one CBOR item, with no envelope

@@ -117,10 +117,13 @@ func (c *PlanCache) Get(key string) (Plan, bool) {
 		c.misses.Add(1)
 		return Plan{}, false
 	}
+	// The plan is read under the lock: Put refreshes an entry in place.
+	var p Plan
 	c.mu.Lock()
 	el, ok := c.index[key]
 	if ok {
 		c.ll.MoveToFront(el)
+		p = el.Value.(*cacheEntry).plan
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -128,7 +131,7 @@ func (c *PlanCache) Get(key string) (Plan, bool) {
 		return Plan{}, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*cacheEntry).plan, true
+	return p, true
 }
 
 // Put inserts (or refreshes) a plan, evicting the least recently used

@@ -166,3 +166,32 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPlanCacheRefreshDuringGet refreshes one key while another goroutine
+// reads it: Put writes the entry under the lock, so Get must read it
+// there too. Meaningful under -race.
+func TestPlanCacheRefreshDuringGet(t *testing.T) {
+	db := sqlpp.New(nil)
+	c := server.NewPlanCache(4)
+	key := server.CacheKey(db.Options(), nil, "SELECT VALUE 1")
+	p := preparedPlan(t, db, "SELECT VALUE 1")
+	c.Put(key, p)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			c.Put(key, p)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			if got, ok := c.Get(key); !ok || got.Prepared != p.Prepared {
+				t.Error("a refreshed key missed or changed its plan")
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}

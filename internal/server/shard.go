@@ -60,13 +60,7 @@ func (s *Server) handleShardedQuery(ctx context.Context, w http.ResponseWriter, 
 		s.writeCBOR(w, res.Value)
 		return
 	}
-	raw, err := encodeResult(res.Value, req.Format)
-	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, "encode result: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		Result:        raw,
+	s.writeResult(w, res.Value, req.Format, &queryResponse{
 		ElapsedUS:     elapsed.Microseconds(),
 		Plan:          res.Notes,
 		Stats:         res.Stats,

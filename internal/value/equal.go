@@ -1,6 +1,9 @@
 package value
 
-import "slices"
+import (
+	"bytes"
+	"slices"
+)
 
 // DeepEqual reports structural equality, sensitive to element order in
 // both arrays and bags and to attribute order in tuples. It is the
@@ -62,17 +65,21 @@ func deepEqualSeq(a, b []Value) bool {
 // tuples compare as multisets of (name, value) attributes, numbers compare
 // numerically across Int/Float, and arrays stay order-sensitive. This is
 // the equality the compatibility kit uses to diff query results against
-// expected listings.
+// expected listings. It is also the per-row `=` of every WHERE clause,
+// so the keys are built in stack buffers: comparing scalars allocates
+// nothing.
 func Equivalent(a, b Value) bool {
-	return Key(a) == Key(b)
+	var ka, kb [64]byte
+	return bytes.Equal(AppendKey(ka[:0], a), AppendKey(kb[:0], b))
 }
 
 // ContainsEquivalent reports whether collection c (array or bag) contains
 // an element equivalent to v.
 func ContainsEquivalent(c []Value, v Value) bool {
-	k := Key(v)
+	var kv, ke [64]byte
+	k := AppendKey(kv[:0], v)
 	for _, e := range c {
-		if Key(e) == k {
+		if bytes.Equal(AppendKey(ke[:0], e), k) {
 			return true
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // String renders the value in the paper's object notation.
@@ -64,6 +65,68 @@ func appendQuoted(dst []byte, s string) []byte {
 	}
 	return append(append(dst, s...), '\'')
 }
+
+// AppendJSONString appends s as a JSON string literal, escaped byte for
+// byte as encoding/json escapes it: `"` and `\` and the control
+// characters are escaped (\b \f \n \r \t by name, the rest as \u00XX),
+// so are <, > and & (as \u003c, \u003e, \u0026) and U+2028 and U+2029,
+// and each byte of invalid UTF-8 becomes \ufffd. It lives here, beside
+// the object notation, so that a shape can hold its names pre-escaped
+// (Shape.JSONKeys).
+func AppendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if jsonSafe[c] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+// jsonSafe reports the ASCII bytes a JSON string carries as they are.
+var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		safe[c] = !strings.ContainsRune("\"\\<>&", c)
+	}
+	return safe
+}()
 
 // String renders the value as a hexadecimal blob literal.
 func (b Bytes) String() string { return string(appendBlob(nil, b)) }

@@ -39,6 +39,16 @@ type Shape struct {
 	hash uint64
 	// order is nil until a tuple of the shape is first compared or keyed.
 	order atomic.Pointer[nameOrder]
+	// json is nil until a tuple of the shape is first encoded as JSON.
+	json atomic.Pointer[jsonKeys]
+}
+
+// jsonKeys is a shape's names as JSON object keys, each quoted, escaped
+// and followed by its colon, end to end in buf; name i's key ends at
+// ends[i].
+type jsonKeys struct {
+	buf  []byte
+	ends []int32
 }
 
 // nameOrder is a shape's positions sorted by name, then position, and
@@ -52,8 +62,8 @@ const (
 	// maxShapeTableBytes bounds what the transition tree may retain.
 	maxShapeTableBytes = 4 << 20
 	// shapeOverhead is a shared shape's fixed cost against that bound
-	// (the struct); the names it allocates and its cached order are
-	// charged by length, when they are allocated.
+	// (the struct); the names it allocates, its cached order and its JSON
+	// keys are charged by length, when they are allocated.
 	shapeOverhead = 80
 )
 
@@ -219,4 +229,30 @@ func (s *Shape) sorted() ([]int32, bool) {
 		}
 	}
 	return o.pos, o.dup
+}
+
+// JSONKeys returns s's names rendered as JSON object keys (`"name":`,
+// escaped as AppendJSONString escapes) end to end, and the end offset of
+// each in that slice; both are shared and must not be changed. Encoding a
+// row is per-row work, so like sorted the keys are rendered once per
+// shape, by the first tuple of it that is encoded.
+func (s *Shape) JSONKeys() ([]byte, []int32) {
+	k := s.json.Load()
+	if k == nil {
+		k = &jsonKeys{ends: make([]int32, len(s.names))}
+		for i, name := range s.names {
+			k.buf = append(AppendJSONString(k.buf, name), ':')
+			k.ends[i] = int32(len(k.buf))
+		}
+		if s.json.CompareAndSwap(nil, k) {
+			shapeMu.Lock()
+			if s.inTree() {
+				chargeShapeTree(len(k.buf) + 4*len(k.ends))
+			}
+			shapeMu.Unlock()
+		} else {
+			k = s.json.Load()
+		}
+	}
+	return k.buf, k.ends
 }
