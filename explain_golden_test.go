@@ -48,7 +48,7 @@ func goldenEngine(t *testing.T) *sqlpp.Engine {
 // sequential plans: pushdown filters, hash joins (inner and left with
 // padding), grouping with HAVING, DISTINCT, Top-K with heap evictions,
 // correlated unnesting, a correlated subquery (whose operators accumulate
-// across outer rows), and a set operation.
+// across outer rows), a set operation, a PIVOT and a FROM-less block.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	db := goldenEngine(t)
 	cases := []struct {
@@ -160,6 +160,27 @@ func TestExplainAnalyzeGolden(t *testing.T) {
         filter(pushed) in=6 out=4 est_rows=4
     select(2:12) in=0 out=3
       scan(d) in=3 out=3 est_rows=3
+`,
+		},
+		{
+			// A PIVOT is a planned block whose sink builds one tuple.
+			name:  "pivot-pushdown",
+			query: `PIVOT e.salary AT e.name FROM emp AS e WHERE e.deptno = 10`,
+			want: `query in=0 out=0
+  pivot(1:1) in=0 out=1
+    scan(e) in=6 out=6 est_rows=6
+      filter(pushed) in=6 out=3 est_rows=3
+`,
+		},
+		{
+			// A FROM-less block is planned too: its variable-free WHERE
+			// conjunct runs once, before the one empty binding.
+			name:  "from-less",
+			query: `SELECT VALUE x LET x = 2 WHERE x > 1 AND TRUE`,
+			want: `query in=0 out=0
+  select(1:1) in=0 out=1
+    filter(pre) in=1 out=1
+    filter(residual) in=1 out=1
 `,
 		},
 	}

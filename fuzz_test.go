@@ -43,6 +43,10 @@ func FuzzEvalPermissive(f *testing.F) {
 	// fold (materialized).
 	f.Add(`SELECT x.b AS b, COUNT(*) AS n, SUM(x.a) AS s, MAX(x.a) AS m, ARRAY_AGG(x.a) AS xs FROM t AS x GROUP BY x.b HAVING COUNT(x.a) >= 0 ORDER BY SUM(x.a), b`)
 	f.Add(`FROM t AS x GROUP BY x.a AS a GROUP AS g SELECT a AS a, g AS members, COLL_COUNT(g) AS n, COLL_SUM(SELECT VALUE v.x.a FROM g AS v WHERE v.x.a > 0) AS s`)
+	// A PIVOT block through every clause, and a WITH nested in an
+	// expression (evaluated through the query runner, not plan.Run).
+	f.Add(`PIVOT SUM(y) AT k FROM t AS x LET y = x.a * 2 WHERE x.a > 0 GROUP BY x.b AS k HAVING COUNT(*) > 0`)
+	f.Add(`SELECT VALUE [(WITH a AS 1 SELECT VALUE a)]`)
 
 	db := sqlpp.New(&sqlpp.Options{MaxCollectionSize: 4096})
 	oracle := sqlpp.New(&sqlpp.Options{MaxCollectionSize: 4096, DisableOptimizer: true})

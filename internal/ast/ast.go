@@ -208,7 +208,6 @@ func (*Exists) exprNode()      {}
 func (*SFW) exprNode()         {}
 func (*With) exprNode()        {}
 func (*Window) exprNode()      {}
-func (*PivotQuery) exprNode()  {}
 func (*SetOp) exprNode()       {}
 
 // SelectItem is one projection of a SQL-style SELECT list. StarOf non-nil
@@ -221,10 +220,14 @@ type SelectItem struct {
 }
 
 // SelectClause is the SELECT clause. Exactly one of Value (SELECT VALUE
-// expr), Star (SELECT *), or Items is set.
+// expr), Star (SELECT *), or Items is set. PivotAt non-nil makes the
+// block a PIVOT (§VI-B), "PIVOT Value AT PivotAt FROM ...": it builds one
+// tuple with the attribute (PivotAt, Value) per binding instead of a
+// collection.
 type SelectClause struct {
 	Distinct bool
 	Value    Expr
+	PivotAt  Expr
 	Star     bool
 	Items    []SelectItem
 }
@@ -337,23 +340,11 @@ type SFW struct {
 	Windows []NamedWindow
 	// Phys is the physical-plan annotation attached by the optimizer
 	// (plan.Optimize). It is opaque to this package and ignored by
-	// printing, cloning, and type checking; nil means the block executes
-	// with the naive clause pipeline.
+	// printing, cloning, and type checking. Every block of an optimized
+	// tree carries one, FROM-less and PIVOT blocks included; nil means
+	// the optimizer was disabled and the block executes with the naive
+	// clause pipeline.
 	Phys any
-}
-
-// PivotQuery is "PIVOT valueExpr AT nameExpr FROM ... WHERE ... GROUP BY
-// ...": it evaluates like an SFW block but constructs a single tuple,
-// one attribute per binding.
-type PivotQuery struct {
-	position
-	Value   Expr
-	Name    Expr
-	From    []FromItem
-	Lets    []LetBinding
-	Where   Expr
-	GroupBy *GroupBy
-	Having  Expr
 }
 
 // SetOp combines two query expressions with UNION/INTERSECT/EXCEPT.

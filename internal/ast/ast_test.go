@@ -127,10 +127,9 @@ func TestCloneFullQuery(t *testing.T) {
 	if Format(q) != Format(cl) {
 		t.Errorf("full query clone mismatch:\n%s\n%s", Format(q), Format(cl))
 	}
-	pivot := &PivotQuery{
-		Value: &VarRef{Name: "v"},
-		Name:  &VarRef{Name: "n"},
-		From:  []FromItem{&FromExpr{Expr: &NamedRef{Name: "t"}, As: "r"}},
+	pivot := &SFW{
+		Select: SelectClause{Value: &VarRef{Name: "v"}, PivotAt: &VarRef{Name: "n"}},
+		From:   []FromItem{&FromExpr{Expr: &NamedRef{Name: "t"}, As: "r"}},
 	}
 	if Format(CloneExpr(pivot)) != Format(pivot) {
 		t.Error("pivot clone mismatch")

@@ -113,16 +113,6 @@ func (cn cloner) expr(e Expr) Expr {
 		return &c
 	case *SFW:
 		return cn.cloneSFW(x)
-	case *PivotQuery:
-		c := *x
-		c.Value = cn.expr(x.Value)
-		c.Name = cn.expr(x.Name)
-		c.From = cn.cloneFromItems(x.From)
-		c.Lets = cn.cloneLets(x.Lets)
-		c.Where = cn.expr(x.Where)
-		c.GroupBy = cn.cloneGroupBy(x.GroupBy)
-		c.Having = cn.expr(x.Having)
-		return &c
 	case *SetOp:
 		c := *x
 		c.L = cn.expr(x.L)
@@ -162,6 +152,7 @@ func (cn cloner) cloneSFW(q *SFW) *SFW {
 	c := *q
 	c.Phys = nil // physical annotations never survive a clone
 	c.Select.Value = cn.expr(q.Select.Value)
+	c.Select.PivotAt = cn.expr(q.Select.PivotAt)
 	c.Select.Items = make([]SelectItem, len(q.Select.Items))
 	for i, it := range q.Select.Items {
 		c.Select.Items[i] = SelectItem{

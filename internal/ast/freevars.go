@@ -140,8 +140,6 @@ func (w *fvWalker) expr(e Expr) {
 		w.expr(x.Operand)
 	case *SFW:
 		w.sfw(x)
-	case *PivotQuery:
-		w.pivot(x)
 	case *SetOp:
 		w.expr(x.L)
 		w.expr(x.R)
@@ -194,6 +192,7 @@ func (w *fvWalker) sfw(q *SFW) {
 		win.w = w
 		w.windows(q.Windows, &win)
 		w.expr(q.Select.Value)
+		w.expr(q.Select.PivotAt)
 		w.selectItems(q.Select.Items)
 		for _, o := range q.OrderBy {
 			w.expr(o.Expr)
@@ -225,49 +224,12 @@ func (w *fvWalker) sfw(q *SFW) {
 	win.w = w
 	w.windows(q.Windows, &win)
 	w.expr(q.Select.Value)
+	w.expr(q.Select.PivotAt)
 	w.selectItems(q.Select.Items)
 	for _, o := range q.OrderBy {
 		w.expr(o.Expr)
 	}
 	win.pop()
-	post.pop()
-}
-
-func (w *fvWalker) pivot(q *PivotQuery) {
-	var pre fvScope
-	pre.w = w
-	for _, item := range q.From {
-		w.fromItem(item, &pre)
-	}
-	for _, l := range q.Lets {
-		w.expr(l.Expr)
-		pre.bind(l.Name)
-	}
-	w.expr(q.Where)
-	if q.GroupBy == nil {
-		w.expr(q.Having)
-		w.expr(q.Value)
-		w.expr(q.Name)
-		pre.pop()
-		return
-	}
-	for _, key := range q.GroupBy.Keys {
-		w.expr(key.Expr)
-	}
-	pre.pop()
-	var post fvScope
-	post.w = w
-	for i, key := range q.GroupBy.Keys {
-		alias := key.Alias
-		if alias == "" {
-			alias = implicitKeyAlias(i)
-		}
-		post.bind(alias)
-	}
-	post.bind(q.GroupBy.GroupAs)
-	w.expr(q.Having)
-	w.expr(q.Value)
-	w.expr(q.Name)
 	post.pop()
 }
 

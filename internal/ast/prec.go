@@ -78,7 +78,7 @@ func precOf(e Expr) Prec {
 		return PrecQuery
 	case *SetOp:
 		return PrecSetOp
-	case *SFW, *PivotQuery:
+	case *SFW:
 		return PrecBlock
 	case *Binary:
 		p, _ := InfixPrec(x.Op)

@@ -180,13 +180,6 @@ func printExpr(sb *strings.Builder, e Expr, min Prec) {
 		printExpr(sb, x.Operand, precOf(x))
 	case *SFW:
 		printSFW(sb, x)
-	case *PivotQuery:
-		sb.WriteString("PIVOT ")
-		printExpr(sb, x.Value, PrecOr)
-		sb.WriteString(" AT ")
-		printExpr(sb, x.Name, PrecOr)
-		printFromWhere(sb, x.From, x.Lets, x.Where)
-		printGroupHaving(sb, x.GroupBy, x.Having)
 	case *With:
 		sb.WriteString("WITH ")
 		// A body opening with '(' would turn a binding that ends in a
@@ -296,6 +289,13 @@ func opensQuantifiedSet(first Expr) bool {
 
 func printSFW(sb *strings.Builder, q *SFW) {
 	printSelect := func() {
+		if q.Select.PivotAt != nil {
+			sb.WriteString("PIVOT ")
+			printExpr(sb, q.Select.Value, PrecOr)
+			sb.WriteString(" AT ")
+			printExpr(sb, q.Select.PivotAt, PrecOr)
+			return
+		}
 		sb.WriteString("SELECT ")
 		if q.Select.Distinct {
 			sb.WriteString("DISTINCT ")

@@ -70,18 +70,6 @@ func Inspect(e Expr, v Visitor) {
 		Inspect(x.Operand, v)
 	case *SFW:
 		inspectSFW(x, v)
-	case *PivotQuery:
-		Inspect(x.Value, v)
-		Inspect(x.Name, v)
-		for _, f := range x.From {
-			inspectFrom(f, v)
-		}
-		for _, l := range x.Lets {
-			Inspect(l.Expr, v)
-		}
-		Inspect(x.Where, v)
-		inspectGroupBy(x.GroupBy, v)
-		Inspect(x.Having, v)
 	case *SetOp:
 		Inspect(x.L, v)
 		Inspect(x.R, v)
@@ -102,9 +90,8 @@ func Inspect(e Expr, v Visitor) {
 }
 
 func inspectSFW(q *SFW, v Visitor) {
-	if q.Select.Value != nil {
-		Inspect(q.Select.Value, v)
-	}
+	Inspect(q.Select.Value, v)
+	Inspect(q.Select.PivotAt, v)
 	for _, it := range q.Select.Items {
 		Inspect(it.Expr, v)
 		Inspect(it.StarOf, v)

@@ -94,9 +94,9 @@ func Compile(e ast.Expr, o CompileOpts) CompiledExpr {
 	case *ast.Exists:
 		return compileExists(x, o)
 	}
-	// Query blocks (SFW, PIVOT, set ops) and any future node kinds run
-	// through the interpreter; their sub-blocks get their own compiled
-	// physical plans when they execute.
+	// Query blocks (PIVOT included), set ops, WITH and any future node
+	// kinds run through the interpreter; their sub-blocks get their own
+	// compiled physical plans when they execute.
 	return Interpret(e)
 }
 
@@ -114,9 +114,9 @@ func CompileAll(es []ast.Expr, o CompileOpts) []CompiledExpr {
 
 // Interpret returns e's evaluator through the tree-walking interpreter:
 // what Compile produces for node kinds it does not lower, and what a
-// block that runs without a physical plan (the reference oracle, FROM-less
-// blocks) hands the operators it shares with planned blocks. A nil
-// expression yields nil.
+// block that runs without a physical plan (the reference oracle) hands
+// the operators it shares with planned blocks. A nil expression yields
+// nil.
 func Interpret(e ast.Expr) CompiledExpr {
 	if e == nil {
 		return nil

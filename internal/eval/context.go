@@ -92,8 +92,9 @@ type FuncSource interface {
 	LookupFunc(name string) (*FuncDef, bool)
 }
 
-// QueryRunner executes a query-block expression (SFW, PIVOT, set
-// operation) in an environment; installed by package plan.
+// QueryRunner executes a query expression (a query block, PIVOT
+// included, a set operation or a WITH) in an environment; installed by
+// package plan.
 type QueryRunner func(ctx *Context, env *Env, q ast.Expr) (value.Value, error)
 
 // Context carries per-query evaluation state: modes, catalog, functions,

@@ -97,7 +97,7 @@ func Eval(ctx *Context, env *Env, e ast.Expr) (value.Value, error) {
 			return nil, err
 		}
 		return existsValue(ctx, v, x.Pos())
-	case *ast.SFW, *ast.PivotQuery, *ast.SetOp:
+	case *ast.SFW, *ast.SetOp, *ast.With:
 		if ctx.Run == nil {
 			return nil, fmt.Errorf("eval: no query runner installed for nested query at %s", e.Pos())
 		}

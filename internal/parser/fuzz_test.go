@@ -34,6 +34,8 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Add("SELECT VALUE (FROM g AS v SELECT VALUE v) FROM t AS g")
 	f.Add("PIVOT x.v AT x.k FROM t AS x")
+	f.Add("PIVOT SUM(y) AT k FROM t AS x LET y = x.a * 2 WHERE x.a > 0 GROUP BY x.b AS k HAVING COUNT(*) > 0")
+	f.Add("SELECT VALUE [(WITH a AS 1 SELECT VALUE a)]")
 	f.Add("SELECT a FROM t ORDER BY a LIMIT 1 OFFSET 2")
 	f.Fuzz(func(t *testing.T, src string) {
 		tree, err := parser.Parse(src)

@@ -545,24 +545,14 @@ func (p *parser) parsePivot() (ast.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Reuse the SFW tail machinery via a scratch block.
-	scratch := &ast.SFW{}
+	q := &ast.SFW{Select: ast.SelectClause{Value: valueExpr, PivotAt: nameExpr}}
+	setPos(q, pos)
 	if !p.at("FROM") {
 		return nil, p.errf(p.peek().Pos, "expected FROM clause in PIVOT query")
 	}
-	if err := p.parseFromTail(scratch); err != nil {
+	if err := p.parseFromTail(q); err != nil {
 		return nil, err
 	}
-	q := &ast.PivotQuery{
-		Value:   valueExpr,
-		Name:    nameExpr,
-		From:    scratch.From,
-		Lets:    scratch.Lets,
-		Where:   scratch.Where,
-		GroupBy: scratch.GroupBy,
-		Having:  scratch.Having,
-	}
-	setPos(q, pos)
 	return q, nil
 }
 

@@ -380,13 +380,13 @@ func TestSetOps(t *testing.T) {
 	}
 }
 
-func TestPivotQueryShape(t *testing.T) {
+func TestPivotBlockShape(t *testing.T) {
 	e := MustParse(`PIVOT dp.price AT dp.symbol FROM dates AS dp WHERE dp.price > 0 GROUP BY dp.k AS k`)
-	p, ok := e.(*ast.PivotQuery)
+	p, ok := e.(*ast.SFW)
 	if !ok {
 		t.Fatalf("got %T", e)
 	}
-	if p.Where == nil || p.GroupBy == nil || len(p.From) != 1 {
+	if p.Select.PivotAt == nil || p.Select.Value == nil || p.Where == nil || p.GroupBy == nil || len(p.From) != 1 {
 		t.Errorf("pivot pieces missing: %+v", p)
 	}
 }

@@ -386,6 +386,11 @@ func (st *physState) produce(ctx *eval.Context, k emit) error {
 	if st.preFilter != nil {
 		st.preFilter.AddOut(1)
 	}
+	if len(st.phys.steps) == 0 {
+		// A FROM-less block: one empty binding, in a child environment so
+		// LET never binds into the enclosing one (as produceFrom).
+		return k(st.outer.Child())
+	}
 	if st.phys.reorder != nil {
 		return st.produceReordered(ctx, k)
 	}

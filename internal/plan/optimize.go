@@ -228,10 +228,11 @@ func Optimize(root ast.Expr, o OptOptions) []string {
 	return notes
 }
 
-// analyzeSFW computes the physical plan of one block, or nil when the
-// naive pipeline is already optimal (no FROM items).
+// analyzeSFW computes the physical plan of one block. Every Core block
+// gets one, FROM-less and PIVOT blocks included: a FROM-less plan has no
+// steps, and its chain feeds one empty binding to the clauses.
 func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
-	if q.Select.Value == nil || len(q.From) == 0 {
+	if q.Select.Value == nil {
 		return nil, nil
 	}
 	permissive := o.Mode == eval.Permissive
@@ -421,7 +422,7 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 	// scan as the outermost item. GROUP BY, DISTINCT, and HAVING all
 	// merge deterministically (see parallel.go). Reordered chains buffer
 	// and re-sort bindings, which assumes straight-line production.
-	if len(q.OrderBy) == 0 && q.Limit == nil && q.Offset == nil && len(q.Windows) == 0 && phys.reorder == nil {
+	if n > 0 && len(q.OrderBy) == 0 && q.Limit == nil && q.Offset == nil && len(q.Windows) == 0 && phys.reorder == nil {
 		if _, ok := phys.steps[0].item.(*ast.FromExpr); ok && phys.steps[0].hash == nil && phys.steps[0].idx == nil {
 			phys.parallel = true
 		}

@@ -51,7 +51,7 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 		if ctx.Stats != nil && len(phys.pre) > 0 {
 			ctx.Stats.Node(statsParent(ctx), phys, "pre", "filter", "pre").AddIn(1)
 		}
-		return value.Bag(nil), true, nil
+		return newRowSink(ctx, q, ex, false, -1, 0).finish(-1, 0), true, nil
 	}
 	src, err := phys.steps[0].srcC(ctx, outer)
 	if err != nil {
@@ -135,7 +135,7 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 			ws[w].grouper = newGrouper(wctx, outer, q.GroupBy, ex.group, phys)
 			consume = ws[w].grouper.add
 		} else {
-			consume = havingChain(wctx, q, ex, sink.project)
+			consume = havingChain(wctx, q, ex, sink.consumer())
 		}
 		consume = preGroupChain(wctx, q, ex, consume)
 		wg.Add(1)
@@ -216,10 +216,10 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 			}
 		}
 		sink := newRowSink(ctx, q, ex, false, -1, 0)
-		if err := merged.flush(havingChain(ctx, q, ex, sink.project)); err != nil && err != errStop {
+		if err := merged.flush(havingChain(ctx, q, ex, sink.consumer())); err != nil && err != errStop {
 			return nil, true, err
 		}
-		return value.Bag(sink.out), true, nil
+		return sink.finish(-1, 0), true, nil
 	}
 
 	if q.Select.Distinct {
@@ -256,11 +256,15 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 	if err := checkSize(ctx, total); err != nil {
 		return nil, true, err
 	}
-	out := make([]value.Value, 0, total)
+	// A PIVOT's pairs concatenate like rows, so duplicate names keep
+	// their sequential order.
+	sink := newRowSink(ctx, q, ex, false, -1, 0)
+	sink.out = make([]value.Value, 0, total)
 	for i := range ws {
-		out = append(out, ws[i].sink.out...)
+		sink.out = append(sink.out, ws[i].sink.out...)
+		sink.keys = append(sink.keys, ws[i].sink.keys...)
 	}
-	return value.Bag(out), true, nil
+	return sink.finish(-1, 0), true, nil
 }
 
 // merge folds another worker's groups into g, preserving g's (chunk

@@ -35,7 +35,7 @@ var errStop = errors.New("plan: stop iteration")
 // recursing without bound.
 func Run(ctx *eval.Context, env *eval.Env, e ast.Expr) (value.Value, error) {
 	switch e.(type) {
-	case *ast.SFW, *ast.PivotQuery, *ast.SetOp, *ast.With:
+	case *ast.SFW, *ast.SetOp, *ast.With:
 	default:
 		return eval.Eval(ctx, env, e)
 	}
@@ -56,8 +56,6 @@ func runBlock(ctx *eval.Context, env *eval.Env, e ast.Expr) (value.Value, error)
 	switch q := e.(type) {
 	case *ast.SFW:
 		return runSFW(ctx, env, q)
-	case *ast.PivotQuery:
-		return runPivot(ctx, env, q)
 	case *ast.SetOp:
 		return runSetOp(ctx, env, q)
 	case *ast.With:
@@ -81,18 +79,19 @@ type emit func(*eval.Env) error
 
 // clauseExprs are the evaluators of the clause expressions every block
 // runs, planned or not: the WHERE conjuncts left in clause position, LET
-// sources, GROUP BY keys, HAVING, the SELECT projection and ORDER BY keys.
-// The evaluator is chosen once, where the closures are made — eval.Compile
-// when the optimizer plans the block, eval.Interpret when a block runs
-// without a plan (the reference oracle, FROM-less blocks) — so the
-// operators below hold closures and no AST to fall back on.
+// sources, GROUP BY keys, HAVING, the SELECT projection (with a PIVOT's
+// name) and ORDER BY keys. The evaluator is chosen once, where the
+// closures are made — eval.Compile when the optimizer plans the block,
+// eval.Interpret when the optimizer is disabled (the reference oracle) —
+// so the operators below hold closures and no AST to fall back on.
 type clauseExprs struct {
-	where  []eval.CompiledExpr
-	lets   []eval.CompiledExpr
-	group  []eval.CompiledExpr
-	having eval.CompiledExpr
-	sel    eval.CompiledExpr
-	order  []eval.CompiledExpr
+	where   []eval.CompiledExpr
+	lets    []eval.CompiledExpr
+	group   []eval.CompiledExpr
+	having  eval.CompiledExpr
+	sel     eval.CompiledExpr
+	pivotAt eval.CompiledExpr
+	order   []eval.CompiledExpr
 }
 
 // newClauseExprs lowers q's clause expressions with compile; where are the
@@ -100,7 +99,7 @@ type clauseExprs struct {
 //
 // governor: accumulation bounded by the block's clause count, AST size.
 func newClauseExprs(q *ast.SFW, where []ast.Expr, compile func(ast.Expr) eval.CompiledExpr) clauseExprs {
-	ex := clauseExprs{having: compile(q.Having), sel: compile(q.Select.Value)}
+	ex := clauseExprs{having: compile(q.Having), sel: compile(q.Select.Value), pivotAt: compile(q.Select.PivotAt)}
 	for _, w := range where {
 		ex.where = append(ex.where, compile(w))
 	}
@@ -127,9 +126,10 @@ func groupKeyExprs(spec *ast.GroupBy, compile func(ast.Expr) eval.CompiledExpr) 
 
 // rowSink collects a block's projected rows: DISTINCT filtering, ORDER
 // BY key evaluation (full sort or bounded top-K heap), LIMIT early-stop,
-// and the collection-size guard. The parallel executor runs one sink per
-// worker and merges them in chunk order, which is why the sink is a
-// struct rather than closure state.
+// and the collection-size guard. A PIVOT block's sink collects (name,
+// value) pairs instead and finishes them into one tuple. The parallel
+// executor runs one sink per worker and merges them in chunk order,
+// which is why the sink is a struct rather than closure state.
 type rowSink struct {
 	ctx *eval.Context
 	q   *ast.SFW
@@ -140,8 +140,9 @@ type rowSink struct {
 	// (no ORDER BY, DISTINCT, GROUP BY, or windows); -1 otherwise.
 	stopAt int64
 	out    []value.Value
-	// keys are the canonical DISTINCT keys of out's rows, kept only for
-	// parallel workers so the merge can re-deduplicate globally.
+	// keys hold one string per row of out: its canonical DISTINCT key,
+	// kept only for parallel workers so the merge can re-deduplicate
+	// globally, or, in a PIVOT block's sink, its attribute name.
 	keys     []string
 	keepKeys bool
 	rows     []sortRow
@@ -201,6 +202,48 @@ func newRowSink(ctx *eval.Context, q *ast.SFW, ex *clauseExprs, ordered bool, li
 		}
 	}
 	return s
+}
+
+// consumer is the sink's per-binding entry, chosen once per block: pivot
+// for a PIVOT block, project otherwise.
+func (s *rowSink) consumer() emit {
+	if s.q.Select.PivotAt != nil {
+		return s.pivot
+	}
+	return s.project
+}
+
+// pivot evaluates a PIVOT block's attribute name and value for one
+// binding (§VI-B) and collects the pair. A name that is not a string is
+// a type error under stop-on-error and skips the binding in permissive
+// mode; a MISSING value adds no attribute.
+func (s *rowSink) pivot(env *eval.Env) error {
+	nameV, err := s.ex.pivotAt(s.ctx, env)
+	if err != nil {
+		return err
+	}
+	name, ok := nameV.(value.String)
+	if !ok {
+		if s.ctx.Mode == eval.StopOnError {
+			return &eval.TypeError{Pos: s.q.Select.PivotAt.Pos(), Op: "PIVOT", Detail: "attribute name is " + nameV.Kind().String()}
+		}
+		return nil
+	}
+	v, err := s.ex.sel(s.ctx, env)
+	if err != nil {
+		return err
+	}
+	if v.Kind() != value.KindMissing {
+		s.keys = append(s.keys, string(name))
+		s.out = append(s.out, v)
+		if err := checkSize(s.ctx, len(s.out)); err != nil {
+			return err
+		}
+	}
+	if s.gov != nil {
+		return s.gov.ChargeValues("pivot", 1, v)
+	}
+	return nil
 }
 
 // project evaluates SELECT VALUE for one binding and folds the row in.
@@ -346,8 +389,15 @@ func (s *rowSink) projectTopK(env *eval.Env) error {
 }
 
 // finish sorts (if ordered) and applies LIMIT/OFFSET, returning the
-// block's result collection.
+// block's result collection — or, for a PIVOT block, its one tuple.
 func (s *rowSink) finish(limit, offset int64) value.Value {
+	if s.q.Select.PivotAt != nil {
+		t := value.EmptyTuple()
+		for i, v := range s.out {
+			t.Put(s.keys[i], v)
+		}
+		return t
+	}
 	out := s.out
 	if s.ordered {
 		var stopSort func()
@@ -496,7 +546,11 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 	// for everything (including subqueries) executed while it runs.
 	var block *eval.StatsNode
 	if ctx.Stats != nil {
-		block = ctx.Stats.Node(statsParent(ctx), q, "block", "select", q.Pos().String())
+		op := "select"
+		if q.Select.PivotAt != nil {
+			op = "pivot"
+		}
+		block = ctx.Stats.Node(statsParent(ctx), q, "block", op, q.Pos().String())
 		buildBlockSkeleton(ctx, q, phys, limit, offset, block)
 		saved := ctx.StatsParent
 		ctx.StatsParent = block
@@ -518,7 +572,7 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 	// Window functions force materialization of the post-group bindings:
 	// each partition must be complete before any row's value is known.
 	var windowEnvs []*eval.Env
-	postHaving := sink.project
+	postHaving := sink.consumer()
 	if len(q.Windows) > 0 {
 		sink.stopAt = -1
 		postHaving = func(env *eval.Env) error {
@@ -750,101 +804,4 @@ func (h *topKHeap) finish() []sortRow {
 	rows := h.rows
 	sort.Slice(rows, func(i, j int) bool { return h.before(rows[i], rows[j]) })
 	return rows
-}
-
-// runPivot executes a PIVOT query (§VI-B): the pipeline's bindings each
-// contribute one attribute (name, value) to a single constructed tuple.
-// Bindings whose name is not a string or whose value is MISSING are
-// skipped in permissive mode and are an error in stop-on-error mode.
-func runPivot(ctx *eval.Context, outer *eval.Env, q *ast.PivotQuery) (value.Value, error) {
-	ctx.PlanPos = q.Pos()
-	if ctx.Stats != nil {
-		block := ctx.Stats.Node(statsParent(ctx), q, "block", "pivot", q.Pos().String())
-		block.AddOut(1)
-		saved := ctx.StatsParent
-		ctx.StatsParent = block
-		defer func() { ctx.StatsParent = saved }()
-		defer block.Timer()()
-	}
-	result := value.EmptyTuple()
-	project := func(env *eval.Env) error {
-		nameV, err := eval.Eval(ctx, env, q.Name)
-		if err != nil {
-			return err
-		}
-		name, ok := nameV.(value.String)
-		if !ok {
-			if ctx.Mode == eval.StopOnError {
-				return &eval.TypeError{Pos: q.Name.Pos(), Op: "PIVOT", Detail: "attribute name is " + nameV.Kind().String()}
-			}
-			return nil
-		}
-		v, err := eval.Eval(ctx, env, q.Value)
-		if err != nil {
-			return err
-		}
-		result.Put(string(name), v)
-		if ctx.Gov != nil {
-			return ctx.Gov.ChargeValues("pivot", 1, v)
-		}
-		return nil
-	}
-	post := project
-	if q.Having != nil {
-		inner := post
-		post = func(env *eval.Env) error {
-			cond, err := eval.Eval(ctx, env, q.Having)
-			if err != nil {
-				return err
-			}
-			if !eval.IsTrue(cond) {
-				return nil
-			}
-			return inner(env)
-		}
-	}
-	var consume emit
-	var grouper *groupState
-	if q.GroupBy != nil {
-		grouper = newGroupState(ctx, outer, q.GroupBy, groupKeyExprs(q.GroupBy, eval.Interpret))
-		consume = grouper.add
-	} else {
-		consume = post
-	}
-	if q.Where != nil {
-		inner := consume
-		consume = func(env *eval.Env) error {
-			cond, err := eval.Eval(ctx, env, q.Where)
-			if err != nil {
-				return err
-			}
-			if !eval.IsTrue(cond) {
-				return nil
-			}
-			return inner(env)
-		}
-	}
-	if len(q.Lets) > 0 {
-		inner := consume
-		lets := q.Lets
-		consume = func(env *eval.Env) error {
-			for _, l := range lets {
-				v, err := eval.Eval(ctx, env, l.Expr)
-				if err != nil {
-					return err
-				}
-				env.Bind(l.Name, v)
-			}
-			return inner(env)
-		}
-	}
-	if err := produceFrom(ctx, outer, q.From, consume); err != nil && err != errStop {
-		return nil, err
-	}
-	if grouper != nil {
-		if err := grouper.flush(post); err != nil && err != errStop {
-			return nil, err
-		}
-	}
-	return result, nil
 }

@@ -49,8 +49,7 @@ func describeItem(item ast.FromItem) (op, label string) {
 }
 
 // itemNode resolves a FROM item's node. Skeleton-covered items hit; a
-// miss (PIVOT blocks are not skeletonized) creates the node under the
-// current block.
+// miss creates the node under the current block.
 func itemNode(ctx *eval.Context, item ast.FromItem) *eval.StatsNode {
 	op, label := describeItem(item)
 	return ctx.Stats.Node(statsParent(ctx), item, "item", op, label)

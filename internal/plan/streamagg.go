@@ -30,10 +30,10 @@ import (
 
 // streamPlan is the streamed form of one block's GROUP BY.
 type streamPlan struct {
-	// post is a shallow copy of the block whose HAVING, SELECT VALUE,
-	// ORDER BY and window expressions have every fold call replaced by
-	// $AGG($agg<i>), a read of slot i. Execution of a streamed block runs
-	// its post-group half from post.
+	// post is a shallow copy of the block whose HAVING, SELECT VALUE (and
+	// PIVOT name), ORDER BY and window expressions have every fold call
+	// replaced by $AGG($agg<i>), a read of slot i. Execution of a streamed
+	// block runs its post-group half from post.
 	post  *ast.SFW
 	slots []aggSlot
 	// folded are the fold subqueries the slots replaced. They never run,
@@ -113,8 +113,8 @@ func planStreamAgg(q *ast.SFW, o OptOptions) (*streamPlan, string) {
 		r.names[l.Name] = true
 	}
 
-	// Slots are numbered in evaluation order (HAVING, windows, SELECT,
-	// ORDER BY), so a shared slot's argument carries the positions of the
+	// Slots are numbered in evaluation order (HAVING, windows, a PIVOT's
+	// name, SELECT, ORDER BY), so a shared slot's argument carries the positions of the
 	// occurrence evaluated first.
 	post := *q
 	post.Having = r.rewrite(q.Having)
@@ -133,6 +133,7 @@ func planStreamAgg(q *ast.SFW, o OptOptions) (*streamPlan, string) {
 		w.Spec = ast.WindowSpec{PartitionBy: part, OrderBy: r.rewriteOrder(w.Spec.OrderBy)}
 		post.Windows[i] = w
 	}
+	post.Select.PivotAt = r.rewrite(q.Select.PivotAt)
 	post.Select.Value = r.rewrite(q.Select.Value)
 	post.OrderBy = r.rewriteOrder(q.OrderBy)
 	if r.blocked != "" {
@@ -185,7 +186,7 @@ func (r *streamRecognizer) replacePost(e ast.Expr) ast.Expr {
 				r.block(x.Name + "(" + r.g + ")")
 			}
 		}
-	case *ast.SFW, *ast.PivotQuery, *ast.SetOp, *ast.With:
+	case *ast.SFW, *ast.SetOp, *ast.With:
 		// Nested blocks stay shared with the original tree (they carry
 		// their own physical plans); one that sees g needs the collection.
 		if ast.FreeVars(x)[r.g] {
@@ -247,7 +248,7 @@ func (r *streamRecognizer) fold(call *ast.Call) ast.Expr {
 // slot.arg/slot.cond with the expressions un-substituted onto the
 // pre-group variables.
 func (r *streamRecognizer) foldBody(b *ast.SFW, slot *aggSlot) bool {
-	if b.Select.Value == nil || b.Select.Distinct || len(b.From) != 1 || len(b.Lets) > 0 ||
+	if b.Select.Value == nil || b.Select.PivotAt != nil || b.Select.Distinct || len(b.From) != 1 || len(b.Lets) > 0 ||
 		b.GroupBy != nil || b.Having != nil || len(b.OrderBy) > 0 || b.Limit != nil || b.Offset != nil || len(b.Windows) > 0 {
 		return false
 	}
@@ -294,7 +295,7 @@ func (r *streamRecognizer) unsubstitute(e ast.Expr, v string) (ast.Expr, bool) {
 			if x.Name == v {
 				ok = false
 			}
-		case *ast.SFW, *ast.PivotQuery, *ast.SetOp, *ast.With:
+		case *ast.SFW, *ast.SetOp, *ast.With:
 			if ast.FreeVars(x)[v] {
 				ok = false
 			}

@@ -330,8 +330,6 @@ func (rw *rewriter) expr(e ast.Expr, sc *scope) (ast.Expr, error) {
 		return x, nil
 	case *ast.SFW:
 		return rw.sfw(x, sc)
-	case *ast.PivotQuery:
-		return rw.pivot(x, sc)
 	case *ast.With:
 		inner := newScope(sc, false)
 		for i := range x.Bindings {

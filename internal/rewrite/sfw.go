@@ -221,7 +221,7 @@ func (tf *groupTransform) apply(e ast.Expr) ast.Expr {
 	// Recurse into children, but not into nested query blocks: they have
 	// their own scopes and their own grouping.
 	switch x := e.(type) {
-	case *ast.SFW, *ast.PivotQuery, *ast.SetOp:
+	case *ast.SFW, *ast.SetOp:
 		return e
 	case *ast.FieldAccess:
 		x.Base = tf.apply(x.Base)
@@ -436,6 +436,7 @@ func substituteBlockVars(e ast.Expr, blockVars map[string]bool, gi string) ast.E
 		}
 		x.Where = substituteBlockVars(x.Where, blockVars, gi)
 		x.Select.Value = substituteBlockVars(x.Select.Value, blockVars, gi)
+		x.Select.PivotAt = substituteBlockVars(x.Select.PivotAt, blockVars, gi)
 		for i := range x.Select.Items {
 			x.Select.Items[i].Expr = substituteBlockVars(x.Select.Items[i].Expr, blockVars, gi)
 			x.Select.Items[i].StarOf = substituteBlockVars(x.Select.Items[i].StarOf, blockVars, gi)
@@ -466,7 +467,7 @@ func substituteBlockVarsFrom(f ast.FromItem, blockVars map[string]bool, gi strin
 // selectHasAggregate reports whether the SELECT clause contains a shallow
 // SQL aggregate call.
 func selectHasAggregate(s *ast.SelectClause) bool {
-	if hasShallowAggregate(s.Value) {
+	if hasShallowAggregate(s.Value) || hasShallowAggregate(s.PivotAt) {
 		return true
 	}
 	for _, it := range s.Items {
@@ -496,7 +497,7 @@ func hasShallowAggregate(e ast.Expr) bool {
 			return
 		}
 		switch x := e.(type) {
-		case *ast.SFW, *ast.PivotQuery, *ast.SetOp:
+		case *ast.SFW, *ast.SetOp:
 			return
 		case *ast.Call:
 			if IsSQLAggregate(x.Name) {
@@ -591,8 +592,20 @@ func substituteOrderAliases(q *ast.SFW) {
 //	SELECT *                        =>  SELECT VALUE $MERGE(name/value...)
 //
 // lifts window applications onto named per-binding computations, and
-// resolves the resulting value expression in the post-group scope.
+// resolves the resulting value expression in the post-group scope. A
+// PIVOT's value and name resolve the same way, but lift no windows: a
+// window there is left for resolution to reject.
 func (rw *rewriter) lowerSelect(q *ast.SFW, post *scope, tf *groupTransform) error {
+	if q.Select.PivotAt != nil {
+		if tf != nil {
+			q.Select.Value = tf.apply(q.Select.Value)
+			q.Select.PivotAt = tf.apply(q.Select.PivotAt)
+		}
+		if err := rw.coerceInto(&q.Select.Value, post); err != nil {
+			return err
+		}
+		return rw.coerceInto(&q.Select.PivotAt, post)
+	}
 	finish := func() error {
 		lifted, err := rw.liftWindows(q, q.Select.Value, post)
 		if err != nil {
@@ -678,57 +691,4 @@ func (rw *rewriter) lowerSelect(q *ast.SFW, post *scope, tf *groupTransform) err
 		q.Select.Value = valueExpr
 		return finish()
 	}
-}
-
-// pivot rewrites a PIVOT query; it shares the FROM/WHERE/GROUP machinery
-// of query blocks, with the value and name expressions in place of a
-// SELECT clause.
-func (rw *rewriter) pivot(q *ast.PivotQuery, outer *scope) (ast.Expr, error) {
-	blk := newScope(outer, true)
-	for _, f := range q.From {
-		if err := rw.fromItem(f, blk); err != nil {
-			return nil, err
-		}
-	}
-	for i := range q.Lets {
-		e, err := rw.expr(q.Lets[i].Expr, blk)
-		if err != nil {
-			return nil, err
-		}
-		q.Lets[i].Expr = e
-		blk.bindOrdered(q.Lets[i].Name)
-	}
-	if q.Where != nil {
-		if err := rw.coerceInto(&q.Where, blk); err != nil {
-			return nil, err
-		}
-	}
-	post := blk
-	var tf *groupTransform
-	if q.GroupBy != nil {
-		var err error
-		post, tf, err = rw.prepareGroup(q.GroupBy, blk, outer)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if q.Having != nil {
-		if tf != nil {
-			q.Having = tf.apply(q.Having)
-		}
-		if err := rw.coerceInto(&q.Having, post); err != nil {
-			return nil, err
-		}
-	}
-	if tf != nil {
-		q.Value = tf.apply(q.Value)
-		q.Name = tf.apply(q.Name)
-	}
-	if err := rw.coerceInto(&q.Value, post); err != nil {
-		return nil, err
-	}
-	if err := rw.coerceInto(&q.Name, post); err != nil {
-		return nil, err
-	}
-	return q, nil
 }

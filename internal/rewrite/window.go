@@ -61,7 +61,7 @@ func (rw *rewriter) liftWindows(q *ast.SFW, e ast.Expr, sc *scope) (ast.Expr, er
 		ref := &ast.VarRef{Name: name}
 		ref.SetPos(x.Pos())
 		return ref, nil
-	case *ast.SFW, *ast.PivotQuery, *ast.SetOp, *ast.With,
+	case *ast.SFW, *ast.SetOp, *ast.With,
 		*ast.Literal, *ast.VarRef, *ast.NamedRef:
 		return e, nil
 	case *ast.FieldAccess:

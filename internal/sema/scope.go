@@ -188,8 +188,6 @@ func (w *scopeWalker) expr(e ast.Expr) {
 		w.expr(x.Operand)
 	case *ast.SFW:
 		w.sfw(x)
-	case *ast.PivotQuery:
-		w.pivot(x)
 	case *ast.SetOp:
 		w.expr(x.L)
 		w.expr(x.R)
@@ -235,12 +233,15 @@ func (w *scopeWalker) sfw(q *ast.SFW) {
 		win.w = w
 		w.windows(q.Windows, &win)
 		w.expr(q.Select.Value)
+		w.expr(q.Select.PivotAt)
 		w.selectItems(q.Select.Items)
 		for _, o := range q.OrderBy {
 			w.expr(o.Expr)
 		}
 		win.pop(false)
-		pre.pop(false)
+		// PIVOT constructs its tuple from the bindings themselves, so
+		// unused warnings would be spurious.
+		pre.pop(q.Select.PivotAt != nil)
 		return
 	}
 
@@ -274,57 +275,12 @@ func (w *scopeWalker) sfw(q *ast.SFW) {
 	win.w = w
 	w.windows(q.Windows, &win)
 	w.expr(q.Select.Value)
+	w.expr(q.Select.PivotAt)
 	w.selectItems(q.Select.Items)
 	for _, o := range q.OrderBy {
 		w.expr(o.Expr)
 	}
 	win.pop(false)
-	post.pop(false)
-	w.preGroup = savedPre
-}
-
-func (w *scopeWalker) pivot(q *ast.PivotQuery) {
-	var pre semaScope
-	pre.w = w
-	for _, item := range q.From {
-		w.fromItem(item, &pre)
-	}
-	for _, l := range q.Lets {
-		w.expr(l.Expr)
-		pre.bind(&binding{name: l.Name, pos: l.NamePos, kind: "LET"})
-	}
-	w.expr(q.Where)
-	if q.GroupBy == nil {
-		w.expr(q.Having)
-		w.expr(q.Value)
-		w.expr(q.Name)
-		// PIVOT constructs its tuple from the bindings themselves, so
-		// unused warnings would be spurious.
-		pre.pop(true)
-		return
-	}
-	for _, key := range q.GroupBy.Keys {
-		w.expr(key.Expr)
-	}
-	savedPre := w.preGroup
-	w.preGroup = map[string]*binding{}
-	for _, b := range pre.bindings {
-		w.preGroup[b.name] = b
-	}
-	pre.pop(true)
-	var post semaScope
-	post.w = w
-	for i, key := range q.GroupBy.Keys {
-		alias := key.Alias
-		if alias == "" {
-			alias = implicitKeyAlias(i)
-		}
-		post.bind(&binding{name: alias, pos: key.AliasPos})
-	}
-	post.bind(&binding{name: q.GroupBy.GroupAs, pos: q.GroupBy.GroupAsPos})
-	w.expr(q.Having)
-	w.expr(q.Value)
-	w.expr(q.Name)
 	post.pop(false)
 	w.preGroup = savedPre
 }

@@ -163,6 +163,9 @@ var identityQueries = []struct {
 	// sorts on the stored key values.
 	{"SELECT VALUE o FROM orders AS o ORDER BY (SELECT VALUE COUNT(*) FROM dims AS d WHERE d.k = o.g) DESC, o.v", "topk"},
 	{"SELECT DISTINCT x.g AS g FROM orders AS x ORDER BY g", "gather"},
+	// A PIVOT block builds one tuple: no partial merge applies.
+	{"PIVOT x.v AT x.g FROM orders AS x WHERE x.v > 3", "gather"},
+	{"PIVOT SUM(x.v) AT g FROM orders AS x GROUP BY x.g AS g", "gather"},
 	// Local: no sharded reference at all.
 	{"SELECT VALUE d.label FROM dims AS d ORDER BY d.k", "local"},
 }

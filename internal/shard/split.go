@@ -61,8 +61,9 @@ func classify(query string, specs map[string]Spec) *scatterPlan {
 		return &scatterPlan{class: "local"}
 	}
 	gather := &scatterPlan{class: "gather", gather: refs}
+	// A PIVOT builds one tuple, which no partial merge reassembles.
 	sfw, ok := tree.(*ast.SFW)
-	if !ok {
+	if !ok || sfw.Select.PivotAt != nil {
 		return gather
 	}
 	if len(refs) > 1 {
@@ -221,13 +222,6 @@ func eachBinding(e ast.Expr, fn func(string)) {
 					fn(k.Alias)
 				}
 				fn(x.GroupBy.GroupAs)
-			}
-		case *ast.PivotQuery:
-			for _, f := range x.From {
-				eachFromBinding(f, fn)
-			}
-			for _, l := range x.Lets {
-				fn(l.Name)
 			}
 		case *ast.With:
 			for _, b := range x.Bindings {
@@ -463,7 +457,7 @@ func walkShallow(e ast.Expr, fn func(ast.Expr) bool) {
 	}
 	ast.Inspect(e, func(n ast.Expr) bool {
 		switch n.(type) {
-		case *ast.SFW, *ast.PivotQuery, *ast.SetOp, *ast.With:
+		case *ast.SFW, *ast.SetOp, *ast.With:
 			// The root may itself be a block only when e is one; the
 			// callers never pass blocks, so any block here is nested.
 			return false
@@ -879,7 +873,7 @@ func (s *groupMergeSubst) apply(e ast.Expr) ast.Expr {
 		return e
 	}
 	switch e.(type) {
-	case *ast.SFW, *ast.PivotQuery, *ast.SetOp, *ast.With:
+	case *ast.SFW, *ast.SetOp, *ast.With:
 		// Nested blocks would need correlation analysis; flag and let the
 		// caller fall back.
 		s.bad = true
@@ -981,7 +975,7 @@ func (s *aliasSubst) apply(e ast.Expr) ast.Expr {
 		return e
 	}
 	switch e.(type) {
-	case *ast.SFW, *ast.PivotQuery, *ast.SetOp, *ast.With:
+	case *ast.SFW, *ast.SetOp, *ast.With:
 		ast.Inspect(e, func(n ast.Expr) bool {
 			if v, ok := n.(*ast.VarRef); ok {
 				if _, hit := s.aliases[v.Name]; hit {

@@ -230,9 +230,6 @@ func (c *checker) expr(e ast.Expr, env typeEnv) Type {
 		return &BagOf{Elem: elem}
 	case *ast.SFW:
 		return c.sfw(x, env)
-	case *ast.PivotQuery:
-		c.pivot(x, env)
-		return &Struct{Open: true}
 	case *ast.SetOp:
 		lt := c.expr(x.L, env)
 		rt := c.expr(x.R, env)
@@ -293,7 +290,8 @@ func (c *checker) navigate(base Type, name string, pos lexer.Pos) Type {
 	return Any
 }
 
-// sfw types a query block and checks its clauses.
+// sfw types a query block and checks its clauses. A PIVOT block builds
+// one tuple whose attribute names are data.
 func (c *checker) sfw(q *ast.SFW, env typeEnv) Type {
 	inner := env.child()
 	for _, f := range q.From {
@@ -328,11 +326,15 @@ func (c *checker) sfw(q *ast.SFW, env typeEnv) Type {
 		post[w.Name] = Any
 	}
 	elem := c.expr(q.Select.Value, post)
+	c.expr(q.Select.PivotAt, post)
 	for _, o := range q.OrderBy {
 		c.expr(o.Expr, post)
 	}
 	c.expr(q.Limit, env)
 	c.expr(q.Offset, env)
+	if q.Select.PivotAt != nil {
+		return &Struct{Open: true}
+	}
 	if elem == nil {
 		elem = Any
 	}
@@ -340,30 +342,6 @@ func (c *checker) sfw(q *ast.SFW, env typeEnv) Type {
 		return &ArrayOf{Elem: elem}
 	}
 	return &BagOf{Elem: elem}
-}
-
-func (c *checker) pivot(q *ast.PivotQuery, env typeEnv) {
-	inner := env.child()
-	for _, f := range q.From {
-		c.fromItem(f, inner)
-	}
-	for _, l := range q.Lets {
-		inner[l.Name] = c.expr(l.Expr, inner)
-	}
-	c.expr(q.Where, inner)
-	post := inner
-	if q.GroupBy != nil {
-		post = env.child()
-		for _, k := range q.GroupBy.Keys {
-			post[k.Alias] = c.expr(k.Expr, inner)
-		}
-		if q.GroupBy.GroupAs != "" {
-			post[q.GroupBy.GroupAs] = &BagOf{Elem: &Struct{Open: true}}
-		}
-	}
-	c.expr(q.Having, post)
-	c.expr(q.Value, post)
-	c.expr(q.Name, post)
 }
 
 // fromItem types the variables a FROM item introduces.

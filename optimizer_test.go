@@ -9,7 +9,9 @@ package sqlpp_test
 // it over a generated corpus and over every paper listing.
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"sqlpp"
@@ -37,6 +39,16 @@ var optimizerBattery = []string{
 	`SELECT VALUE e.name FROM emp AS e ORDER BY e.salary DESC, e.name LIMIT 12 OFFSET 3`,
 	`SELECT e.name AS n FROM emp AS e
 	 WHERE EXISTS (SELECT VALUE d FROM dept AS d WHERE d.dno = e.deptno AND d.budget > 400000)`,
+	// PIVOT blocks run planned: a pushed filter under a parallel scan
+	// (titles repeat, so duplicate attribute names must keep their
+	// sequential order), a hash join, and a streamed fold.
+	`PIVOT e.salary AT e.title FROM emp AS e WHERE e.salary > 150000`,
+	`PIVOT d.budget AT e.name FROM emp AS e JOIN dept AS d ON e.deptno = d.dno WHERE e.salary > 190000`,
+	`PIVOT AVG(e.salary) AT t FROM emp AS e GROUP BY e.title AS t`,
+	// FROM-less blocks, top-level and correlated, whose LETs must not
+	// bind into the enclosing environment.
+	`SELECT VALUE {'a': a, 'b': b} LET a = 2, b = a * 3 WHERE b > 5`,
+	`SELECT e.name AS n, (SELECT VALUE s LET s = e.salary * 2) AS dbl FROM emp AS e WHERE e.deptno = 7`,
 }
 
 // batteryEngine returns an engine with the given options over the
@@ -159,6 +171,53 @@ func TestPaperListingsProductionMatchesOracle(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestEveryBlockIsPlanned: PIVOT and FROM-less blocks get a physical plan
+// like any other block, and a PIVOT's scan and pushed filter show under
+// its pivot node in EXPLAIN ANALYZE.
+func TestEveryBlockIsPlanned(t *testing.T) {
+	db := batteryEngine(t, 1, sqlpp.Options{Parallelism: 1})
+	for _, q := range []string{
+		`PIVOT e.salary AT e.name FROM emp AS e WHERE e.deptno = 3`,
+		`SELECT VALUE 1 + 1`,
+	} {
+		p, err := db.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.PlanNotes()) == 0 {
+			t.Errorf("%s: no plan notes", q)
+		}
+	}
+	p, err := db.Prepare(`PIVOT e.salary AT e.name FROM emp AS e WHERE e.deptno = 3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := p.ExplainAnalyze(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := stats.Render(true)
+	if !strings.Contains(tree, "\n  pivot(1:1) in=0 out=1\n    scan(e) in=1500 out=1500") ||
+		!strings.Contains(tree, "\n      filter(pushed) in=1500 ") {
+		t.Errorf("pivot block's scan and pushed filter missing:\n%s", tree)
+	}
+}
+
+// TestNestedWithAnswers: a WITH nested inside an expression evaluates
+// through the query runner on both paths.
+func TestNestedWithAnswers(t *testing.T) {
+	for _, oracle := range []bool{false, true} {
+		db := sqlpp.New(&sqlpp.Options{DisableOptimizer: oracle})
+		v, err := db.Query(`SELECT VALUE [(WITH a AS 1 SELECT VALUE a)]`)
+		if err != nil {
+			t.Fatalf("oracle=%v: %v", oracle, err)
+		}
+		if got, want := v.String(), "{{[{{1}}]}}"; got != want {
+			t.Errorf("oracle=%v: got %s, want %s", oracle, got, want)
 		}
 	}
 }

@@ -25,8 +25,9 @@ import (
 // at random. Between them they use every aggregate, SQL sugar and the
 // paper's explicit Core form, HAVING and ORDER BY on aggregates,
 // duplicated calls, filtered folds, several keys with a LET, a window
-// over aggregates, aggregate-only blocks (over empty input, too), and
-// two folds whose arguments print alike unless precedence is honoured.
+// over aggregates, aggregate-only blocks (over empty input, too), two
+// folds whose arguments print alike unless precedence is honoured, and a
+// PIVOT whose groups share attribute names.
 var streamQueries = []string{
 	`SELECT r.k AS k, COUNT(*) AS c, COUNT(r.x) AS cx, SUM(r.x) AS s, AVG(r.x) AS a, MIN(r.x) AS mn, MAX(r.x) AS mx FROM t AS r GROUP BY r.k`,
 	`SELECT r.k AS k, EVERY(r.b) AS ev, SOME(r.b) AS sm, ANY(r.b) AS an, ARRAY_AGG(r.x) AS xs FROM t AS r GROUP BY r.k`,
@@ -40,6 +41,7 @@ var streamQueries = []string{
 	`SELECT r.k AS k, SUM(r.x) AS s, RANK() OVER (ORDER BY COUNT(*) DESC) AS rk FROM t AS r GROUP BY r.k`,
 	`SELECT VALUE COUNT(*) FROM t AS r GROUP BY r.b`,
 	`SELECT r.k AS k, SUM((-r.n).a) AS s1, SUM(-(r.n.a)) AS s2 FROM t AS r GROUP BY r.k`,
+	`PIVOT SUM(r.x) AT CASE WHEN k = TRUE THEN 'yes' ELSE 'no' END FROM t AS r GROUP BY r.b AS k`,
 }
 
 func randStreamRow(rng *rand.Rand, i int) value.Value {
@@ -184,6 +186,29 @@ func TestStreamAggIdentityProperty(t *testing.T) {
 	}
 }
 
+// TestPivotAggregateIsImplicitGroup: an aggregate in a PIVOT's value
+// groups the whole input as in a SELECT, and the fold streams.
+func TestPivotAggregateIsImplicitGroup(t *testing.T) {
+	const data = `{{ {'x': 1}, {'x': 2}, {'x': 3} }}`
+	const query = `PIVOT COUNT(*) AT 'n' FROM t AS r`
+	for _, oracle := range []bool{false, true} {
+		db := sqlpp.New(&sqlpp.Options{DisableOptimizer: oracle})
+		if err := db.RegisterSION("t", data); err != nil {
+			t.Fatal(err)
+		}
+		p, err := db.Prepare(query)
+		if err != nil {
+			t.Fatalf("oracle=%v: %v", oracle, err)
+		}
+		if notes := strings.Join(p.PlanNotes(), "; "); !oracle && !strings.Contains(notes, "stream-agg(1)") {
+			t.Errorf("fold did not stream: %s", notes)
+		}
+		if got, want := outcome(p.Exec()), "{'n': 3}"; got != want {
+			t.Errorf("oracle=%v: got %s, want %s", oracle, got, want)
+		}
+	}
+}
+
 // TestStreamAggKeepsGroupAsMaterialized: any use of the group variable
 // other than as the argument of a fold needs the collection itself, so
 // the block keeps the materializing operator (and says why).
@@ -203,6 +228,7 @@ func TestStreamAggKeepsGroupAsMaterialized(t *testing.T) {
 		{"whole element", `FROM t AS r GROUP BY r.k AS k GROUP AS g SELECT k AS k, COLL_ARRAY_AGG(SELECT VALUE v FROM g AS v) AS rows`, "group-materialize(subquery over g)"},
 		{"distinct", `SELECT r.k AS k, COUNT(DISTINCT r.x) AS c FROM t AS r GROUP BY r.k`, "group-materialize(subquery over "},
 		{"select star", `SELECT * FROM t AS r GROUP BY r.k AS k`, "group-materialize("},
+		{"pivot over the group", `FROM t AS r GROUP BY r.k AS k GROUP AS g SELECT k AS k, COLL_COUNT(PIVOT v.r.x AT 'x' FROM g AS v) AS c`, "group-materialize(subquery over g)"},
 	} {
 		p, err := db.Prepare(c.query)
 		if err != nil {
