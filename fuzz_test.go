@@ -47,6 +47,11 @@ func FuzzEvalPermissive(f *testing.F) {
 	// expression (evaluated through the query runner, not plan.Run).
 	f.Add(`PIVOT SUM(y) AT k FROM t AS x LET y = x.a * 2 WHERE x.a > 0 GROUP BY x.b AS k HAVING COUNT(*) > 0`)
 	f.Add(`SELECT VALUE [(WITH a AS 1 SELECT VALUE a)]`)
+	// Hash joins over the flat build table: a build side binding two
+	// variables (AT over the array u), and one (t) whose keys go NULL and
+	// MISSING after present ones.
+	f.Add(`SELECT VALUE [x.b, y.k, i] FROM t AS x JOIN u AS y AT i ON x.a = y.v`)
+	f.Add(`SELECT VALUE [y.k, x.b] FROM u AS y, t AS x WHERE y.v = x.a`)
 
 	db := sqlpp.New(&sqlpp.Options{MaxCollectionSize: 4096})
 	oracle := sqlpp.New(&sqlpp.Options{MaxCollectionSize: 4096, DisableOptimizer: true})

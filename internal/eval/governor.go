@@ -159,6 +159,25 @@ func (g *Governor) ChargeBindings(site string, vals []value.Value) error {
 	return nil
 }
 
+// BindingsLeft bounds how many more rows of width (>= 1) values
+// ChargeBindings admits, or returns -1 when neither the values nor the
+// bytes budget is set. A build presizes to it, so one the governor stops
+// at row k allocates for k rows, not for its whole source.
+func (g *Governor) BindingsLeft(width int) int64 {
+	left := int64(-1)
+	if g.lim.MaxMaterializedValues > 0 {
+		left = max(g.lim.MaxMaterializedValues-g.values.Load(), 0)
+	}
+	if g.lim.MaxMaterializedBytes > 0 {
+		// Each bound value charges at least value.MinApproxSize bytes.
+		rowMin := value.MinApproxSize * int64(width)
+		if b := max(g.lim.MaxMaterializedBytes-g.bytes.Load(), 0) / rowMin; left < 0 || b < left {
+			left = b
+		}
+	}
+	return left
+}
+
 // chargeBytes accrues v's approximate size against the byte budget.
 // Sizing walks the value, so it runs only when a byte budget exists.
 func (g *Governor) chargeBytes(site string, v value.Value) error {

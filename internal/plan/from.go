@@ -65,11 +65,7 @@ func produceItems(ctx *eval.Context, env *eval.Env, items []ast.FromItem, i int,
 func produceItem(ctx *eval.Context, env *eval.Env, item ast.FromItem, k emit) error {
 	if ctx.Stats != nil {
 		n := itemNode(ctx, item)
-		inner := k
-		k = func(child *eval.Env) error {
-			n.AddOut(1)
-			return inner(child)
-		}
+		k = countOut(n, k)
 		defer n.Timer()()
 	}
 	switch x := item.(type) {
@@ -83,6 +79,14 @@ func produceItem(ctx *eval.Context, env *eval.Env, item ast.FromItem, k emit) er
 	return fmt.Errorf("plan: unknown FROM item %T", item)
 }
 
+// countOut wraps k so each binding it forwards counts as n's output.
+func countOut(n *eval.StatsNode, k emit) emit {
+	return func(child *eval.Env) error {
+		n.AddOut(1)
+		return k(child)
+	}
+}
+
 // produceScan ranges a variable over a source value. SQL++ relaxes the
 // SQL rule that sources are collections of tuples: any collection works,
 // and its elements bind as-is (§III-A). A non-collection source is a
@@ -93,12 +97,15 @@ func produceScan(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, k emit) erro
 	if err != nil {
 		return err
 	}
-	return scanValue(ctx, env, x, src, k)
+	return scanValue(ctx, env, x, src, false, k)
 }
 
 // scanValue binds x's variables over an already-evaluated source value;
-// the physical plan reuses it with a hoisted source.
-func scanValue(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, src value.Value, k emit) error {
+// the physical plan reuses it with a hoisted source. With reuse, one
+// child environment is rebound in place per element, so it is only for
+// a k that keeps nothing of the environment it is passed (the hash
+// build copies out the values it keeps).
+func scanValue(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, src value.Value, reuse bool, k emit) error {
 	if ctx.Stats != nil {
 		n := itemNode(ctx, x)
 		switch s := src.(type) {
@@ -115,6 +122,7 @@ func scanValue(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, src value.Valu
 	// Scans are the row-production loops of every query block (cross
 	// products and joins nest them), so this is where a deadline or
 	// cancellation cooperatively stops a runaway query.
+	var child *eval.Env
 	bind := func(v value.Value, ordinal value.Value) error {
 		if faultinject.Enabled {
 			if err := faultinject.Fire(faultinject.ScanNext); err != nil {
@@ -124,7 +132,9 @@ func scanValue(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, src value.Valu
 		if err := ctx.Interrupted(); err != nil {
 			return err
 		}
-		child := env.Child()
+		if child == nil || !reuse {
+			child = env.Child()
+		}
 		child.Bind(x.As, v)
 		if x.AtVar != "" {
 			child.Bind(x.AtVar, ordinal)
@@ -500,11 +510,7 @@ func (c *chain) run(env *eval.Env, i int) error {
 		// emitted-row count is recorded here.
 		emitNext := next
 		if ss != nil {
-			n := ss.node
-			emitNext = func(child *eval.Env) error {
-				n.AddOut(1)
-				return next(child)
-			}
+			emitNext = countOut(ss.node, next)
 		}
 		return unpivotValue(ctx, env, x, src, emitNext)
 	}
@@ -568,13 +574,9 @@ func (st *physState) runScanFused(ctx *eval.Context, env *eval.Env, i int, x *as
 		}
 		emitNext := next
 		if node != nil {
-			inner := next
-			emitNext = func(child *eval.Env) error {
-				node.AddOut(1)
-				return inner(child)
-			}
+			emitNext = countOut(node, next)
 		}
-		return scanValue(ctx, env, x, src, emitNext)
+		return scanValue(ctx, env, x, src, false, emitNext)
 	}
 
 	if node != nil {

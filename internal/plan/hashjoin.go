@@ -1,6 +1,9 @@
 package plan
 
 import (
+	"fmt"
+	"math"
+
 	"sqlpp/internal/eval"
 	"sqlpp/internal/faultinject"
 	"sqlpp/internal/value"
@@ -13,33 +16,45 @@ import (
 // with the original predicate, so the observable semantics — numeric
 // coercion in '=', NULL/MISSING never matching, LEFT JOIN padding — are
 // exactly those of the nested loop it replaces.
+//
+// Every build row binds the same variables, so the table is flat: the
+// names once, each row's values in one shared slice, and each key's rows
+// chained through an index slice. Its slices are presized from the
+// source, so a build allocates per table, not per row.
 
-// hashTable maps the canonical encoding of the build keys to the
-// build-side rows carrying that key.
+// hashTable is a hash join's build side. Row r binds names[j] to
+// vals[r*w+j], w = len(names). The rows of one key form a chain through
+// next (-1 ends it), first to last in source order; buckets maps a key's
+// encoding to its chain, whose first and last rows are chains[c].
 type hashTable struct {
-	buckets map[string][]hashRow
-	rows    int
-}
-
-// hashRow is one build-side binding: the variables its scan introduced,
-// plus the binding's position in the build source's enumeration (seq),
-// which the join-reorder buffer uses as this step's ordinal. Bucket
-// order preserves it, so candidates stream in source order.
-type hashRow struct {
 	names []string
 	vals  []value.Value
-	seq   int64
+	// seq is each row's position in the build source's enumeration,
+	// which the join-reorder buffer uses as this step's ordinal; nil
+	// when the chain is not reordered.
+	seq     []int64
+	next    []int32
+	buckets map[string]int32
+	chains  [][2]int32
 }
 
 // buildHashTable evaluates the build side once and indexes its bindings.
 // Rows whose key contains NULL or MISSING are dropped: '=' with an
 // absent operand is never TRUE, so they cannot match any probe (a LEFT
-// JOIN pads from the probe side, which is unaffected).
-func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep) (*hashTable, error) {
-	t := &hashTable{buckets: map[string][]hashRow{}}
+// JOIN pads from the probe side, which is unaffected). The scan rebinds
+// one environment per row, which is safe because the table copies out
+// every value it keeps and no build environment reaches a consumer.
+// keepSeq records each row's source position, for a reordered chain.
+func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep, keepSeq bool) (*hashTable, error) {
+	x := h.right
+	t := &hashTable{names: []string{x.As}, buckets: map[string]int32{}}
+	if x.AtVar != "" {
+		t.names = append(t.names, x.AtVar)
+	}
+	w := len(t.names)
 	var kb []byte
 	var seq int64
-	err := produceItem(ctx, outer, h.right, func(renv *eval.Env) error {
+	k := func(renv *eval.Env) error {
 		// seq numbers every produced binding, including those dropped for
 		// absent keys, so retained rows keep their source positions'
 		// relative order.
@@ -67,28 +82,74 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep) (*hashT
 			}
 			kb = value.AppendKey(kb, v)
 		}
-		names := renv.Names()
-		row := hashRow{names: names, vals: make([]value.Value, len(names)), seq: mySeq}
-		for i, n := range names {
-			v, _ := renv.Lookup(n)
-			row.vals[i] = v
-		}
-		t.rows++
-		if err := checkSize(ctx, t.rows); err != nil {
+		r := len(t.next)
+		if err := checkSize(ctx, r+1); err != nil {
 			return err
 		}
+		if r == math.MaxInt32 {
+			return fmt.Errorf("plan: hash join build side exceeds %d rows", math.MaxInt32)
+		}
+		for _, n := range t.names {
+			v, _ := renv.Lookup(n)
+			t.vals = append(t.vals, v)
+		}
 		if ctx.Gov != nil {
-			if err := ctx.Gov.ChargeBindings("hash-build", row.vals); err != nil {
+			if err := ctx.Gov.ChargeBindings("hash-build", t.vals[r*w:]); err != nil {
 				return err
 			}
 		}
-		t.buckets[string(kb)] = append(t.buckets[string(kb)], row)
+		if keepSeq {
+			t.seq = append(t.seq, mySeq)
+		}
+		t.next = append(t.next, -1)
+		if c, ok := t.buckets[string(kb)]; ok {
+			t.next[t.chains[c][1]] = int32(r)
+			t.chains[c][1] = int32(r)
+		} else {
+			t.buckets[string(kb)] = int32(len(t.chains))
+			t.chains = append(t.chains, [2]int32{int32(r), int32(r)})
+		}
 		return nil
-	})
+	}
+	if ctx.Stats != nil {
+		n := itemNode(ctx, x)
+		k = countOut(n, k)
+		defer n.Timer()()
+	}
+	src, err := eval.Eval(ctx, outer, x.Expr)
 	if err != nil {
 		return nil, err
 	}
+	n := buildCap(ctx, src, w)
+	t.vals = make([]value.Value, 0, n*w)
+	if keepSeq {
+		t.seq = make([]int64, 0, n)
+	}
+	t.next = make([]int32, 0, n)
+	if err := scanValue(ctx, outer, x, src, true, k); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// buildCap is the row capacity a build over src presizes to: the
+// source's length, capped by what MaxCollectionSize and the governor
+// still admit, so a build they stop at row k allocates for k rows, not
+// for the whole source.
+func buildCap(ctx *eval.Context, src value.Value, w int) int {
+	n := 1
+	if elems, ok := value.Elements(src); ok {
+		n = len(elems)
+	}
+	if m := ctx.MaxCollectionSize; m > 0 && m < n {
+		n = m
+	}
+	if ctx.Gov != nil {
+		if left := ctx.Gov.BindingsLeft(w); left >= 0 && left < int64(n) {
+			n = int(left)
+		}
+	}
+	return n
 }
 
 // probeFor builds hash step i's probe: the work done per left binding.
@@ -131,16 +192,16 @@ func (c *chain) probeFor(i int, h *hashJoinStep) emit {
 		// wouldn't.
 		tbl, err := st.tables[i].get(func() (*hashTable, error) {
 			if ss == nil {
-				return buildHashTable(ctx, st.outer, h)
+				return buildHashTable(ctx, st.outer, h, st.ord != nil)
 			}
 			// The hash node's time is the build; probe work is counted on
 			// the probe side's own nodes.
 			stop := ss.node.Timer()
-			t, err := buildHashTable(ctx, st.outer, h)
+			t, err := buildHashTable(ctx, st.outer, h, st.ord != nil)
 			stop()
 			if err == nil {
 				ss.node.Counter("buckets").Store(int64(len(t.buckets)))
-				ss.node.Counter("build_rows").Store(int64(t.rows))
+				ss.node.Counter("build_rows").Store(int64(len(t.next)))
 			}
 			return t, err
 		})
@@ -163,21 +224,25 @@ func (c *chain) probeFor(i int, h *hashJoinStep) emit {
 			}
 			kb = value.AppendKey(kb, v)
 		}
-		var bucket []hashRow
+		r := int32(-1)
 		if !absent {
-			bucket = tbl.buckets[string(kb)]
+			if c, ok := tbl.buckets[string(kb)]; ok {
+				r = tbl.chains[c][0]
+			}
 		}
+		w := len(tbl.names)
 		matched := false
-		for _, row := range bucket {
+		for ; r >= 0; r = tbl.next[r] {
 			if ss != nil {
 				ss.candidates.Add(1)
 			}
 			if st.ord != nil {
-				st.ord[i] = row.seq
+				st.ord[i] = tbl.seq[r]
 			}
 			cand := candidate(lenv)
-			for j, n := range row.names {
-				cand.Bind(n, row.vals[j])
+			row := tbl.vals[int(r)*w : (int(r)+1)*w]
+			for j, n := range tbl.names {
+				cand.Bind(n, row[j])
 			}
 			ok, err := filtersPass(ctx, cand, h.verifyC)
 			if err != nil {

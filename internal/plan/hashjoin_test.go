@@ -3,6 +3,7 @@ package plan
 import (
 	"testing"
 
+	"sqlpp/internal/ast"
 	"sqlpp/internal/catalog"
 	"sqlpp/internal/eval"
 	"sqlpp/internal/parser"
@@ -146,4 +147,87 @@ func TestHoistedSourceMatchesNaive(t *testing.T) {
 	checkPhysMatchesNaive(t, map[string]string{
 		"emp": `{{ {'id': 1, 'kids': [{'k': 1}, {'k': 2}]}, {'id': 2, 'kids': []} }}`,
 	}, `SELECT e.id AS id, c.k AS k FROM emp AS e, e.kids AS c`)
+}
+
+// hashJoinFixture plans `l AS x, r AS y` joined on k over a one-row l
+// and an r of rows rows spread over keys keys, and returns the context
+// to run it in, the plan, and the index of its hash step, whose build
+// side is r.
+func hashJoinFixture(t *testing.T, rows, keys int) (*eval.Context, *sfwPhys, int) {
+	t.Helper()
+	r := make(value.Bag, rows)
+	for i := range r {
+		r[i] = value.NewTuple(
+			value.Field{Name: "k", Value: value.Int(int64(i % keys))},
+			value.Field{Name: "id", Value: value.Int(int64(i))})
+	}
+	cat := catalog.New()
+	if err := cat.Register("l", value.Bag{value.NewTuple(value.Field{Name: "k", Value: value.Int(-1)})}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Register("r", r); err != nil {
+		t.Fatal(err)
+	}
+	core, notes := prepareOptimized(t, cat, `SELECT VALUE [x.k, y.id] FROM l AS x, r AS y WHERE x.k = y.k`, eval.Permissive)
+	phys := core.(*ast.SFW).Phys.(*sfwPhys)
+	for i, step := range phys.steps {
+		if step.hash != nil && step.hash.right.As == "y" {
+			return &eval.Context{Names: cat, Funcs: registry, Run: Run}, phys, i
+		}
+	}
+	t.Fatalf("no hash build over r: %v", notes)
+	return nil, nil, 0
+}
+
+// TestHashBuildAllocatesPerTable: the build stores its rows flat in
+// slices presized from the source, so a build over ten times the rows
+// with the same keys allocates exactly as many times.
+func TestHashBuildAllocatesPerTable(t *testing.T) {
+	const keys = 50
+	allocs := func(rows int) float64 {
+		ctx, phys, i := hashJoinFixture(t, rows, keys)
+		return testing.AllocsPerRun(5, func() {
+			tbl, err := buildHashTable(ctx, eval.NewEnv(), phys.steps[i].hash, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tbl.next) != rows || len(tbl.buckets) != keys {
+				t.Fatalf("%d rows in %d buckets, want %d in %d", len(tbl.next), len(tbl.buckets), rows, keys)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(10000)
+	t.Logf("build allocations: %v over 1000 rows, %v over 10000", small, large)
+	if small != large {
+		t.Errorf("build over 10000 rows allocates %v times, over 1000 rows %v: want equal", large, small)
+	}
+}
+
+// TestHashProbeAllocatesNothing: a probe walking a multi-row bucket
+// chain, under row-environment reuse, allocates nothing per probe.
+func TestHashProbeAllocatesNothing(t *testing.T) {
+	const rows, keys = 1000, 50
+	ctx, phys, i := hashJoinFixture(t, rows, keys)
+	if !phys.reuseEnv {
+		t.Fatal("plan does not reuse row environments")
+	}
+	matches := 0
+	c := new(chain).init(newPhysState(ctx, phys, eval.NewEnv()), ctx, func(*eval.Env) error {
+		matches++
+		return nil
+	})
+	probe := c.fns[len(phys.steps)+i]
+	lenv := eval.NewEnv().Child()
+	lenv.Bind(phys.steps[0].item.(*ast.FromExpr).As, value.NewTuple(value.Field{Name: "k", Value: value.Int(7)}))
+	n := testing.AllocsPerRun(100, func() {
+		if err := probe(lenv); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := 101 * rows / keys; matches != want {
+		t.Fatalf("%d matches over 101 probes, want %d", matches, want)
+	}
+	if n != 0 {
+		t.Errorf("a probe allocates %v times, want 0", n)
+	}
 }

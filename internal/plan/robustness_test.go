@@ -101,15 +101,17 @@ func TestWorkerPanicContained(t *testing.T) {
 }
 
 // TestDeadlineDuringHashBuild: a deadline that fires while the hash
-// join is building over a 100k-row side must stop the build promptly —
+// join is building over a 400k-row side must stop the build promptly —
 // the blocking build loop polls cancellation itself (it produces no
 // output rows, so the output-path polls never run). The join is nearly
-// all build (8 probes, 800 result rows), so an uninterrupted run times
+// all build (8 probes, 3200 result rows), so an uninterrupted run times
 // the build, and a deadline at a twentieth of it lands inside the build.
+// The side is large enough that the build takes tens of milliseconds,
+// so the bound is not within a scheduler time slice of the deadline.
 func TestDeadlineDuringHashBuild(t *testing.T) {
 	run := prepareRobust(t, map[string]string{
 		"small": rowsSION(8, 8),
-		"big":   rowsSION(100_000, 1000),
+		"big":   rowsSION(400_000, 1000),
 	}, `SELECT s.id AS sid, b.id AS bid FROM small AS s, big AS b WHERE s.k = b.k`, 1)
 
 	start := time.Now()
@@ -133,21 +135,63 @@ func TestDeadlineDuringHashBuild(t *testing.T) {
 }
 
 // TestGovernorChargesHashBuild: the build side's materialization charges
-// the values budget at the hash-build site.
+// the values and bytes budgets at the hash-build site, and a build that
+// a budget or MaxCollectionSize stops early allocates for the rows it
+// admitted, not for its whole source: the table presizes to what the
+// limits leave.
 func TestGovernorChargesHashBuild(t *testing.T) {
-	data := map[string]string{
+	const bigRows = 20000
+	run := prepareRobust(t, map[string]string{
 		"small": rowsSION(4, 4),
-		"big":   rowsSION(2000, 50),
-	}
-	_, err := execRobust(t, data,
-		`SELECT s.id AS sid, b.id AS bid FROM small AS s, big AS b WHERE s.k = b.k`,
-		1, nil, eval.Limits{MaxMaterializedValues: 100})
-	var re *eval.ResourceError
-	if !errors.As(err, &re) {
-		t.Fatalf("want ResourceError, got %v", err)
-	}
-	if re.Kind != eval.ResourceValues || re.Site != "hash-build" {
-		t.Errorf("want materialized-values at hash-build, got %s at %s", re.Kind, re.Site)
+		"big":   rowsSION(bigRows, 50),
+	}, `SELECT s.id AS sid, b.id AS bid FROM small AS s, big AS b WHERE s.k = b.k`, 1)
+	ctx, phys, i := hashJoinFixture(t, bigRows, 50)
+	ctx.MaxCollectionSize = 100
+	for _, c := range []struct {
+		name string
+		run  func() error
+		kind eval.ResourceKind // "" for the collection-size limit
+	}{
+		{"values budget", func() error {
+			_, err := run(nil, eval.Limits{MaxMaterializedValues: 100})
+			return err
+		}, eval.ResourceValues},
+		{"bytes budget", func() error {
+			_, err := run(nil, eval.Limits{MaxMaterializedBytes: 10000})
+			return err
+		}, eval.ResourceBytes},
+		{"collection size", func() error {
+			_, err := buildHashTable(ctx, eval.NewEnv(), phys.steps[i].hash, false)
+			return err
+		}, ""},
+	} {
+		err := c.run()
+		var re *eval.ResourceError
+		switch {
+		case c.kind == "":
+			if err == nil || !strings.Contains(err.Error(), "exceeds limit of 100") {
+				t.Fatalf("%s: want the collection-size error, got %v", c.name, err)
+			}
+		case !errors.As(err, &re):
+			t.Fatalf("%s: want ResourceError, got %v", c.name, err)
+		case re.Kind != c.kind || re.Site != "hash-build":
+			t.Errorf("%s: want %s at hash-build, got %s at %s", c.name, c.kind, re.Kind, re.Site)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 5
+		for j := 0; j < runs; j++ {
+			_ = c.run() // fails as above
+		}
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+		// A table presized from the whole source holds 28 bytes a row
+		// (one bound value, its position, its chain link) before the
+		// first row is admitted.
+		t.Logf("%s: %d bytes allocated per stopped build, %d for a source-sized table", c.name, perRun, 28*bigRows)
+		if perRun > 64<<10 {
+			t.Errorf("%s: a stopped build allocates %d bytes, want <= %d", c.name, perRun, 64<<10)
+		}
 	}
 }
 

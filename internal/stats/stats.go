@@ -39,7 +39,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 
 	"sqlpp/internal/eval"
 	"sqlpp/internal/faultinject"
@@ -523,11 +522,19 @@ func (c *Collection) Rows() int64 {
 }
 
 // lookup resolves a dotted path.
+// governor:bounded by the path's segments, which the query names
 func (c *Collection) lookup(path []string) *pathStats {
 	if c == nil || len(path) == 0 {
 		return nil
 	}
-	return c.paths[strings.Join(path, ".")]
+	// The dotted key is assembled on the stack, so an estimate allocates
+	// nothing for the paths queries name.
+	var buf [64]byte
+	key := append(buf[:0], path[0]...)
+	for _, p := range path[1:] {
+		key = append(append(key, '.'), p...)
+	}
+	return c.paths[string(key)]
 }
 
 // NDV estimates the number of distinct present values at path. ok is
@@ -587,8 +594,10 @@ func (c *Collection) RangeFraction(path []string, lo, hi value.Value, loIncl, hi
 	if cls < 0 || (lo != nil && hi != nil && classOf(hi) != cls) {
 		return 0, false
 	}
+	// The sums do not depend on order, so the sketch is read in place,
+	// not through its sorted sample.
 	var total, matching int64
-	for _, e := range ps.sk.sample() {
+	for _, e := range ps.sk.es {
 		if classOf(e.val) != cls {
 			continue
 		}

@@ -134,6 +134,115 @@ func TestRangeFractionSampled(t *testing.T) {
 	}
 }
 
+// TestRangeFractionAllocatesNothing: a range estimate, made on every
+// plan of a range predicate, reads the sketch in place — no sorted copy
+// of the sample, no joined path key.
+func TestRangeFractionAllocatesNothing(t *testing.T) {
+	const n = 2000
+	elems := make(value.Bag, 0, n)
+	for i := 0; i < n; i++ {
+		inner := row("z", value.Int(int64(i%300)))
+		elems = append(elems, row("k", value.Int(int64(i)), "s", inner))
+	}
+	c := mustBuild(t, elems)
+	for _, path := range [][]string{{"k"}, {"s", "z"}} {
+		if _, ok := c.RangeFraction(path, value.Int(10), value.Int(200), true, false); !ok {
+			t.Fatalf("%v: no range estimate", path)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			c.RangeFraction(path, value.Int(10), value.Int(200), true, false)
+		}); n != 0 {
+			t.Errorf("%v: RangeFraction allocates %v times, want 0", path, n)
+		}
+	}
+}
+
+// sortedRangeFraction is RangeFraction's reference: the same row-weighted
+// sum, taken over the value-sorted sample.
+func sortedRangeFraction(c *Collection, path []string, lo, hi value.Value, loIncl, hiIncl bool) (float64, bool) {
+	ps := c.lookup(path)
+	if ps == nil || c.rows == 0 {
+		return 0, false
+	}
+	cls := -1
+	if lo != nil {
+		cls = classOf(lo)
+	} else if hi != nil {
+		cls = classOf(hi)
+	}
+	if cls < 0 || (lo != nil && hi != nil && classOf(hi) != cls) {
+		return 0, false
+	}
+	var total, matching int64
+	for _, e := range ps.sk.sample() {
+		if classOf(e.val) != cls {
+			continue
+		}
+		total += e.count
+		if lo != nil && (value.Compare(e.val, lo) < 0 || value.Compare(e.val, lo) == 0 && !loIncl) {
+			continue
+		}
+		if hi != nil && (value.Compare(e.val, hi) > 0 || value.Compare(e.val, hi) == 0 && !hiIncl) {
+			continue
+		}
+		matching += e.count
+	}
+	if total == 0 {
+		return 0, true
+	}
+	return float64(matching) / float64(total) * float64(ps.classes[cls].rows) / float64(c.rows), true
+}
+
+// TestRangeFractionMatchesSortedSample: over random sketches of mixed
+// classes, saturated or not, every bound pair and inclusivity estimates
+// exactly what the sorted-sample computation does.
+func TestRangeFractionMatchesSortedSample(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	scalar := func(spread int) value.Value {
+		switch r.Intn(6) {
+		case 0:
+			return value.Float(float64(r.Intn(spread)) / 4)
+		case 1:
+			return value.String(fmt.Sprintf("s%03d", r.Intn(spread)))
+		case 2:
+			return value.Bool(r.Intn(2) == 0)
+		case 3:
+			return value.Null
+		default:
+			return value.Int(int64(r.Intn(spread)))
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(3000)
+		spread := 1 + r.Intn(2000) // above sketchK distinct values, the sketch saturates
+		elems := make(value.Bag, 0, n)
+		for i := 0; i < n; i++ {
+			if r.Intn(10) == 0 {
+				elems = append(elems, row("other", value.Int(1))) // k MISSING
+				continue
+			}
+			elems = append(elems, row("k", scalar(spread)))
+		}
+		c := mustBuild(t, elems)
+		for q := 0; q < 50; q++ {
+			var lo, hi value.Value
+			if r.Intn(4) > 0 {
+				lo = scalar(spread)
+			}
+			if r.Intn(4) > 0 {
+				hi = scalar(spread)
+			}
+			loIncl, hiIncl := r.Intn(2) == 0, r.Intn(2) == 0
+			got, gok := c.RangeFraction([]string{"k"}, lo, hi, loIncl, hiIncl)
+			want, wok := sortedRangeFraction(c, []string{"k"}, lo, hi, loIncl, hiIncl)
+			if got != want || gok != wok {
+				t.Fatalf("trial %d: RangeFraction(k, %v, %v, %v, %v) = %v, %v; sorted sample gives %v, %v",
+					trial, lo, hi, loIncl, hiIncl, got, gok, want, wok)
+			}
+		}
+	}
+}
+
 // TestExtendedCopyOnWrite: extending a snapshot must leave the original
 // observably untouched while the extension sees both row sets.
 func TestExtendedCopyOnWrite(t *testing.T) {

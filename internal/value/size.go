@@ -1,5 +1,9 @@
 package value
 
+// MinApproxSize is the least ApproxSize of any non-nil value: one boxed
+// word, what a scalar costs.
+const MinApproxSize = 16
+
 // ApproxSize estimates the in-memory footprint of v in bytes: header
 // costs per value plus string/collection payloads, recursively. It is
 // an estimate for resource governance, not an exact accounting — the
@@ -9,7 +13,7 @@ package value
 // allocator byte for byte.
 func ApproxSize(v Value) int64 {
 	const (
-		header    = 16 // interface header
+		header    = MinApproxSize // interface header
 		sliceHdr  = 24
 		tupleBase = 48
 	)

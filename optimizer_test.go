@@ -49,6 +49,18 @@ var optimizerBattery = []string{
 	// bind into the enclosing environment.
 	`SELECT VALUE {'a': a, 'b': b} LET a = 2, b = a * 3 WHERE b > 5`,
 	`SELECT e.name AS n, (SELECT VALUE s LET s = e.salary * 2) AS dbl FROM emp AS e WHERE e.deptno = 7`,
+	// The hash table's flat row layout: a build side binding two
+	// variables (AT over an array), build keys NULL or MISSING between
+	// present ones, a LEFT JOIN whose probes walk the same bucket chains
+	// to a match or to padding, and a cost-reordered chain whose reorder
+	// buffer reads each build row's source position (five hr rows share
+	// each key, so written order is hr's, not the keys').
+	`SELECT e.name AS n, d.name AS dn, i AS pos FROM emp AS e JOIN (SELECT VALUE d FROM dept AS d ORDER BY d.dno) AS d AT i ON e.deptno = d.dno`,
+	`SELECT e.name AS n, k.name AS kn FROM emp AS e,
+	 (SELECT VALUE {'dno': CASE WHEN d.dno % 4 = 0 THEN NULL WHEN d.dno % 4 = 1 THEN MISSING ELSE d.dno END, 'name': d.name} FROM dept AS d) AS k
+	 WHERE e.deptno = k.dno`,
+	`SELECT d.name AS dn, e.name AS n FROM dept AS d LEFT JOIN emp AS e ON d.dno = e.deptno AND e.salary > 195000`,
+	`SELECT h.name AS hn, c.name AS cn FROM hr AS h, dept AS c, dept AS d WHERE h.id % 40 + 1 = d.dno AND c.dno = d.dno`,
 }
 
 // batteryEngine returns an engine with the given options over the
@@ -95,6 +107,23 @@ func TestProductionMatchesOracleProperty(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBatteryReachesFlatHashShapes: the battery's last four queries,
+// added for the flat hash table, plan the hash joins (and the last one
+// the join reorder) they are there to check.
+func TestBatteryReachesFlatHashShapes(t *testing.T) {
+	db := batteryEngine(t, 0, sqlpp.Options{Parallelism: 1})
+	for i, q := range optimizerBattery[len(optimizerBattery)-4:] {
+		p, err := db.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		notes := p.PlanNotes()
+		if !hasNote(notes, "hash-join(") || (i == 3 && !hasNote(notes, "join-order(")) {
+			t.Errorf("%s: plan lacks the shape it covers: %v", q, notes)
 		}
 	}
 }
