@@ -134,6 +134,45 @@ func TestChaosEngineSweep(t *testing.T) {
 				tc.point, baseline, again)
 		}
 	}
+
+	// One Prepared with a correlated sub-block, whose run state is reused
+	// across the outer rows of an execution. The outer scan over dept
+	// fires scan-next once per department and the sub-block's scan over
+	// emp once per employee, so the 21st firing is inside the sub-block,
+	// mid-invocation. The disarmed retry on the same Prepared must
+	// reproduce the baseline.
+	faultinject.Reset()
+	p, err := db.Prepare(`SELECT d.dno AS dno, (SELECT VALUE e.id FROM emp AS e WHERE e.deptno = d.dno AND e.id < 100) AS ids FROM dept AS d`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := p.Exec()
+	if err != nil {
+		t.Fatalf("sub-block baseline: %v", err)
+	}
+	for _, action := range []faultinject.Action{{Err: faultinject.ErrInjected}, {Panic: "chaos"}} {
+		faultinject.Reset()
+		faultinject.Set(faultinject.ScanNext, 20, 1, 1, action)
+		_, err := p.Exec()
+		var pe *sqlpp.PanicError
+		if action.Err != nil && !errors.Is(err, faultinject.ErrInjected) {
+			t.Errorf("sub-block error action: want ErrInjected, got %v", err)
+		}
+		if action.Panic != "" && !errors.As(err, &pe) {
+			t.Errorf("sub-block panic action: want PanicError, got %v", err)
+		}
+		if faultinject.Fired(faultinject.ScanNext) == 0 {
+			t.Errorf("sub-block %+v: scan-next never fired", action)
+		}
+		faultinject.Reset()
+		again, err := p.Exec()
+		if err != nil {
+			t.Fatalf("sub-block retry after reset: %v", err)
+		}
+		if baseline.String() != again.String() {
+			t.Errorf("sub-block retry diverges from baseline:\n  before %s\n  after  %s", baseline, again)
+		}
+	}
 	waitGoroutines(t, base)
 }
 

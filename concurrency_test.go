@@ -280,3 +280,115 @@ func TestQueryContextCompletes(t *testing.T) {
 		t.Errorf("got %s, want %s", v, want)
 	}
 }
+
+// TestPreparedSubBlocksConcurrentExec runs one Prepared with four kinds
+// of correlated sub-block — a nested SELECT VALUE, a COLL_COUNT over a
+// block, ORDER BY … LIMIT, and GROUP BY — from 8 goroutines, sequential
+// and with a partitioned outer scan. Each sub-block's run state is reused
+// across the outer rows of one execution (and is per worker under the
+// parallel scan); every answer must still equal the reference oracle's,
+// and every row's nested collections must be its own, intact after the
+// query returns: no two rows' answers share a backing array.
+func TestPreparedSubBlocksConcurrentExec(t *testing.T) {
+	const rows = 1200 // past the 1,024-row parallel-scan threshold
+	var sb strings.Builder
+	sb.WriteString("{{")
+	names := []string{"OLAP Security", "Q3 Plan", "OLTP Security", "Payroll", "Security Audit"}
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "{'id': %d, 'deptno': %d, 'projects': [", i, i%16)
+		for j := 0; j <= i%len(names); j++ {
+			if j > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "{'name': '%s', 'hours': %d}", names[(i+j)%len(names)], (i*7+j*3)%10)
+		}
+		sb.WriteString("]}")
+	}
+	sb.WriteString("}}")
+	emp := sb.String()
+	depts := make([]string, 16)
+	for d := range depts {
+		depts[d] = fmt.Sprintf("{'dno': %d}", d)
+	}
+	dept := "{{" + strings.Join(depts, ", ") + "}}"
+	const query = `SELECT e.id AS id,
+		(SELECT VALUE p.name FROM e.projects AS p WHERE p.name LIKE '%Security%') AS sec,
+		COLL_COUNT(SELECT VALUE d.dno FROM dept AS d WHERE d.dno <= e.deptno) AS ndept,
+		(SELECT VALUE p.name FROM e.projects AS p ORDER BY p.hours DESC, p.name LIMIT 2) AS top2,
+		(SELECT k AS k, COUNT(*) AS n FROM e.projects AS p GROUP BY p.hours % 3 AS k) AS byhours
+		FROM emp AS e`
+	engine := func(opts *sqlpp.Options) *sqlpp.Engine {
+		db := sqlpp.New(opts)
+		if err := db.RegisterSION("emp", emp); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.RegisterSION("dept", dept); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	oracle, err := engine(&sqlpp.Options{DisableOptimizer: true}).Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracle.String()
+	for _, par := range []int{1, 4} {
+		p, err := engine(&sqlpp.Options{Parallelism: par}).Prepare(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if notes := strings.Join(p.PlanNotes(), " "); par > 1 && !strings.Contains(notes, "parallel-scan") {
+			t.Fatalf("outer scan not partitioned: %s", notes)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 3; i++ {
+					got, err := p.Exec()
+					if err != nil {
+						errs <- err
+						return
+					}
+					if got.String() != want {
+						errs <- fmt.Errorf("parallelism %d: answer diverges from the oracle", par)
+						return
+					}
+					if err := ownAnswers(got); err != nil {
+						errs <- fmt.Errorf("parallelism %d: %v", par, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	}
+}
+
+// ownAnswers checks that no two rows' nested collections share storage.
+func ownAnswers(result value.Value) error {
+	seen := map[*value.Value]int{}
+	for i, row := range result.(value.Bag) {
+		for _, name := range []string{"sec", "top2", "byhours"} {
+			v, _ := row.(*value.Tuple).Get(name)
+			elems, _ := value.Elements(v)
+			if len(elems) == 0 {
+				continue
+			}
+			if j, dup := seen[&elems[0]]; dup {
+				return fmt.Errorf("rows %d and %d share the backing array of %s", j, i, name)
+			}
+			seen[&elems[0]] = i
+		}
+	}
+	return nil
+}

@@ -342,3 +342,38 @@ func TestTupleCtorAllocatesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestPermissiveFaultBuildsNoMessage: a permissive type fault yields
+// MISSING without formatting the detail it would raise under stop-on-error
+// — comparing a string salary with 0 allocates nothing, compiled or
+// interpreted — while the stop-on-error message stays byte-identical.
+func TestPermissiveFaultBuildsNoMessage(t *testing.T) {
+	e, err := parser.Parse(`e.salary >= 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv()
+	env.Bind("e", value.NewTuple(value.Field{Name: "salary", Value: value.String("n/a")}))
+	for _, mode := range []TypingMode{Permissive, StopOnError} {
+		ctx := &Context{Mode: mode}
+		c := Compile(e, CompileOpts{Mode: mode})
+		for name, run := range map[string]func() (value.Value, error){
+			"compiled":    func() (value.Value, error) { return c(ctx, env) },
+			"interpreted": func() (value.Value, error) { return Eval(ctx, env, e) },
+		} {
+			v, err := run()
+			if mode == StopOnError {
+				if want := "type error at 1:10 in >=: cannot order string and integer"; err == nil || err.Error() != want {
+					t.Errorf("%s strict: got (%v, %v), want error %q", name, v, err, want)
+				}
+				continue
+			}
+			if err != nil || v.Kind() != value.KindMissing {
+				t.Fatalf("%s permissive: got (%v, %v), want MISSING", name, v, err)
+			}
+			if n := testing.AllocsPerRun(100, func() { _, _ = run() }); n != 0 {
+				t.Errorf("%s permissive fault: %.0f allocations, want 0", name, n)
+			}
+		}
+	}
+}

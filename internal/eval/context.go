@@ -144,6 +144,12 @@ type Context struct {
 	// plan saves/restores it around nested query blocks so subquery
 	// operators nest under the enclosing block.
 	StatsParent *StatsNode
+	// Runs holds the run states of the query blocks this execution has
+	// entered, indexed by the number the optimizer gave each block;
+	// package plan owns the entries. A block entered once per outer
+	// binding (a correlated subquery) resets and reuses its run state
+	// instead of rebuilding it.
+	Runs []any
 	// polls counts Interrupted calls so the cancellation signal is
 	// checked once every pollInterval produced rows rather than on every
 	// row. A Context is used by a single goroutine, so a plain counter
@@ -206,11 +212,11 @@ func (c *Context) pollNow() error {
 
 // Fork returns a copy of c for one worker of a parallel scan. All the
 // shared fields (catalog, functions, runner, deadline context) are safe
-// for concurrent reads; only the poll counter is per-goroutine state,
-// and each fork gets its own.
+// for concurrent reads; the poll counter and the block run states are
+// per-goroutine state, and each fork starts its own.
 func (c *Context) Fork() *Context {
 	cp := *c
-	cp.polls = 0
+	cp.polls, cp.Runs = 0, nil
 	return &cp
 }
 
@@ -240,12 +246,22 @@ func (e *NameError) Error() string {
 }
 
 // mistyped applies the mode policy to a would-be type error: MISSING in
-// permissive mode, the error in stop-on-error mode.
-func (c *Context) mistyped(pos lexer.Pos, op, detail string) (value.Value, error) {
-	if c.Mode == StopOnError {
-		return nil, &TypeError{Pos: pos, Op: op, Detail: detail}
+// permissive mode, the error in stop-on-error mode. The error's detail is
+// format with its %s verbs filled from args, built only when the error is
+// raised, so a permissive fault allocates nothing.
+func (c *Context) mistyped(pos lexer.Pos, op, format string, args ...string) (value.Value, error) {
+	if c.Mode != StopOnError {
+		return value.Missing, nil
 	}
-	return value.Missing, nil
+	detail := format
+	if len(args) > 0 {
+		a := make([]any, len(args))
+		for i, s := range args {
+			a[i] = s
+		}
+		detail = fmt.Sprintf(format, a...)
+	}
+	return nil, &TypeError{Pos: pos, Op: op, Detail: detail}
 }
 
 // Env is a chain of variable bindings. Each query-block clause extends
@@ -282,6 +298,16 @@ func (e *Env) Bind(name string, v value.Value) {
 	}
 	e.names = append(e.names, name)
 	e.vals = append(e.vals, v)
+}
+
+// Len returns the number of bindings in this scope (not parents).
+func (e *Env) Len() int { return len(e.names) }
+
+// Truncate drops this scope's bindings past the first n, putting a
+// rebound-in-place scope back to what it held before later Binds.
+func (e *Env) Truncate(n int) {
+	clear(e.vals[n:])
+	e.names, e.vals = e.names[:n], e.vals[:n]
 }
 
 // Lookup finds the innermost binding of name.

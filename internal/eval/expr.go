@@ -121,7 +121,7 @@ func Navigate(ctx *Context, base value.Value, name string, pos lexer.Pos) (value
 		case value.KindNull:
 			return value.Null, nil
 		}
-		return ctx.mistyped(pos, "navigation", fmt.Sprintf("cannot navigate into %s with .%s", base.Kind(), name))
+		return ctx.mistyped(pos, "navigation", "cannot navigate into %s with .%s", base.Kind().String(), name)
 	}
 }
 
@@ -132,7 +132,7 @@ func existsValue(ctx *Context, v value.Value, pos lexer.Pos) (value.Value, error
 	if value.IsAbsent(v) {
 		return value.False, nil
 	}
-	return ctx.mistyped(pos, "EXISTS", "operand is "+v.Kind().String()+", not a collection")
+	return ctx.mistyped(pos, "EXISTS", "operand is %s, not a collection", v.Kind().String())
 }
 
 func evalIndex(ctx *Context, env *Env, x *ast.IndexAccess) (value.Value, error) {
@@ -156,7 +156,7 @@ func indexValue(ctx *Context, base, idx value.Value, pos lexer.Pos) (value.Value
 			if value.IsAbsent(idx) {
 				return absentOut(ctx, idx.Kind() == value.KindMissing), nil
 			}
-			return ctx.mistyped(pos, "indexing", "array index is "+idx.Kind().String())
+			return ctx.mistyped(pos, "indexing", "array index is %s", idx.Kind().String())
 		}
 		if i < 0 || i >= int64(len(b)) {
 			return value.Missing, nil
@@ -168,7 +168,7 @@ func indexValue(ctx *Context, base, idx value.Value, pos lexer.Pos) (value.Value
 			if value.IsAbsent(idx) {
 				return absentOut(ctx, idx.Kind() == value.KindMissing), nil
 			}
-			return ctx.mistyped(pos, "indexing", "tuple index is "+idx.Kind().String()+", not a string")
+			return ctx.mistyped(pos, "indexing", "tuple index is %s, not a string", idx.Kind().String())
 		}
 		v, _ := b.Get(string(s))
 		return v, nil
@@ -179,7 +179,7 @@ func indexValue(ctx *Context, base, idx value.Value, pos lexer.Pos) (value.Value
 		case value.KindNull:
 			return value.Null, nil
 		}
-		return ctx.mistyped(pos, "indexing", "cannot index into "+base.Kind().String())
+		return ctx.mistyped(pos, "indexing", "cannot index into %s", base.Kind().String())
 	}
 }
 
@@ -210,11 +210,11 @@ func unaryValue(ctx *Context, op string, v value.Value, pos lexer.Pos) (value.Va
 		if value.IsAbsent(v) {
 			return absentOut(ctx, v.Kind() == value.KindMissing), nil
 		}
-		return ctx.mistyped(pos, "unary -", "operand is "+v.Kind().String())
+		return ctx.mistyped(pos, "unary -", "operand is %s", v.Kind().String())
 	}
 	t, ok := truthOf(v)
 	if !ok {
-		return ctx.mistyped(pos, "NOT", "operand is "+v.Kind().String())
+		return ctx.mistyped(pos, "NOT", "operand is %s", v.Kind().String())
 	}
 	return not3(t).val(ctx), nil
 }
@@ -252,7 +252,7 @@ func evalLogical(ctx *Context, env *Env, x *ast.Binary) (value.Value, error) {
 	}
 	lt, ok := truthOf(l)
 	if !ok {
-		return ctx.mistyped(x.Pos(), x.Op, "left operand is "+l.Kind().String())
+		return ctx.mistyped(x.Pos(), x.Op, "left operand is %s", l.Kind().String())
 	}
 	if x.Op == "AND" && lt == truthFalse {
 		return value.False, nil
@@ -266,7 +266,7 @@ func evalLogical(ctx *Context, env *Env, x *ast.Binary) (value.Value, error) {
 	}
 	rt, ok := truthOf(r)
 	if !ok {
-		return ctx.mistyped(x.Pos(), x.Op, "right operand is "+r.Kind().String())
+		return ctx.mistyped(x.Pos(), x.Op, "right operand is %s", r.Kind().String())
 	}
 	if x.Op == "AND" {
 		return and3(lt, rt).val(ctx), nil
@@ -319,7 +319,7 @@ func Arith(ctx *Context, op string, l, r value.Value, pos lexer.Pos) (value.Valu
 	lf, lOK := value.AsFloat(l)
 	rf, rOK := value.AsFloat(r)
 	if !lOK || !rOK {
-		return ctx.mistyped(pos, op, fmt.Sprintf("operands are %s and %s", l.Kind(), r.Kind()))
+		return ctx.mistyped(pos, op, "operands are %s and %s", l.Kind().String(), r.Kind().String())
 	}
 	switch op {
 	case "+":
@@ -349,7 +349,7 @@ func evalConcat(ctx *Context, l, r value.Value, pos lexer.Pos) (value.Value, err
 	ls, lOK := l.(value.String)
 	rs, rOK := r.(value.String)
 	if !lOK || !rOK {
-		return ctx.mistyped(pos, "||", fmt.Sprintf("operands are %s and %s", l.Kind(), r.Kind()))
+		return ctx.mistyped(pos, "||", "operands are %s and %s", l.Kind().String(), r.Kind().String())
 	}
 	return ls + rs, nil
 }
@@ -377,7 +377,7 @@ func Comparison(ctx *Context, op string, l, r value.Value, pos lexer.Pos) (value
 		return value.Bool(!value.Equivalent(l, r)), nil
 	}
 	if !comparable || !isScalar(l) {
-		return ctx.mistyped(pos, op, fmt.Sprintf("cannot order %s and %s", l.Kind(), r.Kind()))
+		return ctx.mistyped(pos, op, "cannot order %s and %s", l.Kind().String(), r.Kind().String())
 	}
 	c := value.Compare(l, r)
 	switch op {
@@ -453,11 +453,11 @@ func likeValue(ctx *Context, target, pattern value.Value, escape rune, negate bo
 	ts, tOK := target.(value.String)
 	ps, pOK := pattern.(value.String)
 	if !tOK || !pOK {
-		return ctx.mistyped(pos, "LIKE", fmt.Sprintf("operands are %s and %s", target.Kind(), pattern.Kind()))
+		return ctx.mistyped(pos, "LIKE", "operands are %s and %s", target.Kind().String(), pattern.Kind().String())
 	}
 	m, ok := compileLike(string(ps), escape)
 	if !ok {
-		return ctx.mistyped(pos, "LIKE", "malformed pattern "+ps.String())
+		return ctx.mistyped(pos, "LIKE", "malformed pattern %s", ps.String())
 	}
 	result := m.match(string(ts))
 	if negate {
@@ -544,7 +544,7 @@ func collectionElems(ctx *Context, set value.Value, op string, pos lexer.Pos) (e
 	if value.IsAbsent(set) {
 		return nil, absentOut(ctx, set.Kind() == value.KindMissing), nil
 	}
-	short, err = ctx.mistyped(pos, op, "right operand is "+set.Kind().String()+", not a collection")
+	short, err = ctx.mistyped(pos, op, "right operand is %s, not a collection", set.Kind().String())
 	return nil, short, err
 }
 
@@ -644,7 +644,7 @@ func isValue(ctx *Context, v value.Value, what string, negate bool, pos lexer.Po
 	case "UNKNOWN":
 		t, ok := truthOf(v)
 		if !ok {
-			return ctx.mistyped(pos, "IS UNKNOWN", "operand is "+v.Kind().String())
+			return ctx.mistyped(pos, "IS UNKNOWN", "operand is %s", v.Kind().String())
 		}
 		result = t.isUnknown()
 	default:
@@ -777,7 +777,7 @@ func evalTupleCtor(ctx *Context, env *Env, x *ast.TupleCtor) (value.Value, error
 func tupleFieldName(ctx *Context, nameV value.Value, pos lexer.Pos) (string, bool, error) {
 	name, ok := nameV.(value.String)
 	if !ok {
-		if _, err := ctx.mistyped(pos, "tuple constructor", "attribute name is "+nameV.Kind().String()); err != nil {
+		if _, err := ctx.mistyped(pos, "tuple constructor", "attribute name is %s", nameV.Kind().String()); err != nil {
 			return "", false, err
 		}
 		return "", false, nil

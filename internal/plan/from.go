@@ -106,24 +106,23 @@ func produceScan(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, k emit) erro
 // a k that keeps nothing of the environment it is passed (the hash
 // build copies out the values it keeps).
 func scanValue(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, src value.Value, reuse bool, k emit) error {
+	elems, isColl := value.Elements(src)
+	if !isColl && src.Kind() != value.KindMissing {
+		// A non-collection source is a singleton binding (permissive).
+		elems = []value.Value{src}
+	}
 	if ctx.Stats != nil {
-		n := itemNode(ctx, x)
-		switch s := src.(type) {
-		case value.Array:
-			n.AddIn(int64(len(s)))
-		case value.Bag:
-			n.AddIn(int64(len(s)))
-		default:
-			if src.Kind() != value.KindMissing {
-				n.AddIn(1)
-			}
-		}
+		itemNode(ctx, x).AddIn(int64(len(elems)))
+	}
+	if !isColl && len(elems) > 0 && ctx.Mode == eval.StopOnError {
+		return &eval.TypeError{Pos: x.Pos(), Op: "FROM", Detail: "source is " + src.Kind().String() + ", not a collection"}
 	}
 	// Scans are the row-production loops of every query block (cross
 	// products and joins nest them), so this is where a deadline or
 	// cancellation cooperatively stops a runaway query.
+	isArray := src.Kind() == value.KindArray
 	var child *eval.Env
-	bind := func(v value.Value, ordinal value.Value) error {
+	for i, v := range elems {
 		if faultinject.Enabled {
 			if err := faultinject.Fire(faultinject.ScanNext); err != nil {
 				return err
@@ -135,37 +134,25 @@ func scanValue(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, src value.Valu
 		if child == nil || !reuse {
 			child = env.Child()
 		}
-		child.Bind(x.As, v)
-		if x.AtVar != "" {
-			child.Bind(x.AtVar, ordinal)
+		bindElem(child, x, v, i, isArray)
+		if err := k(child); err != nil {
+			return err
 		}
-		return k(child)
 	}
-	switch s := src.(type) {
-	case value.Array:
-		for i, v := range s {
-			if err := bind(v, value.Int(int64(i))); err != nil {
-				return err
-			}
+	return nil
+}
+
+// bindElem binds x's variables in child to v, the element at position p
+// of its source: AT binds p over an array and MISSING otherwise, bags
+// being unordered.
+func bindElem(child *eval.Env, x *ast.FromExpr, v value.Value, p int, isArray bool) {
+	child.Bind(x.As, v)
+	if x.AtVar != "" {
+		if isArray {
+			child.Bind(x.AtVar, value.Int(int64(p)))
+		} else {
+			child.Bind(x.AtVar, value.Missing)
 		}
-		return nil
-	case value.Bag:
-		// Bags are unordered: AT binds MISSING.
-		for _, v := range s {
-			if err := bind(v, value.Missing); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		if src.Kind() == value.KindMissing {
-			return nil
-		}
-		if ctx.Mode == eval.StopOnError {
-			return &eval.TypeError{Pos: x.Pos(), Op: "FROM", Detail: "source is " + src.Kind().String() + ", not a collection"}
-		}
-		// Permissive: a non-collection source is a singleton binding.
-		return bind(src, value.Missing)
 	}
 }
 
@@ -262,18 +249,16 @@ func produceJoin(ctx *eval.Context, env *eval.Env, x *ast.FromJoin, k emit) erro
 	})
 }
 
-// physState is the per-invocation runtime of a block's physical plan:
-// lazily hoisted sources and hash tables, indexed by step. The lazy
-// cells synchronize on sync.Once so the workers of a parallel scan can
-// share one physState — whichever binding first needs a hoisted source
-// or a hash table builds it, and a source the naive plan would never
-// evaluate (empty left side) is still never evaluated.
+// physState is the per-invocation runtime of a block's physical plan,
+// reset in its run state: lazily hoisted sources, hash tables and index
+// resolutions, indexed by step. The lazy cells synchronize on sync.Once
+// so the workers of a parallel scan can share one physState — whichever
+// binding first needs a hoisted source or a hash table builds it, and a
+// source the naive plan would never evaluate is still never evaluated.
 type physState struct {
-	phys    *sfwPhys
-	outer   *eval.Env
-	sources []lazyValue
-	tables  []lazyTable
-	idxs    []lazyIndex
+	phys  *sfwPhys
+	outer *eval.Env
+	lazy  []stepLazy
 	// preFilter and stats are the pre-resolved EXPLAIN ANALYZE nodes and
 	// counters, nil when instrumentation is off. Resolving once here
 	// keeps the per-row work to nil tests and atomic adds even in
@@ -284,9 +269,13 @@ type physState struct {
 	// parallel), records per step the source ordinal of its current
 	// binding; the reorder buffer reads it to key each produced row.
 	ord []int64
-	// seq is the chain of the block's one sequential consumer (produce);
-	// the workers of a parallel scan each run a chain of their own.
-	seq chain
+}
+
+// stepLazy are one step's lazy cells.
+type stepLazy struct {
+	src lazyValue
+	tab lazyTable
+	idx lazyIndex
 }
 
 // stepStats is one FROM step's pre-resolved instrumentation.
@@ -303,13 +292,7 @@ type stepStats struct {
 }
 
 func newPhysState(ctx *eval.Context, phys *sfwPhys, outer *eval.Env) *physState {
-	st := &physState{
-		phys:    phys,
-		outer:   outer,
-		sources: make([]lazyValue, len(phys.steps)),
-		tables:  make([]lazyTable, len(phys.steps)),
-		idxs:    make([]lazyIndex, len(phys.steps)),
-	}
+	st := &physState{phys: phys, outer: outer, lazy: make([]stepLazy, len(phys.steps))}
 	if ctx.Stats != nil {
 		parent := statsParent(ctx)
 		if len(phys.pre) > 0 {
@@ -384,8 +367,10 @@ func (l *lazyTable) get(f func() (*hashTable, error)) (*hashTable, error) {
 }
 
 // produce streams the FROM chain's bindings under the physical plan:
-// pre-filters first (once), then the step chain.
-func (st *physState) produce(ctx *eval.Context, k emit) error {
+// pre-filters first (once), then the step chain — partitioned across
+// workers when the plan allows a parallel outer scan.
+func (r *blockRun) produce() error {
+	st, ctx := r.st, r.ctx
 	if st.preFilter != nil {
 		st.preFilter.AddIn(1)
 	}
@@ -396,22 +381,25 @@ func (st *physState) produce(ctx *eval.Context, k emit) error {
 	if st.preFilter != nil {
 		st.preFilter.AddOut(1)
 	}
-	if len(st.phys.steps) == 0 {
+	switch {
+	case len(st.phys.steps) == 0:
 		// A FROM-less block: one empty binding, in a child environment so
 		// LET never binds into the enclosing one (as produceFrom).
-		return k(st.outer.Child())
+		return r.fromRow(r.c.frame(0, st.outer))
+	case st.phys.reorder != nil:
+		return st.produceReordered(ctx, r.fromRowFn)
+	case st.phys.parallel && ctx.Parallelism > 1:
+		return r.scanParallel()
 	}
-	if st.phys.reorder != nil {
-		return st.produceReordered(ctx, k)
-	}
-	return st.seq.init(st, ctx, k).run(st.outer, 0)
+	return r.c.run(st.outer, 0)
 }
 
 // chain is one consumer's run of the block's step chain: the physState
 // (shared by the workers of a parallel scan) plus what is the consumer's
-// own — its context, its sink k, and the per-step continuations and hash
-// probes. Those closures are built once here, not once per binding, so a
-// row crossing a step allocates nothing for the plumbing.
+// own — its context, its sink k, the per-step continuations and hash
+// probes, and the row environments it rebinds. It is built once per run
+// state, not once per invocation, so neither a row crossing a step nor a
+// sub-block invocation allocates anything for the plumbing.
 type chain struct {
 	st  *physState
 	ctx *eval.Context
@@ -420,16 +408,20 @@ type chain struct {
 	// runs step i+1 over it; fns[n+i] is hash step i's probe of one left
 	// binding, nil for other steps.
 	fns []emit
-	// buf backs fns for one-step chains, so the per-row subquery — a block
-	// invocation per outer row — sets its chain up without allocating it.
-	buf [2]emit
+	// frames[i] is the environment step i rebinds its rows into when the
+	// plan reuses row environments (phys.reuseEnv); frames[0] also holds
+	// a FROM-less block's one binding.
+	frames []*eval.Env
+	// buf and frameBuf back fns and frames for chains of up to one step.
+	buf      [2]emit
+	frameBuf [1]*eval.Env
 }
 
 func (c *chain) init(st *physState, ctx *eval.Context, k emit) *chain {
 	n := len(st.phys.steps)
-	c.st, c.ctx, c.k, c.fns = st, ctx, k, c.buf[:]
-	if 2*n > len(c.buf) {
-		c.fns = make([]emit, 2*n)
+	c.st, c.ctx, c.k, c.fns, c.frames = st, ctx, k, c.buf[:], c.frameBuf[:]
+	if n > len(c.frameBuf) {
+		c.fns, c.frames = make([]emit, 2*n), make([]*eval.Env, n)
 	}
 	for i := range st.phys.steps {
 		c.fns[i], c.fns[n+i] = c.nextFor(i), nil
@@ -438,6 +430,23 @@ func (c *chain) init(st *physState, ctx *eval.Context, k emit) *chain {
 		}
 	}
 	return c
+}
+
+// frame returns the environment step i binds its next row into, nested in
+// env: a new one, or, when the plan reuses row environments, the step's
+// own, moved under env to be rebound in place.
+func (c *chain) frame(i int, env *eval.Env) *eval.Env {
+	if !c.st.phys.reuseEnv {
+		return env.Child()
+	}
+	f := c.frames[i]
+	if f == nil {
+		f = env.Child()
+		c.frames[i] = f
+	} else {
+		f.Rebase(env)
+	}
+	return f
 }
 
 func (c *chain) nextFor(i int) emit {
@@ -472,14 +481,10 @@ func (c *chain) run(env *eval.Env, i int) error {
 		return c.k(env)
 	}
 	step := &st.phys.steps[i]
-	var ss *stepStats
-	if st.stats != nil {
-		ss = &st.stats[i]
-	}
 	next, probe := c.fns[i], c.fns[len(st.phys.steps)+i]
 	if step.hash != nil {
 		if step.hash.buildIdx != nil {
-			if ix := st.idxs[i].get(func() *index.Index { return resolveIndex(ctx, step.hash.buildIdx) }); ix != nil {
+			if ix := st.lazy[i].idx.get(func() *index.Index { return resolveIndex(ctx, step.hash.buildIdx) }); ix != nil {
 				return st.runIndexJoin(ctx, env, i, step.hash, ix, next)
 			}
 		}
@@ -492,109 +497,112 @@ func (c *chain) run(env *eval.Env, i int) error {
 		// A nil resolution (index dropped or redeclared since planning)
 		// falls through to the scan paths below — the matched conjuncts
 		// are still in step.filters, so only the speed changes.
-		if ix := st.idxs[i].get(func() *index.Index { return resolveIndex(ctx, step.idx) }); ix != nil {
-			return st.runIndexScan(ctx, env, i, step, ix, next)
+		if ix := st.lazy[i].idx.get(func() *index.Index { return resolveIndex(ctx, step.idx) }); ix != nil {
+			return c.runIndexScan(env, i, ix)
 		}
 	}
-	if x, ok := step.item.(*ast.FromExpr); ok {
-		return st.runScanFused(ctx, env, i, x, step, ss, next)
+	if _, ok := step.item.(*ast.FromExpr); ok {
+		src, err := c.source(env, i)
+		if err != nil {
+			return err
+		}
+		return c.scan(env, i, src)
 	}
 	if x, ok := step.item.(*ast.FromUnpivot); ok && step.hoist {
-		src, err := st.sources[i].get(func() (value.Value, error) {
-			return hoistSource(ctx, st.outer, step.srcC)
-		})
+		src, err := c.source(env, i)
 		if err != nil {
 			return err
 		}
 		// The hoisted path bypasses produceItem, so the step node's
 		// emitted-row count is recorded here.
-		emitNext := next
-		if ss != nil {
-			emitNext = countOut(ss.node, next)
+		if st.stats != nil {
+			next = countOut(st.stats[i].node, next)
 		}
-		return unpivotValue(ctx, env, x, src, emitNext)
+		return unpivotValue(ctx, env, x, src, next)
 	}
 	// Nested-loop JOIN ... ON and correlated UNPIVOT: the producers planned
 	// and unplanned blocks share, which interpret their own expressions.
 	return produceItem(ctx, env, step.item, next)
 }
 
-// scanBatch is the row-slice size of the fused scan loop: the
-// cancellation poll and the stats row-count charges are amortized to one
-// per batch. A power of two a few multiples of the eval pollInterval, so
-// batched polling stays on the interpreter's cadence.
+// source evaluates step i's source expression in env: through its
+// compiled closure, or once per invocation through the shared hoist cell.
+func (c *chain) source(env *eval.Env, i int) (value.Value, error) {
+	st, step := c.st, &c.st.phys.steps[i]
+	if !step.hoist {
+		return step.srcC(c.ctx, env)
+	}
+	return st.lazy[i].src.get(func() (value.Value, error) {
+		return hoistSource(c.ctx, st.outer, step.srcC)
+	})
+}
+
+// scanBatch is the row-slice size of the scan loop: the cancellation poll
+// and the stats row-count charges are amortized to one per batch. A power
+// of two a few multiples of the eval pollInterval, so batched polling
+// stays on the interpreter's cadence.
 const scanBatch = 256
 
-// runScanFused is the batched scan loop of the physical plan: every plain
-// FromExpr step runs it in place of the naive pipeline's
-// produceItem+scanValue. The source evaluates through its compiled
-// closure (or the shared hoist cell); the element loop then binds,
-// filters (inside next), and recurses exactly like the row-at-a-time
-// path, but batch-at-a-time: one InterruptedN poll per batch and one
-// stats true-up per batch with exact emitted counts. When phys.reuseEnv
-// holds, one child Env is allocated per invocation and rebound in place
-// per row instead of allocating per row. Observable row order, error
-// points, stats totals, and fault-injection sites are identical to the
-// naive pipeline's.
+// scan is the physical plan's scan operator: every plain FromExpr step
+// runs it in place of the naive pipeline's produceItem+scanValue, over
+// the source value source evaluated. A collection's elements go through
+// scanElems; a non-collection source (singleton binding, MISSING, a
+// strict fault) keeps scanValue's row-at-a-time edge semantics, wrapped
+// with produceItem's emitted-row accounting.
 //
-// governor: the fused loop materializes nothing — rows stream to next
-// and are charged at the pipeline's sinks (rowSink, groupState, hash
-// build), exactly as in the row-at-a-time path.
-func (st *physState) runScanFused(ctx *eval.Context, env *eval.Env, i int, x *ast.FromExpr, step *fromStep, ss *stepStats, next emit) error {
-	var src value.Value
-	var err error
-	if step.hoist {
-		src, err = st.sources[i].get(func() (value.Value, error) {
-			return hoistSource(ctx, st.outer, step.srcC)
-		})
-	} else {
-		src, err = step.srcC(ctx, env)
-	}
-	if err != nil {
-		return err
-	}
-
+// governor: the scan materializes nothing — rows stream to the step's
+// continuation and are charged at the pipeline's sinks (rowSink,
+// groupState, hash build), exactly as in the row-at-a-time path.
+func (c *chain) scan(env *eval.Env, i int, src value.Value) error {
+	st, step := c.st, &c.st.phys.steps[i]
 	var node *eval.StatsNode
-	if ss != nil {
-		node = ss.node
+	if st.stats != nil {
+		node = st.stats[i].node
 		if !step.hoist {
 			// A hoisted step's per-row work is the continuation's, so it
 			// carries no timer of its own.
 			defer node.Timer()()
 		}
 	}
-
 	elems, isColl := value.Elements(src)
 	if !isColl {
-		// Non-collection sources (singleton bindings, MISSING, strict
-		// faults) keep the row-at-a-time edge semantics of scanValue,
-		// wrapped with produceItem's emitted-row accounting.
 		if st.ord != nil {
 			st.ord[i] = 0
 		}
-		emitNext := next
+		next := c.fns[i]
 		if node != nil {
-			emitNext = countOut(node, next)
+			next = countOut(node, next)
 		}
-		return scanValue(ctx, env, x, src, false, emitNext)
+		return scanValue(c.ctx, env, step.item.(*ast.FromExpr), src, false, next)
 	}
-
 	if node != nil {
 		node.AddIn(int64(len(elems)))
 	}
-	isArray := src.Kind() == value.KindArray
+	return c.scanElems(env, i, elems, 0, src.Kind() == value.KindArray)
+}
+
+// scanElems is the scan operator's one loop, which parallel workers run
+// over their chunks too: it binds step i's variables over elems —
+// positions base.. of the source, an array when isArray — and runs each
+// binding through the step's continuation, with one InterruptedN poll
+// and one stats true-up per batch. Row order, error points and fault
+// sites are the row-at-a-time path's.
+func (c *chain) scanElems(env *eval.Env, i int, elems []value.Value, base int, isArray bool) error {
+	st, ctx, next := c.st, c.ctx, c.fns[i]
+	x := st.phys.steps[i].item.(*ast.FromExpr)
+	var node *eval.StatsNode
+	if st.stats != nil {
+		node = st.stats[i].node
+	}
 	reuse := st.phys.reuseEnv
 	var child *eval.Env
-	for base := 0; base < len(elems); base += scanBatch {
-		hi := base + scanBatch
-		if hi > len(elems) {
-			hi = len(elems)
-		}
-		if err := ctx.InterruptedN(hi - base); err != nil {
+	for lo := 0; lo < len(elems); lo += scanBatch {
+		hi := min(lo+scanBatch, len(elems))
+		if err := ctx.InterruptedN(hi - lo); err != nil {
 			return err
 		}
 		emitted := int64(0)
-		for j := base; j < hi; j++ {
+		for j := lo; j < hi; j++ {
 			if faultinject.Enabled {
 				if err := faultinject.Fire(faultinject.ScanNext); err != nil {
 					if node != nil {
@@ -604,20 +612,12 @@ func (st *physState) runScanFused(ctx *eval.Context, env *eval.Env, i int, x *as
 				}
 			}
 			if child == nil || !reuse {
-				child = env.Child()
+				child = c.frame(i, env)
 			}
 			if st.ord != nil {
-				st.ord[i] = int64(j)
+				st.ord[i] = int64(base + j)
 			}
-			child.Bind(x.As, elems[j])
-			if x.AtVar != "" {
-				if isArray {
-					child.Bind(x.AtVar, value.Int(int64(j)))
-				} else {
-					// Bags are unordered: AT binds MISSING.
-					child.Bind(x.AtVar, value.Missing)
-				}
-			}
+			bindElem(child, x, elems[j], base+j, isArray)
 			emitted++
 			if err := next(child); err != nil {
 				if node != nil {
@@ -653,7 +653,9 @@ func filtersPass(ctx *eval.Context, env *eval.Env, filters []eval.CompiledExpr) 
 // workers' groupers in chunk order. groupState materializes the groups
 // (what GROUP AS means); streamGroup (streamagg.go) folds aggregates as
 // the rows arrive, for blocks that never look at the collection itself.
+// A grouper is part of its block's run state: reset starts an invocation.
 type grouper interface {
+	reset(outer *eval.Env)
 	add(env *eval.Env) error
 	flush(k emit) error
 	// merge folds in the grouper of a later chunk; it has the receiver's
@@ -663,11 +665,11 @@ type grouper interface {
 
 // newGrouper picks the block's GROUP BY operator from its physical plan;
 // keys evaluate the grouping keys.
-func newGrouper(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, keys []eval.CompiledExpr, phys *sfwPhys) grouper {
+func newGrouper(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledExpr, phys *sfwPhys) grouper {
 	if phys != nil && phys.stream != nil {
-		return newStreamGroup(ctx, outer, spec, keys, phys.stream)
+		return newStreamGroup(ctx, spec, keys, phys.stream)
 	}
-	return newGroupState(ctx, outer, spec, keys)
+	return newGroupState(ctx, spec, keys)
 }
 
 // groupState materializes GROUP BY groups (§V-B). Each input binding
@@ -691,10 +693,9 @@ type groupState struct {
 	keysC []eval.CompiledExpr
 }
 
-func newGroupState(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, keys []eval.CompiledExpr) *groupState {
+func newGroupState(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledExpr) *groupState {
 	g := &groupState{
 		ctx:     ctx,
-		outer:   outer,
 		spec:    spec,
 		keysC:   keys,
 		keyVals: map[string][]value.Value{},
@@ -703,14 +704,22 @@ func newGroupState(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, keys [
 	if ctx.Stats != nil {
 		g.st = ctx.Stats.Node(statsParent(ctx), spec, "group", "group-by", "materialize")
 	}
+	return g
+}
+
+// reset drops the groups of the last invocation; their key slices and
+// content bags went out with its bindings and are never reused.
+func (g *groupState) reset(outer *eval.Env) {
+	g.outer, g.order = outer, g.order[:0]
+	clear(g.keyVals)
+	clear(g.content)
 	// The implicit single group of aggregate-only queries exists even
 	// for empty input (SELECT AVG(x) over nothing yields one NULL row).
-	if len(spec.Keys) == 0 {
+	if len(g.spec.Keys) == 0 {
 		g.order = append(g.order, "")
 		g.keyVals[""] = nil
 		g.content[""] = nil
 	}
-	return g
 }
 
 // add folds one binding environment into its group.

@@ -190,7 +190,7 @@ func (c *chain) probeFor(i int, h *hashJoinStep) emit {
 		// The table builds on first probe, so a join whose probe side is
 		// empty never evaluates the build side — as the nested loop
 		// wouldn't.
-		tbl, err := st.tables[i].get(func() (*hashTable, error) {
+		tbl, err := st.lazy[i].tab.get(func() (*hashTable, error) {
 			if ss == nil {
 				return buildHashTable(ctx, st.outer, h, st.ord != nil)
 			}

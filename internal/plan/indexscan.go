@@ -123,10 +123,12 @@ func probePositions(ctx *eval.Context, env *eval.Env, ia *indexAccess, ix *index
 	return ix.Range(lo, hi, ia.loIncl, ia.hiIncl, ctx.Gov)
 }
 
-// runIndexScan produces a fromStep's bindings from an index probe
-// instead of a full scan. k is the step's filter-applying continuation,
-// so every candidate is re-verified against the original conjuncts.
-func (st *physState) runIndexScan(ctx *eval.Context, env *eval.Env, i int, step *fromStep, ix *index.Index, k emit) error {
+// runIndexScan produces step i's bindings from an index probe instead of
+// a full scan. Each candidate goes through the step's filter-applying
+// continuation, so it is re-verified against the original conjuncts.
+func (c *chain) runIndexScan(env *eval.Env, i int, ix *index.Index) error {
+	st, ctx, k := c.st, c.ctx, c.fns[i]
+	step := &st.phys.steps[i]
 	x := step.item.(*ast.FromExpr)
 	var ss *stepStats
 	if st.stats != nil {
@@ -147,6 +149,7 @@ func (st *physState) runIndexScan(ctx *eval.Context, env *eval.Env, i int, step 
 		return nil
 	}
 	isArray := ix.Source().Kind() == value.KindArray
+	var child *eval.Env
 	for _, p := range positions {
 		if faultinject.Enabled {
 			if err := faultinject.Fire(faultinject.IndexProbeNext); err != nil {
@@ -159,18 +162,12 @@ func (st *physState) runIndexScan(ctx *eval.Context, env *eval.Env, i int, step 
 		if st.ord != nil {
 			st.ord[i] = int64(p)
 		}
-		child := env.Child()
-		child.Bind(x.As, elems[p])
-		if x.AtVar != "" {
-			// AT over an array binds the element's original ordinal — the
-			// index preserved positions exactly for this; bags are
-			// unordered, so AT binds MISSING as in a scan.
-			if isArray {
-				child.Bind(x.AtVar, value.Int(int64(p)))
-			} else {
-				child.Bind(x.AtVar, value.Missing)
-			}
+		if child == nil || !st.phys.reuseEnv {
+			child = c.frame(i, env)
 		}
+		// AT over an array binds the element's original ordinal: the index
+		// preserved positions exactly for this.
+		bindElem(child, x, elems[p], int(p), isArray)
 		if ss != nil {
 			ss.node.AddOut(1)
 		}
@@ -229,14 +226,7 @@ func (st *physState) runIndexJoin(ctx *eval.Context, env *eval.Env, i int, h *ha
 				ss.candidates.Add(1)
 			}
 			cand := lenv.Child()
-			cand.Bind(x.As, elems[p])
-			if x.AtVar != "" {
-				if isArray {
-					cand.Bind(x.AtVar, value.Int(int64(p)))
-				} else {
-					cand.Bind(x.AtVar, value.Missing)
-				}
-			}
+			bindElem(cand, x, elems[p], int(p), isArray)
 			ok, err := filtersPass(ctx, cand, h.verifyC)
 			if err != nil {
 				return err

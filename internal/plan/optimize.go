@@ -113,11 +113,11 @@ type sfwPhys struct {
 	// parallel marks the outermost scan as eligible for partitioned
 	// execution.
 	parallel bool
-	// reuseEnv permits the fused scan loop to reuse one child Env across
-	// the rows of a scan, rebinding in place. Safe only when nothing
-	// downstream of the pipeline retains row environments; window
-	// functions retain them (plan.go windowEnvs), and so does the
-	// reorder buffer below.
+	// reuseEnv permits each step to keep one row environment per run
+	// state (chain.frame), rebinding it in place across rows and
+	// invocations. Safe only when nothing downstream of the pipeline
+	// retains row environments; window functions retain them (plan.go
+	// windowEnvs), and so does the reorder buffer below.
 	reuseEnv bool
 	// reorder, when non-nil, runs the steps in a cost-chosen order and
 	// buffers bindings so they are consumed in written production order
@@ -138,6 +138,9 @@ type sfwPhys struct {
 	// the block streams.
 	preC []eval.CompiledExpr
 	clauseExprs
+	// slot numbers the block among those of its Optimize call; its run
+	// state lives at eval.Context.Runs[slot].
+	slot int
 }
 
 // fromStep is the physical form of one top-level FROM item.
@@ -207,6 +210,7 @@ func Optimize(root ast.Expr, o OptOptions) []string {
 	// by aggregate slots, they never run and get no plan. (Blocks nested
 	// inside their arguments are shared with the slots and do.)
 	var folded map[*ast.SFW]bool
+	slots := 0
 	ast.Inspect(root, func(e ast.Expr) bool {
 		q, ok := e.(*ast.SFW)
 		if !ok || folded[q] {
@@ -215,6 +219,10 @@ func Optimize(root ast.Expr, o OptOptions) []string {
 		phys, ns := analyzeSFW(q, o)
 		q.Phys = phys
 		notes = append(notes, ns...)
+		if phys != nil {
+			phys.slot = slots
+			slots++
+		}
 		if phys != nil && phys.stream != nil && len(phys.stream.folded) > 0 {
 			if folded == nil {
 				folded = map[*ast.SFW]bool{}
@@ -533,7 +541,7 @@ func compileSFW(q *ast.SFW, phys *sfwPhys, co eval.CompileOpts) {
 			s.condC = compile(s.cond)
 		}
 	}
-	// The fused scan may rebind one row environment in place unless
+	// A step may rebind one row environment in place unless
 	// something downstream retains them: window functions do (plan.go
 	// windowEnvs), and so does the reorder buffer until its chain finishes.
 	phys.reuseEnv = len(q.Windows) == 0 && phys.reorder == nil

@@ -17,6 +17,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sqlpp/internal/ast"
@@ -127,9 +128,8 @@ func groupKeyExprs(spec *ast.GroupBy, compile func(ast.Expr) eval.CompiledExpr) 
 // rowSink collects a block's projected rows: DISTINCT filtering, ORDER
 // BY key evaluation (full sort or bounded top-K heap), LIMIT early-stop,
 // and the collection-size guard. A PIVOT block's sink collects (name,
-// value) pairs instead and finishes them into one tuple. The parallel
-// executor runs one sink per worker and merges them in chunk order,
-// which is why the sink is a struct rather than closure state.
+// value) pairs instead and finishes them into one tuple. The sink is part
+// of its block's run state: reset, not rebuilt, per invocation.
 type rowSink struct {
 	ctx *eval.Context
 	q   *ast.SFW
@@ -145,72 +145,73 @@ type rowSink struct {
 	// globally, or, in a PIVOT block's sink, its attribute name.
 	keys     []string
 	keepKeys bool
-	rows     []sortRow
-	top      *topKHeap
-	// lateKeys is non-nil when projection is deferred behind the top-K
-	// heap (see projectTopK): the scratch the ORDER BY keys of the row on
-	// offer are evaluated into.
-	lateKeys []value.Value
-	seen     map[string]bool
-	keyBuf   []byte
-	seq      int
+	// parked marks the sink of a run state an invocation has reused.
+	parked bool
+	// orderKeys are the ORDER BY keys of the full-sort buffer, one flat
+	// slice beside out: row r's w keys are orderKeys[r*w:(r+1)*w]. perm
+	// is the sorted order of out's rows.
+	orderKeys []value.Value
+	perm      []int
+	// top is the bounded heap of ORDER BY … LIMIT, nil otherwise.
+	top *topKHeap
+	// rowKeys receives the ORDER BY keys of the row on offer. late marks
+	// projection deferred behind the top-K heap (see projectTopK).
+	rowKeys []value.Value
+	late    bool
+	seen    map[string]bool
+	keyBuf  []byte
+	seq     int
 	// gov is the resolved resource governor, nil when ungoverned; like
 	// the stats nodes it is resolved once so project() pays a nil test.
 	gov *eval.Governor
 	// EXPLAIN ANALYZE nodes, nil when instrumentation is off. They are
-	// resolved once here so project() pays a nil test per row.
+	// resolved per invocation so project() pays a nil test per row.
 	stDistinct *eval.StatsNode
 	stOrder    *eval.StatsNode
 	stLimit    *eval.StatsNode
 }
 
-func newRowSink(ctx *eval.Context, q *ast.SFW, ex *clauseExprs, ordered bool, limit, offset int64) *rowSink {
-	s := &rowSink{ctx: ctx, q: q, ex: ex, ordered: ordered, stopAt: -1, gov: ctx.Gov}
-	if q.Select.Distinct {
-		s.seen = map[string]bool{}
-	}
+// reset empties the sink for an invocation under its LIMIT and OFFSET.
+func (s *rowSink) reset(limit, offset int64) {
+	s.out, s.keys, s.orderKeys = s.out[:0], s.keys[:0], s.orderKeys[:0]
+	clear(s.seen)
+	s.seq, s.stopAt, s.late = 0, -1, false
+	q := s.q
 	if limit >= 0 {
-		if ordered {
+		if s.ordered {
 			// Top-K: ORDER BY ... LIMIT k needs only the offset+limit
 			// smallest rows under (sort key, arrival order), which is
-			// exactly what a stable full sort would slice off.
-			s.top = newTopKHeap(int(offset+limit), q.OrderBy)
+			// exactly what a stable full sort would slice off. A block has
+			// its LIMIT on every invocation or on none, so the heap stays.
+			if s.top == nil {
+				s.top = new(topKHeap)
+			}
+			s.top.reset(int(offset+limit), q.OrderBy)
 			// Under stop-on-error typing every row's projection must run, so
 			// that a type fault in a row the heap would discard still fails
 			// the query; DISTINCT needs the projected value before the heap.
-			if !q.Select.Distinct && ctx.Mode != eval.StopOnError {
-				s.lateKeys = make([]value.Value, len(ex.order))
-			}
+			s.late = !q.Select.Distinct && s.ctx.Mode != eval.StopOnError
 		} else if !q.Select.Distinct && q.GroupBy == nil && len(q.Windows) == 0 {
 			s.stopAt = offset + limit
 		}
 	}
-	if ctx.Stats != nil {
+	if ctx := s.ctx; ctx.Stats != nil {
 		parent := statsParent(ctx)
 		if q.Select.Distinct {
 			s.stDistinct = ctx.Stats.Node(parent, q, "distinct", "distinct", "")
 		}
-		if ordered {
+		if s.ordered {
 			op := "order-by"
 			if s.top != nil {
 				op = "top-k"
 			}
 			s.stOrder = ctx.Stats.Node(parent, q, "order", op, "")
 		}
+		s.stLimit = nil
 		if limit >= 0 || offset > 0 {
 			s.stLimit = ctx.Stats.Node(parent, q, "limit", "limit", "")
 		}
 	}
-	return s
-}
-
-// consumer is the sink's per-binding entry, chosen once per block: pivot
-// for a PIVOT block, project otherwise.
-func (s *rowSink) consumer() emit {
-	if s.q.Select.PivotAt != nil {
-		return s.pivot
-	}
-	return s.project
 }
 
 // pivot evaluates a PIVOT block's attribute name and value for one
@@ -246,9 +247,21 @@ func (s *rowSink) pivot(env *eval.Env) error {
 	return nil
 }
 
+// orderKeysOf evaluates the ORDER BY keys of env into rowKeys.
+func (s *rowSink) orderKeysOf(env *eval.Env) error {
+	for i, key := range s.ex.order {
+		kv, err := key(s.ctx, env)
+		if err != nil {
+			return err
+		}
+		s.rowKeys[i] = kv
+	}
+	return nil
+}
+
 // project evaluates SELECT VALUE for one binding and folds the row in.
 func (s *rowSink) project(env *eval.Env) error {
-	if s.lateKeys != nil {
+	if s.late {
 		return s.projectTopK(env)
 	}
 	v, err := s.ex.sel(s.ctx, env)
@@ -298,31 +311,29 @@ func (s *rowSink) project(env *eval.Env) error {
 		if s.stOrder != nil {
 			s.stOrder.AddIn(1)
 		}
-		keys := make([]value.Value, len(s.ex.order))
-		for i, key := range s.ex.order {
-			kv, err := key(s.ctx, env)
-			if err != nil {
-				return err
-			}
-			keys[i] = kv
+		if err := s.orderKeysOf(env); err != nil {
+			return err
 		}
-		r := sortRow{val: v, keys: keys, seq: s.seq}
-		s.seq++
 		if s.top != nil {
+			r := sortRow{val: v, keys: s.rowKeys, seq: s.seq}
+			s.seq++
 			grew := s.top.Len() < s.top.k
-			s.top.offer(r)
+			if s.top.admits(r) {
+				s.top.insert(r)
+			}
 			if grew && s.gov != nil {
 				return s.gov.ChargeOutput("order-by", 1, v)
 			}
 			return nil
 		}
-		s.rows = append(s.rows, r)
+		s.out = append(s.out, v)
+		s.orderKeys = append(s.orderKeys, s.rowKeys...)
 		if s.gov != nil {
 			if err := s.gov.ChargeOutput("order-by", 1, v); err != nil {
 				return err
 			}
 		}
-		return checkSize(s.ctx, len(s.rows))
+		return checkSize(s.ctx, len(s.out))
 	}
 	s.out = append(s.out, v)
 	if s.keepKeys {
@@ -343,10 +354,9 @@ func (s *rowSink) project(env *eval.Env) error {
 }
 
 // projectTopK is project for ORDER BY … LIMIT under permissive typing:
-// the sort keys are evaluated first, into a reused scratch, and SELECT
-// VALUE only for a row the heap admits — of n rows all are counted and
-// compared, but only the O(k log n) that enter the heap are projected,
-// and a row that replaces the root takes over the root's key slice.
+// the sort keys are evaluated first, into rowKeys, and SELECT VALUE
+// only for a row the heap admits — of n rows all are counted and
+// compared, but only the O(k log n) that enter the heap are projected.
 func (s *rowSink) projectTopK(env *eval.Env) error {
 	if err := s.ctx.Interrupted(); err != nil {
 		return err
@@ -354,14 +364,10 @@ func (s *rowSink) projectTopK(env *eval.Env) error {
 	if s.stOrder != nil {
 		s.stOrder.AddIn(1)
 	}
-	for i, key := range s.ex.order {
-		kv, err := key(s.ctx, env)
-		if err != nil {
-			return err
-		}
-		s.lateKeys[i] = kv
+	if err := s.orderKeysOf(env); err != nil {
+		return err
 	}
-	r := sortRow{keys: s.lateKeys, seq: s.seq}
+	r := sortRow{keys: s.rowKeys, seq: s.seq}
 	s.seq++
 	if !s.top.admits(r) {
 		return nil
@@ -375,12 +381,6 @@ func (s *rowSink) projectTopK(env *eval.Env) error {
 	}
 	r.val = v
 	grew := s.top.Len() < s.top.k
-	if grew {
-		r.keys = append([]value.Value(nil), s.lateKeys...)
-	} else {
-		r.keys = s.top.rows[0].keys
-		copy(r.keys, s.lateKeys)
-	}
 	s.top.insert(r)
 	if grew && s.gov != nil {
 		return s.gov.ChargeOutput("order-by", 1, v)
@@ -388,8 +388,42 @@ func (s *rowSink) projectTopK(env *eval.Env) error {
 	return nil
 }
 
+// merge appends a parallel worker's rows, the next chunk in scan order,
+// re-deduplicating DISTINCT rows by their kept keys; a PIVOT's pairs
+// concatenate like rows.
+//
+// governor:charged-at each worker's project/pivot, checkSize bounding
+// the combined count.
+func (s *rowSink) merge(w *rowSink) error {
+	for j, v := range w.out {
+		if s.seen != nil {
+			if err := s.ctx.Interrupted(); err != nil {
+				return err
+			}
+			if s.seen[w.keys[j]] {
+				continue
+			}
+			s.seen[w.keys[j]] = true
+		}
+		s.out = append(s.out, v)
+	}
+	if s.q.Select.PivotAt != nil {
+		s.keys = append(s.keys, w.keys...)
+	}
+	return checkSize(s.ctx, len(s.out))
+}
+
+// Shared empty answers: an empty invocation allocates nothing.
+var (
+	emptyBag   value.Value = value.Bag(nil)
+	emptyArray value.Value = value.Array{}
+)
+
 // finish sorts (if ordered) and applies LIMIT/OFFSET, returning the
-// block's result collection — or, for a PIVOT block, its one tuple.
+// block's result collection — or, for a PIVOT block, its one tuple. A
+// reused sink copies the answer into one exact-size slice, so it shares
+// no storage with the next invocation; otherwise the answer takes over
+// the buffer.
 func (s *rowSink) finish(limit, offset int64) value.Value {
 	if s.q.Select.PivotAt != nil {
 		t := value.EmptyTuple()
@@ -398,114 +432,298 @@ func (s *rowSink) finish(limit, offset int64) value.Value {
 		}
 		return t
 	}
-	out := s.out
+	n := len(s.out)
+	var top []sortRow
 	if s.ordered {
 		var stopSort func()
 		if s.stOrder != nil {
 			stopSort = s.stOrder.Timer()
 		}
-		rows := s.rows
 		if s.top != nil {
-			rows = s.top.finish()
+			top = s.top.finish()
+			n = len(top)
 			if s.stOrder != nil {
 				s.stOrder.Counter("heap_evictions").Store(s.top.evicted)
 			}
 		} else {
-			sortRows(rows, s.q.OrderBy)
-		}
-		out = make([]value.Value, len(rows))
-		for i, r := range rows {
-			out[i] = r.val
+			s.sort()
 		}
 		if stopSort != nil {
 			stopSort()
-			s.stOrder.AddOut(int64(len(out)))
+			s.stOrder.AddOut(int64(n))
 		}
 	}
 	if s.stLimit != nil {
-		s.stLimit.AddIn(int64(len(out)))
+		s.stLimit.AddIn(int64(n))
 	}
-	out = applyLimitOffset(out, limit, offset)
+	lo, hi := limitWindow(n, limit, offset)
 	if s.stLimit != nil {
-		s.stLimit.AddOut(int64(len(out)))
+		s.stLimit.AddOut(int64(hi - lo))
 	}
-	if s.ordered {
-		return value.Array(out)
+	switch {
+	case lo == hi && s.ordered:
+		return emptyArray
+	case lo == hi:
+		return emptyBag
+	case !s.ordered && s.parked:
+		return value.Bag(slices.Clone(s.out[lo:hi]))
+	case !s.ordered:
+		ans := s.out[lo:hi]
+		s.out = nil // the answer owns the buffer now
+		return value.Bag(ans)
 	}
-	return value.Bag(out)
+	out := make([]value.Value, hi-lo)
+	for i := range out {
+		if top != nil {
+			out[i] = top[lo+i].val
+		} else {
+			out[i] = s.out[s.perm[lo+i]]
+		}
+	}
+	return value.Array(out)
 }
 
-// havingChain wraps inner with the HAVING filter.
-func havingChain(ctx *eval.Context, q *ast.SFW, ex *clauseExprs, inner emit) emit {
-	if q.Having == nil {
-		return inner
+// sort orders the full-sort buffer stably by the ORDER BY items into
+// perm.
+//
+// governor:charged-at project — perm holds one index per buffered row.
+func (s *rowSink) sort() {
+	w := len(s.ex.order)
+	s.perm = s.perm[:0]
+	for i := range s.out {
+		s.perm = append(s.perm, i)
 	}
-	var st *eval.StatsNode
-	if ctx.Stats != nil {
-		st = ctx.Stats.Node(statsParent(ctx), q, "having", "filter", "having")
-	}
-	return func(env *eval.Env) error {
-		if st != nil {
-			st.AddIn(1)
+	slices.SortStableFunc(s.perm, func(a, b int) int {
+		return cmpKeys(s.orderKeys[a*w:(a+1)*w], s.orderKeys[b*w:(b+1)*w], s.q.OrderBy)
+	})
+}
+
+// blockRun is the run state of one query block in one execution, the
+// mutable half beside the plan built at prepare (sfwPhys and its
+// compiled clauseExprs). The stages downstream of FROM are its methods
+// and fields: fromRow, the grouper, postGroup and the row sink. A nested
+// block's later entries in an execution — a correlated subquery runs
+// once per outer binding — reset and reuse its run state, so an
+// invocation allocates only its answer. A run state belongs to one
+// Context and so to one goroutine, and never outlives the execution.
+type blockRun struct {
+	ctx *eval.Context
+	// q is the block, in its post-group form when GROUP BY streams.
+	q  *ast.SFW
+	ex *clauseExprs
+	// st holds the plan's lazily hoisted sources, hash tables and index
+	// resolutions, nil on the reference oracle; the workers of a parallel
+	// scan share their block's.
+	st   *physState
+	c    chain
+	sink rowSink
+	grp  grouper // nil without GROUP BY
+	// windowEnvs are the post-group bindings window functions need
+	// complete before any row's value is known.
+	windowEnvs []*eval.Env
+	// fromRow and, with GROUP BY, postGroup as method values, made once.
+	fromRowFn, postGroupFn emit
+	// EXPLAIN ANALYZE nodes of the clause-position filters, nil when
+	// instrumentation is off.
+	stWhere, stHaving *eval.StatsNode
+}
+
+// newBlockRun builds a run state for block q under plan phys (nil on the
+// oracle path); a parallel worker's joins its block's physState st.
+func newBlockRun(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, st *physState) *blockRun {
+	r := &blockRun{ctx: ctx, q: q}
+	if phys != nil {
+		r.ex = &phys.clauseExprs
+	} else {
+		var where []ast.Expr
+		if q.Where != nil {
+			where = []ast.Expr{q.Where}
 		}
-		cond, err := ex.having(ctx, env)
+		interpreted := newClauseExprs(q, where, eval.Interpret)
+		r.ex = &interpreted
+	}
+	r.fromRowFn = r.fromRow
+	r.sink = rowSink{ctx: ctx, q: q, ex: r.ex, ordered: len(q.OrderBy) > 0, gov: ctx.Gov, rowKeys: make([]value.Value, len(r.ex.order))}
+	if q.Select.Distinct {
+		r.sink.seen = map[string]bool{}
+	}
+	if q.GroupBy != nil {
+		r.grp = newGrouper(ctx, q.GroupBy, r.ex.group, phys)
+		r.postGroupFn = r.postGroup
+	}
+	if phys != nil {
+		if st == nil {
+			st = newPhysState(ctx, phys, nil)
+		}
+		r.st = st
+		r.c.init(st, ctx, r.fromRowFn)
+	}
+	if ctx.Stats != nil {
+		parent := statsParent(ctx)
+		if len(r.ex.where) > 0 {
+			label := "where"
+			if phys != nil {
+				label = "residual"
+			}
+			r.stWhere = ctx.Stats.Node(parent, q, "where", "filter", label)
+		}
+		if q.Having != nil {
+			r.stHaving = ctx.Stats.Node(parent, q, "having", "filter", "having")
+		}
+	}
+	return r
+}
+
+// runFor returns the run state of block q's invocation: a new one on the
+// oracle path and for the top-level block, which runs once; for a nested
+// planned block the one parked in ctx.Runs under the block's slot. A
+// block is never entered while it runs, so one run state per block is
+// enough, and every entry resets it.
+func runFor(ctx *eval.Context, q *ast.SFW, phys *sfwPhys) *blockRun {
+	if phys == nil || ctx.Depth <= 1 {
+		return newBlockRun(ctx, q, phys, nil)
+	}
+	if phys.slot < len(ctx.Runs) {
+		if r, ok := ctx.Runs[phys.slot].(*blockRun); ok && r.st.phys == phys {
+			r.sink.parked = true
+			return r
+		}
+	} else {
+		ctx.Runs = slices.Grow(ctx.Runs, phys.slot+1-len(ctx.Runs))[:phys.slot+1]
+	}
+	r := newBlockRun(ctx, q, phys, nil)
+	ctx.Runs[phys.slot] = r
+	return r
+}
+
+// reset readies the sink, grouper and window buffer for an invocation.
+func (r *blockRun) reset(outer *eval.Env, limit, offset int64) {
+	r.sink.reset(limit, offset)
+	if r.grp != nil {
+		r.grp.reset(outer)
+	}
+	clear(r.windowEnvs)
+	r.windowEnvs = r.windowEnvs[:0]
+}
+
+// run executes one invocation of the block in outer.
+func (r *blockRun) run(outer *eval.Env, limit, offset int64) (value.Value, error) {
+	r.reset(outer, limit, offset)
+	var err error
+	if r.st != nil {
+		r.st.outer = outer
+		clear(r.st.lazy) // hoisted sources and hash tables are per invocation
+		err = r.produce()
+	} else {
+		err = produceFrom(r.ctx, outer, r.q.From, r.fromRowFn)
+	}
+	if err != nil && err != errStop {
+		return nil, err
+	}
+	if r.grp != nil {
+		if err := r.grp.flush(r.postGroupFn); err != nil && err != errStop {
+			return nil, err
+		}
+	}
+	if len(r.q.Windows) > 0 {
+		ctx := r.ctx
+		var stopWin func()
+		if ctx.Stats != nil {
+			wn := ctx.Stats.Node(statsParent(ctx), r.q, "window", "window", "")
+			wn.AddIn(int64(len(r.windowEnvs)))
+			wn.AddOut(int64(len(r.windowEnvs)))
+			stopWin = wn.Timer()
+		}
+		if err := computeWindows(ctx, r.q.Windows, r.windowEnvs); err != nil {
+			return nil, err
+		}
+		if stopWin != nil {
+			stopWin()
+		}
+		for _, wenv := range r.windowEnvs {
+			if err := r.sink.project(wenv); err != nil {
+				if err == errStop {
+					break
+				}
+				return nil, err
+			}
+		}
+	}
+	return r.sink.finish(limit, offset), nil
+}
+
+// fromRow runs LET and then the clause-position WHERE conjuncts (all of
+// WHERE without a plan, the optimizer's residual with one) over one
+// binding, and passes it to the grouper or, without GROUP BY, postGroup.
+func (r *blockRun) fromRow(env *eval.Env) error {
+	if len(r.q.Lets) > 0 && r.st != nil && r.st.phys.reuseEnv {
+		// LET binds into the row's own scope, which a reused frame keeps
+		// across rows and invocations. The LET names leave with the row,
+		// so the next row's LET expressions never read a stale binding in
+		// place of an outer one (LET v = v * 2 reads the enclosing v).
+		defer env.Truncate(env.Len())
+	}
+	ctx := r.ctx
+	for i, l := range r.q.Lets {
+		v, err := r.ex.lets[i](ctx, env)
+		if err != nil {
+			return err
+		}
+		env.Bind(l.Name, v)
+	}
+	if len(r.ex.where) > 0 {
+		if r.stWhere != nil {
+			r.stWhere.AddIn(1)
+		}
+		ok, err := filtersPass(ctx, env, r.ex.where)
+		if err != nil || !ok {
+			return err
+		}
+		if r.stWhere != nil {
+			r.stWhere.AddOut(1)
+		}
+	}
+	if r.grp != nil {
+		return r.grp.add(env)
+	}
+	return r.postGroup(env)
+}
+
+// postGroup runs HAVING over a group-output binding, then projects it
+// or, when the block has window functions, keeps it for them.
+func (r *blockRun) postGroup(env *eval.Env) error {
+	ctx := r.ctx
+	if r.q.Having != nil {
+		if r.stHaving != nil {
+			r.stHaving.AddIn(1)
+		}
+		cond, err := r.ex.having(ctx, env)
 		if err != nil {
 			return err
 		}
 		if !eval.IsTrue(cond) {
 			return nil
 		}
-		if st != nil {
-			st.AddOut(1)
+		if r.stHaving != nil {
+			r.stHaving.AddOut(1)
 		}
-		return inner(env)
 	}
-}
-
-// preGroupChain wraps consume with the block's clause-position WHERE
-// conjuncts (all of WHERE without a plan, the optimizer's residual with
-// one) and LET clauses, in pipeline order: LETs bind first, then WHERE
-// filters.
-func preGroupChain(ctx *eval.Context, q *ast.SFW, ex *clauseExprs, consume emit) emit {
-	if len(ex.where) > 0 {
-		inner := consume
-		var st *eval.StatsNode
-		if ctx.Stats != nil {
-			label := "where"
-			if q.Phys != nil {
-				label = "residual"
-			}
-			st = ctx.Stats.Node(statsParent(ctx), q, "where", "filter", label)
+	if len(r.q.Windows) > 0 {
+		if err := ctx.Interrupted(); err != nil {
+			return err
 		}
-		consume = func(env *eval.Env) error {
-			if st != nil {
-				st.AddIn(1)
-			}
-			ok, err := filtersPass(ctx, env, ex.where)
-			if err != nil || !ok {
+		r.windowEnvs = append(r.windowEnvs, env)
+		if ctx.Gov != nil {
+			if err := ctx.Gov.ChargeValues("window", 1, nil); err != nil {
 				return err
 			}
-			if st != nil {
-				st.AddOut(1)
-			}
-			return inner(env)
 		}
+		return checkSize(ctx, len(r.windowEnvs))
 	}
-	if len(q.Lets) > 0 {
-		inner := consume
-		lets := q.Lets
-		consume = func(env *eval.Env) error {
-			for i, l := range lets {
-				v, err := ex.lets[i](ctx, env)
-				if err != nil {
-					return err
-				}
-				env.Bind(l.Name, v)
-			}
-			return inner(env)
-		}
+	if r.q.Select.PivotAt != nil {
+		return r.sink.pivot(env)
 	}
-	return consume
+	return r.sink.project(env)
 }
 
 // runSFW executes one query block.
@@ -516,29 +734,15 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 	if q.Select.Value == nil {
 		return nil, fmt.Errorf("plan: query block not in Core form (SELECT sugar not lowered) at %s", q.Pos())
 	}
-
-	ordered := len(q.OrderBy) > 0
 	limit, offset, err := evalLimitOffset(ctx, outer, q)
 	if err != nil {
 		return nil, err
 	}
-
 	phys, _ := q.Phys.(*sfwPhys)
-	var ex *clauseExprs
-	if phys != nil {
-		ex = &phys.clauseExprs
-		if phys.stream != nil {
-			// A streamed GROUP BY runs its post-group clauses from the copy
-			// of the block whose fold calls read aggregate slots.
-			q = phys.stream.post
-		}
-	} else {
-		var where []ast.Expr
-		if q.Where != nil {
-			where = []ast.Expr{q.Where}
-		}
-		interpreted := newClauseExprs(q, where, eval.Interpret)
-		ex = &interpreted
+	if phys != nil && phys.stream != nil {
+		// A streamed GROUP BY runs its post-group clauses from the copy
+		// of the block whose fold calls read aggregate slots.
+		q = phys.stream.post
 	}
 
 	// EXPLAIN ANALYZE: create this block's node and pre-create its
@@ -558,92 +762,10 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 		defer block.Timer()()
 	}
 
-	if phys != nil && phys.parallel && ctx.Parallelism > 1 {
-		if v, done, err := runSFWParallel(ctx, outer, q, phys); done {
-			if block != nil && err == nil {
-				block.SetOut(resultLen(v))
-			}
-			return v, err
-		}
-	}
-
-	sink := newRowSink(ctx, q, ex, ordered, limit, offset)
-
-	// Window functions force materialization of the post-group bindings:
-	// each partition must be complete before any row's value is known.
-	var windowEnvs []*eval.Env
-	postHaving := sink.consumer()
-	if len(q.Windows) > 0 {
-		sink.stopAt = -1
-		postHaving = func(env *eval.Env) error {
-			if err := ctx.Interrupted(); err != nil {
-				return err
-			}
-			windowEnvs = append(windowEnvs, env)
-			if ctx.Gov != nil {
-				if err := ctx.Gov.ChargeValues("window", 1, nil); err != nil {
-					return err
-				}
-			}
-			return checkSize(ctx, len(windowEnvs))
-		}
-	}
-
-	// postGroup runs HAVING and then projection (or window collection)
-	// for a group-output binding.
-	postGroup := havingChain(ctx, q, ex, postHaving)
-
-	// The consumer of FROM/WHERE bindings.
-	var consume emit
-	var grp grouper
-	if q.GroupBy != nil {
-		grp = newGrouper(ctx, outer, q.GroupBy, ex.group, phys)
-		consume = grp.add
-	} else {
-		consume = postGroup
-	}
-	consume = preGroupChain(ctx, q, ex, consume)
-
-	if phys != nil {
-		err = newPhysState(ctx, phys, outer).produce(ctx, consume)
-	} else {
-		err = produceFrom(ctx, outer, q.From, consume)
-	}
-	if err != nil && err != errStop {
+	res, err := runFor(ctx, q, phys).run(outer, limit, offset)
+	if err != nil {
 		return nil, err
 	}
-
-	if grp != nil {
-		if err := grp.flush(postGroup); err != nil && err != errStop {
-			return nil, err
-		}
-	}
-
-	if len(q.Windows) > 0 {
-		var stopWin func()
-		if block != nil {
-			wn := ctx.Stats.Node(block, q, "window", "window", "")
-			wn.AddIn(int64(len(windowEnvs)))
-			wn.AddOut(int64(len(windowEnvs)))
-			stopWin = wn.Timer()
-		}
-		if err := computeWindows(ctx, q.Windows, windowEnvs); err != nil {
-			return nil, err
-		}
-		if stopWin != nil {
-			stopWin()
-		}
-		for _, wenv := range windowEnvs {
-			if err := sink.project(wenv); err != nil {
-				if err == errStop {
-					break
-				}
-				return nil, err
-			}
-		}
-	}
-
-	res := sink.finish(limit, offset)
 	if block != nil {
 		block.SetOut(resultLen(res))
 	}
@@ -679,17 +801,17 @@ func evalLimitOffset(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (limit, off
 	return limit, offset, nil
 }
 
-func applyLimitOffset(out []value.Value, limit, offset int64) []value.Value {
-	if offset > 0 {
-		if offset >= int64(len(out)) {
-			return nil
-		}
-		out = out[offset:]
+// limitWindow is the [lo, hi) range of n rows that OFFSET and LIMIT
+// keep; limit is -1 when absent.
+func limitWindow(n int, limit, offset int64) (lo, hi int) {
+	lo, hi = n, n
+	if offset < int64(n) {
+		lo = int(offset)
 	}
-	if limit >= 0 && limit < int64(len(out)) {
-		out = out[:limit]
+	if limit >= 0 && limit < int64(hi-lo) {
+		hi = lo + int(limit)
 	}
-	return out
+	return lo, hi
 }
 
 // checkSize enforces the context's collection-size guard.
@@ -708,13 +830,13 @@ type sortRow struct {
 	seq int
 }
 
-// cmpRows orders two rows by the ORDER BY items using the SQL++ total
+// cmpKeys orders two rows by their ORDER BY keys using the SQL++ total
 // order, honouring DESC and NULLS FIRST/LAST. In the total order the
 // absent values sort lowest, which matches SQL's NULLS-FIRST-ascending
 // when no modifier is given; an explicit modifier overrides.
-func cmpRows(a, b sortRow, items []ast.OrderItem) int {
+func cmpKeys(a, b []value.Value, items []ast.OrderItem) int {
 	for k, o := range items {
-		av, bv := a.keys[k], b.keys[k]
+		av, bv := a[k], b[k]
 		aAbs, bAbs := value.IsAbsent(av), value.IsAbsent(bv)
 		if aAbs != bAbs && o.NullsFirst != nil {
 			if *o.NullsFirst == aAbs {
@@ -734,13 +856,6 @@ func cmpRows(a, b sortRow, items []ast.OrderItem) int {
 	return 0
 }
 
-// sortRows stably orders rows by the ORDER BY items.
-func sortRows(rows []sortRow, items []ast.OrderItem) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		return cmpRows(rows[i], rows[j], items) < 0
-	})
-}
-
 // topKHeap keeps the k first rows of the stable ORDER BY order: a
 // max-heap under (sort key, arrival order) whose root is the worst row
 // kept so far. ORDER BY ... LIMIT then costs O(n log k) time and O(k)
@@ -754,13 +869,14 @@ type topKHeap struct {
 	evicted int64
 }
 
-func newTopKHeap(k int, items []ast.OrderItem) *topKHeap {
-	return &topKHeap{k: k, items: items}
+// reset empties the heap to keep the k first rows under items.
+func (h *topKHeap) reset(k int, items []ast.OrderItem) {
+	h.k, h.items, h.rows, h.evicted = k, items, h.rows[:0], 0
 }
 
 // before reports whether a precedes b in the final output order.
 func (h *topKHeap) before(a, b sortRow) bool {
-	c := cmpRows(a, b, h.items)
+	c := cmpKeys(a.keys, b.keys, h.items)
 	return c < 0 || (c == 0 && a.seq < b.seq)
 }
 
@@ -774,26 +890,31 @@ func (h *topKHeap) Pop() any {
 	return r
 }
 
-// offer folds one row in, keeping only the k output-first rows. A row
-// tying the current worst is discarded: its arrival order places it
-// after every row already kept.
-func (h *topKHeap) offer(r sortRow) {
-	if h.admits(r) {
-		h.insert(r)
-	}
-}
-
 // admits reports whether r belongs among the k rows kept so far.
 func (h *topKHeap) admits(r sortRow) bool {
 	return len(h.rows) < h.k || (h.k > 0 && h.before(r, h.rows[0]))
 }
 
 // insert adds an admitted row, evicting the root once the heap is full.
+// A row tying the current worst is never admitted: its arrival order
+// places it after every row already kept. r's keys are the sink's
+// rowKeys; the heap copies them into storage it keeps — a slice left by
+// an earlier invocation or a new one while the heap grows, the evicted
+// root's once it is full.
 func (h *topKHeap) insert(r sortRow) {
-	if len(h.rows) < h.k {
-		heap.Push(h, r)
+	offered := r.keys
+	if n := len(h.rows); n < h.k {
+		var keys []value.Value
+		if n < cap(h.rows) {
+			keys = h.rows[:n+1][n].keys[:0]
+		}
+		r.keys = append(keys, offered...)
+		h.rows = append(h.rows, r)
+		heap.Fix(h, n)
 		return
 	}
+	r.keys = h.rows[0].keys
+	copy(r.keys, offered)
 	h.rows[0] = r
 	heap.Fix(h, 0)
 	h.evicted++

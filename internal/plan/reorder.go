@@ -52,7 +52,7 @@ func (st *physState) produceReordered(ctx *eval.Context, k emit) error {
 		if node != nil {
 			defer node.Timer()()
 		}
-		err = st.seq.init(st, ctx, func(env *eval.Env) error {
+		err = new(chain).init(st, ctx, func(env *eval.Env) error {
 			if node != nil {
 				node.AddIn(1)
 			}

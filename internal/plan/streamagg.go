@@ -340,10 +340,9 @@ type streamGroup struct {
 	st      *eval.StatsNode
 }
 
-func newStreamGroup(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, keys []eval.CompiledExpr, plan *streamPlan) *streamGroup {
+func newStreamGroup(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledExpr, plan *streamPlan) *streamGroup {
 	g := &streamGroup{
 		ctx:     ctx,
-		outer:   outer,
 		spec:    spec,
 		slots:   plan.slots,
 		keysC:   keys,
@@ -356,12 +355,20 @@ func newStreamGroup(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, keys 
 	if ctx.Stats != nil {
 		g.st = ctx.Stats.Node(statsParent(ctx), spec, "group", "group-by", plan.label)
 	}
+	return g
+}
+
+// reset drops the groups of the last invocation.
+func (g *streamGroup) reset(outer *eval.Env) {
+	g.outer = outer
+	clear(g.groups)
+	clear(g.order)
+	g.order = g.order[:0]
 	// The implicit single group of aggregate-only queries exists even
 	// for empty input (SELECT AVG(x) over nothing yields one NULL row).
-	if len(spec.Keys) == 0 {
+	if len(g.spec.Keys) == 0 {
 		g.open("", nil)
 	}
-	return g
 }
 
 func (g *streamGroup) open(key string, keys []value.Value) *streamEntry {

@@ -49,6 +49,11 @@ var optimizerBattery = []string{
 	// bind into the enclosing environment.
 	`SELECT VALUE {'a': a, 'b': b} LET a = 2, b = a * 3 WHERE b > 5`,
 	`SELECT e.name AS n, (SELECT VALUE s LET s = e.salary * 2) AS dbl FROM emp AS e WHERE e.deptno = 7`,
+	// A LET that shadows an outer variable reads the outer one, in every
+	// invocation of a reused sub-block and on every row of its scan.
+	`SELECT VALUE (SELECT VALUE v LET v = v * 2) FROM [10, 30] AS v`,
+	`SELECT h.name AS n, (FROM h.projects AS p LET v = v + 1 SELECT VALUE [p, v]) AS vs
+	 FROM hr AS h LET v = h.id WHERE h.id < 6`,
 	// The hash table's flat row layout: a build side binding two
 	// variables (AT over an array), build keys NULL or MISSING between
 	// present ones, a LEFT JOIN whose probes walk the same bucket chains
