@@ -124,6 +124,43 @@ func TestGovernorDepth(t *testing.T) {
 	}
 }
 
+// TestGovernorDepthSetOpAndWith: a WITH and a set operation each take
+// one level of nesting, as a query block does, and their operand blocks
+// the next. At MaxDepth 2 both queries run; at MaxDepth 1 both fail on
+// their first operand block. The production path and the oracle give the
+// same outcome at each budget.
+func TestGovernorDepthSetOpAndWith(t *testing.T) {
+	for _, q := range []string{
+		`WITH ks AS (SELECT VALUE r.k FROM rows AS r WHERE r.id < 5) SELECT VALUE k FROM ks AS k`,
+		`SELECT VALUE r.id FROM rows AS r WHERE r.id < 3 UNION SELECT VALUE r.k FROM rows AS r WHERE r.k < 3`,
+	} {
+		for _, depth := range []int{1, 2} {
+			outcomes := map[bool]string{}
+			for _, oracle := range []bool{false, true} {
+				db := New(&Options{Limits: Limits{MaxDepth: depth}, Parallelism: 1, DisableOptimizer: oracle})
+				if err := db.RegisterSION("rows", `{{ {'id': 1, 'k': 2}, {'id': 2, 'k': 9}, {'id': 7, 'k': 1} }}`); err != nil {
+					t.Fatal(err)
+				}
+				v, err := db.Query(q)
+				if depth == 1 {
+					if re := wantResource(t, err, ResourceDepth); re.Observed != 2 {
+						t.Errorf("oracle=%v %s: depth error observed %d, want 2", oracle, q, re.Observed)
+					}
+					outcomes[oracle] = err.Error()
+					continue
+				}
+				if err != nil {
+					t.Fatalf("oracle=%v %s: MaxDepth 2 must admit it: %v", oracle, q, err)
+				}
+				outcomes[oracle] = v.String()
+			}
+			if outcomes[false] != outcomes[true] {
+				t.Errorf("MaxDepth %d %s: production %s, oracle %s", depth, q, outcomes[false], outcomes[true])
+			}
+		}
+	}
+}
+
 func TestGovernorWallTime(t *testing.T) {
 	db := govEngine(t, 2000, Limits{MaxWallTime: time.Millisecond})
 	start := time.Now()

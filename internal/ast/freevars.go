@@ -168,7 +168,7 @@ func (w *fvWalker) expr(e Expr) {
 // after FROM, and GROUP BY replaces the pre-group variables with the key
 // aliases plus GROUP AS for every post-group clause. LIMIT/OFFSET are
 // evaluated in the outer environment and are walked outside all block
-// bindings, matching evalLimitOffset.
+// bindings, as plan.Run evaluates them.
 func (w *fvWalker) sfw(q *SFW) {
 	w.expr(q.Limit)
 	w.expr(q.Offset)

@@ -413,7 +413,7 @@ func (c *Catalog) IndexFor(collection string, path []string, needOrdered bool) (
 	for _, name := range c.byColl[collection] {
 		ix := c.indexes[name]
 		sp := ix.Spec()
-		if !pathEqual(sp.Path, path) {
+		if !slices.Equal(sp.Path, path) {
 			continue
 		}
 		ordered := sp.Kind == index.Ordered
@@ -430,17 +430,4 @@ func (c *Catalog) IndexFor(collection string, path []string, needOrdered bool) (
 		best, bestOrdered = name, ordered
 	}
 	return best, best != ""
-}
-
-// pathEqual compares key paths step-wise.
-func pathEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -179,6 +179,7 @@ func ExecuteValues(data map[string]value.Value, query string, compatMode, strict
 	// The kit exercises the production path: listing results must be
 	// identical with every rewrite enabled and every expression compiled.
 	plan.Optimize(core, plan.OptOptions{Mode: mode, Compat: compatMode, Indexes: cat, Funcs: sharedFuncs, Stats: cat})
+	root := eval.Compile(core, eval.CompileOpts{Mode: mode, Compat: compatMode, Funcs: sharedFuncs})
 	ctx := &eval.Context{
 		Mode:        mode,
 		Compat:      compatMode,
@@ -187,7 +188,7 @@ func ExecuteValues(data map[string]value.Value, query string, compatMode, strict
 		Run:         plan.Run,
 		Parallelism: runtime.GOMAXPROCS(0),
 	}
-	return plan.Run(ctx, eval.NewEnv(), core)
+	return root(ctx, eval.NewEnv())
 }
 
 // CoreForm returns the SQL++ Core rewriting of a query, for inspection.

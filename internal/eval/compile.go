@@ -18,11 +18,13 @@ import (
 //
 // Identity with the interpreter is held by construction: every compiled
 // closure delegates to the same value-level helpers Eval uses (Arith,
-// Comparison, Navigate, likeValue, inValues, ...), evaluates operands
-// in the same order, and produces the same error values. Node kinds the
-// compiler does not lower — nested query blocks chiefly — become a
-// closure around Eval (Interpret), so compiled and interpreted subtrees
-// mix freely.
+// Comparison, Navigate, likeValue, inValues, setOpValue, ...), evaluates
+// operands in the same order, and produces the same error values. Every
+// node kind is lowered, so a compiled tree never enters the interpreter:
+// a query block compiles to its dispatch through ctx.Run (the block's
+// own clauses are compiled in its physical plan), WITH and set operations
+// compile over compiled operands, and an unknown node kind or operator
+// compiles to a closure returning the error Eval would raise.
 //
 // A CompiledExpr is only valid under a Context whose Mode and Compat
 // match the CompileOpts it was compiled with; the planner guarantees
@@ -46,8 +48,8 @@ type CompileOpts struct {
 	// Compat is the SQL-compatibility bit baked into the compiled
 	// closures.
 	Compat bool
-	// Funcs resolves function calls at compile time. Nil leaves calls
-	// on the interpreted path.
+	// Funcs resolves function calls at compile time; required when the
+	// expression calls a function.
 	Funcs FuncSource
 }
 
@@ -93,11 +95,14 @@ func Compile(e ast.Expr, o CompileOpts) CompiledExpr {
 		return compileBagCtor(x, o)
 	case *ast.Exists:
 		return compileExists(x, o)
+	case *ast.SFW:
+		return compileBlock(x)
+	case *ast.SetOp:
+		return compileSetOp(x, o)
+	case *ast.With:
+		return compileWith(x, o)
 	}
-	// Query blocks (PIVOT included), set ops, WITH and any future node
-	// kinds run through the interpreter; their sub-blocks get their own
-	// compiled physical plans when they execute.
-	return Interpret(e)
+	return compileErr(fmt.Errorf("eval: unknown expression node %T at %s", e, e.Pos()))
 }
 
 // CompileAll compiles a slice of expressions; nil in, nil out.
@@ -113,10 +118,9 @@ func CompileAll(es []ast.Expr, o CompileOpts) []CompiledExpr {
 }
 
 // Interpret returns e's evaluator through the tree-walking interpreter:
-// what Compile produces for node kinds it does not lower, and what a
-// block that runs without a physical plan (the reference oracle) hands
-// the operators it shares with planned blocks. A nil expression yields
-// nil.
+// the reference oracle's counterpart of Compile, which a block that runs
+// without a physical plan hands the operators it shares with planned
+// blocks. Production never calls it. A nil expression yields nil.
 func Interpret(e ast.Expr) CompiledExpr {
 	if e == nil {
 		return nil
@@ -127,8 +131,7 @@ func Interpret(e ast.Expr) CompiledExpr {
 }
 
 // compileErr lowers a prepare-time failure (unknown function, bad
-// arity) to a closure returning it, preserving the interpreter's
-// behavior of reporting such errors before evaluating any operand.
+// arity, unknown operator or node kind) to a closure returning it.
 func compileErr(err error) CompiledExpr {
 	return func(*Context, *Env) (value.Value, error) {
 		return nil, err
@@ -204,7 +207,7 @@ func compileUnary(x *ast.Unary, o CompileOpts) CompiledExpr {
 	switch x.Op {
 	case "-", "NOT":
 	default:
-		return Interpret(x)
+		return compileErr(fmt.Errorf("eval: unknown unary operator %q at %s", x.Op, x.Pos()))
 	}
 	operand := Compile(x.Operand, o)
 	op, pos := x.Op, x.Pos()
@@ -218,20 +221,13 @@ func compileUnary(x *ast.Unary, o CompileOpts) CompiledExpr {
 }
 
 func compileBinary(x *ast.Binary, o CompileOpts) CompiledExpr {
-	switch x.Op {
-	case "AND", "OR":
+	if x.Op == "AND" || x.Op == "OR" {
 		return compileLogical(x, o)
-	case "+", "-", "*", "/", "%":
-		return compileArith(x, o)
-	case "||":
-		return compileConcat(x, o)
-	case "=", "<>", "<", "<=", ">", ">=":
-		return compileComparison(x, o)
 	}
-	return Interpret(x)
-}
-
-func compileArith(x *ast.Binary, o CompileOpts) CompiledExpr {
+	apply := binaryOperator(x.Op)
+	if apply == nil {
+		return compileErr(fmt.Errorf("eval: unknown binary operator %q at %s", x.Op, x.Pos()))
+	}
 	l := Compile(x.L, o)
 	r := Compile(x.R, o)
 	op, pos := x.Op, x.Pos()
@@ -244,41 +240,7 @@ func compileArith(x *ast.Binary, o CompileOpts) CompiledExpr {
 		if err != nil {
 			return nil, err
 		}
-		return Arith(ctx, op, lv, rv, pos)
-	}
-}
-
-func compileConcat(x *ast.Binary, o CompileOpts) CompiledExpr {
-	l := Compile(x.L, o)
-	r := Compile(x.R, o)
-	pos := x.Pos()
-	return func(ctx *Context, env *Env) (value.Value, error) {
-		lv, err := l(ctx, env)
-		if err != nil {
-			return nil, err
-		}
-		rv, err := r(ctx, env)
-		if err != nil {
-			return nil, err
-		}
-		return evalConcat(ctx, lv, rv, pos)
-	}
-}
-
-func compileComparison(x *ast.Binary, o CompileOpts) CompiledExpr {
-	l := Compile(x.L, o)
-	r := Compile(x.R, o)
-	op, pos := x.Op, x.Pos()
-	return func(ctx *Context, env *Env) (value.Value, error) {
-		lv, err := l(ctx, env)
-		if err != nil {
-			return nil, err
-		}
-		rv, err := r(ctx, env)
-		if err != nil {
-			return nil, err
-		}
-		return Comparison(ctx, op, lv, rv, pos)
+		return apply(ctx, op, lv, rv, pos)
 	}
 }
 
@@ -458,40 +420,28 @@ func compileBetween(x *ast.Between, o CompileOpts) CompiledExpr {
 	}
 }
 
+// compileIn lowers IN over a parenthesized list (x.List) or a
+// collection-valued operand (x.Set), whichever the node carries.
 func compileIn(x *ast.In, o CompileOpts) CompiledExpr {
 	target := Compile(x.Target, o)
-	negate, pos := x.Negate, x.Pos()
-	if x.List != nil {
-		list := CompileAll(x.List, o)
-		return compileInList(target, list, negate, pos)
-	}
+	list := CompileAll(x.List, o)
 	set := Compile(x.Set, o)
-	return compileInSet(target, set, negate, pos)
-}
-
-func compileInList(target CompiledExpr, list []CompiledExpr, negate bool, pos lexer.Pos) CompiledExpr {
+	negate, pos := x.Negate, x.Pos()
 	return func(ctx *Context, env *Env) (value.Value, error) {
 		tv, err := target(ctx, env)
 		if err != nil {
 			return nil, err
 		}
-		elems := make([]value.Value, len(list))
-		for i, le := range list {
-			v, err := le(ctx, env)
-			if err != nil {
-				return nil, err
+		if set == nil {
+			elems := make([]value.Value, len(list))
+			for i, le := range list {
+				v, err := le(ctx, env)
+				if err != nil {
+					return nil, err
+				}
+				elems[i] = v
 			}
-			elems[i] = v
-		}
-		return inValues(ctx, tv, elems, negate, pos)
-	}
-}
-
-func compileInSet(target, set CompiledExpr, negate bool, pos lexer.Pos) CompiledExpr {
-	return func(ctx *Context, env *Env) (value.Value, error) {
-		tv, err := target(ctx, env)
-		if err != nil {
-			return nil, err
+			return inValues(ctx, tv, elems, negate, pos)
 		}
 		sv, err := set(ctx, env)
 		if err != nil {
@@ -601,9 +551,6 @@ func compileCase(x *ast.Case, o CompileOpts) CompiledExpr {
 // surface at the same point the interpreter reports them — before any
 // argument evaluates.
 func compileCall(x *ast.Call, o CompileOpts) CompiledExpr {
-	if o.Funcs == nil {
-		return Interpret(x)
-	}
 	def, ok := o.Funcs.LookupFunc(x.Name)
 	if !ok {
 		return compileErr(&NameError{Pos: x.Pos(), Name: x.Name + "()"})
@@ -752,5 +699,31 @@ func compileExists(x *ast.Exists, o CompileOpts) CompiledExpr {
 			return nil, err
 		}
 		return existsValue(ctx, v, pos)
+	}
+}
+
+// compileBlock lowers a query block to its dispatch through ctx.Run; the
+// plan compiled the block's own clauses into its physical plan.
+func compileBlock(x *ast.SFW) CompiledExpr {
+	return func(ctx *Context, env *Env) (value.Value, error) {
+		return dispatchBlock(ctx, env, x)
+	}
+}
+
+func compileSetOp(x *ast.SetOp, o CompileOpts) CompiledExpr {
+	l, r := Compile(x.L, o), Compile(x.R, o)
+	return func(ctx *Context, env *Env) (value.Value, error) {
+		return setOpValue(ctx, env, x, l, r)
+	}
+}
+
+func compileWith(x *ast.With, o CompileOpts) CompiledExpr {
+	binds := make([]CompiledExpr, len(x.Bindings))
+	for i, b := range x.Bindings {
+		binds[i] = Compile(b.Expr, o)
+	}
+	body := Compile(x.Body, o)
+	return func(ctx *Context, env *Env) (value.Value, error) {
+		return withValue(ctx, env, x, binds, body)
 	}
 }

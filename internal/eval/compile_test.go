@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"sqlpp/internal/ast"
 	"sqlpp/internal/parser"
 	"sqlpp/internal/sion"
 	"sqlpp/internal/value"
@@ -268,8 +269,9 @@ func TestCompiledEvalIdentityProperty(t *testing.T) {
 
 // TestCompileNilAndFallback pins the compiler's edges: Compile(nil) is
 // nil (optional clauses stay optional), CompileAll preserves nil-ness,
-// and an unknown node kind falls back to the interpreter rather than
-// failing.
+// a compilable expression compiles, and an unknown operator compiles to
+// a closure returning the interpreter's error rather than failing (or
+// entering the interpreter).
 func TestCompileNilAndFallback(t *testing.T) {
 	if Compile(nil, CompileOpts{}) != nil {
 		t.Error("Compile(nil) must return nil")
@@ -292,6 +294,14 @@ func TestCompileNilAndFallback(t *testing.T) {
 	}
 	if got := v.String(); got != "42" {
 		t.Errorf("compiled x+1 = %s, want 42", got)
+	}
+	one := &ast.Literal{Val: value.Int(1)}
+	for _, bad := range []ast.Expr{&ast.Unary{Op: "~", Operand: one}, &ast.Binary{Op: "<=>", L: one, R: one}} {
+		_, werr := Eval(&Context{}, env, bad)
+		_, gerr := Compile(bad, CompileOpts{})(&Context{}, env)
+		if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+			t.Errorf("unknown operator: interpreted err=%v, compiled err=%v", werr, gerr)
+		}
 	}
 }
 
@@ -374,6 +384,47 @@ func TestPermissiveFaultBuildsNoMessage(t *testing.T) {
 			if n := testing.AllocsPerRun(100, func() { _, _ = run() }); n != 0 {
 				t.Errorf("%s permissive fault: %.0f allocations, want 0", name, n)
 			}
+		}
+	}
+}
+
+// TestCompiledQueryExpressionsIdentity: WITH and the set operations
+// compile over compiled operands and share the bag algebra and the
+// nesting-depth charge with the interpreter: the same value or error
+// text in every configuration, and the same depth error under a budget
+// one level too small.
+func TestCompiledQueryExpressionsIdentity(t *testing.T) {
+	for _, src := range []string{
+		`[1, 2, 2, 3, 'x'] UNION {{2, 3, 4, 1.0}}`,
+		`[1, 2, 2, 3, 'x'] UNION ALL {{2, 3, 4, 1.0}}`,
+		`[1, 2, 2, 3, 'x'] INTERSECT {{2, 3, 3, 'x'}}`,
+		`[1, 2, 2, 3, 'x'] INTERSECT ALL {{2, 2, 3, 3}}`,
+		`[1, 2, 2, 3, 'x'] EXCEPT {{2, 'x'}}`,
+		`[1, 2, 2, 3, 'x'] EXCEPT ALL {{2, 'x'}}`,
+		`[1, 2] UNION x`,
+		`t.nope UNION [1]`,
+		`WITH a AS (x + 1), b AS (a * 2) a + b`,
+		`WITH a AS (s || 1) a`,
+	} {
+		for _, cfg := range identityConfigs {
+			checkIdentity(t, src, cfg.mode, cfg.compat)
+		}
+	}
+	e, err := parser.Parse(`WITH a AS ([1] UNION [2]) a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := identityEnv(t)
+	for _, depth := range []int{1, 2} {
+		ictx := &Context{Gov: NewGovernor(Limits{MaxDepth: depth})}
+		cctx := &Context{Gov: NewGovernor(Limits{MaxDepth: depth})}
+		want, werr := Eval(ictx, env, e)
+		got, gerr := Compile(e, CompileOpts{})(cctx, env)
+		if fmt.Sprint(want, werr) != fmt.Sprint(got, gerr) || (depth == 1) != (werr != nil) {
+			t.Errorf("MaxDepth %d: interpreted (%v, %v), compiled (%v, %v)", depth, want, werr, got, gerr)
+		}
+		if ictx.Depth != 0 || cctx.Depth != 0 {
+			t.Errorf("MaxDepth %d: depth not restored: interpreted %d, compiled %d", depth, ictx.Depth, cctx.Depth)
 		}
 	}
 }

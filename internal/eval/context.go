@@ -92,11 +92,6 @@ type FuncSource interface {
 	LookupFunc(name string) (*FuncDef, bool)
 }
 
-// QueryRunner executes a query expression (a query block, PIVOT
-// included, a set operation or a WITH) in an environment; installed by
-// package plan.
-type QueryRunner func(ctx *Context, env *Env, q ast.Expr) (value.Value, error)
-
 // Context carries per-query evaluation state: modes, catalog, functions,
 // and the query-block runner.
 type Context struct {
@@ -110,8 +105,8 @@ type Context struct {
 	Names NameSource
 	// Funcs resolves functions; must be set before evaluating calls.
 	Funcs FuncSource
-	// Run executes nested query blocks; installed by package plan.
-	Run QueryRunner
+	// Run executes a query block, PIVOT included; installed by package plan.
+	Run func(ctx *Context, env *Env, q *ast.SFW) (value.Value, error)
 	// MaxCollectionSize bounds materialized intermediate collections as
 	// a resource guard; zero means unlimited.
 	MaxCollectionSize int
@@ -134,8 +129,8 @@ type Context struct {
 	// aborts the query with a *ResourceError. Nil is the fast path —
 	// one pointer test per site, exactly like Stats.
 	Gov *Governor
-	// Depth is the current query-block nesting depth, maintained by the
-	// plan runner and checked against Gov's depth budget.
+	// Depth is the current query nesting depth, maintained by EnterBlock
+	// and checked against Gov's depth budget.
 	Depth int
 	// PlanPos is the source position of the innermost query block being
 	// executed; panic recovery stamps it into the PanicError.

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"sqlpp/internal/ast"
+	"sqlpp/internal/faultinject"
 	"sqlpp/internal/lexer"
 	"sqlpp/internal/value"
 )
@@ -14,6 +15,11 @@ import (
 // all other errors (unresolved names, resource limits) are returned in
 // both modes.
 func Eval(ctx *Context, env *Env, e ast.Expr) (value.Value, error) {
+	if faultinject.Enabled {
+		if err := faultinject.Fire(faultinject.Interpret); err != nil {
+			return nil, err
+		}
+	}
 	switch x := e.(type) {
 	case *ast.Literal:
 		return x.Val, nil
@@ -97,11 +103,16 @@ func Eval(ctx *Context, env *Env, e ast.Expr) (value.Value, error) {
 			return nil, err
 		}
 		return existsValue(ctx, v, x.Pos())
-	case *ast.SFW, *ast.SetOp, *ast.With:
-		if ctx.Run == nil {
-			return nil, fmt.Errorf("eval: no query runner installed for nested query at %s", e.Pos())
+	case *ast.SFW:
+		return dispatchBlock(ctx, env, x)
+	case *ast.SetOp:
+		return setOpValue(ctx, env, x, Interpret(x.L), Interpret(x.R))
+	case *ast.With:
+		binds := make([]CompiledExpr, len(x.Bindings))
+		for i, b := range x.Bindings {
+			binds[i] = Interpret(b.Expr)
 		}
-		return ctx.Run(ctx, env, e)
+		return withValue(ctx, env, x, binds, Interpret(x.Body))
 	}
 	return nil, fmt.Errorf("eval: unknown expression node %T at %s", e, e.Pos())
 }
@@ -232,15 +243,25 @@ func evalBinary(ctx *Context, env *Env, x *ast.Binary) (value.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch x.Op {
-	case "+", "-", "*", "/", "%":
-		return Arith(ctx, x.Op, l, r, x.Pos())
-	case "||":
-		return evalConcat(ctx, l, r, x.Pos())
-	case "=", "<>", "<", "<=", ">", ">=":
-		return Comparison(ctx, x.Op, l, r, x.Pos())
+	if apply := binaryOperator(x.Op); apply != nil {
+		return apply(ctx, x.Op, l, r, x.Pos())
 	}
 	return nil, fmt.Errorf("eval: unknown binary operator %q at %s", x.Op, x.Pos())
+}
+
+// binaryOperator returns the value-level helper of a binary operator whose
+// operands both evaluate first — arithmetic, || and the comparisons — and
+// nil for any other operator (AND and OR evaluate lazily).
+func binaryOperator(op string) func(*Context, string, value.Value, value.Value, lexer.Pos) (value.Value, error) {
+	switch op {
+	case "+", "-", "*", "/", "%":
+		return Arith
+	case "||":
+		return evalConcat
+	case "=", "<>", "<", "<=", ">", ">=":
+		return Comparison
+	}
+	return nil
 }
 
 // evalLogical implements AND/OR with SQL three-valued logic, evaluating
@@ -342,7 +363,7 @@ func Arith(ctx *Context, op string, l, r value.Value, pos lexer.Pos) (value.Valu
 	return nil, fmt.Errorf("eval: unknown arithmetic operator %q", op)
 }
 
-func evalConcat(ctx *Context, l, r value.Value, pos lexer.Pos) (value.Value, error) {
+func evalConcat(ctx *Context, _ string, l, r value.Value, pos lexer.Pos) (value.Value, error) {
 	if value.IsAbsent(l) || value.IsAbsent(r) {
 		return absentOut(ctx, l.Kind() == value.KindMissing || r.Kind() == value.KindMissing), nil
 	}

@@ -23,6 +23,16 @@ import (
 // is on, the hot-path counters are atomics — the workers of a parallel
 // scan share one node per operator and fold into it concurrently.
 
+// ParentNode is the node new operators attach under: the enclosing
+// block's node, or the sink root for the top-level expression. Callers
+// must have checked Stats != nil.
+func (c *Context) ParentNode() *StatsNode {
+	if c.StatsParent != nil {
+		return c.StatsParent
+	}
+	return c.Stats.Root
+}
+
 // StatsNode is one operator's live counters in the stats tree.
 type StatsNode struct {
 	// Op names the physical operator: "scan", "unpivot", "join",

@@ -49,9 +49,12 @@ type rule struct {
 	fired  atomic.Uint64
 }
 
+// armed is set while any rule is: Fire, on every hot-path site, then
+// skips the lock when nothing is armed.
 var (
 	mu    sync.RWMutex
 	rules = map[string]*rule{}
+	armed atomic.Bool
 )
 
 // Set arms point: skip the first `after` Fire calls, then trigger every
@@ -63,6 +66,7 @@ func Set(point string, after, every, times uint64, action Action) {
 	}
 	mu.Lock()
 	rules[point] = &rule{after: after, every: every, times: times, action: action}
+	armed.Store(true)
 	mu.Unlock()
 }
 
@@ -81,6 +85,7 @@ func Schedule(seed int64, points ...string) {
 func Reset() {
 	mu.Lock()
 	rules = map[string]*rule{}
+	armed.Store(false)
 	mu.Unlock()
 }
 
@@ -99,6 +104,9 @@ func Fired(point string) uint64 {
 // not trigger on this call; otherwise the rule's action runs (sleep,
 // panic, or error return).
 func Fire(point string) error {
+	if !armed.Load() {
+		return nil
+	}
 	mu.RLock()
 	r := rules[point]
 	mu.RUnlock()

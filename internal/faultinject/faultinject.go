@@ -48,9 +48,13 @@ const (
 	// ShardGatherNext fires per row folded into the coordinator's
 	// gather/merge accumulator.
 	ShardGatherNext = "shard-gather-next"
+	// Interpret fires at every entry to the tree-walking interpreter
+	// (eval.Eval). Armed count-only (a zero Action), it shows that the
+	// production path, which compiles every expression, never enters it.
+	Interpret = "interpret"
 )
 
 // Points lists every injection point, for harness sweeps.
 func Points() []string {
-	return []string{ScanNext, HashBuildInsert, PlanCacheGet, IngestDecode, WorkerStart, IndexBuildInsert, IndexProbeNext, StatsSketchAdd, ShardExec, ShardGatherNext}
+	return []string{ScanNext, HashBuildInsert, PlanCacheGet, IngestDecode, WorkerStart, IndexBuildInsert, IndexProbeNext, StatsSketchAdd, ShardExec, ShardGatherNext, Interpret}
 }

@@ -36,6 +36,30 @@ func hoistSource(ctx *eval.Context, outer *eval.Env, srcC eval.CompiledExpr) (va
 	return src, nil
 }
 
+// itemExprs are the evaluators of one FROM item, made once where its
+// block's other closures are: a scan's or an UNPIVOT's source, or for a
+// JOIN its ON condition (nil when absent) and its operands' trees.
+type itemExprs struct {
+	item        ast.FromItem
+	src, on     eval.CompiledExpr
+	left, right *itemExprs
+}
+
+// newItemExprs lowers item's expressions with compile.
+func newItemExprs(item ast.FromItem, compile func(ast.Expr) eval.CompiledExpr) *itemExprs {
+	it := &itemExprs{item: item}
+	switch x := item.(type) {
+	case *ast.FromExpr:
+		it.src = compile(x.Expr)
+	case *ast.FromUnpivot:
+		it.src = compile(x.Expr)
+	case *ast.FromJoin:
+		it.on = compile(x.On)
+		it.left, it.right = newItemExprs(x.Left, compile), newItemExprs(x.Right, compile)
+	}
+	return it
+}
+
 // produceFrom streams the binding environments of a FROM clause to k.
 // With no FROM items the block evaluates its remaining clauses over a
 // single empty binding (SELECT VALUE 1+1 works), matching the functional
@@ -44,14 +68,14 @@ func hoistSource(ctx *eval.Context, outer *eval.Env, srcC eval.CompiledExpr) (va
 // Comma-separated items are correlated cross products: each item's source
 // expression is evaluated in the environment produced by the items to its
 // left (left correlation, §III).
-func produceFrom(ctx *eval.Context, outer *eval.Env, items []ast.FromItem, k emit) error {
+func produceFrom(ctx *eval.Context, outer *eval.Env, items []*itemExprs, k emit) error {
 	if len(items) == 0 {
 		return k(outer.Child())
 	}
 	return produceItems(ctx, outer, items, 0, k)
 }
 
-func produceItems(ctx *eval.Context, env *eval.Env, items []ast.FromItem, i int, k emit) error {
+func produceItems(ctx *eval.Context, env *eval.Env, items []*itemExprs, i int, k emit) error {
 	if i == len(items) {
 		return k(env)
 	}
@@ -62,21 +86,21 @@ func produceItems(ctx *eval.Context, env *eval.Env, items []ast.FromItem, i int,
 
 // produceItem streams the bindings of a single FROM item, each in a new
 // child environment of env.
-func produceItem(ctx *eval.Context, env *eval.Env, item ast.FromItem, k emit) error {
+func produceItem(ctx *eval.Context, env *eval.Env, it *itemExprs, k emit) error {
 	if ctx.Stats != nil {
-		n := itemNode(ctx, item)
+		n := itemNode(ctx, it.item)
 		k = countOut(n, k)
 		defer n.Timer()()
 	}
-	switch x := item.(type) {
+	switch it.item.(type) {
 	case *ast.FromExpr:
-		return produceScan(ctx, env, x, k)
+		return produceScan(ctx, env, it, k)
 	case *ast.FromUnpivot:
-		return produceUnpivot(ctx, env, x, k)
+		return produceUnpivot(ctx, env, it, k)
 	case *ast.FromJoin:
-		return produceJoin(ctx, env, x, k)
+		return produceJoin(ctx, env, it, k)
 	}
-	return fmt.Errorf("plan: unknown FROM item %T", item)
+	return fmt.Errorf("plan: unknown FROM item %T", it.item)
 }
 
 // countOut wraps k so each binding it forwards counts as n's output.
@@ -92,12 +116,12 @@ func countOut(n *eval.StatsNode, k emit) emit {
 // and its elements bind as-is (§III-A). A non-collection source is a
 // single binding in permissive mode and an error in stop-on-error mode;
 // a MISSING source produces no bindings.
-func produceScan(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, k emit) error {
-	src, err := eval.Eval(ctx, env, x.Expr)
+func produceScan(ctx *eval.Context, env *eval.Env, it *itemExprs, k emit) error {
+	src, err := it.src(ctx, env)
 	if err != nil {
 		return err
 	}
-	return scanValue(ctx, env, x, src, false, k)
+	return scanValue(ctx, env, it.item.(*ast.FromExpr), src, false, k)
 }
 
 // scanValue binds x's variables over an already-evaluated source value;
@@ -160,12 +184,12 @@ func bindElem(child *eval.Env, x *ast.FromExpr, v value.Value, p int, isArray bo
 // UNPIVOT expr AS v AT n binds v to each attribute value and n to its
 // name. In permissive mode a non-tuple source behaves like the tuple
 // {'_1': source}; MISSING produces no bindings.
-func produceUnpivot(ctx *eval.Context, env *eval.Env, x *ast.FromUnpivot, k emit) error {
-	src, err := eval.Eval(ctx, env, x.Expr)
+func produceUnpivot(ctx *eval.Context, env *eval.Env, it *itemExprs, k emit) error {
+	src, err := it.src(ctx, env)
 	if err != nil {
 		return err
 	}
-	return unpivotValue(ctx, env, x, src, k)
+	return unpivotValue(ctx, env, it.item.(*ast.FromUnpivot), src, k)
 }
 
 // unpivotValue binds x's variables over an already-evaluated source
@@ -212,16 +236,17 @@ func unpivotValue(ctx *eval.Context, env *eval.Env, x *ast.FromUnpivot, src valu
 // laterally (it may reference left-side variables). LEFT JOIN emits a
 // binding with the right side's variables bound to NULL when no right
 // binding satisfies the ON condition.
-func produceJoin(ctx *eval.Context, env *eval.Env, x *ast.FromJoin, k emit) error {
+func produceJoin(ctx *eval.Context, env *eval.Env, it *itemExprs, k emit) error {
+	x := it.item.(*ast.FromJoin)
 	var pads *atomic.Int64
 	if ctx.Stats != nil && x.Kind == ast.JoinLeft {
 		pads = itemNode(ctx, x).Counter("left_pads")
 	}
-	return produceItem(ctx, env, x.Left, func(left *eval.Env) error {
+	return produceItem(ctx, env, it.left, func(left *eval.Env) error {
 		matched := false
-		err := produceItem(ctx, left, x.Right, func(right *eval.Env) error {
-			if x.On != nil {
-				cond, err := eval.Eval(ctx, right, x.On)
+		err := produceItem(ctx, left, it.right, func(right *eval.Env) error {
+			if it.on != nil {
+				cond, err := it.on(ctx, right)
 				if err != nil {
 					return err
 				}
@@ -294,7 +319,7 @@ type stepStats struct {
 func newPhysState(ctx *eval.Context, phys *sfwPhys, outer *eval.Env) *physState {
 	st := &physState{phys: phys, outer: outer, lazy: make([]stepLazy, len(phys.steps))}
 	if ctx.Stats != nil {
-		parent := statsParent(ctx)
+		parent := ctx.ParentNode()
 		if len(phys.pre) > 0 {
 			st.preFilter = ctx.Stats.Node(parent, phys, "pre", "filter", "pre")
 		}
@@ -488,8 +513,8 @@ func (c *chain) run(env *eval.Env, i int) error {
 				return st.runIndexJoin(ctx, env, i, step.hash, ix, next)
 			}
 		}
-		if step.hash.left != nil {
-			return produceItem(ctx, env, step.hash.left, probe)
+		if step.hash.leftEx != nil {
+			return produceItem(ctx, env, step.hash.leftEx, probe)
 		}
 		return probe(env)
 	}
@@ -521,8 +546,8 @@ func (c *chain) run(env *eval.Env, i int) error {
 		return unpivotValue(ctx, env, x, src, next)
 	}
 	// Nested-loop JOIN ... ON and correlated UNPIVOT: the producers planned
-	// and unplanned blocks share, which interpret their own expressions.
-	return produceItem(ctx, env, step.item, next)
+	// blocks share with the oracle, over the step's compiled item tree.
+	return produceItem(ctx, env, step.ex, next)
 }
 
 // source evaluates step i's source expression in env: through its
@@ -530,10 +555,10 @@ func (c *chain) run(env *eval.Env, i int) error {
 func (c *chain) source(env *eval.Env, i int) (value.Value, error) {
 	st, step := c.st, &c.st.phys.steps[i]
 	if !step.hoist {
-		return step.srcC(c.ctx, env)
+		return step.ex.src(c.ctx, env)
 	}
 	return st.lazy[i].src.get(func() (value.Value, error) {
-		return hoistSource(c.ctx, st.outer, step.srcC)
+		return hoistSource(c.ctx, st.outer, step.ex.src)
 	})
 }
 
@@ -702,7 +727,7 @@ func newGroupState(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledExp
 		content: map[string]value.Bag{},
 	}
 	if ctx.Stats != nil {
-		g.st = ctx.Stats.Node(statsParent(ctx), spec, "group", "group-by", "materialize")
+		g.st = ctx.Stats.Node(ctx.ParentNode(), spec, "group", "group-by", "materialize")
 	}
 	return g
 }

@@ -116,7 +116,7 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep, keepSeq
 		k = countOut(n, k)
 		defer n.Timer()()
 	}
-	src, err := eval.Eval(ctx, outer, x.Expr)
+	src, err := h.srcC(ctx, outer)
 	if err != nil {
 		return nil, err
 	}

@@ -34,9 +34,9 @@ func execPhys(t *testing.T, data map[string]string, query string, strict bool, p
 	if strict {
 		mode = eval.StopOnError
 	}
-	Optimize(core, OptOptions{Mode: mode})
+	Optimize(core, OptOptions{Mode: mode, Funcs: registry})
 	ctx := &eval.Context{Mode: mode, Names: cat, Funcs: registry, Run: Run, Parallelism: parallelism}
-	return Run(ctx, eval.NewEnv(), core)
+	return eval.Compile(core, eval.CompileOpts{Mode: mode, Funcs: registry})(ctx, eval.NewEnv())
 }
 
 // checkPhysMatchesNaive runs the query both ways and requires

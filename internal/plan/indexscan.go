@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"sync"
 
 	"sqlpp/internal/ast"
@@ -52,26 +53,13 @@ func resolveIndex(ctx *eval.Context, ia *indexAccess) *index.Index {
 		return nil
 	}
 	sp := ix.Spec()
-	if sp.Collection != ia.collection || !samePath(sp.Path, ia.path) {
+	if sp.Collection != ia.collection || !slices.Equal(sp.Path, ia.path) {
 		return nil
 	}
 	if (ia.ordered || ia.eq == nil) && sp.Kind != index.Ordered {
 		return nil
 	}
 	return ix
-}
-
-// samePath compares key paths step-wise.
-func samePath(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // probePositions evaluates the access path's probe expressions in env
@@ -256,8 +244,8 @@ func (st *physState) runIndexJoin(ctx *eval.Context, env *eval.Env, i int, h *ha
 		}
 		return nil
 	}
-	if h.left != nil {
-		return produceItem(ctx, env, h.left, probe)
+	if h.leftEx != nil {
+		return produceItem(ctx, env, h.leftEx, probe)
 	}
 	return probe(env)
 }

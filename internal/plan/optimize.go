@@ -52,8 +52,8 @@ type OptOptions struct {
 	// Deprecated: ignored — plans are always compiled; kept only until
 	// the next benchmark PR drops the reference.
 	Compile bool
-	// Funcs resolves function names at compile time; nil leaves calls on
-	// the interpreter.
+	// Funcs resolves function names at compile time; required when the
+	// query calls a function.
 	Funcs eval.FuncSource
 	// Stats resolves per-collection statistics at plan time. A collection
 	// without a profile (and every collection, when Stats is nil) takes the
@@ -163,10 +163,10 @@ type fromStep struct {
 	// estSrc/estOut are the estimated source and post-filter row counts
 	// of this step (-1 unknown), surfaced as est_rows on EXPLAIN nodes.
 	estSrc, estOut int64
-	// Compiled forms of filters and of the item's source expression
-	// (FromExpr/FromUnpivot only).
+	// Compiled forms of filters and of the item's expressions (nil for a
+	// hash step, which evaluates its own).
 	filtersC []eval.CompiledExpr
-	srcC     eval.CompiledExpr
+	ex       *itemExprs
 }
 
 // hashJoinStep describes one hash equi-join.
@@ -195,8 +195,11 @@ type hashJoinStep struct {
 	// estBuild/estOut are the estimated build-side and join-output row
 	// counts (-1 unknown), surfaced as est_rows on EXPLAIN nodes.
 	estBuild, estOut int64
-	// Compiled forms of probeKeys/buildKeys/verify.
+	// Compiled forms of probeKeys/buildKeys/verify, of the probe side
+	// (nil when left is) and of the build side's source.
 	probeC, buildC, verifyC []eval.CompiledExpr
+	leftEx                  *itemExprs
+	srcC                    eval.CompiledExpr
 }
 
 // Optimize annotates every query block under root with a physical plan
@@ -523,12 +526,12 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 	return phys, notes
 }
 
-// compileSFW lowers every expression the physical pipeline evaluates per
-// row — source expressions, pushed and residual filters, join and index
-// keys, LET sources, HAVING, GROUP BY keys, the SELECT projection, and
-// ORDER BY keys — to eval closures, once, at plan time. The compiled
-// forms ride in the physical plan next to the AST they were lowered
-// from, and are what execution runs.
+// compileSFW lowers every expression the physical pipeline evaluates —
+// source expressions, JOIN conditions, pushed and residual filters, join
+// and index keys, and the clause expressions (newClauseExprs) — to eval
+// closures, once, at plan time. The compiled forms ride in the physical
+// plan next to the AST they were lowered from, and are what execution
+// runs.
 func compileSFW(q *ast.SFW, phys *sfwPhys, co eval.CompileOpts) {
 	compile := func(e ast.Expr) eval.CompiledExpr { return eval.Compile(e, co) }
 	if phys.stream != nil {
@@ -550,19 +553,19 @@ func compileSFW(q *ast.SFW, phys *sfwPhys, co eval.CompileOpts) {
 	for i := range phys.steps {
 		step := &phys.steps[i]
 		step.filtersC = eval.CompileAll(step.filters, co)
-		switch x := step.item.(type) {
-		case *ast.FromExpr:
-			step.srcC = compile(x.Expr)
-		case *ast.FromUnpivot:
-			step.srcC = compile(x.Expr)
-		}
 		if h := step.hash; h != nil {
+			if h.left != nil {
+				h.leftEx = newItemExprs(h.left, compile)
+			}
+			h.srcC = compile(h.right.Expr)
 			h.probeC = eval.CompileAll(h.probeKeys, co)
 			h.buildC = eval.CompileAll(h.buildKeys, co)
 			h.verifyC = eval.CompileAll(h.verify, co)
 			if h.buildIdx != nil {
 				h.buildIdx.eqC = compile(h.buildIdx.eq)
 			}
+		} else {
+			step.ex = newItemExprs(step.item, compile)
 		}
 		if ia := step.idx; ia != nil {
 			ia.eqC = compile(ia.eq)

@@ -34,7 +34,7 @@ func optimizeQuery(t *testing.T, query string, mode eval.TypingMode) (*sfwPhys, 
 	if err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
-	notes := Optimize(core, OptOptions{Mode: mode})
+	notes := Optimize(core, OptOptions{Mode: mode, Funcs: registry})
 	var phys *sfwPhys
 	ast.Inspect(core, func(e ast.Expr) bool {
 		if q, ok := e.(*ast.SFW); ok && phys == nil {

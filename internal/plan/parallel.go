@@ -61,7 +61,7 @@ func (r *blockRun) scanParallel() error {
 	var wg sync.WaitGroup
 	for w := range runs {
 		lo, hi := w*chunk, min((w+1)*chunk, len(elems))
-		wr := newBlockRun(ctx.Fork(), r.q, st.phys, st)
+		wr := newBlockRun(ctx.Fork(), r.q, r.ex, st.phys, st)
 		wr.reset(st.outer, -1, 0)
 		wr.sink.keepKeys = r.q.Select.Distinct
 		runs[w] = wr

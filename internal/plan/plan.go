@@ -28,50 +28,69 @@ import (
 // errStop aborts binding production early (LIMIT pushdown).
 var errStop = errors.New("plan: stop iteration")
 
-// Run executes a rewritten query expression in env. Install it as
-// ctx.Run so nested query blocks inside expressions execute through it.
-// Every query-block form passes through here, so this is where the
-// governor's nesting-depth budget is enforced: a deeply nested GROUP AS
-// or subquery tower fails with a typed ResourceError instead of
-// recursing without bound.
-func Run(ctx *eval.Context, env *eval.Env, e ast.Expr) (value.Value, error) {
-	switch e.(type) {
-	case *ast.SFW, *ast.SetOp, *ast.With:
-	default:
-		return eval.Eval(ctx, env, e)
+// Run executes a rewritten query block in env. Install it as ctx.Run:
+// a query's root evaluator and every block nested in an expression
+// dispatch here (eval runs set operations and WITH itself), and the
+// block charges one level of the governor's nesting-depth budget.
+func Run(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error) {
+	if err := ctx.EnterBlock(); err != nil {
+		return nil, err
 	}
-	if ctx.Gov != nil {
-		if err := ctx.Gov.CheckDepth(ctx.Depth + 1); err != nil {
-			return nil, err
+	defer func() { ctx.Depth-- }()
+	// Stamp the block position so a recovered panic can report where the
+	// plan was; one field store, no restore — innermost wins.
+	ctx.PlanPos = q.Pos()
+	if q.Select.Value == nil {
+		return nil, fmt.Errorf("plan: query block not in Core form (SELECT sugar not lowered) at %s", q.Pos())
+	}
+	phys, _ := q.Phys.(*sfwPhys)
+	var ex *clauseExprs
+	if phys != nil {
+		ex = &phys.clauseExprs
+		if phys.stream != nil {
+			// A streamed GROUP BY runs its post-group clauses from the copy
+			// of the block whose fold calls read aggregate slots.
+			q = phys.stream.post
 		}
+	} else {
+		// The oracle runs WHERE whole, in clause position.
+		interpreted := newClauseExprs(q, []ast.Expr{q.Where}, eval.Interpret)
+		ex = &interpreted
 	}
-	ctx.Depth++
-	v, err := runBlock(ctx, env, e)
-	ctx.Depth--
-	return v, err
-}
+	limit, err := clauseCount(ctx, outer, ex.limit, q.Limit, "LIMIT", -1)
+	if err != nil {
+		return nil, err
+	}
+	offset, err := clauseCount(ctx, outer, ex.offset, q.Offset, "OFFSET", 0)
+	if err != nil {
+		return nil, err
+	}
 
-// runBlock dispatches one query-block form; Run has already accounted
-// for its nesting depth.
-func runBlock(ctx *eval.Context, env *eval.Env, e ast.Expr) (value.Value, error) {
-	switch q := e.(type) {
-	case *ast.SFW:
-		return runSFW(ctx, env, q)
-	case *ast.SetOp:
-		return runSetOp(ctx, env, q)
-	case *ast.With:
-		child := env.Child()
-		for _, b := range q.Bindings {
-			v, err := Run(ctx, child, b.Expr)
-			if err != nil {
-				return nil, err
-			}
-			child.Bind(b.Name, v)
+	// EXPLAIN ANALYZE: create this block's node and pre-create its
+	// operator skeleton in pipeline order, then make the block the parent
+	// for everything (including subqueries) executed while it runs.
+	var block *eval.StatsNode
+	if ctx.Stats != nil {
+		op := "select"
+		if q.Select.PivotAt != nil {
+			op = "pivot"
 		}
-		return Run(ctx, child, q.Body)
-	default:
-		return eval.Eval(ctx, env, e)
+		block = ctx.Stats.Node(ctx.ParentNode(), q, "block", op, q.Pos().String())
+		buildBlockSkeleton(ctx, q, phys, limit, offset, block)
+		saved := ctx.StatsParent
+		ctx.StatsParent = block
+		defer func() { ctx.StatsParent = saved }()
+		defer block.Timer()()
 	}
+
+	res, err := runFor(ctx, q, ex, phys).run(outer, limit, offset)
+	if err != nil {
+		return nil, err
+	}
+	if block != nil {
+		block.SetOut(resultLen(res))
+	}
+	return res, nil
 }
 
 // emit consumes one binding environment; returning an error aborts the
@@ -80,49 +99,53 @@ type emit func(*eval.Env) error
 
 // clauseExprs are the evaluators of the clause expressions every block
 // runs, planned or not: the WHERE conjuncts left in clause position, LET
-// sources, GROUP BY keys, HAVING, the SELECT projection (with a PIVOT's
-// name) and ORDER BY keys. The evaluator is chosen once, where the
-// closures are made — eval.Compile when the optimizer plans the block,
-// eval.Interpret when the optimizer is disabled (the reference oracle) —
-// so the operators below hold closures and no AST to fall back on.
+// sources, GROUP BY keys, HAVING, window keys and arguments, the SELECT
+// projection (with a PIVOT's name), ORDER BY keys, LIMIT and OFFSET. The
+// evaluator is chosen once per path, where the closures are made —
+// eval.Compile when the optimizer plans the block, eval.Interpret on the
+// reference oracle, which has no plan — so the operators below hold
+// closures and no AST to fall back on.
 type clauseExprs struct {
-	where   []eval.CompiledExpr
-	lets    []eval.CompiledExpr
-	group   []eval.CompiledExpr
-	having  eval.CompiledExpr
-	sel     eval.CompiledExpr
-	pivotAt eval.CompiledExpr
-	order   []eval.CompiledExpr
+	where         []eval.CompiledExpr
+	lets          []eval.CompiledExpr
+	group         []eval.CompiledExpr
+	having        eval.CompiledExpr
+	windows       []windowExprs
+	sel           eval.CompiledExpr
+	pivotAt       eval.CompiledExpr
+	order         []eval.CompiledExpr
+	limit, offset eval.CompiledExpr
 }
 
 // newClauseExprs lowers q's clause expressions with compile; where are the
-// WHERE conjuncts that run in clause position.
+// WHERE conjuncts that run in clause position, nil ones skipped.
 //
 // governor: accumulation bounded by the block's clause count, AST size.
 func newClauseExprs(q *ast.SFW, where []ast.Expr, compile func(ast.Expr) eval.CompiledExpr) clauseExprs {
-	ex := clauseExprs{having: compile(q.Having), sel: compile(q.Select.Value), pivotAt: compile(q.Select.PivotAt)}
+	ex := clauseExprs{
+		having: compile(q.Having), sel: compile(q.Select.Value), pivotAt: compile(q.Select.PivotAt),
+		limit: compile(q.Limit), offset: compile(q.Offset),
+	}
 	for _, w := range where {
-		ex.where = append(ex.where, compile(w))
+		if w != nil {
+			ex.where = append(ex.where, compile(w))
+		}
+	}
+	for i := range q.Windows {
+		ex.windows = append(ex.windows, newWindowExprs(&q.Windows[i], compile))
 	}
 	for _, l := range q.Lets {
 		ex.lets = append(ex.lets, compile(l.Expr))
 	}
 	if q.GroupBy != nil {
-		ex.group = groupKeyExprs(q.GroupBy, compile)
+		for _, key := range q.GroupBy.Keys {
+			ex.group = append(ex.group, compile(key.Expr))
+		}
 	}
 	for _, ob := range q.OrderBy {
 		ex.order = append(ex.order, compile(ob.Expr))
 	}
 	return ex
-}
-
-// groupKeyExprs lowers a GROUP BY's key expressions with compile.
-func groupKeyExprs(spec *ast.GroupBy, compile func(ast.Expr) eval.CompiledExpr) []eval.CompiledExpr {
-	keys := make([]eval.CompiledExpr, len(spec.Keys))
-	for i, key := range spec.Keys {
-		keys[i] = compile(key.Expr)
-	}
-	return keys
 }
 
 // rowSink collects a block's projected rows: DISTINCT filtering, ORDER
@@ -196,7 +219,7 @@ func (s *rowSink) reset(limit, offset int64) {
 		}
 	}
 	if ctx := s.ctx; ctx.Stats != nil {
-		parent := statsParent(ctx)
+		parent := ctx.ParentNode()
 		if q.Select.Distinct {
 			s.stDistinct = ctx.Stats.Node(parent, q, "distinct", "distinct", "")
 		}
@@ -514,7 +537,9 @@ type blockRun struct {
 	// st holds the plan's lazily hoisted sources, hash tables and index
 	// resolutions, nil on the reference oracle; the workers of a parallel
 	// scan share their block's.
-	st   *physState
+	st *physState
+	// from are the oracle's FROM items, nil under a plan.
+	from []*itemExprs
 	c    chain
 	sink rowSink
 	grp  grouper // nil without GROUP BY
@@ -528,19 +553,16 @@ type blockRun struct {
 	stWhere, stHaving *eval.StatsNode
 }
 
-// newBlockRun builds a run state for block q under plan phys (nil on the
-// oracle path); a parallel worker's joins its block's physState st.
-func newBlockRun(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, st *physState) *blockRun {
-	r := &blockRun{ctx: ctx, q: q}
-	if phys != nil {
-		r.ex = &phys.clauseExprs
-	} else {
-		var where []ast.Expr
-		if q.Where != nil {
-			where = []ast.Expr{q.Where}
+// newBlockRun builds a run state for block q with clause evaluators ex
+// under plan phys — nil on the oracle path, whose FROM items it
+// interprets; a parallel worker's joins its block's physState st.
+func newBlockRun(ctx *eval.Context, q *ast.SFW, ex *clauseExprs, phys *sfwPhys, st *physState) *blockRun {
+	r := &blockRun{ctx: ctx, q: q, ex: ex}
+	if phys == nil {
+		r.from = make([]*itemExprs, len(q.From))
+		for i, item := range q.From {
+			r.from[i] = newItemExprs(item, eval.Interpret)
 		}
-		interpreted := newClauseExprs(q, where, eval.Interpret)
-		r.ex = &interpreted
 	}
 	r.fromRowFn = r.fromRow
 	r.sink = rowSink{ctx: ctx, q: q, ex: r.ex, ordered: len(q.OrderBy) > 0, gov: ctx.Gov, rowKeys: make([]value.Value, len(r.ex.order))}
@@ -559,7 +581,7 @@ func newBlockRun(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, st *physState) *b
 		r.c.init(st, ctx, r.fromRowFn)
 	}
 	if ctx.Stats != nil {
-		parent := statsParent(ctx)
+		parent := ctx.ParentNode()
 		if len(r.ex.where) > 0 {
 			label := "where"
 			if phys != nil {
@@ -579,9 +601,9 @@ func newBlockRun(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, st *physState) *b
 // planned block the one parked in ctx.Runs under the block's slot. A
 // block is never entered while it runs, so one run state per block is
 // enough, and every entry resets it.
-func runFor(ctx *eval.Context, q *ast.SFW, phys *sfwPhys) *blockRun {
+func runFor(ctx *eval.Context, q *ast.SFW, ex *clauseExprs, phys *sfwPhys) *blockRun {
 	if phys == nil || ctx.Depth <= 1 {
-		return newBlockRun(ctx, q, phys, nil)
+		return newBlockRun(ctx, q, ex, phys, nil)
 	}
 	if phys.slot < len(ctx.Runs) {
 		if r, ok := ctx.Runs[phys.slot].(*blockRun); ok && r.st.phys == phys {
@@ -591,7 +613,7 @@ func runFor(ctx *eval.Context, q *ast.SFW, phys *sfwPhys) *blockRun {
 	} else {
 		ctx.Runs = slices.Grow(ctx.Runs, phys.slot+1-len(ctx.Runs))[:phys.slot+1]
 	}
-	r := newBlockRun(ctx, q, phys, nil)
+	r := newBlockRun(ctx, q, ex, phys, nil)
 	ctx.Runs[phys.slot] = r
 	return r
 }
@@ -615,7 +637,7 @@ func (r *blockRun) run(outer *eval.Env, limit, offset int64) (value.Value, error
 		clear(r.st.lazy) // hoisted sources and hash tables are per invocation
 		err = r.produce()
 	} else {
-		err = produceFrom(r.ctx, outer, r.q.From, r.fromRowFn)
+		err = produceFrom(r.ctx, outer, r.from, r.fromRowFn)
 	}
 	if err != nil && err != errStop {
 		return nil, err
@@ -629,12 +651,12 @@ func (r *blockRun) run(outer *eval.Env, limit, offset int64) (value.Value, error
 		ctx := r.ctx
 		var stopWin func()
 		if ctx.Stats != nil {
-			wn := ctx.Stats.Node(statsParent(ctx), r.q, "window", "window", "")
+			wn := ctx.Stats.Node(ctx.ParentNode(), r.q, "window", "window", "")
 			wn.AddIn(int64(len(r.windowEnvs)))
 			wn.AddOut(int64(len(r.windowEnvs)))
 			stopWin = wn.Timer()
 		}
-		if err := computeWindows(ctx, r.q.Windows, r.windowEnvs); err != nil {
+		if err := computeWindows(ctx, r.q.Windows, r.ex.windows, r.windowEnvs); err != nil {
 			return nil, err
 		}
 		if stopWin != nil {
@@ -726,79 +748,21 @@ func (r *blockRun) postGroup(env *eval.Env) error {
 	return r.sink.project(env)
 }
 
-// runSFW executes one query block.
-func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error) {
-	// Stamp the block position so a recovered panic can report where the
-	// plan was; one field store, no restore — innermost wins.
-	ctx.PlanPos = q.Pos()
-	if q.Select.Value == nil {
-		return nil, fmt.Errorf("plan: query block not in Core form (SELECT sugar not lowered) at %s", q.Pos())
+// clauseCount evaluates the LIMIT or OFFSET count e through c in the
+// outer environment; absent is what an absent clause counts (LIMIT -1).
+func clauseCount(ctx *eval.Context, outer *eval.Env, c eval.CompiledExpr, e ast.Expr, clause string, absent int64) (int64, error) {
+	if c == nil {
+		return absent, nil
 	}
-	limit, offset, err := evalLimitOffset(ctx, outer, q)
+	v, err := c(ctx, outer)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	phys, _ := q.Phys.(*sfwPhys)
-	if phys != nil && phys.stream != nil {
-		// A streamed GROUP BY runs its post-group clauses from the copy
-		// of the block whose fold calls read aggregate slots.
-		q = phys.stream.post
+	n, ok := value.AsInt(v)
+	if !ok || n < 0 {
+		return 0, fmt.Errorf("plan: %s must be a non-negative integer, got %s at %s", clause, v, e.Pos())
 	}
-
-	// EXPLAIN ANALYZE: create this block's node and pre-create its
-	// operator skeleton in pipeline order, then make the block the parent
-	// for everything (including subqueries) executed while it runs.
-	var block *eval.StatsNode
-	if ctx.Stats != nil {
-		op := "select"
-		if q.Select.PivotAt != nil {
-			op = "pivot"
-		}
-		block = ctx.Stats.Node(statsParent(ctx), q, "block", op, q.Pos().String())
-		buildBlockSkeleton(ctx, q, phys, limit, offset, block)
-		saved := ctx.StatsParent
-		ctx.StatsParent = block
-		defer func() { ctx.StatsParent = saved }()
-		defer block.Timer()()
-	}
-
-	res, err := runFor(ctx, q, phys).run(outer, limit, offset)
-	if err != nil {
-		return nil, err
-	}
-	if block != nil {
-		block.SetOut(resultLen(res))
-	}
-	return res, nil
-}
-
-// evalLimitOffset evaluates LIMIT and OFFSET in the outer environment.
-// limit is -1 when absent.
-func evalLimitOffset(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (limit, offset int64, err error) {
-	limit = -1
-	if q.Limit != nil {
-		v, err := eval.Eval(ctx, outer, q.Limit)
-		if err != nil {
-			return 0, 0, err
-		}
-		n, ok := value.AsInt(v)
-		if !ok || n < 0 {
-			return 0, 0, fmt.Errorf("plan: LIMIT must be a non-negative integer, got %s at %s", v, q.Limit.Pos())
-		}
-		limit = n
-	}
-	if q.Offset != nil {
-		v, err := eval.Eval(ctx, outer, q.Offset)
-		if err != nil {
-			return 0, 0, err
-		}
-		n, ok := value.AsInt(v)
-		if !ok || n < 0 {
-			return 0, 0, fmt.Errorf("plan: OFFSET must be a non-negative integer, got %s at %s", v, q.Offset.Pos())
-		}
-		offset = n
-	}
-	return limit, offset, nil
+	return n, nil
 }
 
 // limitWindow is the [lo, hi) range of n rows that OFFSET and LIMIT

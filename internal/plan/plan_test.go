@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"sqlpp/internal/ast"
 	"sqlpp/internal/catalog"
 	"sqlpp/internal/eval"
 	"sqlpp/internal/funcs"
@@ -37,7 +38,7 @@ func exec(t *testing.T, data map[string]string, query string, compatMode, strict
 		mode = eval.StopOnError
 	}
 	ctx := &eval.Context{Mode: mode, Compat: compatMode, Names: cat, Funcs: registry, Run: Run}
-	return Run(ctx, eval.NewEnv(), core)
+	return eval.Interpret(core)(ctx, eval.NewEnv())
 }
 
 func mustExec(t *testing.T, data map[string]string, query string) value.Value {
@@ -242,7 +243,7 @@ func TestUnpivotShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &eval.Context{Names: cat, Funcs: registry, Run: Run}
-	v, err := Run(ctx, eval.NewEnv(), core)
+	v, err := Run(ctx, eval.NewEnv(), core.(*ast.SFW))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestMaxCollectionSizeGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &eval.Context{Names: cat, Funcs: registry, Run: Run, MaxCollectionSize: 10}
-	_, err = Run(ctx, eval.NewEnv(), core)
+	_, err = Run(ctx, eval.NewEnv(), core.(*ast.SFW))
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("size guard should trip, got %v", err)
 	}

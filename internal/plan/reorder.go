@@ -44,7 +44,7 @@ func (st *physState) produceReordered(ctx *eval.Context, k emit) error {
 	st.ord = make([]int64, n)
 	var node *eval.StatsNode
 	if ctx.Stats != nil {
-		node = ctx.Stats.Node(statsParent(ctx), st.phys, "reorder", "join-order", ro.label)
+		node = ctx.Stats.Node(ctx.ParentNode(), st.phys, "reorder", "join-order", ro.label)
 	}
 	var rows []reorderedRow
 	var err error

@@ -37,14 +37,15 @@ func prepareRobust(t *testing.T, data map[string]string, query string, paralleli
 	if err != nil {
 		return func(context.Context, eval.Limits) (value.Value, error) { return nil, err }
 	}
-	Optimize(core, OptOptions{Mode: eval.Permissive})
+	Optimize(core, OptOptions{Mode: eval.Permissive, Funcs: registry})
+	root := eval.Compile(core, eval.CompileOpts{Mode: eval.Permissive, Funcs: registry})
 	return func(ctx0 context.Context, lim eval.Limits) (value.Value, error) {
 		ec := &eval.Context{Mode: eval.Permissive, Names: cat, Funcs: registry, Run: Run, Parallelism: parallelism}
 		if ctx0 != nil && ctx0.Done() != nil {
 			ec.Ctx = ctx0
 		}
 		ec.Gov = eval.NewGovernor(lim)
-		return Run(ec, eval.NewEnv(), core)
+		return root(ec, eval.NewEnv())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"sqlpp/internal/ast"
 	"sqlpp/internal/catalog"
 	"sqlpp/internal/eval"
 	"sqlpp/internal/value"
@@ -39,7 +40,7 @@ func TestSubBlockAllocatesOnlyItsAnswer(t *testing.T) {
 			t.Fatalf("block not planned: %v", notes)
 		}
 		run := func() value.Value {
-			v, err := Run(&eval.Context{Names: cat, Funcs: registry, Run: Run, Parallelism: 1}, eval.NewEnv(), core)
+			v, err := Run(&eval.Context{Names: cat, Funcs: registry, Run: Run, Parallelism: 1}, eval.NewEnv(), core.(*ast.SFW))
 			if err != nil {
 				t.Fatal(err)
 			}

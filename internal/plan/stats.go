@@ -11,7 +11,7 @@ import (
 // touches an operator — sequential, hoisted, or one worker of a
 // parallel scan — lands on the same node and accumulates into it.
 //
-// runSFW eagerly creates a block's operator skeleton in pipeline order
+// Run eagerly creates a block's operator skeleton in pipeline order
 // before any row is produced. That fixes the child order of the tree
 // (golden-testable even under parallel execution, where lazy creation
 // order would race) and means the execution-time lookups below are
@@ -21,16 +21,6 @@ import (
 // operator's continuation runs everything downstream of it, and a timed
 // span around a FROM step covers the work it feeds. The block node's
 // time is the end-to-end time of the block.
-
-// statsParent is the node new operators attach under: the enclosing
-// block's node, or the sink root for the top-level expression. Callers
-// must have checked ctx.Stats != nil.
-func statsParent(ctx *eval.Context) *eval.StatsNode {
-	if ctx.StatsParent != nil {
-		return ctx.StatsParent
-	}
-	return ctx.Stats.Root
-}
 
 // describeItem names a FROM item for the tree.
 func describeItem(item ast.FromItem) (op, label string) {
@@ -52,7 +42,7 @@ func describeItem(item ast.FromItem) (op, label string) {
 // miss creates the node under the current block.
 func itemNode(ctx *eval.Context, item ast.FromItem) *eval.StatsNode {
 	op, label := describeItem(item)
-	return ctx.Stats.Node(statsParent(ctx), item, "item", op, label)
+	return ctx.Stats.Node(ctx.ParentNode(), item, "item", op, label)
 }
 
 // itemSkeleton creates a FROM item's node under parent, recursing into

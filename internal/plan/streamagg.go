@@ -353,7 +353,7 @@ func newStreamGroup(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledEx
 		g.retains = g.retains || g.slots[i].retains
 	}
 	if ctx.Stats != nil {
-		g.st = ctx.Stats.Node(statsParent(ctx), spec, "group", "group-by", plan.label)
+		g.st = ctx.Stats.Node(ctx.ParentNode(), spec, "group", "group-by", plan.label)
 	}
 	return g
 }

@@ -103,7 +103,7 @@ func TestStreamAggAllocationGuard(t *testing.T) {
 	}
 	run := func() {
 		ctx := &eval.Context{Names: cat, Funcs: registry, Run: Run}
-		v, err := Run(ctx, eval.NewEnv(), core)
+		v, err := Run(ctx, eval.NewEnv(), core.(*ast.SFW))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestStreamAggSizeGuard(t *testing.T) {
 			t.Fatalf("%s: not streamed: %v", c.query, notes)
 		}
 		ctx := &eval.Context{Names: cat, Funcs: registry, Run: Run, MaxCollectionSize: 10}
-		_, err := Run(ctx, eval.NewEnv(), core)
+		_, err := Run(ctx, eval.NewEnv(), core.(*ast.SFW))
 		if tripped := err != nil && strings.Contains(err.Error(), "exceeds limit"); tripped != c.trips {
 			t.Errorf("%s: size guard tripped=%v (%v), want %v", c.query, tripped, err, c.trips)
 		}
@@ -179,7 +179,7 @@ func TestHashProbeReusesCandidate(t *testing.T) {
 			t.Fatalf("%s: want a hash join with row-environment reuse, got %v", c.query, notes)
 		}
 		ctx := &eval.Context{Names: cat, Funcs: registry, Run: Run}
-		got, err := Run(ctx, eval.NewEnv(), core)
+		got, err := Run(ctx, eval.NewEnv(), core.(*ast.SFW))
 		if err != nil {
 			t.Fatal(err)
 		}

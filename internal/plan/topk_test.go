@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sqlpp/internal/ast"
 	"sqlpp/internal/catalog"
 	"sqlpp/internal/eval"
 	"sqlpp/internal/sion"
@@ -117,7 +118,7 @@ func TestTopKProjectsOnlyAdmittedRows(t *testing.T) {
 	core, _ := prepareOptimized(t, cat,
 		fmt.Sprintf(`SELECT r.id AS id, r.k AS k FROM t AS r WHERE r.k >= 0 ORDER BY r.k DESC, r.id LIMIT %d`, k), eval.Permissive)
 	run := func() value.Value {
-		v, err := Run(&eval.Context{Names: cat, Funcs: registry, Run: Run}, eval.NewEnv(), core)
+		v, err := Run(&eval.Context{Names: cat, Funcs: registry, Run: Run}, eval.NewEnv(), core.(*ast.SFW))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,11 +152,11 @@ func TestTopKStrictProjectsEveryRow(t *testing.T) {
 		if planned {
 			strict = func() (value.Value, error) {
 				core, _ := prepareOptimized(t, cat, query, eval.StopOnError)
-				return Run(&eval.Context{Mode: eval.StopOnError, Names: cat, Funcs: registry, Run: Run}, eval.NewEnv(), core)
+				return Run(&eval.Context{Mode: eval.StopOnError, Names: cat, Funcs: registry, Run: Run}, eval.NewEnv(), core.(*ast.SFW))
 			}
 			permissive = func() (value.Value, error) {
 				core, _ := prepareOptimized(t, cat, query, eval.Permissive)
-				return Run(&eval.Context{Names: cat, Funcs: registry, Run: Run}, eval.NewEnv(), core)
+				return Run(&eval.Context{Names: cat, Funcs: registry, Run: Run}, eval.NewEnv(), core.(*ast.SFW))
 			}
 		}
 		if v, err := strict(); err == nil {

@@ -11,7 +11,8 @@ import (
 
 // computeWindows evaluates each lowered window computation over the
 // materialized binding environments, binding its fresh variable into
-// every environment.
+// every environment: the rows are partitioned by the window's PARTITION
+// BY keys and the window function computed within each partition.
 //
 // Semantics follow SQL's defaults: PARTITION BY splits the bindings by
 // grouping equality of the partition keys; ORDER BY orders within each
@@ -19,13 +20,58 @@ import (
 // and aggregate window functions compute over the whole partition when
 // unordered and as running aggregates over peer groups (RANGE UNBOUNDED
 // PRECEDING .. CURRENT ROW) when ordered.
-func computeWindows(ctx *eval.Context, windows []ast.NamedWindow, envs []*eval.Env) error {
+//
+// governor:charged-at the window materialization loop (plan.go), which
+// charges every env before it reaches here; partitioning only
+// redistributes those charged rows.
+func computeWindows(ctx *eval.Context, windows []ast.NamedWindow, exs []windowExprs, envs []*eval.Env) error {
 	for i := range windows {
-		if err := computeWindow(ctx, &windows[i], envs); err != nil {
-			return err
+		partitions := map[string][]*eval.Env{}
+		var order []string
+		for _, env := range envs {
+			var kb []byte
+			for _, pe := range exs[i].partition {
+				v, err := pe(ctx, env)
+				if err != nil {
+					return err
+				}
+				kb = value.AppendKey(kb, v)
+			}
+			ks := string(kb)
+			if _, ok := partitions[ks]; !ok {
+				order = append(order, ks)
+			}
+			partitions[ks] = append(partitions[ks], env)
+		}
+		for _, ks := range order {
+			if err := computePartition(ctx, &windows[i], &exs[i], partitions[ks]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// windowExprs are the evaluators of one window computation: its
+// PARTITION BY keys, its ORDER BY keys and its function's arguments.
+type windowExprs struct {
+	partition, order, args []eval.CompiledExpr
+}
+
+// newWindowExprs lowers w's expressions with compile.
+//
+// governor: accumulation bounded by the window's expression count, AST size.
+func newWindowExprs(w *ast.NamedWindow, compile func(ast.Expr) eval.CompiledExpr) (ex windowExprs) {
+	for _, e := range w.Spec.PartitionBy {
+		ex.partition = append(ex.partition, compile(e))
+	}
+	for _, o := range w.Spec.OrderBy {
+		ex.order = append(ex.order, compile(o.Expr))
+	}
+	for _, e := range w.Fn.Args {
+		ex.args = append(ex.args, compile(e))
+	}
+	return ex
 }
 
 // windowRow is one binding with its evaluated order keys.
@@ -34,47 +80,14 @@ type windowRow struct {
 	keys []value.Value
 }
 
-// computeWindow partitions the block's rows by the window's PARTITION
-// BY keys and computes the window function within each partition.
-//
-// governor:charged-at the window materialization loop (plan.go), which
-// charges every env before it reaches here; partitioning only
-// redistributes those charged rows.
-func computeWindow(ctx *eval.Context, w *ast.NamedWindow, envs []*eval.Env) error {
-	// Partition.
-	partitions := map[string][]*eval.Env{}
-	var order []string
-	for _, env := range envs {
-		var kb []byte
-		for _, pe := range w.Spec.PartitionBy {
-			v, err := eval.Eval(ctx, env, pe)
-			if err != nil {
-				return err
-			}
-			kb = value.AppendKey(kb, v)
-		}
-		ks := string(kb)
-		if _, ok := partitions[ks]; !ok {
-			order = append(order, ks)
-		}
-		partitions[ks] = append(partitions[ks], env)
-	}
-	for _, ks := range order {
-		if err := computePartition(ctx, w, partitions[ks]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func computePartition(ctx *eval.Context, w *ast.NamedWindow, part []*eval.Env) error {
+func computePartition(ctx *eval.Context, w *ast.NamedWindow, ex *windowExprs, part []*eval.Env) error {
 	rows := make([]windowRow, len(part))
 	for i, env := range part {
 		rows[i] = windowRow{env: env}
-		if len(w.Spec.OrderBy) > 0 {
-			keys := make([]value.Value, len(w.Spec.OrderBy))
-			for k, o := range w.Spec.OrderBy {
-				v, err := eval.Eval(ctx, env, o.Expr)
+		if len(ex.order) > 0 {
+			keys := make([]value.Value, len(ex.order))
+			for k, o := range ex.order {
+				v, err := o(ctx, env)
 				if err != nil {
 					return err
 				}
@@ -85,7 +98,7 @@ func computePartition(ctx *eval.Context, w *ast.NamedWindow, part []*eval.Env) e
 	}
 	if len(w.Spec.OrderBy) > 0 {
 		sort.SliceStable(rows, func(i, j int) bool {
-			return compareOrderKeys(rows[i].keys, rows[j].keys, w.Spec.OrderBy) < 0
+			return cmpKeys(rows[i].keys, rows[j].keys, w.Spec.OrderBy) < 0
 		})
 	}
 	switch w.Fn.Name {
@@ -98,7 +111,7 @@ func computePartition(ctx *eval.Context, w *ast.NamedWindow, part []*eval.Env) e
 		dense := w.Fn.Name == "DENSE_RANK"
 		rank, denseRank := int64(0), int64(0)
 		for i, r := range rows {
-			if i == 0 || compareOrderKeys(rows[i-1].keys, r.keys, w.Spec.OrderBy) != 0 {
+			if i == 0 || cmpKeys(rows[i-1].keys, r.keys, w.Spec.OrderBy) != 0 {
 				rank = int64(i + 1)
 				denseRank++
 			}
@@ -110,43 +123,20 @@ func computePartition(ctx *eval.Context, w *ast.NamedWindow, part []*eval.Env) e
 		}
 		return nil
 	case "LAG", "LEAD":
-		return computeLagLead(ctx, w, rows)
+		return computeLagLead(ctx, w, ex.args, rows)
 	case "SUM", "AVG", "MIN", "MAX", "COUNT":
-		return computeWindowAggregate(ctx, w, rows)
+		return computeWindowAggregate(ctx, w, ex.args, rows)
 	}
 	return fmt.Errorf("plan: unsupported window function %s", w.Fn.Name)
 }
 
-// compareOrderKeys compares two order-key vectors under the items'
-// DESC/NULLS modifiers.
-func compareOrderKeys(a, b []value.Value, items []ast.OrderItem) int {
-	for k, o := range items {
-		av, bv := a[k], b[k]
-		aAbs, bAbs := value.IsAbsent(av), value.IsAbsent(bv)
-		if aAbs != bAbs && o.NullsFirst != nil {
-			if *o.NullsFirst == aAbs {
-				return -1
-			}
-			return 1
-		}
-		c := value.Compare(av, bv)
-		if c == 0 {
-			continue
-		}
-		if o.Desc {
-			return -c
-		}
-		return c
-	}
-	return 0
-}
-
 // computeLagLead binds the argument of a neighbouring row, offset
-// positions before (LAG) or after (LEAD), with an optional default.
-func computeLagLead(ctx *eval.Context, w *ast.NamedWindow, rows []windowRow) error {
+// positions before (LAG) or after (LEAD), with an optional default; args
+// evaluate the function's arguments.
+func computeLagLead(ctx *eval.Context, w *ast.NamedWindow, args []eval.CompiledExpr, rows []windowRow) error {
 	offset := int64(1)
-	if len(w.Fn.Args) >= 2 {
-		v, err := eval.Eval(ctx, rows[0].env, w.Fn.Args[1])
+	if len(args) >= 2 {
+		v, err := args[1](ctx, rows[0].env)
 		if err != nil {
 			return err
 		}
@@ -163,13 +153,13 @@ func computeLagLead(ctx *eval.Context, w *ast.NamedWindow, rows []windowRow) err
 		j := i + int(offset)
 		var out value.Value
 		if j >= 0 && j < len(rows) {
-			v, err := eval.Eval(ctx, rows[j].env, w.Fn.Args[0])
+			v, err := args[0](ctx, rows[j].env)
 			if err != nil {
 				return err
 			}
 			out = v
-		} else if len(w.Fn.Args) >= 3 {
-			v, err := eval.Eval(ctx, r.env, w.Fn.Args[2])
+		} else if len(args) >= 3 {
+			v, err := args[2](ctx, r.env)
 			if err != nil {
 				return err
 			}
@@ -188,7 +178,7 @@ func computeLagLead(ctx *eval.Context, w *ast.NamedWindow, rows []windowRow) err
 //
 // governor:bounded — the argument buffers never exceed the partition
 // size, and every partition row was charged at window materialization.
-func computeWindowAggregate(ctx *eval.Context, w *ast.NamedWindow, rows []windowRow) error {
+func computeWindowAggregate(ctx *eval.Context, w *ast.NamedWindow, args []eval.CompiledExpr, rows []windowRow) error {
 	collName := "COLL_" + w.Fn.Name
 	def, ok := ctx.Funcs.LookupFunc(collName)
 	if !ok {
@@ -198,7 +188,7 @@ func computeWindowAggregate(ctx *eval.Context, w *ast.NamedWindow, rows []window
 		if w.Fn.Star {
 			return value.Int(1), nil
 		}
-		return eval.Eval(ctx, r.env, w.Fn.Args[0])
+		return args[0](ctx, r.env)
 	}
 	aggregate := func(prefix []value.Value) (value.Value, error) {
 		if w.Fn.Star && w.Fn.Name == "COUNT" {
@@ -230,7 +220,7 @@ func computeWindowAggregate(ctx *eval.Context, w *ast.NamedWindow, rows []window
 	i := 0
 	for i < len(rows) {
 		j := i
-		for j < len(rows) && compareOrderKeys(rows[i].keys, rows[j].keys, w.Spec.OrderBy) == 0 {
+		for j < len(rows) && cmpKeys(rows[i].keys, rows[j].keys, w.Spec.OrderBy) == 0 {
 			v, err := argOf(rows[j])
 			if err != nil {
 				return err

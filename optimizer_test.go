@@ -54,6 +54,21 @@ var optimizerBattery = []string{
 	`SELECT VALUE (SELECT VALUE v LET v = v * 2) FROM [10, 30] AS v`,
 	`SELECT h.name AS n, (FROM h.projects AS p LET v = v + 1 SELECT VALUE [p, v]) AS vs
 	 FROM hr AS h LET v = h.id WHERE h.id < 6`,
+	// Forms whose expressions production compiles and the oracle
+	// interprets: a nested-loop JOIN on a non-equi ON condition (with LEFT
+	// padding), a correlated UNPIVOT, WITH binding plain expressions, a
+	// set operation over plain expressions, LAG/LEAD with offset and
+	// default under PARTITION BY, a correlated sub-block whose LIMIT reads
+	// the outer row, and a top-level query that is not a block.
+	`SELECT c.name AS cn, d.name AS dn FROM dept AS c LEFT JOIN dept AS d ON d.budget > c.budget * 2 AND d.dno < 9 WHERE c.dno % 3 = 0`,
+	`SELECT e.name AS n, a AS attr, v AS val FROM emp AS e, UNPIVOT e AS v AT a WHERE e.deptno = 5 AND a <> 'title'`,
+	`WITH lo AS (150000), hi AS (lo + 30000) SELECT VALUE e.name FROM emp AS e WHERE e.salary BETWEEN lo AND hi`,
+	`[1, 2, 2, 3, 'x'] INTERSECT ALL {{2, 3, 3, 'x', 1.0}}`,
+	`SELECT e.name AS n, LAG(e.salary, 2, 0) OVER (PARTITION BY e.deptno ORDER BY e.salary, e.name) AS prev,
+	 LEAD(e.title, 1, 'none') OVER (PARTITION BY e.deptno ORDER BY e.salary DESC) AS next FROM emp AS e WHERE e.deptno < 4`,
+	`SELECT h.name AS n, (SELECT VALUE p FROM h.projects AS p ORDER BY p DESC LIMIT h.id % 3 + 1 OFFSET 1) AS ps
+	 FROM hr AS h WHERE h.id < 60`,
+	`{'n': COLL_COUNT(emp), 'rich': (SELECT VALUE e.name FROM emp AS e WHERE e.salary > 199000)}`,
 	// The hash table's flat row layout: a build side binding two
 	// variables (AT over an array), build keys NULL or MISSING between
 	// present ones, a LEFT JOIN whose probes walk the same bucket chains

@@ -6,8 +6,6 @@ import (
 	"sort"
 
 	"sqlpp/internal/eval"
-	"sqlpp/internal/parser"
-	"sqlpp/internal/rewrite"
 	"sqlpp/internal/value"
 )
 
@@ -27,33 +25,13 @@ type PreparedParams struct {
 // PrepareParams compiles a query whose free references to the given
 // parameter names are left open, to be supplied at execution.
 func (e *Engine) PrepareParams(query string, params ...string) (*PreparedParams, error) {
-	tree, err := parser.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	ropts := rewrite.Options{
-		Compat: e.opts.Compat,
-		Names:  e.cat,
-		Params: params,
-	}
-	if e.types != nil {
-		ropts.Schema = e.types
-	}
-	core, err := rewrite.Rewrite(tree, ropts)
-	if err != nil {
-		return nil, err
-	}
 	names := append([]string(nil), params...)
 	sort.Strings(names)
-	inner := &Prepared{engine: e, core: core, planNotes: e.optimize(core), params: names}
-	if err := e.vet(inner); err != nil {
+	inner, err := e.prepare(query, names)
+	if err != nil {
 		return nil, err
 	}
-	return &PreparedParams{
-		engine: e,
-		core:   inner,
-		names:  names,
-	}, nil
+	return &PreparedParams{engine: e, core: inner, names: names}, nil
 }
 
 // Diagnostics runs the static semantic analyzer over the parameterized
@@ -118,7 +96,7 @@ func (p *PreparedParams) exec(ctx context.Context, params map[string]value.Value
 	if explain {
 		ec.Stats = eval.NewStatsSink()
 	}
-	v, err := runProtected(ec, env, p.core.core)
+	v, err := runProtected(ec, env, p.core.root)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -53,9 +53,10 @@ type Options struct {
 	MaxCollectionSize int
 	// DisableOptimizer selects the reference implementation the identity
 	// batteries compare against: no physical plan, so every block runs the
-	// naive clause pipeline through the tree-walking interpreter. Results
-	// are identical to the production path (planned, closure-compiled,
-	// statistics-informed), which is everything else.
+	// naive clause pipeline and every expression the tree-walking
+	// interpreter. Results are identical to the production path (planned,
+	// statistics-informed, every expression closure-compiled so it never
+	// enters the interpreter), which is everything else.
 	DisableOptimizer bool
 	// Parallelism bounds the worker pool of parallel outer scans. Zero
 	// selects GOMAXPROCS; 1 restores fully sequential execution.
@@ -340,8 +341,11 @@ func (e *Engine) Lookup(name string) (value.Value, bool) { return e.cat.LookupVa
 
 // Prepared is a compiled query, reusable across executions.
 type Prepared struct {
-	engine    *Engine
-	core      ast.Expr
+	engine *Engine
+	core   ast.Expr
+	// root evaluates core: compiled on the production path, interpreted on
+	// the reference oracle.
+	root      eval.CompiledExpr
 	planNotes []string
 	params    []string
 
@@ -356,15 +360,17 @@ type Prepared struct {
 // engine's catalog, and runs the physical optimization pass. With
 // Options.Vet set it additionally runs the static semantic analyzer and
 // rejects the query when any finding is error-severity.
-func (e *Engine) Prepare(query string) (*Prepared, error) {
+func (e *Engine) Prepare(query string) (*Prepared, error) { return e.prepare(query, nil) }
+
+// prepare is Prepare with params left open. It writes the plan and makes
+// the root evaluator (compiled, or interpreted on the oracle) once, before
+// the Prepared is shared, so both are immutable during execution.
+func (e *Engine) prepare(query string, params []string) (*Prepared, error) {
 	tree, err := parser.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	ropts := rewrite.Options{
-		Compat: e.opts.Compat,
-		Names:  e.cat,
-	}
+	ropts := rewrite.Options{Compat: e.opts.Compat, Names: e.cat, Params: params}
 	if e.types != nil {
 		ropts.Schema = e.types
 	}
@@ -372,7 +378,20 @@ func (e *Engine) Prepare(query string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{engine: e, core: core, planNotes: e.optimize(core)}
+	p := &Prepared{engine: e, core: core, params: params}
+	if e.opts.DisableOptimizer {
+		p.root = eval.Interpret(core)
+	} else {
+		p.planNotes = plan.Optimize(core, plan.OptOptions{
+			Mode:        e.mode(),
+			Indexes:     e.cat,
+			Compat:      e.opts.Compat,
+			Funcs:       e.funcs,
+			Stats:       e.cat,
+			Parallelism: e.parallelism(),
+		})
+		p.root = eval.Compile(core, eval.CompileOpts{Mode: e.mode(), Compat: e.opts.Compat, Funcs: e.funcs})
+	}
 	if err := e.vet(p); err != nil {
 		return nil, err
 	}
@@ -410,23 +429,6 @@ func (p *Prepared) Diagnostics() []Diagnostic {
 	return out
 }
 
-// optimize runs the physical optimization pass over a rewritten Core
-// tree. It runs at prepare time, before the Prepared is shared, so the
-// annotations it writes are immutable during execution.
-func (e *Engine) optimize(core ast.Expr) []string {
-	if e.opts.DisableOptimizer {
-		return nil
-	}
-	return plan.Optimize(core, plan.OptOptions{
-		Mode:        e.mode(),
-		Indexes:     e.cat,
-		Compat:      e.opts.Compat,
-		Funcs:       e.funcs,
-		Stats:       e.cat,
-		Parallelism: e.parallelism(),
-	})
-}
-
 // mode is the typing mode Options.StopOnError selects.
 func (e *Engine) mode() eval.TypingMode {
 	if e.opts.StopOnError {
@@ -445,8 +447,9 @@ func (e *Engine) parallelism() int {
 }
 
 // PlanNotes describes the physical optimizations applied to the prepared
-// query, one note per rewrite that fired; empty when the query runs on
-// the naive pipeline.
+// query, one note per rewrite that fired, and a closing `compiled` note
+// per planned block; empty on the reference oracle (DisableOptimizer)
+// and for a query with no query block.
 func (p *Prepared) PlanNotes() []string {
 	notes := make([]string, len(p.planNotes))
 	copy(notes, p.planNotes)
@@ -481,7 +484,7 @@ func (p *Prepared) Exec() (value.Value, error) {
 // wraps ctx.Err() (match it with errors.Is).
 func (p *Prepared) ExecContext(ctx context.Context) (value.Value, error) {
 	ec := p.engine.newContext(ctx)
-	return runProtected(ec, eval.NewEnv(), p.core)
+	return runProtected(ec, eval.NewEnv(), p.root)
 }
 
 // runProtected executes the plan with a panic barrier: a panic anywhere
@@ -489,13 +492,13 @@ func (p *Prepared) ExecContext(ctx context.Context) (value.Value, error) {
 // query's *PanicError instead of killing the process. The recover sits
 // at the outermost frame of the execution, so no partial state escapes —
 // every execution's mutable state is context- and env-local.
-func runProtected(ec *eval.Context, env *eval.Env, core ast.Expr) (v value.Value, err error) {
+func runProtected(ec *eval.Context, env *eval.Env, root eval.CompiledExpr) (v value.Value, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			v, err = nil, ec.Recovered(p)
 		}
 	}()
-	return plan.Run(ec, env, core)
+	return root(ec, env)
 }
 
 // OpStats is one operator's runtime statistics in an EXPLAIN ANALYZE
@@ -515,7 +518,7 @@ type OpStats = eval.StatsSnapshot
 func (p *Prepared) ExplainAnalyze(ctx context.Context) (value.Value, *OpStats, error) {
 	ec := p.engine.newContext(ctx)
 	ec.Stats = eval.NewStatsSink()
-	v, err := runProtected(ec, eval.NewEnv(), p.core)
+	v, err := runProtected(ec, eval.NewEnv(), p.root)
 	if err != nil {
 		return nil, nil, err
 	}
