@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"sqlpp/internal/value"
 )
@@ -58,9 +59,15 @@ func DecodeCBOR(data []byte) (value.Value, error) {
 
 // DecodeCBORFrom decodes a single CBOR data item from r as the bytes
 // arrive, holding only a window of the input; r must end where the item
-// does.
+// does. The window is a pooled chunk buffer: nothing decoded refers to
+// it, since strings, byte strings and attribute names are copied out.
 func DecodeCBORFrom(r io.Reader) (value.Value, error) {
-	d := &cborDecoder{r: r, buf: make([]byte, 0, cborChunk)}
+	buf := getCBORBuf()
+	d := cborDecoder{r: r, buf: *buf}
+	defer func() {
+		*buf = d.buf
+		putCBORBuf(buf)
+	}()
 	v, err := d.value()
 	if err != nil {
 		return nil, err
@@ -366,19 +373,46 @@ func EncodeCBOR(v value.Value) ([]byte, error) {
 // WriteCBOR encodes v as EncodeCBOR does, writing to w as it goes in
 // chunks of about cborChunk bytes, and returns how many bytes w took.
 // Nothing is written before the first chunk fills, so a small value that
-// fails to encode leaves w untouched.
+// fails to encode leaves w untouched. The chunk buffer is pooled.
 func WriteCBOR(w io.Writer, v value.Value) (int64, error) {
-	e := cborEncoder{w: w, buf: make([]byte, 0, cborChunk+1<<10)}
+	buf := getCBORBuf()
+	e := cborEncoder{w: w, buf: *buf}
 	err := e.value(v)
 	if err == nil {
 		err = e.flush()
 	}
+	*buf = e.buf
+	putCBORBuf(buf)
 	return e.written, err
 }
 
 // cborChunk is the unit of streaming: the encoder's write size and the
 // reader decoder's initial window.
 const cborChunk = 32 << 10
+
+// cborBufs pools the chunk buffers WriteCBOR encodes into and
+// DecodeCBORFrom reads through, so a stream of shard answers reuses
+// them instead of allocating two per answer.
+var cborBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, cborChunk+1<<10)
+	return &b
+}}
+
+func getCBORBuf() *[]byte {
+	b := cborBufs.Get().(*[]byte)
+	*b = (*b)[:0]
+	return b
+}
+
+// putCBORBuf returns b to the pool unless it grew past four chunks (a
+// long string item widens the window to hold it whole), so what the pool
+// holds stays bounded whatever went through it.
+func putCBORBuf(b *[]byte) {
+	if cap(*b) > 4*cborChunk {
+		return
+	}
+	cborBufs.Put(b)
+}
 
 // cborEncoder appends to buf and, when w is set, hands buf to w each time
 // it passes cborChunk.

@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
+	"sync"
 	"testing"
 	"testing/iotest"
 
@@ -144,6 +146,61 @@ func TestWriteCBORMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestCBORPoolConcurrent runs WriteCBOR and DecodeCBORFrom from several
+// goroutines at once, truncated inputs among them, so that every path
+// out of the codec returns its pooled buffer (run it under -race): each
+// value must decode as it was written and stay as decoded while other
+// decodes reuse the buffers.
+func TestCBORPoolConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var kept []value.Value
+			var want []string
+			for i := 0; i < 30; i++ {
+				// Strings unique to this goroutine and round, some longer
+				// than a chunk so the window grows past the pool's bound.
+				word := strconv.Itoa(g) + "-" + strconv.Itoa(i) + "-"
+				long := string(bytes.Repeat([]byte(word), 1+(i%5)*cborChunk/len(word)))
+				v := value.Array{eventRows(1 + i*7), value.String(word), value.String(long), value.Bytes(word)}
+				var buf bytes.Buffer
+				if _, err := WriteCBOR(&buf, v); err != nil {
+					t.Error(err)
+					return
+				}
+				enc := buf.Bytes()
+				if _, err := DecodeCBORFrom(bytes.NewReader(enc[:len(enc)/2])); !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Errorf("truncated input: err = %v, want unexpected EOF", err)
+					return
+				}
+				if _, err := WriteCBOR(&buf, value.Array{value.Missing}); err == nil {
+					t.Error("MISSING encoded")
+					return
+				}
+				back, err := DecodeCBORFrom(iotest.HalfReader(bytes.NewReader(enc)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if back.String() != v.String() {
+					t.Errorf("round trip changed the value")
+					return
+				}
+				kept = append(kept, back)
+				want = append(want, v.String())
+			}
+			for i, k := range kept {
+				if k.String() != want[i] {
+					t.Errorf("goroutine %d: decoded value %d changed after later decodes", g, i)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // allocatedBy is the number of bytes f allocates.
 func allocatedBy(f func()) uint64 {
 	var a, b runtime.MemStats
@@ -185,8 +242,20 @@ func FuzzDecodeCBOR(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if fromReader.String() != v.String() {
+		first := fromReader.String()
+		if first != v.String() {
 			t.Fatalf("slice and reader decoders disagree:\n%s\n%s", v, fromReader)
+		}
+		// The reader decoder's window is pooled: the next decode reads
+		// other bytes through it, over every byte this input occupied.
+		// Nothing the first decode returned may change.
+		other := make([]byte, len(data))
+		for i, b := range data {
+			other[i] = ^b
+		}
+		_, _ = DecodeCBORFrom(bytes.NewReader(other))
+		if again := fromReader.String(); again != first {
+			t.Fatalf("a later decode changed a decoded value:\n%s\n%s", first, again)
 		}
 		enc, err := EncodeCBOR(v)
 		if err != nil {

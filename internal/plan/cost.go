@@ -30,6 +30,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"sqlpp/internal/ast"
@@ -551,11 +552,14 @@ func stepNamedScan(step *fromStep) (*ast.FromExpr, *ast.NamedRef) {
 	return x, ref
 }
 
-// indexProbeEstimate prices a planned index access in rows.
+// indexProbeEstimate prices a planned index access in rows, rounded to
+// the nearest row: a unique key's fraction sits a little under 1/rows
+// when the sketch did not sample it, and truncation would price its one
+// row at none.
 func indexProbeEstimate(st *stats.Collection, ia *indexAccess) int64 {
 	rows := st.Rows()
 	frac := indexAccessFraction(st, ia)
-	return int64(float64(rows) * frac)
+	return int64(math.Round(float64(rows) * frac))
 }
 
 // indexAccessFraction estimates the fraction of the collection an index

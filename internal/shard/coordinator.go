@@ -497,8 +497,8 @@ func (c *Coordinator) execSplit(ctx context.Context, req ExecRequest, opts sqlpp
 	// this preserves global row order, which is what makes merged
 	// results byte-identical to single-node execution.
 	gov := eval.NewGovernor(opts.Limits)
-	var partials []value.Value
-	var stats []plan.ShardStat
+	partials := make([]value.Value, 0, partsLen(outs))
+	stats := make([]plan.ShardStat, 0, len(outs))
 	for i, o := range outs {
 		st := plan.ShardStat{
 			Name:     c.execs[i].Name(),
@@ -568,7 +568,7 @@ func (c *Coordinator) execGather(ctx context.Context, req ExecRequest, opts sqlp
 			return nil, err
 		}
 		missing = mergeMissing(missing, m)
-		var elems []value.Value
+		elems := make([]value.Value, 0, partsLen(outs))
 		isArray := false
 		for i, o := range outs {
 			st := plan.ShardStat{
@@ -629,6 +629,20 @@ func (c *Coordinator) execGather(ctx context.Context, req ExecRequest, opts sqlp
 		res.Stats = plan.ScatterStats("gather", sp.gather[0], stats, missing, gst)
 	}
 	return res, nil
+}
+
+// partsLen sums the element counts of the shard answers, to size the
+// fold that concatenates them.
+func partsLen(outs []shardOutcome) int {
+	n := 0
+	for _, o := range outs {
+		if o.resp != nil {
+			if elems, ok := value.Elements(o.resp.Value); ok {
+				n += len(elems)
+			}
+		}
+	}
+	return n
 }
 
 // governor:bounded by the shard count (one outcome per shard)
@@ -711,6 +725,10 @@ func (c *Coordinator) notes(sp *scatterPlan, mode FailMode, missing []string) []
 		sp.class, sp.sharded, len(c.execs), mode)}
 	if sp.shardQuery != "" {
 		out = append(out, "shard query: "+sp.shardQuery)
+	}
+	if sp.coPartitioned != "" {
+		out = append(out, "group merge: co-partitioned on hash key "+sp.coPartitioned+
+			" (each group whole on one shard; partials read, not re-aggregated)")
 	}
 	if sp.mergeQuery != "" {
 		out = append(out, "merge query: "+sp.mergeQuery)

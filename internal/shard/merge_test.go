@@ -83,3 +83,42 @@ func TestGroupMergeStreams(t *testing.T) {
 		}
 	}
 }
+
+// TestCoPartitionedSelection: a group merge skips re-aggregation only
+// when the collection is hash-partitioned and a grouping key is exactly
+// the head variable's partitioning key path, with the head variable
+// bound once. Everything else keeps the re-grouping merge, and a HAVING
+// that still needs a pre-group binding falls back to gather either way.
+func TestCoPartitionedSelection(t *testing.T) {
+	hashG := Spec{Name: "data", Kind: Hash, Key: "g"}
+	for _, tc := range []struct {
+		spec  Spec
+		query string
+		class string
+		co    bool
+	}{
+		{hashG, "SELECT x.g AS g, COUNT(*) AS c FROM data AS x GROUP BY x.g", "group", true},
+		{hashG, "SELECT x.h AS h, SUM(x.v) AS s FROM data AS x GROUP BY x.h, x.g AS g", "group", true},
+		{hashG, "SELECT x.g AS g, d.n AS n, COUNT(*) AS c FROM data AS x JOIN dims AS d ON x.g = d.g GROUP BY x.g, d.n", "group", true},
+		{hashG, "SELECT x.h AS h, COUNT(*) AS c FROM data AS x GROUP BY x.h", "group", false},
+		{hashG, "SELECT d.g AS g, COUNT(*) AS c FROM data AS x JOIN dims AS d ON x.g = d.g GROUP BY d.g", "group", false},
+		{hashG, "SELECT COUNT(*) AS c FROM data AS x", "group", false},
+		{hashG, "SELECT y.g AS g, COUNT(*) AS c FROM data AS x, x.kids AS y GROUP BY y.g", "group", false},
+		{hashG, "SELECT x.g AS g, COUNT(*) AS c FROM data AS x LET x = x.w GROUP BY x.g", "group", false},
+		{Spec{Name: "data", Kind: Hash, Key: "w.z"}, "SELECT x.w.z AS z, COUNT(*) AS c FROM data AS x GROUP BY x.w.z", "group", true},
+		{Spec{Name: "data", Kind: Hash, Key: "w.z"}, "SELECT x.w AS w, COUNT(*) AS c FROM data AS x GROUP BY x.w", "group", false},
+		{Spec{Name: "data"}, "SELECT x.g AS g, COUNT(*) AS c FROM data AS x GROUP BY x.g", "group", false},
+		{hashG, "SELECT x.g AS g FROM data AS x GROUP BY x.g HAVING x.v > 1", "gather", false},
+	} {
+		p := classify(tc.query, map[string]Spec{"data": tc.spec})
+		if p.class != tc.class || (p.coPartitioned != "") != tc.co {
+			t.Errorf("%s %q: %s: class %s, co-partitioned %q, want %s, %v",
+				tc.spec.Kind, tc.spec.Key, tc.query, p.class, p.coPartitioned, tc.class, tc.co)
+			continue
+		}
+		grouped := strings.Contains(tc.query, "GROUP BY")
+		if p.class == "group" && grouped && strings.Contains(p.mergeQuery, "GROUP BY") == tc.co {
+			t.Errorf("%s: merge %q does not match co-partitioned=%v", tc.query, p.mergeQuery, tc.co)
+		}
+	}
+}

@@ -14,13 +14,14 @@ import (
 )
 
 // randomCatalog renders a heterogeneous collection in object notation:
-// tuples with mixed-type group keys, sometimes-missing measures,
+// tuples with mixed-type group keys (null among them), sometimes-missing
+// group keys and measures,
 // occasional non-numeric measures (exercising the permissive type-fault
 // propagation through the merge), nested tuples, and bare scalars.
 func randomCatalog(rng *rand.Rand) string {
 	n := rng.Intn(51)
 	rows := make([]string, 0, n)
-	keys := []string{"'a'", "'b'", "'c'", "1", "2", "'missing-key'"}
+	keys := []string{"'a'", "'b'", "'c'", "1", "2", "'missing-key'", "null"}
 	for i := 0; i < n; i++ {
 		switch rng.Intn(10) {
 		case 0: // bare scalar row: .g and .v navigate to MISSING
@@ -94,53 +95,108 @@ func TestPropertyShardedIdentity(t *testing.T) {
 	}
 }
 
-// TestPropertyHashPartitioning checks hash partitioning: results are
-// deterministic for a fixed topology and equal to single-node execution
-// as a multiset (hash placement may permute first-seen orders, so
-// order-insensitive queries compare sorted).
+// TestPropertyHashPartitioning checks hash partitioning in both typing
+// modes, with SQL compatibility on and off: results are deterministic
+// for a fixed topology and equal to single-node execution as a multiset
+// (hash placement may permute first-seen orders, so order-insensitive
+// queries compare sorted; ORDER BY queries compare exactly). The group
+// queries group by the partitioning key, so they merge co-partitioned,
+// without re-aggregating; the catalog's null and missing keys are where
+// compat mode's NULL/MISSING grouping would split a group across shards
+// if Partition did not colocate them. Each co-partitioned answer must
+// also be byte-identical to the re-grouping merge over the same
+// partials.
 func TestPropertyHashPartitioning(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	queries := []string{
-		"SELECT x.g AS g, COUNT(*) AS c, SUM(x.v) AS s FROM data AS x GROUP BY x.g AS g",
-		"SELECT VALUE x.v FROM data AS x WHERE x.v > 20",
-		"SELECT DISTINCT x.g AS g FROM data AS x",
+	queries := []struct {
+		q       string
+		ordered bool // ORDER BY fixes the row order: compare exactly
+		coPart  bool // groups by the partitioning key
+	}{
+		{"SELECT x.g AS g, COUNT(*) AS c, SUM(x.v) AS s FROM data AS x GROUP BY x.g AS g", false, true},
+		{"SELECT x.g AS g, COUNT(*) AS c FROM data AS x GROUP BY x.g AS g HAVING COUNT(*) > 1", false, true},
+		{"SELECT x.g AS g, SUM(x.v) AS s FROM data AS x GROUP BY x.g AS g ORDER BY s DESC, g LIMIT 3", true, true},
+		{"SELECT x.g AS g, AVG(x.v) AS a, MIN(x.v) AS mn, MAX(x.v) AS mx FROM data AS x GROUP BY x.g AS g", false, true},
+		{"SELECT DISTINCT COUNT(*) AS n FROM data AS x GROUP BY x.g", false, true},
+		{"SELECT VALUE x.v FROM data AS x WHERE x.v > 20", false, false},
+		{"SELECT DISTINCT x.g AS g FROM data AS x", false, false},
 	}
 	for iter := 0; iter < 40; iter++ {
 		src := randomCatalog(rng)
 		shards := 2 + rng.Intn(4)
 		data := sqlpp.MustParseValue(src)
-		single := sqlpp.New(nil)
-		if err := single.Register("data", data); err != nil {
-			t.Fatal(err)
-		}
-		run := func() *Coordinator {
-			co := NewLocalCluster(shards, nil, Policy{})
-			if err := co.Distribute("data", data, Spec{Kind: Hash, Key: "g"}); err != nil {
+		for _, opts := range []sqlpp.Options{{}, {Compat: true}, {StopOnError: true}, {Compat: true, StopOnError: true}} {
+			single := sqlpp.New(&opts)
+			if err := single.Register("data", data); err != nil {
 				t.Fatal(err)
 			}
-			return co
-		}
-		coA, coB := run(), run()
-		for _, q := range queries {
-			want, werr := single.Query(q)
-			ra, ea := coA.Exec(context.Background(), q)
-			rb, eb := coB.Exec(context.Background(), q)
-			if (werr != nil) != (ea != nil) || (ea != nil) != (eb != nil) {
-				t.Fatalf("iter %d %q: errs single=%v a=%v b=%v", iter, q, werr, ea, eb)
+			run := func() *Coordinator {
+				// Strict-mode queries fail on the shards; that is no
+				// reason to open a breaker and fail the next query fast.
+				co := NewLocalCluster(shards, &opts, Policy{BreakerThreshold: -1})
+				if err := co.Distribute("data", data, Spec{Kind: Hash, Key: "g"}); err != nil {
+					t.Fatal(err)
+				}
+				return co
 			}
-			if werr != nil {
-				continue
-			}
-			if ra.Value.String() != rb.Value.String() {
-				t.Fatalf("iter %d %q: hash run not deterministic:\n a %s\n b %s",
-					iter, q, ra.Value.String(), rb.Value.String())
-			}
-			if got, wantS := sortedElems(t, ra.Value), sortedElems(t, want); got != wantS {
-				t.Fatalf("iter %d %q: hash multiset mismatch:\n data %s\n got  %s\n want %s",
-					iter, q, src, got, wantS)
+			coA, coB := run(), run()
+			for _, tc := range queries {
+				q := tc.q
+				want, werr := single.Query(q)
+				ra, ea := coA.Exec(context.Background(), q)
+				rb, eb := coB.Exec(context.Background(), q)
+				if (werr != nil) != (ea != nil) || (ea != nil) != (eb != nil) {
+					t.Fatalf("iter %d %+v %q: errs single=%v a=%v b=%v", iter, opts, q, werr, ea, eb)
+				}
+				if werr != nil {
+					continue
+				}
+				if ra.Value.String() != rb.Value.String() {
+					t.Fatalf("iter %d %+v %q: hash run not deterministic:\n a %s\n b %s",
+						iter, opts, q, ra.Value.String(), rb.Value.String())
+				}
+				got, wantS := sortedElems(t, ra.Value), sortedElems(t, want)
+				if tc.ordered {
+					got, wantS = ra.Value.String(), want.String()
+				}
+				if got != wantS {
+					t.Fatalf("iter %d %+v %q: hash result mismatch:\n data %s\n got  %s\n want %s\n notes %v",
+						iter, opts, q, src, got, wantS, ra.Notes)
+				}
+				if hasCoPartNote(ra.Notes) != tc.coPart {
+					t.Fatalf("iter %d %q: co-partitioned note = %v, want %v: %v",
+						iter, q, !tc.coPart, tc.coPart, ra.Notes)
+				}
+				if tc.coPart {
+					// The same shard query under a spec whose key is not a
+					// grouping key: the merge re-groups the same partials.
+					regroup := classify(q, map[string]Spec{"data": {Name: "data", Kind: Hash, Key: "v"}})
+					if regroup.coPartitioned != "" || regroup.shardQuery != coA.plan(q).shardQuery {
+						t.Fatalf("%q: re-grouping plan %+v", q, regroup)
+					}
+					rr, err := coA.execSplit(context.Background(), ExecRequest{Query: q}, opts, FailFast, regroup)
+					if err != nil {
+						t.Fatalf("iter %d %+v %q: re-grouping merge: %v", iter, opts, q, err)
+					}
+					if rr.Value.String() != ra.Value.String() {
+						t.Fatalf("iter %d %+v %q: merges differ:\n co-partitioned %s\n re-grouping    %s",
+							iter, opts, q, ra.Value.String(), rr.Value.String())
+					}
+				}
 			}
 		}
 	}
+}
+
+// hasCoPartNote reports whether a scatter's notes name a co-partitioned
+// group merge.
+func hasCoPartNote(notes []string) bool {
+	for _, n := range notes {
+		if strings.HasPrefix(n, "group merge: co-partitioned") {
+			return true
+		}
+	}
+	return false
 }
 
 // sortedElems renders a collection's elements sorted, for multiset

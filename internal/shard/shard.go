@@ -9,7 +9,11 @@
 //
 //   - grouped aggregates run locally per shard and merge globally with
 //     the COLL_* decomposition (COUNT → SUM of counts, SUM → SUM of
-//     partial sums, AVG → SUM/COUNT pairs, MIN/MAX associatively);
+//     partial sums, AVG → SUM/COUNT pairs, MIN/MAX associatively). The
+//     merge re-aggregates only when a group can span shards: if the
+//     collection is hash-partitioned and a grouping key is its
+//     partitioning key, each group's partial row is already final and
+//     the merge reads it without grouping again;
 //   - ORDER BY … LIMIT runs as local top-(limit+offset) per shard with
 //     a coordinator-side merge re-sort;
 //   - everything else streams back and concatenates in shard order;
@@ -88,9 +92,12 @@ type Spec struct {
 }
 
 // Partition splits v's elements into n subcollections per spec,
-// preserving v's array/bag kind on every part. Elements whose key path
-// is MISSING or NULL hash on that absent value, so equal-keyed rows
-// stay colocated.
+// preserving v's array/bag kind on every part. Under Hash, an element
+// whose key path is MISSING hashes as NULL: every absent key lands on
+// one shard, so a GROUP BY on the key finds each of its groups whole on
+// one shard even where the grouping does not tell NULL from MISSING
+// (SQL compatibility mode, §IV-B) or navigation reaches NULL on one row
+// and MISSING on another.
 // governor:data-sized at Distribute time — the ingest path, same trust as Engine.Register
 func Partition(v value.Value, spec Spec, n int) ([]value.Value, error) {
 	if n <= 0 {
@@ -159,8 +166,11 @@ func keyAt(e value.Value, path []string) value.Value {
 
 // hashBucket maps a key value to a shard index by FNV-1a over its
 // canonical encoding (value.AppendKey), so values that compare equal
-// hash equal regardless of representation.
+// hash equal regardless of representation. MISSING hashes as NULL.
 func hashBucket(k value.Value, n int) int {
+	if k.Kind() == value.KindMissing {
+		k = value.Null
+	}
 	h := fnv.New64a()
 	h.Write(value.AppendKey(nil, k))
 	return int(h.Sum64() % uint64(n))

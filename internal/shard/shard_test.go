@@ -49,7 +49,8 @@ func TestPartitionRangePreservesOrderAndKind(t *testing.T) {
 }
 
 func TestPartitionHashColocatesEqualKeys(t *testing.T) {
-	v := mustValue(t, "{{ {'k': 'a', 'n': 1}, {'k': 'b', 'n': 2}, {'k': 'a', 'n': 3}, {'n': 4}, {'n': 5} }}")
+	// Absent keys count as one: MISSING hashes as NULL.
+	v := mustValue(t, "{{ {'k': 'a', 'n': 1}, {'k': 'b', 'n': 2}, {'k': 'a', 'n': 3}, {'n': 4}, {'n': 5}, {'k': null, 'n': 6} }}")
 	parts, err := Partition(v, Spec{Name: "xs", Kind: Hash, Key: "k"}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +65,7 @@ func TestPartitionHashColocatesEqualKeys(t *testing.T) {
 		total += len(elems)
 		for _, e := range elems {
 			tp := e.(*value.Tuple)
-			key := "missing"
+			key := "null"
 			if kv, ok := tp.Get("k"); ok {
 				key = kv.String()
 			}
@@ -74,7 +75,7 @@ func TestPartitionHashColocatesEqualKeys(t *testing.T) {
 			at[key] = i
 		}
 	}
-	if total != 5 {
+	if total != 6 {
 		t.Fatalf("total = %d", total)
 	}
 }
@@ -669,6 +670,49 @@ func TestEpochInvalidatesScatterPlans(t *testing.T) {
 	}
 	if got := res.Value.String(); got != "{{10}}" {
 		t.Fatalf("got %s", got)
+	}
+
+	// A group-by-g query merges co-partitioned only while the collection
+	// is hash-partitioned on g: each re-distribution must replan it.
+	rows := mustValue(t, `[{'g': 1, 'h': 'x', 'v': 1}, {'g': 2, 'h': 'x', 'v': 2}, {'g': 1, 'h': 'y', 'v': 3},
+		{'g': null, 'h': 'y', 'v': 4}, {'h': 'z', 'v': 5}, {'g': 3, 'h': 'z', 'v': 6}, {'g': 2, 'h': 'x', 'v': 7}]`)
+	single := sqlpp.New(nil)
+	if err := single.Register("rows", rows); err != nil {
+		t.Fatal(err)
+	}
+	gq := "SELECT r.g AS g, COUNT(*) AS c, SUM(r.v) AS s FROM rows AS r GROUP BY r.g ORDER BY g"
+	want, err := single.Query(gq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		spec    Spec
+		regroup bool
+	}{
+		{Spec{Kind: Hash, Key: "g"}, false},
+		{Spec{Kind: Hash, Key: "h"}, true},
+		{Spec{}, true},
+		{Spec{Kind: Hash, Key: "g"}, false},
+	} {
+		if err := co.Distribute("rows", rows, step.spec); err != nil {
+			t.Fatal(err)
+		}
+		res, err := co.Exec(context.Background(), gq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Class != "group" || res.Value.String() != want.String() {
+			t.Fatalf("%s %s: class %s, got %s, want %s", step.spec.Kind, step.spec.Key, res.Class, res.Value, want)
+		}
+		merge := ""
+		for _, n := range res.Notes {
+			if m, ok := strings.CutPrefix(n, "merge query: "); ok {
+				merge = m
+			}
+		}
+		if regroups := strings.Contains(merge, "GROUP BY"); regroups != step.regroup {
+			t.Fatalf("%s %s: merge %q regroups=%v, want %v", step.spec.Kind, step.spec.Key, merge, regroups, step.regroup)
+		}
 	}
 }
 

@@ -21,7 +21,8 @@ import (
 //	local   no sharded collection is referenced; run on the coordinator.
 //	group   GROUP BY (or implicit grouping) with COUNT/SUM/AVG/MIN/MAX:
 //	        per-shard local aggregation, global merge by COLL_*
-//	        decomposition over the partial rows.
+//	        decomposition over the partial rows (read as they are when
+//	        the groups are co-partitioned).
 //	topk    ORDER BY with literal LIMIT/OFFSET: per-shard top-(l+o)
 //	        carrying the sort keys, coordinator merge re-sort.
 //	concat  plain scatter; DISTINCT de-duplicates again at the merge,
@@ -47,6 +48,9 @@ type scatterPlan struct {
 	gather []string
 	// sharded names the collection driving a scatter (annotations).
 	sharded string
+	// coPartitioned is the hash key a group merge found its groups
+	// whole on (class group), "" when the merge re-aggregates.
+	coPartitioned string
 }
 
 // classify splits query against the sharded-name registry. Parse errors
@@ -76,7 +80,7 @@ func classify(query string, specs map[string]Spec) *scatterPlan {
 	if hasParams(tree) || len(sfw.Windows) > 0 || hasWindowExprs(tree) {
 		return gather
 	}
-	if p := splitGroup(sfw, name); p != nil {
+	if p := splitGroup(sfw, name, specs[name]); p != nil {
 		return p
 	}
 	if p := splitTopK(sfw, name); p != nil {
@@ -151,22 +155,8 @@ func countRefs(e ast.Expr, name string) int {
 // left side (inner/left/cross: each output row is driven by exactly
 // one left row, so partitioning the left tiles the join).
 func headIsSharded(q *ast.SFW, name string) bool {
-	if len(q.From) == 0 {
-		return false
-	}
-	item := q.From[0]
-	for {
-		j, ok := item.(*ast.FromJoin)
-		if !ok {
-			break
-		}
-		if j.Kind != ast.JoinInner && j.Kind != ast.JoinLeft && j.Kind != ast.JoinCross {
-			return false
-		}
-		item = j.Left
-	}
-	fe, ok := item.(*ast.FromExpr)
-	if !ok {
+	fe := headItem(q)
+	if fe == nil {
 		return false
 	}
 	if fe.AtVar != "" {
@@ -176,6 +166,27 @@ func headIsSharded(q *ast.SFW, name string) bool {
 	}
 	c, ok := chainName(fe.Expr)
 	return ok && c == name
+}
+
+// headItem returns the query's leftmost FROM leaf when every join on
+// the spine tolerates a partitioned left side, nil otherwise.
+func headItem(q *ast.SFW) *ast.FromExpr {
+	if len(q.From) == 0 {
+		return nil
+	}
+	item := q.From[0]
+	for {
+		j, ok := item.(*ast.FromJoin)
+		if !ok {
+			break
+		}
+		if j.Kind != ast.JoinInner && j.Kind != ast.JoinLeft && j.Kind != ast.JoinCross {
+			return nil
+		}
+		item = j.Left
+	}
+	fe, _ := item.(*ast.FromExpr)
+	return fe
 }
 
 // hasWindowExprs reports an inline window-function application (fn OVER
@@ -588,8 +599,14 @@ type aggSlot struct {
 // (IEEE doubles are exact through 2^53, and partial SUMs are exact
 // int64 adds). Float SUM/AVG re-associate across shards — see the
 // package comment.
+//
+// When the collection is hash-partitioned and one grouping key is its
+// partitioning key (coPartitionedKey), every group lives whole on one
+// shard and its partial row is already final: the merge does not group
+// again. Each aggregate reads its partial, keys read their slots, and
+// HAVING becomes the merge's WHERE.
 // governor:bounded by the query text (plan-time rewrite; partial folds charge shard-gather at merge)
-func splitGroup(q *ast.SFW, name string) *scatterPlan {
+func splitGroup(q *ast.SFW, name string, spec Spec) *scatterPlan {
 	hasGroup := q.GroupBy != nil
 	if hasGroup && (q.GroupBy.GroupAs != "" || len(q.GroupBy.Keys) == 0) {
 		return nil
@@ -709,12 +726,14 @@ func splitGroup(q *ast.SFW, name string) *scatterPlan {
 		local.GroupBy.GroupAs = ""
 	}
 
-	// Merge query: re-group the partials by the stored keys, substitute
-	// key references and aggregate calls in the reconstructed clauses.
+	// Merge query: re-group the partials by the stored keys (unless the
+	// groups are co-partitioned), substitute key references and aggregate
+	// calls in the reconstructed clauses.
 	merge := &ast.SFW{
 		From: []ast.FromItem{&ast.FromExpr{Expr: varRef(partialsName), As: "__r"}},
 	}
-	if hasGroup {
+	coKey := coPartitionedKey(q, spec, keys)
+	if hasGroup && coKey < 0 {
 		mkeys := make([]ast.GroupKey, len(keys))
 		for i := range keys {
 			mkeys[i] = ast.GroupKey{
@@ -725,7 +744,7 @@ func splitGroup(q *ast.SFW, name string) *scatterPlan {
 		merge.GroupBy = &ast.GroupBy{Keys: mkeys}
 	}
 
-	sub := &groupMergeSubst{keyText: keyText, slots: slots, hasKeys: hasGroup}
+	sub := &groupMergeSubst{keyText: keyText, slots: slots, hasKeys: hasGroup, direct: coKey >= 0}
 
 	bad = false
 	reb := func(e ast.Expr) ast.Expr {
@@ -751,8 +770,15 @@ func splitGroup(q *ast.SFW, name string) *scatterPlan {
 		}
 		merge.Select = ast.SelectClause{Distinct: q.Select.Distinct, Items: items}
 	}
+	// Over co-partitioned partials HAVING filters rows, as WHERE.
+	var having ast.Expr
 	if q.Having != nil {
-		merge.Having = reb(q.Having)
+		having = reb(q.Having)
+	}
+	if sub.direct {
+		merge.Where = having
+	} else {
+		merge.Having = having
 	}
 	for _, o := range q.OrderBy {
 		merge.OrderBy = append(merge.OrderBy, ast.OrderItem{
@@ -773,15 +799,57 @@ func splitGroup(q *ast.SFW, name string) *scatterPlan {
 	// Anything left referencing a pre-group binding cannot be computed
 	// from the partials; the single-node engine would reject it too, and
 	// the gather fallback reproduces that rejection verbatim.
-	if referencesAny(merge.Select, merge.Having, merge.OrderBy, blockVars) {
+	if referencesAny(merge.Select, having, merge.OrderBy, blockVars) {
 		return nil
 	}
-	return &scatterPlan{
+	p := &scatterPlan{
 		class:      "group",
 		shardQuery: ast.Format(local),
 		mergeQuery: ast.Format(merge),
 		sharded:    name,
 	}
+	if sub.direct {
+		p.coPartitioned = spec.Key
+	}
+	return p
+}
+
+// coPartitionedKey returns the index of the grouping key that is the
+// head collection's hash-partitioning key — exactly <head var>.<Key>,
+// with nothing else in the block rebinding the head variable — or -1.
+// Partition places equal keys, and all absent ones, on one shard, so
+// each group of such a query is computed whole by one shard.
+func coPartitionedKey(q *ast.SFW, spec Spec, keys []ast.GroupKey) int {
+	if spec.Kind != Hash {
+		return -1
+	}
+	head := headItem(q)
+	if head == nil || head.As == "" {
+		return -1
+	}
+	binds := 0
+	for _, f := range q.From {
+		eachFromBinding(f, func(b string) {
+			if b == head.As {
+				binds++
+			}
+		})
+	}
+	for _, l := range q.Lets {
+		if l.Name == head.As {
+			binds++
+		}
+	}
+	if binds != 1 {
+		return -1
+	}
+	want := head.As + "." + spec.Key
+	for i, k := range keys {
+		if c, ok := chainName(k.Expr); ok && c == want {
+			return i
+		}
+	}
+	return -1
 }
 
 // implicitKeyAlias mirrors the rewriter's rule for unaliased group
@@ -798,15 +866,21 @@ func implicitKeyAlias(e ast.Expr) string {
 
 // groupMergeSubst rewrites a post-group expression for the merge side:
 // group-key occurrences (by formatted text or alias) become key-slot
-// references, mergeable aggregate calls become their merged forms.
+// references, mergeable aggregate calls become their merged forms. With
+// direct set (co-partitioned groups) there is one partial row per group
+// and both read that row's slots.
 type groupMergeSubst struct {
 	keyText map[string]int
 	slots   map[string]*aggSlot
 	hasKeys bool
+	direct  bool
 	bad     bool
 }
 
 func (s *groupMergeSubst) keyRef(i int) ast.Expr {
+	if s.direct {
+		return fieldOf(varRef("__r"), "__k"+strconv.Itoa(i))
+	}
 	return varRef("__gk" + strconv.Itoa(i))
 }
 
@@ -819,6 +893,25 @@ func (s *groupMergeSubst) mergedAgg(a *aggSlot) ast.Expr {
 	aggOver := func(fn string, arg ast.Expr) ast.Expr {
 		return &ast.Call{Name: fn, Args: []ast.Expr{arg}}
 	}
+	avg := func(sum, cnt ast.Expr) ast.Expr {
+		num := &ast.Binary{Op: "*", L: &ast.Literal{Val: value.Float(1)}, R: sum}
+		return &ast.Binary{Op: "/", L: num, R: cnt}
+	}
+	faulted := ast.Expr(&ast.Is{Target: part("__a"), What: "MISSING"})
+	if s.direct {
+		switch a.fn {
+		case "COUNT", "MIN", "MAX", "SUM":
+			// One partial per group: a faulted SUM partial is absent from
+			// its row, so reading it yields MISSING as the guard would.
+			return part("__a")
+		case "AVG":
+			// Guarded still: in compat mode 1.0 * MISSING is NULL.
+			return faultGuard(faulted, avg(part("__a"), part("__n")))
+		}
+		s.bad = true
+		return varRef("__bad")
+	}
+	faulted = aggOver("SOME", faulted)
 	switch a.fn {
 	case "COUNT":
 		return aggOver("SUM", part("__a"))
@@ -827,28 +920,26 @@ func (s *groupMergeSubst) mergedAgg(a *aggSlot) ast.Expr {
 	case "MAX":
 		return aggOver("MAX", part("__a"))
 	case "SUM":
-		return faultGuard(part("__a"), aggOver("SUM", part("__a")))
+		return faultGuard(faulted, aggOver("SUM", part("__a")))
 	case "AVG":
 		// (1.0 * SUM(__a)) / SUM(__n): float division like COLL_AVG, and
 		// absent propagation gives NULL for all-absent groups before the
 		// zero divisor could matter.
-		num := &ast.Binary{Op: "*", L: &ast.Literal{Val: value.Float(1)}, R: aggOver("SUM", part("__a"))}
-		div := &ast.Binary{Op: "/", L: num, R: aggOver("SUM", part("__n"))}
-		return faultGuard(part("__a"), div)
+		return faultGuard(faulted, avg(aggOver("SUM", part("__a")), aggOver("SUM", part("__n"))))
 	}
 	s.bad = true
 	return varRef("__bad")
 }
 
-// faultGuard wraps a merged SUM/AVG: if any shard's partial faulted to
+// faultGuard wraps a merged SUM/AVG: if a shard's partial faulted to
 // MISSING (and so is absent from its row), the merged aggregate is
-// MISSING. The test is itself an aggregate over the partial rows, so the
-// merge block folds it row by row like the rest and never needs the
-// group's rows as a collection.
-func faultGuard(partial, merged ast.Expr) ast.Expr {
+// MISSING. Over re-grouped partials the test is itself an aggregate
+// (SOME(__r.__a<j> IS MISSING)), so the merge block folds it row by row
+// like the rest and never needs the group's rows as a collection.
+func faultGuard(faulted, merged ast.Expr) ast.Expr {
 	return &ast.Case{
 		Whens: []ast.When{{
-			Cond:   &ast.Call{Name: "SOME", Args: []ast.Expr{&ast.Is{Target: partial, What: "MISSING"}}},
+			Cond:   faulted,
 			Result: &ast.Literal{Val: value.Missing},
 		}},
 		Else: merged,

@@ -158,6 +158,34 @@ func TestPlannerIndexVeto(t *testing.T) {
 	}
 }
 
+// TestPlannerUniqueKeyEstimate: a probe of a unique key returns one row,
+// and its estimate must say so. An id the statistics did not sample has
+// an equality fraction a little under 1/rows; the estimate rounds it to
+// the nearest row instead of truncating it to none.
+func TestPlannerUniqueKeyEstimate(t *testing.T) {
+	_, cost := planqEngines(t, 1, 2000)
+	if err := cost.CreateIndex("ixx", "l", "x", "hash"); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{0, 17, 999, 1999} {
+		p, err := cost.Prepare(fmt.Sprintf(`SELECT VALUE l.pad FROM l AS l WHERE l.x = %d`, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hasNote(p.PlanNotes(), "index-est(ixx rows=1)") {
+			t.Errorf("id %d: unique-key probe estimate: %v", id, p.PlanNotes())
+		}
+		_, st, err := p.ExplainAnalyze(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := st.Render(true)
+		if _, probe, _ := strings.Cut(tree, "index_probe(ixx)"); !strings.HasPrefix(probe, " in=1 out=1 est_rows=1 ") {
+			t.Errorf("id %d: EXPLAIN ANALYZE probe lacks est_rows=1:\n%s", id, tree)
+		}
+	}
+}
+
 // TestPlannerParallelSizing: row estimates size parallel chunks (and the
 // note says so); results stay identical to the oracle's.
 func TestPlannerParallelSizing(t *testing.T) {
