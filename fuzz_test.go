@@ -3,10 +3,15 @@ package sqlpp_test
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"sqlpp"
+	"sqlpp/internal/ast"
 	"sqlpp/internal/compat"
 )
 
@@ -82,4 +87,92 @@ func FuzzEvalPermissive(f *testing.F) {
 				src, pv, ov)
 		}
 	})
+}
+
+// FuzzTemplate drives the literal-template path over FuzzParse's corpus:
+// a text that prepares is prepared again as a literal template with its
+// own literals; when the template is admitted, re-binding it with those
+// literals must give a Core ast.Equal to the literal text's, the same
+// plan notes, and the same answer (or the same failure), in both typing
+// modes.
+func FuzzTemplate(f *testing.F) {
+	for _, c := range compat.Suite() {
+		f.Add(c.Query)
+	}
+	for _, src := range corpusQueries(f, "internal/parser/testdata/fuzz/FuzzSema", "internal/lexer/testdata/fuzz/FuzzLexer", "testdata/fuzz/FuzzEvalPermissive") {
+		f.Add(src)
+	}
+	f.Add(`SELECT VALUE x.a FROM t AS x WHERE x.a > 1 AND x.a < 2.5e0 LIMIT 3 OFFSET 1`)
+	f.Add(`SELECT VALUE [y.k, x.b, 99999999999999999999] FROM u AS y, t AS x WHERE y.v = x.a - 0`)
+	var engines []*sqlpp.Engine
+	for _, strict := range []bool{false, true} {
+		e := sqlpp.New(&sqlpp.Options{MaxCollectionSize: 4096, StopOnError: strict})
+		if err := e.RegisterSION("t", `{{ {'a': 1, 'b': 'one'}, {'a': 2}, {'a': null, 'b': 3.5}, 7, 'str', [1, 2] }}`); err != nil {
+			f.Fatal(err)
+		}
+		if err := e.RegisterSION("u", `[ {'k': 'x', 'v': 1}, {'k': 'y', 'v': 2} ]`); err != nil {
+			f.Fatal(err)
+		}
+		engines = append(engines, e)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		for _, db := range engines {
+			bound, templated, err := db.PrepareTemplated(src)
+			if err != nil || !templated {
+				continue
+			}
+			lit, err := db.Prepare(src)
+			if err != nil {
+				t.Fatalf("%q: the template prepared but the text did not: %v", src, err)
+			}
+			if !ast.Equal(sqlpp.CoreTree(bound), sqlpp.CoreTree(lit)) {
+				t.Fatalf("%q: bound Core %s, literal Core %s", src, bound.Core(), lit.Core())
+			}
+			if b, l := strings.Join(bound.PlanNotes(), "; "), strings.Join(lit.PlanNotes(), "; "); b != l {
+				t.Fatalf("%q: bound notes %s, literal notes %s", src, b, l)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			bv, berr := bound.ExecContext(ctx)
+			lv, lerr := lit.ExecContext(ctx)
+			cancel()
+			if errors.Is(berr, context.DeadlineExceeded) || errors.Is(lerr, context.DeadlineExceeded) {
+				continue
+			}
+			if (berr == nil) != (lerr == nil) || berr != nil && berr.Error() != lerr.Error() {
+				t.Fatalf("%q: bound err=%v, literal err=%v", src, berr, lerr)
+			}
+			if berr == nil && bv.String() != lv.String() {
+				t.Fatalf("%q: bound %s, literal %s", src, bv, lv)
+			}
+		}
+	})
+}
+
+// corpusQueries reads the string inputs of committed fuzz corpus files.
+func corpusQueries(tb testing.TB, dirs ...string) []string {
+	var out []string
+	for _, dir := range dirs {
+		files, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil || len(files) == 0 {
+			tb.Fatalf("no fuzz corpus under %s: %v", dir, err)
+		}
+		for _, file := range files {
+			data, err := os.ReadFile(file)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for _, line := range strings.Split(string(data), "\n") {
+				lit, ok := strings.CutPrefix(line, "string(")
+				if !ok {
+					continue
+				}
+				src, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+				if err != nil {
+					tb.Fatalf("%s: %v", file, err)
+				}
+				out = append(out, src)
+			}
+		}
+	}
+	return out
 }

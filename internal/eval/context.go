@@ -271,6 +271,13 @@ type Env struct {
 // NewEnv returns an empty root environment.
 func NewEnv() *Env { return &Env{} }
 
+// NewEnvOf returns a root environment binding names[i] to vals[i]. It
+// shares names, which a Bind never writes (it appends to a copy), and
+// copies vals.
+func NewEnvOf(names []string, vals []value.Value) *Env {
+	return &Env{names: names[:len(names):len(names)], vals: slices.Clone(vals)}
+}
+
 // Child returns a new environment scope whose lookups fall back to e.
 func (e *Env) Child() *Env { return &Env{parent: e} }
 

@@ -96,6 +96,48 @@ var keywords = map[string]bool{
 // IsKeyword reports whether upper-cased word is reserved.
 func IsKeyword(word string) bool { return keywords[strings.ToUpper(word)] }
 
+// maxKeywordLen is the length of the longest keyword.
+const maxKeywordLen = 9
+
+// keyword returns the canonical (upper-case) text of word when it is a
+// keyword. An ASCII word is upper-cased into a stack buffer and answered
+// with the keyword table's own string, so it costs no allocation; a word
+// with other letters takes strings.ToUpper, whose case mapping can turn
+// some of them (U+017F, ſ) into ASCII.
+func keyword(word string) (string, bool) {
+	for i := 0; i < len(word); i++ {
+		if word[i] >= utf8.RuneSelf {
+			upper := strings.ToUpper(word)
+			return upper, keywords[upper]
+		}
+	}
+	if len(word) > maxKeywordLen {
+		return "", false
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywordText[string(buf[:len(word)])]
+	return kw, ok
+}
+
+// keywordText maps each keyword to itself: the canonical token text.
+var keywordText = func() map[string]string {
+	m := make(map[string]string, len(keywords))
+	for k := range keywords {
+		if len(k) > maxKeywordLen {
+			panic("lexer: keyword longer than maxKeywordLen: " + k)
+		}
+		m[k] = k
+	}
+	return m
+}()
+
 // Error is a lexical error with position.
 type Error struct {
 	Pos Pos
@@ -120,19 +162,80 @@ func New(src string) *Lexer {
 	return &Lexer{src: src, line: 1, column: 1}
 }
 
+// tokenizeBuf is how many tokens Tokenize collects on the stack before
+// it copies them out; a query of up to that many tokens costs one
+// exactly-sized allocation instead of a doubling slice.
+const tokenizeBuf = 64
+
 // Tokenize lexes the entire input, returning all tokens (excluding EOF).
 func Tokenize(src string) ([]Token, error) {
 	lx := New(src)
-	var out []Token
+	var buf [tokenizeBuf]Token
+	n := 0
+	var more []Token // tokens past the stack buffer
 	for {
 		tok, err := lx.Next()
 		if err != nil {
 			return nil, err
 		}
 		if tok.Type == EOF {
-			return out, nil
+			break
 		}
-		out = append(out, tok)
+		if n < tokenizeBuf {
+			buf[n] = tok
+			n++
+		} else {
+			more = append(more, tok)
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]Token, n, n+len(more))
+	copy(out, buf[:n])
+	return append(out, more...), nil
+}
+
+// mask replaces every byte of a numeric literal in the output of
+// AppendMasked: NUL, which the lexer rejects anywhere outside a quoted
+// literal or a comment, so no text that lexes holds it where a number
+// stands.
+const mask = 0
+
+// NumLit is one numeric literal found by AppendMasked.
+type NumLit struct {
+	// Text is the literal's source text.
+	Text string
+	// Float reports that the literal lexed as a float literal.
+	Float bool
+}
+
+// AppendMasked lexes src once, token by token, and appends to dst a
+// copy of src in which every numeric literal's bytes are replaced by
+// NUL — in place and at the same width, so every position in the copy
+// is the position in src — and to lits the literals in text order.
+// Strings, identifiers, comments and whitespace are copied unchanged.
+// Two texts that lex give the same copy exactly when they differ only
+// in the digits of same-width numeric literals.
+func AppendMasked(dst []byte, lits []NumLit, src string) ([]byte, []NumLit, error) {
+	lx := New(src)
+	start := len(dst)
+	dst = append(dst, src...)
+	for {
+		tok, err := lx.Next()
+		if err != nil {
+			return dst[:start], lits, err
+		}
+		switch tok.Type {
+		case EOF:
+			return dst, lits, nil
+		case IntLit, FloatLit:
+			at := start + tok.Pos.Offset
+			for i := range len(tok.Text) {
+				dst[at+i] = mask
+			}
+			lits = append(lits, NumLit{Text: tok.Text, Float: tok.Type == FloatLit})
+		}
 	}
 }
 
@@ -242,7 +345,8 @@ func (l *Lexer) Next() (Token, error) {
 	case '(', ')', '[', ']', '{', '}', ',', ';', ':', '.', '*', '/', '%',
 		'+', '-', '=', '<', '>', '?', '@':
 		l.advance(1)
-		return Token{Type: Symbol, Text: string(c), Pos: pos}, nil
+		// Slicing the source shares its bytes; string(c) would allocate.
+		return Token{Type: Symbol, Text: l.src[l.pos-1 : l.pos], Pos: pos}, nil
 	}
 	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
 	return Token{}, l.errf(pos, "unexpected character %q", string(r))
@@ -275,8 +379,8 @@ func (l *Lexer) lexWord(pos Pos) (Token, error) {
 		r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
 		return Token{}, l.errf(pos, "unexpected character %q", string(r))
 	}
-	if upper := strings.ToUpper(word); keywords[upper] {
-		return Token{Type: Keyword, Text: upper, Pos: pos}, nil
+	if kw, ok := keyword(word); ok {
+		return Token{Type: Keyword, Text: kw, Pos: pos}, nil
 	}
 	return Token{Type: Ident, Text: word, Pos: pos}, nil
 }
@@ -315,23 +419,36 @@ func (l *Lexer) lexNumber(pos Pos) (Token, error) {
 }
 
 // lexQuoted lexes a q-delimited literal with doubled-q escaping and
-// returns the unescaped body.
+// returns the unescaped body. A body without escapes is a slice of the
+// source; only an escaped one is copied.
 func (l *Lexer) lexQuoted(q byte) (string, error) {
 	pos := l.here()
 	l.advance(1)
+	start := l.pos
 	var sb strings.Builder
+	escaped := false
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c == q {
 			if l.peekAt(1) == q {
+				if !escaped {
+					sb.WriteString(l.src[start:l.pos])
+					escaped = true
+				}
 				sb.WriteByte(q)
 				l.advance(2)
 				continue
 			}
+			body := l.src[start:l.pos]
 			l.advance(1)
-			return sb.String(), nil
+			if escaped {
+				return sb.String(), nil
+			}
+			return body, nil
 		}
-		sb.WriteByte(c)
+		if escaped {
+			sb.WriteByte(c)
+		}
 		l.advance(1)
 	}
 	return "", l.errf(pos, "unterminated %q-quoted literal", string(q))

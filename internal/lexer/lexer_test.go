@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -112,5 +113,101 @@ func TestTokenIs(t *testing.T) {
 	}
 	if toks[2].Is("SELECT") {
 		t.Error("Token.Is must match text")
+	}
+}
+
+// adhocTexts are the four ad-hoc query shapes of the serve-adhoc
+// workload with typical literals.
+var adhocTexts = []string{
+	`SELECT e.name AS name, d.dname AS dname, COLL_COUNT(SELECT VALUE h.id FROM hr AS h WHERE h.deptno = e.deptno) AS peers FROM emp AS e, dept AS d WHERE e.id = 1817 AND e.deptno = d.dno`,
+	`SELECT e.id AS id, RANK() OVER (ORDER BY e.salary DESC) AS r FROM emp AS e WHERE e.salary >= 41234 AND e.salary < 42034`,
+	`SELECT d.region AS region, COUNT(*) AS c FROM emp AS e, dept AS d, hr AS h WHERE e.id = 1817 AND e.deptno = d.dno AND h.deptno = d.dno GROUP BY d.region`,
+	`SELECT h.id AS id, (SELECT VALUE p.name FROM h.projects AS p WHERE p.hours > 12) AS ps, COLL_COUNT(h.projects) AS np FROM hr AS h WHERE h.id = 123`,
+}
+
+// TestTokenizeAllocations pins what tokenizing costs on the ad-hoc
+// shapes: one exactly-sized token slice of at most 3 KB. Symbols and
+// unescaped quoted bodies are slices of the source, so nothing else
+// allocates.
+func TestTokenizeAllocations(t *testing.T) {
+	for _, src := range adhocTexts {
+		toks, err := Tokenize(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _, _ = Tokenize(src) }); allocs > 1 {
+			t.Errorf("%d tokens cost %.0f allocations, want 1", len(toks), allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 100
+		for i := 0; i < runs; i++ {
+			_, _ = Tokenize(src)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 3072 {
+			t.Errorf("%d tokens cost %d bytes, want at most 3 KB", len(toks), per)
+		}
+	}
+}
+
+// TestTokenizeLong crosses the stack buffer: every token survives, in
+// order.
+func TestTokenizeLong(t *testing.T) {
+	src := strings.Repeat("a + ", 100) + "'it''s' + \"q\""
+	toks, err := Tokenize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toks) != 203 || toks[200].Text != "it's" || toks[202].Text != "q" {
+		t.Fatalf("got %d tokens, last %v", len(toks), toks[len(toks)-3:])
+	}
+	for i := 0; i < 200; i += 2 {
+		if toks[i].Text != "a" || toks[i+1].Text != "+" {
+			t.Fatalf("token %d = %v", i, toks[i])
+		}
+	}
+}
+
+func TestAppendMasked(t *testing.T) {
+	src := "SELECT x.a[0] + 12.5e3 FROM t AS x WHERE x.b = 'v 7' -- 9\n AND x.c > 1817 /* 3 */ AND 1.x"
+	got, lits, err := AppendMasked([]byte("prefix"), nil, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "prefix" + strings.NewReplacer("[0]", "[\x00]", "12.5e3", "\x00\x00\x00\x00\x00\x00", "1817", "\x00\x00\x00\x00", "AND 1.x", "AND \x00.x").Replace(src)
+	if string(got) != want {
+		t.Errorf("masked %q\nwant   %q", got, want)
+	}
+	wantLits := []NumLit{{"0", false}, {"12.5e3", true}, {"1817", false}, {"1", false}}
+	if len(lits) != len(wantLits) {
+		t.Fatalf("lits %v, want %v", lits, wantLits)
+	}
+	for i := range lits {
+		if lits[i] != wantLits[i] {
+			t.Errorf("lit %d = %v, want %v", i, lits[i], wantLits[i])
+		}
+	}
+	if _, _, err := AppendMasked(nil, nil, "SELECT 'open"); err == nil {
+		t.Error("a text that does not lex must fail")
+	}
+	// The mask byte cannot stand where a number does in a text that lexes.
+	if _, err := Tokenize("SELECT \x00"); err == nil {
+		t.Error("the mask byte lexed")
+	}
+}
+
+// TestKeywordCaseMapping: keyword recognition is strings.ToUpper's,
+// non-ASCII case mappings included.
+func TestKeywordCaseMapping(t *testing.T) {
+	for _, w := range []string{"select", "SeLeCt", "partition", "ſelect", "ſelectſ", "selection", "δelta", "x", "DISTINCTS"} {
+		toks, err := Tokenize(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		upper := strings.ToUpper(w)
+		if wantKW := keywords[upper]; (toks[0].Type == Keyword) != wantKW || wantKW && toks[0].Text != upper {
+			t.Errorf("%q lexed as %v %q", w, toks[0].Type, toks[0].Text)
+		}
 	}
 }

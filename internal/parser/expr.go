@@ -266,6 +266,12 @@ var keywordLiterals = map[string]value.Value{
 
 func (p *parser) parsePrimary() (ast.Expr, error) {
 	tok := p.peek()
+	if p.slotOf != nil && (tok.Type == lexer.IntLit || tok.Type == lexer.FloatLit) {
+		ref := &ast.VarRef{Name: ast.SlotName(p.slotOf[p.pos])}
+		ref.SetPos(tok.Pos)
+		p.next()
+		return ref, nil
+	}
 	switch tok.Type {
 	case lexer.IntLit:
 		p.next()

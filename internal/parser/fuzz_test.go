@@ -20,7 +20,9 @@ import (
 // either produce an AST or a positioned error — never panic — and any
 // AST it accepts must format to text that parses back to the same tree,
 // positions aside: the formatted text is the tree's identity (plan keys,
-// the shard wire), so two trees must never share it.
+// the shard wire), so two trees must never share it. ast.Equal must
+// agree with the reflective tree comparison, and the text must parse as
+// a literal template too.
 //
 // Seeded with every conformance-suite query and every other committed
 // fuzz corpus in the repository, so mutation explores the grammar's real
@@ -49,6 +51,18 @@ func FuzzParse(f *testing.F) {
 		}
 		if !parser.EqualTrees(tree, again) {
 			t.Fatalf("%q formats to %q, which parses to another tree (formats to %q)", src, printed, ast.Format(again))
+		}
+		// ast.Equal agrees with the reflective comparison: on the reparse
+		// (equal), and on the literal template's tree, which differs
+		// exactly when the text has a numeric literal.
+		if !ast.Equal(tree, again) || !ast.Equal(tree, ast.CloneExpr(tree)) {
+			t.Fatalf("%q: ast.Equal rejects its own reparse or copy", src)
+		}
+		if tpl, err := parser.ParseTemplate(src); err != nil {
+			t.Fatalf("%q parses but not as a template: %v", src, err)
+		} else if ast.Equal(tree, tpl) != parser.EqualTrees(tree, tpl) {
+			t.Fatalf("%q: ast.Equal says %v against its template tree, the reflective comparison %v",
+				src, ast.Equal(tree, tpl), parser.EqualTrees(tree, tpl))
 		}
 	})
 }

@@ -30,12 +30,33 @@ func (e *Error) Error() string {
 // Parse parses a complete SQL++ query (a query block, set operation, or
 // bare expression) and requires that all input is consumed. A trailing
 // semicolon is permitted.
-func Parse(src string) (ast.Expr, error) {
+func Parse(src string) (ast.Expr, error) { return parse(src, false) }
+
+// ParseTemplate parses src as a literal template: it is Parse, except
+// that the i-th numeric literal of the text becomes a reference to the
+// variable ast.SlotName(i) at the literal's position, so the tree is
+// the same for every text that differs from src only in its numeric
+// literals. Literal values are not read: a template parses whatever
+// digits its slots hold.
+func ParseTemplate(src string) (ast.Expr, error) { return parse(src, true) }
+
+func parse(src string, template bool) (ast.Expr, error) {
 	toks, err := lexer.Tokenize(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
+	if template {
+		p.slotOf = make([]int, len(toks))
+		n := 0
+		for i, tok := range toks {
+			p.slotOf[i] = -1
+			if tok.Type == lexer.IntLit || tok.Type == lexer.FloatLit {
+				p.slotOf[i] = n
+				n++
+			}
+		}
+	}
 	e, err := p.parseQueryExpr()
 	if err != nil {
 		return nil, err
@@ -47,6 +68,20 @@ func Parse(src string) (ast.Expr, error) {
 		return nil, p.errf(tok.Pos, "unexpected %s %q after query", tok.Type, tok.Text)
 	}
 	return e, nil
+}
+
+// NumberValue is the value the parser gives a numeric literal's text:
+// a float literal's float, an integer literal's integer, or — when the
+// integer overflows 64 bits — its float.
+func NumberValue(text string, float bool) (value.Value, error) {
+	if float {
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return nil, fmt.Errorf("invalid numeric literal %q", text)
+		}
+		return value.Float(f), nil
+	}
+	return parseIntLit(text, lexer.Pos{})
 }
 
 // MustParse is Parse but panics on error; intended for tests and
@@ -62,6 +97,9 @@ func MustParse(src string) ast.Expr {
 type parser struct {
 	toks []lexer.Token
 	pos  int
+	// slotOf, set by ParseTemplate, numbers the numeric literal tokens:
+	// slotOf[i] is token i's slot, or -1.
+	slotOf []int
 }
 
 func (p *parser) errf(pos lexer.Pos, format string, args ...any) error {

@@ -31,6 +31,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"sqlpp/internal/ast"
@@ -92,10 +93,11 @@ type leafInfo struct {
 
 // costConjunct is one WHERE/ON conjunct as the cost model sees it.
 type costConjunct struct {
-	expr   ast.Expr
-	leaves []int   // leaf indices with free variables in the conjunct
-	sel    float64 // selectivity when it becomes applicable
-	equi   bool    // splits as an equi edge between exactly two leaves
+	expr    ast.Expr
+	leaves  []int   // leaf indices with free variables in the conjunct
+	sel     float64 // selectivity when it becomes applicable
+	equi    bool    // splits as an equi edge between exactly two leaves
+	slotted bool    // sel read a template slot
 }
 
 // reorderResult is planJoinOrder's verdict: the flattened leaves in
@@ -106,13 +108,18 @@ type reorderResult struct {
 	on    []ast.Expr
 	exec  *reorderExec
 	notes []string
+	// check re-derives the decision in a template's plan when it read a
+	// slot; nil otherwise.
+	check *slotCheck
 }
 
 // planJoinOrder decides whether to run the block's FROM chain in a
 // cheaper order. It returns nil (leave the written plan alone) unless
 // every top-level item flattens to NamedRef scans over statistics-
 // covered collections through inner joins, the bindings are distinct,
-// and the greedy order beats the written one past both thresholds.
+// and the greedy order beats the written one past both thresholds. In a
+// template's plan, a decision whose conjunct selectivities read a slot
+// registers a check that re-derives it from other slot values.
 // governor:bounded by the number of FROM items in the query text
 func planJoinOrder(q *ast.SFW, o OptOptions, pool []ast.Expr, late map[string]bool) *reorderResult {
 	var leaves []*ast.FromExpr
@@ -148,8 +155,43 @@ func planJoinOrder(q *ast.SFW, o OptOptions, pool []ast.Expr, late map[string]bo
 		}
 		infos[i] = leafInfo{item: l, name: ref.Name, vars: nameSet(ast.ItemVars(l)), rows: float64(st.Rows()), st: st}
 	}
-	conj := classifyConjuncts(infos, append(append([]ast.Expr(nil), pool...), on...), late)
+	conj := classifyConjuncts(infos, append(append([]ast.Expr(nil), pool...), on...), late, o.slots())
+	order := decideJoinOrder(infos, conj)
+	var check *slotCheck
+	if o.tpl != nil && slices.ContainsFunc(conj, func(c costConjunct) bool { return c.slotted }) {
+		check = joinOrderCheck(o.tpl, q, infos, conj, order)
+	}
+	if order == nil {
+		return nil
+	}
+	items := make([]ast.FromItem, len(order.greedy))
+	newPosOf := make([]int, len(order.greedy))
+	for newPos, writtenPos := range order.greedy {
+		items[newPos] = infos[writtenPos].item
+		newPosOf[writtenPos] = newPos
+	}
+	label, notes := order.render(infos)
+	return &reorderResult{
+		items: items,
+		on:    on,
+		exec:  &reorderExec{perm: order.greedy, newPosOf: newPosOf, label: label},
+		notes: notes,
+		check: check,
+	}
+}
 
+// joinOrder is a reorder verdict: the greedy order and the costs and
+// estimates its notes print.
+type joinOrder struct {
+	greedy       []int
+	costG, costW float64
+	ests         []float64
+}
+
+// decideJoinOrder prices the written and the greedy order, returning
+// nil when the written order stays: the greedy order is the written
+// one, or the written one is cheap, or the gain is too small.
+func decideJoinOrder(infos []leafInfo, conj []costConjunct) *joinOrder {
 	written := make([]int, len(infos))
 	for i := range written {
 		written[i] = i
@@ -166,26 +208,21 @@ func planJoinOrder(q *ast.SFW, o OptOptions, pool []ast.Expr, late map[string]bo
 	if identity || costW < reorderMinCost || costG*reorderGain > costW {
 		return nil
 	}
+	return &joinOrder{greedy: greedy, costG: costG, costW: costW, ests: ests}
+}
 
-	items := make([]ast.FromItem, len(greedy))
-	labels := make([]string, len(greedy))
-	estParts := make([]string, len(greedy))
-	newPosOf := make([]int, len(greedy))
-	for newPos, writtenPos := range greedy {
-		items[newPos] = infos[writtenPos].item
+// render names the executed order and prints the decision's notes.
+func (j *joinOrder) render(infos []leafInfo) (string, []string) {
+	labels := make([]string, len(j.greedy))
+	estParts := make([]string, len(j.greedy))
+	for newPos, writtenPos := range j.greedy {
 		labels[newPos] = infos[writtenPos].item.As
-		estParts[newPos] = fmt.Sprintf("%s=%d", infos[writtenPos].item.As, int64(ests[newPos]))
-		newPosOf[writtenPos] = newPos
+		estParts[newPos] = fmt.Sprintf("%s=%d", infos[writtenPos].item.As, int64(j.ests[newPos]))
 	}
 	label := strings.Join(labels, ",")
-	return &reorderResult{
-		items: items,
-		on:    on,
-		exec:  &reorderExec{perm: greedy, newPosOf: newPosOf, label: label},
-		notes: []string{
-			fmt.Sprintf("join-order(%s cost=%d vs written=%d)", label, int64(costG), int64(costW)),
-			fmt.Sprintf("est-rows(%s)", strings.Join(estParts, ",")),
-		},
+	return label, []string{
+		fmt.Sprintf("join-order(%s cost=%d vs written=%d)", label, int64(j.costG), int64(j.costW)),
+		fmt.Sprintf("est-rows(%s)", strings.Join(estParts, ",")),
 	}
 }
 
@@ -218,7 +255,7 @@ func flattenInnerJoins(item ast.FromItem, leaves *[]*ast.FromExpr, on *[]ast.Exp
 // touches and estimates its selectivity. Conjuncts over LET/window
 // names are residual and never costed.
 // governor:bounded by the number of WHERE conjuncts in the query text
-func classifyConjuncts(infos []leafInfo, pool []ast.Expr, late map[string]bool) []costConjunct {
+func classifyConjuncts(infos []leafInfo, pool []ast.Expr, late map[string]bool, s *slotValues) []costConjunct {
 	var out []costConjunct
 	for _, c := range pool {
 		fv := ast.FreeVars(c)
@@ -235,27 +272,29 @@ func classifyConjuncts(infos []leafInfo, pool []ast.Expr, late map[string]bool) 
 		case 0:
 			continue // pre-filter; no bearing on join order
 		case 1:
-			cc.sel = localSelectivity(&infos[cc.leaves[0]], c)
+			r0 := s.count()
+			cc.sel = localSelectivity(&infos[cc.leaves[0]], c, s)
+			cc.slotted = s.count() != r0
 		case 2:
 			if sel, ok := equiSelectivity(infos, cc.leaves[0], cc.leaves[1], c); ok {
 				cc.equi, cc.sel = true, sel
 			}
 		}
-		if cc.sel < minSel {
-			cc.sel = minSel
-		}
-		if cc.sel > 1 {
-			cc.sel = 1
-		}
+		cc.sel = clampSel(cc.sel)
 		out = append(out, cc)
 	}
 	return out
 }
 
+// clampSel bounds a selectivity to [minSel, 1].
+func clampSel(sel float64) float64 {
+	return min(max(sel, minSel), 1)
+}
+
 // localSelectivity estimates a single-leaf filter conjunct.
-func localSelectivity(leaf *leafInfo, c ast.Expr) float64 {
+func localSelectivity(leaf *leafInfo, c ast.Expr, s *slotValues) float64 {
 	if path, probe := matchEqConjunct(c, leaf.item.As, leaf.vars); path != nil {
-		if lit, ok := literalOf(probe); ok {
+		if lit, ok := literalOf(probe, s); ok {
 			if frac, ok := leaf.st.EqFraction(path, lit); ok {
 				return frac
 			}
@@ -266,8 +305,8 @@ func localSelectivity(leaf *leafInfo, c ast.Expr) float64 {
 		return defaultSel
 	}
 	if path, lo, hi, loIncl, hiIncl := matchRangeConjunct(c, leaf.item.As, leaf.vars); path != nil {
-		loLit, loOK := literalOf(lo)
-		hiLit, hiOK := literalOf(hi)
+		loLit, loOK := literalOf(lo, s)
+		hiLit, hiOK := literalOf(hi, s)
 		if (lo == nil || loOK) && (hi == nil || hiOK) {
 			var loV, hiV value.Value
 			if loOK {
@@ -317,10 +356,21 @@ func equiSelectivity(infos []leafInfo, a, b int, c ast.Expr) (float64, bool) {
 	return 1 / maxNDV, true
 }
 
-// literalOf unwraps a constant expression to its value.
-func literalOf(e ast.Expr) (value.Value, bool) {
-	if l, ok := e.(*ast.Literal); ok {
-		return l.Val, true
+// literalOf unwraps a constant expression to its value: a literal, or
+// in a template's plan a slot reference, whose value s supplies (and
+// counts the read). It is the one place literal values enter the cost
+// model.
+func literalOf(e ast.Expr, s *slotValues) (value.Value, bool) {
+	switch x := e.(type) {
+	case *ast.Literal:
+		return x.Val, true
+	case *ast.VarRef:
+		if s != nil {
+			if i, ok := ast.SlotIndex(x.Name); ok && i < len(s.vals) {
+				s.reads++
+				return s.vals[i], true
+			}
+		}
 	}
 	return nil, false
 }
@@ -450,6 +500,7 @@ func greedyOrder(infos []leafInfo, conj []costConjunct) []int {
 // (rendered nowhere).
 // governor:bounded by the number of FROM items in the query text
 func annotateEstimates(q *ast.SFW, phys *sfwPhys, o OptOptions, itemV []map[string]bool) {
+	slots := o.slots()
 	if o.Stats == nil {
 		return
 	}
@@ -467,7 +518,7 @@ func annotateEstimates(q *ast.SFW, phys *sfwPhys, o OptOptions, itemV []map[stri
 		step.estSrc = rows
 		sel := 1.0
 		for _, c := range step.filters {
-			sel *= localSelectivity(&leafInfo{item: x, name: ref.Name, vars: itemV[i], rows: float64(rows), st: st}, c)
+			sel *= localSelectivity(&leafInfo{item: x, name: ref.Name, vars: itemV[i], rows: float64(rows), st: st}, c, slots)
 		}
 		step.estOut = int64(float64(rows) * sel)
 		if h := step.hash; h != nil && h.left == nil {
@@ -477,7 +528,7 @@ func annotateEstimates(q *ast.SFW, phys *sfwPhys, o OptOptions, itemV []map[stri
 			step.estOut = rows
 		}
 		if ia := step.idx; ia != nil {
-			ia.estRows = indexProbeEstimate(st, ia)
+			ia.estRows = indexProbeEstimate(st, ia, slots)
 		}
 	}
 	// Explicit JOIN steps: estimate build rows and join output where both
@@ -556,17 +607,17 @@ func stepNamedScan(step *fromStep) (*ast.FromExpr, *ast.NamedRef) {
 // the nearest row: a unique key's fraction sits a little under 1/rows
 // when the sketch did not sample it, and truncation would price its one
 // row at none.
-func indexProbeEstimate(st *stats.Collection, ia *indexAccess) int64 {
+func indexProbeEstimate(st *stats.Collection, ia *indexAccess, s *slotValues) int64 {
 	rows := st.Rows()
-	frac := indexAccessFraction(st, ia)
+	frac := indexAccessFraction(st, ia, s)
 	return int64(math.Round(float64(rows) * frac))
 }
 
 // indexAccessFraction estimates the fraction of the collection an index
 // access would return.
-func indexAccessFraction(st *stats.Collection, ia *indexAccess) float64 {
+func indexAccessFraction(st *stats.Collection, ia *indexAccess, s *slotValues) float64 {
 	if ia.eq != nil {
-		if lit, ok := literalOf(ia.eq); ok {
+		if lit, ok := literalOf(ia.eq, s); ok {
 			if frac, ok := st.EqFraction(ia.path, lit); ok {
 				return frac
 			}
@@ -577,12 +628,12 @@ func indexAccessFraction(st *stats.Collection, ia *indexAccess) float64 {
 		return defaultSel
 	}
 	var lo, hi value.Value
-	if l, ok := literalOf(ia.lo); ok {
+	if l, ok := literalOf(ia.lo, s); ok {
 		lo = l
 	} else if ia.lo != nil {
 		return defaultSel
 	}
-	if h, ok := literalOf(ia.hi); ok {
+	if h, ok := literalOf(ia.hi, s); ok {
 		hi = h
 	} else if ia.hi != nil {
 		return defaultSel
@@ -597,12 +648,9 @@ func indexAccessFraction(st *stats.Collection, ia *indexAccess) float64 {
 // probe cost: on a large collection, an access expected to return more
 // than indexVetoFraction of the rows scans instead (the planned access
 // is discarded; the pushed filters it came from still apply). Small
-// collections always keep their index plans.
-func indexWorthIt(src StatsSource, collection string, ia *indexAccess) (keep bool, estRows, rows int64) {
-	if src == nil {
-		return true, -1, -1
-	}
-	st := src.StatsFor(collection)
+// collections always keep their index plans. st is the collection's
+// statistics, nil when it has none.
+func indexWorthIt(st *stats.Collection, ia *indexAccess, s *slotValues) (keep bool, estRows, rows int64) {
 	if st == nil {
 		return true, -1, -1
 	}
@@ -610,6 +658,6 @@ func indexWorthIt(src StatsSource, collection string, ia *indexAccess) (keep boo
 	if rows < indexVetoMinRows {
 		return true, -1, rows
 	}
-	frac := indexAccessFraction(st, ia)
+	frac := indexAccessFraction(st, ia, s)
 	return frac <= indexVetoFraction, int64(frac * float64(rows)), rows
 }

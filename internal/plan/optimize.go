@@ -6,6 +6,7 @@ import (
 
 	"sqlpp/internal/ast"
 	"sqlpp/internal/eval"
+	"sqlpp/internal/stats"
 )
 
 // The physical optimization pass. Optimize annotates every query block in
@@ -63,6 +64,10 @@ type OptOptions struct {
 	// Parallelism is the executor's worker budget, used only to size
 	// parallel-scan chunks from estimated row counts.
 	Parallelism int
+
+	// tpl, set by OptimizeTemplate, supplies slot values to the cost
+	// model and collects the checks of the decisions that read them.
+	tpl *templatePlan
 }
 
 // IndexSource answers plan-time access-path questions; the catalog
@@ -219,6 +224,9 @@ func Optimize(root ast.Expr, o OptOptions) []string {
 		if !ok || folded[q] {
 			return true
 		}
+		if o.tpl != nil {
+			o.tpl.base = len(notes)
+		}
 		phys, ns := analyzeSFW(q, o)
 		q.Phys = phys
 		notes = append(notes, ns...)
@@ -281,7 +289,7 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 	// buffers bindings and restores written production order
 	// (reorder.go), and every predicate stays a verify filter, so
 	// results are byte-identical to the written plan.
-	var reorderNotes []string
+	var reorderNotes []planNote
 	if permissive && o.Stats != nil {
 		if ro := planJoinOrder(q, o, pool, late); ro != nil {
 			n = len(ro.items)
@@ -293,7 +301,9 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 			}
 			phys.reorder = ro.exec
 			pool = append(pool, ro.on...)
-			reorderNotes = ro.notes
+			for k, text := range ro.notes {
+				reorderNotes = append(reorderNotes, planNote{text: text, check: ro.check, k: k})
+			}
 		}
 	}
 
@@ -357,7 +367,7 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 	// the rewrite is a pure prefilter. Like pushdown, it only fires in
 	// permissive mode (a probe key that would fault under stop-on-error
 	// could otherwise be evaluated when the naive plan never reaches it).
-	var idxNotes []string
+	var idxNotes []planNote
 	if permissive && o.Indexes != nil {
 		for i := range phys.steps {
 			step := &phys.steps[i]
@@ -374,15 +384,22 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 				// collection an access expected to return a big fraction
 				// of the rows loses to the scan's locality and is vetoed
 				// (the pushed filters it matched still apply).
-				if keep, est, rows := indexWorthIt(o.Stats, ref.Name, ia); !keep {
-					idxNotes = append(idxNotes, fmt.Sprintf("index-skip(%s est=%d/%d)", ia.name, est, rows))
+				st := statsFor(o.Stats, ref.Name)
+				r0 := o.slots().count()
+				keep, est, rows := indexWorthIt(st, ia, o.slots())
+				var check *slotCheck
+				if o.slots().count() != r0 {
+					check = vetoCheck(o.tpl, q, st, ia, keep)
+				}
+				if !keep {
+					idxNotes = append(idxNotes, planNote{text: skipNote(ia.name, est, rows), check: check})
 					continue
 				}
 				step.idx = ia
 				if ia.eq != nil {
-					idxNotes = append(idxNotes, fmt.Sprintf("index-eq(%s)", ia.name))
+					idxNotes = append(idxNotes, planNote{text: fmt.Sprintf("index-eq(%s)", ia.name)})
 				} else {
-					idxNotes = append(idxNotes, fmt.Sprintf("index-range(%s)", ia.name))
+					idxNotes = append(idxNotes, planNote{text: fmt.Sprintf("index-range(%s)", ia.name)})
 				}
 			}
 		}
@@ -404,7 +421,7 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 					if o.Indexes != nil {
 						if ia := chooseJoinIndex(o.Indexes, h); ia != nil {
 							h.buildIdx = ia
-							idxNotes = append(idxNotes, fmt.Sprintf("index-join(%s)", ia.name))
+							idxNotes = append(idxNotes, planNote{text: fmt.Sprintf("index-join(%s)", ia.name)})
 						}
 					}
 				}
@@ -442,13 +459,13 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 	// Row estimates for EXPLAIN ANALYZE (est_rows vs actuals) and for the
 	// parallel sizing below.
 	annotateEstimates(q, phys, o, itemV)
-	var estNotes []string
+	var estNotes []planNote
 	for i := range phys.steps {
 		if h := phys.steps[i].hash; h != nil && h.estBuild >= 0 {
-			estNotes = append(estNotes, fmt.Sprintf("build-side(%s est=%d)", h.right.As, h.estBuild))
+			estNotes = append(estNotes, planNote{text: fmt.Sprintf("build-side(%s est=%d)", h.right.As, h.estBuild)})
 		}
 		if ia := phys.steps[i].idx; ia != nil && ia.estRows >= 0 {
-			estNotes = append(estNotes, fmt.Sprintf("index-est(%s rows=%d)", ia.name, ia.estRows))
+			estNotes = append(estNotes, planNote{text: estNote(ia.name, ia.estRows), check: estCheck(q, &phys.steps[i], o)})
 		}
 	}
 
@@ -498,6 +515,12 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 	add := func(format string, args ...any) {
 		notes = append(notes, fmt.Sprintf("%s at %v", fmt.Sprintf(format, args...), pos))
 	}
+	addNote := func(n planNote) {
+		if n.check != nil {
+			n.check.at[n.k] = o.tpl.base + len(notes)
+		}
+		add("%s", n.text)
+	}
 	if pushed > 0 {
 		add("pushdown(%d)", pushed)
 	}
@@ -508,13 +531,13 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 		add("hash-join(%d)", hashed)
 	}
 	for _, n := range idxNotes {
-		add("%s", n)
+		addNote(n)
 	}
 	for _, n := range reorderNotes {
-		add("%s", n)
+		addNote(n)
 	}
 	for _, n := range estNotes {
-		add("%s", n)
+		addNote(n)
 	}
 	if parallelNote != "" {
 		add("%s", parallelNote)
@@ -524,6 +547,31 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 	}
 	add("compiled")
 	return phys, notes
+}
+
+// planNote is one note of a block, before its position suffix. A note
+// a slot check re-renders names the check and which of its texts it is.
+type planNote struct {
+	text  string
+	check *slotCheck
+	k     int
+}
+
+// skipNote and estNote print the index veto and the index estimate.
+func skipNote(index string, est, rows int64) string {
+	return fmt.Sprintf("index-skip(%s est=%d/%d)", index, est, rows)
+}
+
+func estNote(index string, rows int64) string {
+	return fmt.Sprintf("index-est(%s rows=%d)", index, rows)
+}
+
+// statsFor resolves a collection's statistics; nil without a source.
+func statsFor(src StatsSource, name string) *stats.Collection {
+	if src == nil {
+		return nil
+	}
+	return src.StatsFor(name)
 }
 
 // compileSFW lowers every expression the physical pipeline evaluates —

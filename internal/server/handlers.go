@@ -260,14 +260,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	// The explain marker is part of the cache key so instrumented and
-	// plain requests for the same text keep distinct hit/miss accounting
-	// even though the compiled plans are interchangeable.
-	var extras []string
-	if explain {
-		extras = append(extras, "explain=analyze")
-	}
-	plan, cached, err := s.plan(engine, opts, req.Query, paramNames, extras...)
+	plan, cached, err := s.plan(engine, opts, req.Query, paramNames, explain)
 	if err != nil {
 		var ve *sqlpp.VetError
 		if errors.As(err, &ve) {
@@ -394,20 +387,61 @@ func retryAfter(d time.Duration) string {
 // one. Concurrent misses on the same key may compile twice; the loser's
 // Put simply refreshes the entry, which is sound because plans are
 // immutable and interchangeable.
-func (s *Server) plan(engine *sqlpp.Engine, opts sqlpp.Options, query string, paramNames []string, extras ...string) (Plan, bool, error) {
+//
+// The cache has two levels. The query text's own key comes first, so a
+// repeated text — a prepared lookup, a shard node's query — costs what
+// it always did. A plain request that misses it tries the text's
+// literal template (see PlanCache): a template seen once is prepared
+// and checked on its second sighting, and from then on serves every
+// text it admits whose cost guards hold; the request counts as one hit.
+// A guard that fails re-plans cold and counts as a miss. EXPLAIN and
+// vet requests, whose answers carry literal-derived numbers, and
+// parameterized ones stay on the text key.
+func (s *Server) plan(engine *sqlpp.Engine, opts sqlpp.Options, query string, paramNames []string, explain bool) (Plan, bool, error) {
 	if faultinject.Enabled {
 		if err := faultinject.Fire(faultinject.PlanCacheGet); err != nil {
 			return Plan{}, false, err
 		}
 	}
-	// Index DDL changes what the optimizer may choose without changing
-	// the query text, so the catalog epoch is part of every fingerprint:
-	// a plan compiled before CREATE INDEX cannot survive it.
+	// The explain marker is part of the cache key so instrumented and
+	// plain requests for the same text keep distinct hit/miss accounting
+	// even though the compiled plans are interchangeable. Index DDL
+	// changes what the optimizer may choose without changing the query
+	// text, so the catalog epoch is part of every fingerprint: a plan
+	// compiled before CREATE INDEX cannot survive it.
+	extras := make([]string, 0, 2)
+	if explain {
+		extras = append(extras, "explain=analyze")
+	}
 	extras = append(extras, "epoch="+strconv.FormatInt(engine.IndexEpoch(), 10))
 	key := CacheKey(opts, paramNames, query, extras...)
-	if p, ok := s.cache.Get(key); ok {
+	if p, ok := s.cache.peek(key); ok {
+		s.cache.count(true)
 		return p, true, nil
 	}
+
+	var tkey string
+	var lits sqlpp.Literals
+	var state *templateState
+	if !explain && !opts.Vet && len(paramNames) == 0 {
+		var text []byte
+		var ok bool
+		if text, lits, ok = sqlpp.TemplateText(nil, query); ok {
+			tkey = TemplateKey(opts, text, extras...)
+			if p, ok := s.cache.peek(tkey); ok {
+				state = p.tmpl
+			}
+			if state != nil && state.admitted != nil {
+				if bound, ok := state.admitted.Bind(lits); ok {
+					s.cache.count(true)
+					return Plan{Prepared: bound}, true, nil
+				}
+				s.metrics.TemplateReplans.Add(1)
+			}
+		}
+	}
+
+	s.cache.count(false)
 	var p Plan
 	if len(paramNames) > 0 {
 		pp, err := engine.PrepareParams(query, paramNames...)
@@ -423,7 +457,25 @@ func (s *Server) plan(engine *sqlpp.Engine, opts sqlpp.Options, query string, pa
 		p = Plan{Prepared: prep}
 	}
 	s.cache.Put(key, p)
+	if tkey != "" && state == nil {
+		s.cache.Put(tkey, Plan{tmpl: &templateState{}})
+	} else if tkey != "" && state.admitted == nil && !state.literalOnly {
+		s.cache.Put(tkey, Plan{tmpl: s.admit(engine, query, p.Prepared, lits)})
+	}
 	return p, false, nil
+}
+
+// admit prepares a template on its second sighting and decides its
+// state: admitted when, bound to this text's literals, it is the cold
+// preparation lit of this text; literal-only otherwise.
+func (s *Server) admit(engine *sqlpp.Engine, query string, lit *sqlpp.Prepared, lits sqlpp.Literals) *templateState {
+	t, err := engine.PrepareTemplate(query, lits)
+	if err != nil || !t.Admits(lit, lits) {
+		s.metrics.TemplatesLiteralOnly.Add(1)
+		return &templateState{literalOnly: true}
+	}
+	s.metrics.TemplatesAdmitted.Add(1)
+	return &templateState{admitted: t}
 }
 
 // convertParams maps the request's JSON parameters to SQL++ values,

@@ -32,6 +32,15 @@ type Metrics struct {
 	// produce MISSING.
 	VetWarnings atomic.Uint64
 
+	// The plan cache's literal templates (see Server.plan): templates
+	// admitted on their second sighting, templates found literal-only
+	// there, and template hits whose cost guards failed and re-planned
+	// cold. Together they say why a text that differs from a cached one
+	// only in a number missed.
+	TemplatesAdmitted    atomic.Uint64
+	TemplatesLiteralOnly atomic.Uint64
+	TemplateReplans      atomic.Uint64
+
 	lat latencyRing
 
 	// ops aggregates EXPLAIN ANALYZE trees by operator type: every
@@ -136,6 +145,9 @@ func (m *Metrics) WriteTo(w io.Writer, cacheHits, cacheMisses uint64, cacheEntri
 	fmt.Fprintf(w, "sqlpp_plan_cache_hits_total %d\n", cacheHits)
 	fmt.Fprintf(w, "sqlpp_plan_cache_misses_total %d\n", cacheMisses)
 	fmt.Fprintf(w, "sqlpp_plan_cache_entries %d\n", cacheEntries)
+	fmt.Fprintf(w, "sqlpp_plan_cache_templates_admitted_total %d\n", m.TemplatesAdmitted.Load())
+	fmt.Fprintf(w, "sqlpp_plan_cache_templates_literal_only_total %d\n", m.TemplatesLiteralOnly.Load())
+	fmt.Fprintf(w, "sqlpp_plan_cache_template_replans_total %d\n", m.TemplateReplans.Load())
 	fmt.Fprintf(w, "sqlpp_inflight_queries %d\n", inflight)
 	fmt.Fprintf(w, "sqlpp_waiting_queries %d\n", waiting)
 	// queue_depth aliases waiting_queries under the name the

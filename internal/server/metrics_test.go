@@ -47,6 +47,9 @@ func TestMetricsRender(t *testing.T) {
 	m.Requests.Add(3)
 	m.Errors.Add(1)
 	m.Observe(2 * time.Millisecond)
+	m.TemplatesAdmitted.Add(4)
+	m.TemplatesLiteralOnly.Add(1)
+	m.TemplateReplans.Add(6)
 
 	var sb strings.Builder
 	m.WriteTo(&sb, 5, 7, 2, 1, 0, false)
@@ -57,6 +60,9 @@ func TestMetricsRender(t *testing.T) {
 		"sqlpp_plan_cache_hits_total 5",
 		"sqlpp_plan_cache_misses_total 7",
 		"sqlpp_plan_cache_entries 2",
+		"sqlpp_plan_cache_templates_admitted_total 4",
+		"sqlpp_plan_cache_templates_literal_only_total 1",
+		"sqlpp_plan_cache_template_replans_total 6",
 		"sqlpp_inflight_queries 1",
 		"sqlpp_latency_p50_us 2000",
 	} {

@@ -13,19 +13,37 @@ import (
 
 // Plan is one cached compilation: a plain prepared query or a
 // parameterized one, depending on whether the request supplied params.
-// Exactly one of the two fields is set. Both kinds are immutable after
+// Exactly one of the two fields is set, except in the cache's literal
+// template entries, which hold neither. Both kinds are immutable after
 // compilation and safe for concurrent execution, so a cache hit can be
 // executed without copying.
 type Plan struct {
 	Prepared *sqlpp.Prepared
 	Params   *sqlpp.PreparedParams
+
+	// tmpl is the state of a template key (TemplateKey).
+	tmpl *templateState
 }
 
-// PlanCache is a concurrency-safe LRU cache of compiled plans keyed by
-// (options fingerprint, parameter names, query text). A hit skips
-// lexing, parsing, rewriting to Core, and name resolution — the entire
-// compile phase — which is the dominant per-request cost for the small
-// repeated queries a programmatic API serves.
+// templateState is where a literal template stands: seen once (neither
+// field set), admitted, or literal-only — its texts always prepare
+// cold. Each state is immutable; a transition Puts a new one.
+type templateState struct {
+	admitted    *sqlpp.Template
+	literalOnly bool
+}
+
+// PlanCache is a concurrency-safe LRU cache of compiled plans with two
+// levels of key. The first is (options fingerprint, parameter names,
+// query text): a hit there skips lexing, parsing, rewriting to Core,
+// name resolution and planning — the entire compile phase — which is
+// the dominant per-request cost for the small repeated queries a
+// programmatic API serves. The second, consulted on a first-level miss
+// of a plain request, is the text's literal template (TemplateKey): a
+// hit there skips the same phases for a text that differs from an
+// earlier one only in its numeric literals, at the cost of one lexer
+// pass for the key and the re-evaluation of the template's cost guards
+// (see Server.plan).
 //
 // The cache must be purged whenever the catalog's name set changes:
 // compiled plans bake in name resolution (dotted identifiers
@@ -64,7 +82,33 @@ func NewPlanCache(capacity int) *PlanCache {
 // cache accounting.
 func CacheKey(opts sqlpp.Options, paramNames []string, query string, extras ...string) string {
 	var sb strings.Builder
-	sb.Grow(len(query) + 32)
+	sb.Grow(len(query) + keyPrefixLen)
+	writeKeyPrefix(&sb, opts, paramNames, extras)
+	sb.WriteByte(0)
+	sb.WriteString(query)
+	return sb.String()
+}
+
+// TemplateKey is the cache key of a literal template: text is the
+// template text sqlpp.TemplateText gives the query, and the options and
+// extras are the query's. It differs from every CacheKey: where a
+// CacheKey continues with a NUL and the query text, a TemplateKey
+// continues with 'T'.
+func TemplateKey(opts sqlpp.Options, text []byte, extras ...string) string {
+	var sb strings.Builder
+	sb.Grow(len(text) + keyPrefixLen)
+	writeKeyPrefix(&sb, opts, nil, extras)
+	sb.WriteByte('T')
+	sb.Write(text)
+	return sb.String()
+}
+
+// keyPrefixLen covers the prefix of a key with default options and the
+// epoch extra, so building it costs one allocation.
+const keyPrefixLen = 64
+
+// writeKeyPrefix writes what a key fingerprints besides the text.
+func writeKeyPrefix(sb *strings.Builder, opts sqlpp.Options, paramNames []string, extras []string) {
 	sb.WriteByte('c')
 	sb.WriteString(strconv.FormatBool(opts.Compat))
 	sb.WriteByte('s')
@@ -106,15 +150,20 @@ func CacheKey(opts sqlpp.Options, paramNames []string, query string, extras ...s
 		sb.WriteByte('x')
 		sb.WriteString(x)
 	}
-	sb.WriteByte(0)
-	sb.WriteString(query)
-	return sb.String()
 }
 
-// Get returns the cached plan for key, marking it most recently used.
+// Get returns the cached plan for key, marking it most recently used,
+// and counts the lookup as a hit or a miss.
 func (c *PlanCache) Get(key string) (Plan, bool) {
+	p, ok := c.peek(key)
+	c.count(ok)
+	return p, ok
+}
+
+// peek is Get without counting, for a lookup that is only one level of
+// a request's.
+func (c *PlanCache) peek(key string) (Plan, bool) {
 	if c.cap <= 0 {
-		c.misses.Add(1)
 		return Plan{}, false
 	}
 	// The plan is read under the lock: Put refreshes an entry in place.
@@ -126,12 +175,16 @@ func (c *PlanCache) Get(key string) (Plan, bool) {
 		p = el.Value.(*cacheEntry).plan
 	}
 	c.mu.Unlock()
-	if !ok {
+	return p, ok
+}
+
+// count records one request's lookup outcome.
+func (c *PlanCache) count(hit bool) {
+	if hit {
+		c.hits.Add(1)
+	} else {
 		c.misses.Add(1)
-		return Plan{}, false
 	}
-	c.hits.Add(1)
-	return p, true
 }
 
 // Put inserts (or refreshes) a plan, evicting the least recently used

@@ -85,10 +85,28 @@ func TestPlanCacheKeyPartitions(t *testing.T) {
 // of its Limits) in turn and requires a key no other setting produced.
 // CacheKey is a hand-written field list: a field added to Options and
 // forgotten there would let one request run under another's plan, and
-// this is the test that fails then.
+// this is the test that fails then. Template keys (TemplateKey) share
+// the list, and must differ from every text key too.
 func TestCacheKeyCoversEveryOption(t *testing.T) {
 	var opts sqlpp.Options
-	seen := map[string]string{server.CacheKey(opts, nil, "q"): "the zero Options"}
+	text, _, ok := sqlpp.TemplateText(nil, "SELECT VALUE 1")
+	if !ok {
+		t.Fatal("no template text")
+	}
+	keys := func() (string, string) {
+		return server.CacheKey(opts, nil, "q"), server.TemplateKey(opts, text)
+	}
+	seen := map[string]string{}
+	record := func(what string) {
+		k, tk := keys()
+		for _, key := range []string{k, tk} {
+			if other, dup := seen[key]; dup {
+				t.Errorf("CacheKey or TemplateKey ignores %s: same key as %s", what, other)
+			}
+			seen[key] = what
+		}
+	}
+	record("the zero Options")
 	var flip func(v reflect.Value, path string)
 	flip = func(v reflect.Value, path string) {
 		for i := 0; i < v.NumField(); i++ {
@@ -104,15 +122,55 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 			default:
 				t.Fatalf("%s: kind %s is not handled; extend this test", name, f.Kind())
 			}
-			key := server.CacheKey(opts, nil, "q")
-			if other, dup := seen[key]; dup {
-				t.Errorf("CacheKey ignores Options.%s: same key as %s", name, other)
-			}
-			seen[key] = "Options." + name
+			record("Options." + name)
 			f.SetZero()
 		}
 	}
 	flip(reflect.ValueOf(&opts).Elem(), "")
+
+	// No text key is a template key: a text key continues its prefix with
+	// a NUL, a template key with 'T', whatever the text holds.
+	for _, q := range []string{"", "T", "T" + string(text), "\x00" + string(text)} {
+		if server.CacheKey(opts, nil, q) == server.TemplateKey(opts, text) {
+			t.Errorf("text %q has the template's key", q)
+		}
+	}
+}
+
+// TestTemplateTextKeys: same-width, same-kind literals share a template
+// text; any other difference — a width, a kind, a string literal, an
+// identifier — does not.
+func TestTemplateTextKeys(t *testing.T) {
+	key := func(q string) string {
+		text, _, ok := sqlpp.TemplateText(nil, q)
+		if !ok {
+			t.Fatalf("%q has no template text", q)
+		}
+		return string(text)
+	}
+	base := key("SELECT VALUE x FROM t AS x WHERE x.a = 17 AND x.b = 'k'")
+	if key("SELECT VALUE x FROM t AS x WHERE x.a = 42 AND x.b = 'k'") != base {
+		t.Error("same-width literals must share a template")
+	}
+	for _, q := range []string{
+		"SELECT VALUE x FROM t AS x WHERE x.a = 5 AND x.b = 'k'",
+		"SELECT VALUE x FROM t AS x WHERE x.a = 1.5 AND x.b = 'k'",
+		"SELECT VALUE x FROM t AS x WHERE x.a = 17 AND x.b = 'j'",
+		"SELECT VALUE y FROM t AS y WHERE y.a = 17 AND y.b = 'k'",
+	} {
+		if key(q) == base {
+			t.Errorf("%q shares the template of its base text", q)
+		}
+	}
+	// An integer too wide for 64 bits reads as a float: another kind.
+	if key("SELECT VALUE 9999999999999999999") == key("SELECT VALUE 1000000000000000000") {
+		t.Error("an overflowing integer must not share an integer's template")
+	}
+	for _, q := range []string{"SELECT VALUE 'no numbers'", "SELECT 'open", "SELECT VALUE 1e999"} {
+		if _, _, ok := sqlpp.TemplateText(nil, q); ok {
+			t.Errorf("%q must have no template text", q)
+		}
+	}
 }
 
 func TestPlanCacheDisabled(t *testing.T) {

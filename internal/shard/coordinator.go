@@ -394,7 +394,14 @@ func (c *Coordinator) callShard(ctx context.Context, i int, req Request) shardOu
 				o.err = nil
 				return o
 			}
-			br.onFailure(p)
+			// A well-formed error answer (a strict-mode type fault, a
+			// query that does not compile) shows the shard healthy; only
+			// failures to answer count toward opening the breaker.
+			if IsAnswered(err) {
+				br.onSuccess()
+			} else {
+				br.onFailure(p)
+			}
 		}
 		hint, transient := IsTransient(err)
 		o.err = err

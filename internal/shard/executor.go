@@ -119,6 +119,24 @@ func IsTransient(err error) (time.Duration, bool) {
 	return 0, false
 }
 
+// answeredErr marks an error a shard answered well-formed: the query
+// failed (it does not compile, faults in strict mode, exceeds a budget),
+// not the shard. It is final, and the circuit breaker does not count it.
+type answeredErr struct{ err error }
+
+func (a *answeredErr) Error() string { return a.err.Error() }
+func (a *answeredErr) Unwrap() error { return a.err }
+
+// Answered marks err as the shard's well-formed answer.
+func Answered(err error) error { return &answeredErr{err: err} }
+
+// IsAnswered reports whether err is a shard's well-formed answer rather
+// than a failure to get one.
+func IsAnswered(err error) bool {
+	var a *answeredErr
+	return errors.As(err, &a)
+}
+
 // LocalExecutor runs shard queries on an in-process engine — the
 // single-binary topology, and the deterministic substrate for tests
 // and benchmarks.
@@ -158,7 +176,7 @@ func (x *LocalExecutor) Exec(ctx context.Context, req Request) (*Response, error
 	eng := x.engine.WithOptions(req.Options.apply(x.engine.Options()))
 	p, err := eng.Prepare(req.Query)
 	if err != nil {
-		return nil, fmt.Errorf("shard %s: compile: %w", x.name, err)
+		return nil, Answered(fmt.Errorf("shard %s: compile: %w", x.name, err))
 	}
 	if req.Explain {
 		v, st, err := p.ExplainAnalyze(ctx)
@@ -176,7 +194,7 @@ func (x *LocalExecutor) Exec(ctx context.Context, req Request) (*Response, error
 
 // classify wraps execution errors: deadline expiry and recovered panics
 // are transient (a retry may land inside the remaining budget or on a
-// healthy replica); semantic errors are final.
+// healthy replica); semantic errors are final, and answered.
 func (x *LocalExecutor) classify(err error) error {
 	wrapped := fmt.Errorf("shard %s: %w", x.name, err)
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
@@ -186,7 +204,7 @@ func (x *LocalExecutor) classify(err error) error {
 	if errors.As(err, &pe) {
 		return Transient(wrapped)
 	}
-	return wrapped
+	return Answered(wrapped)
 }
 
 // HTTPExecutor runs shard queries on a remote sqlpp-serve data node
@@ -396,6 +414,11 @@ func (x *HTTPExecutor) decode(hresp *http.Response) (*Response, error) {
 		case http.StatusServiceUnavailable, http.StatusGatewayTimeout,
 			http.StatusInternalServerError, http.StatusBadGateway:
 			return nil, Transient(ferr)
+		}
+		if hresp.StatusCode/100 == 4 && jerr == nil && wresp.Error != "" {
+			// A client error in a well-formed envelope: the node rejected
+			// the query, and is healthy.
+			return nil, Answered(ferr)
 		}
 		return nil, ferr
 	}

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -165,4 +166,83 @@ func TestLyingDataNodeThroughCoordinator(t *testing.T) {
 	if err != nil || res.Value.String() != "{{1, 2, 3}}" {
 		t.Fatalf("cut short once, then whole: got (%v, %v)", res, err)
 	}
+}
+
+// TestAnsweredErrorsSpareTheBreaker: a shard that answers a query's
+// failure well-formed — a strict-mode type fault on an in-process shard,
+// a 422 envelope from a data node — is healthy, so any number of such
+// answers in a row leaves its breaker closed and the next good query
+// runs. A node that answers malformed still trips it.
+func TestAnsweredErrorsSpareTheBreaker(t *testing.T) {
+	const bad, good = "SELECT VALUE x.v + 'oops' FROM data AS x", "SELECT VALUE x.v FROM data AS x"
+	data := sqlpp.MustParseValue(`{{ {'v': 1}, {'v': 2}, {'v': 3} }}`)
+	try := func(t *testing.T, co *Coordinator, query string, n int) error {
+		t.Helper()
+		var err error
+		for i := 0; i < n; i++ {
+			_, err = co.Exec(context.Background(), query)
+		}
+		return err
+	}
+
+	t.Run("local strict type faults", func(t *testing.T) {
+		co := NewLocalCluster(2, &sqlpp.Options{StopOnError: true}, Policy{})
+		if err := co.Distribute("data", data, Spec{Kind: Hash, Key: "v"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := try(t, co, bad, 8); err == nil || !IsAnswered(err) || errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("type fault: got %v, want an answered error", err)
+		}
+		if res, err := co.Exec(context.Background(), good); err != nil || res.Value.String() == "" {
+			t.Fatalf("good query after type faults: %v", err)
+		}
+	})
+
+	var malformed atomic.Bool
+	co := NewCoordinator(sqlpp.New(nil), Policy{MaxAttempts: 1}, stubNode(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		switch {
+		case malformed.Load():
+			w.WriteHeader(http.StatusUnprocessableEntity)
+			w.Write([]byte(`<html>`))
+		case strings.Contains(readAll(r), "oops"):
+			w.WriteHeader(http.StatusUnprocessableEntity)
+			w.Write([]byte(`{"error":"execute: type fault"}`))
+		default:
+			body(datafmt.CBORContentType, mustCBOR(t, value.Bag{value.Int(1)}))(w, r)
+		}
+	}))
+	if err := co.Distribute("data", data, Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("data node 422 envelopes", func(t *testing.T) {
+		if err := try(t, co, bad, 8); err == nil || !IsAnswered(err) {
+			t.Fatalf("422 envelope: got %v, want an answered error", err)
+		}
+		if _, err := co.Exec(context.Background(), good); err != nil {
+			t.Fatalf("good query after 422 envelopes: %v", err)
+		}
+	})
+	t.Run("malformed answers still trip it", func(t *testing.T) {
+		malformed.Store(true)
+		if err := try(t, co, good, 6); !errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("after malformed answers: got %v, want the breaker open", err)
+		}
+	})
+}
+
+// readAll reads a request body to a string.
+func readAll(r *http.Request) string {
+	b, _ := io.ReadAll(r.Body)
+	return string(b)
+}
+
+// mustCBOR encodes v.
+func mustCBOR(t *testing.T, v value.Value) []byte {
+	t.Helper()
+	b, err := datafmt.EncodeCBOR(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

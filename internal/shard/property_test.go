@@ -131,9 +131,9 @@ func TestPropertyHashPartitioning(t *testing.T) {
 				t.Fatal(err)
 			}
 			run := func() *Coordinator {
-				// Strict-mode queries fail on the shards; that is no
-				// reason to open a breaker and fail the next query fast.
-				co := NewLocalCluster(shards, &opts, Policy{BreakerThreshold: -1})
+				// Strict-mode queries fail on the shards with answered
+				// errors, which never open the default breaker.
+				co := NewLocalCluster(shards, &opts, Policy{})
 				if err := co.Distribute("data", data, Spec{Kind: Hash, Key: "g"}); err != nil {
 					t.Fatal(err)
 				}

@@ -33,6 +33,9 @@ func interpreterEntries(f func()) uint64 {
 // on the production path without one interpreter entry. On the oracle
 // every text enters the interpreter (the battery checked in one mode:
 // its naive nested loops are what the race-enabled chaos job pays for).
+// The sequential production engines run every text through the
+// literal-template path too (queryTemplated), which must not interpret
+// either.
 func TestProductionNeverInterprets(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
@@ -41,6 +44,11 @@ func TestProductionNeverInterprets(t *testing.T) {
 		n := interpreterEntries(func() { _, _ = db.Query(query) })
 		if !oracle && n != 0 {
 			t.Errorf("%s: production entered the interpreter %d times", name, n)
+		}
+		if !oracle && db.Options().Parallelism != 8 {
+			if n := interpreterEntries(func() { _, _, _ = queryTemplated(db, query) }); n != 0 {
+				t.Errorf("%s: the template path entered the interpreter %d times", name, n)
+			}
 		}
 		if oracle && n == 0 {
 			t.Errorf("%s: the oracle never entered the interpreter", name)

@@ -107,7 +107,11 @@ func batteryEngine(t *testing.T, seed int64, opts sqlpp.Options) *sqlpp.Engine {
 // oracle (DisableOptimizer: naive clause pipeline, tree-walking
 // interpreter, sequential) gives: the same rendering or the same error
 // text.
+//
+// Each query also runs sequentially through the literal-template path
+// (queryTemplated), which must agree with the oracle too.
 func TestProductionMatchesOracleProperty(t *testing.T) {
+	templated := 0
 	for _, strict := range []bool{false, true} {
 		for _, compatMode := range []bool{false, true} {
 			for seed := int64(0); seed < 3; seed++ {
@@ -125,10 +129,33 @@ func TestProductionMatchesOracleProperty(t *testing.T) {
 								strict, compatMode, production.Options().Parallelism, seed, i, q, want, got)
 						}
 					}
+					v, ok, err := queryTemplated(sequential, q)
+					if got := outcome(v, err); got != want {
+						t.Errorf("strict=%v compat=%v seed %d: query %d (%s) diverges on the template path:\n  oracle     %s\n  production %s",
+							strict, compatMode, seed, i, q, want, got)
+					}
+					if ok {
+						templated++
+					}
 				}
 			}
 		}
 	}
+	if templated == 0 {
+		t.Error("no battery query took the template path")
+	}
+}
+
+// queryTemplated runs q as a plan cache serves a text whose literal
+// template it admitted (Engine.PrepareTemplated); templated reports
+// whether it did, or fell back to the literal text's plan.
+func queryTemplated(db *sqlpp.Engine, q string) (v value.Value, templated bool, err error) {
+	p, templated, err := db.PrepareTemplated(q)
+	if err != nil {
+		return nil, false, err
+	}
+	v, err = p.Exec()
+	return v, templated, err
 }
 
 // TestBatteryReachesFlatHashShapes: the battery's last four queries,
@@ -185,19 +212,24 @@ func TestPaperListingsProductionMatchesOracle(t *testing.T) {
 		for _, compatMode := range []bool{false, true} {
 			for _, strict := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/compat=%v/strict=%v", c.Name, compatMode, strict), func(t *testing.T) {
-					run := func(oracle bool) (value.Value, error) {
+					engine := func(oracle bool) *sqlpp.Engine {
 						db := sqlpp.New(&sqlpp.Options{Compat: compatMode, StopOnError: strict, DisableOptimizer: oracle})
 						for name, src := range c.Data {
 							if err := db.RegisterSION(name, src); err != nil {
 								t.Fatalf("register %s: %v", name, err)
 							}
 						}
-						return db.Query(c.Query)
+						return db
 					}
+					run := func(oracle bool) (value.Value, error) { return engine(oracle).Query(c.Query) }
 					ov, oerr := run(true)
 					pv, perr := run(false)
 					if want, got := outcome(ov, oerr), outcome(pv, perr); got != want {
 						t.Fatalf("listing diverges:\n  oracle     %s\n  production %s", want, got)
+					}
+					tv, _, terr := queryTemplated(engine(false), c.Query)
+					if want, got := outcome(ov, oerr), outcome(tv, terr); got != want {
+						t.Fatalf("listing diverges on the template path:\n  oracle     %s\n  production %s", want, got)
 					}
 					declared := strict == c.Strict &&
 						(c.Mode == compat.Both || compatMode == (c.Mode == compat.Compat))

@@ -348,6 +348,9 @@ type Prepared struct {
 	root      eval.CompiledExpr
 	planNotes []string
 	params    []string
+	// slots, set on a bound literal template (Template.Bind), are the
+	// values of its slots, whose names lead params.
+	slots Literals
 
 	// Diagnostics are computed lazily and cached: a Prepared that never
 	// asks for them pays nothing, and concurrent callers share one
@@ -382,20 +385,25 @@ func (e *Engine) prepare(query string, params []string) (*Prepared, error) {
 	if e.opts.DisableOptimizer {
 		p.root = eval.Interpret(core)
 	} else {
-		p.planNotes = plan.Optimize(core, plan.OptOptions{
-			Mode:        e.mode(),
-			Indexes:     e.cat,
-			Compat:      e.opts.Compat,
-			Funcs:       e.funcs,
-			Stats:       e.cat,
-			Parallelism: e.parallelism(),
-		})
+		p.planNotes = plan.Optimize(core, e.optOptions())
 		p.root = eval.Compile(core, eval.CompileOpts{Mode: e.mode(), Compat: e.opts.Compat, Funcs: e.funcs})
 	}
 	if err := e.vet(p); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// optOptions configures the physical optimization pass for the engine.
+func (e *Engine) optOptions() plan.OptOptions {
+	return plan.OptOptions{
+		Mode:        e.mode(),
+		Indexes:     e.cat,
+		Compat:      e.opts.Compat,
+		Funcs:       e.funcs,
+		Stats:       e.cat,
+		Parallelism: e.parallelism(),
+	}
 }
 
 // vet enforces Options.Vet on a freshly compiled query.
@@ -458,7 +466,16 @@ func (p *Prepared) PlanNotes() []string {
 
 // Core returns the SQL++ Core form of the prepared query as text — the
 // paper's "syntactic sugar" rewritings made visible.
-func (p *Prepared) Core() string { return ast.Format(p.core) }
+func (p *Prepared) Core() string { return ast.Format(p.tree()) }
+
+// tree is the prepared query's Core tree: for a bound literal template,
+// a copy with the slots' values substituted.
+func (p *Prepared) tree() ast.Expr {
+	if len(p.slots) == 0 {
+		return p.core
+	}
+	return bindSlots(p.core, p.slots)
+}
 
 // Check statically checks the prepared query against the engine's
 // declared schemas (§IV: the optional schema enables static type
@@ -484,7 +501,16 @@ func (p *Prepared) Exec() (value.Value, error) {
 // wraps ctx.Err() (match it with errors.Is).
 func (p *Prepared) ExecContext(ctx context.Context) (value.Value, error) {
 	ec := p.engine.newContext(ctx)
-	return runProtected(ec, eval.NewEnv(), p.root)
+	return runProtected(ec, p.env(), p.root)
+}
+
+// env is the root environment of one execution: empty, or a bound
+// template's slot bindings.
+func (p *Prepared) env() *eval.Env {
+	if len(p.slots) == 0 {
+		return eval.NewEnv()
+	}
+	return eval.NewEnvOf(p.params[:len(p.slots)], p.slots)
 }
 
 // runProtected executes the plan with a panic barrier: a panic anywhere
@@ -518,7 +544,7 @@ type OpStats = eval.StatsSnapshot
 func (p *Prepared) ExplainAnalyze(ctx context.Context) (value.Value, *OpStats, error) {
 	ec := p.engine.newContext(ctx)
 	ec.Stats = eval.NewStatsSink()
-	v, err := runProtected(ec, eval.NewEnv(), p.root)
+	v, err := runProtected(ec, p.env(), p.root)
 	if err != nil {
 		return nil, nil, err
 	}
