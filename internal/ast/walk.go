@@ -1,135 +1,151 @@
 package ast
 
+// The slot table: Children is the one place that lists where each node
+// kind holds its child expressions. Walkers that only need "every child"
+// (Inspect, the binder, the rewriter's and splitter's in-place
+// substitutions) delegate to it and keep just their node-specific cases;
+// evaluators, printing, cloning and equality keep their own switches
+// because each does different work per node.
+
+// Children calls f with the address of every non-nil child expression of
+// e, so f can read the child or replace it in place. It does not recurse:
+// the caller decides where to descend and which nodes (query blocks, set
+// operations, WITH) to stop at. A window application's children are its
+// function arguments and the expressions of its OVER specification. A
+// query block's children come in clause order: SELECT, FROM, LET, WHERE,
+// GROUP BY keys, HAVING, ORDER BY, LIMIT, OFFSET, then the lowered
+// windows.
+func Children(e Expr, f func(*Expr)) {
+	switch x := e.(type) {
+	case *FieldAccess:
+		visit(f, &x.Base)
+	case *IndexAccess:
+		visit(f, &x.Base, &x.Index)
+	case *Unary:
+		visit(f, &x.Operand)
+	case *Binary:
+		visit(f, &x.L, &x.R)
+	case *Like:
+		visit(f, &x.Target, &x.Pattern, &x.Escape)
+	case *Between:
+		visit(f, &x.Target, &x.Lo, &x.Hi)
+	case *In:
+		visit(f, &x.Target)
+		visitList(f, x.List)
+		visit(f, &x.Set)
+	case *Is:
+		visit(f, &x.Target)
+	case *Quantified:
+		visit(f, &x.Target, &x.Set)
+	case *Case:
+		visit(f, &x.Operand)
+		for i := range x.Whens {
+			visit(f, &x.Whens[i].Cond, &x.Whens[i].Result)
+		}
+		visit(f, &x.Else)
+	case *Call:
+		visitList(f, x.Args)
+	case *TupleCtor:
+		for i := range x.Fields {
+			visit(f, &x.Fields[i].Name, &x.Fields[i].Value)
+		}
+	case *ArrayCtor:
+		visitList(f, x.Elems)
+	case *BagCtor:
+		visitList(f, x.Elems)
+	case *Exists:
+		visit(f, &x.Operand)
+	case *Window:
+		windowChildren(x.Fn, &x.Spec, f)
+	case *SetOp:
+		visit(f, &x.L, &x.R)
+	case *With:
+		for i := range x.Bindings {
+			visit(f, &x.Bindings[i].Expr)
+		}
+		visit(f, &x.Body)
+	case *SFW:
+		selectChildren(&x.Select, f)
+		for _, item := range x.From {
+			fromChildren(item, f)
+		}
+		for i := range x.Lets {
+			visit(f, &x.Lets[i].Expr)
+		}
+		visit(f, &x.Where)
+		if x.GroupBy != nil {
+			for i := range x.GroupBy.Keys {
+				visit(f, &x.GroupBy.Keys[i].Expr)
+			}
+		}
+		visit(f, &x.Having)
+		orderChildren(x.OrderBy, f)
+		visit(f, &x.Limit, &x.Offset)
+		for i := range x.Windows {
+			windowChildren(x.Windows[i].Fn, &x.Windows[i].Spec, f)
+		}
+	}
+}
+
+func visit(f func(*Expr), slots ...*Expr) {
+	for _, s := range slots {
+		if *s != nil {
+			f(s)
+		}
+	}
+}
+
+func visitList(f func(*Expr), list []Expr) {
+	for i := range list {
+		visit(f, &list[i])
+	}
+}
+
+func selectChildren(s *SelectClause, f func(*Expr)) {
+	visit(f, &s.Value, &s.PivotAt)
+	for i := range s.Items {
+		visit(f, &s.Items[i].Expr, &s.Items[i].StarOf)
+	}
+}
+
+func fromChildren(item FromItem, f func(*Expr)) {
+	switch x := item.(type) {
+	case *FromExpr:
+		visit(f, &x.Expr)
+	case *FromUnpivot:
+		visit(f, &x.Expr)
+	case *FromJoin:
+		fromChildren(x.Left, f)
+		fromChildren(x.Right, f)
+		visit(f, &x.On)
+	}
+}
+
+func orderChildren(items []OrderItem, f func(*Expr)) {
+	for i := range items {
+		visit(f, &items[i].Expr)
+	}
+}
+
+func windowChildren(fn *Call, spec *WindowSpec, f func(*Expr)) {
+	if fn != nil {
+		visitList(f, fn.Args)
+	}
+	visitList(f, spec.PartitionBy)
+	orderChildren(spec.OrderBy, f)
+}
+
 // Visitor is called by Inspect for every expression node. Returning false
 // stops descent into the node's children.
 type Visitor func(Expr) bool
 
 // Inspect walks the expression tree rooted at e in depth-first order,
 // calling v for every expression node. Subquery bodies are visited too:
-// the rewriter relies on seeing aggregate calls inside nested blocks.
+// the rewriter relies on seeing aggregate calls inside nested blocks, and
+// the optimizer on reaching every block, a window's included.
 func Inspect(e Expr, v Visitor) {
 	if e == nil || !v(e) {
 		return
 	}
-	switch x := e.(type) {
-	case *Literal, *VarRef, *NamedRef:
-	case *FieldAccess:
-		Inspect(x.Base, v)
-	case *IndexAccess:
-		Inspect(x.Base, v)
-		Inspect(x.Index, v)
-	case *Unary:
-		Inspect(x.Operand, v)
-	case *Binary:
-		Inspect(x.L, v)
-		Inspect(x.R, v)
-	case *Like:
-		Inspect(x.Target, v)
-		Inspect(x.Pattern, v)
-		Inspect(x.Escape, v)
-	case *Between:
-		Inspect(x.Target, v)
-		Inspect(x.Lo, v)
-		Inspect(x.Hi, v)
-	case *In:
-		Inspect(x.Target, v)
-		for _, e := range x.List {
-			Inspect(e, v)
-		}
-		Inspect(x.Set, v)
-	case *Is:
-		Inspect(x.Target, v)
-	case *Quantified:
-		Inspect(x.Target, v)
-		Inspect(x.Set, v)
-	case *Case:
-		Inspect(x.Operand, v)
-		for _, w := range x.Whens {
-			Inspect(w.Cond, v)
-			Inspect(w.Result, v)
-		}
-		Inspect(x.Else, v)
-	case *Call:
-		for _, a := range x.Args {
-			Inspect(a, v)
-		}
-	case *TupleCtor:
-		for _, f := range x.Fields {
-			Inspect(f.Name, v)
-			Inspect(f.Value, v)
-		}
-	case *ArrayCtor:
-		for _, e := range x.Elems {
-			Inspect(e, v)
-		}
-	case *BagCtor:
-		for _, e := range x.Elems {
-			Inspect(e, v)
-		}
-	case *Exists:
-		Inspect(x.Operand, v)
-	case *SFW:
-		inspectSFW(x, v)
-	case *SetOp:
-		Inspect(x.L, v)
-		Inspect(x.R, v)
-	case *With:
-		for _, b := range x.Bindings {
-			Inspect(b.Expr, v)
-		}
-		Inspect(x.Body, v)
-	case *Window:
-		Inspect(x.Fn, v)
-		for _, e := range x.Spec.PartitionBy {
-			Inspect(e, v)
-		}
-		for _, o := range x.Spec.OrderBy {
-			Inspect(o.Expr, v)
-		}
-	}
-}
-
-func inspectSFW(q *SFW, v Visitor) {
-	Inspect(q.Select.Value, v)
-	Inspect(q.Select.PivotAt, v)
-	for _, it := range q.Select.Items {
-		Inspect(it.Expr, v)
-		Inspect(it.StarOf, v)
-	}
-	for _, f := range q.From {
-		inspectFrom(f, v)
-	}
-	for _, l := range q.Lets {
-		Inspect(l.Expr, v)
-	}
-	Inspect(q.Where, v)
-	inspectGroupBy(q.GroupBy, v)
-	Inspect(q.Having, v)
-	for _, o := range q.OrderBy {
-		Inspect(o.Expr, v)
-	}
-	Inspect(q.Limit, v)
-	Inspect(q.Offset, v)
-}
-
-func inspectFrom(f FromItem, v Visitor) {
-	switch x := f.(type) {
-	case *FromExpr:
-		Inspect(x.Expr, v)
-	case *FromUnpivot:
-		Inspect(x.Expr, v)
-	case *FromJoin:
-		inspectFrom(x.Left, v)
-		inspectFrom(x.Right, v)
-		Inspect(x.On, v)
-	}
-}
-
-func inspectGroupBy(g *GroupBy, v Visitor) {
-	if g == nil {
-		return
-	}
-	for _, k := range g.Keys {
-		Inspect(k.Expr, v)
-	}
+	Children(e, func(c *Expr) { Inspect(*c, v) })
 }

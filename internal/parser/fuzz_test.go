@@ -102,6 +102,11 @@ func corpusQueries(tb testing.TB, dirs ...string) []string {
 // and repeated runs over the same tree must return identical
 // diagnostics — nondeterministic findings would break the plan cache,
 // whose entries bake in the diagnostics computed at compile time.
+//
+// The binder must agree with the rewriter's resolution: on a Core the
+// rewriter accepted, with and without SQL compatibility, sema reports no
+// undefined or ungrouped variable and every free name is a template
+// slot (the inputs declare no parameters).
 func FuzzSema(f *testing.F) {
 	for _, c := range compat.Suite() {
 		f.Add(c.Query)
@@ -109,10 +114,37 @@ func FuzzSema(f *testing.F) {
 	f.Add("FROM [1,2] AS x SELECT VALUE y")
 	f.Add("FROM [1] AS e GROUP BY e.d AS d SELECT VALUE e.n")
 	f.Add("SELECT VALUE 1 + 'a' || 2 FROM [1] AS dead")
+	// Aggregate arguments whose nested blocks group, combine, or bind
+	// the grouped variable again, and a sub-block in a window argument.
+	const rows = "[{'g': 1, 'n': 2}, {'g': 1, 'n': 10}]"
+	for _, arg := range []string{
+		"(SELECT VALUE k FROM [1,2] AS x GROUP BY x + t.n AS k)",
+		"(SELECT VALUE t.n UNION ALL SELECT VALUE 1)",
+		"(SELECT VALUE t FROM [5] AS t)",
+	} {
+		f.Add("SELECT g, ARRAY_AGG(" + arg + ") AS m FROM " + rows + " AS t GROUP BY t.g AS g")
+	}
+	f.Add("SELECT t.n AS n, SUM(COLL_SUM(SELECT VALUE x FROM [1,2] AS x WHERE x < t.n)) OVER (ORDER BY t.n) AS s FROM " + rows + " AS t")
 	f.Fuzz(func(t *testing.T, src string) {
 		tree, err := parser.Parse(src)
 		if err != nil {
 			return
+		}
+		for _, compatMode := range []bool{false, true} {
+			core, err := rewrite.Rewrite(parser.MustParse(src), rewrite.Options{Compat: compatMode, Names: catalog.New()})
+			if err != nil {
+				continue
+			}
+			for _, d := range sema.Analyze(core, sema.Options{}) {
+				if d.Code == sema.CodeUndefined || d.Code == sema.CodeUngrouped {
+					t.Fatalf("the rewriter accepted %q (compat=%v) but sema reports %v\nCore: %s", src, compatMode, d, ast.Format(core))
+				}
+			}
+			for name := range ast.FreeVars(core) {
+				if _, slot := ast.SlotIndex(name); !slot {
+					t.Fatalf("the rewriter accepted %q (compat=%v) but %q is free in its Core: %s", src, compatMode, name, ast.Format(core))
+				}
+			}
 		}
 		for _, strict := range []bool{false, true} {
 			opts := sema.Options{StopOnError: strict}

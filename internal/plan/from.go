@@ -822,7 +822,7 @@ func (g *groupState) flush(k emit) error {
 		}
 		env := g.outer.Child()
 		for i, key := range g.spec.Keys {
-			env.Bind(keyAlias(key, i), g.keyVals[ks][i])
+			env.Bind(ast.KeyAlias(key, i), g.keyVals[ks][i])
 		}
 		if g.spec.GroupAs != "" {
 			bag := g.content[ks]

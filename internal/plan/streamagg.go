@@ -60,14 +60,6 @@ type aggSlot struct {
 	argC, condC eval.CompiledExpr
 }
 
-// keyAlias is the post-group binding name of group key i.
-func keyAlias(key ast.GroupKey, i int) string {
-	if key.Alias != "" {
-		return key.Alias
-	}
-	return "$k" + strconv.Itoa(i+1)
-}
-
 // streamRecognizer decides whether a block streams and builds its plan.
 type streamRecognizer struct {
 	g string
@@ -99,7 +91,7 @@ func planStreamAgg(q *ast.SFW, o OptOptions) (*streamPlan, string) {
 		dedupe: o.Mode == eval.Permissive,
 	}
 	for i, key := range q.GroupBy.Keys {
-		r.names[keyAlias(key, i)] = false
+		r.names[ast.KeyAlias(key, i)] = false
 	}
 	for _, w := range q.Windows {
 		r.names[w.Name] = false
@@ -484,7 +476,7 @@ func (g *streamGroup) flush(k emit) error {
 		}
 		env := g.outer.Child()
 		for i, key := range g.spec.Keys {
-			env.Bind(keyAlias(key, i), e.keys[i])
+			env.Bind(ast.KeyAlias(key, i), e.keys[i])
 		}
 		for i := range g.slots {
 			var v value.Value

@@ -157,13 +157,7 @@ func (rw *rewriter) prepareGroup(g *ast.GroupBy, blk, outer *scope) (*scope, *gr
 			return nil, nil, err
 		}
 		g.Keys[i].Expr = e
-		if g.Keys[i].Alias == "" {
-			if a := implicitKeyAlias(e); a != "" {
-				g.Keys[i].Alias = a
-			} else {
-				g.Keys[i].Alias = "$k" + strconv.Itoa(i+1)
-			}
-		}
+		g.Keys[i].Alias = ast.KeyAlias(g.Keys[i], i)
 		tf.keyAlias[rawFmt] = g.Keys[i].Alias
 		// The resolved form also matches, so key expressions referenced
 		// through an unqualified name line up after qualification.
@@ -180,17 +174,6 @@ func (rw *rewriter) prepareGroup(g *ast.GroupBy, blk, outer *scope) (*scope, *gr
 	}
 	post.bindOrdered(g.GroupAs)
 	return post, tf, nil
-}
-
-// implicitKeyAlias derives the SQL-style alias of an unaliased group key.
-func implicitKeyAlias(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.VarRef:
-		return x.Name
-	case *ast.FieldAccess:
-		return x.Name
-	}
-	return ""
 }
 
 // groupTransform rewrites post-group expressions: group-key occurrences
@@ -219,78 +202,14 @@ func (tf *groupTransform) apply(e ast.Expr) ast.Expr {
 		}
 	}
 	// Recurse into children, but not into nested query blocks: they have
-	// their own scopes and their own grouping.
-	switch x := e.(type) {
-	case *ast.SFW, *ast.SetOp:
+	// their own scopes and their own grouping. A window applies over the
+	// post-group bindings, so its argument and specification may
+	// reference group keys.
+	switch e.(type) {
+	case *ast.SFW, *ast.SetOp, *ast.With:
 		return e
-	case *ast.FieldAccess:
-		x.Base = tf.apply(x.Base)
-	case *ast.IndexAccess:
-		x.Base = tf.apply(x.Base)
-		x.Index = tf.apply(x.Index)
-	case *ast.Unary:
-		x.Operand = tf.apply(x.Operand)
-	case *ast.Binary:
-		x.L = tf.apply(x.L)
-		x.R = tf.apply(x.R)
-	case *ast.Like:
-		x.Target = tf.apply(x.Target)
-		x.Pattern = tf.apply(x.Pattern)
-		x.Escape = tf.apply(x.Escape)
-	case *ast.Between:
-		x.Target = tf.apply(x.Target)
-		x.Lo = tf.apply(x.Lo)
-		x.Hi = tf.apply(x.Hi)
-	case *ast.In:
-		x.Target = tf.apply(x.Target)
-		for i := range x.List {
-			x.List[i] = tf.apply(x.List[i])
-		}
-		x.Set = tf.apply(x.Set)
-	case *ast.Is:
-		x.Target = tf.apply(x.Target)
-	case *ast.Quantified:
-		x.Target = tf.apply(x.Target)
-		x.Set = tf.apply(x.Set)
-	case *ast.Case:
-		x.Operand = tf.apply(x.Operand)
-		for i := range x.Whens {
-			x.Whens[i].Cond = tf.apply(x.Whens[i].Cond)
-			x.Whens[i].Result = tf.apply(x.Whens[i].Result)
-		}
-		x.Else = tf.apply(x.Else)
-	case *ast.Call:
-		for i := range x.Args {
-			x.Args[i] = tf.apply(x.Args[i])
-		}
-	case *ast.TupleCtor:
-		for i := range x.Fields {
-			x.Fields[i].Name = tf.apply(x.Fields[i].Name)
-			x.Fields[i].Value = tf.apply(x.Fields[i].Value)
-		}
-	case *ast.ArrayCtor:
-		for i := range x.Elems {
-			x.Elems[i] = tf.apply(x.Elems[i])
-		}
-	case *ast.BagCtor:
-		for i := range x.Elems {
-			x.Elems[i] = tf.apply(x.Elems[i])
-		}
-	case *ast.Exists:
-		x.Operand = tf.apply(x.Operand)
-	case *ast.Window:
-		// A window function applies over the post-group bindings; its
-		// argument and specification may reference group keys.
-		for i := range x.Fn.Args {
-			x.Fn.Args[i] = tf.apply(x.Fn.Args[i])
-		}
-		for i := range x.Spec.PartitionBy {
-			x.Spec.PartitionBy[i] = tf.apply(x.Spec.PartitionBy[i])
-		}
-		for i := range x.Spec.OrderBy {
-			x.Spec.OrderBy[i].Expr = tf.apply(x.Spec.OrderBy[i].Expr)
-		}
 	}
+	ast.Children(e, func(c *ast.Expr) { *c = tf.apply(*c) })
 	return e
 }
 
@@ -336,132 +255,25 @@ func (tf *groupTransform) rewriteAggregate(call *ast.Call, collName string) ast.
 	return out
 }
 
-// substituteBlockVars replaces references to pre-group block variables
-// with navigation through the group element variable gi. It descends the
-// whole subtree, including nested blocks (an aggregate argument may
-// contain a correlated subquery over the group element).
+// substituteBlockVars replaces the free occurrences of pre-group block
+// variables in the aggregate argument e with navigation through the group
+// element variable gi. It descends the whole subtree, nested blocks and
+// their GROUP BY keys included (an aggregate argument may contain a
+// subquery correlated with the group element), and leaves a name alone
+// where a nested block binds it again. The argument is not yet rewritten,
+// so the binder reads it as surface syntax.
 func substituteBlockVars(e ast.Expr, blockVars map[string]bool, gi string) ast.Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *ast.VarRef:
-		if blockVars[x.Name] {
+	b := ast.Binder{Surface: true, Ref: func(r ast.Ref) {
+		if r.To == nil && blockVars[r.Var.Name] {
 			base := &ast.VarRef{Name: gi}
-			base.SetPos(x.Pos())
-			fa := &ast.FieldAccess{Base: base, Name: x.Name}
-			fa.SetPos(x.Pos())
-			return fa
+			base.SetPos(r.Var.Pos())
+			fa := &ast.FieldAccess{Base: base, Name: r.Var.Name}
+			fa.SetPos(r.Var.Pos())
+			*r.Slot = fa
 		}
-		return x
-	case *ast.FieldAccess:
-		x.Base = substituteBlockVars(x.Base, blockVars, gi)
-		return x
-	case *ast.IndexAccess:
-		x.Base = substituteBlockVars(x.Base, blockVars, gi)
-		x.Index = substituteBlockVars(x.Index, blockVars, gi)
-		return x
-	case *ast.Unary:
-		x.Operand = substituteBlockVars(x.Operand, blockVars, gi)
-		return x
-	case *ast.Binary:
-		x.L = substituteBlockVars(x.L, blockVars, gi)
-		x.R = substituteBlockVars(x.R, blockVars, gi)
-		return x
-	case *ast.Like:
-		x.Target = substituteBlockVars(x.Target, blockVars, gi)
-		x.Pattern = substituteBlockVars(x.Pattern, blockVars, gi)
-		x.Escape = substituteBlockVars(x.Escape, blockVars, gi)
-		return x
-	case *ast.Between:
-		x.Target = substituteBlockVars(x.Target, blockVars, gi)
-		x.Lo = substituteBlockVars(x.Lo, blockVars, gi)
-		x.Hi = substituteBlockVars(x.Hi, blockVars, gi)
-		return x
-	case *ast.In:
-		x.Target = substituteBlockVars(x.Target, blockVars, gi)
-		for i := range x.List {
-			x.List[i] = substituteBlockVars(x.List[i], blockVars, gi)
-		}
-		x.Set = substituteBlockVars(x.Set, blockVars, gi)
-		return x
-	case *ast.Is:
-		x.Target = substituteBlockVars(x.Target, blockVars, gi)
-		return x
-	case *ast.Quantified:
-		x.Target = substituteBlockVars(x.Target, blockVars, gi)
-		x.Set = substituteBlockVars(x.Set, blockVars, gi)
-		return x
-	case *ast.Case:
-		x.Operand = substituteBlockVars(x.Operand, blockVars, gi)
-		for i := range x.Whens {
-			x.Whens[i].Cond = substituteBlockVars(x.Whens[i].Cond, blockVars, gi)
-			x.Whens[i].Result = substituteBlockVars(x.Whens[i].Result, blockVars, gi)
-		}
-		x.Else = substituteBlockVars(x.Else, blockVars, gi)
-		return x
-	case *ast.Call:
-		for i := range x.Args {
-			x.Args[i] = substituteBlockVars(x.Args[i], blockVars, gi)
-		}
-		return x
-	case *ast.TupleCtor:
-		for i := range x.Fields {
-			x.Fields[i].Name = substituteBlockVars(x.Fields[i].Name, blockVars, gi)
-			x.Fields[i].Value = substituteBlockVars(x.Fields[i].Value, blockVars, gi)
-		}
-		return x
-	case *ast.ArrayCtor:
-		for i := range x.Elems {
-			x.Elems[i] = substituteBlockVars(x.Elems[i], blockVars, gi)
-		}
-		return x
-	case *ast.BagCtor:
-		for i := range x.Elems {
-			x.Elems[i] = substituteBlockVars(x.Elems[i], blockVars, gi)
-		}
-		return x
-	case *ast.Exists:
-		x.Operand = substituteBlockVars(x.Operand, blockVars, gi)
-		return x
-	case *ast.SFW:
-		// Nested blocks may be correlated with the group; substitute
-		// free occurrences there too. (Shadowing by an inner FROM alias
-		// of the same name is not tracked; the resolver reports the
-		// resulting ambiguity.)
-		for _, f := range x.From {
-			substituteBlockVarsFrom(f, blockVars, gi)
-		}
-		for i := range x.Lets {
-			x.Lets[i].Expr = substituteBlockVars(x.Lets[i].Expr, blockVars, gi)
-		}
-		x.Where = substituteBlockVars(x.Where, blockVars, gi)
-		x.Select.Value = substituteBlockVars(x.Select.Value, blockVars, gi)
-		x.Select.PivotAt = substituteBlockVars(x.Select.PivotAt, blockVars, gi)
-		for i := range x.Select.Items {
-			x.Select.Items[i].Expr = substituteBlockVars(x.Select.Items[i].Expr, blockVars, gi)
-			x.Select.Items[i].StarOf = substituteBlockVars(x.Select.Items[i].StarOf, blockVars, gi)
-		}
-		x.Having = substituteBlockVars(x.Having, blockVars, gi)
-		for i := range x.OrderBy {
-			x.OrderBy[i].Expr = substituteBlockVars(x.OrderBy[i].Expr, blockVars, gi)
-		}
-		return x
-	default:
-		return e
-	}
-}
-
-func substituteBlockVarsFrom(f ast.FromItem, blockVars map[string]bool, gi string) {
-	switch x := f.(type) {
-	case *ast.FromExpr:
-		x.Expr = substituteBlockVars(x.Expr, blockVars, gi)
-	case *ast.FromUnpivot:
-		x.Expr = substituteBlockVars(x.Expr, blockVars, gi)
-	case *ast.FromJoin:
-		substituteBlockVarsFrom(x.Left, blockVars, gi)
-		substituteBlockVarsFrom(x.Right, blockVars, gi)
-		x.On = substituteBlockVars(x.On, blockVars, gi)
-	}
+	}}
+	b.Walk(&e)
+	return e
 }
 
 // selectHasAggregate reports whether the SELECT clause contains a shallow
@@ -488,79 +300,19 @@ func orderHasAggregate(items []ast.OrderItem) bool {
 }
 
 // hasShallowAggregate reports whether e contains a SQL aggregate call
-// without descending into nested query blocks.
+// without descending into nested query blocks or window applications (a
+// window's SUM is no grouping aggregate).
 func hasShallowAggregate(e ast.Expr) bool {
 	found := false
-	var walk func(ast.Expr)
-	walk = func(e ast.Expr) {
-		if e == nil || found {
-			return
-		}
-		switch x := e.(type) {
-		case *ast.SFW, *ast.SetOp:
-			return
+	ast.Inspect(e, func(n ast.Expr) bool {
+		switch x := n.(type) {
+		case *ast.SFW, *ast.SetOp, *ast.With, *ast.Window:
+			return false
 		case *ast.Call:
-			if IsSQLAggregate(x.Name) {
-				found = true
-				return
-			}
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *ast.FieldAccess:
-			walk(x.Base)
-		case *ast.IndexAccess:
-			walk(x.Base)
-			walk(x.Index)
-		case *ast.Unary:
-			walk(x.Operand)
-		case *ast.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *ast.Like:
-			walk(x.Target)
-			walk(x.Pattern)
-			walk(x.Escape)
-		case *ast.Between:
-			walk(x.Target)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *ast.In:
-			walk(x.Target)
-			for _, l := range x.List {
-				walk(l)
-			}
-			walk(x.Set)
-		case *ast.Is:
-			walk(x.Target)
-		case *ast.Quantified:
-			walk(x.Target)
-			walk(x.Set)
-		case *ast.Case:
-			walk(x.Operand)
-			for _, w := range x.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			walk(x.Else)
-		case *ast.TupleCtor:
-			for _, f := range x.Fields {
-				walk(f.Name)
-				walk(f.Value)
-			}
-		case *ast.ArrayCtor:
-			for _, el := range x.Elems {
-				walk(el)
-			}
-		case *ast.BagCtor:
-			for _, el := range x.Elems {
-				walk(el)
-			}
-		case *ast.Exists:
-			walk(x.Operand)
+			found = found || IsSQLAggregate(x.Name)
 		}
-	}
-	walk(e)
+		return !found
+	})
 	return found
 }
 

@@ -2,7 +2,8 @@
 // time, between the rewrite to SQL++ Core and planning, over the Core
 // tree — after name resolution, so every VarRef references a block
 // binding (or declared parameter) and every catalog reference is a
-// NamedRef.
+// NamedRef. Which binding a variable refers to is ast.Binder's answer,
+// the one statement of the scoping rules; the scope pass only judges it.
 //
 // The analyzer produces diagnostics in two severities, mirroring the
 // paper's two typing modes (§VI):

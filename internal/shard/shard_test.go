@@ -164,6 +164,9 @@ var identityQueries = []struct {
 	// sorts on the stored key values.
 	{"SELECT VALUE o FROM orders AS o ORDER BY (SELECT VALUE COUNT(*) FROM dims AS d WHERE d.k = o.g) DESC, o.v", "topk"},
 	{"SELECT DISTINCT x.g AS g FROM orders AS x ORDER BY g", "gather"},
+	// A sub-block over the sharded name inside a window's argument is
+	// still a reference to it.
+	{"SELECT d.k AS k, SUM(COLL_COUNT(SELECT VALUE y FROM orders AS y WHERE y.g = d.k)) OVER (ORDER BY d.k) AS s FROM dims AS d", "gather"},
 	// A PIVOT block builds one tuple: no partial merge applies.
 	{"PIVOT x.v AT x.g FROM orders AS x WHERE x.v > 3", "gather"},
 	{"PIVOT SUM(x.v) AT g FROM orders AS x GROUP BY x.g AS g", "gather"},

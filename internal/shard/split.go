@@ -209,54 +209,23 @@ func hasWindowExprs(e ast.Expr) bool {
 func aliasShadows(e ast.Expr, name string) bool {
 	head, _, _ := strings.Cut(name, ".")
 	found := false
-	eachBinding(e, func(b string) {
-		if b == head {
-			found = true
-		}
-	})
+	w := ast.Binder{Surface: true, Bind: func(b *ast.Binding) { found = found || b.Name == head }}
+	w.Walk(&e)
 	return found
 }
 
-// eachBinding visits every variable binder in the tree.
-func eachBinding(e ast.Expr, fn func(string)) {
-	ast.Inspect(e, func(n ast.Expr) bool {
-		switch x := n.(type) {
-		case *ast.SFW:
-			for _, f := range x.From {
-				eachFromBinding(f, fn)
-			}
-			for _, l := range x.Lets {
-				fn(l.Name)
-			}
-			if x.GroupBy != nil {
-				for _, k := range x.GroupBy.Keys {
-					fn(k.Alias)
-				}
-				fn(x.GroupBy.GroupAs)
-			}
-		case *ast.With:
-			for _, b := range x.Bindings {
-				fn(b.Name)
-			}
+// blockVars is the set of q's FROM and LET variables.
+func blockVars(q *ast.SFW) map[string]bool {
+	vars := map[string]bool{}
+	for _, f := range q.From {
+		for _, v := range ast.ItemVars(f) {
+			vars[v] = true
 		}
-		return true
-	})
-}
-
-func eachFromBinding(f ast.FromItem, fn func(string)) {
-	switch x := f.(type) {
-	case *ast.FromExpr:
-		fn(x.As)
-		if x.AtVar != "" {
-			fn(x.AtVar)
-		}
-	case *ast.FromUnpivot:
-		fn(x.ValueVar)
-		fn(x.NameVar)
-	case *ast.FromJoin:
-		eachFromBinding(x.Left, fn)
-		eachFromBinding(x.Right, fn)
 	}
+	for _, l := range q.Lets {
+		vars[l.Name] = true
+	}
+	return vars
 }
 
 // hasParams reports whether the query references a parameter-style
@@ -344,13 +313,7 @@ func splitTopK(q *ast.SFW, name string) *scatterPlan {
 	// query's SELECT is replaced, so inline them (unless a block variable
 	// shadows the name, in which case the engine resolved the variable
 	// and the clone still does).
-	blockVars := map[string]bool{}
-	for _, f := range q.From {
-		eachFromBinding(f, func(b string) { blockVars[b] = true })
-	}
-	for _, l := range q.Lets {
-		blockVars[l.Name] = true
-	}
+	blockVars := blockVars(q)
 	aliases := map[string]ast.Expr{}
 	for _, it := range q.Select.Items {
 		if it.Alias != "" && it.Expr != nil && !blockVars[it.Alias] {
@@ -674,20 +637,10 @@ func splitGroup(q *ast.SFW, name string, spec Spec) *scatterPlan {
 		keys = q.GroupBy.Keys
 	}
 	keyText := map[string]int{}
-	blockVars := map[string]bool{}
-	for _, f := range q.From {
-		eachFromBinding(f, func(b string) { blockVars[b] = true })
-	}
-	for _, l := range q.Lets {
-		blockVars[l.Name] = true
-	}
+	blockVars := blockVars(q)
 	for i, k := range keys {
 		keyText[ast.Format(k.Expr)] = i
-		alias := k.Alias
-		if alias == "" {
-			alias = implicitKeyAlias(k.Expr)
-		}
-		if alias != "" && !blockVars[alias] {
+		if alias := ast.KeyAlias(k, i); !blockVars[alias] {
 			keyText[alias] = i
 		}
 	}
@@ -829,11 +782,11 @@ func coPartitionedKey(q *ast.SFW, spec Spec, keys []ast.GroupKey) int {
 	}
 	binds := 0
 	for _, f := range q.From {
-		eachFromBinding(f, func(b string) {
-			if b == head.As {
+		for _, v := range ast.ItemVars(f) {
+			if v == head.As {
 				binds++
 			}
-		})
+		}
 	}
 	for _, l := range q.Lets {
 		if l.Name == head.As {
@@ -850,18 +803,6 @@ func coPartitionedKey(q *ast.SFW, spec Spec, keys []ast.GroupKey) int {
 		}
 	}
 	return -1
-}
-
-// implicitKeyAlias mirrors the rewriter's rule for unaliased group
-// keys.
-func implicitKeyAlias(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.VarRef:
-		return x.Name
-	case *ast.FieldAccess:
-		return x.Name
-	}
-	return ""
 }
 
 // groupMergeSubst rewrites a post-group expression for the merge side:
@@ -970,79 +911,8 @@ func (s *groupMergeSubst) apply(e ast.Expr) ast.Expr {
 		s.bad = true
 		return e
 	}
-	rewriteChildren(e, s.apply)
+	ast.Children(e, func(c *ast.Expr) { *c = s.apply(*c) })
 	return e
-}
-
-// rewriteChildren applies f to each direct child expression of a
-// non-block node, in place. Callers handle query blocks explicitly
-// before calling.
-func rewriteChildren(e ast.Expr, f func(ast.Expr) ast.Expr) {
-	switch x := e.(type) {
-	case *ast.FieldAccess:
-		x.Base = f(x.Base)
-	case *ast.IndexAccess:
-		x.Base = f(x.Base)
-		x.Index = f(x.Index)
-	case *ast.Unary:
-		x.Operand = f(x.Operand)
-	case *ast.Binary:
-		x.L = f(x.L)
-		x.R = f(x.R)
-	case *ast.Like:
-		x.Target = f(x.Target)
-		x.Pattern = f(x.Pattern)
-		if x.Escape != nil {
-			x.Escape = f(x.Escape)
-		}
-	case *ast.Between:
-		x.Target = f(x.Target)
-		x.Lo = f(x.Lo)
-		x.Hi = f(x.Hi)
-	case *ast.In:
-		x.Target = f(x.Target)
-		for i := range x.List {
-			x.List[i] = f(x.List[i])
-		}
-		if x.Set != nil {
-			x.Set = f(x.Set)
-		}
-	case *ast.Is:
-		x.Target = f(x.Target)
-	case *ast.Quantified:
-		x.Target = f(x.Target)
-		x.Set = f(x.Set)
-	case *ast.Case:
-		if x.Operand != nil {
-			x.Operand = f(x.Operand)
-		}
-		for i := range x.Whens {
-			x.Whens[i].Cond = f(x.Whens[i].Cond)
-			x.Whens[i].Result = f(x.Whens[i].Result)
-		}
-		if x.Else != nil {
-			x.Else = f(x.Else)
-		}
-	case *ast.Call:
-		for i := range x.Args {
-			x.Args[i] = f(x.Args[i])
-		}
-	case *ast.TupleCtor:
-		for i := range x.Fields {
-			x.Fields[i].Name = f(x.Fields[i].Name)
-			x.Fields[i].Value = f(x.Fields[i].Value)
-		}
-	case *ast.ArrayCtor:
-		for i := range x.Elems {
-			x.Elems[i] = f(x.Elems[i])
-		}
-	case *ast.BagCtor:
-		for i := range x.Elems {
-			x.Elems[i] = f(x.Elems[i])
-		}
-	case *ast.Exists:
-		x.Operand = f(x.Operand)
-	}
 }
 
 // aliasSubst replaces references to SELECT-item aliases with the item's
@@ -1077,7 +947,7 @@ func (s *aliasSubst) apply(e ast.Expr) ast.Expr {
 		})
 		return e
 	}
-	rewriteChildren(e, s.apply)
+	ast.Children(e, func(c *ast.Expr) { *c = s.apply(*c) })
 	return e
 }
 

@@ -69,6 +69,9 @@ var optimizerBattery = []string{
 	`SELECT h.name AS n, (SELECT VALUE p FROM h.projects AS p ORDER BY p DESC LIMIT h.id % 3 + 1 OFFSET 1) AS ps
 	 FROM hr AS h WHERE h.id < 60`,
 	`{'n': COLL_COUNT(emp), 'rich': (SELECT VALUE e.name FROM emp AS e WHERE e.salary > 199000)}`,
+	// A sub-block inside a window's argument is planned like any other.
+	`SELECT t.name AS n, SUM(COLL_SUM(SELECT VALUE x FROM [1, 2] AS x WHERE x < t.deptno)) OVER (ORDER BY t.deptno, t.name) AS s
+	 FROM emp AS t WHERE t.deptno < 4`,
 	// The hash table's flat row layout: a build side binding two
 	// variables (AT over an array), build keys NULL or MISSING between
 	// present ones, a LEFT JOIN whose probes walk the same bucket chains
