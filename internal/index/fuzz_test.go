@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"math"
 	"testing"
 
 	"sqlpp/internal/index"
@@ -9,13 +10,28 @@ import (
 
 // fuzzKey maps one input byte to a key: the low three bits pick the
 // type, the rest the value. Ints and integral floats collide under
-// grouping equality; type 7 leaves the key MISSING (nil).
+// grouping equality, as do -0.0 and 0, NaNs of either sign, and bags or
+// tuples that differ only in element or attribute order; 2^63 and
+// math.MinInt64 must not. Type 7 leaves the key MISSING (nil).
 func fuzzKey(b byte) value.Value {
 	v := int64(b >> 3)
 	switch b & 7 {
 	case 0:
+		if v == 31 {
+			return value.Int(math.MinInt64)
+		}
 		return value.Int(v % 8)
 	case 1:
+		switch v {
+		case 28:
+			return value.Float(math.Copysign(0, -1))
+		case 29:
+			return value.Float(math.NaN())
+		case 30:
+			return value.Float(math.Copysign(math.NaN(), -1))
+		case 31:
+			return value.Float(1 << 63)
+		}
 		return value.Float(float64(v % 8))
 	case 2:
 		return value.Float(float64(v) + 0.5)
@@ -26,6 +42,17 @@ func fuzzKey(b byte) value.Value {
 	case 5:
 		return value.Bool(v%2 == 0)
 	case 6:
+		one, a := value.Int(1), value.String("a")
+		switch v {
+		case 28:
+			return value.Bag{one, a}
+		case 29:
+			return value.Bag{a, value.Float(1)}
+		case 30:
+			return value.NewTuple(value.Field{Name: "x", Value: one}, value.Field{Name: "y", Value: a})
+		case 31:
+			return value.NewTuple(value.Field{Name: "y", Value: a}, value.Field{Name: "x", Value: value.Float(1)})
+		}
 		return value.Array{value.Int(v % 3)}
 	}
 	return nil

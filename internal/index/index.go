@@ -26,7 +26,9 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 	"sort"
@@ -79,41 +81,104 @@ type Spec struct {
 func (s Spec) PathString() string { return strings.Join(s.Path, ".") }
 
 // Index is an immutable secondary index over one snapshot of a
-// collection. Positions are int32 element ordinals in the snapshot,
-// kept ascending everywhere so probe results replay in original scan
-// order. It is a list of immutable segments, oldest first, each
-// covering the position range after its predecessor's.
+// collection: immutable segments, oldest first, each covering the
+// positions after its predecessor's. Positions are int32 element
+// ordinals, kept ascending so probe results replay in scan order.
 type Index struct {
-	spec     Spec
-	src      value.Value // the collection snapshot the positions refer to
-	n        int         // elements covered
-	segs     []*segment
-	distinct int // distinct probeable keys across all segments
+	spec Spec
+	src  value.Value // the collection snapshot the positions refer to
+	n    int         // elements covered
+	segs []*segment
 }
 
-// segment indexes one contiguous run of positions.
+// segment indexes one contiguous run of positions in CSR form: key o's
+// positions are pos[off[o]:off[o+1]], ascending. missing and null hold
+// the positions whose key was MISSING or NULL, never probe candidates.
+// An ordered segment's key o is keys[o], an element's own value, in
+// value.Compare order. Equality probes binary-search keys, which agrees
+// with grouping equality: Compare is zero exactly for Equivalent values.
+// A hash segment's key o is the canonical encoding (value.AppendKey)
+// enc[encOff[o]:encOff[o+1]], numbered in first-seen order. table is
+// open-addressing, of the least power-of-two size 2^b of at least 4/3
+// the keys. A slot is 0 (free) or o+1 in its low b bits under the high
+// bits of the key's hash: probes compare encodings only where they agree.
 type segment struct {
-	n int // positions covered
-
-	// buckets maps the canonical key encoding (value.AppendKey — the
-	// engine's grouping equality, under which 1 and 1.0 collide exactly
-	// when `=` calls them equal) to ascending positions. Both kinds
-	// keep buckets, so equality probes work uniformly.
-	buckets map[string][]int32
-
-	// missing and null hold positions whose extracted key was MISSING
-	// or NULL. They are never probe candidates; they exist so the index
-	// fully accounts for the collection and so diagnostics can report
-	// how much of it is unindexable.
-	missing []int32
-	null    []int32
-
-	// Ordered indexes additionally keep the distinct non-absent keys
-	// sorted by value.Compare (the data model's total order), with
-	// runs[i] holding the positions for keys[i].
-	keys []value.Value
-	runs [][]int32
+	n             int // positions covered
+	pos, off      []int32
+	missing, null []int32
+	keys          []value.Value // ordered
+	table         []uint32      // hash; nil in an ordered segment
+	enc           []byte
+	encOff        []uint32
 }
+
+var hashSeed = maphash.MakeSeed()
+
+func hash(k []byte) uint64 { return maphash.Bytes(hashSeed, k) }
+
+func (s *segment) key(o int) []byte { return s.enc[s.encOff[o]:s.encOff[o+1]] }
+
+// slot returns the slot of the key encoded as k, hashed h, or the free
+// slot where it would go.
+func (s *segment) slot(k []byte, h uint64) int {
+	mask := uint32(len(s.table) - 1)
+	tag := uint32(h>>32) &^ mask
+	for i := uint32(h) & mask; ; i = (i + 1) & mask {
+		if e := s.table[i]; e == 0 || e&^mask == tag && bytes.Equal(s.key(int(e&mask-1)), k) {
+			return int(i)
+		}
+	}
+}
+
+// ordinal returns the ordinal of key, or -1. A hash segment reads only
+// the key's encoding enc and its hash h.
+func (s *segment) ordinal(key value.Value, enc []byte, h uint64) int {
+	if s.table != nil {
+		return int(s.table[s.slot(enc, h)]&uint32(len(s.table)-1)) - 1
+	}
+	if o, ok := slices.BinarySearchFunc(s.keys, key, value.Compare); ok {
+		return o
+	}
+	return -1
+}
+
+// intern returns the ordinal of the key encoded as k, adding it if new.
+// A new hash segment has a 2-slot table and encOff [0].
+func (s *segment) intern(k []byte) (int, bool) {
+	h := hash(k)
+	if o := s.ordinal(nil, k, h); o >= 0 {
+		return o, false
+	}
+	o := len(s.encOff) - 1
+	s.enc = append(s.enc, k...)
+	s.encOff = append(s.encOff, uint32(len(s.enc)))
+	if 3*len(s.table) < 4*(o+1) {
+		s.table = make([]uint32, 2*len(s.table))
+		for j := range o {
+			s.place(j, hash(s.key(j)))
+		}
+	}
+	s.place(o, h)
+	return o, true
+}
+
+// place files key o, absent from the table, in its first free slot.
+func (s *segment) place(o int, h uint64) {
+	s.table[s.slot(nil, h)] = uint32(h>>32)&^uint32(len(s.table)-1) | uint32(o+1)
+}
+
+// add appends the next key, whose positions are the runs in turn.
+//
+// governor: re-files positions charged when first indexed.
+func (s *segment) add(runs ...[]int32) {
+	for _, r := range runs {
+		s.pos = append(s.pos, r...)
+	}
+	s.off = append(s.off, int32(len(s.pos)))
+}
+
+// run returns key o's positions, capped so an append cannot reach o+1's.
+func (s *segment) run(o int) []int32 { return s.pos[s.off[o]:s.off[o+1]:s.off[o+1]] }
 
 // Spec returns the index declaration.
 func (ix *Index) Spec() Spec { return ix.spec }
@@ -124,14 +189,25 @@ func (ix *Index) Source() value.Value { return ix.src }
 // Len reports how many elements the index covers.
 func (ix *Index) Len() int { return ix.n }
 
-// Slots reports the population of the absent-key slots alongside the
-// number of distinct probeable keys.
+// Slots reports the population of the absent-key slots and the number of
+// distinct probeable keys, counted afresh so that appends never pay for it.
 func (ix *Index) Slots() (keys, missing, null int) {
-	for _, s := range ix.segs {
+	for i, s := range ix.segs {
 		missing += len(s.missing)
 		null += len(s.null)
+		for o := range len(s.off) - 1 {
+			key, enc := value.Value(nil), []byte(nil)
+			if s.table == nil {
+				key = s.keys[o]
+			} else {
+				enc = s.key(o)
+			}
+			if !slices.ContainsFunc(ix.segs[:i], func(old *segment) bool { return old.ordinal(key, enc, hash(enc)) >= 0 }) {
+				keys++
+			}
+		}
 	}
-	return ix.distinct, missing, null
+	return keys, missing, null
 }
 
 // Extract mirrors eval.Navigate's permissive dot-navigation: tuples
@@ -144,132 +220,190 @@ func Extract(v value.Value, path []string) value.Value {
 	for _, name := range path {
 		t, ok := v.(*value.Tuple)
 		if !ok {
-			switch v.Kind() {
-			case value.KindMissing:
-				return value.Missing
-			case value.KindNull:
+			if v.Kind() == value.KindNull {
 				return value.Null
-			default:
-				return value.Missing
 			}
+			return value.Missing
 		}
 		v, _ = t.Get(name)
 	}
 	return v
 }
 
-// Build constructs an index over src, which must be a collection
-// (array or bag). gov, when non-nil, is charged per indexed element so
-// index construction competes for the same memory budget as query
-// evaluation.
+// Build constructs an index over src, which must be a collection (array
+// or bag). gov, when non-nil, is charged per indexed element, so index
+// construction competes for the memory budget of query evaluation.
 func Build(spec Spec, src value.Value, gov *eval.Governor) (*Index, error) {
-	if len(spec.Path) == 0 {
-		return nil, fmt.Errorf("index %s: empty key path", spec.Name)
-	}
-	for _, step := range spec.Path {
-		if step == "" {
-			return nil, fmt.Errorf("index %s: empty step in key path %q", spec.Name, spec.PathString())
-		}
+	if len(spec.Path) == 0 || slices.Contains(spec.Path, "") {
+		return nil, fmt.Errorf("index %s: empty step in key path %q", spec.Name, spec.PathString())
 	}
 	elems, ok := value.Elements(src)
 	if !ok {
 		return nil, fmt.Errorf("index %s: %s is %v, not a collection", spec.Name, spec.Collection, src.Kind())
 	}
-	if len(elems) > math.MaxInt32 {
-		return nil, fmt.Errorf("index %s: collection %s exceeds %d elements", spec.Name, spec.Collection, math.MaxInt32)
+	return (&Index{spec: spec}).Extended(src, elems, gov)
+}
+
+// Extended returns a new index covering src, which must be the previous
+// snapshot with elems appended; the receiver is unchanged. The appended
+// elements form a new segment, merged with its predecessors while the
+// one before is no larger: an append of k elements onto n costs
+// amortized O(k·log(n/k)), and older segments are shared, not copied.
+//
+// governor: charged in newSegment; merges re-file charged entries.
+func (ix *Index) Extended(src value.Value, elems []value.Value, gov *eval.Governor) (*Index, error) {
+	n := ix.n + len(elems)
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("index %s: collection %s exceeds %d elements", ix.spec.Name, ix.spec.Collection, math.MaxInt32)
 	}
-	ix := &Index{spec: spec, src: src, n: len(elems)}
-	s, err := ix.newSegment(0, elems, "build", gov)
+	if all, ok := value.Elements(src); !ok || len(all) != n {
+		return nil, fmt.Errorf("index %s: extend: source is not the %d-element collection the append makes", ix.spec.Name, n)
+	}
+	s, err := ix.newSegment(elems, gov)
 	if err != nil {
 		return nil, err
 	}
-	ix.segs = []*segment{s}
-	ix.distinct = len(s.buckets)
-	return ix, nil
+	segs := append(slices.Clip(ix.segs), s)
+	for len(segs) > 1 && segs[len(segs)-2].n <= segs[len(segs)-1].n {
+		segs = append(segs[:len(segs)-2], merge(segs[len(segs)-2], segs[len(segs)-1]))
+	}
+	return &Index{spec: ix.spec, src: src, n: n, segs: segs}, nil
 }
 
-// newSegment indexes elems as the positions from base on.
+// newSegment indexes elems as the positions after ix's. It interns and
+// counts the keys, then lays the positions out; an ordered segment then
+// keeps the keys, sorted, in place of their encodings.
 //
-// governor: every accumulated entry is charged in insert.
-func (ix *Index) newSegment(base int, elems []value.Value, op string, gov *eval.Governor) (*segment, error) {
-	s := &segment{n: len(elems), buckets: make(map[string][]int32)}
-	var keyBuf []byte
+// governor: charged per element; the layout is sized by those elements.
+func (ix *Index) newSegment(elems []value.Value, gov *eval.Governor) (*segment, error) {
+	s := &segment{n: len(elems), off: []int32{0}, table: make([]uint32, 2), encOff: []uint32{0}}
+	ordered := ix.spec.Kind == Ordered
+	ords := make([]int32, len(elems)) // each element's key ordinal+1; 0 if absent
+	var reps []value.Value            // ordered: each key's first value
+	var buf []byte
 	for i, e := range elems {
-		if err := ix.insert(s, int32(base+i), e, &keyBuf, op, gov); err != nil {
-			return nil, err
+		if faultinject.Enabled {
+			if err := faultinject.Fire(faultinject.IndexBuildInsert); err != nil {
+				return nil, fmt.Errorf("index %s: insert: %w", ix.spec.Name, err)
+			}
+		}
+		key := Extract(e, ix.spec.Path)
+		if gov != nil {
+			if err := gov.ChargeValues("index-build", 1, key); err != nil {
+				return nil, err
+			}
+		}
+		switch key.Kind() {
+		case value.KindMissing:
+			s.missing = append(s.missing, int32(ix.n+i))
+		case value.KindNull:
+			s.null = append(s.null, int32(ix.n+i))
+		default:
+			buf = value.AppendKey(buf[:0], key)
+			o, added := s.intern(buf)
+			if added {
+				s.off = append(s.off, 0) // counts key o's positions in off[o+1]
+				if ordered {
+					reps = append(reps, key)
+				}
+			}
+			s.off[o+1]++
+			ords[i] = int32(o + 1)
 		}
 	}
-	if ix.spec.Kind == Ordered {
-		// Each bucket's first position names its representative key.
-		s.keys = make([]value.Value, 0, len(s.buckets))
-		s.runs = make([][]int32, 0, len(s.buckets))
-		for _, run := range s.buckets {
-			s.keys = append(s.keys, Extract(elems[int(run[0])-base], ix.spec.Path))
-			s.runs = append(s.runs, run)
-		}
-		sort.Sort(byKey{s})
+	for o := range len(s.off) - 1 {
+		s.off[o+1] += s.off[o]
 	}
-	return s, nil
+	s.pos = make([]int32, s.off[len(s.off)-1])
+	next := slices.Clone(s.off) // each key's next free position
+	for i, o := range ords {
+		if o > 0 {
+			s.pos[next[o-1]] = int32(ix.n + i)
+			next[o-1]++
+		}
+	}
+	if !ordered {
+		s.off, s.enc, s.encOff = slices.Clone(s.off), slices.Clone(s.enc), slices.Clone(s.encOff)
+		return s, nil
+	}
+	slices.SortFunc(reps, value.Compare)
+	t := &segment{n: s.n, pos: make([]int32, 0, len(s.pos)), off: make([]int32, 1, len(reps)+1), keys: slices.Clone(reps), missing: s.missing, null: s.null}
+	for _, k := range reps {
+		o, _ := s.intern(value.AppendKey(buf[:0], k))
+		t.add(s.run(o))
+	}
+	return t, nil
 }
 
-// byKey sorts an ordered segment's keys, and their runs with them.
-type byKey struct{ *segment }
-
-func (b byKey) Len() int           { return len(b.keys) }
-func (b byKey) Less(i, j int) bool { return value.Compare(b.keys[i], b.keys[j]) < 0 }
-func (b byKey) Swap(i, j int) {
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-	b.runs[i], b.runs[j] = b.runs[j], b.runs[i]
-}
-
-// insert files one element into s, encoding its key into the reused
-// *keyBuf.
-func (ix *Index) insert(s *segment, pos int32, elem value.Value, keyBuf *[]byte, op string, gov *eval.Governor) error {
-	if faultinject.Enabled {
-		if err := faultinject.Fire(faultinject.IndexBuildInsert); err != nil {
-			return fmt.Errorf("index %s: %s: %w", ix.spec.Name, op, err)
+// merge returns one segment holding a's positions followed by b's; a
+// key in both gets a's positions, then b's. Ordered segments merge their
+// sorted keys; hash segments add b's new keys to a copy of a's table.
+//
+// governor: re-files entries of a and b, charged when each was built.
+func merge(a, b *segment) *segment {
+	na, nb := len(a.off)-1, len(b.off)-1
+	m := &segment{n: a.n + b.n, pos: make([]int32, 0, len(a.pos)+len(b.pos)), off: make([]int32, 1, na+nb+1),
+		missing: slices.Concat(a.missing, b.missing), null: slices.Concat(a.null, b.null)}
+	if a.table == nil {
+		m.keys = make([]value.Value, 0, na+nb)
+		for i, j := 0, 0; i < na || j < nb; {
+			c := 1 // how a's next key compares to b's, an exhausted side last
+			if j == nb {
+				c = -1
+			} else if i < na {
+				c = value.Compare(a.keys[i], b.keys[j])
+			}
+			var ra, rb []int32
+			if c <= 0 {
+				m.keys, ra, i = append(m.keys, a.keys[i]), a.run(i), i+1
+			} else {
+				m.keys = append(m.keys, b.keys[j])
+			}
+			if c >= 0 {
+				rb, j = b.run(j), j+1
+			}
+			m.add(ra, rb)
+		}
+		m.keys, m.off = slices.Clone(m.keys), slices.Clone(m.off)
+		return m
+	}
+	m.table, m.enc = slices.Clone(a.table), append(make([]byte, 0, len(a.enc)+len(b.enc)), a.enc...)
+	m.encOff = append(make([]uint32, 0, na+nb+1), a.encOff...)
+	for o := range na {
+		var rb []int32
+		if j := b.ordinal(nil, a.key(o), hash(a.key(o))); j >= 0 {
+			rb = b.run(j)
+		}
+		m.add(a.run(o), rb)
+	}
+	for j := range nb {
+		if _, added := m.intern(b.key(j)); added {
+			m.add(b.run(j))
 		}
 	}
-	key := Extract(elem, ix.spec.Path)
-	if gov != nil {
-		if err := gov.ChargeValues("index-build", 1, key); err != nil {
-			return err
-		}
-	}
-	switch key.Kind() {
-	case value.KindMissing:
-		s.missing = append(s.missing, pos)
-	case value.KindNull:
-		s.null = append(s.null, pos)
-	default:
-		*keyBuf = value.AppendKey((*keyBuf)[:0], key)
-		if run, ok := s.buckets[string(*keyBuf)]; ok {
-			s.buckets[string(*keyBuf)] = append(run, pos)
-		} else {
-			s.buckets[string(*keyBuf)] = []int32{pos}
-		}
-	}
-	return nil
+	m.enc, m.encOff, m.off = slices.Clone(m.enc), slices.Clone(m.encOff), slices.Clone(m.off)
+	return m
 }
 
 // Lookup returns the ascending positions whose key is grouping-equal to
-// key. An absent (MISSING or NULL) probe key matches nothing: equality
-// against an absent value never evaluates to TRUE. The returned slice
-// may be shared with the index and must not be mutated.
+// key. An absent (MISSING or NULL) probe key matches nothing, as no
+// absent key is filed: equality against one is never TRUE. The returned
+// slice may be shared with the index and must not be mutated.
 //
 // governor:charged-at the caller's "index-probe" site (plan/indexscan.go).
 func (ix *Index) Lookup(key value.Value) []int32 {
-	if value.IsAbsent(key) {
-		return nil
-	}
 	var buf [64]byte
-	enc := value.AppendKey(buf[:0], key)
+	enc, h := []byte(nil), uint64(0)
+	if ix.spec.Kind == Hash {
+		enc = value.AppendKey(buf[:0], key)
+		h = hash(enc)
+	}
 	var out []int32
 	for _, s := range ix.segs {
-		if run := s.buckets[string(enc)]; out == nil {
-			out = run
-		} else if len(run) > 0 {
-			out = append(slices.Clip(out), run...)
+		if o := s.ordinal(key, enc, h); o >= 0 && out == nil {
+			out = s.run(o)
+		} else if o >= 0 {
+			out = append(out, s.run(o)...)
 		}
 	}
 	return out
@@ -286,179 +420,45 @@ func (ix *Index) Lookup(key value.Value) []int32 {
 // agrees with the evaluator's, so the result is a superset of the rows
 // the predicate accepts (re-verification discards the rest).
 //
-// governor: charged per merged candidate run below.
+// governor: charged once per segment window below.
 func (ix *Index) Range(lo, hi value.Value, loIncl, hiIncl bool, gov *eval.Governor) ([]int32, error) {
-	if ix.spec.Kind != Ordered {
-		return nil, fmt.Errorf("index %s: range probe on hash index", ix.spec.Name)
+	bound := hi
+	if lo != nil {
+		bound = lo
 	}
-	var class int
-	switch {
-	case lo != nil && hi != nil:
-		class = comparisonClass(lo)
-		if comparisonClass(hi) != class {
-			return nil, nil
-		}
-	case lo != nil:
-		class = comparisonClass(lo)
-	case hi != nil:
-		class = comparisonClass(hi)
-	default:
-		return nil, fmt.Errorf("index %s: range probe with no bounds", ix.spec.Name)
+	if ix.spec.Kind != Ordered || bound == nil {
+		return nil, fmt.Errorf("index %s: a range probe needs an ordered index and a bound", ix.spec.Name)
 	}
-	if !scalarClass(class) {
+	// The evaluator only orders scalars: booleans, numbers, strings, bytes.
+	class := value.CompareClass(bound.Kind())
+	if hi != nil && value.CompareClass(hi.Kind()) != class || class < value.CompareClass(value.KindBool) || class > value.CompareClass(value.KindBytes) {
 		return nil, nil
 	}
-	var out []int32
+	var winBuf [32][]int32
+	wins := winBuf[:0]
 	for _, s := range ix.segs {
-		// Narrow to the class segment of keys, then to the bound window.
-		keys := s.keys
-		a := sort.Search(len(keys), func(i int) bool { return comparisonClass(keys[i]) >= class })
-		b := a + sort.Search(len(keys)-a, func(i int) bool { return comparisonClass(keys[a+i]) > class })
-		if lo != nil {
-			a += sort.Search(b-a, func(i int) bool {
-				c := value.Compare(keys[a+i], lo)
-				if loIncl {
-					return c >= 0
-				}
-				return c > 0
-			})
-		}
-		if hi != nil {
-			b = a + sort.Search(b-a, func(i int) bool {
-				c := value.Compare(keys[a+i], hi)
-				if hiIncl {
-					return c > 0
-				}
-				return c >= 0
-			})
-		}
-		for _, run := range s.runs[a:b] {
-			if gov != nil {
-				if err := gov.ChargeValues("index-probe", int64(len(run)), nil); err != nil {
-					return nil, err
-				}
+		a, b := first(s.keys, lo, loIncl, class), first(s.keys, hi, !hiIncl, class+1)
+		win := s.pos[s.off[a]:s.off[max(a, b)]]
+		if gov != nil {
+			if err := gov.ChargeValues("index-probe", int64(len(win)), nil); err != nil {
+				return nil, err
 			}
-			out = append(out, run...)
 		}
+		wins = append(wins, win)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Concat(wins...) // sized from the windows before copying
+	slices.Sort(out)
 	return out, nil
 }
 
-// Extended returns a new index covering src, which must be the previous
-// snapshot with elems appended; the receiver is unchanged. The appended
-// elements form a new segment, merged with its predecessors while the
-// one before is no larger, so an append of k elements onto n costs
-// amortized O(k·log(n/k)) and older segments are shared, never copied.
-//
-// governor: appended entries are charged in insert; merges re-file
-// entries already charged.
-func (ix *Index) Extended(src value.Value, elems []value.Value, gov *eval.Governor) (*Index, error) {
-	n := ix.n + len(elems)
-	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("index %s: collection %s exceeds %d elements", ix.spec.Name, ix.spec.Collection, math.MaxInt32)
-	}
-	if all, ok := value.Elements(src); !ok || len(all) != n {
-		return nil, fmt.Errorf("index %s: extend: source is not the %d-element collection the append makes", ix.spec.Name, n)
-	}
-	s, err := ix.newSegment(ix.n, elems, "extend", gov)
-	if err != nil {
-		return nil, err
-	}
-	nx := &Index{spec: ix.spec, src: src, n: n, distinct: ix.distinct}
-	for k := range s.buckets {
-		if !slices.ContainsFunc(ix.segs, func(o *segment) bool { _, ok := o.buckets[k]; return ok }) {
-			nx.distinct++
+// first returns the first of keys at or past v (past it only, unless
+// incl); for a nil v, the first key of class c or a later one.
+func first(keys []value.Value, v value.Value, incl bool, c int) int {
+	return sort.Search(len(keys), func(i int) bool {
+		if v == nil {
+			return value.CompareClass(keys[i].Kind()) >= c
 		}
-	}
-	segs := append(slices.Clip(ix.segs), s)
-	for len(segs) > 1 && segs[len(segs)-2].n <= segs[len(segs)-1].n {
-		segs = append(segs[:len(segs)-2], merge(segs[len(segs)-2], segs[len(segs)-1], ix.spec.Kind == Ordered))
-	}
-	nx.segs = segs
-	return nx, nil
+		d := value.Compare(keys[i], v)
+		return d > 0 || d == 0 && incl
+	})
 }
-
-// merge returns one segment holding a's positions followed by b's. A
-// key in both gets a's run then b's, carved from one arena; a key in one
-// keeps its run. Keys are re-encoded, never re-extracted.
-//
-// governor: re-files entries of a and b, charged when each was built.
-func merge(a, b *segment, ordered bool) *segment {
-	m := &segment{
-		n:       a.n + b.n,
-		buckets: make(map[string][]int32, len(a.buckets)+len(b.buckets)),
-		missing: slices.Concat(a.missing, b.missing),
-		null:    slices.Concat(a.null, b.null),
-	}
-	size := 0
-	for k, rb := range b.buckets {
-		if ra, ok := a.buckets[k]; ok {
-			size += len(ra) + len(rb)
-		} else {
-			m.buckets[k] = rb
-		}
-	}
-	arena := make([]int32, 0, size)
-	for k, ra := range a.buckets {
-		if rb, ok := b.buckets[k]; ok {
-			off := len(arena)
-			arena = append(append(arena, ra...), rb...)
-			ra = arena[off:len(arena):len(arena)]
-		}
-		m.buckets[k] = ra
-	}
-	if !ordered {
-		return m
-	}
-	m.keys = make([]value.Value, 0, len(m.buckets))
-	m.runs = make([][]int32, 0, len(m.buckets))
-	var buf []byte
-	i, j := 0, 0
-	for i < len(a.keys) || j < len(b.keys) {
-		var k value.Value
-		if j == len(b.keys) || i < len(a.keys) && value.Compare(a.keys[i], b.keys[j]) <= 0 {
-			k, i = a.keys[i], i+1
-			buf = value.AppendKey(buf[:0], k)
-		} else {
-			k, j = b.keys[j], j+1
-			buf = value.AppendKey(buf[:0], k)
-			if _, dup := a.buckets[string(buf)]; dup {
-				continue // a's representative stands for the key
-			}
-		}
-		m.keys = append(m.keys, k)
-		m.runs = append(m.runs, m.buckets[string(buf)])
-	}
-	return m
-}
-
-// comparisonClass buckets a value by the data model's comparison class
-// (the same ranking value.Compare orders classes by). Values in
-// different classes never satisfy an ordering comparison.
-func comparisonClass(v value.Value) int {
-	switch v.Kind() {
-	case value.KindMissing:
-		return 0
-	case value.KindNull:
-		return 1
-	case value.KindBool:
-		return 2
-	case value.KindInt, value.KindFloat:
-		return 3
-	case value.KindString:
-		return 4
-	case value.KindBytes:
-		return 5
-	case value.KindArray:
-		return 6
-	case value.KindTuple:
-		return 7
-	default:
-		return 8
-	}
-}
-
-// scalarClass reports whether ordering comparisons can be TRUE for
-// operands of the class: the evaluator only orders scalars.
-func scalarClass(c int) bool { return c >= 2 && c <= 5 }

@@ -3,6 +3,7 @@ package index_test
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -479,4 +480,84 @@ func TestBuildChargesGovernor(t *testing.T) {
 	if re.Site != "index-build" {
 		t.Errorf("charge site = %q, want index-build", re.Site)
 	}
+}
+
+// TestBytesPerRow pins the flat layout's footprint: one positions array
+// and one offsets array per segment, plus a table and an encoding arena
+// (hash) or the elements' own key values (ordered). The heap an index
+// keeps live is read after two collections.
+func TestBytesPerRow(t *testing.T) {
+	const rows = 20000
+	for _, c := range []struct {
+		kind index.Kind
+		keys int
+		max  float64
+	}{
+		{index.Hash, rows, 32},
+		{index.Ordered, rows, 32},
+		{index.Ordered, 1000, 8},
+	} {
+		elems := make([]value.Value, rows)
+		for i := range elems {
+			elems[i] = value.NewTuple(value.Field{Name: "k", Value: value.Int(int64(i%c.keys) * 1000)})
+		}
+		src := value.Bag(elems)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ix := mustBuild(t, index.Spec{Name: "ix", Collection: "c", Path: []string{"k"}, Kind: c.kind}, src)
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(ix)
+		per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / rows
+		t.Logf("%v over %d keys: %.1f B per row", c.kind, c.keys, per)
+		if per > c.max {
+			t.Errorf("%v over %d keys: %.1f B per row, want at most %.0f", c.kind, c.keys, per, c.max)
+		}
+	}
+}
+
+// TestHashDirectoryCollisions: keys whose hashes agree in the low bits
+// share one probe sequence in a small table. Each must still find only
+// its own positions, a colliding absent key must find none, and the
+// merge that rebuilds the directory over both segments must too.
+func TestHashDirectoryCollisions(t *testing.T) {
+	var keys []value.Value // four keys on one slot of an 8-slot table
+	for i := 0; len(keys) < 4; i++ {
+		k := value.Int(int64(i))
+		if len(keys) == 0 || index.KeyHash(k)&7 == index.KeyHash(keys[0])&7 {
+			keys = append(keys, k)
+		}
+	}
+	row := func(k value.Value) value.Value { return value.NewTuple(value.Field{Name: "k", Value: k}) }
+	elems := []value.Value{row(keys[0]), row(keys[1]), row(keys[2]), row(keys[1])}
+	ix := mustBuild(t, index.Spec{Name: "ix", Collection: "c", Path: []string{"k"}}, value.Bag(elems))
+	if got := index.TableSizes(ix); !slices.Equal(got, []int{4}) {
+		t.Fatalf("table sizes %v for 3 keys, want [4]", got)
+	}
+	for i, want := range [][]int32{{0}, {1, 3}, {2}, nil} {
+		if got := ix.Lookup(keys[i]); !positionsEqual(got, want) {
+			t.Errorf("Lookup(%s) = %v, want %v", keys[i], got, want)
+		}
+	}
+	add := []value.Value{row(keys[3]), row(value.Float(float64(keys[0].(value.Int)))), row(keys[3]), row(keys[2])}
+	elems = append(elems, add...)
+	ix, err := ix.Extended(value.Bag(elems), add, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := index.TableSizes(ix); !slices.Equal(got, []int{8}) {
+		t.Fatalf("table sizes %v after merging to 4 keys, want [8]", got)
+	}
+	for i, want := range [][]int32{{0, 5}, {1, 3}, {2, 7}, {4, 6}} {
+		if got := ix.Lookup(keys[i]); !positionsEqual(got, want) {
+			t.Errorf("after merge, Lookup(%s) = %v, want %v", keys[i], got, want)
+		}
+	}
+	if k, _, _ := ix.Slots(); k != 4 {
+		t.Errorf("distinct keys %d, want 4", k)
+	}
+	agreeWithFresh(t, ix, value.Bag(elems), keys)
 }

@@ -18,7 +18,7 @@ import (
 // their attribute multiset sorted by name; bags compare as sorted
 // multisets. NaN sorts before all other floats so the order stays total.
 func Compare(a, b Value) int {
-	ca, cb := compareClass(a.Kind()), compareClass(b.Kind())
+	ca, cb := CompareClass(a.Kind()), CompareClass(b.Kind())
 	if ca != cb {
 		return cmpInt(ca, cb)
 	}
@@ -53,9 +53,10 @@ func Compare(a, b Value) int {
 	return 0
 }
 
-// compareClass groups kinds into total-order classes so that Int and
-// Float share a class.
-func compareClass(k Kind) int {
+// CompareClass ranks kinds into the total order's comparison classes:
+// Int and Float share one, and Compare orders values of different
+// classes by this rank alone.
+func CompareClass(k Kind) int {
 	switch k {
 	case KindMissing:
 		return 0

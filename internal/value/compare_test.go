@@ -214,3 +214,51 @@ func TestSortValues(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareZeroExactlyWhenEquivalent: on every probeable class the
+// total order calls two values equal exactly when their grouping keys
+// agree. An ordered index answers an equality probe by binary search
+// under Compare, so this is what makes it agree with a hash index and
+// with '='. The pool mixes the numeric edges (1/1.0, 0/-0.0, NaN of
+// both signs, 2^53±1, ±2^63, the int64 limits, ±Inf), arrays and bags
+// of them in both orders, tuples with permuted attributes, and random
+// values.
+func TestCompareZeroExactlyWhenEquivalent(t *testing.T) {
+	edges := []Value{
+		Int(0), Float(0), Float(math.Copysign(0, -1)), Int(1), Float(1), Int(-1), Float(-1), Float(0.5),
+		Float(math.NaN()), Float(math.Copysign(math.NaN(), -1)),
+		Int(1<<53 - 1), Int(1 << 53), Int(1<<53 + 1), Float(1<<53 - 1), Float(1 << 53), Float(1<<53 + 2),
+		Int(math.MaxInt64), Int(math.MinInt64), Float(1 << 63), Float(-(1 << 63)),
+		Float(math.Inf(1)), Float(math.Inf(-1)),
+		Bool(false), Bool(true), String(""), String("a"), Bytes{}, Bytes{'a'},
+	}
+	pool := append([]Value(nil), edges...)
+	for _, x := range edges[:10] {
+		for _, y := range edges[:10] {
+			pool = append(pool, Array{x, y}, Bag{x, y}, Bag{y, x},
+				NewTuple(Field{Name: "a", Value: x}, Field{Name: "b", Value: y}),
+				NewTuple(Field{Name: "b", Value: y}, Field{Name: "a", Value: x}))
+		}
+	}
+	r := rand.New(rand.NewSource(17))
+	for len(pool) < 900 {
+		if v := genValue(r, 2); !IsAbsent(v) {
+			pool = append(pool, v)
+		}
+	}
+	equal := 0
+	for _, a := range pool {
+		for _, b := range pool {
+			cmp, eq := Compare(a, b) == 0, Equivalent(a, b)
+			if cmp != eq {
+				t.Fatalf("Compare(%v, %v) == 0 is %v, Equivalent is %v", a, b, cmp, eq)
+			}
+			if eq {
+				equal++
+			}
+		}
+	}
+	if equal < 2*len(pool) {
+		t.Fatalf("only %d equal pairs among %d values: the pool exercises too few collisions", equal, len(pool))
+	}
+}

@@ -315,14 +315,15 @@ func AsFloat(v Value) (float64, bool) {
 }
 
 // AsInt returns the value of an Int, or of a Float with an integral value
-// that fits in int64.
+// that fits in int64. The upper bound is exclusive: math.MaxInt64 rounds
+// to 2^63 as a float64, and 2^63 does not fit.
 func AsInt(v Value) (int64, bool) {
 	switch n := v.(type) {
 	case Int:
 		return int64(n), true
 	case Float:
 		f := float64(n)
-		if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+		if f == math.Trunc(f) && f >= math.MinInt64 && f < 1<<63 {
 			return int64(f), true
 		}
 	}

@@ -330,3 +330,37 @@ func TestIntegerOverflowWidens(t *testing.T) {
 		}
 	}
 }
+
+// TestFloatTwoTo63DoesNotWrap: math.MaxInt64 rounds to 2^63 as a
+// float64, so a float 2^63 once passed the "fits int64" test and wrapped
+// to math.MinInt64 in grouping keys, in '=' and in CAST. On both paths,
+// in both compat and both typing modes, the two values now differ
+// everywhere and the CAST is the "does not fit" type fault (MISSING in
+// permissive mode).
+func TestFloatTwoTo63DoesNotWrap(t *testing.T) {
+	const pair = `[9223372036854775808.0, -9223372036854775807 - 1]`
+	for _, compat := range []bool{false, true} {
+		for _, strict := range []bool{false, true} {
+			for _, oracle := range []bool{false, true} {
+				db := sqlpp.New(&sqlpp.Options{Compat: compat, StopOnError: strict, DisableOptimizer: oracle})
+				castWant := "{{}}"
+				if strict {
+					castWant = "error: type error at 1:14 in CAST: float value does not fit an integer"
+				}
+				for _, c := range []struct{ q, want string }{
+					{`SELECT VALUE 9223372036854775808.0 = -9223372036854775807 - 1`, "{{false}}"},
+					{`SELECT VALUE 9223372036854775808.0 > -9223372036854775807 - 1`, "{{true}}"},
+					{`SELECT VALUE CAST(9223372036854775808.0 AS INT)`, castWant},
+					{`SELECT VALUE CAST(-9223372036854775808.0 AS INT)`, "{{-9223372036854775808}}"},
+					{`SELECT x AS x, COUNT(*) AS c FROM ` + pair + ` AS x GROUP BY x`,
+						"{{{'x': 9.223372036854776e+18, 'c': 1}, {'x': -9223372036854775808, 'c': 1}}}"},
+					{`SELECT DISTINCT VALUE x FROM ` + pair + ` AS x`, "{{9.223372036854776e+18, -9223372036854775808}}"},
+				} {
+					if got := outcome(db.Query(c.q)); got != c.want {
+						t.Errorf("compat=%v strict=%v oracle=%v: %s = %s, want %s", compat, strict, oracle, c.q, got, c.want)
+					}
+				}
+			}
+		}
+	}
+}
