@@ -270,35 +270,18 @@ func vetQuery(db *sqlpp.Engine, query string) ([]sqlpp.Diagnostic, error) {
 	return p.Diagnostics(), nil
 }
 
-// loadFile registers path under name, inferring the format from the
-// extension.
+// loadFile registers path under name, in the format its extension names.
 func loadFile(db *sqlpp.Engine, name, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".json":
-		return db.RegisterJSON(name, f)
-	case ".jsonl", ".ndjson":
-		return db.RegisterJSONLines(name, f)
-	case ".csv":
-		return db.RegisterCSV(name, f)
-	case ".cbor":
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return db.RegisterCBOR(name, data)
-	case ".sion", ".sqlpp", ".txt":
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return db.RegisterSION(name, string(data))
+	v, err := datafmt.Decode(filepath.Ext(path), f)
+	if err != nil {
+		return fmt.Errorf("load %s: %w", path, err)
 	}
-	return fmt.Errorf("unknown data format for %s (want .json, .jsonl, .csv, .cbor, or .sion)", path)
+	return db.Register(name, v)
 }
 
 // splitStatements splits a script on ';' terminators, ignoring

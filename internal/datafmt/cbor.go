@@ -23,30 +23,9 @@ const cborBagTag = 258
 // CBORContentType is the media type of a CBOR body.
 const CBORContentType = "application/cbor"
 
-// maxCBORDepth bounds how deeply arrays, maps and tags may nest, so that
-// hostile input (0x81 0x81 …) is an error and not a stack overflow.
-const maxCBORDepth = 1000
-
-// CBORSyntaxError describes malformed or truncated CBOR input with the
-// byte offset it was detected at. Truncated input wraps
-// io.ErrUnexpectedEOF.
-type CBORSyntaxError struct {
-	Offset int64
-	Msg    string
-	Err    error
-}
-
-// Error implements the error interface.
-func (e *CBORSyntaxError) Error() string {
-	return fmt.Sprintf("datafmt: cbor offset %d: %s", e.Offset, e.Msg)
-}
-
-// Unwrap exposes io.ErrUnexpectedEOF for truncated input.
-func (e *CBORSyntaxError) Unwrap() error { return e.Err }
-
 // DecodeCBOR decodes a single CBOR data item.
 func DecodeCBOR(data []byte) (value.Value, error) {
-	d := &cborDecoder{buf: data, credit: len(data)}
+	d := &cborDecoder{buf: data, builder: builder{format: "cbor", credit: len(data)}}
 	v, err := d.value()
 	if err != nil {
 		return nil, err
@@ -63,7 +42,7 @@ func DecodeCBOR(data []byte) (value.Value, error) {
 // it, since strings, byte strings and attribute names are copied out.
 func DecodeCBORFrom(r io.Reader) (value.Value, error) {
 	buf := getCBORBuf()
-	d := cborDecoder{r: r, buf: *buf}
+	d := cborDecoder{r: r, buf: *buf, builder: builder{format: "cbor"}}
 	defer func() {
 		*buf = d.buf
 		putCBORBuf(buf)
@@ -89,17 +68,12 @@ type cborDecoder struct {
 	// base is the input offset of buf[0]; rerr the error that ended r.
 	base int64
 	rerr error
-	// depth counts the open arrays, maps and tags.
-	depth int
-	// credit is how many collection slots may still be allocated ahead of
-	// their elements: one per input byte seen, since every element takes
-	// at least a byte. A head that claims 2^32 elements therefore costs
-	// what the input could fill, not what it claims.
-	credit int
+	// builder's credit grows by each byte read.
+	builder
 }
 
 func (d *cborDecoder) errf(format string, args ...any) error {
-	return &CBORSyntaxError{Offset: d.base + int64(d.pos), Msg: fmt.Sprintf(format, args...)}
+	return &SyntaxError{Format: "cbor", Offset: d.base + int64(d.pos), Msg: fmt.Sprintf(format, args...)}
 }
 
 // fill makes buf[pos:pos+n] available, reading on from r.
@@ -136,7 +110,7 @@ func (d *cborDecoder) truncated(n int) error {
 	if d.rerr != nil && d.rerr != io.EOF {
 		return fmt.Errorf("datafmt: cbor offset %d: %w", d.base+int64(len(d.buf)), d.rerr)
 	}
-	return &CBORSyntaxError{Offset: d.base + int64(len(d.buf)), Err: io.ErrUnexpectedEOF,
+	return &SyntaxError{Format: "cbor", Offset: d.base + int64(len(d.buf)), Err: io.ErrUnexpectedEOF,
 		Msg: fmt.Sprintf("truncated item (need %d bytes)", n)}
 }
 
@@ -165,14 +139,6 @@ func (d *cborDecoder) take(n uint64) ([]byte, error) {
 	out := d.buf[d.pos : d.pos+int(n)]
 	d.pos += int(n)
 	return out, nil
-}
-
-// presize grants the capacity to allocate for a collection whose head
-// claims n elements.
-func (d *cborDecoder) presize(n uint64) int {
-	g := int(min(n, uint64(d.credit)))
-	d.credit -= g
-	return g
 }
 
 // head reads a major type, its additional-info bits, and its argument.
@@ -244,13 +210,7 @@ func (d *cborDecoder) value() (value.Value, error) {
 		}
 		return value.String(bs), nil
 	case 4, 5, 6:
-		if d.depth == maxCBORDepth {
-			return nil, d.errf("nesting deeper than %d", maxCBORDepth)
-		}
-		d.depth++
-		v, err := d.nested(major, arg)
-		d.depth--
-		return v, err
+		return d.nested(major, arg)
 	case 7: // simple / float
 		if info < 24 {
 			switch arg {
@@ -291,45 +251,45 @@ func (d *cborDecoder) key() ([]byte, error) {
 
 // nested decodes the items inside an array, map or tag head.
 func (d *cborDecoder) nested(major byte, arg uint64) (value.Value, error) {
-	switch major {
-	case 4: // array
-		out := make(value.Array, 0, d.presize(arg))
-		for i := uint64(0); i < arg; i++ {
-			v, err := d.value()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
+	off := d.base + int64(d.pos)
+	if major == 6 { // tag
+		if _, err := d.open(off); err != nil {
+			return nil, err
 		}
-		return out, nil
-	case 5: // map
-		shape := value.ShapeOf()
-		vals := make([]value.Value, 0, d.presize(arg))
-		for i := uint64(0); i < arg; i++ {
+		v, err := d.value()
+		if err != nil {
+			return nil, err
+		}
+		d.shut()
+		if a, ok := v.(value.Array); ok && arg == cborBagTag {
+			return value.Bag(a), nil
+		}
+		return v, nil
+	}
+	vals, err := d.openCounted(off, arg)
+	if err != nil {
+		return nil, err
+	}
+	shape := value.ShapeOf()
+	for i := uint64(0); i < arg; i++ {
+		if major == 5 { // map
 			name, err := d.key()
 			if err != nil {
 				return nil, err
 			}
 			shape = shape.WithBytes(name)
-			v, err := d.value()
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, v)
 		}
+		v, err := d.value()
+		if err != nil {
+			return nil, err
+		}
+		vals = append(vals, v)
+	}
+	d.shut()
+	if major == 5 {
 		return shape.New(vals), nil
 	}
-	// tag
-	v, err := d.value()
-	if err != nil {
-		return nil, err
-	}
-	if arg == cborBagTag {
-		if a, ok := v.(value.Array); ok {
-			return value.Bag(a), nil
-		}
-	}
-	return v, nil
+	return value.Array(vals), nil
 }
 
 // float16ToFloat64 decodes an IEEE-754 half-precision value.

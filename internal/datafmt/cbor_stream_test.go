@@ -79,16 +79,16 @@ func TestDecodeCBORFromErrors(t *testing.T) {
 	enc := mustEncodeCBOR(t, eventRows(100))
 
 	_, err := DecodeCBORFrom(bytes.NewReader(enc[:len(enc)/2]))
-	var syn *CBORSyntaxError
+	var syn *SyntaxError
 	if !errors.As(err, &syn) || !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncated input: got %v, want a CBORSyntaxError wrapping io.ErrUnexpectedEOF", err)
+		t.Errorf("truncated input: got %v, want a *SyntaxError wrapping io.ErrUnexpectedEOF", err)
 	}
 
 	trailing := append(enc[:len(enc):len(enc)], 0x00)
 	for _, rd := range []io.Reader{bytes.NewReader(trailing), iotest.DataErrReader(bytes.NewReader(trailing))} {
 		_, err = DecodeCBORFrom(rd)
 		if !errors.As(err, &syn) || errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("trailing byte: got %v, want a CBORSyntaxError", err)
+			t.Errorf("trailing byte: got %v, want a *SyntaxError", err)
 		}
 	}
 
@@ -116,14 +116,14 @@ func TestCBORHostileHeads(t *testing.T) {
 	deep := bytes.Repeat([]byte{0x81}, 1<<20) // [[[[…
 	for _, src := range [][]byte{deep, bytes.Repeat([]byte{0xc1}, 1<<20)} {
 		_, err := DecodeCBOR(src)
-		var syn *CBORSyntaxError
+		var syn *SyntaxError
 		if !errors.As(err, &syn) {
-			t.Errorf("nesting 2^20 deep: got %v, want a CBORSyntaxError", err)
+			t.Errorf("nesting 2^20 deep: got %v, want a *SyntaxError", err)
 		}
 	}
-	ok := append(bytes.Repeat([]byte{0x81}, maxCBORDepth), 0x00)
+	ok := append(bytes.Repeat([]byte{0x81}, MaxDepth), 0x00)
 	if _, err := DecodeCBOR(ok); err != nil {
-		t.Errorf("nesting of exactly maxCBORDepth: %v", err)
+		t.Errorf("nesting of exactly MaxDepth: %v", err)
 	}
 }
 
@@ -223,18 +223,13 @@ func FuzzDecodeCBOR(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x81}, 4096))
 	f.Add(bytes.Repeat([]byte{0x9a, 0x00, 0x10, 0x00, 0x00}, 64)) // nested arrays each claiming 2^20
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var v value.Value
-		var err error
 		// The densest inputs cost well under 128 B per byte: one-byte
 		// integers at 24 B each (slot and box) in an array grown by
 		// doubling, behind heads that spent the presizing credit on
 		// nothing, or map entries of two bytes whose empty key is new in
 		// its place (130-170 B each with the shape, measured cold, against
-		// 256). The constant covers the decoder.
-		got := allocatedBy(func() { v, err = DecodeCBOR(data) })
-		if limit := uint64(128*len(data) + 8<<10); got > limit {
-			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
-		}
+		// 256).
+		v, err := decodeChecked(t, data, 0, func() (value.Value, error) { return DecodeCBOR(data) })
 		fromReader, rerr := DecodeCBORFrom(iotest.HalfReader(bytes.NewReader(data)))
 		if (err == nil) != (rerr == nil) {
 			t.Fatalf("slice decoder: %v; reader decoder: %v", err, rerr)

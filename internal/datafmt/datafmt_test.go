@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"sqlpp/internal/sion"
 	"sqlpp/internal/value"
 )
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"sqlpp/internal/sion"
 	"sqlpp/internal/value"
 )
 

@@ -1,16 +1,3 @@
-// Package datafmt maps external data formats onto the SQL++ data model,
-// realizing the paper's format-independence tenet: a query is written
-// identically over JSON, CSV, CBOR, or the paper's object notation,
-// because every format decodes to the same logical values.
-//
-// Mapping notes:
-//   - JSON objects become tuples (preserving member order and permitting
-//     duplicate names), arrays become arrays, and top-level arrays can be
-//     read as bags for collection registration.
-//   - CSV rows become tuples named by the header line; fields parse as
-//     numbers or booleans when unambiguous, else strings.
-//   - CBOR (RFC 8949) is implemented from scratch for the major types;
-//     maps with text keys become tuples, arrays become arrays.
 package datafmt
 
 import (
@@ -26,28 +13,6 @@ import (
 
 	"sqlpp/internal/value"
 )
-
-// JSONSyntaxError describes malformed or truncated JSON input with the
-// byte offset it was detected at. Truncated input wraps
-// io.ErrUnexpectedEOF.
-type JSONSyntaxError struct {
-	Offset int64
-	Msg    string
-	Err    error
-}
-
-// Error implements the error interface.
-func (e *JSONSyntaxError) Error() string {
-	return fmt.Sprintf("datafmt: json offset %d: %s", e.Offset, e.Msg)
-}
-
-// Unwrap exposes io.ErrUnexpectedEOF for truncated input.
-func (e *JSONSyntaxError) Unwrap() error { return e.Err }
-
-// maxJSONDepth bounds how deeply arrays and objects may nest (the bound
-// encoding/json uses), so hostile input is an error and not a stack the
-// size of the input.
-const maxJSONDepth = 10000
 
 // jsonWindow is how much input the decoder holds at a time, beyond a
 // token longer than that.
@@ -98,12 +63,12 @@ func DecodeJSONLines(r io.Reader) (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.stack = append(d.stack, v)
+		d.push(v)
 	}
 	if d.rerr != nil {
 		return nil, d.truncated()
 	}
-	return value.Bag(d.pop(0)), nil
+	return value.Bag(d.all()), nil
 }
 
 // jsonDecoder decodes by recursive descent, straight into values: object
@@ -121,19 +86,15 @@ type jsonDecoder struct {
 	base int64
 	// mark is where the token being read began, which the window must
 	// keep; -1 between tokens.
-	mark  int
-	depth int
-	// stack holds the elements of the open arrays and objects, innermost
-	// last; a container that closes copies its own into a slice of
-	// exactly their number.
-	stack []value.Value
+	mark int
+	builder
 	// unquoted is the scratch that strings with escapes or invalid UTF-8
 	// are rebuilt in.
 	unquoted []byte
 }
 
 func newJSONDecoder(r io.Reader) *jsonDecoder {
-	return &jsonDecoder{r: r, buf: make([]byte, 0, 512), mark: -1}
+	return &jsonDecoder{r: r, buf: make([]byte, 0, 512), mark: -1, builder: builder{format: "json"}}
 }
 
 // more reads further input, first sliding the window past what has been
@@ -193,7 +154,7 @@ func (d *jsonDecoder) peek() byte {
 }
 
 func (d *jsonDecoder) errf(format string, args ...any) error {
-	return &JSONSyntaxError{Offset: d.base + int64(d.pos), Msg: fmt.Sprintf(format, args...)}
+	return &SyntaxError{Format: "json", Offset: d.base + int64(d.pos), Msg: fmt.Sprintf(format, args...)}
 }
 
 // truncated is the error for input that ended, or failed, inside a value.
@@ -202,7 +163,7 @@ func (d *jsonDecoder) truncated() error {
 	if d.rerr != nil {
 		return fmt.Errorf("datafmt: json offset %d: %w", end, d.rerr)
 	}
-	return &JSONSyntaxError{Offset: end, Msg: "unexpected end of input", Err: io.ErrUnexpectedEOF}
+	return &SyntaxError{Format: "json", Offset: end, Msg: "unexpected end of input", Err: io.ErrUnexpectedEOF}
 }
 
 // skipSpace moves past white space and reports whether input remains.
@@ -222,34 +183,21 @@ func (d *jsonDecoder) skipSpace() bool {
 	}
 }
 
-// pop removes the stack above base and returns it as a slice of its own.
-func (d *jsonDecoder) pop(base int) []value.Value {
-	out := make([]value.Value, len(d.stack)-base)
-	copy(out, d.stack[base:])
-	d.stack = d.stack[:base]
-	return out
-}
-
 func (d *jsonDecoder) value() (value.Value, error) {
 	if !d.skipSpace() {
 		return nil, d.truncated()
 	}
 	switch c := d.buf[d.pos]; c {
 	case '{', '[':
-		if d.depth == maxJSONDepth {
-			return nil, d.errf("nesting deeper than %d", maxJSONDepth)
+		base, err := d.open(d.base + int64(d.pos))
+		if err != nil {
+			return nil, err
 		}
 		d.pos++
-		d.depth++
-		var v value.Value
-		var err error
 		if c == '{' {
-			v, err = d.object()
-		} else {
-			v, err = d.array()
+			return d.object(base)
 		}
-		d.depth--
-		return v, err
+		return d.array(base)
 	case '"':
 		s, err := d.stringBytes()
 		if err != nil {
@@ -283,43 +231,41 @@ func (d *jsonDecoder) literal(word string, v value.Value) (value.Value, error) {
 	return v, nil
 }
 
-// array decodes the elements after '['.
-func (d *jsonDecoder) array() (value.Value, error) {
-	base := len(d.stack)
+// array decodes the elements after '[', of the array opened at base.
+func (d *jsonDecoder) array(base int) (value.Value, error) {
 	if !d.skipSpace() {
 		return nil, d.truncated()
 	}
 	if d.buf[d.pos] == ']' {
 		d.pos++
-		return value.Array{}, nil
+		return value.Array(d.close(base)), nil
 	}
 	for {
 		v, err := d.value()
 		if err != nil {
 			return nil, err
 		}
-		d.stack = append(d.stack, v)
+		d.push(v)
 		more, err := d.next(']')
 		if err != nil {
 			return nil, err
 		}
 		if !more {
-			return value.Array(d.pop(base)), nil
+			return value.Array(d.close(base)), nil
 		}
 	}
 }
 
-// object decodes the members after '{'. Member order and duplicate names
-// are kept.
-func (d *jsonDecoder) object() (value.Value, error) {
-	base := len(d.stack)
+// object decodes the members after '{', of the object opened at base.
+// Member order and duplicate names are kept.
+func (d *jsonDecoder) object(base int) (value.Value, error) {
 	shape := value.ShapeOf()
 	if !d.skipSpace() {
 		return nil, d.truncated()
 	}
 	if d.buf[d.pos] == '}' {
 		d.pos++
-		return shape.New(nil), nil
+		return shape.New(d.close(base)), nil
 	}
 	for {
 		if !d.skipSpace() {
@@ -344,13 +290,13 @@ func (d *jsonDecoder) object() (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.stack = append(d.stack, v)
+		d.push(v)
 		more, err := d.next('}')
 		if err != nil {
 			return nil, err
 		}
 		if !more {
-			return shape.New(d.pop(base)), nil
+			return shape.New(d.close(base)), nil
 		}
 	}
 }

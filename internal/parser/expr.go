@@ -22,6 +22,10 @@ func (p *parser) parseExpr() (ast.Expr, error) {
 // operand: after "a IS NULL" or "a IN (1, 2)", which end without a right
 // operand to absorb it, "* 2" is an error, not (a IS NULL) * 2.
 func (p *parser) parseBinding(min ast.Prec) (ast.Expr, error) {
+	outer := p.depth
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
 	left, err := p.parsePrefix(min)
 	if err != nil {
 		return nil, err
@@ -30,7 +34,11 @@ func (p *parser) parseBinding(min ast.Prec) (ast.Expr, error) {
 	for {
 		prec, ok := p.atInfix()
 		if !ok || prec < min || prec > max {
+			p.depth = outer
 			return left, nil
+		}
+		if err := p.enter(); err != nil {
+			return nil, err
 		}
 		if left, err = p.parseInfix(left, prec); err != nil {
 			return nil, err
@@ -217,6 +225,7 @@ func (p *parser) parseInRHS() (set ast.Expr, list []ast.Expr, err error) {
 // ".name" and "[index]". A ".*" suffix is left unconsumed for the SELECT
 // item parser.
 func (p *parser) parsePath() (ast.Expr, error) {
+	outer := p.depth
 	e, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
@@ -224,6 +233,9 @@ func (p *parser) parsePath() (ast.Expr, error) {
 	for {
 		switch {
 		case p.at(".") && !p.atOffset(1, "*"):
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
 			pos := p.next().Pos
 			tok := p.peek()
 			var name string
@@ -243,6 +255,9 @@ func (p *parser) parsePath() (ast.Expr, error) {
 			setPos(fa, pos)
 			e = fa
 		case p.at("["):
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
 			pos := p.next().Pos
 			idx, err := p.parseExpr()
 			if err != nil {
@@ -255,6 +270,7 @@ func (p *parser) parsePath() (ast.Expr, error) {
 			setPos(ia, pos)
 			e = ia
 		default:
+			p.depth = outer
 			return e, nil
 		}
 	}

@@ -94,9 +94,20 @@ func MustParse(src string) ast.Expr {
 	return e
 }
 
+// MaxDepth bounds how deeply a query may nest: expressions within
+// expressions (parentheses, constructors, operators, subqueries), chains
+// that build left-deep trees, and WITH clauses within WITH bodies. The
+// query's own expression is the first level, so MaxDepth-1 parentheses
+// around a literal parse and MaxDepth do not. Every stage after the
+// parser walks the tree recursively too, so hostile text is a parse error
+// here, not a stack the size of the text.
+const MaxDepth = 5000
+
 type parser struct {
 	toks []lexer.Token
 	pos  int
+	// depth counts the levels of nesting open at pos.
+	depth int
 	// slotOf, set by ParseTemplate, numbers the numeric literal tokens:
 	// slotOf[i] is token i's slot, or -1.
 	slotOf []int
@@ -104,6 +115,20 @@ type parser struct {
 
 func (p *parser) errf(pos lexer.Pos, format string, args ...any) error {
 	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// enter opens a level of nesting; one past MaxDepth is an error. A
+// recursive call enters a level for what it parses, and a loop that builds
+// a left-deep tree (operators, navigation steps, set operations, joins)
+// one per step, since each puts the tree so far a level deeper. The
+// function that entered closes its levels as it returns its tree (on an
+// error the parse is over).
+func (p *parser) enter() error {
+	if p.depth == MaxDepth {
+		return p.errf(p.peek().Pos, "nesting deeper than %d", MaxDepth)
+	}
+	p.depth++
+	return nil
 }
 
 func (p *parser) peek() lexer.Token { return p.peekAt(0) }
@@ -172,11 +197,15 @@ func (p *parser) atQueryStart() bool {
 // parseQueryExpr parses a query expression: one or more query terms
 // combined with UNION/EXCEPT/INTERSECT, or a plain expression.
 func (p *parser) parseQueryExpr() (ast.Expr, error) {
+	outer := p.depth
 	left, err := p.parseQueryTerm()
 	if err != nil {
 		return nil, err
 	}
 	for p.at("UNION") || p.at("EXCEPT") || p.at("INTERSECT") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		op := p.next()
 		all := p.accept("ALL")
 		right, err := p.parseQueryTerm()
@@ -186,6 +215,7 @@ func (p *parser) parseQueryExpr() (ast.Expr, error) {
 		left = &ast.SetOp{Op: op.Text, All: all, L: left, R: right}
 		setPos(left, op.Pos)
 	}
+	p.depth = outer
 	return left, nil
 }
 
@@ -222,10 +252,14 @@ func (p *parser) parseWith() (ast.Expr, error) {
 			break
 		}
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
 	body, err := p.parseQueryExpr()
 	if err != nil {
 		return nil, err
 	}
+	p.depth--
 	w.Body = body
 	return w, nil
 }
@@ -462,6 +496,7 @@ func (p *parser) parseFromList() ([]ast.FromItem, error) {
 }
 
 func (p *parser) parseJoinChain() (ast.FromItem, error) {
+	outer := p.depth
 	left, err := p.parseFromUnit()
 	if err != nil {
 		return nil, err
@@ -489,7 +524,11 @@ func (p *parser) parseJoinChain() (ast.FromItem, error) {
 			p.next()
 			kind = ast.JoinCross
 		default:
+			p.depth = outer
 			return left, nil
+		}
+		if err := p.enter(); err != nil {
+			return nil, err
 		}
 		right, err := p.parseFromUnit()
 		if err != nil {

@@ -80,3 +80,42 @@ func TestDeepNestingTerminates(t *testing.T) {
 		t.Fatalf("deep arrays should parse: %v", err)
 	}
 }
+
+// nestings are the ways a query nests, each written n levels deep.
+var nestings = map[string]func(n int) string{
+	"parentheses": func(n int) string { return strings.Repeat("(", n) + "1" + strings.Repeat(")", n) },
+	"arrays":      func(n int) string { return strings.Repeat("[", n) + "1" + strings.Repeat("]", n) },
+	"bags":        func(n int) string { return strings.Repeat("{{", n) + "1" + strings.Repeat("}}", n) },
+	"angle bags":  func(n int) string { return strings.Repeat("<<", n) + "1" + strings.Repeat(">>", n) },
+	"unary minus": func(n int) string { return strings.Repeat("- ", n) + "1" },
+	"NOT":         func(n int) string { return strings.Repeat("NOT ", n) + "true" },
+	"sub-blocks":  func(n int) string { return strings.Repeat("(SELECT VALUE ", n) + "1" + strings.Repeat(")", n) },
+	"tuples":      func(n int) string { return strings.Repeat("{'a': ", n) + "1" + strings.Repeat("}", n) },
+	"WITH bodies": func(n int) string { return strings.Repeat("WITH a AS 1 ", n) + "a" },
+	"operators":   func(n int) string { return "1" + strings.Repeat(" + 1", n) },
+	"field steps": func(n int) string { return "x" + strings.Repeat(".a", n) },
+	"index steps": func(n int) string { return "x" + strings.Repeat("[0]", n) },
+	"set operations": func(n int) string {
+		return "SELECT VALUE 1" + strings.Repeat(" UNION ALL SELECT VALUE 1", n)
+	},
+	"joins": func(n int) string {
+		return "SELECT VALUE 1 FROM x AS x" + strings.Repeat(" JOIN x AS y ON true", n)
+	},
+}
+
+// TestNestingBound: one level past MaxDepth is a *Error, whichever way
+// the text nests, and a query nested to the bound still parses.
+func TestNestingBound(t *testing.T) {
+	for name, nest := range nestings {
+		_, err := Parse(nest(MaxDepth + 1))
+		if pe, ok := err.(*Error); !ok || !strings.Contains(pe.Msg, "nesting deeper") {
+			t.Errorf("%s nested %d deep: %v, want a nesting *Error", name, MaxDepth+1, err)
+		}
+	}
+	for _, n := range []int{MaxDepth - 1, MaxDepth} {
+		_, err := Parse(nestings["parentheses"](n))
+		if (err == nil) != (n < MaxDepth) {
+			t.Errorf("%d parentheses: %v", n, err)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,7 +15,6 @@ import (
 	"sqlpp"
 	"sqlpp/internal/datafmt"
 	"sqlpp/internal/faultinject"
-	"sqlpp/internal/sion"
 	"sqlpp/internal/value"
 )
 
@@ -668,9 +666,10 @@ func (s *Server) writeCBOR(w http.ResponseWriter, v value.Value) {
 	}
 }
 
-// handleIngest loads a request body into the catalog under the path's
-// collection name. The format comes from ?format= or the Content-Type;
-// SION is the default, matching the paper's notation.
+// handleIngest decodes a request body and registers it under the path's
+// collection name, or with ?mode=append appends it to the collection. The
+// format comes from ?format=, else from the Content-Type; it is the
+// paper's object notation when neither names one.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if name == "" {
@@ -679,68 +678,29 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	format := r.URL.Query().Get("format")
 	if format == "" {
-		format = formatFromContentType(r.Header.Get("Content-Type"))
+		format = r.Header.Get("Content-Type")
+		if _, ok := datafmt.FormatOf(format); !ok {
+			format = "sion"
+		}
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-
 	var err error
 	if faultinject.Enabled {
 		err = faultinject.Fire(faultinject.IngestDecode)
 	}
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "ingest %s: %v", name, err)
-		return
+	var v value.Value
+	if err == nil {
+		v, err = datafmt.Decode(format, declaredBody{http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength})
 	}
-	if r.URL.Query().Get("mode") == "append" {
-		// Appends cost the rows they add, not the collection: the catalog
-		// writes them into its growable tail and adds one segment to each
-		// secondary index. Only SION bodies are supported.
-		if format != "sion" && format != "" {
-			s.fail(w, http.StatusBadRequest, "append mode supports only the sion format")
-			return
+	status := http.StatusCreated
+	if err == nil {
+		// An append costs the rows it adds, not the collection: the
+		// catalog writes them into its growable tail and adds one segment
+		// to each secondary index.
+		if r.URL.Query().Get("mode") == "append" {
+			err, status = s.engine.Append(name, v), http.StatusOK
+		} else {
+			err = s.engine.Register(name, v)
 		}
-		var data []byte
-		if data, err = readBody(body, r.ContentLength); err == nil {
-			err = s.engine.AppendSION(name, string(data))
-		}
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "append %s: %v", name, err)
-			return
-		}
-		s.cache.Purge()
-		s.metrics.Ingests.Add(1)
-		count := -1
-		if v, ok := s.engine.Lookup(name); ok {
-			if els, ok := value.Elements(v); ok {
-				count = len(els)
-			}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"name": name, "count": count})
-		return
-	}
-	switch format {
-	case "sion", "":
-		var data []byte
-		if data, err = readBody(body, r.ContentLength); err == nil {
-			var v value.Value
-			if v, err = sion.Parse(string(data)); err == nil {
-				err = s.engine.Register(name, v)
-			}
-		}
-	case "json":
-		err = s.engine.RegisterJSON(name, body)
-	case "jsonl", "ndjson":
-		err = s.engine.RegisterJSONLines(name, body)
-	case "csv":
-		err = s.engine.RegisterCSV(name, body)
-	case "cbor":
-		var data []byte
-		if data, err = readBody(body, r.ContentLength); err == nil {
-			err = s.engine.RegisterCBOR(name, data)
-		}
-	default:
-		s.fail(w, http.StatusBadRequest, "unknown format %q (want sion, json, jsonl, csv, or cbor)", format)
-		return
 	}
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "ingest %s: %v", name, err)
@@ -760,33 +720,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			count = 1
 		}
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{"name": name, "count": count})
+	writeJSON(w, status, map[string]any{"name": name, "count": count})
 }
 
-// readBody is io.ReadAll for a request body: the buffer starts at the
-// length the client declared, so a body that keeps its word is read
-// without regrowing, and at no more than 1 MiB, so one that declares much
-// and sends little holds little.
-func readBody(body io.Reader, declared int64) ([]byte, error) {
-	var b bytes.Buffer
-	b.Grow(int(min(max(declared, 0), 1<<20)) + bytes.MinRead)
-	_, err := b.ReadFrom(body)
-	return b.Bytes(), err
+// declaredBody is a request body that tells datafmt.Decode the length its
+// client declared, which a format read whole is buffered by.
+type declaredBody struct {
+	io.Reader
+	declared int64
 }
 
-func formatFromContentType(ct string) string {
-	switch {
-	case ct == "application/json" || ct == "text/json":
-		return "json"
-	case ct == "application/x-ndjson" || ct == "application/jsonl":
-		return "jsonl"
-	case ct == "text/csv":
-		return "csv"
-	case ct == datafmt.CBORContentType:
-		return "cbor"
-	}
-	return "sion"
-}
+// Len implements the length datafmt.Decode looks for.
+func (b declaredBody) Len() int { return int(min(max(b.declared, 0), 1<<30)) }
 
 // handleCollections lists the registered names and namespaces.
 func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {

@@ -11,7 +11,8 @@
 //	POST /v1/query               run a query
 //	                             body: {"query", "params", "options", "timeout_ms", "format"}
 //	POST /v1/collections/{name}  ingest a collection (?format=sion|json|jsonl|csv|cbor;
-//	                             ?mode=append extends it and its indexes incrementally)
+//	                             ?mode=append, in any of them, extends it and its indexes
+//	                             incrementally)
 //	GET  /v1/collections         list registered collections
 //	POST /v1/indexes             create a secondary index
 //	                             body: {"name", "collection", "path", "kind"}

@@ -386,7 +386,7 @@ func (x *HTTPExecutor) decode(hresp *http.Response) (*Response, error) {
 		case err == nil:
 			return &Response{Value: v}, nil
 		}
-		var syn *datafmt.CBORSyntaxError
+		var syn *datafmt.SyntaxError
 		if errors.As(err, &syn) && !errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, fmt.Errorf("decode result: %w", err)
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"sqlpp/internal/datafmt"
 	"sqlpp/internal/value"
 )
 
@@ -118,15 +119,15 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
-		} else if _, ok := err.(*SyntaxError); !ok {
-			t.Errorf("Parse(%q) error type %T, want *SyntaxError", src, err)
+		} else if _, ok := err.(*datafmt.SyntaxError); !ok {
+			t.Errorf("Parse(%q) error type %T, want *datafmt.SyntaxError", src, err)
 		}
 	}
 }
 
 func TestSyntaxErrorMessage(t *testing.T) {
 	_, err := Parse("[1, ")
-	se, ok := err.(*SyntaxError)
+	se, ok := err.(*datafmt.SyntaxError)
 	if !ok {
 		t.Fatalf("got %T", err)
 	}
