@@ -9,6 +9,7 @@ package sqlpp_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"sqlpp"
@@ -16,7 +17,13 @@ import (
 
 func goldenEngine(t *testing.T) *sqlpp.Engine {
 	t.Helper()
-	db := sqlpp.New(&sqlpp.Options{Parallelism: 1})
+	return goldenEngineWith(t, &sqlpp.Options{Parallelism: 1})
+}
+
+// goldenEngineWith is goldenEngine's catalog under opts.
+func goldenEngineWith(t *testing.T, opts *sqlpp.Options) *sqlpp.Engine {
+	t.Helper()
+	db := sqlpp.New(opts)
 	if err := db.RegisterSION("emp", `{{
 		{'id': 1, 'name': 'Ada',  'deptno': 10, 'salary': 120, 'title': 'Engineer'},
 		{'id': 2, 'name': 'Bob',  'deptno': 20, 'salary': 95,  'title': 'Engineer'},
@@ -202,14 +209,22 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 }
 
 // TestExplainAnalyzeGoldenParallel locks the parallel-scan shape: the
-// workers of a chunked scan fold into one shared node, so the tree looks
-// like the sequential one plus a chunks counter, and the row counts are
-// globally correct (not per worker).
+// workers of a chunked scan fold into one node per operator, so the tree
+// is the sequential one plus a chunks counter, and the row counts are
+// globally correct (not per worker) — a correlated sub-block run by
+// every worker and a hash join probed by every worker included.
 func TestExplainAnalyzeGoldenParallel(t *testing.T) {
-	db := sqlpp.New(&sqlpp.Options{Parallelism: 4})
-	if err := db.Register("emp", FlatEmp(1500, 40, 7)); err != nil {
-		t.Fatal(err)
+	engine := func(parallelism int) *sqlpp.Engine {
+		db := sqlpp.New(&sqlpp.Options{Parallelism: parallelism})
+		if err := db.Register("emp", FlatEmp(1500, 40, 7)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Register("dept", Departments(40, 7)); err != nil {
+			t.Fatal(err)
+		}
+		return db
 	}
+	db, seq := engine(4), engine(1)
 	cases := []struct {
 		name  string
 		query string
@@ -241,6 +256,126 @@ func TestExplainAnalyzeGoldenParallel(t *testing.T) {
   select(1:1) in=0 out=4
     scan(e) in=1500 out=1500 chunks=4 est_rows=1500
     distinct in=1500 out=4
+`,
+		},
+		{
+			// Every worker runs the correlated sub-block; its nodes sum the
+			// workers' invocations, and its rows out are the last one's.
+			name:  "parallel-correlated-subblock",
+			query: `SELECT e.name AS n FROM emp AS e WHERE 3 IN (SELECT VALUE COUNT(*) FROM [10, 20, 30] AS x WHERE x < e.deptno)`,
+			want: `query in=0 out=0
+  select(1:1) in=0 out=367
+    scan(e) in=1500 out=1500 chunks=4 est_rows=1500
+      filter(pushed) in=1500 out=367 est_rows=500
+    select(1:46) in=0 out=1
+      scan(x) in=4500 out=4500
+        filter(pushed) in=4500 out=2236
+      group-by(stream: COUNT) in=2236 out=1500
+`,
+		},
+		{
+			// Every worker probes the one hash table: candidates and
+			// verified sum across them.
+			name:  "parallel-hash-join",
+			query: `SELECT e.name AS n, d.name AS dn FROM emp AS e, dept AS d WHERE e.deptno = d.dno AND d.budget > 500000`,
+			want: `query in=0 out=0
+  select(1:1) in=0 out=811
+    scan(e) in=1500 out=1500 chunks=4 est_rows=1500
+    hash-join(inner) in=1500 out=1500 buckets=40 build_rows=40 candidates=1500 est_build=40 verified=1500
+      scan(d) in=40 out=40
+      filter(pushed) in=1500 out=811 est_rows=40
+`,
+		},
+	}
+	explain := func(t *testing.T, db *sqlpp.Engine, query string) string {
+		t.Helper()
+		p, err := db.Prepare(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stats, err := p.ExplainAnalyze(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats.Render(true)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := explain(t, db, tc.query)
+			if got != tc.want {
+				t.Errorf("stats tree mismatch:\n--- got ---\n%s--- want ---\n%s", got, tc.want)
+			}
+			if want := explain(t, seq, tc.query); strings.Replace(got, " chunks=4", "", 1) != want {
+				t.Errorf("parallel tree is not the sequential one plus chunks:\n--- parallel ---\n%s--- sequential ---\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestExplainAnalyzeGoldenOracle pins the reference oracle's tree
+// (DisableOptimizer): no plan, so no pushdown, hash join or estimates —
+// WHERE runs whole in clause position, a JOIN is the nested loop (its
+// inner scan accumulating across outer rows), and a correlated
+// subquery's operators accumulate across its invocations.
+func TestExplainAnalyzeGoldenOracle(t *testing.T) {
+	db := goldenEngineWith(t, &sqlpp.Options{Parallelism: 1, DisableOptimizer: true})
+	cases := []struct {
+		name  string
+		query string
+		want  string
+	}{
+		{
+			name:  "where-filter",
+			query: `SELECT e.name AS n FROM emp AS e WHERE e.salary > 100`,
+			want: `query in=0 out=0
+  select(1:1) in=0 out=4
+    scan(e) in=6 out=6
+    filter(where) in=6 out=4
+`,
+		},
+		{
+			name:  "nested-loop-left-join",
+			query: `SELECT e.name AS n, d.name AS dn FROM emp AS e LEFT JOIN dept AS d ON e.deptno = d.dno`,
+			want: `query in=0 out=0
+  select(1:1) in=0 out=6
+    join(left) in=0 out=6 left_pads=1
+      scan(e) in=6 out=6
+      scan(d) in=18 out=18
+`,
+		},
+		{
+			name:  "group-having",
+			query: `SELECT e.title AS title, COUNT(*) AS n FROM emp AS e GROUP BY e.title HAVING COUNT(*) > 1`,
+			want: `query in=0 out=0
+  select(1:1) in=0 out=2
+    scan(e) in=6 out=6
+    group-by(materialize) in=6 out=4
+    filter(having) in=4 out=2
+`,
+		},
+		{
+			name:  "correlated-subquery-accumulates",
+			query: `SELECT e.name AS n FROM emp AS e WHERE e.deptno IN (SELECT VALUE d.dno FROM dept AS d WHERE d.budget > 400)`,
+			want: `query in=0 out=0
+  select(1:1) in=0 out=5
+    scan(e) in=6 out=6
+    filter(where) in=6 out=5
+    select(1:53) in=0 out=2
+      scan(d) in=18 out=18
+      filter(where) in=18 out=12
+`,
+		},
+		{
+			name: "union-all",
+			query: `SELECT VALUE e.name FROM emp AS e WHERE e.salary > 100
+ UNION ALL SELECT VALUE d.name FROM dept AS d`,
+			want: `query in=0 out=0
+  set-op(UNION ALL) in=7 out=7
+    select(1:1) in=0 out=4
+      scan(e) in=6 out=6
+      filter(where) in=6 out=4
+    select(2:12) in=0 out=3
+      scan(d) in=3 out=3
 `,
 		},
 	}
