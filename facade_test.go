@@ -1,6 +1,7 @@
 package sqlpp
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -241,5 +242,29 @@ func TestConcurrentQueries(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestPrepareFieldChainIsLinear prepares a field chain on a constructor
+// head, `{'a': 1}.a.a…`, at two lengths: the rewriter resolves the chain
+// in one pass, so doubling its length must roughly double what Prepare
+// allocates (a walk per step quadruples it).
+func TestPrepareFieldChainIsLinear(t *testing.T) {
+	db := New(nil)
+	allocated := func(n int) uint64 {
+		query := "{'a': 1}" + strings.Repeat(".a", n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := db.Prepare(query); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(100) // warm the engine's one-time state
+	short, long := allocated(2000), allocated(4000)
+	t.Logf("Prepare allocates %d B at 2,000 steps, %d B at 4,000", short, long)
+	if float64(long) > 2.5*float64(short) {
+		t.Errorf("4,000 steps allocate %d B, more than 2.5× the %d B of 2,000", long, short)
 	}
 }

@@ -345,6 +345,11 @@ type SFW struct {
 	// the optimizer was disabled and the block executes with the naive
 	// clause pipeline.
 	Phys any
+	// RunSlot numbers the block among the query's blocks and set
+	// operations (NumberRunSlots); an execution keeps the block's run
+	// state, and with it the block's operator counts, at that index of
+	// eval.Context.Runs.
+	RunSlot int
 }
 
 // SetOp combines two query expressions with UNION/INTERSECT/EXCEPT.
@@ -353,6 +358,8 @@ type SetOp struct {
 	Op   string // "UNION", "INTERSECT", "EXCEPT"
 	All  bool
 	L, R Expr
+	// RunSlot is the set operation's run-state index, like SFW.RunSlot.
+	RunSlot int
 }
 
 // WithBinding names one common table expression. NamePos is the

@@ -149,3 +149,18 @@ func Inspect(e Expr, v Visitor) {
 	}
 	Children(e, func(c *Expr) { Inspect(*c, v) })
 }
+
+// NumberRunSlots numbers the query blocks and set operations under root
+// in Inspect order, setting their RunSlot fields.
+func NumberRunSlots(root Expr) {
+	n := 0
+	Inspect(root, func(e Expr) bool {
+		switch x := e.(type) {
+		case *SFW:
+			x.RunSlot, n = n, n+1
+		case *SetOp:
+			x.RunSlot, n = n, n+1
+		}
+		return true
+	})
+}

@@ -119,15 +119,14 @@ type Context struct {
 	// installs contexts that actually carry a Done channel, so the
 	// uncancellable path pays nothing.
 	Ctx context.Context
-	// Stats, when non-nil, turns on EXPLAIN ANALYZE instrumentation:
-	// physical operators record rows in/out, wall time, and per-operator
-	// counters into its tree. Nil is the fast path — each site pays one
-	// pointer test and nothing else.
-	Stats *StatsSink
+	// Analyze marks an EXPLAIN ANALYZE execution: operators also take
+	// wall time, once per phase (Clock, Time). Their row counts are kept
+	// on every execution.
+	Analyze bool
 	// Gov, when non-nil, enforces per-query resource budgets: the plan's
 	// materialization and output sites charge it, and an exceeded budget
 	// aborts the query with a *ResourceError. Nil is the fast path —
-	// one pointer test per site, exactly like Stats.
+	// one pointer test per site.
 	Gov *Governor
 	// Depth is the current query nesting depth, maintained by EnterBlock
 	// and checked against Gov's depth budget.
@@ -135,16 +134,15 @@ type Context struct {
 	// PlanPos is the source position of the innermost query block being
 	// executed; panic recovery stamps it into the PanicError.
 	PlanPos lexer.Pos
-	// StatsParent is the tree node new operator nodes attach under; the
-	// plan saves/restores it around nested query blocks so subquery
-	// operators nest under the enclosing block.
-	StatsParent *StatsNode
-	// Runs holds the run states of the query blocks this execution has
-	// entered, indexed by the number the optimizer gave each block;
-	// package plan owns the entries. A block entered once per outer
-	// binding (a correlated subquery) resets and reuses its run state
-	// instead of rebuilding it.
+	// Runs holds the run states of the query blocks and set operations
+	// this execution has entered, indexed by their RunSlot; package plan
+	// owns the blocks' entries, setOpValue the set operations'. A block
+	// entered once per outer binding (a correlated subquery) resets and
+	// reuses its run state instead of rebuilding it, and every operator's
+	// counts stay in its run state for EXPLAIN ANALYZE to render.
 	Runs []any
+	// runBuf backs Runs for a query of one block.
+	runBuf [1]any
 	// polls counts Interrupted calls so the cancellation signal is
 	// checked once every pollInterval produced rows rather than on every
 	// row. A Context is used by a single goroutine, so a plain counter
@@ -205,13 +203,24 @@ func (c *Context) pollNow() error {
 	return nil
 }
 
+// RunState returns the address of Runs[slot], growing Runs to hold it.
+func (c *Context) RunState(slot int) *any {
+	if c.Runs == nil {
+		c.Runs = c.runBuf[:0]
+	}
+	if slot >= len(c.Runs) {
+		c.Runs = slices.Grow(c.Runs, slot+1-len(c.Runs))[:slot+1]
+	}
+	return &c.Runs[slot]
+}
+
 // Fork returns a copy of c for one worker of a parallel scan. All the
 // shared fields (catalog, functions, runner, deadline context) are safe
 // for concurrent reads; the poll counter and the block run states are
 // per-goroutine state, and each fork starts its own.
 func (c *Context) Fork() *Context {
 	cp := *c
-	cp.polls, cp.Runs = 0, nil
+	cp.polls, cp.Runs, cp.runBuf = 0, nil, [1]any{}
 	return &cp
 }
 

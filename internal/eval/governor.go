@@ -17,9 +17,9 @@ import (
 // row charges its budget here, and exceeding a budget aborts that one
 // query with a typed ResourceError instead of exhausting the process.
 //
-// The nil-governor fast path mirrors the StatsSink contract: each charge
-// site is guarded by a single pointer test, so an ungoverned execution
-// pays one predictable branch and nothing else. Counters are atomics —
+// The nil-governor fast path: each charge site is guarded by a single
+// pointer test, so an ungoverned execution pays one predictable branch
+// and nothing else. Counters are atomics —
 // the workers of a parallel scan share one Governor through Context.Fork
 // and charge it concurrently.
 

@@ -60,18 +60,15 @@ func setOpValue(ctx *Context, env *Env, q *ast.SetOp, l, r CompiledExpr) (value.
 		return nil, err
 	}
 	defer func() { ctx.Depth-- }()
-	var node *StatsNode
-	if ctx.Stats != nil {
-		op := q.Op
-		if q.All {
-			op += " ALL"
-		}
-		node = ctx.Stats.Node(ctx.ParentNode(), q, "setop", "set-op", op)
-		saved := ctx.StatsParent
-		ctx.StatsParent = node
-		defer func() { ctx.StatsParent = saved }()
-		defer node.Timer()()
+	// The set operation's run state is its counts, summed over its
+	// invocations.
+	slot := ctx.RunState(q.RunSlot)
+	counts, ok := (*slot).(*OpCounts)
+	if !ok {
+		counts = new(OpCounts)
+		*slot = counts
 	}
+	defer ctx.Time(&counts.Nanos, ctx.Clock())
 	lv, err := l(ctx, env)
 	if err != nil {
 		return nil, err
@@ -88,9 +85,7 @@ func setOpValue(ctx *Context, env *Env, q *ast.SetOp, l, r CompiledExpr) (value.
 		}
 		return value.Missing, nil
 	}
-	if node != nil {
-		node.AddIn(int64(len(left) + len(right)))
-	}
+	counts.In += int64(len(left) + len(right))
 	// Both inputs are fully materialized before the operator combines
 	// them, so their combined size is charged as intermediate state.
 	if ctx.Gov != nil {
@@ -102,9 +97,7 @@ func setOpValue(ctx *Context, env *Env, q *ast.SetOp, l, r CompiledExpr) (value.
 		}
 	}
 	done := func(out value.Bag) (value.Value, error) {
-		if node != nil {
-			node.AddOut(int64(len(out)))
-		}
+		counts.Out += int64(len(out))
 		return out, nil
 	}
 	switch q.Op {

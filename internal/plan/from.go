@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"sqlpp/internal/ast"
 	"sqlpp/internal/eval"
@@ -60,6 +59,35 @@ func newItemExprs(item ast.FromItem, compile func(ast.Expr) eval.CompiledExpr) *
 	return it
 }
 
+// itemRun is a run state's pass over one FROM item: the item's
+// evaluators and its counts, with a JOIN's operands below it.
+type itemRun struct {
+	ex *itemExprs
+	eval.OpCounts
+	// pads counts the LEFT JOIN bindings padded with NULLs.
+	pads        int64
+	left, right *itemRun
+}
+
+// init readies r to run ex, with run states for a JOIN's operands.
+func (r *itemRun) init(ex *itemExprs) *itemRun {
+	r.ex = ex
+	if ex.left != nil {
+		r.left, r.right = new(itemRun).init(ex.left), new(itemRun).init(ex.right)
+	}
+	return r
+}
+
+// fold adds the counts of w, a run of the same item tree, to r's.
+func (r *itemRun) fold(w *itemRun) {
+	r.Add(w.OpCounts)
+	r.pads += w.pads
+	if r.left != nil {
+		r.left.fold(w.left)
+		r.right.fold(w.right)
+	}
+}
+
 // produceFrom streams the binding environments of a FROM clause to k.
 // With no FROM items the block evaluates its remaining clauses over a
 // single empty binding (SELECT VALUE 1+1 works), matching the functional
@@ -68,14 +96,14 @@ func newItemExprs(item ast.FromItem, compile func(ast.Expr) eval.CompiledExpr) *
 // Comma-separated items are correlated cross products: each item's source
 // expression is evaluated in the environment produced by the items to its
 // left (left correlation, §III).
-func produceFrom(ctx *eval.Context, outer *eval.Env, items []*itemExprs, k emit) error {
+func produceFrom(ctx *eval.Context, outer *eval.Env, items []*itemRun, k emit) error {
 	if len(items) == 0 {
 		return k(outer.Child())
 	}
 	return produceItems(ctx, outer, items, 0, k)
 }
 
-func produceItems(ctx *eval.Context, env *eval.Env, items []*itemExprs, i int, k emit) error {
+func produceItems(ctx *eval.Context, env *eval.Env, items []*itemRun, i int, k emit) error {
 	if i == len(items) {
 		return k(env)
 	}
@@ -85,59 +113,45 @@ func produceItems(ctx *eval.Context, env *eval.Env, items []*itemExprs, i int, k
 }
 
 // produceItem streams the bindings of a single FROM item, each in a new
-// child environment of env.
-func produceItem(ctx *eval.Context, env *eval.Env, it *itemExprs, k emit) error {
-	if ctx.Stats != nil {
-		n := itemNode(ctx, it.item)
-		k = countOut(n, k)
-		defer n.Timer()()
-	}
-	switch it.item.(type) {
+// child environment of env. A scan ranges a variable over a source
+// value, an UNPIVOT over a tuple's attributes.
+func produceItem(ctx *eval.Context, env *eval.Env, it *itemRun, k emit) error {
+	defer ctx.Time(&it.Nanos, ctx.Clock())
+	switch x := it.ex.item.(type) {
 	case *ast.FromExpr:
-		return produceScan(ctx, env, it, k)
+		src, err := it.ex.src(ctx, env)
+		if err != nil {
+			return err
+		}
+		return scanValue(ctx, env, x, src, false, &it.Rows, k)
 	case *ast.FromUnpivot:
-		return produceUnpivot(ctx, env, it, k)
+		src, err := it.ex.src(ctx, env)
+		if err != nil {
+			return err
+		}
+		return unpivotValue(ctx, env, x, src, &it.Rows, k)
 	case *ast.FromJoin:
-		return produceJoin(ctx, env, it, k)
+		return produceJoin(ctx, env, it, x, k)
 	}
-	return fmt.Errorf("plan: unknown FROM item %T", it.item)
+	return fmt.Errorf("plan: unknown FROM item %T", it.ex.item)
 }
 
-// countOut wraps k so each binding it forwards counts as n's output.
-func countOut(n *eval.StatsNode, k emit) emit {
-	return func(child *eval.Env) error {
-		n.AddOut(1)
-		return k(child)
-	}
-}
-
-// produceScan ranges a variable over a source value. SQL++ relaxes the
-// SQL rule that sources are collections of tuples: any collection works,
-// and its elements bind as-is (§III-A). A non-collection source is a
-// single binding in permissive mode and an error in stop-on-error mode;
-// a MISSING source produces no bindings.
-func produceScan(ctx *eval.Context, env *eval.Env, it *itemExprs, k emit) error {
-	src, err := it.src(ctx, env)
-	if err != nil {
-		return err
-	}
-	return scanValue(ctx, env, it.item.(*ast.FromExpr), src, false, k)
-}
-
-// scanValue binds x's variables over an already-evaluated source value;
-// the physical plan reuses it with a hoisted source. With reuse, one
-// child environment is rebound in place per element, so it is only for
-// a k that keeps nothing of the environment it is passed (the hash
-// build copies out the values it keeps).
-func scanValue(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, src value.Value, reuse bool, k emit) error {
+// scanValue binds x's variables over an already-evaluated source value,
+// counting the rows into counts. SQL++ relaxes the SQL rule that sources
+// are collections of tuples: any collection works, and its elements bind
+// as-is (§III-A). A non-collection source is a single binding in
+// permissive mode and an error in stop-on-error mode; a MISSING source
+// produces no bindings. With reuse, one child environment is rebound in
+// place per element, so it is only for a k that keeps nothing of the
+// environment it is passed (the hash build copies out the values it
+// keeps).
+func scanValue(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, src value.Value, reuse bool, counts *eval.Rows, k emit) error {
 	elems, isColl := value.Elements(src)
 	if !isColl && src.Kind() != value.KindMissing {
 		// A non-collection source is a singleton binding (permissive).
 		elems = []value.Value{src}
 	}
-	if ctx.Stats != nil {
-		itemNode(ctx, x).AddIn(int64(len(elems)))
-	}
+	counts.In += int64(len(elems))
 	if !isColl && len(elems) > 0 && ctx.Mode == eval.StopOnError {
 		return &eval.TypeError{Pos: x.Pos(), Op: "FROM", Detail: "source is " + src.Kind().String() + ", not a collection"}
 	}
@@ -159,6 +173,7 @@ func scanValue(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, src value.Valu
 			child = env.Child()
 		}
 		bindElem(child, x, v, i, isArray)
+		counts.Out++
 		if err := k(child); err != nil {
 			return err
 		}
@@ -180,28 +195,16 @@ func bindElem(child *eval.Env, x *ast.FromExpr, v value.Value, p int, isArray bo
 	}
 }
 
-// produceUnpivot turns a tuple's attributes into bindings (§VI-A):
-// UNPIVOT expr AS v AT n binds v to each attribute value and n to its
-// name. In permissive mode a non-tuple source behaves like the tuple
-// {'_1': source}; MISSING produces no bindings.
-func produceUnpivot(ctx *eval.Context, env *eval.Env, it *itemExprs, k emit) error {
-	src, err := it.src(ctx, env)
-	if err != nil {
-		return err
-	}
-	return unpivotValue(ctx, env, it.item.(*ast.FromUnpivot), src, k)
-}
-
 // unpivotValue binds x's variables over an already-evaluated source
-// tuple; the physical plan reuses it with a hoisted source.
-func unpivotValue(ctx *eval.Context, env *eval.Env, x *ast.FromUnpivot, src value.Value, k emit) error {
-	if ctx.Stats != nil {
-		n := itemNode(ctx, x)
-		if t, ok := src.(*value.Tuple); ok {
-			n.AddIn(int64(t.Len()))
-		} else if src.Kind() != value.KindMissing {
-			n.AddIn(1)
-		}
+// tuple, counting the rows into counts (§VI-A): UNPIVOT expr AS v AT n
+// binds v to each attribute value and n to its name. In permissive mode
+// a non-tuple source behaves like the tuple {'_1': source}; MISSING
+// produces no bindings.
+func unpivotValue(ctx *eval.Context, env *eval.Env, x *ast.FromUnpivot, src value.Value, counts *eval.Rows, k emit) error {
+	if t, ok := src.(*value.Tuple); ok {
+		counts.In += int64(t.Len())
+	} else if src.Kind() != value.KindMissing {
+		counts.In++
 	}
 	bind := func(name string, v value.Value) error {
 		if err := ctx.Interrupted(); err != nil {
@@ -210,6 +213,7 @@ func unpivotValue(ctx *eval.Context, env *eval.Env, x *ast.FromUnpivot, src valu
 		child := env.Child()
 		child.Bind(x.ValueVar, v)
 		child.Bind(x.NameVar, value.String(name))
+		counts.Out++
 		return k(child)
 	}
 	switch t := src.(type) {
@@ -236,17 +240,12 @@ func unpivotValue(ctx *eval.Context, env *eval.Env, x *ast.FromUnpivot, src valu
 // laterally (it may reference left-side variables). LEFT JOIN emits a
 // binding with the right side's variables bound to NULL when no right
 // binding satisfies the ON condition.
-func produceJoin(ctx *eval.Context, env *eval.Env, it *itemExprs, k emit) error {
-	x := it.item.(*ast.FromJoin)
-	var pads *atomic.Int64
-	if ctx.Stats != nil && x.Kind == ast.JoinLeft {
-		pads = itemNode(ctx, x).Counter("left_pads")
-	}
+func produceJoin(ctx *eval.Context, env *eval.Env, it *itemRun, x *ast.FromJoin, k emit) error {
 	return produceItem(ctx, env, it.left, func(left *eval.Env) error {
 		matched := false
 		err := produceItem(ctx, left, it.right, func(right *eval.Env) error {
-			if it.on != nil {
-				cond, err := it.on(ctx, right)
+			if it.ex.on != nil {
+				cond, err := it.ex.on(ctx, right)
 				if err != nil {
 					return err
 				}
@@ -255,15 +254,15 @@ func produceJoin(ctx *eval.Context, env *eval.Env, it *itemExprs, k emit) error 
 				}
 			}
 			matched = true
+			it.Out++
 			return k(right)
 		})
 		if err != nil {
 			return err
 		}
 		if !matched && x.Kind == ast.JoinLeft {
-			if pads != nil {
-				pads.Add(1)
-			}
+			it.pads++
+			it.Out++
 			padded := left.Child()
 			for _, name := range ast.ItemVars(x.Right) {
 				padded.Bind(name, value.Null)
@@ -280,16 +279,12 @@ func produceJoin(ctx *eval.Context, env *eval.Env, it *itemExprs, k emit) error 
 // so the workers of a parallel scan can share one physState — whichever
 // binding first needs a hoisted source or a hash table builds it, and a
 // source the naive plan would never evaluate is still never evaluated.
+// Counts are never kept here, where workers would share them, but in
+// each consumer's chain.
 type physState struct {
 	phys  *sfwPhys
 	outer *eval.Env
 	lazy  []stepLazy
-	// preFilter and stats are the pre-resolved EXPLAIN ANALYZE nodes and
-	// counters, nil when instrumentation is off. Resolving once here
-	// keeps the per-row work to nil tests and atomic adds even in
-	// parallel workers, which share this physState.
-	preFilter *eval.StatsNode
-	stats     []stepStats
 	// ord, non-nil only under a reordered chain (which is never
 	// parallel), records per step the source ordinal of its current
 	// binding; the reorder buffer reads it to key each produced row.
@@ -303,70 +298,8 @@ type stepLazy struct {
 	idx lazyIndex
 }
 
-// stepStats is one FROM step's pre-resolved instrumentation.
-type stepStats struct {
-	node   *eval.StatsNode // the step's scan/unpivot/join/hash-join node
-	filter *eval.StatsNode // pushed-filter node, nil when no filters
-	// hash-join hot counters (nil for non-hash steps).
-	candidates *atomic.Int64
-	verified   *atomic.Int64
-	pads       *atomic.Int64
-	// index-probe hot counters (nil unless the step probes an index).
-	probes *atomic.Int64
-	hits   *atomic.Int64
-}
-
-func newPhysState(ctx *eval.Context, phys *sfwPhys, outer *eval.Env) *physState {
-	st := &physState{phys: phys, outer: outer, lazy: make([]stepLazy, len(phys.steps))}
-	if ctx.Stats != nil {
-		parent := ctx.ParentNode()
-		if len(phys.pre) > 0 {
-			st.preFilter = ctx.Stats.Node(parent, phys, "pre", "filter", "pre")
-		}
-		st.stats = make([]stepStats, len(phys.steps))
-		for i := range phys.steps {
-			step := &phys.steps[i]
-			ss := &st.stats[i]
-			if step.hash != nil {
-				ss.node = hashNode(ctx, parent, step.hash)
-				ss.candidates = ss.node.Counter("candidates")
-				ss.verified = ss.node.Counter("verified")
-				if step.hash.leftJoin {
-					ss.pads = ss.node.Counter("left_pads")
-				}
-				if step.hash.buildIdx != nil {
-					ss.probes = ss.node.Counter("probes")
-					ss.hits = ss.node.Counter("hits")
-				}
-				if step.hash.estBuild >= 0 {
-					ss.node.Counter("est_build").Store(step.hash.estBuild)
-				}
-				if step.hash.estOut >= 0 {
-					ss.node.Counter("est_rows").Store(step.hash.estOut)
-				}
-			} else if step.idx != nil {
-				ss.node = indexNode(ctx, parent, step)
-				ss.probes = ss.node.Counter("probes")
-				ss.hits = ss.node.Counter("hits")
-				if step.idx.estRows >= 0 {
-					ss.node.Counter("est_rows").Store(step.idx.estRows)
-				}
-			} else {
-				op, label := describeItem(step.item)
-				ss.node = ctx.Stats.Node(parent, step.item, "item", op, label)
-				if step.estSrc >= 0 {
-					ss.node.Counter("est_rows").Store(step.estSrc)
-				}
-			}
-			if len(step.filters) > 0 {
-				ss.filter = ctx.Stats.Node(ss.node, step, "filter", "filter", "pushed")
-				if step.estOut >= 0 {
-					ss.filter.Counter("est_rows").Store(step.estOut)
-				}
-			}
-		}
-	}
-	return st
+func newPhysState(_ *eval.Context, phys *sfwPhys, outer *eval.Env) *physState {
+	return &physState{phys: phys, outer: outer, lazy: make([]stepLazy, len(phys.steps))}
 }
 
 type lazyValue struct {
@@ -396,23 +329,19 @@ func (l *lazyTable) get(f func() (*hashTable, error)) (*hashTable, error) {
 // workers when the plan allows a parallel outer scan.
 func (r *blockRun) produce() error {
 	st, ctx := r.st, r.ctx
-	if st.preFilter != nil {
-		st.preFilter.AddIn(1)
-	}
+	r.pre.In++
 	ok, err := filtersPass(ctx, st.outer, st.phys.preC)
 	if err != nil || !ok {
 		return err
 	}
-	if st.preFilter != nil {
-		st.preFilter.AddOut(1)
-	}
+	r.pre.Out++
 	switch {
 	case len(st.phys.steps) == 0:
 		// A FROM-less block: one empty binding, in a child environment so
 		// LET never binds into the enclosing one (as produceFrom).
 		return r.fromRow(r.c.frame(0, st.outer))
 	case st.phys.reorder != nil:
-		return st.produceReordered(ctx, r.fromRowFn)
+		return r.produceReordered()
 	case st.phys.parallel && ctx.Parallelism > 1:
 		return r.scanParallel()
 	}
@@ -422,9 +351,10 @@ func (r *blockRun) produce() error {
 // chain is one consumer's run of the block's step chain: the physState
 // (shared by the workers of a parallel scan) plus what is the consumer's
 // own — its context, its sink k, the per-step continuations and hash
-// probes, and the row environments it rebinds. It is built once per run
-// state, not once per invocation, so neither a row crossing a step nor a
-// sub-block invocation allocates anything for the plumbing.
+// probes, the row environments it rebinds and the steps' counts. It is
+// built once per run state, not once per invocation, so neither a row
+// crossing a step nor a sub-block invocation allocates anything for the
+// plumbing.
 type chain struct {
 	st  *physState
 	ctx *eval.Context
@@ -433,28 +363,88 @@ type chain struct {
 	// runs step i+1 over it; fns[n+i] is hash step i's probe of one left
 	// binding, nil for other steps.
 	fns []emit
-	// frames[i] is the environment step i rebinds its rows into when the
-	// plan reuses row environments (phys.reuseEnv); frames[0] also holds
-	// a FROM-less block's one binding.
-	frames []*eval.Env
-	// buf and frameBuf back fns and frames for chains of up to one step.
-	buf      [2]emit
-	frameBuf [1]*eval.Env
+	// links[i] is the chain's own state of step i; links[0] also holds a
+	// FROM-less block's one binding.
+	links []link
+	// buf and linkBuf back fns and links for chains of up to one step.
+	buf     [2]emit
+	linkBuf [1]link
+}
+
+// link is a chain's own state of one step: the row environment it
+// rebinds and the step's counts.
+type link struct {
+	// frame is the environment the step rebinds its rows into when the
+	// plan reuses row environments (phys.reuseEnv).
+	frame *eval.Env
+	// item counts the step's FROM item — its scan, index probe or UNPIVOT,
+	// or a JOIN … ON with its operands below it — or, under a hash or
+	// index join, the JOIN's left operand, whose bindings probe.
+	item itemRun
+	// filtered counts the bindings the step's pushed filters kept; they
+	// see every binding the step emits. lookups and hits count an index
+	// step's or an index join's index lookups and the positions they
+	// found.
+	filtered, lookups, hits int64
+	// join counts a hash or index join.
+	join joinRun
+}
+
+// joinRun is a chain's counts of a hash or index join: its probes in,
+// its bindings out and its build time; its bucket or index candidates,
+// those the join condition kept and the probes it padded with NULLs;
+// and the rows its builds bound, the last build's table being table.
+type joinRun struct {
+	eval.OpCounts
+	candidates, verified, pads, built int64
+	table                             *hashTable
+}
+
+// fold adds the counts of w, a run of the same join, to j's; a table w
+// built is the latest.
+func (j *joinRun) fold(w *joinRun) {
+	j.Add(w.OpCounts)
+	j.candidates += w.candidates
+	j.verified += w.verified
+	j.pads += w.pads
+	j.built += w.built
+	if w.table != nil {
+		j.table = w.table
+	}
 }
 
 func (c *chain) init(st *physState, ctx *eval.Context, k emit) *chain {
 	n := len(st.phys.steps)
-	c.st, c.ctx, c.k, c.fns, c.frames = st, ctx, k, c.buf[:], c.frameBuf[:]
-	if n > len(c.frameBuf) {
-		c.fns, c.frames = make([]emit, 2*n), make([]*eval.Env, n)
+	c.st, c.ctx, c.k, c.fns, c.links = st, ctx, k, c.buf[:], c.linkBuf[:]
+	if n > len(c.linkBuf) {
+		c.fns, c.links = make([]emit, 2*n), make([]link, n)
 	}
 	for i := range st.phys.steps {
+		step := &st.phys.steps[i]
 		c.fns[i], c.fns[n+i] = c.nextFor(i), nil
-		if h := st.phys.steps[i].hash; h != nil {
-			c.fns[n+i] = c.probeFor(i, h)
+		switch {
+		case step.hash != nil:
+			c.fns[n+i] = c.probeFor(i, step.hash)
+			if step.hash.leftEx != nil {
+				c.links[i].item.init(step.hash.leftEx)
+			}
+		case step.ex != nil:
+			c.links[i].item.init(step.ex)
 		}
 	}
 	return c
+}
+
+// fold adds the counts of w, a chain over the same steps, to c's.
+func (c *chain) fold(w *chain) {
+	for i := range c.st.phys.steps {
+		l, wl := &c.links[i], &w.links[i]
+		l.item.fold(&wl.item)
+		l.filtered += wl.filtered
+		l.lookups += wl.lookups
+		l.hits += wl.hits
+		l.join.fold(&wl.join)
+	}
 }
 
 // frame returns the environment step i binds its next row into, nested in
@@ -464,10 +454,10 @@ func (c *chain) frame(i int, env *eval.Env) *eval.Env {
 	if !c.st.phys.reuseEnv {
 		return env.Child()
 	}
-	f := c.frames[i]
+	f := c.links[i].frame
 	if f == nil {
 		f = env.Child()
-		c.frames[i] = f
+		c.links[i].frame = f
 	} else {
 		f.Rebase(env)
 	}
@@ -475,25 +465,16 @@ func (c *chain) frame(i int, env *eval.Env) *eval.Env {
 }
 
 func (c *chain) nextFor(i int) emit {
-	step := &c.st.phys.steps[i]
-	var filter *eval.StatsNode
-	if c.st.stats != nil {
-		filter = c.st.stats[i].filter
-	}
+	step, l := &c.st.phys.steps[i], &c.links[i]
 	if len(step.filters) == 0 && i == len(c.st.phys.steps)-1 {
 		return c.k // the last step's unfiltered bindings go straight to the sink
 	}
 	return func(child *eval.Env) error {
-		if filter != nil {
-			filter.AddIn(1)
-		}
 		ok, err := filtersPass(c.ctx, child, step.filtersC)
 		if err != nil || !ok {
 			return err
 		}
-		if filter != nil {
-			filter.AddOut(1)
-		}
+		l.filtered++
 		return c.run(child, i+1)
 	}
 }
@@ -505,16 +486,16 @@ func (c *chain) run(env *eval.Env, i int) error {
 	if i == len(st.phys.steps) {
 		return c.k(env)
 	}
-	step := &st.phys.steps[i]
+	step, l := &st.phys.steps[i], &c.links[i]
 	next, probe := c.fns[i], c.fns[len(st.phys.steps)+i]
 	if step.hash != nil {
 		if step.hash.buildIdx != nil {
 			if ix := st.lazy[i].idx.get(func() *index.Index { return resolveIndex(ctx, step.hash.buildIdx) }); ix != nil {
-				return st.runIndexJoin(ctx, env, i, step.hash, ix, next)
+				return c.runIndexJoin(env, i, step.hash, ix, next)
 			}
 		}
 		if step.hash.leftEx != nil {
-			return produceItem(ctx, env, step.hash.leftEx, probe)
+			return produceItem(ctx, env, &l.item, probe)
 		}
 		return probe(env)
 	}
@@ -538,16 +519,11 @@ func (c *chain) run(env *eval.Env, i int) error {
 		if err != nil {
 			return err
 		}
-		// The hoisted path bypasses produceItem, so the step node's
-		// emitted-row count is recorded here.
-		if st.stats != nil {
-			next = countOut(st.stats[i].node, next)
-		}
-		return unpivotValue(ctx, env, x, src, next)
+		return unpivotValue(ctx, env, x, src, &l.item.Rows, next)
 	}
 	// Nested-loop JOIN ... ON and correlated UNPIVOT: the producers planned
 	// blocks share with the oracle, over the step's compiled item tree.
-	return produceItem(ctx, env, step.ex, next)
+	return produceItem(ctx, env, &l.item, next)
 }
 
 // source evaluates step i's source expression in env: through its
@@ -563,46 +539,35 @@ func (c *chain) source(env *eval.Env, i int) (value.Value, error) {
 }
 
 // scanBatch is the row-slice size of the scan loop: the cancellation poll
-// and the stats row-count charges are amortized to one per batch. A power
-// of two a few multiples of the eval pollInterval, so batched polling
-// stays on the interpreter's cadence.
+// is amortized to one per batch. A power of two a few multiples of the
+// eval pollInterval, so batched polling stays on the interpreter's
+// cadence.
 const scanBatch = 256
 
 // scan is the physical plan's scan operator: every plain FromExpr step
-// runs it in place of the naive pipeline's produceItem+scanValue, over
-// the source value source evaluated. A collection's elements go through
-// scanElems; a non-collection source (singleton binding, MISSING, a
-// strict fault) keeps scanValue's row-at-a-time edge semantics, wrapped
-// with produceItem's emitted-row accounting.
+// runs it in place of the naive pipeline's produceItem, over the source
+// value source evaluated. A collection's elements go through scanElems;
+// a non-collection source (singleton binding, MISSING, a strict fault)
+// keeps scanValue's row-at-a-time edge semantics.
 //
 // governor: the scan materializes nothing — rows stream to the step's
 // continuation and are charged at the pipeline's sinks (rowSink,
 // groupState, hash build), exactly as in the row-at-a-time path.
 func (c *chain) scan(env *eval.Env, i int, src value.Value) error {
-	st, step := c.st, &c.st.phys.steps[i]
-	var node *eval.StatsNode
-	if st.stats != nil {
-		node = st.stats[i].node
-		if !step.hoist {
-			// A hoisted step's per-row work is the continuation's, so it
-			// carries no timer of its own.
-			defer node.Timer()()
-		}
+	st, step, counts := c.st, &c.st.phys.steps[i], &c.links[i].item.OpCounts
+	if !step.hoist {
+		// A hoisted step's per-row work is the continuation's, so it
+		// carries no timer of its own.
+		defer c.ctx.Time(&counts.Nanos, c.ctx.Clock())
 	}
 	elems, isColl := value.Elements(src)
 	if !isColl {
 		if st.ord != nil {
 			st.ord[i] = 0
 		}
-		next := c.fns[i]
-		if node != nil {
-			next = countOut(node, next)
-		}
-		return scanValue(c.ctx, env, step.item.(*ast.FromExpr), src, false, next)
+		return scanValue(c.ctx, env, step.item.(*ast.FromExpr), src, false, &counts.Rows, c.fns[i])
 	}
-	if node != nil {
-		node.AddIn(int64(len(elems)))
-	}
+	counts.In += int64(len(elems))
 	return c.scanElems(env, i, elems, 0, src.Kind() == value.KindArray)
 }
 
@@ -610,15 +575,11 @@ func (c *chain) scan(env *eval.Env, i int, src value.Value) error {
 // over their chunks too: it binds step i's variables over elems —
 // positions base.. of the source, an array when isArray — and runs each
 // binding through the step's continuation, with one InterruptedN poll
-// and one stats true-up per batch. Row order, error points and fault
-// sites are the row-at-a-time path's.
+// per batch. Row order, error points and fault sites are the
+// row-at-a-time path's.
 func (c *chain) scanElems(env *eval.Env, i int, elems []value.Value, base int, isArray bool) error {
-	st, ctx, next := c.st, c.ctx, c.fns[i]
+	st, ctx, next, counts := c.st, c.ctx, c.fns[i], &c.links[i].item.OpCounts
 	x := st.phys.steps[i].item.(*ast.FromExpr)
-	var node *eval.StatsNode
-	if st.stats != nil {
-		node = st.stats[i].node
-	}
 	reuse := st.phys.reuseEnv
 	var child *eval.Env
 	for lo := 0; lo < len(elems); lo += scanBatch {
@@ -626,13 +587,9 @@ func (c *chain) scanElems(env *eval.Env, i int, elems []value.Value, base int, i
 		if err := ctx.InterruptedN(hi - lo); err != nil {
 			return err
 		}
-		emitted := int64(0)
 		for j := lo; j < hi; j++ {
 			if faultinject.Enabled {
 				if err := faultinject.Fire(faultinject.ScanNext); err != nil {
-					if node != nil {
-						node.AddOut(emitted)
-					}
 					return err
 				}
 			}
@@ -643,16 +600,10 @@ func (c *chain) scanElems(env *eval.Env, i int, elems []value.Value, base int, i
 				st.ord[i] = int64(base + j)
 			}
 			bindElem(child, x, elems[j], base+j, isArray)
-			emitted++
+			counts.Out++
 			if err := next(child); err != nil {
-				if node != nil {
-					node.AddOut(emitted)
-				}
 				return err
 			}
-		}
-		if node != nil {
-			node.AddOut(emitted)
 		}
 	}
 	return nil
@@ -686,6 +637,8 @@ type grouper interface {
 	// merge folds in the grouper of a later chunk; it has the receiver's
 	// concrete type.
 	merge(other grouper) error
+	// counts are the rows the grouper took in and the groups it emitted.
+	counts() *eval.Rows
 }
 
 // newGrouper picks the block's GROUP BY operator from its physical plan;
@@ -709,28 +662,23 @@ type groupState struct {
 	order   []string // insertion order of group keys
 	keyVals map[string][]value.Value
 	content map[string]value.Bag
-	// st is the EXPLAIN ANALYZE node, nil when instrumentation is off.
-	// Parallel workers each hold their own groupState but resolve the
-	// same keyed node, so rows-in sums across workers and groups-out is
-	// recorded once by the merged state's flush.
-	st *eval.StatsNode
 	// keysC evaluate the grouping keys.
 	keysC []eval.CompiledExpr
+	// ops counts the rows grouped and the groups flushed.
+	ops eval.Rows
 }
 
 func newGroupState(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledExpr) *groupState {
-	g := &groupState{
+	return &groupState{
 		ctx:     ctx,
 		spec:    spec,
 		keysC:   keys,
 		keyVals: map[string][]value.Value{},
 		content: map[string]value.Bag{},
 	}
-	if ctx.Stats != nil {
-		g.st = ctx.Stats.Node(ctx.ParentNode(), spec, "group", "group-by", "materialize")
-	}
-	return g
 }
+
+func (g *groupState) counts() *eval.Rows { return &g.ops }
 
 // reset drops the groups of the last invocation; their key slices and
 // content bags went out with its bindings and are never reused.
@@ -752,9 +700,7 @@ func (g *groupState) add(env *eval.Env) error {
 	if err := g.ctx.Interrupted(); err != nil {
 		return err
 	}
-	if g.st != nil {
-		g.st.AddIn(1)
-	}
+	g.ops.In++
 	keys := make([]value.Value, len(g.spec.Keys))
 	kb, err := groupKey(g.ctx, env, g.keysC, keys, nil)
 	if err != nil {
@@ -817,9 +763,7 @@ func mergeCompatKeys(have, incoming []value.Value) {
 // collection (Listing 14's p/g bindings).
 func (g *groupState) flush(k emit) error {
 	for _, ks := range g.order {
-		if g.st != nil {
-			g.st.AddOut(1)
-		}
+		g.ops.Out++
 		env := g.outer.Child()
 		for i, key := range g.spec.Keys {
 			env.Bind(ast.KeyAlias(key, i), g.keyVals[ks][i])

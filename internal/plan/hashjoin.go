@@ -36,6 +36,9 @@ type hashTable struct {
 	next    []int32
 	buckets map[string]int32
 	chains  [][2]int32
+	// scan counts the build side's scan: the rows it bound, absent keys
+	// included.
+	scan eval.Rows
 }
 
 // buildHashTable evaluates the build side once and indexes its bindings.
@@ -111,11 +114,6 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep, keepSeq
 		}
 		return nil
 	}
-	if ctx.Stats != nil {
-		n := itemNode(ctx, x)
-		k = countOut(n, k)
-		defer n.Timer()()
-	}
 	src, err := h.srcC(ctx, outer)
 	if err != nil {
 		return nil, err
@@ -126,7 +124,7 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep, keepSeq
 		t.seq = make([]int64, 0, n)
 	}
 	t.next = make([]int32, 0, n)
-	if err := scanValue(ctx, outer, x, src, true, k); err != nil {
+	if err := scanValue(ctx, outer, x, src, true, &t.scan, k); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -160,11 +158,7 @@ func buildCap(ctx *eval.Context, src value.Value, w int) int {
 // candidate environment live as long as the chain, so a probe allocates
 // nothing of its own.
 func (c *chain) probeFor(i int, h *hashJoinStep) emit {
-	st, ctx, k := c.st, c.ctx, c.fns[i]
-	var ss *stepStats
-	if st.stats != nil {
-		ss = &st.stats[i]
-	}
+	st, ctx, k, j := c.st, c.ctx, c.fns[i], &c.links[i].join
 	reuse := st.phys.reuseEnv
 	var kb []byte
 	var cand *eval.Env
@@ -191,26 +185,21 @@ func (c *chain) probeFor(i int, h *hashJoinStep) emit {
 		// empty never evaluates the build side — as the nested loop
 		// wouldn't.
 		tbl, err := st.lazy[i].tab.get(func() (*hashTable, error) {
-			if ss == nil {
-				return buildHashTable(ctx, st.outer, h, st.ord != nil)
-			}
-			// The hash node's time is the build; probe work is counted on
-			// the probe side's own nodes.
-			stop := ss.node.Timer()
+			// The join's time is the build; probe work is counted on the
+			// probe side's own operators.
+			start := ctx.Clock()
 			t, err := buildHashTable(ctx, st.outer, h, st.ord != nil)
-			stop()
+			ctx.Time(&j.Nanos, start)
 			if err == nil {
-				ss.node.Counter("buckets").Store(int64(len(t.buckets)))
-				ss.node.Counter("build_rows").Store(int64(len(t.next)))
+				j.table = t
+				j.built += t.scan.Out
 			}
 			return t, err
 		})
 		if err != nil {
 			return err
 		}
-		if ss != nil {
-			ss.node.AddIn(1)
-		}
+		j.In++
 		kb = kb[:0]
 		absent := false
 		for _, pk := range h.probeC {
@@ -233,9 +222,7 @@ func (c *chain) probeFor(i int, h *hashJoinStep) emit {
 		w := len(tbl.names)
 		matched := false
 		for ; r >= 0; r = tbl.next[r] {
-			if ss != nil {
-				ss.candidates.Add(1)
-			}
+			j.candidates++
 			if st.ord != nil {
 				st.ord[i] = tbl.seq[r]
 			}
@@ -252,19 +239,15 @@ func (c *chain) probeFor(i int, h *hashJoinStep) emit {
 				continue
 			}
 			matched = true
-			if ss != nil {
-				ss.verified.Add(1)
-				ss.node.AddOut(1)
-			}
+			j.verified++
+			j.Out++
 			if err := k(cand); err != nil {
 				return err
 			}
 		}
 		if !matched && h.leftJoin {
-			if ss != nil {
-				ss.pads.Add(1)
-				ss.node.AddOut(1)
-			}
+			j.pads++
+			j.Out++
 			padded := candidate(lenv)
 			for _, n := range h.padVars {
 				padded.Bind(n, value.Null)

@@ -115,23 +115,17 @@ func probePositions(ctx *eval.Context, env *eval.Env, ia *indexAccess, ix *index
 // a full scan. Each candidate goes through the step's filter-applying
 // continuation, so it is re-verified against the original conjuncts.
 func (c *chain) runIndexScan(env *eval.Env, i int, ix *index.Index) error {
-	st, ctx, k := c.st, c.ctx, c.fns[i]
+	st, ctx, k, l := c.st, c.ctx, c.fns[i], &c.links[i]
 	step := &st.phys.steps[i]
 	x := step.item.(*ast.FromExpr)
-	var ss *stepStats
-	if st.stats != nil {
-		ss = &st.stats[i]
-		ss.probes.Add(1)
-		defer ss.node.Timer()()
-	}
+	l.lookups++
+	defer ctx.Time(&l.item.Nanos, ctx.Clock())
 	positions, err := probePositions(ctx, env, step.idx, ix)
 	if err != nil {
 		return err
 	}
-	if ss != nil {
-		ss.node.AddIn(int64(len(positions)))
-		ss.hits.Add(int64(len(positions)))
-	}
+	l.item.In += int64(len(positions))
+	l.hits += int64(len(positions))
 	elems, ok := value.Elements(ix.Source())
 	if !ok {
 		return nil
@@ -156,9 +150,7 @@ func (c *chain) runIndexScan(env *eval.Env, i int, ix *index.Index) error {
 		// AT over an array binds the element's original ordinal: the index
 		// preserved positions exactly for this.
 		bindElem(child, x, elems[p], int(p), isArray)
-		if ss != nil {
-			ss.node.AddOut(1)
-		}
+		l.item.Out++
 		if err := k(child); err != nil {
 			return err
 		}
@@ -169,13 +161,10 @@ func (c *chain) runIndexScan(env *eval.Env, i int, ix *index.Index) error {
 // runIndexJoin produces a hash-join step's bindings by probing an
 // existing index on the build key instead of building a hash table.
 // Verification (the full ON condition) and LEFT JOIN padding are
-// exactly runHash's, so the join's observable semantics are unchanged;
-// only the build phase disappears.
-func (st *physState) runIndexJoin(ctx *eval.Context, env *eval.Env, i int, h *hashJoinStep, ix *index.Index, k emit) error {
-	var ss *stepStats
-	if st.stats != nil {
-		ss = &st.stats[i]
-	}
+// exactly the hash probe's, so the join's observable semantics are
+// unchanged; only the build phase disappears.
+func (c *chain) runIndexJoin(env *eval.Env, i int, h *hashJoinStep, ix *index.Index, k emit) error {
+	ctx, l, j := c.ctx, &c.links[i], &c.links[i].join
 	elems, ok := value.Elements(ix.Source())
 	if !ok {
 		return nil
@@ -186,10 +175,8 @@ func (st *physState) runIndexJoin(ctx *eval.Context, env *eval.Env, i int, h *ha
 		if err := ctx.Interrupted(); err != nil {
 			return err
 		}
-		if ss != nil {
-			ss.node.AddIn(1)
-			ss.probes.Add(1)
-		}
+		j.In++
+		l.lookups++
 		key, err := h.buildIdx.eqC(ctx, lenv)
 		if err != nil {
 			return err
@@ -200,9 +187,7 @@ func (st *physState) runIndexJoin(ctx *eval.Context, env *eval.Env, i int, h *ha
 				return err
 			}
 		}
-		if ss != nil {
-			ss.hits.Add(int64(len(positions)))
-		}
+		l.hits += int64(len(positions))
 		matched := false
 		for _, p := range positions {
 			if faultinject.Enabled {
@@ -210,9 +195,7 @@ func (st *physState) runIndexJoin(ctx *eval.Context, env *eval.Env, i int, h *ha
 					return err
 				}
 			}
-			if ss != nil {
-				ss.candidates.Add(1)
-			}
+			j.candidates++
 			cand := lenv.Child()
 			bindElem(cand, x, elems[p], int(p), isArray)
 			ok, err := filtersPass(ctx, cand, h.verifyC)
@@ -223,19 +206,15 @@ func (st *physState) runIndexJoin(ctx *eval.Context, env *eval.Env, i int, h *ha
 				continue
 			}
 			matched = true
-			if ss != nil {
-				ss.verified.Add(1)
-				ss.node.AddOut(1)
-			}
+			j.verified++
+			j.Out++
 			if err := k(cand); err != nil {
 				return err
 			}
 		}
 		if !matched && h.leftJoin {
-			if ss != nil {
-				ss.pads.Add(1)
-				ss.node.AddOut(1)
-			}
+			j.pads++
+			j.Out++
 			padded := lenv.Child()
 			for _, n := range h.padVars {
 				padded.Bind(n, value.Null)
@@ -245,7 +224,7 @@ func (st *physState) runIndexJoin(ctx *eval.Context, env *eval.Env, i int, h *ha
 		return nil
 	}
 	if h.leftEx != nil {
-		return produceItem(ctx, env, h.leftEx, probe)
+		return produceItem(ctx, env, &l.item, probe)
 	}
 	return probe(env)
 }

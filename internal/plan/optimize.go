@@ -143,9 +143,6 @@ type sfwPhys struct {
 	// the block streams.
 	preC []eval.CompiledExpr
 	clauseExprs
-	// slot numbers the block among those of its Optimize call; its run
-	// state lives at eval.Context.Runs[slot].
-	slot int
 }
 
 // fromStep is the physical form of one top-level FROM item.
@@ -218,7 +215,6 @@ func Optimize(root ast.Expr, o OptOptions) []string {
 	// by aggregate slots, they never run and get no plan. (Blocks nested
 	// inside their arguments are shared with the slots and do.)
 	var folded map[*ast.SFW]bool
-	slots := 0
 	ast.Inspect(root, func(e ast.Expr) bool {
 		q, ok := e.(*ast.SFW)
 		if !ok || folded[q] {
@@ -230,10 +226,6 @@ func Optimize(root ast.Expr, o OptOptions) []string {
 		phys, ns := analyzeSFW(q, o)
 		q.Phys = phys
 		notes = append(notes, ns...)
-		if phys != nil {
-			phys.slot = slots
-			slots++
-		}
 		if phys != nil && phys.stream != nil && len(phys.stream.folded) > 0 {
 			if folded == nil {
 				folded = map[*ast.SFW]bool{}

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 
+	"sqlpp/internal/eval"
 	"sqlpp/internal/faultinject"
 	"sqlpp/internal/value"
 )
@@ -20,7 +21,9 @@ import (
 // group content order, DISTINCT first occurrences, and row order are all
 // the sequential ones. Workers never observe each other's failures; the
 // merge reports the first error in chunk order, which is the error the
-// sequential plan would have hit.
+// sequential plan would have hit. The workers' counts — their chains',
+// groupers' and sinks', and those of the blocks and set operations their
+// forked contexts ran — fold into the block's in the same chunk order.
 
 // parallelMinRows is the smallest outer-scan cardinality worth
 // parallelizing: below it, worker startup and merge overhead dominate.
@@ -49,11 +52,10 @@ func (r *blockRun) scanParallel() error {
 	if !isColl || len(elems) < parallelMinRows || workers < 2 {
 		return r.c.scan(st.outer, 0, src)
 	}
-	if st.stats != nil {
-		node := st.stats[0].node
-		node.AddIn(int64(len(elems)))
-		node.Counter("chunks").Store(int64(workers))
-	}
+	scan := &r.c.links[0].item.OpCounts
+	defer ctx.Time(&scan.Nanos, ctx.Clock())
+	scan.In += int64(len(elems))
+	r.chunks = int64(workers)
 	isArray := src.Kind() == value.KindArray
 	runs := make([]*blockRun, workers)
 	errs := make([]error, workers)
@@ -61,7 +63,7 @@ func (r *blockRun) scanParallel() error {
 	var wg sync.WaitGroup
 	for w := range runs {
 		lo, hi := w*chunk, min((w+1)*chunk, len(elems))
-		wr := newBlockRun(ctx.Fork(), r.q, r.ex, st.phys, st)
+		wr := newBlockRun(ctx.Fork(), r.block, st.phys, st)
 		wr.reset(st.outer, -1, 0)
 		wr.sink.keepKeys = r.q.Select.Distinct
 		runs[w] = wr
@@ -93,6 +95,10 @@ func (r *blockRun) scanParallel() error {
 			return err
 		}
 	}
+	for _, wr := range runs {
+		r.fold(wr)
+		foldRuns(ctx, wr.ctx.Runs)
+	}
 	if r.grp != nil {
 		for _, wr := range runs {
 			if err := r.grp.merge(wr.grp); err != nil {
@@ -111,12 +117,34 @@ func (r *blockRun) scanParallel() error {
 			return err
 		}
 	}
-	if r.sink.stDistinct != nil {
-		// The worker sinks each counted their local uniques; the global
-		// re-deduplication is the true output cardinality.
-		r.sink.stDistinct.SetOut(int64(len(r.sink.out)))
-	}
 	return nil
+}
+
+// foldRuns folds the run states a worker's forked context parked — the
+// nested blocks and set operations its chunk entered — into ctx's, slot
+// by slot, in chunk order: a block's rows out become those of the last
+// worker that ran it, as they would be sequentially.
+func foldRuns(ctx *eval.Context, runs []any) {
+	for slot, w := range runs {
+		switch w := w.(type) {
+		case *blockRun:
+			p := ctx.RunState(slot)
+			r, ok := (*p).(*blockRun)
+			if !ok || r.block != w.block {
+				r = newBlockRun(ctx, w.block, w.st.phys, nil)
+				*p = r
+			}
+			r.absorb(w)
+		case *eval.OpCounts:
+			p := ctx.RunState(slot)
+			counts, ok := (*p).(*eval.OpCounts)
+			if !ok {
+				counts = new(eval.OpCounts)
+				*p = counts
+			}
+			counts.Add(*w)
+		}
+	}
 }
 
 // merge folds another worker's groups into g, preserving g's (chunk

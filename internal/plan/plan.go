@@ -43,53 +43,24 @@ func Run(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error) {
 	if q.Select.Value == nil {
 		return nil, fmt.Errorf("plan: query block not in Core form (SELECT sugar not lowered) at %s", q.Pos())
 	}
-	phys, _ := q.Phys.(*sfwPhys)
-	var ex *clauseExprs
-	if phys != nil {
-		ex = &phys.clauseExprs
-		if phys.stream != nil {
-			// A streamed GROUP BY runs its post-group clauses from the copy
-			// of the block whose fold calls read aggregate slots.
-			q = phys.stream.post
-		}
-	} else {
-		// The oracle runs WHERE whole, in clause position.
-		interpreted := newClauseExprs(q, []ast.Expr{q.Where}, eval.Interpret)
-		ex = &interpreted
+	r, parked := runFor(ctx, q)
+	if r != parked {
+		defer parked.absorb(r)
 	}
-	limit, err := clauseCount(ctx, outer, ex.limit, q.Limit, "LIMIT", -1)
+	defer ctx.Time(&r.nanos, ctx.Clock())
+	limit, err := clauseCount(ctx, outer, r.ex.limit, q.Limit, "LIMIT", -1)
 	if err != nil {
 		return nil, err
 	}
-	offset, err := clauseCount(ctx, outer, ex.offset, q.Offset, "OFFSET", 0)
+	offset, err := clauseCount(ctx, outer, r.ex.offset, q.Offset, "OFFSET", 0)
 	if err != nil {
 		return nil, err
 	}
-
-	// EXPLAIN ANALYZE: create this block's node and pre-create its
-	// operator skeleton in pipeline order, then make the block the parent
-	// for everything (including subqueries) executed while it runs.
-	var block *eval.StatsNode
-	if ctx.Stats != nil {
-		op := "select"
-		if q.Select.PivotAt != nil {
-			op = "pivot"
-		}
-		block = ctx.Stats.Node(ctx.ParentNode(), q, "block", op, q.Pos().String())
-		buildBlockSkeleton(ctx, q, phys, limit, offset, block)
-		saved := ctx.StatsParent
-		ctx.StatsParent = block
-		defer func() { ctx.StatsParent = saved }()
-		defer block.Timer()()
-	}
-
-	res, err := runFor(ctx, q, ex, phys).run(outer, limit, offset)
+	res, err := r.run(outer, limit, offset)
 	if err != nil {
 		return nil, err
 	}
-	if block != nil {
-		block.SetOut(resultLen(res))
-	}
+	r.out = resultLen(res)
 	return res, nil
 }
 
@@ -157,19 +128,20 @@ type rowSink struct {
 	ctx *eval.Context
 	q   *ast.SFW
 	// ex evaluates the SELECT projection and the ORDER BY keys.
-	ex      *clauseExprs
-	ordered bool
+	ex *clauseExprs
 	// stopAt is offset+limit when LIMIT can stop the pipeline early
 	// (no ORDER BY, DISTINCT, GROUP BY, or windows); -1 otherwise.
 	stopAt int64
 	out    []value.Value
 	// keys hold one string per row of out: its canonical DISTINCT key,
-	// kept only for parallel workers so the merge can re-deduplicate
-	// globally, or, in a PIVOT block's sink, its attribute name.
-	keys     []string
-	keepKeys bool
-	// parked marks the sink of a run state an invocation has reused.
-	parked bool
+	// kept only for parallel workers (keepKeys) so the merge can
+	// re-deduplicate globally, or, in a PIVOT block's sink, its
+	// attribute name.
+	keys []string
+	// ordered marks an ORDER BY block's sink, parked the sink of a run
+	// state an invocation has reused, and late projection deferred
+	// behind the top-K heap (see projectTopK).
+	ordered, keepKeys, parked, late bool
 	// orderKeys are the ORDER BY keys of the full-sort buffer, one flat
 	// slice beside out: row r's w keys are orderKeys[r*w:(r+1)*w]. perm
 	// is the sorted order of out's rows.
@@ -177,21 +149,19 @@ type rowSink struct {
 	perm      []int
 	// top is the bounded heap of ORDER BY … LIMIT, nil otherwise.
 	top *topKHeap
-	// rowKeys receives the ORDER BY keys of the row on offer. late marks
-	// projection deferred behind the top-K heap (see projectTopK).
+	// rowKeys receives the ORDER BY keys of the row on offer.
 	rowKeys []value.Value
-	late    bool
 	seen    map[string]bool
 	keyBuf  []byte
 	seq     int
-	// gov is the resolved resource governor, nil when ungoverned; like
-	// the stats nodes it is resolved once so project() pays a nil test.
+	// gov is the resolved resource governor, nil when ungoverned: it is
+	// resolved once so project() pays a nil test.
 	gov *eval.Governor
-	// EXPLAIN ANALYZE nodes, nil when instrumentation is off. They are
-	// resolved per invocation so project() pays a nil test per row.
-	stDistinct *eval.StatsNode
-	stOrder    *eval.StatsNode
-	stLimit    *eval.StatsNode
+	// The counts of the DISTINCT, ORDER BY (or top-K) and LIMIT/OFFSET
+	// operators. A parallel worker's DISTINCT counts only the rows offered:
+	// the rows it keeps are counted as the merge keeps them.
+	distinct, limit eval.Rows
+	order           eval.OpCounts
 }
 
 // reset empties the sink for an invocation under its LIMIT and OFFSET.
@@ -218,22 +188,16 @@ func (s *rowSink) reset(limit, offset int64) {
 			s.stopAt = offset + limit
 		}
 	}
-	if ctx := s.ctx; ctx.Stats != nil {
-		parent := ctx.ParentNode()
-		if q.Select.Distinct {
-			s.stDistinct = ctx.Stats.Node(parent, q, "distinct", "distinct", "")
-		}
-		if s.ordered {
-			op := "order-by"
-			if s.top != nil {
-				op = "top-k"
-			}
-			s.stOrder = ctx.Stats.Node(parent, q, "order", op, "")
-		}
-		s.stLimit = nil
-		if limit >= 0 || offset > 0 {
-			s.stLimit = ctx.Stats.Node(parent, q, "limit", "limit", "")
-		}
+}
+
+// fold adds the counts of w, a sink of the same block, to s's; w's heap
+// evictions are the latest.
+func (s *rowSink) fold(w *rowSink) {
+	s.distinct.Add(w.distinct)
+	s.order.Add(w.order)
+	s.limit.Add(w.limit)
+	if w.top != nil {
+		s.top = w.top
 	}
 }
 
@@ -302,9 +266,7 @@ func (s *rowSink) project(env *eval.Env) error {
 	}
 	var rowKey string
 	if s.q.Select.Distinct {
-		if s.stDistinct != nil {
-			s.stDistinct.AddIn(1)
-		}
+		s.distinct.In++
 		s.keyBuf = value.AppendKey(s.keyBuf[:0], v)
 		if s.seen[string(s.keyBuf)] {
 			return nil
@@ -319,8 +281,8 @@ func (s *rowSink) project(env *eval.Env) error {
 				return err
 			}
 		}
-		if s.stDistinct != nil {
-			s.stDistinct.AddOut(1)
+		if !s.keepKeys {
+			s.distinct.Out++
 		}
 	}
 	if s.ordered {
@@ -331,9 +293,7 @@ func (s *rowSink) project(env *eval.Env) error {
 		if err := s.ctx.Interrupted(); err != nil {
 			return err
 		}
-		if s.stOrder != nil {
-			s.stOrder.AddIn(1)
-		}
+		s.order.In++
 		if err := s.orderKeysOf(env); err != nil {
 			return err
 		}
@@ -384,9 +344,7 @@ func (s *rowSink) projectTopK(env *eval.Env) error {
 	if err := s.ctx.Interrupted(); err != nil {
 		return err
 	}
-	if s.stOrder != nil {
-		s.stOrder.AddIn(1)
-	}
+	s.order.In++
 	if err := s.orderKeysOf(env); err != nil {
 		return err
 	}
@@ -427,6 +385,7 @@ func (s *rowSink) merge(w *rowSink) error {
 				continue
 			}
 			s.seen[w.keys[j]] = true
+			s.distinct.Out++
 		}
 		s.out = append(s.out, v)
 	}
@@ -458,31 +417,11 @@ func (s *rowSink) finish(limit, offset int64) value.Value {
 	n := len(s.out)
 	var top []sortRow
 	if s.ordered {
-		var stopSort func()
-		if s.stOrder != nil {
-			stopSort = s.stOrder.Timer()
-		}
-		if s.top != nil {
-			top = s.top.finish()
-			n = len(top)
-			if s.stOrder != nil {
-				s.stOrder.Counter("heap_evictions").Store(s.top.evicted)
-			}
-		} else {
-			s.sort()
-		}
-		if stopSort != nil {
-			stopSort()
-			s.stOrder.AddOut(int64(n))
-		}
-	}
-	if s.stLimit != nil {
-		s.stLimit.AddIn(int64(n))
+		top, n = s.orderRows()
 	}
 	lo, hi := limitWindow(n, limit, offset)
-	if s.stLimit != nil {
-		s.stLimit.AddOut(int64(hi - lo))
-	}
+	s.limit.In += int64(n)
+	s.limit.Out += int64(hi - lo)
 	switch {
 	case lo == hi && s.ordered:
 		return emptyArray
@@ -504,6 +443,22 @@ func (s *rowSink) finish(limit, offset int64) value.Value {
 		}
 	}
 	return value.Array(out)
+}
+
+// orderRows finishes the ORDER BY: the top-K heap's rows in output
+// order, or the full-sort buffer sorted into perm (top nil); n rows
+// leave it either way.
+func (s *rowSink) orderRows() (top []sortRow, n int) {
+	defer s.ctx.Time(&s.order.Nanos, s.ctx.Clock())
+	if s.top == nil {
+		s.sort()
+		n = len(s.out)
+	} else {
+		top = s.top.finish()
+		n = len(top)
+	}
+	s.order.Out += int64(n)
+	return top, n
 }
 
 // sort orders the full-sort buffer stably by the ORDER BY items into
@@ -531,15 +486,16 @@ func (s *rowSink) sort() {
 // Context and so to one goroutine, and never outlives the execution.
 type blockRun struct {
 	ctx *eval.Context
-	// q is the block, in its post-group form when GROUP BY streams.
-	q  *ast.SFW
-	ex *clauseExprs
+	// block is the block as written, whose RunSlot parks the run state;
+	// q is the block in its post-group form when GROUP BY streams.
+	block, q *ast.SFW
+	ex       *clauseExprs
 	// st holds the plan's lazily hoisted sources, hash tables and index
 	// resolutions, nil on the reference oracle; the workers of a parallel
 	// scan share their block's.
 	st *physState
 	// from are the oracle's FROM items, nil under a plan.
-	from []*itemExprs
+	from []*itemRun
 	c    chain
 	sink rowSink
 	grp  grouper // nil without GROUP BY
@@ -548,22 +504,39 @@ type blockRun struct {
 	windowEnvs []*eval.Env
 	// fromRow and, with GROUP BY, postGroup as method values, made once.
 	fromRowFn, postGroupFn emit
-	// EXPLAIN ANALYZE nodes of the clause-position filters, nil when
-	// instrumentation is off.
-	stWhere, stHaving *eval.StatsNode
+	// The block's own counts: its invocations' wall time and the rows the
+	// last one answered, its variable-free WHERE conjuncts, join-order
+	// buffer, clause-position WHERE, HAVING and window operators, and the
+	// workers of its last chunked scan. Its FROM steps count in c (or,
+	// on the oracle, in from), its grouper and sink in theirs.
+	nanos, out         int64
+	pre, where, having eval.Rows
+	reorder, window    eval.OpCounts
+	chunks             int64
 }
 
-// newBlockRun builds a run state for block q with clause evaluators ex
-// under plan phys — nil on the oracle path, whose FROM items it
-// interprets; a parallel worker's joins its block's physState st.
-func newBlockRun(ctx *eval.Context, q *ast.SFW, ex *clauseExprs, phys *sfwPhys, st *physState) *blockRun {
-	r := &blockRun{ctx: ctx, q: q, ex: ex}
+// newBlockRun builds a run state for block q under plan phys — nil on
+// the oracle path, which interprets its clauses and FROM items; a
+// parallel worker's joins its block's physState st.
+func newBlockRun(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, st *physState) *blockRun {
+	r := &blockRun{ctx: ctx, block: q, q: q}
 	if phys == nil {
-		r.from = make([]*itemExprs, len(q.From))
+		// The oracle runs WHERE whole, in clause position.
+		ex := newClauseExprs(q, []ast.Expr{q.Where}, eval.Interpret)
+		r.ex = &ex
+		r.from = make([]*itemRun, len(q.From))
 		for i, item := range q.From {
-			r.from[i] = newItemExprs(item, eval.Interpret)
+			r.from[i] = new(itemRun).init(newItemExprs(item, eval.Interpret))
+		}
+	} else {
+		r.ex = &phys.clauseExprs
+		if phys.stream != nil {
+			// A streamed GROUP BY runs its post-group clauses from the copy
+			// of the block whose fold calls read aggregate slots.
+			r.q = phys.stream.post
 		}
 	}
+	q = r.q
 	r.fromRowFn = r.fromRow
 	r.sink = rowSink{ctx: ctx, q: q, ex: r.ex, ordered: len(q.OrderBy) > 0, gov: ctx.Gov, rowKeys: make([]value.Value, len(r.ex.order))}
 	if q.Select.Distinct {
@@ -580,42 +553,59 @@ func newBlockRun(ctx *eval.Context, q *ast.SFW, ex *clauseExprs, phys *sfwPhys, 
 		r.st = st
 		r.c.init(st, ctx, r.fromRowFn)
 	}
-	if ctx.Stats != nil {
-		parent := ctx.ParentNode()
-		if len(r.ex.where) > 0 {
-			label := "where"
-			if phys != nil {
-				label = "residual"
-			}
-			r.stWhere = ctx.Stats.Node(parent, q, "where", "filter", label)
-		}
-		if q.Having != nil {
-			r.stHaving = ctx.Stats.Node(parent, q, "having", "filter", "having")
-		}
-	}
 	return r
 }
 
-// runFor returns the run state of block q's invocation: a new one on the
-// oracle path and for the top-level block, which runs once; for a nested
-// planned block the one parked in ctx.Runs under the block's slot. A
-// block is never entered while it runs, so one run state per block is
-// enough, and every entry resets it.
-func runFor(ctx *eval.Context, q *ast.SFW, ex *clauseExprs, phys *sfwPhys) *blockRun {
-	if phys == nil || ctx.Depth <= 1 {
-		return newBlockRun(ctx, q, ex, phys, nil)
-	}
-	if phys.slot < len(ctx.Runs) {
-		if r, ok := ctx.Runs[phys.slot].(*blockRun); ok && r.st.phys == phys {
-			r.sink.parked = true
-			return r
+// runFor returns the run state of block q's invocation and the one parked
+// in ctx.Runs under the block's RunSlot, which keeps the block's counts.
+// A planned block's are one: parked at its first entry, reset by every
+// later one. A block is never entered while it runs, so one run state
+// per block is enough. The oracle runs every later invocation in a fresh
+// run state, whose counts the caller folds into the parked one.
+func runFor(ctx *eval.Context, q *ast.SFW) (r, parked *blockRun) {
+	phys, _ := q.Phys.(*sfwPhys)
+	slot := ctx.RunState(q.RunSlot)
+	if parked, ok := (*slot).(*blockRun); ok && parked.block == q {
+		if phys == nil {
+			return newBlockRun(ctx, q, nil, nil), parked
 		}
-	} else {
-		ctx.Runs = slices.Grow(ctx.Runs, phys.slot+1-len(ctx.Runs))[:phys.slot+1]
+		parked.sink.parked = true
+		return parked, parked
 	}
-	r := newBlockRun(ctx, q, ex, phys, nil)
-	ctx.Runs[phys.slot] = r
-	return r
+	r = newBlockRun(ctx, q, phys, nil)
+	*slot = r
+	return r, r
+}
+
+// fold adds the counts of w, another run state of the same block, to
+// r's: a parallel worker's, after its chunk.
+func (r *blockRun) fold(w *blockRun) {
+	r.nanos += w.nanos
+	r.pre.Add(w.pre)
+	r.reorder.Add(w.reorder)
+	r.where.Add(w.where)
+	r.having.Add(w.having)
+	r.window.Add(w.window)
+	if w.chunks != 0 {
+		r.chunks = w.chunks
+	}
+	if r.st != nil {
+		r.c.fold(&w.c)
+	}
+	for i, it := range r.from {
+		it.fold(w.from[i])
+	}
+	if r.grp != nil {
+		r.grp.counts().Add(*w.grp.counts())
+	}
+	r.sink.fold(&w.sink)
+}
+
+// absorb folds in w, a run state that ran the block after r last did:
+// r's rows out become w's.
+func (r *blockRun) absorb(w *blockRun) {
+	r.fold(w)
+	r.out = w.out
 }
 
 // reset readies the sink, grouper and window buffer for an invocation.
@@ -648,20 +638,14 @@ func (r *blockRun) run(outer *eval.Env, limit, offset int64) (value.Value, error
 		}
 	}
 	if len(r.q.Windows) > 0 {
-		ctx := r.ctx
-		var stopWin func()
-		if ctx.Stats != nil {
-			wn := ctx.Stats.Node(ctx.ParentNode(), r.q, "window", "window", "")
-			wn.AddIn(int64(len(r.windowEnvs)))
-			wn.AddOut(int64(len(r.windowEnvs)))
-			stopWin = wn.Timer()
-		}
+		ctx, n := r.ctx, int64(len(r.windowEnvs))
+		r.window.In += n
+		r.window.Out += n
+		start := ctx.Clock()
 		if err := computeWindows(ctx, r.q.Windows, r.ex.windows, r.windowEnvs); err != nil {
 			return nil, err
 		}
-		if stopWin != nil {
-			stopWin()
-		}
+		ctx.Time(&r.window.Nanos, start)
 		for _, wenv := range r.windowEnvs {
 			if err := r.sink.project(wenv); err != nil {
 				if err == errStop {
@@ -694,16 +678,12 @@ func (r *blockRun) fromRow(env *eval.Env) error {
 		env.Bind(l.Name, v)
 	}
 	if len(r.ex.where) > 0 {
-		if r.stWhere != nil {
-			r.stWhere.AddIn(1)
-		}
+		r.where.In++
 		ok, err := filtersPass(ctx, env, r.ex.where)
 		if err != nil || !ok {
 			return err
 		}
-		if r.stWhere != nil {
-			r.stWhere.AddOut(1)
-		}
+		r.where.Out++
 	}
 	if r.grp != nil {
 		return r.grp.add(env)
@@ -716,9 +696,7 @@ func (r *blockRun) fromRow(env *eval.Env) error {
 func (r *blockRun) postGroup(env *eval.Env) error {
 	ctx := r.ctx
 	if r.q.Having != nil {
-		if r.stHaving != nil {
-			r.stHaving.AddIn(1)
-		}
+		r.having.In++
 		cond, err := r.ex.having(ctx, env)
 		if err != nil {
 			return err
@@ -726,9 +704,7 @@ func (r *blockRun) postGroup(env *eval.Env) error {
 		if !eval.IsTrue(cond) {
 			return nil
 		}
-		if r.stHaving != nil {
-			r.stHaving.AddOut(1)
-		}
+		r.having.Out++
 	}
 	if len(r.q.Windows) > 0 {
 		if err := ctx.Interrupted(); err != nil {

@@ -36,39 +36,33 @@ type reorderedRow struct {
 }
 
 // produceReordered runs the reordered step chain, buffering and
-// re-sorting its bindings into written production order before emitting
-// them to k.
-func (st *physState) produceReordered(ctx *eval.Context, k emit) error {
+// re-sorting its bindings into written production order before passing
+// them on to fromRow. The chain that runs the steps in executed order
+// folds its counts into the block's own.
+func (r *blockRun) produceReordered() error {
+	st, ctx := r.st, r.ctx
 	ro := st.phys.reorder
 	n := len(st.phys.steps)
 	st.ord = make([]int64, n)
-	var node *eval.StatsNode
-	if ctx.Stats != nil {
-		node = ctx.Stats.Node(ctx.ParentNode(), st.phys, "reorder", "join-order", ro.label)
-	}
 	var rows []reorderedRow
-	var err error
-	func() {
-		if node != nil {
-			defer node.Timer()()
+	start := ctx.Clock()
+	var c chain
+	err := c.init(st, ctx, func(env *eval.Env) error {
+		r.reorder.In++
+		key := make([]int64, n)
+		for w := 0; w < n; w++ {
+			key[w] = st.ord[ro.newPosOf[w]]
 		}
-		err = new(chain).init(st, ctx, func(env *eval.Env) error {
-			if node != nil {
-				node.AddIn(1)
+		rows = append(rows, reorderedRow{key: key, env: env.RechainBelow(st.outer, ro.newPosOf)})
+		if ctx.Gov != nil {
+			if err := ctx.Gov.ChargeBindings("join-order", nil); err != nil {
+				return err
 			}
-			key := make([]int64, n)
-			for w := 0; w < n; w++ {
-				key[w] = st.ord[ro.newPosOf[w]]
-			}
-			rows = append(rows, reorderedRow{key: key, env: env.RechainBelow(st.outer, ro.newPosOf)})
-			if ctx.Gov != nil {
-				if err := ctx.Gov.ChargeBindings("join-order", nil); err != nil {
-					return err
-				}
-			}
-			return checkSize(ctx, len(rows))
-		}).run(st.outer, 0)
-	}()
+		}
+		return checkSize(ctx, len(rows))
+	}).run(st.outer, 0)
+	r.c.fold(&c)
+	ctx.Time(&r.reorder.Nanos, start)
 	if err != nil {
 		return err
 	}
@@ -82,10 +76,8 @@ func (st *physState) produceReordered(ctx *eval.Context, k emit) error {
 		return false
 	})
 	for i := range rows {
-		if node != nil {
-			node.AddOut(1)
-		}
-		if err := k(rows[i].env); err != nil {
+		r.reorder.Out++
+		if err := r.fromRow(rows[i].env); err != nil {
 			return err
 		}
 	}

@@ -6,21 +6,245 @@ import (
 	"sqlpp/internal/value"
 )
 
-// EXPLAIN ANALYZE plumbing for the plan package. Stats nodes are keyed
-// in the sink by (plan pointer, role), so every execution site that
-// touches an operator — sequential, hoisted, or one worker of a
-// parallel scan — lands on the same node and accumulates into it.
+// EXPLAIN ANALYZE is a run that also takes wall time (Context.Analyze)
+// followed by Explain, which walks the query's blocks and their physical
+// plans once and reads each operator's counts off the run state that
+// executed it (ctx.Runs). The tree mirrors the plan: a block's operators
+// in pipeline order — FROM steps with their pushed filters, residual
+// WHERE, GROUP BY, HAVING, windows, DISTINCT, ORDER BY / top-K, LIMIT —
+// followed by the blocks and set operations nested in its clauses, in
+// clause order (SELECT, FROM, LET, WHERE, …; ast.Children). A block or
+// set operation that never ran has no node.
 //
-// Run eagerly creates a block's operator skeleton in pipeline order
-// before any row is produced. That fixes the child order of the tree
-// (golden-testable even under parallel execution, where lazy creation
-// order would race) and means the execution-time lookups below are
-// always hits whose parent argument is ignored.
+// Counts accumulate per operator across invocations — a correlated
+// subquery's over its outer rows, a parallel scan's over its workers —
+// except a block's rows out, which are its last invocation's. Wall
+// times are inclusive: the pipeline is push-style, so an operator's
+// continuation runs everything downstream of it, and a scan's span
+// covers the work it feeds. A hash join's time is its builds'.
+
+// Explain renders the EXPLAIN ANALYZE tree of root's execution in ctx.
+func Explain(ctx *eval.Context, root ast.Expr) *eval.StatsSnapshot {
+	top := &eval.StatsSnapshot{Op: "query"}
+	explainNested(ctx, root, top)
+	return top
+}
+
+// explainNested adds to parent the nodes of the blocks and set operations
+// in e that ran, not descending into them. A block that never ran is
+// looked through: blocks nested in it — those in the arguments of the
+// folds a streamed GROUP BY replaced — may have.
+func explainNested(ctx *eval.Context, e ast.Expr, parent *eval.StatsSnapshot) {
+	ast.Inspect(e, func(n ast.Expr) bool {
+		var node *eval.StatsSnapshot
+		switch x := n.(type) {
+		case *ast.SFW:
+			if x.RunSlot < len(ctx.Runs) {
+				if r, ok := ctx.Runs[x.RunSlot].(*blockRun); ok && r.block == x {
+					node = r.explain()
+				}
+			}
+		case *ast.SetOp:
+			if x.RunSlot < len(ctx.Runs) {
+				if counts, ok := ctx.Runs[x.RunSlot].(*eval.OpCounts); ok {
+					op := x.Op
+					if x.All {
+						op += " ALL"
+					}
+					node = opNode("set-op", op, counts.Rows, counts.Nanos)
+				}
+			}
+		}
+		if node == nil {
+			return true
+		}
+		parent.Children = append(parent.Children, node)
+		ast.Children(n, func(c *ast.Expr) { explainNested(ctx, *c, node) })
+		return false
+	})
+}
+
+// opNode is an operator's node over its row counts and wall time.
+func opNode(op, label string, rows eval.Rows, nanos int64) *eval.StatsSnapshot {
+	return &eval.StatsSnapshot{Op: op, Label: label, RowsIn: rows.In, RowsOut: rows.Out, TimeNS: nanos}
+}
+
+// addOp appends an operator's node to parent and returns it.
+func addOp(parent *eval.StatsSnapshot, op, label string, rows eval.Rows, nanos int64) *eval.StatsSnapshot {
+	n := opNode(op, label, rows, nanos)
+	parent.Children = append(parent.Children, n)
+	return n
+}
+
+// counter sets one of n's operator-specific counters.
+func counter(n *eval.StatsSnapshot, name string, v int64) {
+	if n.Counters == nil {
+		n.Counters = map[string]int64{}
+	}
+	n.Counters[name] = v
+}
+
+// explain renders the block's node with its operators.
 //
-// Reported wall times are inclusive: the pipeline is push-style, so an
-// operator's continuation runs everything downstream of it, and a timed
-// span around a FROM step covers the work it feeds. The block node's
-// time is the end-to-end time of the block.
+// governor:bounded by the block's FROM items: one node per operator.
+func (r *blockRun) explain() *eval.StatsSnapshot {
+	q := r.block
+	op := "select"
+	if q.Select.PivotAt != nil {
+		op = "pivot"
+	}
+	node := &eval.StatsSnapshot{Op: op, Label: q.Pos().String(), RowsOut: r.out, TimeNS: r.nanos}
+	if r.st != nil {
+		r.explainSteps(node)
+	} else {
+		for _, it := range r.from {
+			node.Children = append(node.Children, it.explain())
+		}
+		if q.Where != nil {
+			addOp(node, "filter", "where", r.where, 0)
+		}
+	}
+	if q.GroupBy != nil {
+		label := "materialize"
+		if r.st != nil && r.st.phys.stream != nil {
+			label = r.st.phys.stream.label
+		}
+		addOp(node, "group-by", label, *r.grp.counts(), 0)
+	}
+	if q.Having != nil {
+		addOp(node, "filter", "having", r.having, 0)
+	}
+	if len(q.Windows) > 0 {
+		addOp(node, "window", "", r.window.Rows, r.window.Nanos)
+	}
+	if q.Select.Distinct {
+		addOp(node, "distinct", "", r.sink.distinct, 0)
+	}
+	if len(q.OrderBy) > 0 {
+		if q.Limit == nil {
+			addOp(node, "order-by", "", r.sink.order.Rows, r.sink.order.Nanos)
+		} else if n := addOp(node, "top-k", "", r.sink.order.Rows, r.sink.order.Nanos); r.sink.top != nil {
+			counter(n, "heap_evictions", r.sink.top.evicted)
+		}
+	}
+	if q.Limit != nil || q.Offset != nil {
+		addOp(node, "limit", "", r.sink.limit, 0)
+	}
+	return node
+}
+
+// explainSteps renders a planned block's FROM operators: its
+// variable-free WHERE conjuncts, its steps — under the join-order buffer
+// that restores their written production order when the plan reordered
+// them — each with its pushed filters, and its residual WHERE.
+//
+// governor:bounded by the block's FROM items: one node per operator.
+func (r *blockRun) explainSteps(node *eval.StatsSnapshot) {
+	phys := r.st.phys
+	if len(phys.pre) > 0 {
+		addOp(node, "filter", "pre", r.pre, 0)
+	}
+	parent := node
+	if phys.reorder != nil {
+		parent = addOp(node, "join-order", phys.reorder.label, r.reorder.Rows, r.reorder.Nanos)
+	}
+	for i := range phys.steps {
+		step, l := &phys.steps[i], &r.c.links[i]
+		var n *eval.StatsSnapshot
+		switch {
+		case step.hash != nil:
+			n = l.explainJoin(parent, step.hash)
+		case step.idx != nil:
+			op := "index_probe"
+			if step.idx.eq == nil {
+				op = "index_range"
+			}
+			n = addOp(parent, op, step.idx.name, l.item.Rows, l.item.Nanos)
+			counter(n, "probes", l.lookups)
+			counter(n, "hits", l.hits)
+			if step.idx.estRows >= 0 {
+				counter(n, "est_rows", step.idx.estRows)
+			}
+		default:
+			n = l.item.explain()
+			parent.Children = append(parent.Children, n)
+			if step.hoist {
+				counter(n, "hoisted", 1)
+			}
+			if step.estSrc >= 0 {
+				counter(n, "est_rows", step.estSrc)
+			}
+		}
+		if i == 0 && r.chunks > 0 {
+			counter(n, "chunks", r.chunks)
+		}
+		if len(step.filters) > 0 {
+			f := addOp(n, "filter", "pushed", eval.Rows{In: n.RowsOut, Out: l.filtered}, 0)
+			if step.estOut >= 0 {
+				counter(f, "est_rows", step.estOut)
+			}
+		}
+	}
+	if len(phys.residual) > 0 {
+		addOp(node, "filter", "residual", r.where, 0)
+	}
+}
+
+// explainJoin renders a hash join — an index join when an index serves
+// its build side — with its probe side (a JOIN's left operand) and its
+// build scan below it.
+func (l *link) explainJoin(parent *eval.StatsSnapshot, h *hashJoinStep) *eval.StatsSnapshot {
+	j := &l.join
+	kind := "inner"
+	if h.leftJoin {
+		kind = "left"
+	}
+	op, label := "hash-join", kind
+	if h.buildIdx != nil {
+		op, label = "index_join", kind+" "+h.buildIdx.name
+	}
+	n := addOp(parent, op, label, j.Rows, j.Nanos)
+	counter(n, "candidates", j.candidates)
+	counter(n, "verified", j.verified)
+	if h.leftJoin {
+		counter(n, "left_pads", j.pads)
+	}
+	if h.buildIdx != nil {
+		counter(n, "probes", l.lookups)
+		counter(n, "hits", l.hits)
+	}
+	if h.estBuild >= 0 {
+		counter(n, "est_build", h.estBuild)
+	}
+	if h.estOut >= 0 {
+		counter(n, "est_rows", h.estOut)
+	}
+	if j.table != nil {
+		counter(n, "buckets", int64(len(j.table.buckets)))
+		counter(n, "build_rows", int64(len(j.table.next)))
+	}
+	if h.left != nil {
+		n.Children = append(n.Children, l.item.explain())
+	}
+	if h.buildIdx == nil {
+		// A build binds every row it scans; it takes the join's time.
+		addOp(n, "scan", h.right.As, eval.Rows{In: j.built, Out: j.built}, j.Nanos)
+	}
+	return n
+}
+
+// explain renders a FROM item's node, a JOIN's with its operands'.
+func (r *itemRun) explain() *eval.StatsSnapshot {
+	op, label := describeItem(r.ex.item)
+	n := opNode(op, label, r.Rows, r.Nanos)
+	if j, ok := r.ex.item.(*ast.FromJoin); ok {
+		if j.Kind == ast.JoinLeft {
+			counter(n, "left_pads", r.pads)
+		}
+		n.Children = append(n.Children, r.left.explain(), r.right.explain())
+	}
+	return n
+}
 
 // describeItem names a FROM item for the tree.
 func describeItem(item ast.FromItem) (op, label string) {
@@ -36,127 +260,6 @@ func describeItem(item ast.FromItem) (op, label string) {
 		return "join", "inner"
 	}
 	return "from", ""
-}
-
-// itemNode resolves a FROM item's node. Skeleton-covered items hit; a
-// miss creates the node under the current block.
-func itemNode(ctx *eval.Context, item ast.FromItem) *eval.StatsNode {
-	op, label := describeItem(item)
-	return ctx.Stats.Node(ctx.ParentNode(), item, "item", op, label)
-}
-
-// itemSkeleton creates a FROM item's node under parent, recursing into
-// join subtrees so a join's inputs nest under the join node.
-func itemSkeleton(ctx *eval.Context, parent *eval.StatsNode, item ast.FromItem) *eval.StatsNode {
-	op, label := describeItem(item)
-	n := ctx.Stats.Node(parent, item, "item", op, label)
-	if j, ok := item.(*ast.FromJoin); ok {
-		itemSkeleton(ctx, n, j.Left)
-		itemSkeleton(ctx, n, j.Right)
-	}
-	return n
-}
-
-// hashNode resolves a hash-join step's node. A join whose build side is
-// served by a secondary index reports as index_join, labeled with the
-// join kind and the index name.
-func hashNode(ctx *eval.Context, parent *eval.StatsNode, h *hashJoinStep) *eval.StatsNode {
-	kind := "inner"
-	if h.leftJoin {
-		kind = "left"
-	}
-	if h.buildIdx != nil {
-		return ctx.Stats.Node(parent, h, "hash", "index_join", kind+" "+h.buildIdx.name)
-	}
-	return ctx.Stats.Node(parent, h, "hash", "hash-join", kind)
-}
-
-// indexNode resolves an index-probing fromStep's node. It is keyed like
-// an ordinary item node, so a runtime fallback to scanning accumulates
-// into the same operator block.
-func indexNode(ctx *eval.Context, parent *eval.StatsNode, step *fromStep) *eval.StatsNode {
-	op := "index_probe"
-	if step.idx.eq == nil {
-		op = "index_range"
-	}
-	return ctx.Stats.Node(parent, step.item, "item", op, step.idx.name)
-}
-
-// buildBlockSkeleton pre-creates the block's operator nodes in pipeline
-// order: FROM steps (with pushed filters as their children), residual
-// WHERE, GROUP BY, HAVING, windows, DISTINCT, ORDER BY / top-K, LIMIT.
-// Callers must have checked ctx.Stats != nil.
-func buildBlockSkeleton(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, limit, offset int64, block *eval.StatsNode) {
-	if phys != nil {
-		if len(phys.pre) > 0 {
-			ctx.Stats.Node(block, phys, "pre", "filter", "pre")
-		}
-		stepParent := block
-		if phys.reorder != nil {
-			// The reordered steps nest under the join-order buffer that
-			// restores their written production order.
-			stepParent = ctx.Stats.Node(block, phys, "reorder", "join-order", phys.reorder.label)
-		}
-		for i := range phys.steps {
-			step := &phys.steps[i]
-			var n *eval.StatsNode
-			if step.hash != nil {
-				n = hashNode(ctx, stepParent, step.hash)
-				if step.hash.left != nil {
-					itemSkeleton(ctx, n, step.hash.left)
-				}
-				if step.hash.buildIdx == nil {
-					itemSkeleton(ctx, n, step.hash.right)
-				}
-			} else if step.idx != nil {
-				n = indexNode(ctx, stepParent, step)
-			} else {
-				n = itemSkeleton(ctx, stepParent, step.item)
-				if step.hoist {
-					n.Counter("hoisted").Store(1)
-				}
-			}
-			if len(step.filters) > 0 {
-				ctx.Stats.Node(n, step, "filter", "filter", "pushed")
-			}
-		}
-		if len(phys.residual) > 0 {
-			ctx.Stats.Node(block, q, "where", "filter", "residual")
-		}
-	} else {
-		for _, item := range q.From {
-			itemSkeleton(ctx, block, item)
-		}
-		if q.Where != nil {
-			ctx.Stats.Node(block, q, "where", "filter", "where")
-		}
-	}
-	if q.GroupBy != nil {
-		label := "materialize"
-		if phys != nil && phys.stream != nil {
-			label = phys.stream.label
-		}
-		ctx.Stats.Node(block, q.GroupBy, "group", "group-by", label)
-	}
-	if q.Having != nil {
-		ctx.Stats.Node(block, q, "having", "filter", "having")
-	}
-	if len(q.Windows) > 0 {
-		ctx.Stats.Node(block, q, "window", "window", "")
-	}
-	if q.Select.Distinct {
-		ctx.Stats.Node(block, q, "distinct", "distinct", "")
-	}
-	if len(q.OrderBy) > 0 {
-		op := "order-by"
-		if limit >= 0 {
-			op = "top-k"
-		}
-		ctx.Stats.Node(block, q, "order", op, "")
-	}
-	if limit >= 0 || offset > 0 {
-		ctx.Stats.Node(block, q, "limit", "limit", "")
-	}
 }
 
 // resultLen is the cardinality a block node reports as rows out.

@@ -329,7 +329,8 @@ type streamGroup struct {
 	// when it opens a new group.
 	keyBuf  []byte
 	keyVals []value.Value
-	st      *eval.StatsNode
+	// ops counts the rows folded and the groups flushed.
+	ops eval.Rows
 }
 
 func newStreamGroup(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledExpr, plan *streamPlan) *streamGroup {
@@ -344,11 +345,10 @@ func newStreamGroup(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledEx
 	for i := range g.slots {
 		g.retains = g.retains || g.slots[i].retains
 	}
-	if ctx.Stats != nil {
-		g.st = ctx.Stats.Node(ctx.ParentNode(), spec, "group", "group-by", plan.label)
-	}
 	return g
 }
+
+func (g *streamGroup) counts() *eval.Rows { return &g.ops }
 
 // reset drops the groups of the last invocation.
 func (g *streamGroup) reset(outer *eval.Env) {
@@ -378,9 +378,7 @@ func (g *streamGroup) add(env *eval.Env) error {
 	if err := g.ctx.Interrupted(); err != nil {
 		return err
 	}
-	if g.st != nil {
-		g.st.AddIn(1)
-	}
+	g.ops.In++
 	kb, err := groupKey(g.ctx, env, g.keysC, g.keyVals, g.keyBuf)
 	if err != nil {
 		return err
@@ -471,9 +469,7 @@ func (e *streamEntry) latch(i int, err error) error {
 // or, deferred to its first reader, its fault.
 func (g *streamGroup) flush(k emit) error {
 	for _, e := range g.order {
-		if g.st != nil {
-			g.st.AddOut(1)
-		}
+		g.ops.Out++
 		env := g.outer.Child()
 		for i, key := range g.spec.Keys {
 			env.Bind(ast.KeyAlias(key, i), e.keys[i])

@@ -22,6 +22,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sqlpp/internal/ast"
@@ -154,14 +155,20 @@ type rewriter struct {
 }
 
 // Rewrite lowers and resolves a parsed query. The returned expression is
-// the same tree, mutated.
+// the same tree, mutated, with its blocks and set operations numbered
+// for their run states (ast.NumberRunSlots).
 func Rewrite(e ast.Expr, opts Options) (ast.Expr, error) {
 	rw := &rewriter{opts: opts}
 	root := newScope(nil, false)
 	for _, p := range opts.Params {
 		root.bindOrdered(p)
 	}
-	return rw.expr(e, root)
+	core, err := rw.expr(e, root)
+	if err != nil {
+		return nil, err
+	}
+	ast.NumberRunSlots(core)
+	return core, nil
 }
 
 func (rw *rewriter) fresh(prefix string) string {
@@ -425,18 +432,24 @@ func isSugarSubquery(e ast.Expr) bool {
 // implicit qualification by the block's single range variable (or by
 // schema knowledge).
 func (rw *rewriter) resolveChain(e ast.Expr, sc *scope) (ast.Expr, error) {
-	head, steps := splitChain(e)
-	if head == nil {
-		// The chain bottoms out in a non-VarRef base (e.g. a subquery or
-		// constructor); rewrite the base and re-attach the steps.
-		fa := e.(*ast.FieldAccess)
-		base, err := rw.expr(fa.Base, sc)
+	// Find the chain's head without collecting its steps. A chain that
+	// bottoms out in a non-VarRef base (e.g. a subquery or constructor)
+	// rewrites that base once and keeps its steps in place, so a chain
+	// of n steps costs O(n), not a walk per step.
+	last, base := e, e
+	for fa, ok := base.(*ast.FieldAccess); ok; fa, ok = base.(*ast.FieldAccess) {
+		last, base = fa, fa.Base
+	}
+	if _, ok := base.(*ast.VarRef); !ok {
+		fa := last.(*ast.FieldAccess)
+		b, err := rw.expr(fa.Base, sc)
 		if err != nil {
 			return nil, err
 		}
-		fa.Base = base
-		return fa, nil
+		fa.Base = b
+		return e, nil
 	}
+	head, steps := splitChain(e)
 	if sc.has(head.Name) {
 		return e, nil // bound variable; navigation applies dynamically
 	}
@@ -479,25 +492,21 @@ func (rw *rewriter) resolveChain(e ast.Expr, sc *scope) (ast.Expr, error) {
 	return nil, &Error{Pos: head.Pos(), Msg: fmt.Sprintf("unresolved name %q", head.Name)}
 }
 
-// splitChain decomposes a pure FieldAccess chain into its VarRef head and
-// the attribute steps; head is nil when the base is not a VarRef.
+// splitChain decomposes a FieldAccess chain whose base is a VarRef into
+// that head and the attribute steps.
 func splitChain(e ast.Expr) (*ast.VarRef, []string) {
 	var steps []string
 	for {
-		switch x := e.(type) {
-		case *ast.VarRef:
-			// steps were collected innermost-last; reverse.
-			for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
-				steps[i], steps[j] = steps[j], steps[i]
-			}
-			return x, steps
-		case *ast.FieldAccess:
-			steps = append(steps, x.Name)
-			e = x.Base
-		default:
-			return nil, nil
+		fa, ok := e.(*ast.FieldAccess)
+		if !ok {
+			break
 		}
+		steps = append(steps, fa.Name)
+		e = fa.Base
 	}
+	// steps were collected innermost-last; reverse.
+	slices.Reverse(steps)
+	return e.(*ast.VarRef), steps
 }
 
 // attachSteps rebuilds FieldAccess steps on top of base; orig supplies

@@ -197,16 +197,26 @@ func appendSeq(dst []byte, vs []Value, open, close string) []byte {
 }
 
 // Pretty renders v with newline indentation, two spaces per level, in the
-// same object notation as String. Useful for diffs and the CLI.
+// same object notation as String. Useful for diffs and the CLI. Indents
+// stop deepening at maxPrettyIndent levels, so a value nested d deep
+// renders in O(d) bytes, not O(d²).
 func Pretty(v Value) string {
 	var sb strings.Builder
 	pretty(&sb, v, 0)
 	return sb.String()
 }
 
+// maxPrettyIndent is the deepest level Pretty indents further; deeper
+// levels share its indent.
+const maxPrettyIndent = 32
+
+// prettyIndents backs every indent Pretty writes.
+var prettyIndents = strings.Repeat("  ", maxPrettyIndent)
+
+func prettyIndent(depth int) string { return prettyIndents[:2*min(depth, maxPrettyIndent)] }
+
 func pretty(sb *strings.Builder, v Value, depth int) {
-	indent := strings.Repeat("  ", depth)
-	child := strings.Repeat("  ", depth+1)
+	indent, child := prettyIndent(depth), prettyIndent(depth+1)
 	switch x := v.(type) {
 	case Array:
 		prettySeq(sb, x, "[", "]", indent, child, depth)

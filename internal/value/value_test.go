@@ -200,6 +200,21 @@ func TestPretty(t *testing.T) {
 	}
 }
 
+// TestPrettyDeepValueIsLinear pretty-prints an array nested 10,000 deep:
+// indents stop deepening past a fixed level, so the rendering stays
+// within a constant factor of the compact form instead of growing with
+// the square of the depth.
+func TestPrettyDeepValueIsLinear(t *testing.T) {
+	var v Value = Array{}
+	for i := 1; i < 10000; i++ {
+		v = Array{v}
+	}
+	compact, pretty := len(v.String()), len(Pretty(v))
+	if pretty > 100*compact {
+		t.Errorf("Pretty renders %d bytes, more than 100× the %d of String", pretty, compact)
+	}
+}
+
 func TestPutWithinCapacityDoesNotReallocate(t *testing.T) {
 	tup := ShapeOf().New(make([]Value, 0, 3))
 	if tup.Len() != 0 {

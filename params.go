@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"sqlpp/internal/eval"
+	"sqlpp/internal/plan"
 	"sqlpp/internal/value"
 )
 
@@ -93,15 +94,13 @@ func (p *PreparedParams) exec(ctx context.Context, params map[string]value.Value
 		}
 	}
 	ec := p.engine.newContext(ctx)
-	if explain {
-		ec.Stats = eval.NewStatsSink()
-	}
+	ec.Analyze = explain
 	v, err := runProtected(ec, env, p.core.root)
 	if err != nil {
 		return nil, nil, err
 	}
 	if explain {
-		return v, ec.Stats.Root.Snapshot(), nil
+		return v, plan.Explain(ec, p.core.core), nil
 	}
 	return v, nil, nil
 }

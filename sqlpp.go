@@ -535,20 +535,20 @@ func runProtected(ec *eval.Context, env *eval.Env, root eval.CompiledExpr) (v va
 // struct marshals directly to JSON for the HTTP API.
 type OpStats = eval.StatsSnapshot
 
-// ExplainAnalyze executes the prepared query with per-operator
-// instrumentation and returns the result alongside the stats tree. The
-// result is byte-identical to ExecContext's — instrumentation only
-// counts, it never changes semantics. Instrumented execution is slower
-// (atomic counters on every row); plain ExecContext pays nothing for
-// the feature's existence.
+// ExplainAnalyze executes the prepared query and returns the result
+// alongside its operator tree. Every execution counts its operators'
+// rows in the run states that execute them; ExplainAnalyze adds wall
+// time, taken once per phase (a block, a scan, a hash build, a sort),
+// and renders the plan over the counts after the run. The result is
+// byte-identical to ExecContext's: counting never changes semantics.
 func (p *Prepared) ExplainAnalyze(ctx context.Context) (value.Value, *OpStats, error) {
 	ec := p.engine.newContext(ctx)
-	ec.Stats = eval.NewStatsSink()
+	ec.Analyze = true
 	v, err := runProtected(ec, p.env(), p.root)
 	if err != nil {
 		return nil, nil, err
 	}
-	return v, ec.Stats.Root.Snapshot(), nil
+	return v, plan.Explain(ec, p.core), nil
 }
 
 // newContext builds the per-execution evaluation context. Contexts are

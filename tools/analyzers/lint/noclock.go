@@ -8,12 +8,14 @@ import (
 // Noclock bans direct clock access from the packages that injected
 // their clocks on purpose:
 //
-//   - internal/plan never calls time.Now. Per-operator timing belongs
-//     to the stats sink (internal/eval), which is sampled once per
-//     batch — a clock read inside a row loop would put a vDSO call (and
-//     on some platforms a real syscall) on the per-row path. Deadlines
-//     come in through the context and the governor's wall-time budget,
-//     so plan code has no legitimate need for the clock.
+//   - internal/plan never calls time.Now. Per-operator timing goes
+//     through eval.Context.Clock and Time, which read the clock only
+//     under EXPLAIN ANALYZE and are called once per phase (a block, a
+//     scan call, a hash build, a sort) — a clock read inside a row loop
+//     would put a vDSO call (and on some platforms a real syscall) on
+//     the per-row path. Deadlines come in through the context and the
+//     governor's wall-time budget, so plan code has no legitimate need
+//     for the clock.
 //
 //   - internal/shard never calls time.Now, time.Sleep, time.Since, or
 //     time.Until. The fault-tolerance layer grew the Policy.WithClock
@@ -66,7 +68,7 @@ func noclock(r *Repo, f *File) []Finding {
 			// default clock into the WithClock seam.
 			return true
 		}
-		msg := "time.Now in internal/plan; clock reads belong to the stats sink (internal/eval), not plan operators"
+		msg := "time.Now in internal/plan; operator timing goes through eval.Context.Clock/Time, once per phase"
 		if inShard {
 			msg = "time." + name + " in internal/shard bypasses the Policy.WithClock injection seam; " +
 				"use the policy's now()/sleep() (or mark the injection point itself with `// noclock:`)"
