@@ -13,7 +13,7 @@ import (
 // count is one increment with no test and no atomic. Wall time is the
 // one figure taken only under EXPLAIN ANALYZE (Context.Analyze), once
 // per phase — a block, a scan call, a hash build, a sort — never per
-// row. EXPLAIN ANALYZE is then a plain run followed by rendering the
+// row. EXPLAIN ANALYZE is then a timed run followed by rendering the
 // plan over those counts (plan.Explain) into a StatsSnapshot.
 
 // Rows are one operator's row counts in one run state: the rows that
