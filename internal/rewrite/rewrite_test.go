@@ -266,6 +266,31 @@ func TestGroupKeyMatchIsByTree(t *testing.T) {
 	}
 }
 
+// TestGroupKeyFormsMatch pins one set of matches per key form: a key is
+// matched in the form it was written (a parenthesized occurrence is the
+// same tree) and in the form resolution gave it, so an unqualified key
+// read qualified, a qualified key read unqualified, and a catalog name
+// read as written all become the key alias.
+func TestGroupKeyFormsMatch(t *testing.T) {
+	cases := []struct{ query, want string }{
+		{"SELECT k, (e.x.a) + 1 AS w FROM t AS e GROUP BY e.x.a AS k",
+			"SELECT VALUE {'k': k, 'w': k + 1} FROM t AS e GROUP BY e.x.a AS k GROUP AS $g1"},
+		{"SELECT deptno AS d FROM t AS e GROUP BY e.deptno",
+			"SELECT VALUE {'d': deptno} FROM t AS e GROUP BY e.deptno AS deptno GROUP AS $g1"},
+		{"SELECT e.deptno AS d FROM t AS e GROUP BY deptno",
+			"SELECT VALUE {'d': deptno} FROM t AS e GROUP BY e.deptno AS deptno GROUP AS $g1"},
+		{"SELECT deptno AS d FROM t AS e GROUP BY deptno",
+			"SELECT VALUE {'d': deptno} FROM t AS e GROUP BY e.deptno AS deptno GROUP AS $g1"},
+		{"SELECT t AS d FROM t AS e GROUP BY t",
+			"SELECT VALUE {'d': $k1} FROM t AS e GROUP BY t AS $k1 GROUP AS $g1"},
+	}
+	for _, c := range cases {
+		if got := mustRewrite(t, c.query, Options{Names: hrNames}); got != c.want {
+			t.Errorf("%s\n got  %s\n want %s", c.query, got, c.want)
+		}
+	}
+}
+
 func TestGroupKeyImplicitAlias(t *testing.T) {
 	tree := parser.MustParse("SELECT e.deptno FROM t AS e GROUP BY e.deptno")
 	out, err := Rewrite(tree, Options{Names: hrNames})

@@ -55,15 +55,18 @@ var propertyQueries = []string{
 	"SELECT VALUE x.v FROM data AS x WHERE x.v > 10",
 	"SELECT DISTINCT x.g AS g FROM data AS x",
 	"SELECT x.g AS g, x.v AS v FROM data AS x WHERE x.v > 50 LIMIT 4",
+	"SELECT x.g, COUNT(*) AS c FROM data AS x GROUP BY x.g",
+	"SELECT x.v % 3 AS m, SUM(x.v) AS s FROM data AS x GROUP BY x.v % 3 HAVING SUM(x.v) > 10 ORDER BY SUM(x.v), m",
+	"SELECT x.g AS g, SUM(x.v) AS a, SUM((x.v)) AS b FROM data AS x GROUP BY x.g AS g",
 }
 
 // TestPropertyShardedIdentity is the merge-correctness property test:
-// across 200 randomized heterogeneous catalogs × shard counts, every
+// across 260 randomized heterogeneous catalogs × shard counts, every
 // query's sharded result under range partitioning is byte-identical to
 // single-node execution.
 func TestPropertyShardedIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(20240817))
-	for iter := 0; iter < 200; iter++ {
+	for iter := 0; iter < 260; iter++ {
 		src := randomCatalog(rng)
 		shards := 1 + rng.Intn(6)
 		data, err := sqlpp.ParseValue(src)

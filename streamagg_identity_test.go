@@ -27,7 +27,8 @@ import (
 // duplicated calls, filtered folds, several keys with a LET, a window
 // over aggregates, aggregate-only blocks (over empty input, too), two
 // folds whose arguments print alike unless precedence is honoured, and a
-// PIVOT whose groups share attribute names.
+// PIVOT whose groups share attribute names; one aggregate is written
+// parenthesized once and bare twice.
 var streamQueries = []string{
 	`SELECT r.k AS k, COUNT(*) AS c, COUNT(r.x) AS cx, SUM(r.x) AS s, AVG(r.x) AS a, MIN(r.x) AS mn, MAX(r.x) AS mx FROM t AS r GROUP BY r.k`,
 	`SELECT r.k AS k, EVERY(r.b) AS ev, SOME(r.b) AS sm, ANY(r.b) AS an, ARRAY_AGG(r.x) AS xs FROM t AS r GROUP BY r.k`,
@@ -42,6 +43,7 @@ var streamQueries = []string{
 	`SELECT VALUE COUNT(*) FROM t AS r GROUP BY r.b`,
 	`SELECT r.k AS k, SUM((-r.n).a) AS s1, SUM(-(r.n.a)) AS s2 FROM t AS r GROUP BY r.k`,
 	`PIVOT SUM(r.x) AT CASE WHEN k = TRUE THEN 'yes' ELSE 'no' END FROM t AS r GROUP BY r.b AS k`,
+	`SELECT r.k AS k, SUM((r.x)) AS s FROM t AS r GROUP BY r.k HAVING SUM(r.x) > 0 ORDER BY SUM(r.x), k`,
 }
 
 func randStreamRow(rng *rand.Rand, i int) value.Value {
