@@ -268,3 +268,32 @@ func TestPrepareFieldChainIsLinear(t *testing.T) {
 		t.Errorf("4,000 steps allocate %d B, more than 2.5× the %d B of 2,000", long, short)
 	}
 }
+
+// TestGroupKeySubstitutionIsLinear prepares `SELECT k, e.a + … + e.a AS s
+// … GROUP BY e.a AS k` at two lengths: every term is the group key and
+// becomes a reference to k, and matching a node against the key costs
+// one comparison of the key's size, so doubling the terms must roughly
+// double what Prepare allocates (printing every subtree to look it up
+// quadruples it).
+func TestGroupKeySubstitutionIsLinear(t *testing.T) {
+	db := New(nil)
+	if err := db.RegisterSION("t", "[{'a': 1}]"); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(n int) uint64 {
+		query := "SELECT k, e.a" + strings.Repeat(" + e.a", n-1) + " AS s FROM t AS e GROUP BY e.a AS k"
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := db.Prepare(query); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(100) // warm the engine's one-time state
+	short, long := allocated(2000), allocated(4000)
+	t.Logf("Prepare allocates %d B at 2,000 terms, %d B at 4,000", short, long)
+	if float64(long) > 2.5*float64(short) {
+		t.Errorf("4,000 terms allocate %d B, more than 2.5× the %d B of 2,000", long, short)
+	}
+}

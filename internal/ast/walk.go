@@ -2,10 +2,10 @@ package ast
 
 // The slot table: Children is the one place that lists where each node
 // kind holds its child expressions. Walkers that only need "every child"
-// (Inspect, the binder, the rewriter's and splitter's in-place
-// substitutions) delegate to it and keep just their node-specific cases;
-// evaluators, printing, cloning and equality keep their own switches
-// because each does different work per node.
+// (Inspect, the binder, ReplaceKeys, which the rewriter's and splitter's
+// in-place substitutions run on) delegate to it and keep just their
+// node-specific cases; evaluators, printing, cloning and equality keep
+// their own switches because each does different work per node.
 
 // Children calls f with the address of every non-nil child expression of
 // e, so f can read the child or replace it in place. It does not recurse:
@@ -148,6 +148,57 @@ func Inspect(e Expr, v Visitor) {
 		return
 	}
 	Children(e, func(c *Expr) { Inspect(*c, v) })
+}
+
+// ReplaceKeys rewrites e top-down, in place: each largest subtree Equal
+// to one of keys becomes with(i, subtree), where keys[i] is the last key
+// it equals (a later key takes precedence, as in a map filled in key
+// order). Any other node is offered to other, which returns its
+// replacement and true, or false to have ReplaceKeys descend into the
+// node's children. A node is compared only with the keys of its own node
+// count: Equal trees have equal counts, and subtrees of one count never
+// nest, so the walk is linear in the size of e for each key.
+func ReplaceKeys(e Expr, keys []Expr, with func(int, Expr) Expr, other func(Expr) (Expr, bool)) Expr {
+	if e == nil {
+		return nil
+	}
+	// counts holds the node count of each subtree of e in pre-order; next
+	// is the pre-order position of the node walk visits next.
+	var counts []int
+	sizes := make([]int, len(keys))
+	for i, k := range keys {
+		counts = nodeCounts(k, counts[:0])
+		sizes[i] = len(counts)
+	}
+	counts = nodeCounts(e, counts[:0])
+	next := 0
+	var walk func(Expr) Expr
+	walk = func(e Expr) Expr {
+		n := counts[next]
+		next += n
+		for i := len(keys) - 1; i >= 0; i-- {
+			if sizes[i] == n && Equal(e, keys[i]) {
+				return with(i, e)
+			}
+		}
+		if out, done := other(e); done {
+			return out
+		}
+		next += 1 - n
+		Children(e, func(c *Expr) { *c = walk(*c) })
+		return e
+	}
+	return walk(e)
+}
+
+// nodeCounts appends to out the node count of each subtree of e, in
+// pre-order, counting the children Children visits.
+func nodeCounts(e Expr, out []int) []int {
+	at := len(out)
+	out = append(out, 0)
+	Children(e, func(c *Expr) { out = nodeCounts(*c, out) })
+	out[at] = len(out) - at
+	return out
 }
 
 // NumberRunSlots numbers the query blocks and set operations under root

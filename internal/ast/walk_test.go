@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"testing"
+
+	"sqlpp/internal/value"
 )
 
 // slotTableNodes lists every expression node type; TestSlotTableNodeList
@@ -155,5 +157,35 @@ func TestChildrenReplacesInPlace(t *testing.T) {
 	Children(w, func(c *Expr) { *c = &VarRef{Name: (*c).(*VarRef).Name + "2"} })
 	if got := Format(w); got != "SUM(a2) OVER (ORDER BY b2)" {
 		t.Errorf("Format after replacement = %q", got)
+	}
+}
+
+// TestReplaceKeys: the largest subtree equal to a key is replaced, a
+// later key wins over an earlier equal one, 1.0 is not the key 1, and a
+// node other takes is neither matched below nor descended into.
+func TestReplaceKeys(t *testing.T) {
+	xa := func() Expr { return &FieldAccess{Base: &VarRef{Name: "x"}, Name: "a"} }
+	lit := func(v value.Value) Expr { return &Literal{Val: v} }
+	keys := []Expr{
+		&Binary{Op: "+", L: xa(), R: lit(value.Int(1))},
+		xa(),
+		lit(value.Int(1)),
+		xa(),
+	}
+	e := &Binary{Op: "-",
+		L: &Binary{Op: "+", L: xa(), R: lit(value.Int(1))},
+		R: &Binary{Op: "*",
+			L: &Binary{Op: "*", L: xa(), R: lit(value.Float(1))},
+			R: &Call{Name: "F", Args: []Expr{xa()}}}}
+	got := ReplaceKeys(e, keys, func(i int, _ Expr) Expr {
+		return &VarRef{Name: "k" + strconv.Itoa(i)}
+	}, func(n Expr) (Expr, bool) {
+		if c, ok := n.(*Call); ok {
+			return &VarRef{Name: "f" + strconv.Itoa(len(c.Args))}, true
+		}
+		return nil, false
+	})
+	if got, want := Format(got), "k0 - k3 * 1.0 * f1"; got != want {
+		t.Errorf("got %s, want %s", got, want)
 	}
 }

@@ -298,7 +298,7 @@ type stepLazy struct {
 	idx lazyIndex
 }
 
-func newPhysState(_ *eval.Context, phys *sfwPhys, outer *eval.Env) *physState {
+func newPhysState(phys *sfwPhys, outer *eval.Env) *physState {
 	return &physState{phys: phys, outer: outer, lazy: make([]stepLazy, len(phys.steps))}
 }
 
@@ -386,8 +386,9 @@ type link struct {
 	// step's or an index join's index lookups and the positions they
 	// found.
 	filtered, lookups, hits int64
-	// join counts a hash or index join.
-	join joinRun
+	// join counts a hash or index join, nil for any other step: a plain
+	// scan does not carry its size.
+	join *joinRun
 }
 
 // joinRun is a chain's counts of a hash or index join: its probes in,
@@ -424,6 +425,7 @@ func (c *chain) init(st *physState, ctx *eval.Context, k emit) *chain {
 		c.fns[i], c.fns[n+i] = c.nextFor(i), nil
 		switch {
 		case step.hash != nil:
+			c.links[i].join = new(joinRun)
 			c.fns[n+i] = c.probeFor(i, step.hash)
 			if step.hash.leftEx != nil {
 				c.links[i].item.init(step.hash.leftEx)
@@ -443,7 +445,9 @@ func (c *chain) fold(w *chain) {
 		l.filtered += wl.filtered
 		l.lookups += wl.lookups
 		l.hits += wl.hits
-		l.join.fold(&wl.join)
+		if l.join != nil {
+			l.join.fold(wl.join)
+		}
 	}
 }
 

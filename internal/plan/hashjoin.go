@@ -158,7 +158,7 @@ func buildCap(ctx *eval.Context, src value.Value, w int) int {
 // candidate environment live as long as the chain, so a probe allocates
 // nothing of its own.
 func (c *chain) probeFor(i int, h *hashJoinStep) emit {
-	st, ctx, k, j := c.st, c.ctx, c.fns[i], &c.links[i].join
+	st, ctx, k, j := c.st, c.ctx, c.fns[i], c.links[i].join
 	reuse := st.phys.reuseEnv
 	var kb []byte
 	var cand *eval.Env

@@ -212,7 +212,7 @@ func TestHashProbeAllocatesNothing(t *testing.T) {
 		t.Fatal("plan does not reuse row environments")
 	}
 	matches := 0
-	c := new(chain).init(newPhysState(ctx, phys, eval.NewEnv()), ctx, func(*eval.Env) error {
+	c := new(chain).init(newPhysState(phys, eval.NewEnv()), ctx, func(*eval.Env) error {
 		matches++
 		return nil
 	})

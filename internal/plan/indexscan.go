@@ -164,7 +164,7 @@ func (c *chain) runIndexScan(env *eval.Env, i int, ix *index.Index) error {
 // exactly the hash probe's, so the join's observable semantics are
 // unchanged; only the build phase disappears.
 func (c *chain) runIndexJoin(env *eval.Env, i int, h *hashJoinStep, ix *index.Index, k emit) error {
-	ctx, l, j := c.ctx, &c.links[i], &c.links[i].join
+	ctx, l, j := c.ctx, &c.links[i], c.links[i].join
 	elems, ok := value.Elements(ix.Source())
 	if !ok {
 		return nil

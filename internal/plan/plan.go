@@ -548,7 +548,7 @@ func newBlockRun(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, st *physState) *b
 	}
 	if phys != nil {
 		if st == nil {
-			st = newPhysState(ctx, phys, nil)
+			st = newPhysState(phys, nil)
 		}
 		r.st = st
 		r.c.init(st, ctx, r.fromRowFn)

@@ -194,7 +194,7 @@ func (r *blockRun) explainSteps(node *eval.StatsSnapshot) {
 // its build side — with its probe side (a JOIN's left operand) and its
 // build scan below it.
 func (l *link) explainJoin(parent *eval.StatsSnapshot, h *hashJoinStep) *eval.StatsSnapshot {
-	j := &l.join
+	j := l.join
 	kind := "inner"
 	if h.leftJoin {
 		kind = "left"

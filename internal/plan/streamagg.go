@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -69,12 +70,11 @@ type streamRecognizer struct {
 	// outer variable the pre-group environment would shadow).
 	names map[string]bool
 	funcs eval.FuncSource
-	// dedupe lets textually equal folds share a slot. Off under
-	// stop-on-error typing, where the positions inside each occurrence's
-	// argument are observable through error text.
+	// dedupe lets equal folds share a slot. Off under stop-on-error
+	// typing, where the positions inside each occurrence's argument are
+	// observable through error text.
 	dedupe bool
 	slots  []aggSlot
-	byText map[string]int
 	folded []*ast.SFW
 	// blocked is the first reference to g that needs the materialized
 	// group; empty while the block is streamable.
@@ -200,7 +200,6 @@ func (r *streamRecognizer) fold(call *ast.Call) ast.Expr {
 		return nil
 	}
 	slot := aggSlot{def: def, retains: def.Name == "COLL_ARRAY_AGG"}
-	text := def.Name + "(*)"
 	switch a := call.Args[0].(type) {
 	case *ast.VarRef:
 		if a.Name != r.g || def.Name != "COLL_COUNT" {
@@ -212,22 +211,18 @@ func (r *streamRecognizer) fold(call *ast.Call) ast.Expr {
 			return nil
 		}
 		r.folded = append(r.folded, a)
-		text = def.Name + "(" + ast.Format(slot.arg) + ")"
-		if slot.cond != nil {
-			text += " WHERE " + ast.Format(slot.cond)
-		}
 	default:
 		return nil
 	}
-	i, dup := r.byText[text]
-	if !dup || !r.dedupe {
+	// An equal fold (the same function over Equal argument and condition)
+	// shares its slot when dedupe is on.
+	i := slices.IndexFunc(r.slots, func(s aggSlot) bool {
+		return r.dedupe && s.def.Name == def.Name && s.star == slot.star && ast.Equal(s.arg, slot.arg) && ast.Equal(s.cond, slot.cond)
+	})
+	if i < 0 {
 		i = len(r.slots)
 		slot.name = "$agg" + strconv.Itoa(i)
 		r.slots = append(r.slots, slot)
-		if r.byText == nil {
-			r.byText = map[string]int{}
-		}
-		r.byText[text] = i
 	}
 	ref := &ast.VarRef{Name: r.slots[i].name}
 	ref.SetPos(call.Pos())

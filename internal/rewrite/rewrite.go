@@ -40,9 +40,10 @@ type NameSet interface {
 // scope. May be nil.
 type AttrOracle interface {
 	// VarHasAttr reports whether the range variable (identified by the
-	// formatted source expression of its FROM item) is known to carry
-	// the attribute. The second result is false when nothing is known.
-	VarHasAttr(sourceFmt, attr string) (has, known bool)
+	// catalog name its FROM item ranges over, "" when the source is no
+	// catalog name) is known to carry the attribute. The second result is
+	// false when nothing is known.
+	VarHasAttr(source, attr string) (has, known bool)
 }
 
 // Options configures a rewrite.
@@ -102,8 +103,8 @@ type scope struct {
 	// rangeVars are the FROM variables of this block scope, in order;
 	// used for implicit qualification of unresolved names.
 	rangeVars []string
-	// rangeSrc maps each range variable to the formatted source
-	// expression of its FROM item, for the schema oracle.
+	// rangeSrc maps each range variable to the catalog name its FROM
+	// item ranges over ("" for any other source), for the schema oracle.
 	rangeSrc map[string]string
 	isBlock  bool
 }
@@ -122,10 +123,10 @@ func (s *scope) bindOrdered(name string) {
 
 // bindRangeOrdered binds a FROM range variable, recording its source for
 // the schema oracle.
-func (s *scope) bindRangeOrdered(name, sourceFmt string) {
+func (s *scope) bindRangeOrdered(name, source string) {
 	s.bindOrdered(name)
 	s.rangeVars = append(s.rangeVars, name)
-	s.rangeSrc[name] = sourceFmt
+	s.rangeSrc[name] = source
 }
 
 func (s *scope) has(name string) bool {

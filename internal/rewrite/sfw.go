@@ -52,9 +52,7 @@ func (rw *rewriter) sfw(q *ast.SFW, outer *scope) (ast.Expr, error) {
 	}
 
 	if q.Having != nil {
-		if tf != nil {
-			q.Having = tf.apply(q.Having)
-		}
+		q.Having = tf.apply(q.Having)
 		if err := rw.coerceInto(&q.Having, post); err != nil {
 			return nil, err
 		}
@@ -65,9 +63,7 @@ func (rw *rewriter) sfw(q *ast.SFW, outer *scope) (ast.Expr, error) {
 	}
 
 	for i := range q.OrderBy {
-		if tf != nil {
-			q.OrderBy[i].Expr = tf.apply(q.OrderBy[i].Expr)
-		}
+		q.OrderBy[i].Expr = tf.apply(q.OrderBy[i].Expr)
 		lifted, err := rw.liftWindows(q, q.OrderBy[i].Expr, post)
 		if err != nil {
 			return nil, err
@@ -107,7 +103,11 @@ func (rw *rewriter) fromItem(f ast.FromItem, blk *scope) error {
 		if x.As == "" {
 			return &Error{Pos: x.Pos(), Msg: "FROM item requires an alias"}
 		}
-		blk.bindRangeOrdered(x.As, ast.Format(e))
+		source := ""
+		if ref, ok := e.(*ast.NamedRef); ok {
+			source = ref.Name
+		}
+		blk.bindRangeOrdered(x.As, source)
 		if x.AtVar != "" {
 			blk.bindOrdered(x.AtVar)
 		}
@@ -144,24 +144,24 @@ func (rw *rewriter) fromItem(f ast.FromItem, blk *scope) error {
 func (rw *rewriter) prepareGroup(g *ast.GroupBy, blk, outer *scope) (*scope, *groupTransform, error) {
 	tf := &groupTransform{
 		rw:        rw,
-		keyAlias:  map[string]string{},
 		blockVars: map[string]bool{},
 	}
 	for _, v := range blk.order {
 		tf.blockVars[v] = true
 	}
 	for i := range g.Keys {
-		rawFmt := ast.Format(g.Keys[i].Expr)
+		// Resolution rewrites the key in place; keep its written form.
+		raw := ast.CloneExpr(g.Keys[i].Expr)
 		e, err := rw.expr(g.Keys[i].Expr, blk)
 		if err != nil {
 			return nil, nil, err
 		}
 		g.Keys[i].Expr = e
 		g.Keys[i].Alias = ast.KeyAlias(g.Keys[i], i)
-		tf.keyAlias[rawFmt] = g.Keys[i].Alias
 		// The resolved form also matches, so key expressions referenced
 		// through an unqualified name line up after qualification.
-		tf.keyAlias[ast.Format(e)] = g.Keys[i].Alias
+		tf.keys = append(tf.keys, raw, e)
+		tf.aliases = append(tf.aliases, g.Keys[i].Alias)
 	}
 	if g.GroupAs == "" {
 		g.GroupAs = rw.fresh("g")
@@ -180,37 +180,47 @@ func (rw *rewriter) prepareGroup(g *ast.GroupBy, blk, outer *scope) (*scope, *gr
 // become key-alias references, and SQL aggregate calls become COLL_*
 // applications over the GROUP AS collection (§V-C).
 type groupTransform struct {
-	rw        *rewriter
-	keyAlias  map[string]string // formatted key expression -> alias
+	rw *rewriter
+	// keys holds each GROUP BY key as written and as resolved, in key
+	// order: keys[2i] and keys[2i+1] both read aliases[i].
+	keys      []ast.Expr
+	aliases   []string
 	blockVars map[string]bool
 	groupAs   string
 }
 
-// apply transforms e in place (returning the replacement).
+// apply transforms e in place (returning the replacement); a block
+// without GROUP BY has no transform, and apply returns e as it is.
 func (tf *groupTransform) apply(e ast.Expr) ast.Expr {
-	if e == nil {
-		return nil
-	}
-	if alias, ok := tf.keyAlias[ast.Format(e)]; ok {
-		v := &ast.VarRef{Name: alias}
-		v.SetPos(e.Pos())
-		return v
-	}
-	if call, ok := e.(*ast.Call); ok {
-		if collName, isAgg := sqlAggregates[call.Name]; isAgg {
-			return tf.rewriteAggregate(call, collName)
-		}
-	}
-	// Recurse into children, but not into nested query blocks: they have
-	// their own scopes and their own grouping. A window applies over the
-	// post-group bindings, so its argument and specification may
-	// reference group keys.
-	switch e.(type) {
-	case *ast.SFW, *ast.SetOp, *ast.With:
+	if tf == nil {
 		return e
 	}
-	ast.Children(e, func(c *ast.Expr) { *c = tf.apply(*c) })
-	return e
+	return ast.ReplaceKeys(e, tf.keys, tf.keyRef, tf.rewriteNode)
+}
+
+// keyRef is the reference to key i/2's alias that replaces an occurrence
+// of the key.
+func (tf *groupTransform) keyRef(i int, at ast.Expr) ast.Expr {
+	v := &ast.VarRef{Name: tf.aliases[i/2]}
+	v.SetPos(at.Pos())
+	return v
+}
+
+// rewriteNode lowers an aggregate call, and stops at nested query blocks:
+// they have their own scopes and their own grouping. A window applies
+// over the post-group bindings, so its argument and specification may
+// reference group keys.
+func (tf *groupTransform) rewriteNode(e ast.Expr) (ast.Expr, bool) {
+	if call, ok := e.(*ast.Call); ok {
+		if collName, isAgg := sqlAggregates[call.Name]; isAgg {
+			return tf.rewriteAggregate(call, collName), true
+		}
+	}
+	switch e.(type) {
+	case *ast.SFW, *ast.SetOp, *ast.With:
+		return e, true
+	}
+	return nil, false
 }
 
 // rewriteAggregate lowers AGG(arg) to
@@ -349,10 +359,8 @@ func substituteOrderAliases(q *ast.SFW) {
 // window there is left for resolution to reject.
 func (rw *rewriter) lowerSelect(q *ast.SFW, post *scope, tf *groupTransform) error {
 	if q.Select.PivotAt != nil {
-		if tf != nil {
-			q.Select.Value = tf.apply(q.Select.Value)
-			q.Select.PivotAt = tf.apply(q.Select.PivotAt)
-		}
+		q.Select.Value = tf.apply(q.Select.Value)
+		q.Select.PivotAt = tf.apply(q.Select.PivotAt)
 		if err := rw.coerceInto(&q.Select.Value, post); err != nil {
 			return err
 		}
@@ -368,9 +376,7 @@ func (rw *rewriter) lowerSelect(q *ast.SFW, post *scope, tf *groupTransform) err
 	}
 	switch {
 	case q.Select.Value != nil:
-		if tf != nil {
-			q.Select.Value = tf.apply(q.Select.Value)
-		}
+		q.Select.Value = tf.apply(q.Select.Value)
 		return finish()
 	case q.Select.Star:
 		merge := &ast.Call{Name: "$MERGE"}
@@ -386,61 +392,35 @@ func (rw *rewriter) lowerSelect(q *ast.SFW, post *scope, tf *groupTransform) err
 		q.Select.Star = false
 		return finish()
 	default:
+		// The items become name/value pairs: the fields of one tuple
+		// constructor or, with an expr.* item (whose name is ''), the
+		// arguments of a $MERGE.
+		var pairs []ast.Expr
 		hasStarOf := false
-		for _, it := range q.Select.Items {
+		for i, it := range q.Select.Items {
+			name, e := it.Alias, it.Expr
 			if it.StarOf != nil {
-				hasStarOf = true
-				break
+				name, e, hasStarOf = "", it.StarOf, true
+			} else if name == "" {
+				name = "_" + strconv.Itoa(i+1)
 			}
+			nameLit := &ast.Literal{Val: value.String(name)}
+			nameLit.SetPos(q.Pos())
+			pairs = append(pairs, nameLit, tf.apply(e))
 		}
-		var valueExpr ast.Expr
-		if !hasStarOf {
+		if hasStarOf {
+			merge := &ast.Call{Name: "$MERGE", Args: pairs}
+			merge.SetPos(q.Pos())
+			q.Select.Value = merge
+		} else {
 			ctor := &ast.TupleCtor{}
 			ctor.SetPos(q.Pos())
-			for i, it := range q.Select.Items {
-				name := it.Alias
-				if name == "" {
-					name = "_" + strconv.Itoa(i+1)
-				}
-				nameLit := &ast.Literal{Val: value.String(name)}
-				nameLit.SetPos(q.Pos())
-				e := it.Expr
-				if tf != nil {
-					e = tf.apply(e)
-				}
-				ctor.Fields = append(ctor.Fields, ast.TupleField{Name: nameLit, Value: e})
+			for i := 0; i < len(pairs); i += 2 {
+				ctor.Fields = append(ctor.Fields, ast.TupleField{Name: pairs[i], Value: pairs[i+1]})
 			}
-			valueExpr = ctor
-		} else {
-			merge := &ast.Call{Name: "$MERGE"}
-			merge.SetPos(q.Pos())
-			for i, it := range q.Select.Items {
-				if it.StarOf != nil {
-					e := it.StarOf
-					if tf != nil {
-						e = tf.apply(e)
-					}
-					empty := &ast.Literal{Val: value.String("")}
-					empty.SetPos(q.Pos())
-					merge.Args = append(merge.Args, empty, e)
-					continue
-				}
-				name := it.Alias
-				if name == "" {
-					name = "_" + strconv.Itoa(i+1)
-				}
-				nameLit := &ast.Literal{Val: value.String(name)}
-				nameLit.SetPos(q.Pos())
-				e := it.Expr
-				if tf != nil {
-					e = tf.apply(e)
-				}
-				merge.Args = append(merge.Args, nameLit, e)
-			}
-			valueExpr = merge
+			q.Select.Value = ctor
 		}
 		q.Select.Items = nil
-		q.Select.Value = valueExpr
 		return finish()
 	}
 }

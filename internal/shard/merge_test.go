@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -120,5 +121,29 @@ func TestCoPartitionedSelection(t *testing.T) {
 		if p.class == "group" && grouped && strings.Contains(p.mergeQuery, "GROUP BY") == tc.co {
 			t.Errorf("%s: merge %q does not match co-partitioned=%v", tc.query, p.mergeQuery, tc.co)
 		}
+	}
+}
+
+// TestSplitIsLinear classifies `SELECT k, x.a + … + x.a AS s … GROUP BY
+// x.a AS k` at two lengths: the merge query reads every term from the
+// key slot, and matching a node against the key costs one comparison of
+// the key's size, so doubling the terms must roughly double what the
+// split allocates (printing every subtree to look it up quadruples it).
+func TestSplitIsLinear(t *testing.T) {
+	specs := map[string]Spec{"data": {Name: "data"}}
+	allocated := func(n int) uint64 {
+		query := "SELECT k, x.a" + strings.Repeat(" + x.a", n-1) + " AS s FROM data AS x GROUP BY x.a AS k"
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if p := classify(query, specs); p.class != "group" {
+			t.Fatalf("%d terms split as %s, want group", n, p.class)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := allocated(2000), allocated(4000)
+	t.Logf("classify allocates %d B at 2,000 terms, %d B at 4,000", short, long)
+	if float64(long) > 2.5*float64(short) {
+		t.Errorf("4,000 terms allocate %d B, more than 2.5× the %d B of 2,000", long, short)
 	}
 }

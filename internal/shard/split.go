@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -242,18 +243,34 @@ func hasParams(e ast.Expr) bool {
 	return found
 }
 
-// litInt extracts a non-negative integer literal; LIMIT/OFFSET splits
-// require one (an expression limit could differ per shard).
-func litInt(e ast.Expr) (int64, bool) {
-	l, ok := e.(*ast.Literal)
-	if !ok {
-		return 0, false
+// litWindow reads the block's LIMIT (-1 when absent) and OFFSET, which
+// a split requires to be non-negative integer literals (an expression
+// limit could differ per shard).
+func litWindow(q *ast.SFW) (limit, offset int64, ok bool) {
+	lit := func(e ast.Expr, absent int64) (int64, bool) {
+		if e == nil {
+			return absent, true
+		}
+		l, isLit := e.(*ast.Literal)
+		if !isLit {
+			return 0, false
+		}
+		n, isInt := l.Val.(value.Int)
+		return int64(n), isInt && n >= 0
 	}
-	n, ok := l.Val.(value.Int)
-	if !ok || int64(n) < 0 {
-		return 0, false
+	limit, limitOK := lit(q.Limit, -1)
+	offset, offsetOK := lit(q.Offset, 0)
+	return limit, offset, limitOK && offsetOK
+}
+
+// setWindow applies the block's LIMIT and OFFSET to the merge query.
+func setWindow(merge *ast.SFW, limit, offset int64) {
+	if limit >= 0 {
+		merge.Limit = intLit(limit)
 	}
-	return int64(n), true
+	if offset > 0 {
+		merge.Offset = intLit(offset)
+	}
 }
 
 // intLit builds an integer literal node.
@@ -293,20 +310,9 @@ func splitTopK(q *ast.SFW, name string) *scatterPlan {
 	if !ok {
 		return nil
 	}
-	limit, offset := int64(-1), int64(0)
-	if q.Limit != nil {
-		l, ok := litInt(q.Limit)
-		if !ok {
-			return nil
-		}
-		limit = l
-	}
-	if q.Offset != nil {
-		o, ok := litInt(q.Offset)
-		if !ok {
-			return nil
-		}
-		offset = o
+	limit, offset, ok := litWindow(q)
+	if !ok {
+		return nil
 	}
 
 	// Sort keys may reference SELECT-item output aliases; the local
@@ -348,12 +354,7 @@ func splitTopK(q *ast.SFW, name string) *scatterPlan {
 		From:    []ast.FromItem{&ast.FromExpr{Expr: varRef(partialsName), As: "__r"}},
 		OrderBy: mergeOrder,
 	}
-	if limit >= 0 {
-		merge.Limit = intLit(limit)
-	}
-	if offset > 0 {
-		merge.Offset = intLit(offset)
-	}
+	setWindow(merge, limit, offset)
 	return &scatterPlan{
 		class:      "topk",
 		shardQuery: ast.Format(local),
@@ -476,20 +477,9 @@ func splitConcat(q *ast.SFW, name string) *scatterPlan {
 	if q.Select.Star || selectHasStarOf(q.Select) {
 		return nil
 	}
-	limit, offset := int64(-1), int64(0)
-	if q.Limit != nil {
-		l, ok := litInt(q.Limit)
-		if !ok {
-			return nil
-		}
-		limit = l
-	}
-	if q.Offset != nil {
-		o, ok := litInt(q.Offset)
-		if !ok {
-			return nil
-		}
-		offset = o
+	limit, offset, ok := litWindow(q)
+	if !ok {
+		return nil
 	}
 
 	local := ast.CloneExpr(q).(*ast.SFW)
@@ -505,12 +495,7 @@ func splitConcat(q *ast.SFW, name string) *scatterPlan {
 		Select: ast.SelectClause{Distinct: q.Select.Distinct, Value: varRef("__r")},
 		From:   []ast.FromItem{&ast.FromExpr{Expr: varRef(partialsName), As: "__r"}},
 	}
-	if limit >= 0 {
-		merge.Limit = intLit(limit)
-	}
-	if offset > 0 {
-		merge.Offset = intLit(offset)
-	}
+	setWindow(merge, limit, offset)
 	return &scatterPlan{
 		class:      "concat",
 		shardQuery: ast.Format(local),
@@ -532,14 +517,6 @@ func selectHasStarOf(sel ast.SelectClause) bool {
 
 // ---------------------------------------------------------------------
 // Class group: GROUP BY / implicit grouping with mergeable aggregates.
-
-// aggSlot is one distinct aggregate call of the block, keyed by its
-// formatted text so repeated occurrences share a slot.
-type aggSlot struct {
-	call *ast.Call // the original call (cloned for the local query)
-	fn   string    // upper-cased name
-	slot int
-}
 
 // splitGroup handles grouped aggregation. The per-shard query computes
 // each group's keys and partial aggregates:
@@ -580,26 +557,14 @@ func splitGroup(q *ast.SFW, name string, spec Spec) *scatterPlan {
 	if q.Select.Star || selectHasStarOf(q.Select) {
 		return nil
 	}
-	limit, offset := int64(-1), int64(0)
-	if q.Limit != nil {
-		l, ok := litInt(q.Limit)
-		if !ok {
-			return nil
-		}
-		limit = l
-	}
-	if q.Offset != nil {
-		o, ok := litInt(q.Offset)
-		if !ok {
-			return nil
-		}
-		offset = o
+	limit, offset, ok := litWindow(q)
+	if !ok {
+		return nil
 	}
 
-	// Collect the aggregate calls; any unsupported or DISTINCT aggregate
-	// defers to gather.
-	slots := map[string]*aggSlot{}
-	var order []*aggSlot
+	// Collect the distinct aggregate calls, one slot each (Equal calls
+	// share one); any unsupported or DISTINCT aggregate defers to gather.
+	var slots []*ast.Call
 	bad := false
 	eachTopExpr(q, func(e ast.Expr) {
 		walkShallow(e, func(n ast.Expr) bool {
@@ -614,11 +579,8 @@ func splitGroup(q *ast.SFW, name string, spec Spec) *scatterPlan {
 				bad = true
 				return false
 			}
-			key := ast.Format(c)
-			if _, dup := slots[key]; !dup {
-				s := &aggSlot{call: c, fn: strings.ToUpper(c.Name), slot: len(order)}
-				slots[key] = s
-				order = append(order, s)
+			if slotOf(slots, c) < 0 {
+				slots = append(slots, c)
 			}
 			// Do not descend into the aggregate's argument: nested blocks
 			// in there run locally, and nested aggregates are invalid
@@ -630,18 +592,20 @@ func splitGroup(q *ast.SFW, name string, spec Spec) *scatterPlan {
 		return nil
 	}
 
-	// Key substitution map: formatted key text and its (explicit or
-	// SQL-implicit) alias both map to the merge-side key slot.
+	// Key substitution: a key expression and a reference to its
+	// (explicit or SQL-implicit) alias both read the merge-side key slot.
 	var keys []ast.GroupKey
 	if hasGroup {
 		keys = q.GroupBy.Keys
 	}
-	keyText := map[string]int{}
+	sub := &groupMergeSubst{slots: slots}
 	blockVars := blockVars(q)
 	for i, k := range keys {
-		keyText[ast.Format(k.Expr)] = i
+		sub.keys = append(sub.keys, k.Expr)
+		sub.keyOf = append(sub.keyOf, i)
 		if alias := ast.KeyAlias(k, i); !blockVars[alias] {
-			keyText[alias] = i
+			sub.keys = append(sub.keys, varRef(alias))
+			sub.keyOf = append(sub.keyOf, i)
 		}
 	}
 
@@ -655,13 +619,10 @@ func splitGroup(q *ast.SFW, name string, spec Spec) *scatterPlan {
 	for i, k := range keys {
 		fields = append(fields, ast.TupleField{Name: strLit("__k" + strconv.Itoa(i)), Value: ast.CloneExpr(k.Expr)})
 	}
-	for _, s := range order {
-		j := strconv.Itoa(s.slot)
-		arg := func() *ast.Call {
-			c := ast.CloneExpr(s.call).(*ast.Call)
-			return c
-		}
-		switch s.fn {
+	for i, c := range slots {
+		j := strconv.Itoa(i)
+		arg := func() *ast.Call { return ast.CloneExpr(c).(*ast.Call) }
+		switch strings.ToUpper(c.Name) {
 		case "COUNT", "MIN", "MAX", "SUM":
 			fields = append(fields, ast.TupleField{Name: strLit("__a" + j), Value: arg()})
 		case "AVG":
@@ -686,6 +647,7 @@ func splitGroup(q *ast.SFW, name string, spec Spec) *scatterPlan {
 		From: []ast.FromItem{&ast.FromExpr{Expr: varRef(partialsName), As: "__r"}},
 	}
 	coKey := coPartitionedKey(q, spec, keys)
+	sub.direct = coKey >= 0
 	if hasGroup && coKey < 0 {
 		mkeys := make([]ast.GroupKey, len(keys))
 		for i := range keys {
@@ -696,8 +658,6 @@ func splitGroup(q *ast.SFW, name string, spec Spec) *scatterPlan {
 		}
 		merge.GroupBy = &ast.GroupBy{Keys: mkeys}
 	}
-
-	sub := &groupMergeSubst{keyText: keyText, slots: slots, hasKeys: hasGroup, direct: coKey >= 0}
 
 	bad = false
 	reb := func(e ast.Expr) ast.Expr {
@@ -740,12 +700,7 @@ func splitGroup(q *ast.SFW, name string, spec Spec) *scatterPlan {
 			NullsFirst: o.NullsFirst,
 		})
 	}
-	if limit >= 0 {
-		merge.Limit = intLit(limit)
-	}
-	if offset > 0 {
-		merge.Offset = intLit(offset)
-	}
+	setWindow(merge, limit, offset)
 	if bad {
 		return nil
 	}
@@ -806,19 +761,27 @@ func coPartitionedKey(q *ast.SFW, spec Spec, keys []ast.GroupKey) int {
 }
 
 // groupMergeSubst rewrites a post-group expression for the merge side:
-// group-key occurrences (by formatted text or alias) become key-slot
-// references, mergeable aggregate calls become their merged forms. With
-// direct set (co-partitioned groups) there is one partial row per group
-// and both read that row's slots.
+// group-key occurrences (the key expression or a reference to its alias)
+// become key-slot references, mergeable aggregate calls become their
+// merged forms. With direct set (co-partitioned groups) there is one
+// partial row per group and both read that row's slots.
 type groupMergeSubst struct {
-	keyText map[string]int
-	slots   map[string]*aggSlot
-	hasKeys bool
-	direct  bool
-	bad     bool
+	// keys are the trees that read a key slot: keys[j] reads slot keyOf[j].
+	keys   []ast.Expr
+	keyOf  []int
+	slots  []*ast.Call
+	direct bool
+	bad    bool
 }
 
-func (s *groupMergeSubst) keyRef(i int) ast.Expr {
+// slotOf returns the slot of the aggregate call Equal to c, or -1.
+func slotOf(slots []*ast.Call, c *ast.Call) int {
+	return slices.IndexFunc(slots, func(s *ast.Call) bool { return ast.Equal(s, c) })
+}
+
+// keyRef reads the key slot that keys[j] stands for.
+func (s *groupMergeSubst) keyRef(j int, _ ast.Expr) ast.Expr {
+	i := s.keyOf[j]
 	if s.direct {
 		return fieldOf(varRef("__r"), "__k"+strconv.Itoa(i))
 	}
@@ -826,8 +789,9 @@ func (s *groupMergeSubst) keyRef(i int) ast.Expr {
 }
 
 // mergedAgg builds the merge-side replacement of one aggregate slot.
-func (s *groupMergeSubst) mergedAgg(a *aggSlot) ast.Expr {
-	j := strconv.Itoa(a.slot)
+func (s *groupMergeSubst) mergedAgg(slot int) ast.Expr {
+	j := strconv.Itoa(slot)
+	agg := strings.ToUpper(s.slots[slot].Name)
 	part := func(prefix string) ast.Expr {
 		return fieldOf(varRef("__r"), prefix+j)
 	}
@@ -840,7 +804,7 @@ func (s *groupMergeSubst) mergedAgg(a *aggSlot) ast.Expr {
 	}
 	faulted := ast.Expr(&ast.Is{Target: part("__a"), What: "MISSING"})
 	if s.direct {
-		switch a.fn {
+		switch agg {
 		case "COUNT", "MIN", "MAX", "SUM":
 			// One partial per group: a faulted SUM partial is absent from
 			// its row, so reading it yields MISSING as the guard would.
@@ -853,7 +817,7 @@ func (s *groupMergeSubst) mergedAgg(a *aggSlot) ast.Expr {
 		return varRef("__bad")
 	}
 	faulted = aggOver("SOME", faulted)
-	switch a.fn {
+	switch agg {
 	case "COUNT":
 		return aggOver("SUM", part("__a"))
 	case "MIN":
@@ -889,30 +853,26 @@ func faultGuard(faulted, merged ast.Expr) ast.Expr {
 
 // apply substitutes in place over a cloned expression.
 func (s *groupMergeSubst) apply(e ast.Expr) ast.Expr {
-	if e == nil {
-		return nil
-	}
-	if s.hasKeys {
-		if i, ok := s.keyText[ast.Format(e)]; ok {
-			return s.keyRef(i)
-		}
-	}
+	return ast.ReplaceKeys(e, s.keys, s.keyRef, s.mergeNode)
+}
+
+// mergeNode replaces an aggregate call by its merged form. A nested block
+// would need correlation analysis: it flags bad, as does an aggregate
+// with no slot, and the caller falls back.
+func (s *groupMergeSubst) mergeNode(e ast.Expr) (ast.Expr, bool) {
 	if c, ok := e.(*ast.Call); ok && isAnyAgg(c.Name) {
-		if a, ok := s.slots[ast.Format(c)]; ok {
-			return s.mergedAgg(a)
+		if j := slotOf(s.slots, c); j >= 0 {
+			return s.mergedAgg(j), true
 		}
 		s.bad = true
-		return e
+		return e, true
 	}
 	switch e.(type) {
 	case *ast.SFW, *ast.SetOp, *ast.With:
-		// Nested blocks would need correlation analysis; flag and let the
-		// caller fall back.
 		s.bad = true
-		return e
+		return e, true
 	}
-	ast.Children(e, func(c *ast.Expr) { *c = s.apply(*c) })
-	return e
+	return nil, false
 }
 
 // aliasSubst replaces references to SELECT-item aliases with the item's

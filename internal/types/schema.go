@@ -76,10 +76,11 @@ func (s *Schema) Check(name string, v value.Value) error {
 }
 
 // VarHasAttr implements the rewriter's AttrOracle: it reports whether
-// the collection named by sourceFmt (the formatted FROM source, e.g.
-// "hr.emp") is declared to carry the attribute on its elements.
-func (s *Schema) VarHasAttr(sourceFmt, attr string) (has, known bool) {
-	t, ok := s.TypeOf(sourceFmt)
+// the collection named by source (the catalog name a FROM item ranges
+// over, e.g. "hr.emp") is declared to carry the attribute on its
+// elements.
+func (s *Schema) VarHasAttr(source, attr string) (has, known bool) {
+	t, ok := s.TypeOf(source)
 	if !ok {
 		return false, false
 	}
