@@ -161,7 +161,7 @@ func (rw *rewriter) prepareGroup(g *ast.GroupBy, blk, outer *scope) (*scope, *gr
 		// The resolved form also matches, so key expressions referenced
 		// through an unqualified name line up after qualification.
 		tf.keys = append(tf.keys, raw, e)
-		tf.aliases = append(tf.aliases, g.Keys[i].Alias)
+		tf.aliases = append(tf.aliases, g.Keys[i].Alias, g.Keys[i].Alias)
 	}
 	if g.GroupAs == "" {
 		g.GroupAs = rw.fresh("g")
@@ -182,7 +182,7 @@ func (rw *rewriter) prepareGroup(g *ast.GroupBy, blk, outer *scope) (*scope, *gr
 type groupTransform struct {
 	rw *rewriter
 	// keys holds each GROUP BY key as written and as resolved, in key
-	// order: keys[2i] and keys[2i+1] both read aliases[i].
+	// order; an occurrence of keys[i] reads aliases[i].
 	keys      []ast.Expr
 	aliases   []string
 	blockVars map[string]bool
@@ -198,10 +198,10 @@ func (tf *groupTransform) apply(e ast.Expr) ast.Expr {
 	return ast.ReplaceKeys(e, tf.keys, tf.keyRef, tf.rewriteNode)
 }
 
-// keyRef is the reference to key i/2's alias that replaces an occurrence
-// of the key.
+// keyRef is the alias reference that replaces at, an occurrence of
+// keys[i].
 func (tf *groupTransform) keyRef(i int, at ast.Expr) ast.Expr {
-	v := &ast.VarRef{Name: tf.aliases[i/2]}
+	v := &ast.VarRef{Name: tf.aliases[i]}
 	v.SetPos(at.Pos())
 	return v
 }
