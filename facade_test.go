@@ -184,19 +184,6 @@ func TestInferSchemaUnknownName(t *testing.T) {
 	}
 }
 
-func TestMaxCollectionSizeOption(t *testing.T) {
-	db := New(&Options{MaxCollectionSize: 5})
-	if err := db.RegisterSION("t", "{{1,2,3,4,5,6,7}}"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Query("SELECT VALUE x FROM t AS x"); err == nil {
-		t.Error("size guard should trip")
-	}
-	if _, err := db.Query("SELECT VALUE x FROM t AS x LIMIT 3"); err != nil {
-		t.Errorf("limit under the guard should pass: %v", err)
-	}
-}
-
 func TestQueryErrorsSurface(t *testing.T) {
 	db := New(nil)
 	cases := []string{

@@ -21,12 +21,14 @@ import (
 // reference oracle (DisableOptimizer: naive clause pipeline, tree-walking
 // interpreter). Neither may panic, and the two must agree: same rendering
 // when both succeed, and never a success on one side paired with a real
-// failure on the other (deadline expiry is timing, not semantics, and is
-// exempt).
+// failure on the other.
 //
-// MaxCollectionSize bounds materialized intermediates and the deadline
-// bounds wall time, so fuzz-invented cross joins fail fast instead of
-// stalling the fuzz loop.
+// The governor's budgets bound materialized values and output rows and
+// the deadline bounds wall time, so fuzz-invented cross joins fail fast
+// instead of stalling the fuzz loop. Both bound the run, not the answer,
+// and are exempt: a deadline is timing, and a budget charges sites that
+// differ by path (a streamed COUNT retains one counter where the
+// oracle's group retains every row).
 func FuzzEvalPermissive(f *testing.F) {
 	for _, c := range compat.Suite() {
 		f.Add(c.Query)
@@ -57,9 +59,12 @@ func FuzzEvalPermissive(f *testing.F) {
 	// MISSING after present ones.
 	f.Add(`SELECT VALUE [x.b, y.k, i] FROM t AS x JOIN u AS y AT i ON x.a = y.v`)
 	f.Add(`SELECT VALUE [y.k, x.b] FROM u AS y, t AS x WHERE y.v = x.a`)
+	// A streamed COUNT over a 6^5-row cross product: the production path
+	// retains one counter per group, the oracle every row of each group.
+	f.Add(`SELECT x.b AS b, COUNT(*) AS n FROM t AS x, t AS y, t AS z, t AS w, t AS v GROUP BY x.b`)
 
-	db := sqlpp.New(&sqlpp.Options{MaxCollectionSize: 4096})
-	oracle := sqlpp.New(&sqlpp.Options{MaxCollectionSize: 4096, DisableOptimizer: true})
+	db := sqlpp.New(&sqlpp.Options{Limits: fuzzLimits})
+	oracle := sqlpp.New(&sqlpp.Options{Limits: fuzzLimits, DisableOptimizer: true})
 	for _, e := range []*sqlpp.Engine{db, oracle} {
 		if err := e.RegisterSION("t", `{{ {'a': 1, 'b': 'one'}, {'a': 2}, {'a': null, 'b': 3.5}, 7, 'str', [1, 2] }}`); err != nil {
 			f.Fatal(err)
@@ -74,8 +79,7 @@ func FuzzEvalPermissive(f *testing.F) {
 		defer cancel()
 		pv, perr := db.QueryContext(ctx, src) // errors fine; panics are not
 		ov, oerr := oracle.QueryContext(ctx, src)
-		timedOut := errors.Is(perr, context.DeadlineExceeded) || errors.Is(oerr, context.DeadlineExceeded)
-		if timedOut {
+		if bounded(perr) || bounded(oerr) {
 			return
 		}
 		if (perr == nil) != (oerr == nil) {
@@ -87,6 +91,16 @@ func FuzzEvalPermissive(f *testing.F) {
 				src, pv, ov)
 		}
 	})
+}
+
+// fuzzLimits is the fuzz engines' governor budget.
+var fuzzLimits = sqlpp.Limits{MaxOutputRows: 4096, MaxMaterializedValues: 4096}
+
+// bounded reports whether err ended a run on its deadline or budget
+// rather than on the query's meaning.
+func bounded(err error) bool {
+	var re *sqlpp.ResourceError
+	return errors.Is(err, context.DeadlineExceeded) || errors.As(err, &re)
 }
 
 // FuzzTemplate drives the literal-template path over FuzzParse's corpus:
@@ -106,7 +120,7 @@ func FuzzTemplate(f *testing.F) {
 	f.Add(`SELECT VALUE [y.k, x.b, 99999999999999999999] FROM u AS y, t AS x WHERE y.v = x.a - 0`)
 	var engines []*sqlpp.Engine
 	for _, strict := range []bool{false, true} {
-		e := sqlpp.New(&sqlpp.Options{MaxCollectionSize: 4096, StopOnError: strict})
+		e := sqlpp.New(&sqlpp.Options{Limits: fuzzLimits, StopOnError: strict})
 		if err := e.RegisterSION("t", `{{ {'a': 1, 'b': 'one'}, {'a': 2}, {'a': null, 'b': 3.5}, 7, 'str', [1, 2] }}`); err != nil {
 			f.Fatal(err)
 		}

@@ -107,9 +107,6 @@ type Context struct {
 	Funcs FuncSource
 	// Run executes a query block, PIVOT included; installed by package plan.
 	Run func(ctx *Context, env *Env, q *ast.SFW) (value.Value, error)
-	// MaxCollectionSize bounds materialized intermediate collections as
-	// a resource guard; zero means unlimited.
-	MaxCollectionSize int
 	// Parallelism bounds the worker pool a parallel outer scan may use;
 	// values below 2 keep execution fully sequential.
 	Parallelism int

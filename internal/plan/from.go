@@ -640,7 +640,7 @@ type grouper interface {
 	flush(k emit) error
 	// merge folds in the grouper of a later chunk; it has the receiver's
 	// concrete type.
-	merge(other grouper) error
+	merge(other grouper)
 	// counts are the rows the grouper took in and the groups it emitted.
 	counts() *eval.Rows
 }
@@ -720,11 +720,9 @@ func (g *groupState) add(env *eval.Env) error {
 	snap := env.SnapshotBelow(g.outer)
 	g.content[ks] = append(g.content[ks], snap)
 	if g.ctx.Gov != nil {
-		if err := g.ctx.Gov.ChargeValues("group-by", 1, snap); err != nil {
-			return err
-		}
+		return g.ctx.Gov.ChargeValues("group-by", 1, snap)
 	}
-	return checkSize(g.ctx, len(g.content[ks]))
+	return nil
 }
 
 // groupKey evaluates the grouping keys of env into vals and returns their

@@ -86,9 +86,6 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep, keepSeq
 			kb = value.AppendKey(kb, v)
 		}
 		r := len(t.next)
-		if err := checkSize(ctx, r+1); err != nil {
-			return err
-		}
 		if r == math.MaxInt32 {
 			return fmt.Errorf("plan: hash join build side exceeds %d rows", math.MaxInt32)
 		}
@@ -131,16 +128,12 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep, keepSeq
 }
 
 // buildCap is the row capacity a build over src presizes to: the
-// source's length, capped by what MaxCollectionSize and the governor
-// still admit, so a build they stop at row k allocates for k rows, not
-// for the whole source.
+// source's length, capped by what the governor still admits, so a build
+// it stops at row k allocates for k rows, not for the whole source.
 func buildCap(ctx *eval.Context, src value.Value, w int) int {
 	n := 1
 	if elems, ok := value.Elements(src); ok {
 		n = len(elems)
-	}
-	if m := ctx.MaxCollectionSize; m > 0 && m < n {
-		n = m
 	}
 	if ctx.Gov != nil {
 		if left := ctx.Gov.BindingsLeft(w); left >= 0 && left < int64(n) {

@@ -101,9 +101,7 @@ func (r *blockRun) scanParallel() error {
 	}
 	if r.grp != nil {
 		for _, wr := range runs {
-			if err := r.grp.merge(wr.grp); err != nil {
-				return err
-			}
+			r.grp.merge(wr.grp)
 		}
 		return nil
 	}
@@ -151,9 +149,8 @@ func foldRuns(ctx *eval.Context, runs []any) {
 // order) group-appearance order and appending content in chunk order.
 //
 // governor:charged-at groupState.add (from.go) — every row moved here
-// was charged when its worker grouped it; checkSize re-bounds the
-// merged group sizes.
-func (g *groupState) merge(other grouper) error {
+// was charged when its worker grouped it.
+func (g *groupState) merge(other grouper) {
 	w := other.(*groupState)
 	for _, ks := range w.order {
 		if _, ok := g.content[ks]; !ok {
@@ -166,9 +163,5 @@ func (g *groupState) merge(other grouper) error {
 			}
 			g.content[ks] = append(g.content[ks], w.content[ks]...)
 		}
-		if err := checkSize(g.ctx, len(g.content[ks])); err != nil {
-			return err
-		}
 	}
-	return nil
 }

@@ -120,10 +120,10 @@ func newClauseExprs(q *ast.SFW, where []ast.Expr, compile func(ast.Expr) eval.Co
 }
 
 // rowSink collects a block's projected rows: DISTINCT filtering, ORDER
-// BY key evaluation (full sort or bounded top-K heap), LIMIT early-stop,
-// and the collection-size guard. A PIVOT block's sink collects (name,
-// value) pairs instead and finishes them into one tuple. The sink is part
-// of its block's run state: reset, not rebuilt, per invocation.
+// BY key evaluation (full sort or bounded top-K heap) and LIMIT
+// early-stop. A PIVOT block's sink collects (name, value) pairs instead
+// and finishes them into one tuple. The sink is part of its block's run
+// state: reset, not rebuilt, per invocation.
 type rowSink struct {
 	ctx *eval.Context
 	q   *ast.SFW
@@ -224,9 +224,6 @@ func (s *rowSink) pivot(env *eval.Env) error {
 	if v.Kind() != value.KindMissing {
 		s.keys = append(s.keys, string(name))
 		s.out = append(s.out, v)
-		if err := checkSize(s.ctx, len(s.out)); err != nil {
-			return err
-		}
 	}
 	if s.gov != nil {
 		return s.gov.ChargeValues("pivot", 1, v)
@@ -273,9 +270,6 @@ func (s *rowSink) project(env *eval.Env) error {
 		}
 		rowKey = string(s.keyBuf)
 		s.seen[rowKey] = true
-		if err := checkSize(s.ctx, len(s.seen)); err != nil {
-			return err
-		}
 		if s.gov != nil {
 			if err := s.gov.ChargeValues("distinct", 1, nil); err != nil {
 				return err
@@ -312,11 +306,9 @@ func (s *rowSink) project(env *eval.Env) error {
 		s.out = append(s.out, v)
 		s.orderKeys = append(s.orderKeys, s.rowKeys...)
 		if s.gov != nil {
-			if err := s.gov.ChargeOutput("order-by", 1, v); err != nil {
-				return err
-			}
+			return s.gov.ChargeOutput("order-by", 1, v)
 		}
-		return checkSize(s.ctx, len(s.out))
+		return nil
 	}
 	s.out = append(s.out, v)
 	if s.keepKeys {
@@ -326,9 +318,6 @@ func (s *rowSink) project(env *eval.Env) error {
 		if err := s.gov.ChargeOutput("select", 1, v); err != nil {
 			return err
 		}
-	}
-	if err := checkSize(s.ctx, len(s.out)); err != nil {
-		return err
 	}
 	if s.stopAt >= 0 && int64(len(s.out)) >= s.stopAt {
 		return errStop
@@ -373,8 +362,7 @@ func (s *rowSink) projectTopK(env *eval.Env) error {
 // re-deduplicating DISTINCT rows by their kept keys; a PIVOT's pairs
 // concatenate like rows.
 //
-// governor:charged-at each worker's project/pivot, checkSize bounding
-// the combined count.
+// governor:charged-at each worker's project/pivot.
 func (s *rowSink) merge(w *rowSink) error {
 	for j, v := range w.out {
 		if s.seen != nil {
@@ -392,7 +380,7 @@ func (s *rowSink) merge(w *rowSink) error {
 	if s.q.Select.PivotAt != nil {
 		s.keys = append(s.keys, w.keys...)
 	}
-	return checkSize(s.ctx, len(s.out))
+	return nil
 }
 
 // Shared empty answers: an empty invocation allocates nothing.
@@ -712,11 +700,9 @@ func (r *blockRun) postGroup(env *eval.Env) error {
 		}
 		r.windowEnvs = append(r.windowEnvs, env)
 		if ctx.Gov != nil {
-			if err := ctx.Gov.ChargeValues("window", 1, nil); err != nil {
-				return err
-			}
+			return ctx.Gov.ChargeValues("window", 1, nil)
 		}
-		return checkSize(ctx, len(r.windowEnvs))
+		return nil
 	}
 	if r.q.Select.PivotAt != nil {
 		return r.sink.pivot(env)
@@ -752,14 +738,6 @@ func limitWindow(n int, limit, offset int64) (lo, hi int) {
 		hi = lo + int(limit)
 	}
 	return lo, hi
-}
-
-// checkSize enforces the context's collection-size guard.
-func checkSize(ctx *eval.Context, n int) error {
-	if ctx.MaxCollectionSize > 0 && n > ctx.MaxCollectionSize {
-		return fmt.Errorf("plan: intermediate collection exceeds limit of %d values", ctx.MaxCollectionSize)
-	}
-	return nil
 }
 
 type sortRow struct {

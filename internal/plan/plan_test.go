@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"strings"
 	"testing"
 
 	"sqlpp/internal/ast"
@@ -320,27 +319,6 @@ func TestCorrelatedSubqueryInSelect(t *testing.T) {
 		       (SELECT VALUE e.n FROM emp AS e WHERE e.d = d.no) AS names
 		FROM dept AS d`)
 	checkResult(t, got, `{{ {'no':1,'names':{{'a','b'}}}, {'no':2,'names':{{'c'}}} }}`)
-}
-
-func TestMaxCollectionSizeGuard(t *testing.T) {
-	cat := catalog.New()
-	big := make(value.Bag, 100)
-	for i := range big {
-		big[i] = value.Int(int64(i))
-	}
-	if err := cat.Register("t", big); err != nil {
-		t.Fatal(err)
-	}
-	tree := parser.MustParse("SELECT VALUE x FROM t AS x")
-	core, err := rewrite.Rewrite(tree, rewrite.Options{Names: cat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := &eval.Context{Names: cat, Funcs: registry, Run: Run, MaxCollectionSize: 10}
-	_, err = Run(ctx, eval.NewEnv(), core.(*ast.SFW))
-	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Errorf("size guard should trip, got %v", err)
-	}
 }
 
 func TestStrictModeAbortsPipeline(t *testing.T) {

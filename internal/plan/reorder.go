@@ -18,9 +18,9 @@ package plan
 //
 // The buffer holds the full join result before anything downstream
 // runs; that is the price of byte-identity, charged to the governor at
-// the "join-order" site and bounded by checkSize like any other
-// materialization. The planner only reorders when the written order is
-// estimated to be expensive enough that the buffered plan still wins.
+// the "join-order" site like any other materialization. The planner
+// only reorders when the written order is estimated to be expensive
+// enough that the buffered plan still wins.
 
 import (
 	"sort"
@@ -55,11 +55,9 @@ func (r *blockRun) produceReordered() error {
 		}
 		rows = append(rows, reorderedRow{key: key, env: env.RechainBelow(st.outer, ro.newPosOf)})
 		if ctx.Gov != nil {
-			if err := ctx.Gov.ChargeBindings("join-order", nil); err != nil {
-				return err
-			}
+			return ctx.Gov.ChargeBindings("join-order", nil)
 		}
-		return checkSize(ctx, len(rows))
+		return nil
 	}).run(st.outer, 0)
 	r.c.fold(&c)
 	ctx.Time(&r.reorder.Nanos, start)

@@ -137,21 +137,18 @@ func TestDeadlineDuringHashBuild(t *testing.T) {
 
 // TestGovernorChargesHashBuild: the build side's materialization charges
 // the values and bytes budgets at the hash-build site, and a build that
-// a budget or MaxCollectionSize stops early allocates for the rows it
-// admitted, not for its whole source: the table presizes to what the
-// limits leave.
+// a budget stops early allocates for the rows it admitted, not for its
+// whole source: the table presizes to what the budget leaves.
 func TestGovernorChargesHashBuild(t *testing.T) {
 	const bigRows = 20000
 	run := prepareRobust(t, map[string]string{
 		"small": rowsSION(4, 4),
 		"big":   rowsSION(bigRows, 50),
 	}, `SELECT s.id AS sid, b.id AS bid FROM small AS s, big AS b WHERE s.k = b.k`, 1)
-	ctx, phys, i := hashJoinFixture(t, bigRows, 50)
-	ctx.MaxCollectionSize = 100
 	for _, c := range []struct {
 		name string
 		run  func() error
-		kind eval.ResourceKind // "" for the collection-size limit
+		kind eval.ResourceKind
 	}{
 		{"values budget", func() error {
 			_, err := run(nil, eval.Limits{MaxMaterializedValues: 100})
@@ -161,18 +158,10 @@ func TestGovernorChargesHashBuild(t *testing.T) {
 			_, err := run(nil, eval.Limits{MaxMaterializedBytes: 10000})
 			return err
 		}, eval.ResourceBytes},
-		{"collection size", func() error {
-			_, err := buildHashTable(ctx, eval.NewEnv(), phys.steps[i].hash, false)
-			return err
-		}, ""},
 	} {
 		err := c.run()
 		var re *eval.ResourceError
 		switch {
-		case c.kind == "":
-			if err == nil || !strings.Contains(err.Error(), "exceeds limit of 100") {
-				t.Fatalf("%s: want the collection-size error, got %v", c.name, err)
-			}
 		case !errors.As(err, &re):
 			t.Fatalf("%s: want ResourceError, got %v", c.name, err)
 		case re.Kind != c.kind || re.Site != "hash-build":

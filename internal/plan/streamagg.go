@@ -51,7 +51,7 @@ type aggSlot struct {
 	// star marks COLL_COUNT(g): one step per row, no argument.
 	star bool
 	// retains marks ARRAY_AGG, the one aggregate whose state grows with
-	// its input: each value it keeps is charged and size-checked.
+	// its input: each value it keeps is charged to the governor.
 	retains bool
 	// arg and cond (the WHERE, nil when absent) are the fold subquery's
 	// expressions over the pre-group variables; argC/condC their compiled
@@ -299,10 +299,6 @@ type streamEntry struct {
 	key  string
 	keys []value.Value
 	accs []eval.Accumulator
-	// rows counts the rows folded in, kept only when a slot retains its
-	// inputs: the size guard then bounds the group as it bounds the
-	// materialized group those slots stand for.
-	rows int
 	// errs[i] is the first error evaluating slot i's cond or arg; the
 	// subquery the slot replaces would have stopped there, so the slot
 	// stops folding and its reads raise the error. Nil until a slot fails.
@@ -311,15 +307,13 @@ type streamEntry struct {
 
 // streamGroup is the streaming GROUP BY operator.
 type streamGroup struct {
-	ctx   *eval.Context
-	outer *eval.Env
-	spec  *ast.GroupBy
-	slots []aggSlot
-	keysC []eval.CompiledExpr
-	// retains: some slot keeps its inputs (ARRAY_AGG).
-	retains bool
-	groups  map[string]*streamEntry
-	order   []*streamEntry // first-appearance order
+	ctx    *eval.Context
+	outer  *eval.Env
+	spec   *ast.GroupBy
+	slots  []aggSlot
+	keysC  []eval.CompiledExpr
+	groups map[string]*streamEntry
+	order  []*streamEntry // first-appearance order
 	// keyBuf and keyVals are reused across rows: a row allocates only
 	// when it opens a new group.
 	keyBuf  []byte
@@ -336,9 +330,6 @@ func newStreamGroup(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledEx
 		keysC:   keys,
 		groups:  map[string]*streamEntry{},
 		keyVals: make([]value.Value, len(spec.Keys)),
-	}
-	for i := range g.slots {
-		g.retains = g.retains || g.slots[i].retains
 	}
 	return g
 }
@@ -389,17 +380,8 @@ func (g *streamGroup) add(env *eval.Env) error {
 				return err
 			}
 		}
-		if err := checkSize(g.ctx, len(g.order)); err != nil {
-			return err
-		}
 	} else if g.ctx.Compat {
 		mergeCompatKeys(e.keys, g.keyVals)
-	}
-	if g.retains {
-		e.rows++
-		if err := checkSize(g.ctx, e.rows); err != nil {
-			return err
-		}
 	}
 	for i := range g.slots {
 		if e.errs != nil && e.errs[i] != nil {
@@ -414,8 +396,8 @@ func (g *streamGroup) add(env *eval.Env) error {
 
 // step folds the row into slot i of e. A failure evaluating the slot's
 // cond or arg is latched, not raised: it belongs to the slot's first
-// reader. The returned error is the operator's own (a spent budget, the
-// size guard) and ends the query.
+// reader. The returned error is the operator's own (a spent budget) and
+// ends the query.
 func (g *streamGroup) step(e *streamEntry, i int, env *eval.Env) error {
 	s := &g.slots[i]
 	if s.star {
@@ -495,16 +477,13 @@ func (g *streamGroup) flush(k emit) error {
 // fold's whatever the chunking.
 //
 // governor:charged-at streamGroup.add — each worker charged the groups
-// it opened; checkSize re-bounds the merged group count.
-func (g *streamGroup) merge(other grouper) error {
+// it opened.
+func (g *streamGroup) merge(other grouper) {
 	for _, we := range other.(*streamGroup).order {
 		e, ok := g.groups[we.key]
 		if !ok {
 			g.groups[we.key] = we
 			g.order = append(g.order, we)
-			if err := checkSize(g.ctx, len(g.order)); err != nil {
-				return err
-			}
 			continue
 		}
 		if g.ctx.Compat {
@@ -519,10 +498,5 @@ func (g *streamGroup) merge(other grouper) error {
 				e.accs[i].Merge(we.accs[i])
 			}
 		}
-		e.rows += we.rows
-		if err := checkSize(g.ctx, e.rows); err != nil {
-			return err
-		}
 	}
-	return nil
 }

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"sqlpp/internal/ast"
@@ -115,41 +114,6 @@ func TestStreamAggAllocationGuard(t *testing.T) {
 	t.Logf("%.4f allocations per input row", perRow)
 	if perRow > 0.1 {
 		t.Errorf("streamed GROUP BY allocates %.3f times per input row, want <= 0.1", perRow)
-	}
-}
-
-// TestStreamAggSizeGuard: the collection-size guard bounds what a
-// streamed GROUP BY retains — the number of groups, and the rows of a
-// group only when ARRAY_AGG keeps them. A COUNT over one big group
-// retains one counter and passes where the materialized group would not.
-func TestStreamAggSizeGuard(t *testing.T) {
-	elems := make(value.Bag, 100)
-	for i := range elems {
-		elems[i] = value.NewTuple(
-			value.Field{Name: "one", Value: value.Int(0)},
-			value.Field{Name: "id", Value: value.Int(int64(i))})
-	}
-	cat := catalog.New()
-	if err := cat.Register("t", elems); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		query string
-		trips bool
-	}{
-		{`SELECT r.one AS k, COUNT(*) AS c, SUM(r.id) AS s FROM t AS r GROUP BY r.one`, false},
-		{`SELECT r.one AS k, ARRAY_AGG(r.id) AS ids FROM t AS r GROUP BY r.one`, true},
-		{`SELECT r.id AS k, COUNT(*) AS c FROM t AS r GROUP BY r.id`, true},
-	} {
-		core, notes := prepareOptimized(t, cat, c.query, eval.Permissive)
-		if !hasNote(notes, "stream-agg(") {
-			t.Fatalf("%s: not streamed: %v", c.query, notes)
-		}
-		ctx := &eval.Context{Names: cat, Funcs: registry, Run: Run, MaxCollectionSize: 10}
-		_, err := Run(ctx, eval.NewEnv(), core.(*ast.SFW))
-		if tripped := err != nil && strings.Contains(err.Error(), "exceeds limit"); tripped != c.trips {
-			t.Errorf("%s: size guard tripped=%v (%v), want %v", c.query, tripped, err, c.trips)
-		}
 	}
 }
 

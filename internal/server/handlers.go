@@ -15,6 +15,7 @@ import (
 	"sqlpp"
 	"sqlpp/internal/datafmt"
 	"sqlpp/internal/faultinject"
+	"sqlpp/internal/shard"
 	"sqlpp/internal/value"
 )
 
@@ -59,9 +60,8 @@ type queryRequest struct {
 }
 
 type queryOptions struct {
-	Compat            *bool `json:"compat,omitempty"`
-	Strict            *bool `json:"strict,omitempty"`
-	MaxCollectionSize *int  `json:"max_collection_size,omitempty"`
+	Compat *bool `json:"compat,omitempty"`
+	Strict *bool `json:"strict,omitempty"`
 	// DisableOptimizer runs this request on the reference implementation
 	// (no physical plan, tree-walking interpreter); Parallelism bounds the
 	// parallel-scan worker pool (0 = GOMAXPROCS, 1 = sequential).
@@ -130,6 +130,48 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...any) {
 	s.metrics.Errors.Add(1)
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// execError maps an execution failure, on one node or through the
+// coordinator, to a status: deadline → 504, governor budget → 422 with
+// the resource detail, contained panic → 500 (the engine's bug, not the
+// client's: counted, and the server keeps serving), shard failure
+// (retries exhausted, breaker open, or fail-fast policy) → 502 Bad
+// Gateway — the coordinator is fine, a data node is not — and any other
+// failure → 422.
+func (s *Server) execError(w http.ResponseWriter, err error, elapsed time.Duration) {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		s.metrics.Timeouts.Add(1)
+		s.fail(w, http.StatusGatewayTimeout, "query exceeded its deadline after %s: %v", elapsed.Round(time.Millisecond), err)
+		return
+	}
+	var re *sqlpp.ResourceError
+	if errors.As(err, &re) {
+		s.metrics.Governed.Add(1)
+		s.metrics.Errors.Add(1)
+		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
+			Error: re.Error(),
+			Resource: &resourceDetail{
+				Kind:     string(re.Kind),
+				Site:     re.Site,
+				Limit:    re.Limit,
+				Observed: re.Observed,
+			},
+		})
+		return
+	}
+	var pe *sqlpp.PanicError
+	if errors.As(err, &pe) {
+		s.metrics.Panics.Add(1)
+		s.fail(w, http.StatusInternalServerError, "execute: %v", err)
+		return
+	}
+	var se *shard.ShardError
+	if errors.As(err, &se) {
+		s.fail(w, http.StatusBadGateway, "execute: %v", err)
+		return
+	}
+	s.fail(w, http.StatusUnprocessableEntity, "execute: %v", err)
 }
 
 // handleQuery runs one query: decode → admission gate → plan cache →
@@ -217,9 +259,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if req.Options.Strict != nil {
 			opts.StopOnError = *req.Options.Strict
 		}
-		if req.Options.MaxCollectionSize != nil {
-			opts.MaxCollectionSize = *req.Options.MaxCollectionSize
-		}
 		if req.Options.DisableOptimizer != nil {
 			opts.DisableOptimizer = *req.Options.DisableOptimizer
 		}
@@ -301,36 +340,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	elapsed := time.Since(start)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.metrics.Timeouts.Add(1)
-			s.fail(w, http.StatusGatewayTimeout, "query exceeded its deadline after %s: %v", elapsed.Round(time.Millisecond), err)
-			return
-		}
-		var re *sqlpp.ResourceError
-		if errors.As(err, &re) {
-			s.metrics.Governed.Add(1)
-			s.metrics.Errors.Add(1)
-			writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
-				Error: re.Error(),
-				Resource: &resourceDetail{
-					Kind:     string(re.Kind),
-					Site:     re.Site,
-					Limit:    re.Limit,
-					Observed: re.Observed,
-				},
-			})
-			return
-		}
-		var pe *sqlpp.PanicError
-		if errors.As(err, &pe) {
-			// A recovered panic is the engine's bug, not the client's:
-			// report 500, count it, and keep serving — containment means
-			// one query failed, not the process.
-			s.metrics.Panics.Add(1)
-			s.fail(w, http.StatusInternalServerError, "execute: %v", err)
-			return
-		}
-		s.fail(w, http.StatusUnprocessableEntity, "execute: %v", err)
+		s.execError(w, err, elapsed)
 		return
 	}
 	s.metrics.Observe(elapsed)

@@ -113,8 +113,6 @@ func writeKeyPrefix(sb *strings.Builder, opts sqlpp.Options, paramNames []string
 	sb.WriteString(strconv.FormatBool(opts.Compat))
 	sb.WriteByte('s')
 	sb.WriteString(strconv.FormatBool(opts.StopOnError))
-	sb.WriteByte('m')
-	sb.WriteString(strconv.Itoa(opts.MaxCollectionSize))
 	sb.WriteByte('o')
 	sb.WriteString(strconv.FormatBool(opts.DisableOptimizer))
 	sb.WriteByte('w')
@@ -124,10 +122,9 @@ func writeKeyPrefix(sb *strings.Builder, opts sqlpp.Options, paramNames []string
 	// unvetted compilations of the same text are distinct plans.
 	sb.WriteByte('V')
 	sb.WriteString(strconv.FormatBool(opts.Vet))
-	// A Prepared bakes in its engine and therefore its Limits (like
-	// MaxCollectionSize above), so every budget field must distinguish
-	// cache entries — a cached plan must never execute under another
-	// request's budgets.
+	// A Prepared bakes in its engine and therefore its Limits, so every
+	// budget field must distinguish cache entries — a cached plan must
+	// never execute under another request's budgets.
 	sb.WriteByte('r')
 	sb.WriteString(strconv.FormatInt(opts.Limits.MaxOutputRows, 10))
 	sb.WriteByte('v')

@@ -309,7 +309,7 @@ func TestRetiredOptionsIgnored(t *testing.T) {
 		t.Fatalf("plain: %d (%s)", status, plain.Error)
 	}
 	for name, options := range map[string]string{
-		"client":     `{"no_compile": true, "no_stats": true, "materialize_clauses": true}`,
+		"client":     `{"no_compile": true, "no_stats": true, "materialize_clauses": true, "max_collection_size": 5}`,
 		"shard wire": `{"compat": false, "strict": false, "disable_optimizer": false, "no_compile": true, "no_stats": true, "parallelism": 0, "max_rows": 0, "max_bytes": 0}`,
 	} {
 		status, r := postQuery(t, ts.URL, `{`+base+`, "options": `+options+`}`)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -44,7 +43,7 @@ func (s *Server) handleShardedQuery(ctx context.Context, w http.ResponseWriter, 
 	})
 	elapsed := time.Since(start)
 	if err != nil {
-		s.shardedError(w, err, elapsed)
+		s.execError(w, err, elapsed)
 		return
 	}
 	s.metrics.Observe(elapsed)
@@ -68,46 +67,6 @@ func (s *Server) handleShardedQuery(ctx context.Context, w http.ResponseWriter, 
 		Class:         res.Class,
 		MissingShards: res.MissingShards,
 	})
-}
-
-// shardedError maps a coordinator failure to a status: deadline → 504,
-// governor budget → 422 with the resource detail, contained panic →
-// 500, shard failure (retries exhausted, breaker open, or fail-fast
-// policy) → 502 Bad Gateway — the coordinator is fine, a data node is
-// not.
-func (s *Server) shardedError(w http.ResponseWriter, err error, elapsed time.Duration) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.metrics.Timeouts.Add(1)
-		s.fail(w, http.StatusGatewayTimeout, "query exceeded its deadline after %s: %v", elapsed.Round(time.Millisecond), err)
-		return
-	}
-	var re *sqlpp.ResourceError
-	if errors.As(err, &re) {
-		s.metrics.Governed.Add(1)
-		s.metrics.Errors.Add(1)
-		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
-			Error: re.Error(),
-			Resource: &resourceDetail{
-				Kind:     string(re.Kind),
-				Site:     re.Site,
-				Limit:    re.Limit,
-				Observed: re.Observed,
-			},
-		})
-		return
-	}
-	var pe *sqlpp.PanicError
-	if errors.As(err, &pe) {
-		s.metrics.Panics.Add(1)
-		s.fail(w, http.StatusInternalServerError, "execute: %v", err)
-		return
-	}
-	var se *shard.ShardError
-	if errors.As(err, &se) {
-		s.fail(w, http.StatusBadGateway, "execute: %v", err)
-		return
-	}
-	s.fail(w, http.StatusUnprocessableEntity, "execute: %v", err)
 }
 
 // shardReadiness aggregates the fleet's readiness under the

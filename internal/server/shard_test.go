@@ -16,6 +16,13 @@ import (
 	"sqlpp/internal/shard"
 )
 
+// ordersRows is the `orders` collection newShardFleet distributes.
+const ordersRows = `[
+	{'g': 'a', 'v': 1}, {'g': 'b', 'v': 2}, {'g': 'a', 'v': 3},
+	{'g': 'c', 'v': 4}, {'g': 'b', 'v': 5}, {'g': 'a', 'v': 6},
+	{'g': 'c', 'v': 7}, {'g': 'b', 'v': 8}, {'g': 'a', 'v': 9}
+]`
+
 // newShardFleet spins up n data-node servers over httptest and returns
 // a coordinator speaking the HTTP/JSON protocol to them, with `orders`
 // range-partitioned across the fleet.
@@ -31,12 +38,7 @@ func newShardFleet(t *testing.T, n int, policy shard.Policy) (*shard.Coordinator
 		execs[i] = shard.NewHTTP(fmt.Sprintf("n%d", i), ts.URL, nil)
 	}
 	co := shard.NewCoordinator(sqlpp.New(nil), policy, execs...)
-	orders := sqlpp.MustParseValue(`[
-		{'g': 'a', 'v': 1}, {'g': 'b', 'v': 2}, {'g': 'a', 'v': 3},
-		{'g': 'c', 'v': 4}, {'g': 'b', 'v': 5}, {'g': 'a', 'v': 6},
-		{'g': 'c', 'v': 7}, {'g': 'b', 'v': 8}, {'g': 'a', 'v': 9}
-	]`)
-	if err := co.Distribute("orders", orders, shard.Spec{}); err != nil {
+	if err := co.Distribute("orders", sqlpp.MustParseValue(ordersRows), shard.Spec{}); err != nil {
 		t.Fatal(err)
 	}
 	return co, nodes
@@ -71,11 +73,7 @@ func TestCoordinatorModeOverHTTP(t *testing.T) {
 
 	const query = "SELECT x.g AS g, SUM(x.v) AS s, AVG(x.v) AS a FROM orders AS x GROUP BY x.g AS g ORDER BY g"
 	single := sqlpp.New(nil)
-	if err := single.Register("orders", sqlpp.MustParseValue(`[
-		{'g': 'a', 'v': 1}, {'g': 'b', 'v': 2}, {'g': 'a', 'v': 3},
-		{'g': 'c', 'v': 4}, {'g': 'b', 'v': 5}, {'g': 'a', 'v': 6},
-		{'g': 'c', 'v': 7}, {'g': 'b', 'v': 8}, {'g': 'a', 'v': 9}
-	]`)); err != nil {
+	if err := single.Register("orders", sqlpp.MustParseValue(ordersRows)); err != nil {
 		t.Fatal(err)
 	}
 	want, err := single.Query(query)
@@ -105,6 +103,42 @@ func TestCoordinatorModeOverHTTP(t *testing.T) {
 	stats, _ := out["stats"].(map[string]any)
 	if stats == nil || stats["op"] != "scatter-gather" {
 		t.Fatalf("explain stats root = %v, want scatter-gather", out["stats"])
+	}
+}
+
+// TestCoordinatorOutputBudgetOverHTTP: a request's max_rows budget holds
+// through the coordinator as it does on one node. A scan of the 9 orders
+// under max_rows 5 answers 422 with the same resource kind and limit
+// both ways; neither may answer the whole bag.
+func TestCoordinatorOutputBudgetOverHTTP(t *testing.T) {
+	co, _ := newShardFleet(t, 3, shard.Policy{})
+	coord := httptest.NewServer(server.New(co.Engine(), server.Config{Coordinator: co}))
+	defer coord.Close()
+	single := sqlpp.New(nil)
+	if err := single.Register("orders", sqlpp.MustParseValue(ordersRows)); err != nil {
+		t.Fatal(err)
+	}
+	node := httptest.NewServer(server.New(single, server.Config{}))
+	defer node.Close()
+
+	body := map[string]any{"query": "SELECT VALUE x FROM orders AS x", "options": map[string]any{"max_rows": 5}}
+	resource := func(name, url string) map[string]any {
+		status, out := postShardQuery(t, url, body)
+		if status != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d (%v), want 422", name, status, out)
+		}
+		re, _ := out["resource"].(map[string]any)
+		if re == nil {
+			t.Fatalf("%s: no resource detail in %v", name, out)
+		}
+		return re
+	}
+	want, got := resource("one node", node.URL), resource("coordinator", coord.URL)
+	if got["kind"] != want["kind"] || got["limit"] != want["limit"] {
+		t.Errorf("coordinator tripped %v at limit %v, one node %v at limit %v", got["kind"], got["limit"], want["kind"], want["limit"])
+	}
+	if want["kind"] != string(sqlpp.ResourceRows) || want["limit"] != float64(5) {
+		t.Errorf("one node tripped %v at limit %v, want %s at 5", want["kind"], want["limit"], sqlpp.ResourceRows)
 	}
 }
 

@@ -24,12 +24,12 @@ import (
 // forwards to every shard, so a request-level compat/strict/limit
 // override applies uniformly across the fleet.
 type ExecOptions struct {
-	Compat           bool
-	Strict           bool
-	DisableOptimizer bool
-	Parallelism      int
-	MaxRows          int64
-	MaxBytes         int64
+	Compat           bool  `json:"compat"`
+	Strict           bool  `json:"strict"`
+	DisableOptimizer bool  `json:"disable_optimizer"`
+	Parallelism      int   `json:"parallelism"`
+	MaxRows          int64 `json:"max_rows"`
+	MaxBytes         int64 `json:"max_bytes"`
 }
 
 // OptionsFrom extracts the forwardable slice of engine options.
@@ -284,22 +284,13 @@ func (x *HTTPExecutor) Register(name string, v value.Value) error {
 
 // wireRequest mirrors the server's queryRequest.
 type wireRequest struct {
-	Query     string      `json:"query"`
-	Options   wireOptions `json:"options"`
+	Query string `json:"query"`
+	// Options always carries every key, so the node reads each one as an
+	// explicit override of its own default.
+	Options   ExecOptions `json:"options"`
 	TimeoutMS int64       `json:"timeout_ms,omitempty"`
 	Format    string      `json:"format"`
 	Explain   string      `json:"explain,omitempty"`
-}
-
-// wireOptions mirrors the server's queryOptions (pointer fields so the
-// node's own defaults are overridden explicitly).
-type wireOptions struct {
-	Compat           *bool  `json:"compat"`
-	Strict           *bool  `json:"strict"`
-	DisableOptimizer *bool  `json:"disable_optimizer"`
-	Parallelism      *int   `json:"parallelism"`
-	MaxRows          *int64 `json:"max_rows"`
-	MaxBytes         *int64 `json:"max_bytes"`
 }
 
 // wireResponse mirrors the server's queryResponse/errorResponse union.
@@ -316,18 +307,7 @@ func (x *HTTPExecutor) Exec(ctx context.Context, req Request) (*Response, error)
 			return nil, Transient(fmt.Errorf("shard %s: %w", x.name, err))
 		}
 	}
-	wr := wireRequest{
-		Query:  req.Query,
-		Format: "sion",
-		Options: wireOptions{
-			Compat:           &req.Options.Compat,
-			Strict:           &req.Options.Strict,
-			DisableOptimizer: &req.Options.DisableOptimizer,
-			Parallelism:      &req.Options.Parallelism,
-			MaxRows:          &req.Options.MaxRows,
-			MaxBytes:         &req.Options.MaxBytes,
-		},
-	}
+	wr := wireRequest{Query: req.Query, Format: "sion", Options: req.Options}
 	if req.Explain {
 		wr.Explain = "analyze"
 	}

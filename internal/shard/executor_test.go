@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -229,6 +230,39 @@ func TestAnsweredErrorsSpareTheBreaker(t *testing.T) {
 			t.Fatalf("after malformed answers: got %v, want the breaker open", err)
 		}
 	})
+}
+
+// TestWireOptionsBytes pins the options object a shard request carries:
+// every key present, in this order, even when zero, so a data node reads
+// each as an explicit override of its own default.
+func TestWireOptionsBytes(t *testing.T) {
+	for _, c := range []struct {
+		opts ExecOptions
+		want string
+	}{
+		{ExecOptions{Compat: true, Strict: true, DisableOptimizer: true, Parallelism: 3, MaxRows: 7, MaxBytes: 11},
+			`{"compat":true,"strict":true,"disable_optimizer":true,"parallelism":3,"max_rows":7,"max_bytes":11}`},
+		{ExecOptions{},
+			`{"compat":false,"strict":false,"disable_optimizer":false,"parallelism":0,"max_rows":0,"max_bytes":0}`},
+	} {
+		var got json.RawMessage
+		x := stubNode(t, func(w http.ResponseWriter, r *http.Request) {
+			var req struct {
+				Options json.RawMessage `json:"options"`
+			}
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				t.Error(err)
+			}
+			got = req.Options
+			body(datafmt.CBORContentType, mustCBOR(t, value.Bag{}))(w, r)
+		})
+		if _, err := x.Exec(context.Background(), Request{Query: "t", Options: c.opts}); err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("options on the wire\n got  %s\n want %s", got, c.want)
+		}
+	}
 }
 
 // readAll reads a request body to a string.

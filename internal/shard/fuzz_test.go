@@ -13,8 +13,11 @@ import (
 // one engine and through a 3-shard range-partitioned cluster over the
 // same small catalog. Integer measures keep SUM and AVG exact under
 // re-association, so whatever class the splitter picks, both sides must
-// fail, or both must render byte-identically. A deadline on either side
-// is timing, not semantics, and is exempt.
+// fail, or both must render byte-identically. A deadline or a spent
+// budget on either side bounds the run, not the answer, and is exempt:
+// the budget charges sites that differ between the two sides (a hash
+// build, a hoisted subquery, the shards' budgets, which scatterOptions
+// zeroes).
 func FuzzScatter(f *testing.F) {
 	for _, q := range propertyQueries {
 		f.Add(q)
@@ -22,7 +25,7 @@ func FuzzScatter(f *testing.F) {
 	const catalog = `[{'g': 'a', 'v': 1}, {'g': 'b', 'v': 2}, {'g': 'a', 'v': 3, 'w': {'z': 1}}, {'g': null, 'v': 4},
 		{'v': 5}, {'g': 'b', 'v': 'oops'}, {'g': 1, 'v': 6}, 7, {'g': 'c', 'v': -2}, {'g': 'a', 'v': 10}]`
 	data := sqlpp.MustParseValue(catalog)
-	opts := &sqlpp.Options{MaxCollectionSize: 4096}
+	opts := &sqlpp.Options{Limits: sqlpp.Limits{MaxOutputRows: 4096, MaxMaterializedValues: 4096}}
 	single := sqlpp.New(opts)
 	if err := single.Register("data", data); err != nil {
 		f.Fatal(err)
@@ -36,7 +39,7 @@ func FuzzScatter(f *testing.F) {
 		defer cancel()
 		want, werr := single.QueryContext(ctx, query)
 		res, gerr := co.Exec(ctx, query)
-		if errors.Is(werr, context.DeadlineExceeded) || errors.Is(gerr, context.DeadlineExceeded) {
+		if bounded(werr) || bounded(gerr) {
 			return
 		}
 		if (werr != nil) != (gerr != nil) {
@@ -49,4 +52,11 @@ func FuzzScatter(f *testing.F) {
 			t.Fatalf("%q class=%s:\n got  %s\n want %s\n notes %v", query, res.Class, got, want.String(), res.Notes)
 		}
 	})
+}
+
+// bounded reports whether err ended a run on its deadline or budget
+// rather than on the query's meaning.
+func bounded(err error) bool {
+	var re *sqlpp.ResourceError
+	return errors.Is(err, context.DeadlineExceeded) || errors.As(err, &re)
 }

@@ -432,6 +432,43 @@ func TestPartialPolicyAnnotatesMissingShards(t *testing.T) {
 	}
 }
 
+// TestPartialPolicyOrderLimit: with s0 down, ORDER BY and LIMIT under
+// on_failure=partial apply to the surviving rows. Each answer is the one
+// a single engine gives over s1's range chunk [4,5,6].
+func TestPartialPolicyOrderLimit(t *testing.T) {
+	mode := Partial
+	co, _ := newFlakyCluster(t, 99, false, Policy{MaxAttempts: 2, BaseBackoff: time.Microsecond})
+	single := sqlpp.New(nil)
+	if err := single.Register("xs", mustValue(t, "[4,5,6]")); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ query, class, want string }{
+		{"SELECT VALUE x FROM xs AS x ORDER BY x LIMIT 2", "topk", "[4, 5]"},
+		{"SELECT VALUE x FROM xs AS x ORDER BY x DESC LIMIT 2", "topk", "[6, 5]"},
+		{"SELECT VALUE x FROM xs AS x ORDER BY x LIMIT 2 OFFSET 1", "topk", "[5, 6]"},
+		{"SELECT VALUE x FROM xs AS x LIMIT 2", "concat", "{{4, 5}}"},
+		{"SELECT VALUE x FROM xs AS x LIMIT 2 OFFSET 2", "concat", "{{6}}"},
+	} {
+		res, err := co.ExecRequest(context.Background(), ExecRequest{Query: c.query, OnFailure: &mode})
+		if err != nil {
+			t.Fatalf("%s: %v", c.query, err)
+		}
+		want, err := single.Query(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Value.String(); got != want.String() || got != c.want {
+			t.Errorf("%s: partial answer %s, single engine over s1 %s, want %s", c.query, got, want, c.want)
+		}
+		if string(res.Class) != c.class {
+			t.Errorf("%s: class %s, want %s", c.query, res.Class, c.class)
+		}
+		if len(res.MissingShards) != 1 || res.MissingShards[0] != "s0" {
+			t.Errorf("%s: missing = %v, want [s0]", c.query, res.MissingShards)
+		}
+	}
+}
+
 func TestPartialPolicyAllShardsDownStillErrors(t *testing.T) {
 	mode := Partial
 	e0 := sqlpp.New(nil)

@@ -48,9 +48,6 @@ type Options struct {
 	// StopOnError selects the stop-on-error typing mode (§IV): the first
 	// dynamic type error aborts the query instead of yielding MISSING.
 	StopOnError bool
-	// MaxCollectionSize caps materialized intermediate results; 0 means
-	// unlimited.
-	MaxCollectionSize int
 	// DisableOptimizer selects the reference implementation the identity
 	// batteries compare against: no physical plan, so every block runs the
 	// naive clause pipeline and every expression the tree-walking
@@ -557,13 +554,12 @@ func (p *Prepared) ExplainAnalyze(ctx context.Context) (value.Value, *OpStats, e
 // shared Prepared sound.
 func (e *Engine) newContext(ctx context.Context) *eval.Context {
 	ec := &eval.Context{
-		Mode:              e.mode(),
-		Compat:            e.opts.Compat,
-		Names:             e.cat,
-		Funcs:             e.funcs,
-		Run:               plan.Run,
-		MaxCollectionSize: e.opts.MaxCollectionSize,
-		Parallelism:       e.parallelism(),
+		Mode:        e.mode(),
+		Compat:      e.opts.Compat,
+		Names:       e.cat,
+		Funcs:       e.funcs,
+		Run:         plan.Run,
+		Parallelism: e.parallelism(),
 	}
 	// Only install contexts that can actually fire, so queries run with
 	// context.Background() skip the per-row poll entirely.
