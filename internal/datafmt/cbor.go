@@ -283,6 +283,13 @@ func (d *cborDecoder) nested(major byte, arg uint64) (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		if len(vals) == cap(vals) {
+			// Double, as append would, but never past the head's count,
+			// so a full container holds no spare slots.
+			grown := make([]value.Value, len(vals), min(arg, uint64(max(2*cap(vals), 4))))
+			copy(grown, vals)
+			vals = grown
+		}
 		vals = append(vals, v)
 	}
 	d.shut()

@@ -127,6 +127,25 @@ func TestCBORHostileHeads(t *testing.T) {
 	}
 }
 
+// A streamed collection starts with almost no credit, so it grows as its
+// elements arrive; it must still end at exactly the head's count, with no
+// spare slots kept for as long as the collection lives.
+func TestCBORStreamedBagFitsHead(t *testing.T) {
+	const n = 50000
+	enc := mustEncodeCBOR(t, value.Bag(eventRows(n).(value.Array)))
+	v, err := DecodeCBORFrom(iotest.OneByteReader(bytes.NewReader(enc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bag, ok := v.(value.Bag)
+	if !ok {
+		t.Fatalf("decoded a %s, want a bag", v.Kind())
+	}
+	if len(bag) != n || cap(bag) != n {
+		t.Fatalf("len %d cap %d, want both %d", len(bag), cap(bag), n)
+	}
+}
+
 func TestWriteCBORMatchesEncode(t *testing.T) {
 	for _, v := range []value.Value{eventRows(20000), value.Int(7), value.Bag{}} {
 		var buf bytes.Buffer

@@ -38,8 +38,8 @@ type queryRequest struct {
 	// result as one CBOR item, Content-Type application/cbor. A request
 	// that sends Accept: application/cbor gets the same whatever Format
 	// says, unless it asks for "explain" (the stats tree needs the
-	// envelope) — so a client can prefer CBOR and still talk to a server
-	// that predates it.
+	// envelope) or the result holds a MISSING (see resultFormat) — so a
+	// client can prefer CBOR and still talk to a server that predates it.
 	Format string `json:"format,omitempty"`
 	// Explain set to "analyze" executes the query with per-operator
 	// instrumentation and returns the stats tree in the response's
@@ -57,6 +57,21 @@ type queryRequest struct {
 	// the response with "missing_shards". Ignored outside coordinator
 	// mode.
 	OnFailure string `json:"on_failure,omitempty"`
+
+	// acceptCBOR is set when only the Accept header asked for CBOR.
+	acceptCBOR bool
+}
+
+// resultFormat is the format result is answered in. CBOR that only the
+// Accept header asked for gives way to the object notation, in the JSON
+// envelope, when the result holds a MISSING: CBOR cannot carry it, and a
+// client that negotiates reads either answer. An explicit "cbor" keeps
+// its 422.
+func (req *queryRequest) resultFormat(result value.Value) string {
+	if req.acceptCBOR && value.HasMissing(result) {
+		return "sion"
+	}
+	return req.Format
 }
 
 type queryOptions struct {
@@ -211,8 +226,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "format \"cbor\" has no envelope to carry the explain stats; use json or sion")
 		return
 	}
-	if !explain && strings.Contains(r.Header.Get("Accept"), datafmt.CBORContentType) {
-		req.Format = "cbor"
+	if !explain && req.Format != "cbor" && strings.Contains(r.Header.Get("Accept"), datafmt.CBORContentType) {
+		req.Format, req.acceptCBOR = "cbor", true
 	}
 
 	timeout := s.cfg.DefaultTimeout
@@ -348,7 +363,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.metrics.ObserveOps(stats)
 	}
 
-	if req.Format == "cbor" {
+	format := req.resultFormat(result)
+	if format == "cbor" {
 		s.writeCBOR(w, result)
 		return
 	}
@@ -358,7 +374,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		notes = plan.Prepared.PlanNotes()
 	}
-	s.writeResult(w, result, req.Format, &queryResponse{
+	s.writeResult(w, result, format, &queryResponse{
 		Cached:      cached,
 		ElapsedUS:   elapsed.Microseconds(),
 		Plan:        notes,

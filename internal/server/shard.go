@@ -50,7 +50,8 @@ func (s *Server) handleShardedQuery(ctx context.Context, w http.ResponseWriter, 
 	if res.Stats != nil {
 		s.metrics.ObserveOps(res.Stats)
 	}
-	if req.Format == "cbor" {
+	format := req.resultFormat(res.Value)
+	if format == "cbor" {
 		// The one annotation that changes what the result means travels as
 		// a header when there is no envelope to carry it.
 		if len(res.MissingShards) > 0 {
@@ -59,7 +60,7 @@ func (s *Server) handleShardedQuery(ctx context.Context, w http.ResponseWriter, 
 		s.writeCBOR(w, res.Value)
 		return
 	}
-	s.writeResult(w, res.Value, req.Format, &queryResponse{
+	s.writeResult(w, res.Value, format, &queryResponse{
 		ElapsedUS:     elapsed.Microseconds(),
 		Plan:          res.Notes,
 		Stats:         res.Stats,

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -253,5 +254,69 @@ func TestCoordinatorPartialReadyzPolicy(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("partial policy with one survivor: readyz %d", resp.StatusCode)
+	}
+}
+
+// missingRows holds a MISSING inside an array, the one value CBOR cannot
+// carry.
+const missingRows = `{{ {'k': 1, 'a': [1, MISSING]}, {'k': 2, 'a': [2]} }}`
+
+// TestShardedMissingElementsOverHTTP: an HTTP fleet answers what one engine
+// answers over rows holding a MISSING. Distribute ships such a part in
+// object notation, and a node whose result holds one answers a client
+// that only asked for CBOR by its Accept header with the object notation
+// in the JSON envelope.
+func TestShardedMissingElementsOverHTTP(t *testing.T) {
+	execs := make([]shard.Executor, 2)
+	for i := range execs {
+		ts := httptest.NewServer(server.New(sqlpp.New(nil), server.Config{}))
+		t.Cleanup(ts.Close)
+		execs[i] = shard.NewHTTP(fmt.Sprintf("n%d", i), ts.URL, nil)
+	}
+	co := shard.NewCoordinator(sqlpp.New(nil), shard.Policy{}, execs...)
+	if err := co.Distribute("t", sqlpp.MustParseValue(missingRows), shard.Spec{Kind: shard.Hash, Key: "k"}); err != nil {
+		t.Fatal(err)
+	}
+	single := sqlpp.New(nil)
+	if err := single.Register("t", sqlpp.MustParseValue(missingRows)); err != nil {
+		t.Fatal(err)
+	}
+	for _, query := range []string{
+		"SELECT VALUE x FROM t AS x ORDER BY x.k",
+		"SELECT k AS k, g AS g FROM t AS x GROUP BY x.k AS k GROUP AS g ORDER BY k",
+	} {
+		want, err := single.Query(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := co.Exec(context.Background(), query)
+		if err != nil {
+			t.Errorf("%s: %v", query, err)
+			continue
+		}
+		if res.Value.String() != want.String() {
+			t.Errorf("%s:\n fleet %s\n one engine %s", query, res.Value, want)
+		}
+	}
+
+	// On one node: CBOR by Accept alone gives way to the envelope, while
+	// an explicit "format":"cbor" keeps its 422.
+	_, ts := newTestServer(t, nil, server.Config{})
+	ingest(t, ts.URL, "t", "sion", missingRows)
+	const query = `{"query": "SELECT VALUE x.a FROM t AS x ORDER BY x.k", "format": "json"}`
+	status, hdr, raw := postRaw(t, ts.URL, query, "application/cbor")
+	if status != http.StatusOK || hdr.Get("Content-Type") != "application/json" {
+		t.Fatalf("Accept: application/cbor: status %d, %q: %s", status, hdr.Get("Content-Type"), raw)
+	}
+	var reply queryReply
+	if err := json.Unmarshal(raw, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if got := sionResult(t, reply.Result).String(); got != "[[1, MISSING], [2]]" {
+		t.Errorf("envelope result %s, want [[1, MISSING], [2]]", got)
+	}
+	status, _, raw = postRaw(t, ts.URL, strings.Replace(query, `"json"`, `"cbor"`, 1), "application/cbor")
+	if status != http.StatusUnprocessableEntity || !strings.Contains(string(raw), "MISSING") {
+		t.Errorf("format cbor: status %d, want 422 naming MISSING: %s", status, raw)
 	}
 }

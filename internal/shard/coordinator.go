@@ -161,18 +161,16 @@ func (c *Coordinator) Ready(ctx context.Context) map[string]error {
 }
 
 // Distribute partitions v per spec across the shards, installs each
-// part, and records the spec (and the shard metadata in the catalog, so
-// plan-cache epochs see topology changes).
+// part (every shard at once), and records the spec (and the shard
+// metadata in the catalog, so plan-cache epochs see topology changes).
 func (c *Coordinator) Distribute(name string, v value.Value, spec Spec) error {
 	spec.Name = name
 	parts, err := Partition(v, spec, len(c.execs))
 	if err != nil {
 		return err
 	}
-	for i, x := range c.execs {
-		if err := x.Register(name, parts[i]); err != nil {
-			return err
-		}
+	if err := c.install(name, parts, nil); err != nil {
+		return err
 	}
 	c.mu.Lock()
 	c.specs[name] = spec
@@ -187,12 +185,36 @@ func (c *Coordinator) Distribute(name string, v value.Value, spec Spec) error {
 // Broadcast replicates an unsharded collection to every shard and the
 // coordinator, so shard-local plans can join against it.
 func (c *Coordinator) Broadcast(name string, v value.Value) error {
-	for _, x := range c.execs {
-		if err := x.Register(name, v); err != nil {
+	parts := make([]value.Value, len(c.execs))
+	for i := range parts {
+		parts[i] = v
+	}
+	return c.install(name, parts, func() error { return c.engine.Register(name, v) })
+}
+
+// install registers parts[i] as name on shard i, every shard at once,
+// while local (when set) runs on the calling goroutine. It waits for all
+// of them and returns the first error in shard order, then local's.
+func (c *Coordinator) install(name string, parts []value.Value, local func() error) error {
+	errs := make([]error, len(c.execs)+1)
+	var wg sync.WaitGroup
+	for i, x := range c.execs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = x.Register(name, parts[i])
+		}()
+	}
+	if local != nil {
+		errs[len(c.execs)] = local()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
-	return c.engine.Register(name, v)
+	return nil
 }
 
 // ExecRequest carries one coordinator query.

@@ -212,8 +212,9 @@ func (x *LocalExecutor) classify(err error) error {
 // content negotiation (Accept: application/cbor) and decodes the body as
 // it arrives; a node that predates CBOR responses ignores the header and
 // answers with the JSON envelope holding the paper's object notation
-// (format "sion"), which is accepted too. Both are lossless for bag/array
-// kinds, so remote shards merge bit-identically to local ones. The data
+// (format "sion"), which is accepted too, and so does any node whose
+// result holds a MISSING. Both are lossless for bag/array kinds, so
+// remote shards merge bit-identically to local ones. The data
 // node's own admission gate, governor, and deadline machinery provide
 // per-shard backpressure; its 429 + Retry-After shedding surfaces here as
 // a transient error carrying the backoff hint.
@@ -267,17 +268,24 @@ func (x *HTTPExecutor) Ready(ctx context.Context) error {
 	return nil
 }
 
-// Register ingests the collection on the data node in object notation.
+// Register ingests the collection on the data node as CBOR, which the
+// node decodes as it streams in. A value holding a MISSING, which CBOR
+// cannot carry, goes in the paper's object notation instead.
 func (x *HTTPExecutor) Register(name string, v value.Value) error {
-	u := x.base + "/v1/collections/" + url.PathEscape(name) + "?format=sion"
-	resp, err := x.client.Post(u, "text/plain", bytes.NewBufferString(v.String()))
+	format, ctype := "cbor", datafmt.CBORContentType
+	body, err := datafmt.EncodeCBOR(v)
+	if err != nil {
+		format, ctype, body = "sion", "text/plain", []byte(v.String())
+	}
+	u := x.base + "/v1/collections/" + url.PathEscape(name) + "?format=" + format
+	resp, err := x.client.Post(u, ctype, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("shard %s: register %s: %w", x.name, name, err)
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
+	msg, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("shard %s: register %s: %s: %s", x.name, name, resp.Status, bytes.TrimSpace(body))
+		return fmt.Errorf("shard %s: register %s: %s: %s", x.name, name, resp.Status, bytes.TrimSpace(msg))
 	}
 	return nil
 }

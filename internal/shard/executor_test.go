@@ -280,3 +280,86 @@ func mustCBOR(t *testing.T, v value.Value) []byte {
 	}
 	return b
 }
+
+// TestRegisterWire: Register ships a collection as CBOR, and a value
+// holding a MISSING, which CBOR cannot carry, in object notation; the
+// node reads back the value sent either way.
+func TestRegisterWire(t *testing.T) {
+	for _, c := range []struct {
+		src, format, ctype string
+	}{
+		{`{{ {'id': 1, 'tags': ['a', 'b']}, {'id': 2, 'at': x'00ff'}, 'three', null }}`, "cbor", datafmt.CBORContentType},
+		{`{{ {'id': 1, 'a': [1, MISSING]} }}`, "sion", "text/plain"},
+	} {
+		want := sqlpp.MustParseValue(c.src)
+		var got value.Value
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/collections/{name}", func(w http.ResponseWriter, r *http.Request) {
+			if f := r.URL.Query().Get("format"); f != c.format {
+				t.Errorf("%s: format=%q, want %q", c.src, f, c.format)
+			}
+			if ct := r.Header.Get("Content-Type"); ct != c.ctype {
+				t.Errorf("%s: Content-Type %q, want %q", c.src, ct, c.ctype)
+			}
+			v, err := datafmt.Decode(c.format, r.Body)
+			if err != nil {
+				t.Errorf("%s: decode: %v", c.src, err)
+			}
+			got = v
+			w.WriteHeader(http.StatusCreated)
+		})
+		srv := httptest.NewServer(mux)
+		err := NewHTTP("s0", srv.URL, srv.Client()).Register("rows", want)
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == nil || got.String() != want.String() {
+			t.Errorf("node read %v, want %s", got, want)
+		}
+	}
+}
+
+// TestInstallReportsFailingShard: Distribute and Broadcast send every
+// shard its part, even past a shard that fails, and report that shard.
+func TestInstallReportsFailingShard(t *testing.T) {
+	var hits [3]atomic.Int32
+	execs := make([]Executor, len(hits))
+	for i := range execs {
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/collections/{name}", func(w http.ResponseWriter, r *http.Request) {
+			hits[i].Add(1)
+			io.Copy(io.Discard, r.Body)
+			if i == 1 {
+				http.Error(w, "disk full", http.StatusInternalServerError)
+				return
+			}
+			w.WriteHeader(http.StatusCreated)
+		})
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		execs[i] = NewHTTP("n"+strconv.Itoa(i), srv.URL, srv.Client())
+	}
+	co := NewCoordinator(sqlpp.New(nil), Policy{}, execs...)
+	data := sqlpp.MustParseValue(`{{ {'k': 1}, {'k': 2}, {'k': 3}, {'k': 4} }}`)
+	for _, c := range []struct {
+		name    string
+		install func() error
+	}{
+		{"Distribute", func() error { return co.Distribute("rows", data, Spec{Kind: Hash, Key: "k"}) }},
+		{"Broadcast", func() error { return co.Broadcast("dims", data) }},
+	} {
+		for i := range hits {
+			hits[i].Store(0)
+		}
+		err := c.install()
+		if err == nil || !strings.Contains(err.Error(), "shard n1") || !strings.Contains(err.Error(), "disk full") {
+			t.Errorf("%s: got %v, want an error naming shard n1", c.name, err)
+		}
+		for i := range hits {
+			if n := hits[i].Load(); n != 1 {
+				t.Errorf("%s: shard n%d received %d registrations, want 1", c.name, i, n)
+			}
+		}
+	}
+}

@@ -329,3 +329,27 @@ func AsInt(v Value) (int64, bool) {
 	}
 	return 0, false
 }
+
+// HasMissing reports whether MISSING occurs anywhere in v: v itself or an
+// element of a collection at any depth. Tuples never hold it as an
+// attribute value, but may hold collections that do.
+func HasMissing(v Value) bool {
+	switch x := v.(type) {
+	case Array:
+		return anyMissing(x)
+	case Bag:
+		return anyMissing(x)
+	case *Tuple:
+		return anyMissing(x.vals)
+	}
+	return v.Kind() == KindMissing
+}
+
+func anyMissing(vs []Value) bool {
+	for _, v := range vs {
+		if HasMissing(v) {
+			return true
+		}
+	}
+	return false
+}

@@ -65,6 +65,28 @@ func TestTuplePutDropsMissing(t *testing.T) {
 	}
 }
 
+func TestHasMissing(t *testing.T) {
+	nested := NewTuple(Field{Name: "a", Value: Array{Int(1), Missing}})
+	cases := []struct {
+		v    Value
+		want bool
+	}{
+		{Missing, true},
+		{Null, false},
+		{Int(1), false},
+		{Array{Int(1), Null}, false},
+		{Bag{Int(1), Missing}, true},
+		{Bag{NewTuple(Field{Name: "a", Value: Missing})}, false},
+		{Bag{nested}, true},
+		{Array{Bag{}, Array{Array{Missing}}}, true},
+	}
+	for _, c := range cases {
+		if got := HasMissing(c.v); got != c.want {
+			t.Errorf("HasMissing(%v) = %v, want %v", c.v, got, c.want)
+		}
+	}
+}
+
 func TestTupleGetAbsentIsMissing(t *testing.T) {
 	tup := EmptyTuple()
 	v, ok := tup.Get("nope")
