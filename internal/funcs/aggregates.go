@@ -40,13 +40,13 @@ func (r *Registry) registerAggregates() {
 	// COUNT(*) rewrite passes the GROUP AS collection, whose elements
 	// are never absent, so it yields the group size.
 	r.registerAgg("COLL_COUNT", func() eval.Accumulator { return &countAcc{} })
-	r.registerAgg("COLL_SUM", func() eval.Accumulator { return &sumAcc{op: "COLL_SUM"} })
-	r.registerAgg("COLL_AVG", func() eval.Accumulator { return &sumAcc{op: "COLL_AVG", avg: true} })
+	r.registerAgg("COLL_SUM", func() eval.Accumulator { return &sumAcc{} })
+	r.registerAgg("COLL_AVG", func() eval.Accumulator { return &sumAcc{avg: true} })
 	r.registerAgg("COLL_MIN", func() eval.Accumulator { return &extremeAcc{} })
 	r.registerAgg("COLL_MAX", func() eval.Accumulator { return &extremeAcc{wantMax: true} })
-	r.registerAgg("COLL_EVERY", func() eval.Accumulator { return &quantAcc{op: "COLL_EVERY", every: true} })
-	r.registerAgg("COLL_ANY", func() eval.Accumulator { return &quantAcc{op: "COLL_ANY"} })
-	r.registerAgg("COLL_SOME", func() eval.Accumulator { return &quantAcc{op: "COLL_SOME"} })
+	r.registerAgg("COLL_EVERY", func() eval.Accumulator { return &quantAcc{every: true} })
+	r.registerAgg("COLL_ANY", func() eval.Accumulator { return &quantAcc{} })
+	r.registerAgg("COLL_SOME", func() eval.Accumulator { return &quantAcc{some: true} })
 	// ARRAY_AGG materializes a collection as an array, keeping absent
 	// elements as NULLs (positional).
 	r.registerAgg("COLL_ARRAY_AGG", func() eval.Accumulator { return &arrayAcc{} })
@@ -80,22 +80,25 @@ func (a *countAcc) Result() (value.Value, error) { return value.Int(a.n), nil }
 // total is rounded to float64 once, at Result. SUM stays an Int while
 // every addend was an Int and the total fits int64; a total that does not
 // fit is returned as the (correctly rounded) Float instead of wrapping.
+// A streamed GROUP BY keeps one per group, so the state is small: the
+// partials are allocated by the first Float addend, and an Int SUM fits
+// one 48-byte allocation.
 type sumAcc struct {
-	op  string
-	avg bool
-	n   int64 // numeric addends
+	avg   bool
+	float bool // a Float addend was seen
+	// fault is the kind of the first non-numeric element, KindMissing
+	// while there is none (an absent element is never a fault); once set
+	// the aggregate is a type fault whatever follows.
+	fault value.Kind
+	n     int64 // numeric addends
 	// hi:lo is the two's-complement 128-bit total of the Int addends.
-	hi    int64
-	lo    uint64
-	float bool     // a Float addend was seen
-	fsum  exactSum // the Float addends
-	// fault is the kind of the first non-numeric element; once set the
-	// aggregate is a type fault whatever follows.
-	fault string
+	hi   int64
+	lo   uint64
+	fsum *exactSum // the Float addends, nil before the first
 }
 
 func (a *sumAcc) Step(v value.Value) {
-	if a.fault != "" {
+	if a.fault != value.KindMissing {
 		return
 	}
 	v = unwrapAggElem(v)
@@ -106,10 +109,13 @@ func (a *sumAcc) Step(v value.Value) {
 		a.hi += int64(x>>63) + int64(c)
 	case value.Float:
 		a.float = true
+		if a.fsum == nil {
+			a.fsum = new(exactSum)
+		}
 		a.fsum.add(float64(x))
 	default:
 		if !value.IsAbsent(v) { // SQL aggregates ignore absent inputs
-			a.fault = v.Kind().String()
+			a.fault = v.Kind()
 		}
 		return
 	}
@@ -118,7 +124,7 @@ func (a *sumAcc) Step(v value.Value) {
 
 func (a *sumAcc) Merge(other eval.Accumulator) {
 	o := other.(*sumAcc)
-	if a.fault != "" {
+	if a.fault != value.KindMissing {
 		return
 	}
 	a.fault = o.fault
@@ -127,12 +133,21 @@ func (a *sumAcc) Merge(other eval.Accumulator) {
 	a.lo, c = bits.Add64(a.lo, o.lo, 0)
 	a.hi += o.hi + int64(c)
 	a.float = a.float || o.float
-	a.fsum.merge(&o.fsum)
+	if o.fsum != nil {
+		if a.fsum == nil {
+			a.fsum = new(exactSum)
+		}
+		a.fsum.merge(o.fsum)
+	}
 }
 
 func (a *sumAcc) Result() (value.Value, error) {
-	if a.fault != "" {
-		return nil, typeErr(a.op, "element is "+a.fault)
+	if a.fault != value.KindMissing {
+		op := "COLL_SUM"
+		if a.avg {
+			op = "COLL_AVG"
+		}
+		return nil, typeErr(op, "element is "+a.fault.String())
 	}
 	if a.n == 0 {
 		return value.Null, nil // SQL: aggregate of empty input is NULL
@@ -148,10 +163,13 @@ func (a *sumAcc) Result() (value.Value, error) {
 
 // total is the exact sum of every addend, rounded once to float64.
 func (a *sumAcc) total() float64 {
-	if a.hi == int64(a.lo)>>63 && len(a.fsum.parts) == 0 && !a.fsum.hasSpecial {
+	var s exactSum
+	if a.fsum != nil {
+		s = exactSum{parts: append([]float64(nil), a.fsum.parts...), special: a.fsum.special, hasSpecial: a.fsum.hasSpecial}
+	}
+	if a.hi == int64(a.lo)>>63 && s.parts == nil && !s.hasSpecial {
 		return float64(int64(a.lo))
 	}
-	s := exactSum{parts: append([]float64(nil), a.fsum.parts...), special: a.fsum.special, hasSpecial: a.fsum.hasSpecial}
 	// Feed the integer total in as 32-bit limbs: each limb times its
 	// power of two is exactly representable, so nothing is rounded before
 	// the final pass.
@@ -296,10 +314,11 @@ func (a *extremeAcc) Result() (value.Value, error) {
 // element in collection order — a FALSE for EVERY, a TRUE for ANY, or a
 // non-boolean (type fault) — fixes the result; nothing after it counts.
 type quantAcc struct {
-	op        string
-	every     bool
-	decided   bool
-	fault     string // kind of the deciding element when it was a non-boolean
+	every, some bool // COLL_EVERY, COLL_SOME; COLL_ANY is neither
+	decided     bool
+	// fault is the kind of the deciding element when it was a
+	// non-boolean, KindMissing otherwise.
+	fault     value.Kind
 	sawAbsent bool
 }
 
@@ -314,7 +333,7 @@ func (a *quantAcc) Step(v value.Value) {
 	}
 	b, ok := v.(value.Bool)
 	if !ok {
-		a.decided, a.fault = true, v.Kind().String()
+		a.decided, a.fault = true, v.Kind()
 	} else if bool(b) != a.every {
 		a.decided = true
 	}
@@ -331,8 +350,14 @@ func (a *quantAcc) Merge(other eval.Accumulator) {
 
 func (a *quantAcc) Result() (value.Value, error) {
 	switch {
-	case a.fault != "":
-		return nil, typeErr(a.op, "element is "+a.fault)
+	case a.fault != value.KindMissing:
+		op := "COLL_ANY"
+		if a.every {
+			op = "COLL_EVERY"
+		} else if a.some {
+			op = "COLL_SOME"
+		}
+		return nil, typeErr(op, "element is "+a.fault.String())
 	case a.decided:
 		return value.Bool(!a.every), nil
 	case a.sawAbsent:

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sqlpp/internal/eval"
@@ -125,18 +126,23 @@ func TestSumNonFinite(t *testing.T) {
 	}
 }
 
+// mergePool is the element pool of the merge tests: Ints up to the edge
+// of int64, Floats that cancel, a string, booleans, the absent values, a
+// one-attribute tuple the aggregates unwrap, and values they fault on.
+var mergePool = []value.Value{
+	value.Int(3), value.Int(-7), value.Int(math.MaxInt64), value.Float(2.5), value.Float(1e17), value.Float(-1e17),
+	value.Float(0.1), value.String("x"), value.True, value.False, value.Null, value.Missing,
+	value.NewTuple(value.Field{Name: "v", Value: value.Int(4)}),
+	value.NewTuple(value.Field{Name: "a", Value: value.Int(1)}, value.Field{Name: "b", Value: value.Int(2)}),
+	value.Array{value.Int(1)},
+}
+
 // TestAccumulatorMergeIsSequentialFold: for every aggregate, folding a
 // heterogeneous collection in pieces and merging gives exactly the
 // one-piece fold — value, fault and all — and that fold is what the
 // COLL_* function returns.
 func TestAccumulatorMergeIsSequentialFold(t *testing.T) {
-	pool := []value.Value{
-		value.Int(3), value.Int(-7), value.Int(math.MaxInt64), value.Float(2.5), value.Float(1e17), value.Float(-1e17),
-		value.Float(0.1), value.String("x"), value.True, value.False, value.Null, value.Missing,
-		value.NewTuple(value.Field{Name: "v", Value: value.Int(4)}),
-		value.NewTuple(value.Field{Name: "a", Value: value.Int(1)}, value.Field{Name: "b", Value: value.Int(2)}),
-		value.Array{value.Int(1)},
-	}
+	pool := mergePool
 	reg := NewRegistry()
 	r := rand.New(rand.NewSource(11))
 	for round := 0; round < 300; round++ {
@@ -169,6 +175,65 @@ func TestAccumulatorMergeIsSequentialFold(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzAccumulatorMerge: for every aggregate, any element sequence cut
+// anywhere into pieces, folded piece by piece and merged left to right,
+// gives the sequential fold's outcome, which is the COLL_* function's.
+// picks chooses each element from mergePool and the non-finite and
+// minimum values added here; each byte of cuts is one cut point. The
+// seeds are the encodings the accumulators' compact state must keep
+// apart: MaxInt64 runs past int64, ±1e17 cancelling around a small
+// addend, infinities and NaN, and a string after a Float.
+func FuzzAccumulatorMerge(f *testing.F) {
+	pool := append(slices.Clip(mergePool), value.Int(math.MinInt64),
+		value.Float(math.Inf(1)), value.Float(math.Inf(-1)), value.Float(math.NaN()))
+	seed := func(cuts []byte, elems ...value.Value) {
+		picks := make([]byte, len(elems))
+		for i, e := range elems {
+			picks[i] = byte(slices.IndexFunc(pool, func(p value.Value) bool { return p.String() == e.String() }))
+		}
+		f.Add(picks, cuts)
+	}
+	maxInt, minInt := value.Int(math.MaxInt64), value.Int(math.MinInt64)
+	seed([]byte{1, 2}, maxInt, maxInt, maxInt, value.Int(-7))
+	seed([]byte{1}, minInt, minInt, maxInt, value.Int(3))
+	seed([]byte{1, 2}, value.Float(1e17), value.Float(0.1), value.Float(-1e17))
+	seed([]byte{2}, value.Int(3), value.Float(1e17), value.Float(-1e17), value.Float(2.5))
+	seed([]byte{1}, value.Float(math.Inf(1)), value.Int(3), value.Float(math.Inf(-1)))
+	seed([]byte{1}, value.Float(math.NaN()), value.Float(2.5), value.Null)
+	seed([]byte{1}, value.Float(2.5), value.String("x"), value.Int(3))
+	seed([]byte{0, 3}, value.True, value.Missing, value.False, value.String("x"), value.True)
+	all := make([]byte, len(pool))
+	for i := range all {
+		all[i] = byte(i)
+	}
+	seed([]byte{4, 9})
+	f.Add(all, []byte{5, 11})
+	reg := NewRegistry()
+	f.Fuzz(func(t *testing.T, picks, cuts []byte) {
+		elems := make([]value.Value, min(len(picks), 64))
+		for i := range elems {
+			elems[i] = pool[int(picks[i])%len(pool)]
+		}
+		at := make([]int, min(len(cuts), 8))
+		for i := range at {
+			at[i] = int(cuts[i]) % (len(elems) + 1)
+		}
+		slices.Sort(at)
+		for _, name := range aggNames {
+			def, _ := reg.LookupFunc(name)
+			wantV, wantE := def.Fn(&eval.Context{}, []value.Value{value.Array(elems)})
+			seqV, seqE := foldSplit(t, name, elems)
+			if !sameOutcome(wantV, wantE, seqV, seqE) {
+				t.Fatalf("%s%v: function %v/%v, accumulator %v/%v", name, elems, wantV, wantE, seqV, seqE)
+			}
+			gotV, gotE := foldSplit(t, name, elems, at...)
+			if !sameOutcome(wantV, wantE, gotV, gotE) {
+				t.Fatalf("%s%v split at %v: %v/%v, sequential %v/%v", name, elems, at, gotV, gotE, wantV, wantE)
+			}
+		}
+	})
 }
 
 // TestAggSlotRead: $AGG passes a slot's value through and raises its

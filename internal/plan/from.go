@@ -389,6 +389,9 @@ type link struct {
 	// join counts a hash or index join, nil for any other step: a plain
 	// scan does not carry its size.
 	join *joinRun
+	// indexProbe is an index join's probe of one left binding, nil for
+	// any other step; the hash probe is the step's fns entry.
+	indexProbe emit
 }
 
 // joinRun is a chain's counts of a hash or index join: its probes in,
@@ -427,6 +430,9 @@ func (c *chain) init(st *physState, ctx *eval.Context, k emit) *chain {
 		case step.hash != nil:
 			c.links[i].join = new(joinRun)
 			c.fns[n+i] = c.probeFor(i, step.hash)
+			if step.hash.buildIdx != nil {
+				c.links[i].indexProbe = c.indexProbeFor(i, step.hash)
+			}
 			if step.hash.leftEx != nil {
 				c.links[i].item.init(step.hash.leftEx)
 			}
@@ -493,10 +499,10 @@ func (c *chain) run(env *eval.Env, i int) error {
 	step, l := &st.phys.steps[i], &c.links[i]
 	next, probe := c.fns[i], c.fns[len(st.phys.steps)+i]
 	if step.hash != nil {
-		if step.hash.buildIdx != nil {
-			if ix := st.lazy[i].idx.get(func() *index.Index { return resolveIndex(ctx, step.hash.buildIdx) }); ix != nil {
-				return c.runIndexJoin(env, i, step.hash, ix, next)
-			}
+		// A resolved build-key index replaces the hash table: the index
+		// probe reads it from the step's lazy cell.
+		if step.hash.buildIdx != nil && st.lazy[i].idx.get(func() *index.Index { return resolveIndex(ctx, step.hash.buildIdx) }) != nil {
+			probe = l.indexProbe
 		}
 		if step.hash.leftEx != nil {
 			return produceItem(ctx, env, &l.item, probe)
@@ -643,13 +649,15 @@ type grouper interface {
 	merge(other grouper)
 	// counts are the rows the grouper took in and the groups it emitted.
 	counts() *eval.Rows
+	// groups is the number of groups flush will emit.
+	groups() int
 }
 
 // newGrouper picks the block's GROUP BY operator from its physical plan;
 // keys evaluate the grouping keys.
 func newGrouper(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledExpr, phys *sfwPhys) grouper {
 	if phys != nil && phys.stream != nil {
-		return newStreamGroup(ctx, spec, keys, phys.stream)
+		return newStreamGroup(ctx, spec, keys, phys)
 	}
 	return newGroupState(ctx, spec, keys)
 }
@@ -683,6 +691,8 @@ func newGroupState(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledExp
 }
 
 func (g *groupState) counts() *eval.Rows { return &g.ops }
+
+func (g *groupState) groups() int { return len(g.order) }
 
 // reset drops the groups of the last invocation; their key slices and
 // content bags went out with its bindings and are never reused.

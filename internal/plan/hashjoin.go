@@ -148,28 +148,12 @@ func buildCap(ctx *eval.Context, src value.Value, w int) int {
 // otherwise the environment incoming to the step itself probes (comma
 // cross product). The closure, its probe-key buffer and — when the plan
 // allows rebinding row environments in place (phys.reuseEnv) — its one
-// candidate environment live as long as the chain, so a probe allocates
-// nothing of its own.
+// candidate environment, the step's frame, live as long as the chain, so
+// a probe allocates nothing of its own. Every candidate binds the same
+// names — the build side's variables — so the frame is rebound in place.
 func (c *chain) probeFor(i int, h *hashJoinStep) emit {
 	st, ctx, k, j := c.st, c.ctx, c.fns[i], c.links[i].join
-	reuse := st.phys.reuseEnv
 	var kb []byte
-	var cand *eval.Env
-	// candidate returns the environment a build row (or the LEFT JOIN
-	// padding) binds into, nested in lenv. Every candidate binds the same
-	// names — the build side's variables — so a reused one is rebound in
-	// place.
-	candidate := func(lenv *eval.Env) *eval.Env {
-		if !reuse {
-			return lenv.Child()
-		}
-		if cand == nil {
-			cand = lenv.Child()
-		} else {
-			cand.Rebase(lenv)
-		}
-		return cand
-	}
 	return func(lenv *eval.Env) error {
 		if err := ctx.Interrupted(); err != nil {
 			return err
@@ -219,7 +203,7 @@ func (c *chain) probeFor(i int, h *hashJoinStep) emit {
 			if st.ord != nil {
 				st.ord[i] = tbl.seq[r]
 			}
-			cand := candidate(lenv)
+			cand := c.frame(i, lenv)
 			row := tbl.vals[int(r)*w : (int(r)+1)*w]
 			for j, n := range tbl.names {
 				cand.Bind(n, row[j])
@@ -241,7 +225,7 @@ func (c *chain) probeFor(i int, h *hashJoinStep) emit {
 		if !matched && h.leftJoin {
 			j.pads++
 			j.Out++
-			padded := candidate(lenv)
+			padded := c.frame(i, lenv)
 			for _, n := range h.padVars {
 				padded.Bind(n, value.Null)
 			}

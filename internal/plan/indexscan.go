@@ -158,23 +158,26 @@ func (c *chain) runIndexScan(env *eval.Env, i int, ix *index.Index) error {
 	return nil
 }
 
-// runIndexJoin produces a hash-join step's bindings by probing an
-// existing index on the build key instead of building a hash table.
-// Verification (the full ON condition) and LEFT JOIN padding are
-// exactly the hash probe's, so the join's observable semantics are
-// unchanged; only the build phase disappears.
-func (c *chain) runIndexJoin(env *eval.Env, i int, h *hashJoinStep, ix *index.Index, k emit) error {
-	ctx, l, j := c.ctx, &c.links[i], c.links[i].join
-	elems, ok := value.Elements(ix.Source())
-	if !ok {
-		return nil
-	}
-	isArray := ix.Source().Kind() == value.KindArray
+// indexProbeFor builds index-join step i's probe of one left binding:
+// it looks the probe key up in an existing index on the build key instead
+// of a hash table. Verification (the full ON condition) and LEFT JOIN
+// padding are exactly the hash probe's, so the join's observable
+// semantics are unchanged; only the build phase disappears. The probe
+// runs only once the step has resolved its index (chain.run), and binds
+// its candidates into the step's frame, as the hash probe does.
+func (c *chain) indexProbeFor(i int, h *hashJoinStep) emit {
+	st, ctx, k, l, j := c.st, c.ctx, c.fns[i], &c.links[i], c.links[i].join
 	x := h.right
-	probe := func(lenv *eval.Env) error {
+	return func(lenv *eval.Env) error {
 		if err := ctx.Interrupted(); err != nil {
 			return err
 		}
+		ix := st.lazy[i].idx.ix
+		elems, ok := value.Elements(ix.Source())
+		if !ok {
+			return nil
+		}
+		isArray := ix.Source().Kind() == value.KindArray
 		j.In++
 		l.lookups++
 		key, err := h.buildIdx.eqC(ctx, lenv)
@@ -196,7 +199,7 @@ func (c *chain) runIndexJoin(env *eval.Env, i int, h *hashJoinStep, ix *index.In
 				}
 			}
 			j.candidates++
-			cand := lenv.Child()
+			cand := c.frame(i, lenv)
 			bindElem(cand, x, elems[p], int(p), isArray)
 			ok, err := filtersPass(ctx, cand, h.verifyC)
 			if err != nil {
@@ -215,7 +218,7 @@ func (c *chain) runIndexJoin(env *eval.Env, i int, h *hashJoinStep, ix *index.In
 		if !matched && h.leftJoin {
 			j.pads++
 			j.Out++
-			padded := lenv.Child()
+			padded := c.frame(i, lenv)
 			for _, n := range h.padVars {
 				padded.Bind(n, value.Null)
 			}
@@ -223,8 +226,4 @@ func (c *chain) runIndexJoin(env *eval.Env, i int, h *hashJoinStep, ix *index.In
 		}
 		return nil
 	}
-	if h.leftEx != nil {
-		return produceItem(ctx, env, &l.item, probe)
-	}
-	return probe(env)
 }

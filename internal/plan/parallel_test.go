@@ -50,6 +50,10 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 		// order both merge in chunk order.
 		`SELECT e.deptno AS dno, COUNT(*) AS n, SUM(e.salary) AS total
 		 FROM emp AS e GROUP BY e.deptno`,
+		// Hundreds of groups, most first seen in a later chunk: the
+		// merge maps a worker's group ordinals into the receiver's.
+		`SELECT e.id % 700 AS k, COUNT(*) AS n, SUM(e.salary) AS s, ARRAY_AGG(e.title) AS ts
+		 FROM emp AS e GROUP BY e.id % 700`,
 		// HAVING filters merged groups.
 		`SELECT e.deptno AS dno, COUNT(*) AS n
 		 FROM emp AS e GROUP BY e.deptno HAVING COUNT(*) > 80`,

@@ -201,6 +201,19 @@ func (s *rowSink) fold(w *rowSink) {
 	}
 }
 
+// reserve sizes the buffers for n more rows when each is known to reach
+// them: every group of a block without HAVING or windows is projected.
+// A DISTINCT, top-K or PIVOT sink keeps fewer, or other, buffers.
+func (s *rowSink) reserve(n int) {
+	if s.q.Select.Distinct || s.top != nil || s.q.Select.PivotAt != nil {
+		return
+	}
+	s.out = slices.Grow(s.out, n)
+	if s.ordered {
+		s.orderKeys = slices.Grow(s.orderKeys, n*len(s.ex.order))
+	}
+}
+
 // pivot evaluates a PIVOT block's attribute name and value for one
 // binding (§VI-B) and collects the pair. A name that is not a string is
 // a type error under stop-on-error and skips the binding in permissive
@@ -455,7 +468,7 @@ func (s *rowSink) orderRows() (top []sortRow, n int) {
 // governor:charged-at project — perm holds one index per buffered row.
 func (s *rowSink) sort() {
 	w := len(s.ex.order)
-	s.perm = s.perm[:0]
+	s.perm = slices.Grow(s.perm[:0], len(s.out))
 	for i := range s.out {
 		s.perm = append(s.perm, i)
 	}
@@ -621,6 +634,9 @@ func (r *blockRun) run(outer *eval.Env, limit, offset int64) (value.Value, error
 		return nil, err
 	}
 	if r.grp != nil {
+		if r.q.Having == nil && len(r.q.Windows) == 0 {
+			r.sink.reserve(r.grp.groups())
+		}
 		if err := r.grp.flush(r.postGroupFn); err != nil && err != errStop {
 			return nil, err
 		}

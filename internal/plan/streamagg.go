@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"bytes"
 	"errors"
+	"hash/maphash"
 	"slices"
 	"strconv"
 	"strings"
@@ -293,27 +295,33 @@ func (r *streamRecognizer) unsubstitute(e ast.Expr, v string) (ast.Expr, bool) {
 	return out, ok
 }
 
-// streamEntry is one group of a streamed GROUP BY: its key values and one
-// accumulator per slot. That is all a group retains.
-type streamEntry struct {
-	key  string
-	keys []value.Value
-	accs []eval.Accumulator
-	// errs[i] is the first error evaluating slot i's cond or arg; the
-	// subquery the slot replaces would have stopped there, so the slot
-	// stops folding and its reads raise the error. Nil until a slot fails.
-	errs []error
-}
-
-// streamGroup is the streaming GROUP BY operator.
+// streamGroup is the streaming GROUP BY operator. A group is an ordinal,
+// numbered in first-appearance order, into flat arrays: group o's key
+// values are keys[o*nk:(o+1)*nk] and its accumulators, one per slot,
+// accs[o*ns:(o+1)*ns], for nk grouping keys and ns slots. Its key
+// encoding is ordinal o of table. That, and each accumulator's own
+// state, is all a group retains.
 type streamGroup struct {
-	ctx    *eval.Context
-	outer  *eval.Env
-	spec   *ast.GroupBy
-	slots  []aggSlot
-	keysC  []eval.CompiledExpr
-	groups map[string]*streamEntry
-	order  []*streamEntry // first-appearance order
+	ctx   *eval.Context
+	outer *eval.Env
+	slots []aggSlot
+	keysC []eval.CompiledExpr
+	// names are the output bindings of a group: the key aliases, then the
+	// slots' hidden names.
+	names []string
+	// reuse binds every group's output into one frame, rebound in place
+	// (phys.reuseEnv: no window keeps a group's environment).
+	reuse bool
+	frame *eval.Env
+	n     int // groups
+	table keyTable
+	keys  []value.Value
+	accs  []eval.Accumulator
+	// errs[o*ns+i] is the first error evaluating slot i's cond or arg in
+	// group o; the subquery the slot replaces would have stopped there, so
+	// the slot stops folding and its reads raise the error. It covers the
+	// groups up to the last that failed, and is empty until a slot fails.
+	errs []error
 	// keyBuf and keyVals are reused across rows: a row allocates only
 	// when it opens a new group.
 	keyBuf  []byte
@@ -322,41 +330,87 @@ type streamGroup struct {
 	ops eval.Rows
 }
 
-func newStreamGroup(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledExpr, plan *streamPlan) *streamGroup {
+// newStreamGroup builds the operator of a block whose plan phys streams
+// its GROUP BY; keys evaluate the grouping keys.
+//
+// governor:bounded by the query's grouping keys and slots.
+func newStreamGroup(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledExpr, phys *sfwPhys) *streamGroup {
+	plan := phys.stream
 	g := &streamGroup{
 		ctx:     ctx,
-		spec:    spec,
 		slots:   plan.slots,
 		keysC:   keys,
-		groups:  map[string]*streamEntry{},
+		names:   make([]string, 0, len(spec.Keys)+len(plan.slots)),
+		reuse:   phys.reuseEnv,
 		keyVals: make([]value.Value, len(spec.Keys)),
+	}
+	for i, key := range spec.Keys {
+		g.names = append(g.names, ast.KeyAlias(key, i))
+	}
+	for _, s := range plan.slots {
+		g.names = append(g.names, s.name)
 	}
 	return g
 }
 
 func (g *streamGroup) counts() *eval.Rows { return &g.ops }
 
-// reset drops the groups of the last invocation.
+func (g *streamGroup) groups() int { return g.n }
+
+// reset drops the groups of the last invocation, keeping the arrays.
 func (g *streamGroup) reset(outer *eval.Env) {
 	g.outer = outer
-	clear(g.groups)
-	clear(g.order)
-	g.order = g.order[:0]
+	g.n = 0
+	g.table.reset()
+	clear(g.keys)
+	clear(g.accs)
+	clear(g.errs)
+	g.keys, g.accs, g.errs = g.keys[:0], g.accs[:0], g.errs[:0]
 	// The implicit single group of aggregate-only queries exists even
 	// for empty input (SELECT AVG(x) over nothing yields one NULL row).
-	if len(g.spec.Keys) == 0 {
-		g.open("", nil)
+	if len(g.keysC) == 0 {
+		g.open(nil, nil)
 	}
 }
 
-func (g *streamGroup) open(key string, keys []value.Value) *streamEntry {
-	e := &streamEntry{key: key, keys: keys, accs: make([]eval.Accumulator, len(g.slots))}
-	for i := range g.slots {
-		e.accs[i] = g.slots[i].def.NewAcc()
+// open appends a group with the given key values and accumulators, or
+// fresh ones when accs is nil: ordinal g.n, as the table numbered it.
+//
+// governor:charged-at streamGroup.add — once per group; the loop is
+// bounded by the slot count.
+func (g *streamGroup) open(keys []value.Value, accs []eval.Accumulator) {
+	g.keys = appendDoubling(g.keys, keys...)
+	if accs != nil {
+		g.accs = appendDoubling(g.accs, accs...)
+	} else {
+		g.accs = growDoubling(g.accs, len(g.slots))
+		for i := range g.slots {
+			g.accs = append(g.accs, g.slots[i].def.NewAcc())
+		}
 	}
-	g.groups[key] = e
-	g.order = append(g.order, e)
-	return e
+	g.n++
+}
+
+// growDoubling makes room for n more elements in s, at least doubling
+// its capacity when it must grow. The group arrays grow from empty (most
+// executions hold a handful of groups) to whatever the input needs;
+// append's growth of 1.25 past 256 elements would allocate about 3.6
+// times the final size on the way to 2,000 elements, doubling about 2.
+func growDoubling[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		s = slices.Grow(s, max(n, len(s)))
+	}
+	return s
+}
+
+// appendDoubling appends vs to s, growing s by growDoubling.
+func appendDoubling[T any](s []T, vs ...T) []T {
+	return append(growDoubling(s, len(vs)), vs...)
+}
+
+func (g *streamGroup) keysOf(o int) []value.Value {
+	nk := len(g.keysC)
+	return g.keys[o*nk : (o+1)*nk]
 }
 
 // add folds one binding environment into its group's accumulators.
@@ -365,49 +419,52 @@ func (g *streamGroup) add(env *eval.Env) error {
 		return err
 	}
 	g.ops.In++
-	kb, err := groupKey(g.ctx, env, g.keysC, g.keyVals, g.keyBuf)
-	if err != nil {
-		return err
-	}
-	g.keyBuf = kb
-	e, ok := g.groups[string(kb)]
-	if !ok {
-		e = g.open(string(kb), append([]value.Value(nil), g.keyVals...))
-		// A group retains its keys and accumulators, whatever the number
-		// of rows folded into it: charged once, here.
-		if g.ctx.Gov != nil {
-			if err := g.ctx.Gov.ChargeBindings("group-by", e.keys); err != nil {
-				return err
-			}
+	o := 0 // the implicit group, without keys
+	if len(g.keysC) > 0 {
+		kb, err := groupKey(g.ctx, env, g.keysC, g.keyVals, g.keyBuf)
+		if err != nil {
+			return err
 		}
-	} else if g.ctx.Compat {
-		mergeCompatKeys(e.keys, g.keyVals)
+		g.keyBuf = kb
+		var isNew bool
+		if o, isNew = g.table.intern(kb); isNew {
+			g.open(g.keyVals, nil)
+			// A group retains its keys and accumulators, whatever the
+			// number of rows folded into it: charged once, here.
+			if g.ctx.Gov != nil {
+				if err := g.ctx.Gov.ChargeBindings("group-by", g.keysOf(o)); err != nil {
+					return err
+				}
+			}
+		} else if g.ctx.Compat {
+			mergeCompatKeys(g.keysOf(o), g.keyVals)
+		}
 	}
 	for i := range g.slots {
-		if e.errs != nil && e.errs[i] != nil {
+		if g.failed(o, i) != nil {
 			continue
 		}
-		if err := g.step(e, i, env); err != nil {
+		if err := g.step(o, i, env); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// step folds the row into slot i of e. A failure evaluating the slot's
-// cond or arg is latched, not raised: it belongs to the slot's first
-// reader. The returned error is the operator's own (a spent budget) and
-// ends the query.
-func (g *streamGroup) step(e *streamEntry, i int, env *eval.Env) error {
-	s := &g.slots[i]
+// step folds the row into slot i of group o. A failure evaluating the
+// slot's cond or arg is latched, not raised: it belongs to the slot's
+// first reader. The returned error is the operator's own (a spent
+// budget) and ends the query.
+func (g *streamGroup) step(o, i int, env *eval.Env) error {
+	s, acc := &g.slots[i], g.accs[o*len(g.slots)+i]
 	if s.star {
-		e.accs[i].Step(value.True)
+		acc.Step(value.True)
 		return nil
 	}
 	if s.cond != nil {
 		c, err := s.condC(g.ctx, env)
 		if err != nil {
-			return e.latch(i, err)
+			return g.latch(o, i, err)
 		}
 		if !eval.IsTrue(c) {
 			return nil
@@ -415,54 +472,63 @@ func (g *streamGroup) step(e *streamEntry, i int, env *eval.Env) error {
 	}
 	v, err := s.argC(g.ctx, env)
 	if err != nil {
-		return e.latch(i, err)
+		return g.latch(o, i, err)
 	}
 	if v.Kind() == value.KindMissing {
 		return nil // SELECT VALUE drops MISSING from the bag the fold ranged over
 	}
-	e.accs[i].Step(v)
+	acc.Step(v)
 	if s.retains && g.ctx.Gov != nil {
 		return g.ctx.Gov.ChargeValues("group-by", 1, v)
 	}
 	return nil
 }
 
-// latch records err as slot i's fault. A spent budget is nobody's fault
-// to defer: it is returned and ends the query.
-func (e *streamEntry) latch(i int, err error) error {
+// failed returns slot i's latched fault in group o, or nil.
+func (g *streamGroup) failed(o, i int) error {
+	if j := o*len(g.slots) + i; j < len(g.errs) {
+		return g.errs[j]
+	}
+	return nil
+}
+
+// latch records err as slot i's fault in group o. A spent budget is
+// nobody's fault to defer: it is returned and ends the query.
+func (g *streamGroup) latch(o, i int, err error) error {
 	var re *eval.ResourceError
 	if errors.As(err, &re) {
 		return err
 	}
-	if e.errs == nil {
-		e.errs = make([]error, len(e.accs))
+	if need := (o + 1) * len(g.slots); len(g.errs) < need {
+		g.errs = append(g.errs, make([]error, need-len(g.errs))...)
 	}
-	e.errs[i] = err
+	g.errs[o*len(g.slots)+i] = err
 	return nil
 }
 
 // flush emits one binding per group in first-appearance order: the key
 // aliases plus one hidden binding per slot holding the aggregate's value
-// or, deferred to its first reader, its fault.
+// or, deferred to its first reader, its fault. Under reuse every group is
+// bound into the same frame, so a group allocates only what its
+// accumulators' results do.
 func (g *streamGroup) flush(k emit) error {
-	for _, e := range g.order {
+	nk := len(g.keysC)
+	for o := range g.n {
 		g.ops.Out++
-		env := g.outer.Child()
-		for i, key := range g.spec.Keys {
-			env.Bind(ast.KeyAlias(key, i), e.keys[i])
+		env := g.frameFor()
+		for i, v := range g.keysOf(o) {
+			env.Bind(g.names[i], v)
 		}
 		for i := range g.slots {
+			err := g.failed(o, i)
 			var v value.Value
-			var err error
-			if e.errs != nil && e.errs[i] != nil {
-				err = e.errs[i]
-			} else {
-				v, err = e.accs[i].Result()
+			if err == nil {
+				v, err = g.accs[o*len(g.slots)+i].Result()
 			}
 			if err != nil {
 				v = eval.AggFault{Err: err}
 			}
-			env.Bind(g.slots[i].name, v)
+			env.Bind(g.names[nk+i], v)
 		}
 		if err := k(env); err != nil {
 			return err
@@ -471,32 +537,119 @@ func (g *streamGroup) flush(k emit) error {
 	return nil
 }
 
-// merge folds a later chunk's partial groups into g: new groups append
-// in the worker's appearance order, shared groups merge accumulators.
-// Every accumulator's Merge is exact, so the result is the sequential
-// fold's whatever the chunking.
+// frameFor returns the environment the next group binds into: the reused
+// frame, moved under this invocation's outer environment, or a new one.
+func (g *streamGroup) frameFor() *eval.Env {
+	if !g.reuse {
+		return g.outer.Child()
+	}
+	if g.frame == nil {
+		g.frame = g.outer.Child()
+	} else {
+		g.frame.Rebase(g.outer)
+	}
+	return g.frame
+}
+
+// merge folds a later chunk's partial groups into g: the worker's new
+// groups append in its appearance order, its ordinals mapped to g's
+// through g's table, and shared groups merge accumulators. Every
+// accumulator's Merge is exact, so the result is the sequential fold's
+// whatever the chunking. A g with no groups yet takes over the worker's
+// arrays.
 //
 // governor:charged-at streamGroup.add — each worker charged the groups
 // it opened.
 func (g *streamGroup) merge(other grouper) {
-	for _, we := range other.(*streamGroup).order {
-		e, ok := g.groups[we.key]
-		if !ok {
-			g.groups[we.key] = we
-			g.order = append(g.order, we)
-			continue
+	w := other.(*streamGroup)
+	if g.n == 0 {
+		g.n, g.table, g.keys, g.accs, g.errs = w.n, w.table, w.keys, w.accs, w.errs
+		return
+	}
+	ns := len(g.slots)
+	for wo := range w.n {
+		o, isNew := 0, false
+		if len(g.keysC) > 0 {
+			o, isNew = g.table.intern(w.table.key(wo))
 		}
-		if g.ctx.Compat {
-			mergeCompatKeys(e.keys, we.keys)
+		if isNew {
+			g.open(w.keysOf(wo), w.accs[wo*ns:(wo+1)*ns])
+		} else if g.ctx.Compat {
+			mergeCompatKeys(g.keysOf(o), w.keysOf(wo))
 		}
 		for i := range g.slots {
-			switch {
-			case e.errs != nil && e.errs[i] != nil:
-			case we.errs != nil && we.errs[i] != nil:
-				_ = e.latch(i, we.errs[i]) // latched errors are never a budget's
+			switch werr := w.failed(wo, i); {
+			case werr != nil:
+				if g.failed(o, i) == nil {
+					_ = g.latch(o, i, werr) // latched errors are never a budget's
+				}
+			case isNew || g.failed(o, i) != nil:
 			default:
-				e.accs[i].Merge(we.accs[i])
+				g.accs[o*ns+i].Merge(w.accs[wo*ns+i])
 			}
 		}
 	}
+}
+
+// keySeed seeds the hash of keyTable.
+var keySeed = maphash.MakeSeed()
+
+// keyTable numbers distinct key encodings in first-seen order: key o is
+// enc[off[o]:off[o+1]]. slots is open-addressing, of the least
+// power-of-two size of at least 4/3 the keys, grown from two: a slot is 0
+// (free) or o+1 in its low bits under the high bits of the key's hash,
+// so probes compare encodings only where those agree. It is the layout of
+// the index's hash segments (internal/index), less their copy-on-write.
+type keyTable struct {
+	slots []uint32
+	enc   []byte
+	off   []uint32
+}
+
+func (t *keyTable) reset() {
+	clear(t.slots)
+	t.enc, t.off = t.enc[:0], t.off[:0]
+}
+
+func (t *keyTable) key(o int) []byte { return t.enc[t.off[o]:t.off[o+1]] }
+
+// intern returns the ordinal of the key encoded as k, adding it if new.
+func (t *keyTable) intern(k []byte) (int, bool) {
+	h := maphash.Bytes(keySeed, k)
+	if len(t.slots) > 0 {
+		if e := t.slots[t.slot(k, h)]; e != 0 {
+			return int(e&uint32(len(t.slots)-1)) - 1, false
+		}
+	}
+	if len(t.off) == 0 {
+		t.off = append(t.off, 0)
+	}
+	o := len(t.off) - 1
+	t.enc = appendDoubling(t.enc, k...)
+	t.off = appendDoubling(t.off, uint32(len(t.enc)))
+	if 3*len(t.slots) < 4*(o+1) {
+		t.slots = make([]uint32, max(2, 2*len(t.slots)))
+		for j := range o {
+			t.place(j, maphash.Bytes(keySeed, t.key(j)))
+		}
+	}
+	t.place(o, h)
+	return o, true
+}
+
+// slot returns the slot of the key encoded as k, hashed h, or the free
+// slot where it would go.
+func (t *keyTable) slot(k []byte, h uint64) int {
+	mask := uint32(len(t.slots) - 1)
+	tag := uint32(h>>32) &^ mask
+	for i := uint32(h) & mask; ; i = (i + 1) & mask {
+		if e := t.slots[i]; e == 0 || e&^mask == tag && bytes.Equal(t.key(int(e&mask-1)), k) {
+			return int(i)
+		}
+	}
+}
+
+// place files key o, absent from the table, in its first free slot.
+func (t *keyTable) place(o int, h uint64) {
+	t.slots[t.slot(nil, h)] = uint32(h>>32)&^uint32(len(t.slots)-1) | uint32(o+1)
 }

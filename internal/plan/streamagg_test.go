@@ -2,11 +2,13 @@ package plan
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sqlpp/internal/ast"
 	"sqlpp/internal/catalog"
 	"sqlpp/internal/eval"
+	"sqlpp/internal/index"
 	"sqlpp/internal/parser"
 	"sqlpp/internal/rewrite"
 	"sqlpp/internal/sion"
@@ -82,10 +84,43 @@ func TestStreamRecognizer(t *testing.T) {
 
 // TestStreamAggAllocationGuard: once its groups exist, a streamed
 // aggregate allocates nothing per input row — no snapshot, no bag, no
-// key string. The bound is deterministic (it counts allocations, not
-// time), so it can gate CI on any host.
+// key string — and a group costs its key values, its key encoding, a
+// table slot, its accumulators and its output row, with nothing per
+// group at flush. The bounds are deterministic (they count allocations
+// and bytes at Parallelism 1, not time), so they can gate CI on any host.
 func TestStreamAggAllocationGuard(t *testing.T) {
-	const rows, groups = 10000, 40
+	const query = `SELECT r.k AS k, COUNT(*) AS c, SUM(r.x) AS s FROM t AS r GROUP BY r.k`
+	perRow := testing.AllocsPerRun(5, streamAggRun(t, 10000, 40, query)) / 10000
+	t.Logf("%.4f allocations per input row", perRow)
+	if perRow > 0.1 {
+		t.Errorf("streamed GROUP BY allocates %.3f times per input row, want <= 0.1", perRow)
+	}
+
+	if raceBuild {
+		return // the byte bounds are set without the race detector
+	}
+	// 1,000 groups, sorted: about 394 bytes a group, output row
+	// included; the bound leaves 10 % headroom.
+	perGroup := execBytes(streamAggRun(t, 10000, 1000, query+` ORDER BY k`)) / 1000
+	t.Logf("%.1f bytes per group", perGroup)
+	if perGroup > 430 {
+		t.Errorf("streamed GROUP BY allocates %.1f bytes per group, want <= 430", perGroup)
+	}
+	// One group, as the serving workloads' grouped queries have: no table
+	// is sized ahead of its groups, so this costs no more than the
+	// per-group entries did (2,504 bytes).
+	one := execBytes(streamAggRun(t, 20, 1, query+` ORDER BY k`))
+	t.Logf("%.0f bytes for one group", one)
+	if one > 2504 {
+		t.Errorf("a one-group streamed GROUP BY allocates %.0f bytes, want <= 2504", one)
+	}
+}
+
+// streamAggRun registers t as rows tuples {k, x} whose k takes groups
+// values in turn, prepares query over it, and returns a run of one
+// execution that checks its group count.
+func streamAggRun(t *testing.T, rows, groups int, query string) func() {
+	t.Helper()
 	elems := make(value.Bag, rows)
 	for i := range elems {
 		elems[i] = value.NewTuple(
@@ -96,11 +131,11 @@ func TestStreamAggAllocationGuard(t *testing.T) {
 	if err := cat.Register("t", elems); err != nil {
 		t.Fatal(err)
 	}
-	core, notes := prepareOptimized(t, cat, `SELECT r.k AS k, COUNT(*) AS c, SUM(r.x) AS s FROM t AS r GROUP BY r.k`, eval.Permissive)
+	core, notes := prepareOptimized(t, cat, query, eval.Permissive)
 	if !hasNote(notes, "stream-agg(2)") {
 		t.Fatalf("not streamed: %v", notes)
 	}
-	run := func() {
+	return func() {
 		ctx := &eval.Context{Names: cat, Funcs: registry, Run: Run}
 		v, err := Run(ctx, eval.NewEnv(), core.(*ast.SFW))
 		if err != nil {
@@ -110,45 +145,118 @@ func TestStreamAggAllocationGuard(t *testing.T) {
 			t.Fatalf("%d groups, want %d", len(out), groups)
 		}
 	}
-	perRow := testing.AllocsPerRun(5, run) / rows
-	t.Logf("%.4f allocations per input row", perRow)
-	if perRow > 0.1 {
-		t.Errorf("streamed GROUP BY allocates %.3f times per input row, want <= 0.1", perRow)
-	}
 }
 
-// TestHashProbeReusesCandidate: the hash probe rebinds one candidate
+// execBytes returns the bytes one call of run allocates, averaged over
+// 20 calls after a warm-up.
+func execBytes(run func()) float64 {
+	const runs = 20
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestHashProbeReusesCandidate: the hash probe, and the index join that
+// probes an index on the build key in its place, rebind one candidate
 // environment per probe site. Matches, non-matches and LEFT JOIN padding
 // interleave here, so a binding left over from the previous probe would
-// show up as a wrong row.
+// show up as a wrong row. Over an indexed r the LEFT JOIN runs as an
+// index join and the comma join as an index probe of r; neither may
+// allocate a candidate environment per left binding.
 func TestHashProbeReusesCandidate(t *testing.T) {
-	cat := catalog.New()
-	for name, src := range map[string]string{
-		"l": `[{'id': 1, 'k': 1}, {'id': 2, 'k': 9}, {'id': 3, 'k': 2}, {'id': 4, 'k': null}, {'id': 5, 'k': 1}]`,
-		"r": `[{'k': 1, 'v': 'a'}, {'k': 2, 'v': 'b'}, {'k': 1, 'v': 'c'}]`,
-	} {
-		if err := cat.Register(name, sion.MustParse(src)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, c := range []struct{ query, want string }{
+	cases := []struct{ query, want string }{
 		{`SELECT VALUE [x.id, y.v] FROM l AS x LEFT JOIN r AS y ON x.k = y.k`,
 			`{{[1, 'a'], [1, 'c'], [2, null], [3, 'b'], [4, null], [5, 'a'], [5, 'c']}}`},
 		{`SELECT VALUE [x.id, y.v] FROM l AS x, r AS y WHERE x.k = y.k`,
 			`{{[1, 'a'], [1, 'c'], [3, 'b'], [5, 'a'], [5, 'c']}}`},
-	} {
-		core, notes := prepareOptimized(t, cat, c.query, eval.Permissive)
-		phys := core.(*ast.SFW).Phys.(*sfwPhys)
-		if !hasNote(notes, "hash-join(1)") || !phys.reuseEnv {
-			t.Fatalf("%s: want a hash join with row-environment reuse, got %v", c.query, notes)
+	}
+	for _, indexed := range []bool{false, true} {
+		cat := catalog.New()
+		for name, src := range map[string]string{
+			"l": `[{'id': 1, 'k': 1}, {'id': 2, 'k': 9}, {'id': 3, 'k': 2}, {'id': 4, 'k': null}, {'id': 5, 'k': 1}]`,
+			"r": `[{'k': 1, 'v': 'a'}, {'k': 2, 'v': 'b'}, {'k': 1, 'v': 'c'}]`,
+		} {
+			if err := cat.Register(name, sion.MustParse(src)); err != nil {
+				t.Fatal(err)
+			}
 		}
+		o := OptOptions{Mode: eval.Permissive, Funcs: registry}
+		wantNotes := []string{"hash-join(1)", "hash-join(1)"}
+		if indexed {
+			if err := cat.CreateIndex(index.Spec{Name: "rk", Collection: "r", Path: []string{"k"}, Kind: index.Hash}, nil); err != nil {
+				t.Fatal(err)
+			}
+			o.Indexes = cat
+			wantNotes = []string{"index-join(rk)", "index-eq(rk)"}
+		}
+		for ci, c := range cases {
+			core, err := rewrite.Rewrite(parser.MustParse(c.query), rewrite.Options{Names: cat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			notes := Optimize(core, o)
+			if !hasNote(notes, wantNotes[ci]) || !core.(*ast.SFW).Phys.(*sfwPhys).reuseEnv {
+				t.Fatalf("indexed=%v %s: want %s with row-environment reuse, got %v", indexed, c.query, wantNotes[ci], notes)
+			}
+			ctx := &eval.Context{Names: cat, Funcs: registry, Run: Run}
+			got, err := Run(ctx, eval.NewEnv(), core.(*ast.SFW))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != c.want {
+				t.Errorf("indexed=%v %s:\n  got  %s\n  want %s", indexed, c.query, got, c.want)
+			}
+		}
+	}
+}
+
+// TestIndexJoinAllocationGuard: an index join allocates no candidate
+// environment per left binding. Over 2,000 left bindings (a match, a
+// match and a non-match padded by the LEFT JOIN, in turn) only the JOIN's
+// left operand allocates per binding: its environment and that
+// environment's two binding slices. A fresh candidate per match and per
+// pad would add three more.
+func TestIndexJoinAllocationGuard(t *testing.T) {
+	const left = 2000
+	l := make(value.Array, left)
+	for i := range l {
+		l[i] = value.NewTuple(value.Field{Name: "id", Value: value.Int(int64(i))}, value.Field{Name: "k", Value: value.Int(int64(i % 3))})
+	}
+	cat := catalog.New()
+	if err := cat.Register("l", l); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Register("r", sion.MustParse(`[{'k': 1, 'v': 'a'}, {'k': 2, 'v': 'b'}]`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.CreateIndex(index.Spec{Name: "rk", Collection: "r", Path: []string{"k"}, Kind: index.Hash}, nil); err != nil {
+		t.Fatal(err)
+	}
+	core, err := rewrite.Rewrite(parser.MustParse(`SELECT VALUE y.v FROM l AS x LEFT JOIN r AS y ON x.k = y.k`), rewrite.Options{Names: cat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if notes := Optimize(core, OptOptions{Mode: eval.Permissive, Funcs: registry, Indexes: cat}); !hasNote(notes, "index-join(rk)") {
+		t.Fatalf("not an index join: %v", notes)
+	}
+	run := func() {
 		ctx := &eval.Context{Names: cat, Funcs: registry, Run: Run}
-		got, err := Run(ctx, eval.NewEnv(), core.(*ast.SFW))
+		v, err := Run(ctx, eval.NewEnv(), core.(*ast.SFW))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.String() != c.want {
-			t.Errorf("%s:\n  got  %s\n  want %s", c.query, got, c.want)
+		if out, _ := value.Elements(v); len(out) != left {
+			t.Fatalf("%d rows, want %d", len(out), left)
 		}
+	}
+	perLeft := testing.AllocsPerRun(5, run) / left
+	t.Logf("%.3f allocations per left binding", perLeft)
+	if perLeft > 3.5 {
+		t.Errorf("index join allocates %.3f times per left binding, want <= 3.5", perLeft)
 	}
 }

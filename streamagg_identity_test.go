@@ -28,7 +28,12 @@ import (
 // over aggregates, aggregate-only blocks (over empty input, too), two
 // folds whose arguments print alike unless precedence is honoured, and a
 // PIVOT whose groups share attribute names; one aggregate is written
-// parenthesized once and bare twice.
+// parenthesized once and bare twice. The last three group by x, which
+// takes hundreds of values in the large rounds, so the group table grows
+// and the flush frame is reused (or, under the window, not) across
+// hundreds of groups. (Being ordered or windowed, they never scan in
+// parallel; TestParallelScanMatchesSequential in internal/plan merges
+// hundreds of groups that first appear in a later chunk.)
 var streamQueries = []string{
 	`SELECT r.k AS k, COUNT(*) AS c, COUNT(r.x) AS cx, SUM(r.x) AS s, AVG(r.x) AS a, MIN(r.x) AS mn, MAX(r.x) AS mx FROM t AS r GROUP BY r.k`,
 	`SELECT r.k AS k, EVERY(r.b) AS ev, SOME(r.b) AS sm, ANY(r.b) AS an, ARRAY_AGG(r.x) AS xs FROM t AS r GROUP BY r.k`,
@@ -44,6 +49,9 @@ var streamQueries = []string{
 	`SELECT r.k AS k, SUM((-r.n).a) AS s1, SUM(-(r.n.a)) AS s2 FROM t AS r GROUP BY r.k`,
 	`PIVOT SUM(r.x) AT CASE WHEN k = TRUE THEN 'yes' ELSE 'no' END FROM t AS r GROUP BY r.b AS k`,
 	`SELECT r.k AS k, SUM((r.x)) AS s FROM t AS r GROUP BY r.k HAVING SUM(r.x) > 0 ORDER BY SUM(r.x), k`,
+	`SELECT r.x AS x, COUNT(*) AS c, SUM(r.n.a) AS s, AVG(r.n.a) AS a, ARRAY_AGG(r.k) AS ks, EVERY(r.b) AS ev FROM t AS r GROUP BY r.x HAVING COUNT(*) >= 1 ORDER BY c DESC, x`,
+	`SELECT r.x AS x, SUM(r.n.a) AS s, MIN(r.k) AS mk, RANK() OVER (ORDER BY COUNT(*) DESC) AS rk FROM t AS r GROUP BY r.x`,
+	`SELECT x AS x, b AS b, COUNT(*) AS c FROM t AS r GROUP BY r.x AS x, r.b AS b ORDER BY c, x, b`,
 }
 
 func randStreamRow(rng *rand.Rand, i int) value.Value {
