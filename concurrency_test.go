@@ -392,3 +392,86 @@ func ownAnswers(result value.Value) error {
 	}
 	return nil
 }
+
+// TestPooledScratchConcurrentExec runs parallel scans, full-sort ORDER
+// BYs (nested ones included), DISTINCT and PIVOT from 8 goroutines
+// against one engine. Their row sinks share one pool of scratch buffers;
+// every answer must be byte-identical to the same query's answer at
+// parallelism 1.
+func TestPooledScratchConcurrentExec(t *testing.T) {
+	const rows = 3000 // past the 1,024-row parallel-scan threshold
+	var sb strings.Builder
+	sb.WriteString("{{")
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "{'id': %d, 'deptno': %d, 'title': 'T%d', 'salary': %d, 'projects': [", i, i%16, i%5, (i*7919)%1000)
+		for j := 0; j <= i%4; j++ {
+			if j > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "{'name': 'P%d', 'hours': %d}", (i+j)%6, (i*7+j*3)%10)
+		}
+		sb.WriteString("]}")
+	}
+	sb.WriteString("}}")
+	// Every block but the ordered outer one scans in parallel.
+	const ordered = 1
+	queries := []string{
+		`SELECT e.id AS id, e.salary AS s FROM emp AS e WHERE e.salary < 300`,
+		`SELECT VALUE e.id FROM emp AS e ORDER BY e.salary DESC, e.id`,
+		`SELECT e.id AS id, (SELECT VALUE p.name FROM e.projects AS p ORDER BY p.hours, p.name) AS ps
+		 FROM emp AS e WHERE e.deptno < 8`,
+		`SELECT DISTINCT VALUE e.salary % 97 FROM emp AS e`,
+		`PIVOT e.salary AT e.title FROM emp AS e WHERE e.salary > 900`,
+	}
+	engine := func(par int) *sqlpp.Engine {
+		db := sqlpp.New(&sqlpp.Options{Parallelism: par})
+		if err := db.RegisterSION("emp", sb.String()); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	serial, db := engine(1), engine(4)
+	want := make([]string, len(queries))
+	prepared := make([]*sqlpp.Prepared, len(queries))
+	for i, q := range queries {
+		v, err := serial.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = v.String()
+		if prepared[i], err = db.Prepare(q); err != nil {
+			t.Fatal(err)
+		}
+		if notes := strings.Join(prepared[i].PlanNotes(), " "); i != ordered && !strings.Contains(notes, "parallel-scan") {
+			t.Fatalf("%s: outer scan not partitioned: %s", q, notes)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4*len(queries); i++ {
+				qi := (w + i) % len(queries)
+				got, err := prepared[qi].Exec()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got.String() != want[qi] {
+					errs <- fmt.Errorf("%s: answer diverges from parallelism 1", queries[qi])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

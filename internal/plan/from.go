@@ -123,7 +123,7 @@ func produceItem(ctx *eval.Context, env *eval.Env, it *itemRun, k emit) error {
 		if err != nil {
 			return err
 		}
-		return scanValue(ctx, env, x, src, false, &it.Rows, k)
+		return scanValue(ctx, env, x, src, nil, &it.Rows, k)
 	case *ast.FromUnpivot:
 		src, err := it.ex.src(ctx, env)
 		if err != nil {
@@ -141,11 +141,11 @@ func produceItem(ctx *eval.Context, env *eval.Env, it *itemRun, k emit) error {
 // are collections of tuples: any collection works, and its elements bind
 // as-is (§III-A). A non-collection source is a single binding in
 // permissive mode and an error in stop-on-error mode; a MISSING source
-// produces no bindings. With reuse, one child environment is rebound in
-// place per element, so it is only for a k that keeps nothing of the
-// environment it is passed (the hash build copies out the values it
-// keeps).
-func scanValue(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, src value.Value, reuse bool, counts *eval.Rows, k emit) error {
+// produces no bindings. Each element binds in a new child environment
+// of env or, given a frame (a child of env), is rebound into the frame in
+// place, which is only for a k that keeps nothing of the environment it
+// is passed (the hash build copies out the values it keeps).
+func scanValue(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, src value.Value, frame *eval.Env, counts *eval.Rows, k emit) error {
 	elems, isColl := value.Elements(src)
 	if !isColl && src.Kind() != value.KindMissing {
 		// A non-collection source is a singleton binding (permissive).
@@ -159,7 +159,7 @@ func scanValue(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, src value.Valu
 	// products and joins nest them), so this is where a deadline or
 	// cancellation cooperatively stops a runaway query.
 	isArray := src.Kind() == value.KindArray
-	var child *eval.Env
+	child := frame
 	for i, v := range elems {
 		if faultinject.Enabled {
 			if err := faultinject.Fire(faultinject.ScanNext); err != nil {
@@ -169,7 +169,7 @@ func scanValue(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, src value.Valu
 		if err := ctx.Interrupted(); err != nil {
 			return err
 		}
-		if child == nil || !reuse {
+		if frame == nil {
 			child = env.Child()
 		}
 		bindElem(child, x, v, i, isArray)
@@ -375,8 +375,9 @@ type chain struct {
 // rebinds and the step's counts.
 type link struct {
 	// frame is the environment the step rebinds its rows into when the
-	// plan reuses row environments (phys.reuseEnv).
-	frame *eval.Env
+	// plan reuses row environments (phys.reuseEnv); left is the one a hash
+	// or index join's left operand, a plain scan, rebinds its rows into.
+	frame, left *eval.Env
 	// item counts the step's FROM item — its scan, index probe or UNPIVOT,
 	// or a JOIN … ON with its operands below it — or, under a hash or
 	// index join, the JOIN's left operand, whose bindings probe.
@@ -464,14 +465,18 @@ func (c *chain) frame(i int, env *eval.Env) *eval.Env {
 	if !c.st.phys.reuseEnv {
 		return env.Child()
 	}
-	f := c.links[i].frame
-	if f == nil {
-		f = env.Child()
-		c.links[i].frame = f
+	return reframe(&c.links[i].frame, env)
+}
+
+// reframe returns the reused environment *f, moved under env to be
+// rebound in place, or made there on first use.
+func reframe(f **eval.Env, env *eval.Env) *eval.Env {
+	if *f == nil {
+		*f = env.Child()
 	} else {
-		f.Rebase(env)
+		(*f).Rebase(env)
 	}
-	return f
+	return *f
 }
 
 func (c *chain) nextFor(i int) emit {
@@ -503,6 +508,17 @@ func (c *chain) run(env *eval.Env, i int) error {
 		// probe reads it from the step's lazy cell.
 		if step.hash.buildIdx != nil && st.lazy[i].idx.get(func() *index.Index { return resolveIndex(ctx, step.hash.buildIdx) }) != nil {
 			probe = l.indexProbe
+		}
+		if x, ok := step.hash.left.(*ast.FromExpr); ok && st.phys.reuseEnv {
+			// A plain scan on the left rebinds the link's left frame per
+			// binding; any other operand produces like the oracle.
+			it := &l.item
+			defer ctx.Time(&it.Nanos, ctx.Clock())
+			src, err := it.ex.src(ctx, env)
+			if err != nil {
+				return err
+			}
+			return scanValue(ctx, env, x, src, reframe(&l.left, env), &it.Rows, probe)
 		}
 		if step.hash.leftEx != nil {
 			return produceItem(ctx, env, &l.item, probe)
@@ -575,7 +591,7 @@ func (c *chain) scan(env *eval.Env, i int, src value.Value) error {
 		if st.ord != nil {
 			st.ord[i] = 0
 		}
-		return scanValue(c.ctx, env, step.item.(*ast.FromExpr), src, false, &counts.Rows, c.fns[i])
+		return scanValue(c.ctx, env, step.item.(*ast.FromExpr), src, nil, &counts.Rows, c.fns[i])
 	}
 	counts.In += int64(len(elems))
 	return c.scanElems(env, i, elems, 0, src.Kind() == value.KindArray)

@@ -19,23 +19,25 @@ import (
 //
 // Every build row binds the same variables, so the table is flat: the
 // names once, each row's values in one shared slice, and each key's rows
-// chained through an index slice. Its slices are presized from the
-// source, so a build allocates per table, not per row.
+// chained through an index slice. The keys are numbered by a keyTable,
+// the streamed GROUP BY's table. Its slices are presized from the
+// source, whose row count bounds the keys too (up to buildKeyReserve),
+// so a build allocates per table, not per row or per key.
 
 // hashTable is a hash join's build side. Row r binds names[j] to
-// vals[r*w+j], w = len(names). The rows of one key form a chain through
-// next (-1 ends it), first to last in source order; buckets maps a key's
-// encoding to its chain, whose first and last rows are chains[c].
+// vals[r*w+j], w = len(names). keys numbers the distinct key encodings;
+// the rows of key o form a chain from chains[o] through next (-1 ends
+// it), first to last in source order.
 type hashTable struct {
 	names []string
 	vals  []value.Value
 	// seq is each row's position in the build source's enumeration,
 	// which the join-reorder buffer uses as this step's ordinal; nil
 	// when the chain is not reordered.
-	seq     []int64
-	next    []int32
-	buckets map[string]int32
-	chains  [][2]int32
+	seq    []int64
+	next   []int32
+	keys   keyTable
+	chains []int32
 	// scan counts the build side's scan: the rows it bound, absent keys
 	// included.
 	scan eval.Rows
@@ -50,7 +52,7 @@ type hashTable struct {
 // keepSeq records each row's source position, for a reordered chain.
 func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep, keepSeq bool) (*hashTable, error) {
 	x := h.right
-	t := &hashTable{names: []string{x.As}, buckets: map[string]int32{}}
+	t := &hashTable{names: []string{x.As}}
 	if x.AtVar != "" {
 		t.names = append(t.names, x.AtVar)
 	}
@@ -101,14 +103,9 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep, keepSeq
 		if keepSeq {
 			t.seq = append(t.seq, mySeq)
 		}
-		t.next = append(t.next, -1)
-		if c, ok := t.buckets[string(kb)]; ok {
-			t.next[t.chains[c][1]] = int32(r)
-			t.chains[c][1] = int32(r)
-		} else {
-			t.buckets[string(kb)] = int32(len(t.chains))
-			t.chains = append(t.chains, [2]int32{int32(r), int32(r)})
-		}
+		// next holds each row's key ordinal until the scan ends.
+		o, _ := t.keys.intern(kb)
+		t.next = append(t.next, int32(o))
 		return nil
 	}
 	src, err := h.srcC(ctx, outer)
@@ -121,11 +118,27 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep, keepSeq
 		t.seq = make([]int64, 0, n)
 	}
 	t.next = make([]int32, 0, n)
-	if err := scanValue(ctx, outer, x, src, true, &t.scan, k); err != nil {
+	t.keys.reserve(min(n, buildKeyReserve))
+	if err := scanValue(ctx, outer, x, src, outer.Child(), &t.scan, k); err != nil {
 		return nil, err
+	}
+	// Chain each key's rows, walking them last to first so that every
+	// chain runs in source order.
+	t.chains = make([]int32, t.keys.size())
+	for o := range t.chains {
+		t.chains[o] = -1
+	}
+	for r := len(t.next) - 1; r >= 0; r-- {
+		o := t.next[r]
+		t.next[r], t.chains[o] = t.chains[o], int32(r)
 	}
 	return t, nil
 }
+
+// buildKeyReserve bounds the keys a build presizes its keyTable for. Its
+// rows bound its keys, but a large build over few keys would then zero
+// slots for every row; past the bound the table grows by doubling.
+const buildKeyReserve = 1024
 
 // buildCap is the row capacity a build over src presizes to: the
 // source's length, capped by what the governor still admits, so a build
@@ -192,8 +205,8 @@ func (c *chain) probeFor(i int, h *hashJoinStep) emit {
 		}
 		r := int32(-1)
 		if !absent {
-			if c, ok := tbl.buckets[string(kb)]; ok {
-				r = tbl.chains[c][0]
+			if o := tbl.keys.find(kb); o >= 0 {
+				r = tbl.chains[o]
 			}
 		}
 		w := len(tbl.names)

@@ -191,8 +191,8 @@ func TestHashBuildAllocatesPerTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(tbl.next) != rows || len(tbl.buckets) != keys {
-				t.Fatalf("%d rows in %d buckets, want %d in %d", len(tbl.next), len(tbl.buckets), rows, keys)
+			if len(tbl.next) != rows || len(tbl.chains) != keys {
+				t.Fatalf("%d rows in %d buckets, want %d in %d", len(tbl.next), len(tbl.chains), rows, keys)
 			}
 		})
 	}
@@ -200,6 +200,29 @@ func TestHashBuildAllocatesPerTable(t *testing.T) {
 	t.Logf("build allocations: %v over 1000 rows, %v over 10000", small, large)
 	if small != large {
 		t.Errorf("build over 10000 rows allocates %v times, over 1000 rows %v: want equal", large, small)
+	}
+}
+
+// TestHashBuildAllocatesPerKeyTable: the build numbers its keys in a
+// keyTable presized for up to buildKeyReserve keys, whose encodings grow
+// by doubling, and threads its chains once the scan ends, so a build over
+// 10,000 rows with 1,000 distinct keys allocates a few dozen times, not
+// once or more per key as a map of key strings did.
+func TestHashBuildAllocatesPerKeyTable(t *testing.T) {
+	const rows, keys = 10000, 1000
+	ctx, phys, i := hashJoinFixture(t, rows, keys)
+	n := testing.AllocsPerRun(5, func() {
+		tbl, err := buildHashTable(ctx, eval.NewEnv(), phys.steps[i].hash, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tbl.next) != rows || len(tbl.chains) != keys {
+			t.Fatalf("%d rows in %d chains, want %d in %d", len(tbl.next), len(tbl.chains), rows, keys)
+		}
+	})
+	t.Logf("a build over %d rows with %d keys allocates %v times", rows, keys, n)
+	if n > 40 {
+		t.Errorf("a build over %d rows with %d keys allocates %v times, want <= 40", rows, keys, n)
 	}
 }
 

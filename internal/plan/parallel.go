@@ -65,6 +65,9 @@ func (r *blockRun) scanParallel() error {
 		lo, hi := w*chunk, min((w+1)*chunk, len(elems))
 		wr := newBlockRun(ctx.Fork(), r.block, st.phys, st)
 		wr.reset(st.outer, -1, 0)
+		if r.grp == nil {
+			wr.sink.take()
+		}
 		wr.sink.keepKeys = r.q.Select.Distinct
 		runs[w] = wr
 		wg.Add(1)
@@ -114,6 +117,11 @@ func (r *blockRun) scanParallel() error {
 		if err := r.sink.merge(&wr.sink); err != nil {
 			return err
 		}
+	}
+	// The rows are all in r's sink now: the workers' scratch goes back
+	// to the pool. A failed scan, above, drops it instead.
+	for _, wr := range runs {
+		wr.sink.release()
 	}
 	return nil
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"sqlpp/internal/ast"
 	"sqlpp/internal/eval"
@@ -147,6 +148,10 @@ type rowSink struct {
 	// is the sorted order of out's rows.
 	orderKeys []value.Value
 	perm      []int
+	// scratch, when set, is the pooled scratch whose buffers out,
+	// orderKeys and perm are: a full-sort ORDER BY sink's from reset to
+	// finish, a parallel worker's for its chunk.
+	scratch *rowScratch
 	// top is the bounded heap of ORDER BY … LIMIT, nil otherwise.
 	top *topKHeap
 	// rowKeys receives the ORDER BY keys of the row on offer.
@@ -164,12 +169,55 @@ type rowSink struct {
 	order           eval.OpCounts
 }
 
+// rowScratch is the recyclable scratch of a row sink: the rows, the
+// ORDER BY keys and the sort permutation it builds an answer through. A
+// scratch in the pool holds no value.
+type rowScratch struct {
+	vals, keys []value.Value
+	perm       []int
+}
+
+// scratchCap bounds the pool: a scratch any of whose buffers grew past
+// this many elements is left to the collector when released, so what the
+// pool holds stays bounded whatever answers went through it.
+const scratchCap = 1 << 16
+
+var rowScratches = sync.Pool{New: func() any { return new(rowScratch) }}
+
+// take makes a pooled scratch the sink's buffers, unless it holds one.
+func (s *rowSink) take() {
+	if s.scratch != nil {
+		return
+	}
+	s.scratch = rowScratches.Get().(*rowScratch)
+	s.out, s.orderKeys, s.perm = s.scratch.vals, s.scratch.keys, s.scratch.perm
+}
+
+// release clears the sink's buffers and returns them to the pool. It is
+// called only once no answer or other sink references them; a failed
+// invocation drops its scratch instead.
+func (s *rowSink) release() {
+	sc := s.scratch
+	sc.vals, sc.keys, sc.perm = s.out[:0], s.orderKeys[:0], s.perm[:0]
+	s.scratch, s.out, s.orderKeys, s.perm = nil, nil, nil, nil
+	if max(cap(sc.vals), cap(sc.keys), cap(sc.perm)) > scratchCap {
+		return
+	}
+	clear(sc.vals[:cap(sc.vals)])
+	clear(sc.keys[:cap(sc.keys)])
+	rowScratches.Put(sc)
+}
+
 // reset empties the sink for an invocation under its LIMIT and OFFSET.
+// A full-sort ORDER BY sink takes its buffers from the pool.
 func (s *rowSink) reset(limit, offset int64) {
 	s.out, s.keys, s.orderKeys = s.out[:0], s.keys[:0], s.orderKeys[:0]
 	clear(s.seen)
 	s.seq, s.stopAt, s.late = 0, -1, false
 	q := s.q
+	if s.ordered && limit < 0 && q.Select.PivotAt == nil {
+		s.take()
+	}
 	if limit >= 0 {
 		if s.ordered {
 			// Top-K: ORDER BY ... LIMIT k needs only the offset+limit
@@ -406,7 +454,8 @@ var (
 // block's result collection — or, for a PIVOT block, its one tuple. A
 // reused sink copies the answer into one exact-size slice, so it shares
 // no storage with the next invocation; otherwise the answer takes over
-// the buffer.
+// the buffer. A full sort copies its rows into the answer array and
+// releases its pooled scratch.
 func (s *rowSink) finish(limit, offset int64) value.Value {
 	if s.q.Select.PivotAt != nil {
 		t := value.EmptyTuple()
@@ -442,6 +491,9 @@ func (s *rowSink) finish(limit, offset int64) value.Value {
 		} else {
 			out[i] = s.out[s.perm[lo+i]]
 		}
+	}
+	if s.scratch != nil {
+		s.release()
 	}
 	return value.Array(out)
 }

@@ -220,7 +220,7 @@ func (l *link) explainJoin(parent *eval.StatsSnapshot, h *hashJoinStep) *eval.St
 		counter(n, "est_rows", h.estOut)
 	}
 	if j.table != nil {
-		counter(n, "buckets", int64(len(j.table.buckets)))
+		counter(n, "buckets", int64(len(j.table.chains)))
 		counter(n, "build_rows", int64(len(j.table.next)))
 	}
 	if h.left != nil {

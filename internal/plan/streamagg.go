@@ -1,9 +1,7 @@
 package plan
 
 import (
-	"bytes"
 	"errors"
-	"hash/maphash"
 	"slices"
 	"strconv"
 	"strings"
@@ -543,12 +541,7 @@ func (g *streamGroup) frameFor() *eval.Env {
 	if !g.reuse {
 		return g.outer.Child()
 	}
-	if g.frame == nil {
-		g.frame = g.outer.Child()
-	} else {
-		g.frame.Rebase(g.outer)
-	}
-	return g.frame
+	return reframe(&g.frame, g.outer)
 }
 
 // merge folds a later chunk's partial groups into g: the worker's new
@@ -589,67 +582,4 @@ func (g *streamGroup) merge(other grouper) {
 			}
 		}
 	}
-}
-
-// keySeed seeds the hash of keyTable.
-var keySeed = maphash.MakeSeed()
-
-// keyTable numbers distinct key encodings in first-seen order: key o is
-// enc[off[o]:off[o+1]]. slots is open-addressing, of the least
-// power-of-two size of at least 4/3 the keys, grown from two: a slot is 0
-// (free) or o+1 in its low bits under the high bits of the key's hash,
-// so probes compare encodings only where those agree. It is the layout of
-// the index's hash segments (internal/index), less their copy-on-write.
-type keyTable struct {
-	slots []uint32
-	enc   []byte
-	off   []uint32
-}
-
-func (t *keyTable) reset() {
-	clear(t.slots)
-	t.enc, t.off = t.enc[:0], t.off[:0]
-}
-
-func (t *keyTable) key(o int) []byte { return t.enc[t.off[o]:t.off[o+1]] }
-
-// intern returns the ordinal of the key encoded as k, adding it if new.
-func (t *keyTable) intern(k []byte) (int, bool) {
-	h := maphash.Bytes(keySeed, k)
-	if len(t.slots) > 0 {
-		if e := t.slots[t.slot(k, h)]; e != 0 {
-			return int(e&uint32(len(t.slots)-1)) - 1, false
-		}
-	}
-	if len(t.off) == 0 {
-		t.off = append(t.off, 0)
-	}
-	o := len(t.off) - 1
-	t.enc = appendDoubling(t.enc, k...)
-	t.off = appendDoubling(t.off, uint32(len(t.enc)))
-	if 3*len(t.slots) < 4*(o+1) {
-		t.slots = make([]uint32, max(2, 2*len(t.slots)))
-		for j := range o {
-			t.place(j, maphash.Bytes(keySeed, t.key(j)))
-		}
-	}
-	t.place(o, h)
-	return o, true
-}
-
-// slot returns the slot of the key encoded as k, hashed h, or the free
-// slot where it would go.
-func (t *keyTable) slot(k []byte, h uint64) int {
-	mask := uint32(len(t.slots) - 1)
-	tag := uint32(h>>32) &^ mask
-	for i := uint32(h) & mask; ; i = (i + 1) & mask {
-		if e := t.slots[i]; e == 0 || e&^mask == tag && bytes.Equal(t.key(int(e&mask-1)), k) {
-			return int(i)
-		}
-	}
-}
-
-// place files key o, absent from the table, in its first free slot.
-func (t *keyTable) place(o int, h uint64) {
-	t.slots[t.slot(nil, h)] = uint32(h>>32)&^uint32(len(t.slots)-1) | uint32(o+1)
 }

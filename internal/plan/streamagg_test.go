@@ -215,48 +215,56 @@ func TestHashProbeReusesCandidate(t *testing.T) {
 	}
 }
 
-// TestIndexJoinAllocationGuard: an index join allocates no candidate
-// environment per left binding. Over 2,000 left bindings (a match, a
-// match and a non-match padded by the LEFT JOIN, in turn) only the JOIN's
-// left operand allocates per binding: its environment and that
-// environment's two binding slices. A fresh candidate per match and per
-// pad would add three more.
+// TestIndexJoinAllocationGuard: a JOIN … ON whose left operand is a plain
+// scan allocates nothing per left binding, as an index join and as a hash
+// join. Over 2,000 left bindings (a match, a match and a non-match padded
+// by the LEFT JOIN, in turn) the left operand rebinds one environment and
+// every probe one candidate environment in place; a fresh environment
+// per left binding, with its two binding slices, would cost three
+// allocations each, and a fresh candidate per match and per pad three
+// more.
 func TestIndexJoinAllocationGuard(t *testing.T) {
 	const left = 2000
 	l := make(value.Array, left)
 	for i := range l {
 		l[i] = value.NewTuple(value.Field{Name: "id", Value: value.Int(int64(i))}, value.Field{Name: "k", Value: value.Int(int64(i % 3))})
 	}
-	cat := catalog.New()
-	if err := cat.Register("l", l); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.Register("r", sion.MustParse(`[{'k': 1, 'v': 'a'}, {'k': 2, 'v': 'b'}]`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.CreateIndex(index.Spec{Name: "rk", Collection: "r", Path: []string{"k"}, Kind: index.Hash}, nil); err != nil {
-		t.Fatal(err)
-	}
-	core, err := rewrite.Rewrite(parser.MustParse(`SELECT VALUE y.v FROM l AS x LEFT JOIN r AS y ON x.k = y.k`), rewrite.Options{Names: cat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if notes := Optimize(core, OptOptions{Mode: eval.Permissive, Funcs: registry, Indexes: cat}); !hasNote(notes, "index-join(rk)") {
-		t.Fatalf("not an index join: %v", notes)
-	}
-	run := func() {
-		ctx := &eval.Context{Names: cat, Funcs: registry, Run: Run}
-		v, err := Run(ctx, eval.NewEnv(), core.(*ast.SFW))
+	for _, indexed := range []bool{true, false} {
+		cat := catalog.New()
+		if err := cat.Register("l", l); err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.Register("r", sion.MustParse(`[{'k': 1, 'v': 'a'}, {'k': 2, 'v': 'b'}]`)); err != nil {
+			t.Fatal(err)
+		}
+		o, note := OptOptions{Mode: eval.Permissive, Funcs: registry}, "hash-join(1)"
+		if indexed {
+			if err := cat.CreateIndex(index.Spec{Name: "rk", Collection: "r", Path: []string{"k"}, Kind: index.Hash}, nil); err != nil {
+				t.Fatal(err)
+			}
+			o.Indexes, note = cat, "index-join(rk)"
+		}
+		core, err := rewrite.Rewrite(parser.MustParse(`SELECT VALUE y.v FROM l AS x LEFT JOIN r AS y ON x.k = y.k`), rewrite.Options{Names: cat})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out, _ := value.Elements(v); len(out) != left {
-			t.Fatalf("%d rows, want %d", len(out), left)
+		if notes := Optimize(core, o); !hasNote(notes, note) {
+			t.Fatalf("not %s: %v", note, notes)
 		}
-	}
-	perLeft := testing.AllocsPerRun(5, run) / left
-	t.Logf("%.3f allocations per left binding", perLeft)
-	if perLeft > 3.5 {
-		t.Errorf("index join allocates %.3f times per left binding, want <= 3.5", perLeft)
+		run := func() {
+			ctx := &eval.Context{Names: cat, Funcs: registry, Run: Run}
+			v, err := Run(ctx, eval.NewEnv(), core.(*ast.SFW))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out, _ := value.Elements(v); len(out) != left {
+				t.Fatalf("%d rows, want %d", len(out), left)
+			}
+		}
+		perLeft := testing.AllocsPerRun(5, run) / left
+		t.Logf("%s: %.3f allocations per left binding", note, perLeft)
+		if perLeft > 0.5 {
+			t.Errorf("%s allocates %.3f times per left binding, want <= 0.5", note, perLeft)
+		}
 	}
 }
