@@ -82,6 +82,31 @@ func TestPreparedCore(t *testing.T) {
 	}
 }
 
+// TestGroupByEmptyKeys: implicit grouping's Core is GROUP BY (), which
+// re-prepares, and one group over empty input is still one row.
+func TestGroupByEmptyKeys(t *testing.T) {
+	db := New(nil)
+	v, err := db.Query("SELECT VALUE COLL_COUNT(g) FROM [] AS x GROUP BY () GROUP AS g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.String() != "{{0}}" {
+		t.Errorf("one group over no rows = %s, want {{0}}", v)
+	}
+	p, err := db.Prepare("SELECT COUNT(*) AS n FROM [1, 2] AS x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := p.Core()
+	if !strings.Contains(core, "GROUP BY () GROUP AS") {
+		t.Fatalf("Core() = %s", core)
+	}
+	again, err := db.Query(core)
+	if err != nil || again.String() != "{{{'n': 2}}}" {
+		t.Errorf("Core %s answers %v, %v", core, again, err)
+	}
+}
+
 func TestWithOptionsSharesCatalog(t *testing.T) {
 	db := New(nil)
 	if err := db.RegisterSION("t", "{{ {'x': 'bad'} }}"); err != nil {

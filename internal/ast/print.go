@@ -371,6 +371,9 @@ func printFromWhere(sb *strings.Builder, from []FromItem, lets []LetBinding, whe
 func printGroupHaving(sb *strings.Builder, g *GroupBy, having Expr) {
 	if g != nil {
 		sb.WriteString(" GROUP BY ")
+		if len(g.Keys) == 0 {
+			sb.WriteString("()")
+		}
 		for i, k := range g.Keys {
 			if i > 0 {
 				sb.WriteString(", ")

@@ -2,8 +2,8 @@ package ast
 
 // The slot table: Children is the one place that lists where each node
 // kind holds its child expressions. Walkers that only need "every child"
-// (Inspect, the binder, ReplaceKeys, which the rewriter's and splitter's
-// in-place substitutions run on) delegate to it and keep just their
+// (Inspect, the binder, ReplaceKeys, which the rewriter's in-place
+// group-key substitution runs on) delegate to it and keep just their
 // node-specific cases; evaluators, printing, cloning and equality keep
 // their own switches because each does different work per node.
 

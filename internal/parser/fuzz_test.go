@@ -39,6 +39,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("PIVOT SUM(y) AT k FROM t AS x LET y = x.a * 2 WHERE x.a > 0 GROUP BY x.b AS k HAVING COUNT(*) > 0")
 	f.Add("SELECT VALUE [(WITH a AS 1 SELECT VALUE a)]")
 	f.Add("SELECT a FROM t ORDER BY a LIMIT 1 OFFSET 2")
+	f.Add("SELECT VALUE COLL_COUNT(g) FROM [] AS x GROUP BY () GROUP AS g")
 	f.Fuzz(func(t *testing.T, src string) {
 		tree, err := parser.Parse(src)
 		if err != nil {

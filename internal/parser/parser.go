@@ -350,7 +350,14 @@ func (p *parser) parseGroupBy() (*ast.GroupBy, error) {
 	}
 	g := &ast.GroupBy{}
 	setPos(g, pos)
-	for {
+	// GROUP BY () puts every row in one group: the printed form of
+	// implicit grouping.
+	empty := p.at("(") && p.atOffset(1, ")")
+	if empty {
+		p.next()
+		p.next()
+	}
+	for !empty {
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err

@@ -120,6 +120,8 @@ func TestParseFormatFixpoint(t *testing.T) {
 		`SELECT VALUE {({}): 1} FROM t AS x`,
 		`SELECT VALUE (NOT x.a) = x.b AND x.a = (x.b IS NULL) FROM t AS x`,
 		`SELECT - -x.n AS a, (-x.n).a AS b, -(x.n.a) AS c, 1 - (2 - 3) AS d FROM t AS x`,
+		`SELECT VALUE COLL_COUNT(g) FROM t AS x GROUP BY () GROUP AS g`,
+		`FROM t AS x GROUP BY () HAVING COUNT(*) > 0 SELECT VALUE COUNT(*)`,
 	}
 	for _, q := range queries {
 		roundTrip(t, q)
@@ -300,6 +302,24 @@ func TestGroupByGroupAs(t *testing.T) {
 	}
 	if q.GroupBy.GroupAs != "g" {
 		t.Errorf("GROUP AS = %q", q.GroupBy.GroupAs)
+	}
+}
+
+// TestGroupByEmpty: GROUP BY () is a GROUP BY with no keys, the printed
+// form of implicit grouping; it prints back as GROUP BY ().
+func TestGroupByEmpty(t *testing.T) {
+	e := MustParse(`SELECT VALUE COLL_COUNT(g) FROM [] AS x GROUP BY () GROUP AS g`)
+	q := e.(*ast.SFW)
+	if q.GroupBy == nil || len(q.GroupBy.Keys) != 0 || q.GroupBy.GroupAs != "g" {
+		t.Fatalf("group by = %+v", q.GroupBy)
+	}
+	if got := ast.Format(e); !strings.Contains(got, " GROUP BY () GROUP AS g") {
+		t.Errorf("formats as %q", got)
+	}
+	for _, src := range []string{"SELECT 1 FROM t AS x GROUP BY (", "SELECT 1 FROM t AS x GROUP BY (), x.a"} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) should fail", src)
+		}
 	}
 }
 

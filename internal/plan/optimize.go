@@ -135,11 +135,11 @@ type sfwPhys struct {
 	scanEst   int64
 	chunkHint int
 	// stream, when non-nil, runs the block's GROUP BY as a streaming hash
-	// aggregate and its post-group clauses from stream.post (see
+	// aggregate and its post-group clauses from stream.Post (see
 	// streamagg.go); nil keeps the materializing groupState.
 	stream *streamPlan
 	// preC is the compiled form of pre; clauseExprs those of the clause
-	// expressions (its where is residual's), lowered from stream.post when
+	// expressions (its where is residual's), lowered from stream.Post when
 	// the block streams.
 	preC []eval.CompiledExpr
 	clauseExprs
@@ -493,8 +493,8 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 	if q.GroupBy != nil {
 		var blocked string
 		if phys.stream, blocked = planStreamAgg(q, o); phys.stream != nil {
-			phys.stream.post.Phys = phys
-			groupNote = fmt.Sprintf("stream-agg(%d)", len(phys.stream.slots))
+			phys.stream.Post.Phys = phys
+			groupNote = fmt.Sprintf("stream-agg(%d)", len(phys.stream.Slots))
 		} else {
 			groupNote = fmt.Sprintf("group-materialize(%s)", blocked)
 		}
@@ -577,11 +577,11 @@ func compileSFW(q *ast.SFW, phys *sfwPhys, co eval.CompileOpts) {
 	if phys.stream != nil {
 		// The post-group clauses compile from their slot-reading forms, the
 		// folds' arguments against the pre-group variables.
-		q = phys.stream.post
-		for i := range phys.stream.slots {
-			s := &phys.stream.slots[i]
-			s.argC = compile(s.arg)
-			s.condC = compile(s.cond)
+		q = phys.stream.Post
+		for i := range phys.stream.Slots {
+			s := &phys.stream.Slots[i]
+			s.argC = compile(s.Arg)
+			s.condC = compile(s.Cond)
 		}
 	}
 	// A step may rebind one row environment in place unless

@@ -586,7 +586,7 @@ func newBlockRun(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, st *physState) *b
 		if phys.stream != nil {
 			// A streamed GROUP BY runs its post-group clauses from the copy
 			// of the block whose fold calls read aggregate slots.
-			r.q = phys.stream.post
+			r.q = phys.stream.Post
 		}
 	}
 	q = r.q

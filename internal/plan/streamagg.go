@@ -31,37 +31,48 @@ import (
 
 // streamPlan is the streamed form of one block's GROUP BY.
 type streamPlan struct {
-	// post is a shallow copy of the block whose HAVING, SELECT VALUE (and
-	// PIVOT name), ORDER BY and window expressions have every fold call
-	// replaced by $AGG($agg<i>), a read of slot i. Execution of a streamed
-	// block runs its post-group half from post.
-	post  *ast.SFW
-	slots []aggSlot
-	// folded are the fold subqueries the slots replaced. They never run,
-	// so the optimizer neither plans nor reports them.
-	folded []*ast.SFW
+	*Folds
 	// label is the EXPLAIN form, e.g. "stream: COUNT,SUM".
 	label string
 }
 
-// aggSlot is one distinct fold of a streamed block.
-type aggSlot struct {
-	name string // the hidden post-group binding, "$agg<i>"
-	def  *eval.FuncDef
-	// star marks COLL_COUNT(g): one step per row, no argument.
-	star bool
+// Folds is the fold recogniser's reading of a GROUP BY block whose group
+// variable is observed only through folds. The streamed GROUP BY folds
+// its slots row by row; the shard splitter sends the mergeable ones to
+// the shards as partial aggregates.
+type Folds struct {
+	// Post is a shallow copy of the block whose HAVING, SELECT VALUE (and
+	// PIVOT name), ORDER BY and window expressions have every fold call
+	// replaced by $AGG($agg<i>), a read of slot i. Execution of a streamed
+	// block runs its post-group half from Post.
+	Post  *ast.SFW
+	Slots []FoldSlot
+	// folded are the fold subqueries the slots replaced. They never run,
+	// so the optimizer neither plans nor reports them.
+	folded []*ast.SFW
+}
+
+// FoldSlot is one distinct fold of a block.
+type FoldSlot struct {
+	Name string // the hidden post-group binding, "$agg<i>"
+	Def  *eval.FuncDef
+	// Call is the fold call as first written, over the group variable.
+	Call *ast.Call
+	// Star marks COLL_COUNT(g): one step per row, no argument.
+	Star bool
+	// Arg and Cond (the WHERE, nil when absent) are the fold subquery's
+	// expressions over the pre-group variables; argC/condC their compiled
+	// forms. Cond is evaluated whole, as the reference pipeline evaluates a
+	// WHERE, so stop-on-error faults in it are the same faults.
+	Arg, Cond   ast.Expr
+	argC, condC eval.CompiledExpr
 	// retains marks ARRAY_AGG, the one aggregate whose state grows with
 	// its input: each value it keeps is charged to the governor.
 	retains bool
-	// arg and cond (the WHERE, nil when absent) are the fold subquery's
-	// expressions over the pre-group variables; argC/condC their compiled
-	// forms. cond is evaluated whole, as the reference pipeline evaluates a
-	// WHERE, so stop-on-error faults in it are the same faults.
-	arg, cond   ast.Expr
-	argC, condC eval.CompiledExpr
 }
 
-// streamRecognizer decides whether a block streams and builds its plan.
+// streamRecognizer decides whether a block's folds are all its group
+// variable is used for, and collects them.
 type streamRecognizer struct {
 	g string
 	// names are the names a fold argument must not mention free: the
@@ -70,11 +81,9 @@ type streamRecognizer struct {
 	// outer variable the pre-group environment would shadow).
 	names map[string]bool
 	funcs eval.FuncSource
-	// dedupe lets equal folds share a slot. Off under stop-on-error
-	// typing, where the positions inside each occurrence's argument are
-	// observable through error text.
+	// dedupe lets equal folds share a slot.
 	dedupe bool
-	slots  []aggSlot
+	slots  []FoldSlot
 	folded []*ast.SFW
 	// blocked is the first reference to g that needs the materialized
 	// group; empty while the block is streamable.
@@ -82,13 +91,35 @@ type streamRecognizer struct {
 }
 
 // planStreamAgg returns the streamed plan of q's GROUP BY, or nil and the
-// first reference that keeps the block materialized.
+// first reference that keeps the block materialized. Equal folds share a
+// slot only under permissive typing: under stop-on-error the positions
+// inside each occurrence's argument are observable through error text.
 func planStreamAgg(q *ast.SFW, o OptOptions) (*streamPlan, string) {
+	f, blocked := RecognizeFolds(q, o.Funcs, o.Mode == eval.Permissive)
+	if f == nil {
+		return nil, blocked
+	}
+	names := make([]string, len(f.Slots))
+	for i, s := range f.Slots {
+		names[i] = strings.TrimPrefix(s.Def.Name, "COLL_")
+	}
+	label := "stream"
+	if len(names) > 0 {
+		label = "stream: " + strings.Join(names, ",")
+	}
+	return &streamPlan{Folds: f, label: label}, ""
+}
+
+// RecognizeFolds reads q's post-group clauses as folds over its GROUP AS
+// variable: funcs names the functions with accumulators, and dedupe lets
+// Equal folds share a slot. It returns nil and the first reference to the
+// group variable that needs the materialized group when there is one.
+func RecognizeFolds(q *ast.SFW, funcs eval.FuncSource, dedupe bool) (*Folds, string) {
 	r := &streamRecognizer{
 		g:      q.GroupBy.GroupAs,
 		names:  map[string]bool{q.GroupBy.GroupAs: false},
-		funcs:  o.Funcs,
-		dedupe: o.Mode == eval.Permissive,
+		funcs:  funcs,
+		dedupe: dedupe,
 	}
 	for i, key := range q.GroupBy.Keys {
 		r.names[ast.KeyAlias(key, i)] = false
@@ -131,15 +162,21 @@ func planStreamAgg(q *ast.SFW, o OptOptions) (*streamPlan, string) {
 	if r.blocked != "" {
 		return nil, r.blocked
 	}
-	names := make([]string, len(r.slots))
-	for i, s := range r.slots {
-		names[i] = strings.TrimPrefix(s.def.Name, "COLL_")
+	return &Folds{Post: &post, Slots: r.slots, folded: r.folded}, ""
+}
+
+// SlotRead reports which slot e reads when e is one of Post's slot reads.
+func (f *Folds) SlotRead(e ast.Expr) (int, bool) {
+	c, ok := e.(*ast.Call)
+	if !ok || c.Name != "$AGG" || len(c.Args) != 1 {
+		return 0, false
 	}
-	label := "stream"
-	if len(names) > 0 {
-		label = "stream: " + strings.Join(names, ",")
+	v, ok := c.Args[0].(*ast.VarRef)
+	if !ok {
+		return 0, false
 	}
-	return &streamPlan{post: &post, slots: r.slots, folded: r.folded, label: label}, ""
+	i, err := strconv.Atoi(strings.TrimPrefix(v.Name, "$agg"))
+	return i, err == nil && i >= 0 && i < len(f.Slots) && f.Slots[i].Name == v.Name
 }
 
 func (r *streamRecognizer) block(ref string) {
@@ -199,13 +236,13 @@ func (r *streamRecognizer) fold(call *ast.Call) ast.Expr {
 	if !ok || def.NewAcc == nil {
 		return nil
 	}
-	slot := aggSlot{def: def, retains: def.Name == "COLL_ARRAY_AGG"}
+	slot := FoldSlot{Def: def, Call: call, retains: def.Name == "COLL_ARRAY_AGG"}
 	switch a := call.Args[0].(type) {
 	case *ast.VarRef:
 		if a.Name != r.g || def.Name != "COLL_COUNT" {
 			return nil
 		}
-		slot.star = true
+		slot.Star = true
 	case *ast.SFW:
 		if !r.foldBody(a, &slot) {
 			return nil
@@ -216,15 +253,15 @@ func (r *streamRecognizer) fold(call *ast.Call) ast.Expr {
 	}
 	// An equal fold (the same function over Equal argument and condition)
 	// shares its slot when dedupe is on.
-	i := slices.IndexFunc(r.slots, func(s aggSlot) bool {
-		return r.dedupe && s.def.Name == def.Name && s.star == slot.star && ast.Equal(s.arg, slot.arg) && ast.Equal(s.cond, slot.cond)
+	i := slices.IndexFunc(r.slots, func(s FoldSlot) bool {
+		return r.dedupe && s.Def.Name == def.Name && s.Star == slot.Star && ast.Equal(s.Arg, slot.Arg) && ast.Equal(s.Cond, slot.Cond)
 	})
 	if i < 0 {
 		i = len(r.slots)
-		slot.name = "$agg" + strconv.Itoa(i)
+		slot.Name = "$agg" + strconv.Itoa(i)
 		r.slots = append(r.slots, slot)
 	}
-	ref := &ast.VarRef{Name: r.slots[i].name}
+	ref := &ast.VarRef{Name: r.slots[i].Name}
 	ref.SetPos(call.Pos())
 	read := &ast.Call{Name: "$AGG", Args: []ast.Expr{ref}}
 	read.SetPos(call.Pos())
@@ -232,9 +269,9 @@ func (r *streamRecognizer) fold(call *ast.Call) ast.Expr {
 }
 
 // foldBody matches `SELECT VALUE arg FROM g AS v [WHERE cond]` and fills
-// slot.arg/slot.cond with the expressions un-substituted onto the
+// slot.Arg/slot.Cond with the expressions un-substituted onto the
 // pre-group variables.
-func (r *streamRecognizer) foldBody(b *ast.SFW, slot *aggSlot) bool {
+func (r *streamRecognizer) foldBody(b *ast.SFW, slot *FoldSlot) bool {
 	if b.Select.Value == nil || b.Select.PivotAt != nil || b.Select.Distinct || len(b.From) != 1 || len(b.Lets) > 0 ||
 		b.GroupBy != nil || b.Having != nil || len(b.OrderBy) > 0 || b.Limit != nil || b.Offset != nil || len(b.Windows) > 0 {
 		return false
@@ -250,9 +287,9 @@ func (r *streamRecognizer) foldBody(b *ast.SFW, slot *aggSlot) bool {
 	if !ok {
 		return false
 	}
-	slot.arg = arg
+	slot.Arg = arg
 	if b.Where != nil {
-		if slot.cond, ok = r.unsubstitute(b.Where, from.As); !ok {
+		if slot.Cond, ok = r.unsubstitute(b.Where, from.As); !ok {
 			return false
 		}
 	}
@@ -302,7 +339,7 @@ func (r *streamRecognizer) unsubstitute(e ast.Expr, v string) (ast.Expr, bool) {
 type streamGroup struct {
 	ctx   *eval.Context
 	outer *eval.Env
-	slots []aggSlot
+	slots []FoldSlot
 	keysC []eval.CompiledExpr
 	// names are the output bindings of a group: the key aliases, then the
 	// slots' hidden names.
@@ -336,17 +373,17 @@ func newStreamGroup(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledEx
 	plan := phys.stream
 	g := &streamGroup{
 		ctx:     ctx,
-		slots:   plan.slots,
+		slots:   plan.Slots,
 		keysC:   keys,
-		names:   make([]string, 0, len(spec.Keys)+len(plan.slots)),
+		names:   make([]string, 0, len(spec.Keys)+len(plan.Slots)),
 		reuse:   phys.reuseEnv,
 		keyVals: make([]value.Value, len(spec.Keys)),
 	}
 	for i, key := range spec.Keys {
 		g.names = append(g.names, ast.KeyAlias(key, i))
 	}
-	for _, s := range plan.slots {
-		g.names = append(g.names, s.name)
+	for _, s := range plan.Slots {
+		g.names = append(g.names, s.Name)
 	}
 	return g
 }
@@ -383,7 +420,7 @@ func (g *streamGroup) open(keys []value.Value, accs []eval.Accumulator) {
 	} else {
 		g.accs = growDoubling(g.accs, len(g.slots))
 		for i := range g.slots {
-			g.accs = append(g.accs, g.slots[i].def.NewAcc())
+			g.accs = append(g.accs, g.slots[i].Def.NewAcc())
 		}
 	}
 	g.n++
@@ -455,11 +492,11 @@ func (g *streamGroup) add(env *eval.Env) error {
 // budget) and ends the query.
 func (g *streamGroup) step(o, i int, env *eval.Env) error {
 	s, acc := &g.slots[i], g.accs[o*len(g.slots)+i]
-	if s.star {
+	if s.Star {
 		acc.Step(value.True)
 		return nil
 	}
-	if s.cond != nil {
+	if s.Cond != nil {
 		c, err := s.condC(g.ctx, env)
 		if err != nil {
 			return g.latch(o, i, err)

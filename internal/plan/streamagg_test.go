@@ -38,8 +38,8 @@ func TestStreamRecognizer(t *testing.T) {
 		if phys.stream == nil {
 			t.Fatalf("%s: not streamed: %v", query, notes)
 		}
-		if phys.stream.label != label || len(phys.stream.slots) != slots {
-			t.Errorf("%s: label %q with %d slots, want %q with %d", query, phys.stream.label, len(phys.stream.slots), label, slots)
+		if phys.stream.label != label || len(phys.stream.Slots) != slots {
+			t.Errorf("%s: label %q with %d slots, want %q with %d", query, phys.stream.label, len(phys.stream.Slots), label, slots)
 		}
 		if !hasNote(notes, fmt.Sprintf("stream-agg(%d)", slots)) {
 			t.Errorf("%s: notes %v lack stream-agg(%d)", query, notes, slots)
@@ -58,7 +58,7 @@ func TestStreamRecognizer(t *testing.T) {
 	// Under stop-on-error, positions inside an argument are observable
 	// through error text, so each occurrence keeps its own slot.
 	core, _ := prepareOptimized(t, cat, `SELECT SUM(e.x) AS a, SUM(e.x) AS b FROM emp AS e GROUP BY e.d`, eval.StopOnError)
-	if n := len(core.(*ast.SFW).Phys.(*sfwPhys).stream.slots); n != 2 {
+	if n := len(core.(*ast.SFW).Phys.(*sfwPhys).stream.Slots); n != 2 {
 		t.Errorf("stop-on-error: %d slots, want 2", n)
 	}
 

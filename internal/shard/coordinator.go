@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -278,7 +279,10 @@ func (c *Coordinator) ExecRequest(ctx context.Context, req ExecRequest) (res *Re
 	if req.OnFailure != nil {
 		mode = *req.OnFailure
 	}
-	sp := c.plan(req.Query)
+	sp := c.plan(req.Query, opts, req.Params)
+	if sp.err != nil {
+		return nil, sp.err
+	}
 	switch sp.class {
 	case "local":
 		return c.execLocal(ctx, req, opts)
@@ -289,10 +293,18 @@ func (c *Coordinator) ExecRequest(ctx context.Context, req ExecRequest) (res *Re
 	}
 }
 
-// plan classifies the query, caching by query text and catalog epoch
-// (registrations and topology changes bump the epoch).
-func (c *Coordinator) plan(query string) *scatterPlan {
-	key := strconv.FormatInt(c.engine.IndexEpoch(), 10) + "\x00" + query
+// plan classifies the query, caching by catalog epoch (registrations and
+// topology changes bump it), compat flag, parameter names and text: the
+// Core the splitter reads depends on each.
+// governor:bounded by the request's parameter count (the name list)
+func (c *Coordinator) plan(query string, opts sqlpp.Options, params map[string]value.Value) *scatterPlan {
+	names := make([]string, 0, len(params))
+	for n := range params {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	key := strconv.FormatInt(c.engine.IndexEpoch(), 10) + "\x00" + strconv.FormatBool(opts.Compat) + "\x00" +
+		strings.Join(names, "\x00") + "\x00" + query
 	c.planMu.Lock()
 	if p, ok := c.planCache[key]; ok {
 		c.planMu.Unlock()
@@ -305,7 +317,7 @@ func (c *Coordinator) plan(query string) *scatterPlan {
 		specs[k] = v
 	}
 	c.mu.RUnlock()
-	p := classify(query, specs)
+	p := classify(c.engine.WithOptions(opts), query, names, specs)
 	c.planMu.Lock()
 	if len(c.planCache) >= 256 {
 		c.planCache = map[string]*scatterPlan{}
@@ -522,42 +534,9 @@ func (c *Coordinator) execSplit(ctx context.Context, req ExecRequest, opts sqlpp
 		return nil, err
 	}
 
-	// Fold the partial rows in shard order; under range partitioning
-	// this preserves global row order, which is what makes merged
-	// results byte-identical to single-node execution.
-	gov := eval.NewGovernor(opts.Limits)
-	partials := make([]value.Value, 0, partsLen(outs))
-	stats := make([]plan.ShardStat, 0, len(outs))
-	for i, o := range outs {
-		st := plan.ShardStat{
-			Name:     c.execs[i].Name(),
-			Attempts: o.attempts,
-			Retries:  o.retries,
-			Hedges:   o.hedges,
-			Failed:   o.err != nil,
-		}
-		if o.resp != nil {
-			elems, ok := value.Elements(o.resp.Value)
-			if !ok {
-				return nil, fmt.Errorf("shard %s: partial result is not a collection", c.execs[i].Name())
-			}
-			for _, e := range elems {
-				if faultinject.Enabled {
-					if ferr := faultinject.Fire(faultinject.ShardGatherNext); ferr != nil {
-						return nil, fmt.Errorf("shard gather: %w", ferr)
-					}
-				}
-				if gov != nil {
-					if gerr := gov.ChargeValues("shard-gather", 1, e); gerr != nil {
-						return nil, gerr
-					}
-				}
-				partials = append(partials, e)
-			}
-			st.Rows = int64(len(elems))
-			st.Tree = o.resp.Stats
-		}
-		stats = append(stats, st)
+	partials, stats, err := c.collect(outs, eval.NewGovernor(opts.Limits), "partial result", make([]plan.ShardStat, 0, len(outs)))
+	if err != nil {
+		return nil, err
 	}
 
 	meng, err := c.scratch(opts, map[string]value.Value{partialsName: value.Bag(partials)}, false)
@@ -597,42 +576,11 @@ func (c *Coordinator) execGather(ctx context.Context, req ExecRequest, opts sqlp
 			return nil, err
 		}
 		missing = mergeMissing(missing, m)
-		elems := make([]value.Value, 0, partsLen(outs))
-		isArray := false
-		for i, o := range outs {
-			st := plan.ShardStat{
-				Name:     c.execs[i].Name(),
-				Attempts: o.attempts,
-				Retries:  o.retries,
-				Hedges:   o.hedges,
-				Failed:   o.err != nil,
-			}
-			if o.resp != nil {
-				part, ok := value.Elements(o.resp.Value)
-				if !ok {
-					return nil, fmt.Errorf("shard %s: gathered %s is not a collection", c.execs[i].Name(), name)
-				}
-				if o.resp.Value.Kind() == value.KindArray {
-					isArray = true
-				}
-				for _, e := range part {
-					if faultinject.Enabled {
-						if ferr := faultinject.Fire(faultinject.ShardGatherNext); ferr != nil {
-							return nil, fmt.Errorf("shard gather: %w", ferr)
-						}
-					}
-					if gov != nil {
-						if gerr := gov.ChargeValues("shard-gather", 1, e); gerr != nil {
-							return nil, gerr
-						}
-					}
-					elems = append(elems, e)
-				}
-				st.Rows = int64(len(part))
-			}
-			stats = append(stats, st)
+		var elems []value.Value
+		if elems, stats, err = c.collect(outs, gov, "gathered "+name, stats); err != nil {
+			return nil, err
 		}
-		if isArray {
+		if slices.ContainsFunc(outs, func(o shardOutcome) bool { return o.resp != nil && o.resp.Value.Kind() == value.KindArray }) {
 			gathered[name] = value.Array(elems)
 		} else {
 			gathered[name] = value.Bag(elems)
@@ -658,6 +606,48 @@ func (c *Coordinator) execGather(ctx context.Context, req ExecRequest, opts sqlp
 		res.Stats = plan.ScatterStats("gather", sp.gather[0], stats, missing, gst)
 	}
 	return res, nil
+}
+
+// collect concatenates the shard answers' elements in shard order —
+// under range partitioning that is global row order, which is what
+// makes merged results byte-identical to single-node execution — firing
+// the shard-gather fault point and charging gov once per element. It
+// appends each shard's ShardStat to stats; what names an answer in
+// errors.
+func (c *Coordinator) collect(outs []shardOutcome, gov *eval.Governor, what string, stats []plan.ShardStat) ([]value.Value, []plan.ShardStat, error) {
+	elems := make([]value.Value, 0, partsLen(outs))
+	for i, o := range outs {
+		st := plan.ShardStat{
+			Name:     c.execs[i].Name(),
+			Attempts: o.attempts,
+			Retries:  o.retries,
+			Hedges:   o.hedges,
+			Failed:   o.err != nil,
+		}
+		if o.resp != nil {
+			part, ok := value.Elements(o.resp.Value)
+			if !ok {
+				return nil, nil, fmt.Errorf("shard %s: %s is not a collection", c.execs[i].Name(), what)
+			}
+			for _, e := range part {
+				if faultinject.Enabled {
+					if ferr := faultinject.Fire(faultinject.ShardGatherNext); ferr != nil {
+						return nil, nil, fmt.Errorf("shard gather: %w", ferr)
+					}
+				}
+				if gov != nil {
+					if gerr := gov.ChargeValues("shard-gather", 1, e); gerr != nil {
+						return nil, nil, gerr
+					}
+				}
+			}
+			elems = append(elems, part...)
+			st.Rows = int64(len(part))
+			st.Tree = o.resp.Stats
+		}
+		stats = append(stats, st)
+	}
+	return elems, stats, nil
 }
 
 // partsLen sums the element counts of the shard answers, to size the

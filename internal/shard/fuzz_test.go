@@ -22,9 +22,7 @@ func FuzzScatter(f *testing.F) {
 	for _, q := range propertyQueries {
 		f.Add(q)
 	}
-	const catalog = `[{'g': 'a', 'v': 1}, {'g': 'b', 'v': 2}, {'g': 'a', 'v': 3, 'w': {'z': 1}}, {'g': null, 'v': 4},
-		{'v': 5}, {'g': 'b', 'v': 'oops'}, {'g': 1, 'v': 6}, 7, {'g': 'c', 'v': -2}, {'g': 'a', 'v': 10}]`
-	data := sqlpp.MustParseValue(catalog)
+	data := sqlpp.MustParseValue(fuzzCatalog)
 	opts := &sqlpp.Options{Limits: sqlpp.Limits{MaxOutputRows: 4096, MaxMaterializedValues: 4096}}
 	single := sqlpp.New(opts)
 	if err := single.Register("data", data); err != nil {
@@ -53,6 +51,11 @@ func FuzzScatter(f *testing.F) {
 		}
 	})
 }
+
+// fuzzCatalog is FuzzScatter's data: heterogeneous rows, a faulting
+// measure, a non-tuple row.
+const fuzzCatalog = `[{'g': 'a', 'v': 1}, {'g': 'b', 'v': 2}, {'g': 'a', 'v': 3, 'w': {'z': 1}}, {'g': null, 'v': 4},
+	{'v': 5}, {'g': 'b', 'v': 'oops'}, {'g': 1, 'v': 6}, 7, {'g': 'c', 'v': -2}, {'g': 'a', 'v': 10}]`
 
 // bounded reports whether err ended a run on its deadline or budget
 // rather than on the query's meaning.

@@ -12,10 +12,10 @@ import (
 )
 
 // TestGroupMergeStreams: the merge of a group scatter folds the partial
-// rows as they are scanned — one streamed GROUP BY, no GROUP AS
-// collection, no subquery per group — whatever mix of mergeable
-// aggregates the query uses, including the SUM/AVG whose "some partial
-// faulted to MISSING" test used to be an EXISTS over the group.
+// rows as they are scanned — one streamed GROUP BY whose GROUP AS
+// variable is only folded, no subquery per group — whatever mix of
+// mergeable aggregates the query uses, including the SUM/AVG whose "some
+// partial faulted to MISSING" test used to be an EXISTS over the group.
 func TestGroupMergeStreams(t *testing.T) {
 	// 500 groups, every one on both shards: 1,000 partial rows. Group 7's
 	// rows on the second shard hold a string, so its partial SUM faults to
@@ -55,8 +55,8 @@ func TestGroupMergeStreams(t *testing.T) {
 		if res.Class != "group" || res.Value.String() != want.String() {
 			t.Fatalf("%s: class %s\n  got  %.200s\n  want %.200s", query, res.Class, res.Value, want)
 		}
-		merge := co.plan(query).mergeQuery
-		if strings.Contains(merge, "GROUP AS") || strings.Contains(merge, "EXISTS") {
+		merge := co.plan(query, co.engine.Options(), nil).mergeQuery
+		if strings.Contains(merge, "EXISTS") {
 			t.Errorf("merge text materialises its groups: %s", merge)
 		}
 		var blocks, streamed []*eval.StatsSnapshot
@@ -89,9 +89,14 @@ func TestGroupMergeStreams(t *testing.T) {
 // when the collection is hash-partitioned and a grouping key is exactly
 // the head variable's partitioning key path, with the head variable
 // bound once. Everything else keeps the re-grouping merge, and a HAVING
-// that still needs a pre-group binding falls back to gather either way.
+// that still needs a pre-group binding answers the rewrite error one
+// engine gives, without running anywhere.
 func TestCoPartitionedSelection(t *testing.T) {
 	hashG := Spec{Name: "data", Kind: Hash, Key: "g"}
+	eng := sqlpp.New(nil)
+	if err := eng.RegisterSION("dims", "[]"); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		spec  Spec
 		query string
@@ -109,9 +114,15 @@ func TestCoPartitionedSelection(t *testing.T) {
 		{Spec{Name: "data", Kind: Hash, Key: "w.z"}, "SELECT x.w.z AS z, COUNT(*) AS c FROM data AS x GROUP BY x.w.z", "group", true},
 		{Spec{Name: "data", Kind: Hash, Key: "w.z"}, "SELECT x.w AS w, COUNT(*) AS c FROM data AS x GROUP BY x.w", "group", false},
 		{Spec{Name: "data"}, "SELECT x.g AS g, COUNT(*) AS c FROM data AS x GROUP BY x.g", "group", false},
-		{hashG, "SELECT x.g AS g FROM data AS x GROUP BY x.g HAVING x.v > 1", "gather", false},
+		{hashG, "SELECT x.g AS g FROM data AS x GROUP BY x.g HAVING x.v > 1", "local", false},
 	} {
-		p := classify(tc.query, map[string]Spec{"data": tc.spec})
+		p := classify(eng, tc.query, nil, map[string]Spec{"data": tc.spec})
+		if tc.class == "local" {
+			if p.err == nil || !strings.Contains(p.err.Error(), `unresolved name "x"`) {
+				t.Errorf("%s: err %v, want the rewrite error", tc.query, p.err)
+			}
+			continue
+		}
 		if p.class != tc.class || (p.coPartitioned != "") != tc.co {
 			t.Errorf("%s %q: %s: class %s, co-partitioned %q, want %s, %v",
 				tc.spec.Kind, tc.spec.Key, tc.query, p.class, p.coPartitioned, tc.class, tc.co)
@@ -125,17 +136,18 @@ func TestCoPartitionedSelection(t *testing.T) {
 }
 
 // TestSplitIsLinear classifies `SELECT k, x.a + … + x.a AS s … GROUP BY
-// x.a AS k` at two lengths: the merge query reads every term from the
-// key slot, and matching a node against the key costs one comparison of
-// the key's size, so doubling the terms must roughly double what the
-// split allocates (printing every subtree to look it up quadruples it).
+// x.a AS k` at two lengths: the rewrite reads every term as the key
+// alias, matching a node against the key at one comparison of the key's
+// size, and the merge query reads the alias as the rewrite left it, so
+// doubling the terms must roughly double what the split allocates
+// (printing every subtree to look it up quadruples it).
 func TestSplitIsLinear(t *testing.T) {
 	specs := map[string]Spec{"data": {Name: "data"}}
 	allocated := func(n int) uint64 {
 		query := "SELECT k, x.a" + strings.Repeat(" + x.a", n-1) + " AS s FROM data AS x GROUP BY x.a AS k"
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if p := classify(query, specs); p.class != "group" {
+		if p := classify(sqlpp.New(nil), query, nil, specs); p.class != "group" {
 			t.Fatalf("%d terms split as %s, want group", n, p.class)
 		}
 		runtime.ReadMemStats(&after)

@@ -173,8 +173,8 @@ func TestPropertyHashPartitioning(t *testing.T) {
 				if tc.coPart {
 					// The same shard query under a spec whose key is not a
 					// grouping key: the merge re-groups the same partials.
-					regroup := classify(q, map[string]Spec{"data": {Name: "data", Kind: Hash, Key: "v"}})
-					if regroup.coPartitioned != "" || regroup.shardQuery != coA.plan(q).shardQuery {
+					regroup := classify(coA.engine, q, nil, map[string]Spec{"data": {Name: "data", Kind: Hash, Key: "v"}})
+					if regroup.coPartitioned != "" || regroup.shardQuery != coA.plan(q, opts, nil).shardQuery {
 						t.Fatalf("%q: re-grouping plan %+v", q, regroup)
 					}
 					rr, err := coA.execSplit(context.Background(), ExecRequest{Query: q}, opts, FailFast, regroup)

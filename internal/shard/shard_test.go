@@ -109,19 +109,25 @@ const dimsSrc = `[
   {'k': 'c', 'label': 'gamma'}
 ]`
 
+// fewSrc is a sharded collection of two rows: from three shards on, some
+// shard holds none.
+const fewSrc = `[{'g': 'a', 'v': 4}, {'g': 'b', 'v': 7}]`
+
 // newIdentityPair builds a single-node engine and an equivalent sharded
 // coordinator (range partitioning, n shards).
 func newIdentityPair(t *testing.T, n int, opts *sqlpp.Options) (*sqlpp.Engine, *Coordinator) {
 	t.Helper()
 	single := sqlpp.New(opts)
-	if err := single.Register("orders", mustValue(t, ordersSrc)); err != nil {
-		t.Fatal(err)
+	co := NewLocalCluster(n, opts, Policy{})
+	for name, src := range map[string]string{"orders": ordersSrc, "few": fewSrc} {
+		if err := single.Register(name, mustValue(t, src)); err != nil {
+			t.Fatal(err)
+		}
+		if err := co.Distribute(name, mustValue(t, src), Spec{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := single.Register("dims", mustValue(t, dimsSrc)); err != nil {
-		t.Fatal(err)
-	}
-	co := NewLocalCluster(n, opts, Policy{})
-	if err := co.Distribute("orders", mustValue(t, ordersSrc), Spec{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := co.Broadcast("dims", mustValue(t, dimsSrc)); err != nil {
@@ -152,9 +158,24 @@ var identityQueries = []struct {
 	{"SELECT x.g AS g FROM orders AS x WHERE x.v > 2 LIMIT 3", "concat"},
 	{"SELECT DISTINCT x.g AS g FROM orders AS x", "concat"},
 	{"SELECT VALUE {'g': x.g, 'd': (SELECT VALUE d.label FROM dims AS d WHERE d.k = x.g)} FROM orders AS x WHERE x.v > 6", "concat"},
-	// Gather fallbacks: parameterized, multi-ref, aggregate-ineligible,
-	// star, GROUP AS, nested correlated blocks over the sharded name.
-	{"SELECT * FROM orders AS x WHERE x.v > 8", "gather"},
+	// SELECT * is SELECT VALUE $MERGE(...) in Core: one row per row.
+	{"SELECT * FROM orders AS x WHERE x.v > 8", "concat"},
+	// A FROM variable named like the sharded collection is a variable,
+	// not another reference to it.
+	{"SELECT VALUE orders.v FROM orders AS orders WHERE orders.v > 5", "concat"},
+	{"SELECT orders.g AS g, COUNT(*) AS c FROM orders AS orders GROUP BY orders.g", "group"},
+	// A key's SQL-implicit alias (g, of x.g) read after grouping.
+	{"SELECT x.g AS grp, COUNT(*) AS c FROM orders AS x GROUP BY x.g HAVING g <> 'b' ORDER BY g DESC", "group"},
+	// Implicit grouping answers one row even where a shard holds no rows
+	// (few, from three shards on) or no row passes the WHERE.
+	{"SELECT COUNT(*) AS c, AVG(f.v) AS a, SUM(f.v) AS s FROM few AS f", "group"},
+	{"SELECT VALUE COUNT(*) FROM few AS f WHERE f.v > 100", "group"},
+	{"SELECT COUNT(*) AS c FROM orders AS x HAVING COUNT(*) > 3", "group"},
+	// Core text sent as the request: the rewriter's fresh names are its own.
+	{"SELECT VALUE {'g': g, 'c': COLL_COUNT($g1), 's': COLL_SUM((SELECT VALUE $gi2.x.v FROM $g1 AS $gi2))} FROM orders AS x GROUP BY x.g AS g GROUP AS $g1", "group"},
+	{"SELECT VALUE {'c': COLL_COUNT($g1), 'a': COLL_AVG((SELECT VALUE $gi2.f.v FROM $g1 AS $gi2))} FROM few AS f GROUP BY () GROUP AS $g1", "group"},
+	// Gather fallbacks: multi-ref, aggregate-ineligible, a GROUP AS the
+	// query names, nested correlated blocks over the sharded name.
 	{"SELECT x.g AS g, ARRAY_AGG(x.v) AS vs FROM orders AS x GROUP BY x.g AS g", "gather"},
 	{"SELECT x.g AS g, COUNT(DISTINCT x.v) AS c FROM orders AS x GROUP BY x.g AS g", "gather"},
 	{"SELECT x.g AS g, g2 AS members FROM orders AS x GROUP BY x.g AS g GROUP AS g2", "gather"},
@@ -262,27 +283,37 @@ func TestScatterByteIdentityCompatAndStrict(t *testing.T) {
 	}
 }
 
+// TestScatterParamsGather: a parameter is a free variable of the Core,
+// which binds only where the original query runs, so a query reading one
+// gathers; the rewriter's own $-names are bound and split as usual.
 func TestScatterParamsGather(t *testing.T) {
-	single, co := newIdentityPair(t, 3, nil)
-	query := "SELECT VALUE x.v FROM orders AS x WHERE x.g = $g ORDER BY x.v"
-	p, err := single.PrepareParams(query, "$g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := map[string]value.Value{"$g": value.String("a")}
-	want, err := p.Exec(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := co.ExecRequest(context.Background(), ExecRequest{Query: query, Params: params})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Class != "gather" {
-		t.Fatalf("class = %s, want gather", res.Class)
-	}
-	if res.Value.String() != want.String() {
-		t.Fatalf("got %s want %s", res.Value.String(), want.String())
+	params := map[string]value.Value{"$g": value.String("a"), "$n": value.Int(2)}
+	for _, shards := range []int{1, 2, 3, 4, 5} {
+		single, co := newIdentityPair(t, shards, nil)
+		for _, tc := range []struct{ query, class string }{
+			{"SELECT VALUE x.v FROM orders AS x WHERE x.g = $g ORDER BY x.v", "gather"},
+			{"SELECT x.g AS g, COUNT(*) AS c FROM orders AS x GROUP BY x.g HAVING COUNT(*) > $n", "gather"},
+			{"SELECT x.g AS g, COUNT(*) AS c FROM orders AS x GROUP BY x.g HAVING COUNT(*) > 2", "group"},
+		} {
+			p, err := single.PrepareParams(tc.query, "$g", "$n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := p.Exec(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := co.ExecRequest(context.Background(), ExecRequest{Query: tc.query, Params: params})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Class != tc.class {
+				t.Errorf("shards=%d %q: class = %s, want %s", shards, tc.query, res.Class, tc.class)
+			}
+			if res.Value.String() != want.String() {
+				t.Errorf("shards=%d %q: got %s want %s", shards, tc.query, res.Value.String(), want.String())
+			}
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -366,15 +367,7 @@ func (e *Engine) Prepare(query string) (*Prepared, error) { return e.prepare(que
 // the root evaluator (compiled, or interpreted on the oracle) once, before
 // the Prepared is shared, so both are immutable during execution.
 func (e *Engine) prepare(query string, params []string) (*Prepared, error) {
-	tree, err := parser.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	ropts := rewrite.Options{Compat: e.opts.Compat, Names: e.cat, Params: params}
-	if e.types != nil {
-		ropts.Schema = e.types
-	}
-	core, err := rewrite.Rewrite(tree, ropts)
+	core, err := e.Rewrite(query, params)
 	if err != nil {
 		return nil, err
 	}
@@ -389,6 +382,43 @@ func (e *Engine) prepare(query string, params []string) (*Prepared, error) {
 		return nil, err
 	}
 	return p, nil
+}
+
+// Rewrite parses query and rewrites it to SQL++ Core under the engine's
+// rewrite options: its catalog names, with names added to them, its
+// schema, its compatibility flag, and params bound as variables. Every
+// preparation goes through it; a shard coordinator adds the names of its
+// sharded collections, which its own catalog does not hold.
+func (e *Engine) Rewrite(query string, params []string, names ...string) (ast.Expr, error) {
+	return e.rewrite(parser.Parse, query, params, names)
+}
+
+// rewrite is Rewrite with the parser chosen (a literal template parses
+// its numbers as slots).
+func (e *Engine) rewrite(parse func(string) (ast.Expr, error), query string, params, names []string) (ast.Expr, error) {
+	tree, err := parse(query)
+	if err != nil {
+		return nil, err
+	}
+	ropts := rewrite.Options{Compat: e.opts.Compat, Names: e.cat, Params: params}
+	if len(names) > 0 {
+		ropts.Names = namesWith{e.cat, names}
+	}
+	if e.types != nil {
+		ropts.Schema = e.types
+	}
+	return rewrite.Rewrite(tree, ropts)
+}
+
+// namesWith is a catalog's name set with more names.
+type namesWith struct {
+	rewrite.NameSet
+	more []string
+}
+
+// HasName implements rewrite.NameSet.
+func (n namesWith) HasName(name string) bool {
+	return slices.Contains(n.more, name) || n.NameSet.HasName(name)
 }
 
 // optOptions configures the physical optimization pass for the engine.

@@ -9,7 +9,6 @@ import (
 	"sqlpp/internal/lexer"
 	"sqlpp/internal/parser"
 	"sqlpp/internal/plan"
-	"sqlpp/internal/rewrite"
 	"sqlpp/internal/value"
 )
 
@@ -85,19 +84,11 @@ func (e *Engine) PrepareTemplate(query string, lits Literals) (*Template, error)
 	if e.opts.Vet {
 		return nil, errTemplateVet
 	}
-	tree, err := parser.ParseTemplate(query)
-	if err != nil {
-		return nil, err
-	}
 	names := make([]string, len(lits))
 	for i := range names {
 		names[i] = ast.SlotName(i)
 	}
-	ropts := rewrite.Options{Compat: e.opts.Compat, Names: e.cat, Params: names}
-	if e.types != nil {
-		ropts.Schema = e.types
-	}
-	core, err := rewrite.Rewrite(tree, ropts)
+	core, err := e.rewrite(parser.ParseTemplate, query, names, nil)
 	if err != nil {
 		return nil, err
 	}
