@@ -550,6 +550,9 @@ func compileCase(x *ast.Case, o CompileOpts) CompiledExpr {
 // compile time; resolution failures compile to error closures so they
 // surface at the same point the interpreter reports them — before any
 // argument evaluates.
+//
+// governor: the argument stack holds the arguments of the calls in
+// progress, bounded by the query's call nesting and arities.
 func compileCall(x *ast.Call, o CompileOpts) CompiledExpr {
 	def, ok := o.Funcs.LookupFunc(x.Name)
 	if !ok {
@@ -562,15 +565,21 @@ func compileCall(x *ast.Call, o CompileOpts) CompiledExpr {
 	args := CompileAll(x.Args, o)
 	pos := x.Pos()
 	return func(ctx *Context, env *Env) (value.Value, error) {
-		vals := make([]value.Value, len(args))
-		for i, a := range args {
+		// The arguments go on ctx's stack from base. A call nested in an
+		// argument pushes above them and pops back, but may move the
+		// stack: the frame is sliced only once every argument is in.
+		base := len(ctx.args)
+		for _, a := range args {
 			v, err := a(ctx, env)
 			if err != nil {
+				ctx.popArgs(base)
 				return nil, err
 			}
-			vals[i] = v
+			ctx.args = append(ctx.args, v)
 		}
-		return callFunc(ctx, def, vals, pos)
+		v, err := callFunc(ctx, def, ctx.args[base:], pos)
+		ctx.popArgs(base)
+		return v, err
 	}
 }
 

@@ -42,7 +42,9 @@ type NameSource interface {
 	LookupValue(name string) (value.Value, bool)
 }
 
-// Func is a scalar or collection function implementation.
+// Func is a scalar or collection function implementation. args is the
+// caller's for the call only: a function may keep or return its
+// elements, never the slice.
 type Func func(ctx *Context, args []value.Value) (value.Value, error)
 
 // FuncDef describes one registered function.
@@ -140,6 +142,9 @@ type Context struct {
 	Runs []any
 	// runBuf backs Runs for a query of one block.
 	runBuf [1]any
+	// args is the stack compiled calls pass their arguments on: a call
+	// pushes its arguments, calls the function on them and pops them.
+	args []value.Value
 	// polls counts Interrupted calls so the cancellation signal is
 	// checked once every pollInterval produced rows rather than on every
 	// row. A Context is used by a single goroutine, so a plain counter
@@ -217,8 +222,14 @@ func (c *Context) RunState(slot int) *any {
 // per-goroutine state, and each fork starts its own.
 func (c *Context) Fork() *Context {
 	cp := *c
-	cp.polls, cp.Runs, cp.runBuf = 0, nil, [1]any{}
+	cp.polls, cp.Runs, cp.runBuf, cp.args = 0, nil, [1]any{}, nil
 	return &cp
+}
+
+// popArgs drops the arguments above base from the call stack.
+func (c *Context) popArgs(base int) {
+	clear(c.args[base:])
+	c.args = c.args[:base]
 }
 
 // TypeError is a dynamic typing error. In permissive mode it is converted

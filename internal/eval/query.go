@@ -106,67 +106,49 @@ func setOpValue(ctx *Context, env *Env, q *ast.SetOp, l, r CompiledExpr) (value.
 		out = append(out, left...)
 		out = append(out, right...)
 		if !q.All {
-			out = dedupe(out)
+			out = value.Distinct(out)
 		}
 		return done(out)
-	case "INTERSECT":
-		counts := countByKey(right)
+	case "INTERSECT", "EXCEPT":
+		// A left element whose key is in right, with a right element left
+		// to pair it with, is in the intersection; EXCEPT keeps the rest.
+		// ALL pairs each right element with one left element at most.
+		intersect := q.Op == "INTERSECT"
+		keys, counts := countByKey(right)
 		var out value.Bag
+		var kb []byte
 		for _, v := range left {
-			k := value.Key(v)
-			if counts[k] > 0 {
-				counts[k]--
+			kb = value.AppendKey(kb[:0], v)
+			o := keys.Find(kb)
+			in := o >= 0 && counts[o] > 0
+			if in && (intersect || q.All) {
+				counts[o]--
+			}
+			if in == intersect {
 				out = append(out, v)
 			}
 		}
 		if !q.All {
-			out = dedupe(out)
-		}
-		return done(out)
-	case "EXCEPT":
-		counts := countByKey(right)
-		var out value.Bag
-		for _, v := range left {
-			k := value.Key(v)
-			if counts[k] > 0 {
-				if q.All {
-					counts[k]--
-					continue
-				}
-				continue
-			}
-			out = append(out, v)
-		}
-		if !q.All {
-			out = dedupe(out)
+			out = value.Distinct(out)
 		}
 		return done(out)
 	}
 	return nil, &TypeError{Pos: q.Pos(), Op: q.Op, Detail: "unknown set operation"}
 }
 
-func countByKey(vs []value.Value) map[string]int {
-	m := make(map[string]int, len(vs))
+// countByKey numbers the distinct elements of vs, by grouping equality,
+// and counts the elements of each: key o occurs counts[o] times.
+func countByKey(vs []value.Value) (keys *value.KeyTable, counts []int) {
+	keys = new(value.KeyTable)
+	keys.Reserve(len(vs))
+	var kb []byte
 	for _, v := range vs {
-		m[value.Key(v)]++
-	}
-	return m
-}
-
-// dedupe returns vs with duplicates (by canonical key) removed,
-// preserving first-occurrence order.
-//
-// governor:bounded — the output is a subset of vs, which setOpValue charged
-// (ChargeValues) before materializing either side.
-func dedupe(vs value.Bag) value.Bag {
-	seen := make(map[string]bool, len(vs))
-	out := vs[:0:0]
-	for _, v := range vs {
-		k := value.Key(v)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, v)
+		kb = value.AppendKey(kb[:0], v)
+		if o, isNew := keys.Intern(kb); isNew {
+			counts = append(counts, 1)
+		} else {
+			counts[o]++
 		}
 	}
-	return out
+	return keys, counts
 }

@@ -45,7 +45,7 @@ func (r *Registry) registerCollections() {
 		if !ok {
 			return nil, typeErr("ARRAY_DISTINCT", "argument is "+args[0].Kind().String())
 		}
-		return value.Array(distinct(elems)), nil
+		return value.Array(value.Distinct(elems)), nil
 	}))
 	// TO_ARRAY imposes an (arbitrary but deterministic) order on a bag;
 	// arrays pass through. It is how ORDER-BY-less results can be
@@ -86,19 +86,6 @@ func (r *Registry) registerCollections() {
 		}
 		return out, nil
 	}))
-}
-
-func distinct(elems []value.Value) []value.Value {
-	seen := make(map[string]bool, len(elems))
-	out := make([]value.Value, 0, len(elems))
-	for _, e := range elems {
-		k := value.Key(e)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // registerInternal registers the functions the rewriter targets: subquery
@@ -207,9 +194,9 @@ func (r *Registry) registerInternal() {
 		}
 		switch args[0].(type) {
 		case value.Array:
-			return value.Array(distinct(elems)), nil
+			return value.Array(value.Distinct(elems)), nil
 		default:
-			return value.Bag(distinct(elems)), nil
+			return value.Bag(value.Distinct(elems)), nil
 		}
 	})
 }

@@ -26,9 +26,7 @@
 package index
 
 import (
-	"bytes"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"slices"
 	"sort"
@@ -97,74 +95,26 @@ type Index struct {
 // An ordered segment's key o is keys[o], an element's own value, in
 // value.Compare order. Equality probes binary-search keys, which agrees
 // with grouping equality: Compare is zero exactly for Equivalent values.
-// A hash segment's key o is the canonical encoding (value.AppendKey)
-// enc[encOff[o]:encOff[o+1]], numbered in first-seen order. table is
-// open-addressing, of the least power-of-two size 2^b of at least 4/3
-// the keys. A slot is 0 (free) or o+1 in its low b bits under the high
-// bits of the key's hash: probes compare encodings only where they agree.
+// A hash segment's key o is key o of table, the canonical encoding
+// (value.AppendKey) numbered in first-seen order.
 type segment struct {
 	n             int // positions covered
 	pos, off      []int32
 	missing, null []int32
-	keys          []value.Value // ordered
-	table         []uint32      // hash; nil in an ordered segment
-	enc           []byte
-	encOff        []uint32
-}
-
-var hashSeed = maphash.MakeSeed()
-
-func hash(k []byte) uint64 { return maphash.Bytes(hashSeed, k) }
-
-func (s *segment) key(o int) []byte { return s.enc[s.encOff[o]:s.encOff[o+1]] }
-
-// slot returns the slot of the key encoded as k, hashed h, or the free
-// slot where it would go.
-func (s *segment) slot(k []byte, h uint64) int {
-	mask := uint32(len(s.table) - 1)
-	tag := uint32(h>>32) &^ mask
-	for i := uint32(h) & mask; ; i = (i + 1) & mask {
-		if e := s.table[i]; e == 0 || e&^mask == tag && bytes.Equal(s.key(int(e&mask-1)), k) {
-			return int(i)
-		}
-	}
+	keys          []value.Value   // ordered
+	table         *value.KeyTable // hash; nil in an ordered segment
 }
 
 // ordinal returns the ordinal of key, or -1. A hash segment reads only
-// the key's encoding enc and its hash h.
-func (s *segment) ordinal(key value.Value, enc []byte, h uint64) int {
+// the key's encoding enc.
+func (s *segment) ordinal(key value.Value, enc []byte) int {
 	if s.table != nil {
-		return int(s.table[s.slot(enc, h)]&uint32(len(s.table)-1)) - 1
+		return s.table.Find(enc)
 	}
 	if o, ok := slices.BinarySearchFunc(s.keys, key, value.Compare); ok {
 		return o
 	}
 	return -1
-}
-
-// intern returns the ordinal of the key encoded as k, adding it if new.
-// A new hash segment has a 2-slot table and encOff [0].
-func (s *segment) intern(k []byte) (int, bool) {
-	h := hash(k)
-	if o := s.ordinal(nil, k, h); o >= 0 {
-		return o, false
-	}
-	o := len(s.encOff) - 1
-	s.enc = append(s.enc, k...)
-	s.encOff = append(s.encOff, uint32(len(s.enc)))
-	if 3*len(s.table) < 4*(o+1) {
-		s.table = make([]uint32, 2*len(s.table))
-		for j := range o {
-			s.place(j, hash(s.key(j)))
-		}
-	}
-	s.place(o, h)
-	return o, true
-}
-
-// place files key o, absent from the table, in its first free slot.
-func (s *segment) place(o int, h uint64) {
-	s.table[s.slot(nil, h)] = uint32(h>>32)&^uint32(len(s.table)-1) | uint32(o+1)
 }
 
 // add appends the next key, whose positions are the runs in turn.
@@ -200,9 +150,9 @@ func (ix *Index) Slots() (keys, missing, null int) {
 			if s.table == nil {
 				key = s.keys[o]
 			} else {
-				enc = s.key(o)
+				enc = s.table.Key(o)
 			}
-			if !slices.ContainsFunc(ix.segs[:i], func(old *segment) bool { return old.ordinal(key, enc, hash(enc)) >= 0 }) {
+			if !slices.ContainsFunc(ix.segs[:i], func(old *segment) bool { return old.ordinal(key, enc) >= 0 }) {
 				keys++
 			}
 		}
@@ -272,11 +222,11 @@ func (ix *Index) Extended(src value.Value, elems []value.Value, gov *eval.Govern
 
 // newSegment indexes elems as the positions after ix's. It interns and
 // counts the keys, then lays the positions out; an ordered segment then
-// keeps the keys, sorted, in place of their encodings.
+// keeps the keys, sorted, in place of their table.
 //
 // governor: charged per element; the layout is sized by those elements.
 func (ix *Index) newSegment(elems []value.Value, gov *eval.Governor) (*segment, error) {
-	s := &segment{n: len(elems), off: []int32{0}, table: make([]uint32, 2), encOff: []uint32{0}}
+	s := &segment{n: len(elems), off: []int32{0}, table: new(value.KeyTable)}
 	ordered := ix.spec.Kind == Ordered
 	ords := make([]int32, len(elems)) // each element's key ordinal+1; 0 if absent
 	var reps []value.Value            // ordered: each key's first value
@@ -300,7 +250,7 @@ func (ix *Index) newSegment(elems []value.Value, gov *eval.Governor) (*segment, 
 			s.null = append(s.null, int32(ix.n+i))
 		default:
 			buf = value.AppendKey(buf[:0], key)
-			o, added := s.intern(buf)
+			o, added := s.table.Intern(buf)
 			if added {
 				s.off = append(s.off, 0) // counts key o's positions in off[o+1]
 				if ordered {
@@ -323,14 +273,14 @@ func (ix *Index) newSegment(elems []value.Value, gov *eval.Governor) (*segment, 
 		}
 	}
 	if !ordered {
-		s.off, s.enc, s.encOff = slices.Clone(s.off), slices.Clone(s.enc), slices.Clone(s.encOff)
+		s.off = slices.Clone(s.off)
+		s.table.Clip()
 		return s, nil
 	}
 	slices.SortFunc(reps, value.Compare)
 	t := &segment{n: s.n, pos: make([]int32, 0, len(s.pos)), off: make([]int32, 1, len(reps)+1), keys: slices.Clone(reps), missing: s.missing, null: s.null}
 	for _, k := range reps {
-		o, _ := s.intern(value.AppendKey(buf[:0], k))
-		t.add(s.run(o))
+		t.add(s.run(s.table.Find(value.AppendKey(buf[:0], k))))
 	}
 	return t, nil
 }
@@ -367,21 +317,27 @@ func merge(a, b *segment) *segment {
 		m.keys, m.off = slices.Clone(m.keys), slices.Clone(m.off)
 		return m
 	}
-	m.table, m.enc = slices.Clone(a.table), append(make([]byte, 0, len(a.enc)+len(b.enc)), a.enc...)
-	m.encOff = append(make([]uint32, 0, na+nb+1), a.encOff...)
+	// b's keys not in a are all of its keys less those a shares, and
+	// encode the same: m's table is cloned with room for exactly those.
+	newKeys, newBytes := nb, 0
+	for j := range nb {
+		newBytes += len(b.table.Key(j))
+	}
 	for o := range na {
 		var rb []int32
-		if j := b.ordinal(nil, a.key(o), hash(a.key(o))); j >= 0 {
+		if j := b.table.Find(a.table.Key(o)); j >= 0 {
 			rb = b.run(j)
+			newKeys, newBytes = newKeys-1, newBytes-len(b.table.Key(j))
 		}
 		m.add(a.run(o), rb)
 	}
+	m.table = a.table.Clone(newKeys, newBytes)
 	for j := range nb {
-		if _, added := m.intern(b.key(j)); added {
+		if _, added := m.table.Intern(b.table.Key(j)); added {
 			m.add(b.run(j))
 		}
 	}
-	m.enc, m.encOff, m.off = slices.Clone(m.enc), slices.Clone(m.encOff), slices.Clone(m.off)
+	m.off = slices.Clone(m.off)
 	return m
 }
 
@@ -393,14 +349,13 @@ func merge(a, b *segment) *segment {
 // governor:charged-at the caller's "index-probe" site (plan/indexscan.go).
 func (ix *Index) Lookup(key value.Value) []int32 {
 	var buf [64]byte
-	enc, h := []byte(nil), uint64(0)
+	var enc []byte
 	if ix.spec.Kind == Hash {
 		enc = value.AppendKey(buf[:0], key)
-		h = hash(enc)
 	}
 	var out []int32
 	for _, s := range ix.segs {
-		if o := s.ordinal(key, enc, h); o >= 0 && out == nil {
+		if o := s.ordinal(key, enc); o >= 0 && out == nil {
 			out = s.run(o)
 		} else if o >= 0 {
 			out = append(out, s.run(o)...)

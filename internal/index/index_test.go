@@ -519,45 +519,51 @@ func TestBytesPerRow(t *testing.T) {
 	}
 }
 
-// TestHashDirectoryCollisions: keys whose hashes agree in the low bits
-// share one probe sequence in a small table. Each must still find only
-// its own positions, a colliding absent key must find none, and the
-// merge that rebuilds the directory over both segments must too.
+// TestHashDirectoryCollisions: a hash segment's table, filled to three
+// quarters, has probe sequences that cross. Each key must still find only
+// its own positions, an absent key none, and the merge that clones one
+// segment's table and adds the other's keys must too. The table itself is
+// checked against a map, keys sharing a slot and a tag included, in
+// internal/value.
 func TestHashDirectoryCollisions(t *testing.T) {
-	var keys []value.Value // four keys on one slot of an 8-slot table
-	for i := 0; len(keys) < 4; i++ {
-		k := value.Int(int64(i))
-		if len(keys) == 0 || index.KeyHash(k)&7 == index.KeyHash(keys[0])&7 {
-			keys = append(keys, k)
-		}
-	}
+	const n = 96 // 96 keys fill a 128-slot table to three quarters
 	row := func(k value.Value) value.Value { return value.NewTuple(value.Field{Name: "k", Value: k}) }
-	elems := []value.Value{row(keys[0]), row(keys[1]), row(keys[2]), row(keys[1])}
-	ix := mustBuild(t, index.Spec{Name: "ix", Collection: "c", Path: []string{"k"}}, value.Bag(elems))
-	if got := index.TableSizes(ix); !slices.Equal(got, []int{4}) {
-		t.Fatalf("table sizes %v for 3 keys, want [4]", got)
-	}
-	for i, want := range [][]int32{{0}, {1, 3}, {2}, nil} {
-		if got := ix.Lookup(keys[i]); !positionsEqual(got, want) {
-			t.Errorf("Lookup(%s) = %v, want %v", keys[i], got, want)
+	var elems, probes []value.Value
+	for i := range 2 * n {
+		probes = append(probes, value.Int(int64(i)))
+		if i < n {
+			elems = append(elems, row(value.Int(int64(i))))
 		}
 	}
-	add := []value.Value{row(keys[3]), row(value.Float(float64(keys[0].(value.Int)))), row(keys[3]), row(keys[2])}
+	ix := mustBuild(t, index.Spec{Name: "ix", Collection: "c", Path: []string{"k"}}, value.Bag(elems))
+	for i, k := range probes {
+		var want []int32
+		if i < n {
+			want = []int32{int32(i)}
+		}
+		if got := ix.Lookup(k); !positionsEqual(got, want) {
+			t.Fatalf("Lookup(%s) = %v, want %v", k, got, want)
+		}
+	}
+	// Half the appended keys are a's (every third as a Float), half new.
+	var add []value.Value
+	for i := n / 2; i < n+n/2; i++ {
+		var k value.Value = value.Int(int64(i))
+		if i%3 == 0 {
+			k = value.Float(float64(i))
+		}
+		add = append(add, row(k), row(value.Int(int64(i))))
+	}
 	elems = append(elems, add...)
 	ix, err := ix.Extended(value.Bag(elems), add, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := index.TableSizes(ix); !slices.Equal(got, []int{8}) {
-		t.Fatalf("table sizes %v after merging to 4 keys, want [8]", got)
+	if got := index.SegmentSizes(ix); len(got) != 1 {
+		t.Fatalf("segments %v, want one merged segment", got)
 	}
-	for i, want := range [][]int32{{0, 5}, {1, 3}, {2, 7}, {4, 6}} {
-		if got := ix.Lookup(keys[i]); !positionsEqual(got, want) {
-			t.Errorf("after merge, Lookup(%s) = %v, want %v", keys[i], got, want)
-		}
+	if k, _, _ := ix.Slots(); k != n+n/2 {
+		t.Errorf("distinct keys %d, want %d", k, n+n/2)
 	}
-	if k, _, _ := ix.Slots(); k != 4 {
-		t.Errorf("distinct keys %d, want 4", k)
-	}
-	agreeWithFresh(t, ix, value.Bag(elems), keys)
+	agreeWithFresh(t, ix, value.Bag(elems), probes)
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"sqlpp/internal/ast"
@@ -682,14 +683,20 @@ func newGrouper(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledExpr, 
 // contributes its block variables as one content tuple; groups key on
 // the canonical encoding of their key values, so NULL and MISSING each
 // group on their own (coalesced in SQL compatibility mode), and 1
-// groups with 1.0.
+// groups with 1.0. Group o is ordinal o of table, numbered in
+// first-appearance order, with key values keyVals[o] and content
+// content[o].
 type groupState struct {
 	ctx     *eval.Context
 	outer   *eval.Env
 	spec    *ast.GroupBy
-	order   []string // insertion order of group keys
-	keyVals map[string][]value.Value
-	content map[string]value.Bag
+	table   value.KeyTable
+	keyVals [][]value.Value
+	content []value.Bag
+	// keyBuf and rowKeys are reused across rows: a row allocates key
+	// values only when it opens a group.
+	keyBuf  []byte
+	rowKeys []value.Value
 	// keysC evaluate the grouping keys.
 	keysC []eval.CompiledExpr
 	// ops counts the rows grouped and the groups flushed.
@@ -697,31 +704,27 @@ type groupState struct {
 }
 
 func newGroupState(ctx *eval.Context, spec *ast.GroupBy, keys []eval.CompiledExpr) *groupState {
-	return &groupState{
-		ctx:     ctx,
-		spec:    spec,
-		keysC:   keys,
-		keyVals: map[string][]value.Value{},
-		content: map[string]value.Bag{},
-	}
+	return &groupState{ctx: ctx, spec: spec, keysC: keys, rowKeys: make([]value.Value, len(keys))}
 }
 
 func (g *groupState) counts() *eval.Rows { return &g.ops }
 
-func (g *groupState) groups() int { return len(g.order) }
+func (g *groupState) groups() int { return len(g.content) }
 
 // reset drops the groups of the last invocation; their key slices and
 // content bags went out with its bindings and are never reused.
 func (g *groupState) reset(outer *eval.Env) {
-	g.outer, g.order = outer, g.order[:0]
+	g.outer = outer
+	g.table.Reset()
 	clear(g.keyVals)
 	clear(g.content)
+	g.keyVals, g.content = g.keyVals[:0], g.content[:0]
 	// The implicit single group of aggregate-only queries exists even
-	// for empty input (SELECT AVG(x) over nothing yields one NULL row).
+	// for empty input (SELECT AVG(x) over nothing yields one NULL row):
+	// it is ordinal 0, the empty encoding of no keys.
 	if len(g.spec.Keys) == 0 {
-		g.order = append(g.order, "")
-		g.keyVals[""] = nil
-		g.content[""] = nil
+		g.table.Intern(nil)
+		g.keyVals, g.content = append(g.keyVals, nil), append(g.content, nil)
 	}
 }
 
@@ -731,20 +734,19 @@ func (g *groupState) add(env *eval.Env) error {
 		return err
 	}
 	g.ops.In++
-	keys := make([]value.Value, len(g.spec.Keys))
-	kb, err := groupKey(g.ctx, env, g.keysC, keys, nil)
+	kb, err := groupKey(g.ctx, env, g.keysC, g.rowKeys, g.keyBuf)
 	if err != nil {
 		return err
 	}
-	ks := string(kb)
-	if have, ok := g.keyVals[ks]; !ok {
-		g.order = append(g.order, ks)
-		g.keyVals[ks] = keys
+	g.keyBuf = kb
+	o, isNew := g.table.Intern(kb)
+	if isNew {
+		g.keyVals, g.content = append(g.keyVals, slices.Clone(g.rowKeys)), append(g.content, nil)
 	} else if g.ctx.Compat {
-		mergeCompatKeys(have, keys)
+		mergeCompatKeys(g.keyVals[o], g.rowKeys)
 	}
 	snap := env.SnapshotBelow(g.outer)
-	g.content[ks] = append(g.content[ks], snap)
+	g.content[o] = append(g.content[o], snap)
 	if g.ctx.Gov != nil {
 		return g.ctx.Gov.ChargeValues("group-by", 1, snap)
 	}
@@ -790,14 +792,13 @@ func mergeCompatKeys(have, incoming []value.Value) {
 // flush emits one binding per group: the key aliases plus the GROUP AS
 // collection (Listing 14's p/g bindings).
 func (g *groupState) flush(k emit) error {
-	for _, ks := range g.order {
+	for o, bag := range g.content {
 		g.ops.Out++
 		env := g.outer.Child()
 		for i, key := range g.spec.Keys {
-			env.Bind(ast.KeyAlias(key, i), g.keyVals[ks][i])
+			env.Bind(ast.KeyAlias(key, i), g.keyVals[o][i])
 		}
 		if g.spec.GroupAs != "" {
-			bag := g.content[ks]
 			if bag == nil {
 				bag = value.Bag{}
 			}

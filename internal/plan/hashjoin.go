@@ -19,10 +19,10 @@ import (
 //
 // Every build row binds the same variables, so the table is flat: the
 // names once, each row's values in one shared slice, and each key's rows
-// chained through an index slice. The keys are numbered by a keyTable,
-// the streamed GROUP BY's table. Its slices are presized from the
-// source, whose row count bounds the keys too (up to buildKeyReserve),
-// so a build allocates per table, not per row or per key.
+// chained through an index slice. The keys are numbered by a
+// value.KeyTable. Its slices are presized from the source, whose row
+// count bounds the keys too (up to buildKeyReserve), so a build
+// allocates per table, not per row or per key.
 
 // hashTable is a hash join's build side. Row r binds names[j] to
 // vals[r*w+j], w = len(names). keys numbers the distinct key encodings;
@@ -36,7 +36,7 @@ type hashTable struct {
 	// when the chain is not reordered.
 	seq    []int64
 	next   []int32
-	keys   keyTable
+	keys   value.KeyTable
 	chains []int32
 	// scan counts the build side's scan: the rows it bound, absent keys
 	// included.
@@ -104,7 +104,7 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep, keepSeq
 			t.seq = append(t.seq, mySeq)
 		}
 		// next holds each row's key ordinal until the scan ends.
-		o, _ := t.keys.intern(kb)
+		o, _ := t.keys.Intern(kb)
 		t.next = append(t.next, int32(o))
 		return nil
 	}
@@ -118,13 +118,13 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep, keepSeq
 		t.seq = make([]int64, 0, n)
 	}
 	t.next = make([]int32, 0, n)
-	t.keys.reserve(min(n, buildKeyReserve))
+	t.keys.Reserve(min(n, buildKeyReserve))
 	if err := scanValue(ctx, outer, x, src, outer.Child(), &t.scan, k); err != nil {
 		return nil, err
 	}
 	// Chain each key's rows, walking them last to first so that every
 	// chain runs in source order.
-	t.chains = make([]int32, t.keys.size())
+	t.chains = make([]int32, t.keys.Len())
 	for o := range t.chains {
 		t.chains[o] = -1
 	}
@@ -135,9 +135,9 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep, keepSeq
 	return t, nil
 }
 
-// buildKeyReserve bounds the keys a build presizes its keyTable for. Its
-// rows bound its keys, but a large build over few keys would then zero
-// slots for every row; past the bound the table grows by doubling.
+// buildKeyReserve bounds the keys a build presizes its key table for.
+// Its rows bound its keys, but a large build over few keys would then
+// zero slots for every row; past the bound the table grows by doubling.
 const buildKeyReserve = 1024
 
 // buildCap is the row capacity a build over src presizes to: the
@@ -205,7 +205,7 @@ func (c *chain) probeFor(i int, h *hashJoinStep) emit {
 		}
 		r := int32(-1)
 		if !absent {
-			if o := tbl.keys.find(kb); o >= 0 {
+			if o := tbl.keys.Find(kb); o >= 0 {
 				r = tbl.chains[o]
 			}
 		}

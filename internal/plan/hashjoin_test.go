@@ -204,7 +204,7 @@ func TestHashBuildAllocatesPerTable(t *testing.T) {
 }
 
 // TestHashBuildAllocatesPerKeyTable: the build numbers its keys in a
-// keyTable presized for up to buildKeyReserve keys, whose encodings grow
+// value.KeyTable presized for up to buildKeyReserve keys, whose encodings grow
 // by doubling, and threads its chains once the scan ends, so a build over
 // 10,000 rows with 1,000 distinct keys allocates a few dozen times, not
 // once or more per key as a map of key strings did.

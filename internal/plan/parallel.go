@@ -68,7 +68,6 @@ func (r *blockRun) scanParallel() error {
 		if r.grp == nil {
 			wr.sink.take()
 		}
-		wr.sink.keepKeys = r.q.Select.Distinct
 		runs[w] = wr
 		wg.Add(1)
 		go func() {
@@ -160,16 +159,15 @@ func foldRuns(ctx *eval.Context, runs []any) {
 // was charged when its worker grouped it.
 func (g *groupState) merge(other grouper) {
 	w := other.(*groupState)
-	for _, ks := range w.order {
-		if _, ok := g.content[ks]; !ok {
-			g.order = append(g.order, ks)
-			g.keyVals[ks] = w.keyVals[ks]
-			g.content[ks] = w.content[ks]
-		} else {
-			if g.ctx.Compat {
-				mergeCompatKeys(g.keyVals[ks], w.keyVals[ks])
-			}
-			g.content[ks] = append(g.content[ks], w.content[ks]...)
+	for wo, bag := range w.content {
+		o, isNew := g.table.Intern(w.table.Key(wo))
+		if isNew {
+			g.keyVals, g.content = append(g.keyVals, w.keyVals[wo]), append(g.content, bag)
+			continue
 		}
+		if g.ctx.Compat {
+			mergeCompatKeys(g.keyVals[o], w.keyVals[wo])
+		}
+		g.content[o] = append(g.content[o], bag...)
 	}
 }

@@ -134,15 +134,12 @@ type rowSink struct {
 	// (no ORDER BY, DISTINCT, GROUP BY, or windows); -1 otherwise.
 	stopAt int64
 	out    []value.Value
-	// keys hold one string per row of out: its canonical DISTINCT key,
-	// kept only for parallel workers (keepKeys) so the merge can
-	// re-deduplicate globally, or, in a PIVOT block's sink, its
-	// attribute name.
+	// keys hold a PIVOT block's attribute names, one per row of out.
 	keys []string
 	// ordered marks an ORDER BY block's sink, parked the sink of a run
 	// state an invocation has reused, and late projection deferred
 	// behind the top-K heap (see projectTopK).
-	ordered, keepKeys, parked, late bool
+	ordered, parked, late bool
 	// orderKeys are the ORDER BY keys of the full-sort buffer, one flat
 	// slice beside out: row r's w keys are orderKeys[r*w:(r+1)*w]. perm
 	// is the sorted order of out's rows.
@@ -156,9 +153,12 @@ type rowSink struct {
 	top *topKHeap
 	// rowKeys receives the ORDER BY keys of the row on offer.
 	rowKeys []value.Value
-	seen    map[string]bool
-	keyBuf  []byte
-	seq     int
+	// seen numbers a DISTINCT sink's keys kept so far. An unordered sink
+	// keeps each row it numbers, so row j of a parallel worker's out is
+	// key j of its seen, which the merge re-deduplicates by.
+	seen   *value.KeyTable
+	keyBuf []byte
+	seq    int
 	// gov is the resolved resource governor, nil when ungoverned: it is
 	// resolved once so project() pays a nil test.
 	gov *eval.Governor
@@ -212,7 +212,9 @@ func (s *rowSink) release() {
 // A full-sort ORDER BY sink takes its buffers from the pool.
 func (s *rowSink) reset(limit, offset int64) {
 	s.out, s.keys, s.orderKeys = s.out[:0], s.keys[:0], s.orderKeys[:0]
-	clear(s.seen)
+	if s.seen != nil {
+		s.seen.Reset()
+	}
 	s.seq, s.stopAt, s.late = 0, -1, false
 	q := s.q
 	if s.ordered && limit < 0 && q.Select.PivotAt == nil {
@@ -322,23 +324,18 @@ func (s *rowSink) project(env *eval.Env) error {
 		}
 		v = value.Null
 	}
-	var rowKey string
 	if s.q.Select.Distinct {
 		s.distinct.In++
 		s.keyBuf = value.AppendKey(s.keyBuf[:0], v)
-		if s.seen[string(s.keyBuf)] {
+		if _, isNew := s.seen.Intern(s.keyBuf); !isNew {
 			return nil
 		}
-		rowKey = string(s.keyBuf)
-		s.seen[rowKey] = true
 		if s.gov != nil {
 			if err := s.gov.ChargeValues("distinct", 1, nil); err != nil {
 				return err
 			}
 		}
-		if !s.keepKeys {
-			s.distinct.Out++
-		}
+		s.distinct.Out++
 	}
 	if s.ordered {
 		// The ORDER BY buffer is a materialization point: poll for
@@ -372,9 +369,6 @@ func (s *rowSink) project(env *eval.Env) error {
 		return nil
 	}
 	s.out = append(s.out, v)
-	if s.keepKeys {
-		s.keys = append(s.keys, rowKey)
-	}
 	if s.gov != nil {
 		if err := s.gov.ChargeOutput("select", 1, v); err != nil {
 			return err
@@ -420,20 +414,24 @@ func (s *rowSink) projectTopK(env *eval.Env) error {
 }
 
 // merge appends a parallel worker's rows, the next chunk in scan order,
-// re-deduplicating DISTINCT rows by their kept keys; a PIVOT's pairs
-// concatenate like rows.
+// re-deduplicating DISTINCT rows by the worker's keys; a PIVOT's pairs
+// concatenate like rows. A worker's DISTINCT counted the rows it kept,
+// and w's counts are folded into s's before the merge: the rows out are
+// the rows the merge keeps instead.
 //
 // governor:charged-at each worker's project/pivot.
 func (s *rowSink) merge(w *rowSink) error {
+	if s.seen != nil {
+		s.distinct.Out -= int64(len(w.out))
+	}
 	for j, v := range w.out {
 		if s.seen != nil {
 			if err := s.ctx.Interrupted(); err != nil {
 				return err
 			}
-			if s.seen[w.keys[j]] {
+			if _, isNew := s.seen.Intern(w.seen.Key(j)); !isNew {
 				continue
 			}
-			s.seen[w.keys[j]] = true
 			s.distinct.Out++
 		}
 		s.out = append(s.out, v)
@@ -593,7 +591,7 @@ func newBlockRun(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, st *physState) *b
 	r.fromRowFn = r.fromRow
 	r.sink = rowSink{ctx: ctx, q: q, ex: r.ex, ordered: len(q.OrderBy) > 0, gov: ctx.Gov, rowKeys: make([]value.Value, len(r.ex.order))}
 	if q.Select.Distinct {
-		r.sink.seen = map[string]bool{}
+		r.sink.seen = new(value.KeyTable)
 	}
 	if q.GroupBy != nil {
 		r.grp = newGrouper(ctx, q.GroupBy, r.ex.group, phys)

@@ -349,7 +349,7 @@ type streamGroup struct {
 	reuse bool
 	frame *eval.Env
 	n     int // groups
-	table keyTable
+	table value.KeyTable
 	keys  []value.Value
 	accs  []eval.Accumulator
 	// errs[o*ns+i] is the first error evaluating slot i's cond or arg in
@@ -396,7 +396,7 @@ func (g *streamGroup) groups() int { return g.n }
 func (g *streamGroup) reset(outer *eval.Env) {
 	g.outer = outer
 	g.n = 0
-	g.table.reset()
+	g.table.Reset()
 	clear(g.keys)
 	clear(g.accs)
 	clear(g.errs)
@@ -462,7 +462,7 @@ func (g *streamGroup) add(env *eval.Env) error {
 		}
 		g.keyBuf = kb
 		var isNew bool
-		if o, isNew = g.table.intern(kb); isNew {
+		if o, isNew = g.table.Intern(kb); isNew {
 			g.open(g.keyVals, nil)
 			// A group retains its keys and accumulators, whatever the
 			// number of rows folded into it: charged once, here.
@@ -600,7 +600,7 @@ func (g *streamGroup) merge(other grouper) {
 	for wo := range w.n {
 		o, isNew := 0, false
 		if len(g.keysC) > 0 {
-			o, isNew = g.table.intern(w.table.key(wo))
+			o, isNew = g.table.Intern(w.table.Key(wo))
 		}
 		if isNew {
 			g.open(w.keysOf(wo), w.accs[wo*ns:(wo+1)*ns])

@@ -25,11 +25,14 @@ import (
 // charges every env before it reaches here; partitioning only
 // redistributes those charged rows.
 func computeWindows(ctx *eval.Context, windows []ast.NamedWindow, exs []windowExprs, envs []*eval.Env) error {
+	var keys value.KeyTable
+	var kb []byte
 	for i := range windows {
-		partitions := map[string][]*eval.Env{}
-		var order []string
+		// Partition o is ordinal o of keys, numbered in first-seen order.
+		keys.Reset()
+		var partitions [][]*eval.Env
 		for _, env := range envs {
-			var kb []byte
+			kb = kb[:0]
 			for _, pe := range exs[i].partition {
 				v, err := pe(ctx, env)
 				if err != nil {
@@ -37,14 +40,14 @@ func computeWindows(ctx *eval.Context, windows []ast.NamedWindow, exs []windowEx
 				}
 				kb = value.AppendKey(kb, v)
 			}
-			ks := string(kb)
-			if _, ok := partitions[ks]; !ok {
-				order = append(order, ks)
+			o, isNew := keys.Intern(kb)
+			if isNew {
+				partitions = append(partitions, nil)
 			}
-			partitions[ks] = append(partitions[ks], env)
+			partitions[o] = append(partitions[o], env)
 		}
-		for _, ks := range order {
-			if err := computePartition(ctx, &windows[i], &exs[i], partitions[ks]); err != nil {
+		for _, part := range partitions {
+			if err := computePartition(ctx, &windows[i], &exs[i], part); err != nil {
 				return err
 			}
 		}
