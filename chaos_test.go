@@ -331,10 +331,7 @@ func paperRuns() []struct {
 		compat bool
 	}
 	for _, c := range compat.PaperCases() {
-		for _, flag := range []bool{false, true} {
-			if (c.Mode == compat.Core && flag) || (c.Mode == compat.Compat && !flag) {
-				continue
-			}
+		for _, flag := range c.Modes() {
 			runs = append(runs, struct {
 				c      *compat.Case
 				compat bool
@@ -355,8 +352,8 @@ func TestChaosServerPaperBattery(t *testing.T) {
 
 	db := sqlpp.New(nil)
 	for _, r := range paperRuns() {
-		for name, src := range r.c.Data {
-			if err := db.RegisterSION(name, src); err != nil {
+		for name, v := range r.c.Data {
+			if err := db.Register(name, v); err != nil {
 				t.Fatal(err)
 			}
 		}

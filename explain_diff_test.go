@@ -85,16 +85,10 @@ func TestInstrumentationInertProperty(t *testing.T) {
 // mode the listing declares. Error behavior must agree too.
 func TestPaperListingsUnchangedByInstrumentation(t *testing.T) {
 	for _, c := range compat.PaperCases() {
-		for _, compatMode := range []bool{false, true} {
-			if c.Mode == compat.Core && compatMode {
-				continue
-			}
-			if c.Mode == compat.Compat && !compatMode {
-				continue
-			}
+		for _, compatMode := range c.Modes() {
 			db := sqlpp.New(&sqlpp.Options{Compat: compatMode, StopOnError: c.Strict})
-			for name, src := range c.Data {
-				if err := db.RegisterSION(name, src); err != nil {
+			for name, v := range c.Data {
+				if err := db.Register(name, v); err != nil {
 					t.Fatalf("%s: register %s: %v", c.Name, name, err)
 				}
 			}

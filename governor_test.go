@@ -242,21 +242,11 @@ var generousLimits = Limits{
 // governance observes, it never changes semantics.
 func TestPaperListingsUnderGovernor(t *testing.T) {
 	for _, c := range compat.PaperCases() {
-		for _, compatFlag := range []bool{false, true} {
-			switch c.Mode {
-			case compat.Core:
-				if compatFlag {
-					continue
-				}
-			case compat.Compat:
-				if !compatFlag {
-					continue
-				}
-			}
+		for _, compatFlag := range c.Modes() {
 			run := func(lim Limits) (value.Value, error) {
 				db := New(&Options{Compat: compatFlag, StopOnError: c.Strict, Limits: lim})
-				for name, src := range c.Data {
-					if err := db.RegisterSION(name, src); err != nil {
+				for name, v := range c.Data {
+					if err := db.Register(name, v); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -5,6 +5,8 @@ import (
 	"encoding/csv"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -159,7 +161,20 @@ func TestCSVErrors(t *testing.T) {
 // from bytes a client chose. The parser must not panic, must not allocate
 // out of proportion to its input, must reject with a *SyntaxError inside
 // it, and must read back what value.String writes of what it accepts.
+// The conformance kit's files, the largest hand-written documents in the
+// notation, seed it too.
 func FuzzDecodeSION(f *testing.F) {
+	kit, err := filepath.Glob("../compat/testdata/kit/*.sion")
+	if err != nil || len(kit) == 0 {
+		f.Fatalf("no conformance kit files: %v", err)
+	}
+	for _, name := range kit {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(src)
+	}
 	for _, seed := range []string{
 		`{{ {'id': 3, 'name': 'Bob Smith', 'projects': ['OLAP Security']} }}`,
 		`<< 1, 'it''s', x'00ff', [true, FALSE, Null, missing, NaN] >>`,

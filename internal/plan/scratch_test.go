@@ -124,6 +124,19 @@ func TestDistinctAllocatesNothingPerKey(t *testing.T) {
 	}
 }
 
+// TestDistinctFreshRunAllocations: every execution of a prepared query
+// runs in a fresh run state, whose DISTINCT sink starts a key table. Grown
+// from empty, the table reallocated its slots and offsets at every
+// doubling: 27 allocations an execution of a 3,000-row SELECT DISTINCT
+// keeping 7 keys, against 25 when the sink kept a map of strings. The
+// sink reserves a few keys, and it makes 22.
+func TestDistinctFreshRunAllocations(t *testing.T) {
+	run := scratchRun(t, 3000, `SELECT DISTINCT VALUE x.a FROM t AS x`, 1, 7)
+	if allocs := testing.AllocsPerRun(20, func() { run() }); allocs > 25 {
+		t.Errorf("a fresh run of a DISTINCT keeping 7 keys allocates %v times, want at most 25", allocs)
+	}
+}
+
 // pooledScratchClean takes scratch from the pool until it has seen n and
 // fails t if any holds a value anywhere up to its capacity.
 func pooledScratchClean(t *testing.T, n int) {

@@ -12,11 +12,30 @@ import (
 	"time"
 
 	"sqlpp"
-	"sqlpp/internal/compat"
 	"sqlpp/internal/server"
 	"sqlpp/internal/sion"
 	"sqlpp/internal/value"
 )
+
+// empNestTuples is the paper's Listing 1.
+const empNestTuples = `{{
+  {'id': 3, 'name': 'Bob Smith', 'title': null,
+   'projects': [{'name': 'Serverless Query'},
+                {'name': 'OLAP Security'},
+                {'name': 'OLTP Security'}]},
+  {'id': 4, 'name': 'Susan Smith', 'title': 'Manager', 'projects': []},
+  {'id': 6, 'name': 'Jane Smith', 'title': 'Engineer',
+   'projects': [{'name': 'OLTP Security'}]}
+}}`
+
+// empFlat is an hr.emp with the columns §V-C names.
+const empFlat = `{{
+  {'name': 'Alice', 'deptno': 1, 'title': 'Engineer', 'salary': 100000},
+  {'name': 'Bob',   'deptno': 1, 'title': 'Engineer', 'salary': 90000},
+  {'name': 'Clara', 'deptno': 2, 'title': 'Engineer', 'salary': 110000},
+  {'name': 'Dan',   'deptno': 2, 'title': 'Manager',  'salary': 150000},
+  {'name': 'Eve',   'deptno': 3, 'title': 'Manager',  'salary': 160000}
+}}`
 
 // newTestServer starts the service on an ephemeral port.
 func newTestServer(t *testing.T, opts *sqlpp.Options, cfg server.Config) (*server.Server, *httptest.Server) {
@@ -87,7 +106,7 @@ func TestQueryEndToEnd(t *testing.T) {
 	svc, ts := newTestServer(t, nil, server.Config{})
 
 	// Listing 1 data, over the wire in the paper's notation.
-	ingest(t, ts.URL, "hr.emp_nest_tuples", "sion", compat.EmpNestTuples)
+	ingest(t, ts.URL, "hr.emp_nest_tuples", "sion", empNestTuples)
 
 	req := `{"query": "SELECT e.name AS emp_name, p.name AS proj_name FROM hr.emp_nest_tuples AS e, e.projects AS p WHERE p.name LIKE '%Security%'", "format": "sion"}`
 	want := sion.MustParse(`{{
@@ -248,7 +267,7 @@ func TestIngestPurgesPlanCache(t *testing.T) {
 // including nested JSON parameter values.
 func TestQueryParams(t *testing.T) {
 	_, ts := newTestServer(t, nil, server.Config{})
-	ingest(t, ts.URL, "emp", "sion", compat.EmpFlat)
+	ingest(t, ts.URL, "emp", "sion", empFlat)
 
 	req := `{"query": "SELECT VALUE e.name FROM emp AS e WHERE e.salary >= $min AND e.title = $title", "params": {"$min": 110000, "$title": "Engineer"}, "format": "sion"}`
 	status, reply := postQuery(t, ts.URL, req)
@@ -333,7 +352,7 @@ func TestRetiredOptionsIgnored(t *testing.T) {
 // Prepared soundness check.
 func TestConcurrentQueries(t *testing.T) {
 	_, ts := newTestServer(t, nil, server.Config{MaxConcurrent: 4})
-	ingest(t, ts.URL, "emp", "sion", compat.EmpFlat)
+	ingest(t, ts.URL, "emp", "sion", empFlat)
 
 	req := `{"query": "SELECT VALUE e.name FROM emp AS e WHERE e.salary > 100000", "format": "sion"}`
 	want := sion.MustParse(`{{ 'Clara', 'Dan', 'Eve' }}`)

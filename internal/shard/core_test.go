@@ -6,6 +6,7 @@ import (
 	"sqlpp"
 	"sqlpp/internal/ast"
 	"sqlpp/internal/compat"
+	"sqlpp/internal/value"
 )
 
 // TestCoreIsAFixpoint: Core is a language. The splitter sends its shard
@@ -19,7 +20,7 @@ import (
 func TestCoreIsAFixpoint(t *testing.T) {
 	type fixCase struct {
 		name   string
-		data   map[string]string
+		data   map[string]value.Value
 		query  string
 		strict bool
 	}
@@ -28,14 +29,14 @@ func TestCoreIsAFixpoint(t *testing.T) {
 		cases = append(cases, fixCase{c.Name, c.Data, c.Query, c.Strict})
 	}
 	for _, q := range propertyQueries {
-		cases = append(cases, fixCase{"property", map[string]string{"data": fuzzCatalog}, q, false})
+		cases = append(cases, fixCase{"property", map[string]value.Value{"data": sqlpp.MustParseValue(fuzzCatalog)}, q, false})
 	}
 	checked := 0
 	for _, c := range cases {
 		for _, compatMode := range []bool{false, true} {
 			eng := sqlpp.New(&sqlpp.Options{Compat: compatMode, StopOnError: c.strict})
-			for name, src := range c.data {
-				if err := eng.RegisterSION(name, src); err != nil {
+			for name, v := range c.data {
+				if err := eng.Register(name, v); err != nil {
 					t.Fatalf("%s: %v", c.name, err)
 				}
 			}

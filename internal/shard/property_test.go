@@ -229,21 +229,11 @@ func TestPaperListingsUnchangedBySharding(t *testing.T) {
 		t.Fatalf("suite has %d cases, fewer than the paper listings", len(cases))
 	}
 	for _, c := range cases {
-		for _, compatMode := range []bool{false, true} {
-			if c.Mode == compat.Core && compatMode {
-				continue
-			}
-			if c.Mode == compat.Compat && !compatMode {
-				continue
-			}
+		for _, compatMode := range c.Modes() {
 			opts := &sqlpp.Options{Compat: compatMode, StopOnError: c.Strict}
 			single := sqlpp.New(opts)
 			co := NewLocalCluster(3, opts, Policy{})
-			for name, src := range c.Data {
-				v, err := sqlpp.ParseValue(src)
-				if err != nil {
-					t.Fatalf("%s: data %s: %v", c.Name, name, err)
-				}
+			for name, v := range c.Data {
 				if err := single.Register(name, v); err != nil {
 					t.Fatalf("%s: %v", c.Name, err)
 				}

@@ -74,8 +74,8 @@ func TestProductionNeverInterprets(t *testing.T) {
 			for _, strict := range []bool{false, true} {
 				for _, useOracle := range []bool{false, true} {
 					db := sqlpp.New(&sqlpp.Options{Compat: compatMode, StopOnError: strict, DisableOptimizer: useOracle})
-					for name, src := range c.Data {
-						if err := db.RegisterSION(name, src); err != nil {
+					for name, v := range c.Data {
+						if err := db.Register(name, v); err != nil {
 							t.Fatalf("register %s: %v", name, err)
 						}
 					}

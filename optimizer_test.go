@@ -6,17 +6,17 @@ package sqlpp_test
 // a closure) must render byte-identically to the reference oracle — the
 // DisableOptimizer engine, which has no physical plan and runs the naive
 // clause pipeline through the tree-walking interpreter. These tests check
-// it over a generated corpus and over every paper listing.
+// it over a generated corpus and over every case of the conformance kit.
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"sqlpp"
 	"sqlpp/internal/compat"
-	"sqlpp/internal/sion"
 	"sqlpp/internal/value"
 )
 
@@ -206,19 +206,26 @@ func TestIndexedProductionMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestPaperListingsProductionMatchesOracle: every paper listing, in both
-// typing modes, with and without SQL compatibility, gives the same
-// rendering or the same error text on the production path and on the
-// oracle; in the modes the listing declares, that answer is the paper's.
+// TestPaperListingsProductionMatchesOracle replays the conformance kit,
+// the paper's listings among it: every case, in both typing modes, with
+// and without SQL compatibility, gives the same rendering or the same
+// error text on the production path, the template path and the oracle;
+// in the modes the case declares, that answer is the kit's.
 func TestPaperListingsProductionMatchesOracle(t *testing.T) {
-	for _, c := range compat.PaperCases() {
+	cases := compat.Suite()
+	for _, suite := range []string{"paper/", "sqlcompat/", "nullmissing/", "semantics/", "ext/"} {
+		if !slices.ContainsFunc(cases, func(c *compat.Case) bool { return strings.HasPrefix(c.Name, suite) }) {
+			t.Fatalf("the kit has no %s case", suite)
+		}
+	}
+	for _, c := range cases {
 		for _, compatMode := range []bool{false, true} {
 			for _, strict := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/compat=%v/strict=%v", c.Name, compatMode, strict), func(t *testing.T) {
 					engine := func(oracle bool) *sqlpp.Engine {
 						db := sqlpp.New(&sqlpp.Options{Compat: compatMode, StopOnError: strict, DisableOptimizer: oracle})
-						for name, src := range c.Data {
-							if err := db.RegisterSION(name, src); err != nil {
+						for name, v := range c.Data {
+							if err := db.Register(name, v); err != nil {
 								t.Fatalf("register %s: %v", name, err)
 							}
 						}
@@ -228,30 +235,26 @@ func TestPaperListingsProductionMatchesOracle(t *testing.T) {
 					ov, oerr := run(true)
 					pv, perr := run(false)
 					if want, got := outcome(ov, oerr), outcome(pv, perr); got != want {
-						t.Fatalf("listing diverges:\n  oracle     %s\n  production %s", want, got)
+						t.Fatalf("case diverges:\n  oracle     %s\n  production %s", want, got)
 					}
 					tv, _, terr := queryTemplated(engine(false), c.Query)
 					if want, got := outcome(ov, oerr), outcome(tv, terr); got != want {
-						t.Fatalf("listing diverges on the template path:\n  oracle     %s\n  production %s", want, got)
+						t.Fatalf("case diverges on the template path:\n  oracle     %s\n  production %s", want, got)
 					}
-					declared := strict == c.Strict &&
-						(c.Mode == compat.Both || compatMode == (c.Mode == compat.Compat))
-					if !declared {
+					if strict != c.Strict || !slices.Contains(c.Modes(), compatMode) {
 						return
 					}
 					if c.ExpectError {
 						if perr == nil {
-							t.Fatalf("listing succeeded, the paper expects an error: %s", pv)
+							t.Fatalf("case succeeded, the kit expects an error: %s", pv)
 						}
 						return
 					}
 					if perr != nil {
-						t.Fatalf("listing failed: %v", perr)
+						t.Fatalf("case failed: %v", perr)
 					}
-					if c.Expect != "" {
-						if want := sion.MustParse(c.Expect); !value.Equivalent(want, pv) {
-							t.Fatalf("result diverges from the paper:\n  got  %s\n  want %s", pv, want)
-						}
+					if !value.Equivalent(c.Expect, pv) {
+						t.Fatalf("result diverges from the kit:\n  got  %s\n  want %s", pv, c.Expect)
 					}
 				})
 			}

@@ -34,8 +34,8 @@ import (
 func semaEngine(t *testing.T, c *compat.Case, compatMode bool) *sqlpp.Engine {
 	t.Helper()
 	db := sqlpp.New(&sqlpp.Options{Compat: compatMode, StopOnError: c.Strict})
-	for name, src := range c.Data {
-		if err := db.RegisterSION(name, src); err != nil {
+	for name, v := range c.Data {
+		if err := db.Register(name, v); err != nil {
 			t.Fatalf("%s: register %s: %v", c.Name, name, err)
 		}
 		if _, err := db.InferSchema(name); err != nil {
@@ -45,20 +45,9 @@ func semaEngine(t *testing.T, c *compat.Case, compatMode bool) *sqlpp.Engine {
 	return db
 }
 
-func caseModes(c *compat.Case) []bool {
-	switch c.Mode {
-	case compat.Core:
-		return []bool{false}
-	case compat.Compat:
-		return []bool{true}
-	default:
-		return []bool{false, true}
-	}
-}
-
 func TestSemaAgreesWithRuntime(t *testing.T) {
 	for _, c := range compat.Suite() {
-		for _, compatMode := range caseModes(c) {
+		for _, compatMode := range c.Modes() {
 			db := semaEngine(t, c, compatMode)
 			p, err := db.Prepare(c.Query)
 			if err != nil {
@@ -99,7 +88,7 @@ func TestPaperListingsVetClean(t *testing.T) {
 		if c.ExpectError {
 			continue
 		}
-		for _, compatMode := range caseModes(c) {
+		for _, compatMode := range c.Modes() {
 			db := semaEngine(t, c, compatMode)
 			p, err := db.Prepare(c.Query)
 			if err != nil {
