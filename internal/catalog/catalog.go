@@ -9,7 +9,6 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -249,25 +248,6 @@ func (c *Catalog) Names() []string {
 	defer c.mu.RUnlock()
 	out := make([]string, 0, len(c.named))
 	for n := range c.named {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Namespaces returns the distinct dotted prefixes in use (e.g. "hr" for
-// "hr.emp"), sorted; useful for CLI completion and listing.
-func (c *Catalog) Namespaces() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	seen := map[string]bool{}
-	for n := range c.named {
-		if i := strings.LastIndex(n, "."); i > 0 {
-			seen[n[:i]] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
 		out = append(out, n)
 	}
 	sort.Strings(out)

@@ -50,7 +50,7 @@ func TestNilValuePanics(t *testing.T) {
 	_ = New().Register("x", nil)
 }
 
-func TestNamesAndNamespaces(t *testing.T) {
+func TestNames(t *testing.T) {
 	c := New()
 	for _, n := range []string{"b", "hr.emp", "hr.dept", "sales.q1.eu"} {
 		if err := c.Register(n, value.Null); err != nil {
@@ -66,10 +66,6 @@ func TestNamesAndNamespaces(t *testing.T) {
 		if names[i] != want[i] {
 			t.Fatalf("Names = %v, want %v", names, want)
 		}
-	}
-	ns := c.Namespaces()
-	if len(ns) != 2 || ns[0] != "hr" || ns[1] != "sales.q1" {
-		t.Errorf("Namespaces = %v", ns)
 	}
 }
 

@@ -345,12 +345,6 @@ func (e *Env) Lookup(name string) (value.Value, bool) {
 // binding order.
 func (e *Env) Names() []string { return e.names }
 
-// Snapshot captures this scope's bindings (not parents') as a tuple, the
-// group-content shape used by GROUP AS.
-func (e *Env) Snapshot() *value.Tuple {
-	return value.ShapeOf(e.names...).New(slices.Clone(e.vals))
-}
-
 // RechainBelow rebuilds the scope chain between e (inclusive) and stop
 // (exclusive) in a new nesting order, returning the innermost scope of
 // the rebuilt chain. order maps new nesting position (0 = outermost of

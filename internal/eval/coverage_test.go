@@ -66,7 +66,7 @@ func TestErrorMessages(t *testing.T) {
 	}
 }
 
-func TestEnvNamesAndSnapshot(t *testing.T) {
+func TestEnvNames(t *testing.T) {
 	env := NewEnv()
 	env.Bind("a", value.Int(1))
 	env.Bind("b", value.Int(2))
@@ -74,13 +74,6 @@ func TestEnvNamesAndSnapshot(t *testing.T) {
 	names := env.Names()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Errorf("Names = %v", names)
-	}
-	snap := env.Snapshot()
-	if v, _ := snap.Get("a"); v != value.Int(3) {
-		t.Errorf("Snapshot a = %s", v)
-	}
-	if snap.Len() != 2 {
-		t.Errorf("Snapshot len = %d", snap.Len())
 	}
 }
 

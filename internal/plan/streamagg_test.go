@@ -153,8 +153,13 @@ func streamAggRun(t *testing.T, rows, groups int, query string) func() {
 // 20 calls after a warm-up. The collector is held for the measured calls:
 // a collection among them would empty the pools the sinks recycle their
 // buffers through, and the fresh buffers would count against the bound.
+// One P is held across the warm-up and the measured calls too: a
+// sync.Pool keeps a private slot per P, so a goroutine that moved to
+// another P would miss the buffers the warm-up pooled. A query that asks
+// for parallel workers still gets them; they take turns on the one P.
 func execBytes(run func()) float64 {
 	const runs = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run()
 	var before, after runtime.MemStats

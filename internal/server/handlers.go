@@ -427,31 +427,21 @@ func (s *Server) plan(engine *sqlpp.Engine, opts sqlpp.Options, query string, pa
 			return Plan{}, false, err
 		}
 	}
-	// The explain marker is part of the cache key so instrumented and
-	// plain requests for the same text keep distinct hit/miss accounting
-	// even though the compiled plans are interchangeable. Index DDL
-	// changes what the optimizer may choose without changing the query
-	// text, so the catalog epoch is part of every fingerprint: a plan
-	// compiled before CREATE INDEX cannot survive it.
-	extras := make([]string, 0, 2)
-	if explain {
-		extras = append(extras, "explain=analyze")
-	}
-	extras = append(extras, "epoch="+strconv.FormatInt(engine.IndexEpoch(), 10))
-	key := CacheKey(opts, paramNames, query, extras...)
+	key := Key{Options: opts, Epoch: engine.IndexEpoch(), Params: strings.Join(paramNames, "\x00"), Explain: explain, Text: query}
 	if p, ok := s.cache.peek(key); ok {
 		s.cache.count(true)
 		return p, true, nil
 	}
 
-	var tkey string
+	var tkey Key
 	var lits sqlpp.Literals
 	var state *templateState
 	if !explain && !opts.Vet && len(paramNames) == 0 {
 		var text []byte
 		var ok bool
 		if text, lits, ok = sqlpp.TemplateText(nil, query); ok {
-			tkey = TemplateKey(opts, text, extras...)
+			tkey = key
+			tkey.Template, tkey.Text = true, string(text)
 			if p, ok := s.cache.peek(tkey); ok {
 				state = p.tmpl
 			}
@@ -481,9 +471,9 @@ func (s *Server) plan(engine *sqlpp.Engine, opts sqlpp.Options, query string, pa
 		p = Plan{Prepared: prep}
 	}
 	s.cache.Put(key, p)
-	if tkey != "" && state == nil {
+	if tkey.Template && state == nil {
 		s.cache.Put(tkey, Plan{tmpl: &templateState{}})
-	} else if tkey != "" && state.admitted == nil && !state.literalOnly {
+	} else if tkey.Template && state.admitted == nil && !state.literalOnly {
 		s.cache.Put(tkey, Plan{tmpl: s.admit(engine, query, p.Prepared, lits)})
 	}
 	return p, false, nil

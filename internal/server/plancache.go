@@ -2,9 +2,6 @@ package server
 
 import (
 	"container/list"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -21,7 +18,7 @@ type Plan struct {
 	Prepared *sqlpp.Prepared
 	Params   *sqlpp.PreparedParams
 
-	// tmpl is the state of a template key (TemplateKey).
+	// tmpl is the state of a template key (Key.Template).
 	tmpl *templateState
 }
 
@@ -34,16 +31,15 @@ type templateState struct {
 }
 
 // PlanCache is a concurrency-safe LRU cache of compiled plans with two
-// levels of key. The first is (options fingerprint, parameter names,
-// query text): a hit there skips lexing, parsing, rewriting to Core,
-// name resolution and planning — the entire compile phase — which is
-// the dominant per-request cost for the small repeated queries a
-// programmatic API serves. The second, consulted on a first-level miss
-// of a plain request, is the text's literal template (TemplateKey): a
-// hit there skips the same phases for a text that differs from an
-// earlier one only in its numeric literals, at the cost of one lexer
-// pass for the key and the re-evaluation of the template's cost guards
-// (see Server.plan).
+// levels of key. The first is the query text's Key: a hit there skips
+// lexing, parsing, rewriting to Core, name resolution and planning — the
+// entire compile phase — which is the dominant per-request cost for the
+// small repeated queries a programmatic API serves. The second,
+// consulted on a first-level miss of a plain request, is the text's
+// literal template (Key.Template): a hit there skips the same phases
+// for a text that differs from an earlier one only in its numeric
+// literals, at the cost of one lexer pass for the key and the
+// re-evaluation of the template's cost guards (see Server.plan).
 //
 // The cache must be purged whenever the catalog's name set changes:
 // compiled plans bake in name resolution (dotted identifiers
@@ -53,14 +49,14 @@ type PlanCache struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
-	index map[string]*list.Element
+	index map[Key]*list.Element
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
 type cacheEntry struct {
-	key  string
+	key  Key
 	plan Plan
 }
 
@@ -70,88 +66,32 @@ func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{
 		cap:   capacity,
 		ll:    list.New(),
-		index: make(map[string]*list.Element),
+		index: make(map[Key]*list.Element),
 	}
 }
 
-// CacheKey fingerprints everything that feeds compilation: the engine
-// options that change the rewrite (Compat alters the Core form, the
-// rest alter execution), the declared parameter names, and the query
-// text itself. Extras are additional request attributes folded into the
-// key — the explain mode, which distinguishes instrumented requests'
-// cache accounting.
-func CacheKey(opts sqlpp.Options, paramNames []string, query string, extras ...string) string {
-	var sb strings.Builder
-	sb.Grow(len(query) + keyPrefixLen)
-	writeKeyPrefix(&sb, opts, paramNames, extras)
-	sb.WriteByte(0)
-	sb.WriteString(query)
-	return sb.String()
-}
-
-// TemplateKey is the cache key of a literal template: text is the
-// template text sqlpp.TemplateText gives the query, and the options and
-// extras are the query's. It differs from every CacheKey: where a
-// CacheKey continues with a NUL and the query text, a TemplateKey
-// continues with 'T'.
-func TemplateKey(opts sqlpp.Options, text []byte, extras ...string) string {
-	var sb strings.Builder
-	sb.Grow(len(text) + keyPrefixLen)
-	writeKeyPrefix(&sb, opts, nil, extras)
-	sb.WriteByte('T')
-	sb.Write(text)
-	return sb.String()
-}
-
-// keyPrefixLen covers the prefix of a key with default options and the
-// epoch extra, so building it costs one allocation.
-const keyPrefixLen = 64
-
-// writeKeyPrefix writes what a key fingerprints besides the text.
-func writeKeyPrefix(sb *strings.Builder, opts sqlpp.Options, paramNames []string, extras []string) {
-	sb.WriteByte('c')
-	sb.WriteString(strconv.FormatBool(opts.Compat))
-	sb.WriteByte('s')
-	sb.WriteString(strconv.FormatBool(opts.StopOnError))
-	sb.WriteByte('o')
-	sb.WriteString(strconv.FormatBool(opts.DisableOptimizer))
-	sb.WriteByte('w')
-	sb.WriteString(strconv.Itoa(opts.Parallelism))
-	// Vet changes Prepare's outcome (error-severity diagnostics reject
-	// the query) and whether diagnostics are computed, so vetted and
-	// unvetted compilations of the same text are distinct plans.
-	sb.WriteByte('V')
-	sb.WriteString(strconv.FormatBool(opts.Vet))
-	// A Prepared bakes in its engine and therefore its Limits, so every
-	// budget field must distinguish cache entries — a cached plan must
-	// never execute under another request's budgets.
-	sb.WriteByte('r')
-	sb.WriteString(strconv.FormatInt(opts.Limits.MaxOutputRows, 10))
-	sb.WriteByte('v')
-	sb.WriteString(strconv.FormatInt(opts.Limits.MaxMaterializedValues, 10))
-	sb.WriteByte('b')
-	sb.WriteString(strconv.FormatInt(opts.Limits.MaxMaterializedBytes, 10))
-	sb.WriteByte('d')
-	sb.WriteString(strconv.Itoa(opts.Limits.MaxDepth))
-	sb.WriteByte('t')
-	sb.WriteString(strconv.FormatInt(int64(opts.Limits.MaxWallTime), 10))
-	if len(paramNames) > 0 {
-		names := append([]string(nil), paramNames...)
-		sort.Strings(names)
-		for _, n := range names {
-			sb.WriteByte('p')
-			sb.WriteString(n)
-		}
-	}
-	for _, x := range extras {
-		sb.WriteByte('x')
-		sb.WriteString(x)
-	}
+// Key is a plan cache key: everything a compiled plan is a function
+// of. It holds the engine options whole — a Prepared bakes in its
+// engine, so compat, typing mode, optimizer, parallelism, vet and every
+// budget distinguish plans — and the catalog epoch, because index DDL
+// changes what the optimizer may choose without changing the text.
+// Explain keeps instrumented and plain requests' hit/miss accounting
+// apart although their plans are interchangeable. A template key
+// (Template set) holds the literal template text sqlpp.TemplateText
+// gives a query, never the query's own.
+type Key struct {
+	Options sqlpp.Options
+	Epoch   int64
+	// Params holds the declared parameter names, sorted and NUL-joined.
+	Params   string
+	Explain  bool
+	Template bool
+	Text     string
 }
 
 // Get returns the cached plan for key, marking it most recently used,
 // and counts the lookup as a hit or a miss.
-func (c *PlanCache) Get(key string) (Plan, bool) {
+func (c *PlanCache) Get(key Key) (Plan, bool) {
 	p, ok := c.peek(key)
 	c.count(ok)
 	return p, ok
@@ -159,7 +99,7 @@ func (c *PlanCache) Get(key string) (Plan, bool) {
 
 // peek is Get without counting, for a lookup that is only one level of
 // a request's.
-func (c *PlanCache) peek(key string) (Plan, bool) {
+func (c *PlanCache) peek(key Key) (Plan, bool) {
 	if c.cap <= 0 {
 		return Plan{}, false
 	}
@@ -186,7 +126,7 @@ func (c *PlanCache) count(hit bool) {
 
 // Put inserts (or refreshes) a plan, evicting the least recently used
 // entry when the cache is full.
-func (c *PlanCache) Put(key string, p Plan) {
+func (c *PlanCache) Put(key Key, p Plan) {
 	if c.cap <= 0 {
 		return
 	}

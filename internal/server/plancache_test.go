@@ -24,10 +24,10 @@ func TestPlanCacheLRU(t *testing.T) {
 	c := server.NewPlanCache(2)
 	opts := db.Options()
 
-	keys := make([]string, 3)
+	keys := make([]server.Key, 3)
 	for i := range keys {
 		q := fmt.Sprintf("SELECT VALUE %d", i)
-		keys[i] = server.CacheKey(opts, nil, q)
+		keys[i] = server.Key{Options: opts, Text: q}
 		c.Put(keys[i], preparedPlan(t, db, q))
 	}
 	// Capacity 2: key 0 was evicted, 1 and 2 remain.
@@ -38,7 +38,7 @@ func TestPlanCacheLRU(t *testing.T) {
 		t.Error("entry 1 missing")
 	}
 	// Touch 1, then insert a new entry: 2 is now the LRU victim.
-	c.Put(server.CacheKey(opts, nil, "SELECT VALUE 99"), preparedPlan(t, db, "SELECT VALUE 99"))
+	c.Put(server.Key{Options: opts, Text: "SELECT VALUE 99"}, preparedPlan(t, db, "SELECT VALUE 99"))
 	if _, ok := c.Get(keys[2]); ok {
 		t.Error("LRU victim survived")
 	}
@@ -60,48 +60,39 @@ func TestPlanCacheLRU(t *testing.T) {
 
 func TestPlanCacheKeyPartitions(t *testing.T) {
 	q := "SELECT VALUE 1"
-	base := server.CacheKey(sqlpp.Options{}, nil, q)
-	distinct := []string{
-		server.CacheKey(sqlpp.Options{Compat: true}, nil, q),
-		server.CacheKey(sqlpp.Options{}, []string{"$p"}, q),
-		server.CacheKey(sqlpp.Options{}, nil, "SELECT VALUE 2"),
+	base := server.Key{Text: q}
+	distinct := []server.Key{
+		{Options: sqlpp.Options{Compat: true}, Text: q},
+		{Params: "$p", Text: q},
+		{Epoch: 1, Text: q},
+		{Explain: true, Text: q},
+		{Text: "SELECT VALUE 2"},
 	}
-	seen := map[string]bool{base: true}
+	seen := map[server.Key]bool{base: true}
 	for i, k := range distinct {
 		if seen[k] {
 			t.Errorf("variant %d collides with an earlier key", i)
 		}
 		seen[k] = true
 	}
-	// Parameter order must not matter.
-	a := server.CacheKey(sqlpp.Options{}, []string{"$a", "$b"}, q)
-	b := server.CacheKey(sqlpp.Options{}, []string{"$b", "$a"}, q)
-	if a != b {
-		t.Error("cache key depends on parameter order")
-	}
 }
 
 // TestCacheKeyCoversEveryOption flips every field of sqlpp.Options (and
-// of its Limits) in turn and requires a key no other setting produced.
-// CacheKey is a hand-written field list: a field added to Options and
-// forgotten there would let one request run under another's plan, and
-// this is the test that fails then. Template keys (TemplateKey) share
-// the list, and must differ from every text key too.
+// of its Limits) in turn and requires a key no other setting produced:
+// a field of Options that did not reach the key would let one request
+// run under another's plan. Template keys must differ from every text
+// key too, whatever the text holds.
 func TestCacheKeyCoversEveryOption(t *testing.T) {
 	var opts sqlpp.Options
 	text, _, ok := sqlpp.TemplateText(nil, "SELECT VALUE 1")
 	if !ok {
 		t.Fatal("no template text")
 	}
-	keys := func() (string, string) {
-		return server.CacheKey(opts, nil, "q"), server.TemplateKey(opts, text)
-	}
-	seen := map[string]string{}
+	seen := map[server.Key]string{}
 	record := func(what string) {
-		k, tk := keys()
-		for _, key := range []string{k, tk} {
+		for _, key := range []server.Key{{Options: opts, Text: "q"}, {Options: opts, Template: true, Text: string(text)}} {
 			if other, dup := seen[key]; dup {
-				t.Errorf("CacheKey or TemplateKey ignores %s: same key as %s", what, other)
+				t.Errorf("the text or template key ignores %s: same key as %s", what, other)
 			}
 			seen[key] = what
 		}
@@ -128,10 +119,8 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 	}
 	flip(reflect.ValueOf(&opts).Elem(), "")
 
-	// No text key is a template key: a text key continues its prefix with
-	// a NUL, a template key with 'T', whatever the text holds.
-	for _, q := range []string{"", "T", "T" + string(text), "\x00" + string(text)} {
-		if server.CacheKey(opts, nil, q) == server.TemplateKey(opts, text) {
+	for _, q := range []string{"", "T", string(text), "T" + string(text), "\x00" + string(text)} {
+		if (server.Key{Options: opts, Text: q}) == (server.Key{Options: opts, Template: true, Text: string(text)}) {
 			t.Errorf("text %q has the template's key", q)
 		}
 	}
@@ -176,7 +165,7 @@ func TestTemplateTextKeys(t *testing.T) {
 func TestPlanCacheDisabled(t *testing.T) {
 	db := sqlpp.New(nil)
 	c := server.NewPlanCache(-1)
-	key := server.CacheKey(db.Options(), nil, "SELECT VALUE 1")
+	key := server.Key{Options: db.Options(), Text: "SELECT VALUE 1"}
 	c.Put(key, preparedPlan(t, db, "SELECT VALUE 1"))
 	if _, ok := c.Get(key); ok {
 		t.Error("disabled cache returned a plan")
@@ -194,11 +183,11 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	opts := db.Options()
 
 	plans := make([]server.Plan, 16)
-	keys := make([]string, 16)
+	keys := make([]server.Key, 16)
 	for i := range plans {
 		q := fmt.Sprintf("SELECT VALUE %d", i)
 		plans[i] = preparedPlan(t, db, q)
-		keys[i] = server.CacheKey(opts, nil, q)
+		keys[i] = server.Key{Options: opts, Text: q}
 	}
 
 	var wg sync.WaitGroup
@@ -231,7 +220,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 func TestPlanCacheRefreshDuringGet(t *testing.T) {
 	db := sqlpp.New(nil)
 	c := server.NewPlanCache(4)
-	key := server.CacheKey(db.Options(), nil, "SELECT VALUE 1")
+	key := server.Key{Options: db.Options(), Text: "SELECT VALUE 1"}
 	p := preparedPlan(t, db, "SELECT VALUE 1")
 	c.Put(key, p)
 	var wg sync.WaitGroup

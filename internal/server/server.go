@@ -158,9 +158,6 @@ func (s *Server) Engine() *sqlpp.Engine { return s.engine }
 // empties instead of filling.
 func (s *Server) BeginShutdown() { s.draining.Store(true) }
 
-// Draining reports whether BeginShutdown has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Waiting reports the number of requests queued at the admission gate.
 func (s *Server) Waiting() int64 { return s.waiting.Load() }
 

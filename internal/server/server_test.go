@@ -278,8 +278,9 @@ func TestQueryParams(t *testing.T) {
 		t.Errorf("got %s, want %s", got, want)
 	}
 
-	// Same query text with different params must hit the cached plan.
-	req2 := `{"query": "SELECT VALUE e.name FROM emp AS e WHERE e.salary >= $min AND e.title = $title", "params": {"$min": 150000, "$title": "Manager"}, "format": "sion"}`
+	// Same query text with different params, named in the other order,
+	// must hit the cached plan: the key holds the names sorted.
+	req2 := `{"query": "SELECT VALUE e.name FROM emp AS e WHERE e.salary >= $min AND e.title = $title", "params": {"$title": "Manager", "$min": 150000}, "format": "sion"}`
 	status, reply = postQuery(t, ts.URL, req2)
 	if status != http.StatusOK {
 		t.Fatalf("status %d (%s)", status, reply.Error)

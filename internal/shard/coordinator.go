@@ -36,7 +36,19 @@ type Coordinator struct {
 	tele     []*shardTelemetry
 
 	planMu    sync.Mutex
-	planCache map[string]*scatterPlan
+	planCache map[planKey]*scatterPlan
+}
+
+// planKey is what a scatter plan is a function of: the options whole
+// (compat and typing mode shape the Core the splitter reads; every
+// option is baked into the plans it prepares), the catalog epoch
+// (registrations and topology changes bump it), the request's parameter
+// names, sorted and NUL-joined, and the text.
+type planKey struct {
+	opts   sqlpp.Options
+	epoch  int64
+	params string
+	text   string
 }
 
 // shardTelemetry accumulates one shard's fault-tolerance counters over
@@ -72,7 +84,7 @@ func NewCoordinator(engine *sqlpp.Engine, policy Policy, execs ...Executor) *Coo
 		policy:    policy.filled(),
 		jitter:    newJitterSource(policy.Seed),
 		specs:     map[string]Spec{},
-		planCache: map[string]*scatterPlan{},
+		planCache: map[planKey]*scatterPlan{},
 	}
 	for range execs {
 		c.breakers = append(c.breakers, &breaker{})
@@ -107,18 +119,6 @@ func (c *Coordinator) Shards() []string {
 
 // Policy returns the coordinator's fault-tolerance policy.
 func (c *Coordinator) Policy() Policy { return c.policy }
-
-// Specs lists the sharded-collection specs.
-// governor:bounded by the number of sharded collections (catalog-sized, set at Distribute time)
-func (c *Coordinator) Specs() []Spec {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]Spec, 0, len(c.specs))
-	for _, s := range c.specs {
-		out = append(out, s)
-	}
-	return out
-}
 
 // Telemetry reports per-shard fault-tolerance counters (no I/O; safe on
 // the metrics path).
@@ -285,7 +285,7 @@ func (c *Coordinator) ExecRequest(ctx context.Context, req ExecRequest) (res *Re
 	}
 	switch sp.class {
 	case "local":
-		return c.execLocal(ctx, req, opts)
+		return c.execLocal(ctx, req, sp)
 	case "gather":
 		return c.execGather(ctx, req, opts, mode, sp)
 	default:
@@ -293,18 +293,11 @@ func (c *Coordinator) ExecRequest(ctx context.Context, req ExecRequest) (res *Re
 	}
 }
 
-// plan classifies the query, caching by catalog epoch (registrations and
-// topology changes bump it), compat flag, parameter names and text: the
-// Core the splitter reads depends on each.
-// governor:bounded by the request's parameter count (the name list)
+// plan classifies the query and prepares what the coordinator runs of
+// it, caching both by planKey.
 func (c *Coordinator) plan(query string, opts sqlpp.Options, params map[string]value.Value) *scatterPlan {
-	names := make([]string, 0, len(params))
-	for n := range params {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	key := strconv.FormatInt(c.engine.IndexEpoch(), 10) + "\x00" + strconv.FormatBool(opts.Compat) + "\x00" +
-		strings.Join(names, "\x00") + "\x00" + query
+	names := paramNames(params)
+	key := planKey{opts: opts, epoch: c.engine.IndexEpoch(), params: strings.Join(names, "\x00"), text: query}
 	c.planMu.Lock()
 	if p, ok := c.planCache[key]; ok {
 		c.planMu.Unlock()
@@ -317,21 +310,48 @@ func (c *Coordinator) plan(query string, opts sqlpp.Options, params map[string]v
 		specs[k] = v
 	}
 	c.mu.RUnlock()
-	p := classify(c.engine.WithOptions(opts), query, names, specs)
+	p := newScatterPlan(c.engine.WithOptions(opts), query, names, specs)
 	c.planMu.Lock()
 	if len(c.planCache) >= 256 {
-		c.planCache = map[string]*scatterPlan{}
+		c.planCache = map[planKey]*scatterPlan{}
 	}
 	c.planCache[key] = p
 	c.planMu.Unlock()
 	return p
 }
 
+// paramNames lists the names params binds, sorted.
+// governor:bounded by the request's parameter count (the name list)
+func paramNames(params map[string]value.Value) []string {
+	names := make([]string, 0, len(params))
+	for n := range params {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// newScatterPlan classifies query on eng and prepares there, once, what
+// the coordinator runs of it: the query itself (class local), or the
+// merge over the partials, which it reads as the __partials parameter
+// (classes group, topk and concat). A parameter shadows a catalog name,
+// so the merge text reads the same either way.
+func newScatterPlan(eng *sqlpp.Engine, query string, params []string, specs map[string]Spec) *scatterPlan {
+	sp := classify(eng, query, params, specs)
+	switch {
+	case sp.err != nil || sp.class == "gather":
+	case sp.class == "local":
+		sp.prepared, sp.prepErr = eng.PrepareParams(query, params...)
+	default:
+		sp.prepared, sp.prepErr = eng.PrepareParams(sp.mergeQuery, partialsName)
+	}
+	return sp
+}
+
 // execLocal runs a query that references no sharded collection on the
 // coordinator engine.
-func (c *Coordinator) execLocal(ctx context.Context, req ExecRequest, opts sqlpp.Options) (*Result, error) {
-	eng := c.engine.WithOptions(opts)
-	v, st, err := runOn(ctx, eng, req.Query, req.Params, req.Explain)
+func (c *Coordinator) execLocal(ctx context.Context, req ExecRequest, sp *scatterPlan) (*Result, error) {
+	v, st, err := runOn(ctx, sp.prepared, sp.prepErr, req.Params, req.Explain)
 	if err != nil {
 		return nil, err
 	}
@@ -340,33 +360,16 @@ func (c *Coordinator) execLocal(ctx context.Context, req ExecRequest, opts sqlpp
 	return res, nil
 }
 
-// runOn prepares and executes query on eng, with or without params and
-// instrumentation.
-// governor:bounded by the request's parameter count (the name list); row production is governed inside the engine
-func runOn(ctx context.Context, eng *sqlpp.Engine, query string, params map[string]value.Value, explain bool) (value.Value, *eval.StatsSnapshot, error) {
-	if len(params) > 0 {
-		names := make([]string, 0, len(params))
-		for n := range params {
-			names = append(names, n)
-		}
-		p, err := eng.PrepareParams(query, names...)
-		if err != nil {
-			return nil, nil, err
-		}
-		if explain {
-			return p.ExplainAnalyze(ctx, params)
-		}
-		v, err := p.ExecContext(ctx, params)
-		return v, nil, err
-	}
-	p, err := eng.Prepare(query)
-	if err != nil {
-		return nil, nil, err
+// runOn executes p, whose preparation failed with perr when p is nil,
+// binding params and instrumenting the run when explain is set.
+func runOn(ctx context.Context, p *sqlpp.PreparedParams, perr error, params map[string]value.Value, explain bool) (value.Value, *eval.StatsSnapshot, error) {
+	if perr != nil {
+		return nil, nil, perr
 	}
 	if explain {
-		return p.ExplainAnalyze(ctx)
+		return p.ExplainAnalyze(ctx, params)
 	}
-	v, err := p.ExecContext(ctx)
+	v, err := p.ExecContext(ctx, params)
 	return v, nil, err
 }
 
@@ -525,8 +528,8 @@ func (c *Coordinator) attempt(ctx context.Context, x Executor, req Request, atte
 }
 
 // execSplit runs the split scatter classes (group/topk/concat): shard
-// query on every shard, fold the partials in shard order, merge query
-// on an ephemeral engine.
+// query on every shard, fold the partials in shard order, run the
+// prepared merge with them bound as __partials.
 func (c *Coordinator) execSplit(ctx context.Context, req ExecRequest, opts sqlpp.Options, mode FailMode, sp *scatterPlan) (*Result, error) {
 	outs := c.scatter(ctx, sp.shardQuery, scatterOptions(opts), req.Explain)
 	missing, err := c.settle(outs, mode)
@@ -539,11 +542,7 @@ func (c *Coordinator) execSplit(ctx context.Context, req ExecRequest, opts sqlpp
 		return nil, err
 	}
 
-	meng, err := c.scratch(opts, map[string]value.Value{partialsName: value.Bag(partials)}, false)
-	if err != nil {
-		return nil, err
-	}
-	v, mst, err := runOn(ctx, meng, sp.mergeQuery, nil, req.Explain)
+	v, mst, err := runOn(ctx, sp.prepared, sp.prepErr, map[string]value.Value{partialsName: value.Bag(partials)}, req.Explain)
 	if err != nil {
 		return nil, fmt.Errorf("shard merge: %w", err)
 	}
@@ -562,8 +561,11 @@ func (c *Coordinator) execSplit(ctx context.Context, req ExecRequest, opts sqlpp
 
 // execGather runs the always-correct fallback: pull each sharded
 // collection's parts back whole, reassemble them in shard order, and
-// run the original query (params and all) on an ephemeral engine that
-// sees the same catalog a single node would.
+// run the original query (params and all) on a fork of the
+// coordinator's engine holding them: the local collections with the
+// statistics and indexes they already have, so that the plan is the one
+// a single node would choose and nothing but the gathered collections is
+// profiled per query.
 func (c *Coordinator) execGather(ctx context.Context, req ExecRequest, opts sqlpp.Options, mode FailMode, sp *scatterPlan) (*Result, error) {
 	gov := eval.NewGovernor(opts.Limits)
 	gathered := map[string]value.Value{}
@@ -587,11 +589,14 @@ func (c *Coordinator) execGather(ctx context.Context, req ExecRequest, opts sqlp
 		}
 	}
 
-	geng, err := c.scratch(opts, gathered, true)
-	if err != nil {
-		return nil, err
+	geng := c.engine.Fork(opts)
+	for name, v := range gathered {
+		if err := geng.Register(name, v); err != nil {
+			return nil, err
+		}
 	}
-	v, gst, err := runOn(ctx, geng, req.Query, req.Params, req.Explain)
+	p, err := geng.PrepareParams(req.Query, paramNames(req.Params)...)
+	v, gst, err := runOn(ctx, p, err, req.Params, req.Explain)
 	if err != nil {
 		return nil, err
 	}
@@ -716,26 +721,6 @@ func scatterOptions(opts sqlpp.Options) ExecOptions {
 	eo.MaxRows = 0
 	eo.MaxBytes = 0
 	return eo
-}
-
-// scratch builds a per-query engine holding extras. For gathers, which
-// re-run the original query, it starts from a fork of the coordinator's
-// engine: the local collections with the statistics and indexes they
-// already have, so that the plan is the one a single node would choose
-// and nothing but the gathered collections is profiled per query.
-func (c *Coordinator) scratch(opts sqlpp.Options, extras map[string]value.Value, withLocal bool) (*sqlpp.Engine, error) {
-	var eng *sqlpp.Engine
-	if withLocal {
-		eng = c.engine.Fork(opts)
-	} else {
-		eng = sqlpp.New(&opts)
-	}
-	for name, v := range extras {
-		if err := eng.Register(name, v); err != nil {
-			return nil, err
-		}
-	}
-	return eng, nil
 }
 
 // notes renders the scatter decomposition as plan annotations.

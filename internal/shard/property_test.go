@@ -173,7 +173,7 @@ func TestPropertyHashPartitioning(t *testing.T) {
 				if tc.coPart {
 					// The same shard query under a spec whose key is not a
 					// grouping key: the merge re-groups the same partials.
-					regroup := classify(coA.engine, q, nil, map[string]Spec{"data": {Name: "data", Kind: Hash, Key: "v"}})
+					regroup := newScatterPlan(coA.engine.WithOptions(opts), q, nil, map[string]Spec{"data": {Name: "data", Kind: Hash, Key: "v"}})
 					if regroup.coPartitioned != "" || regroup.shardQuery != coA.plan(q, opts, nil).shardQuery {
 						t.Fatalf("%q: re-grouping plan %+v", q, regroup)
 					}

@@ -40,12 +40,13 @@ import (
 // The shard and merge queries are printed Core, which every node
 // rewrites back to the tree that was printed. They communicate through
 // reserved attribute slots (__k<i> group/sort keys, __a<j>/__n<j>
-// aggregate partials, __v rows) in a partials collection the coordinator
-// registers as __partials.
+// aggregate partials, __v rows) in a partials bag the coordinator binds
+// to the merge as the parameter __partials.
 const partialsName = "__partials"
 
-// scatterPlan is a classified, split query, cached per (query, epoch,
-// compat, parameter names).
+// scatterPlan is a classified, split query, with what the coordinator
+// runs of it prepared, cached per planKey and shared by every request
+// with that key. It is immutable once newScatterPlan returns it.
 type scatterPlan struct {
 	class string // "local" | "group" | "topk" | "concat" | "gather"
 	// err is the query's parse or rewrite error: the query answers it
@@ -53,9 +54,16 @@ type scatterPlan struct {
 	err error
 	// shardQuery runs on every shard (classes group/topk/concat).
 	shardQuery string
-	// mergeQuery runs on the coordinator's merge engine over __partials
-	// (classes group/topk/concat).
+	// mergeQuery runs on the coordinator over __partials (classes
+	// group/topk/concat).
 	mergeQuery string
+	// prepared is what the coordinator runs: the query (class local) or
+	// mergeQuery (classes group/topk/concat). prepErr is the error
+	// preparing it, answered where running it would fail: after the
+	// scatter for a merge, so a merge error never changes what the
+	// shards are asked.
+	prepared *sqlpp.PreparedParams
+	prepErr  error
 	// gather lists the sharded collections to pull back whole (class
 	// gather); the original query then runs against the reassembled
 	// catalog.

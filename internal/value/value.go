@@ -261,28 +261,10 @@ func (t *Tuple) Names() []string { return t.shape.names }
 // shared; callers must not mutate it.
 func (t *Tuple) Values() []Value { return t.vals }
 
-// NewInt returns an Int value.
-func NewInt(i int64) Value { return Int(i) }
-
-// NewFloat returns a Float value.
-func NewFloat(f float64) Value { return Float(f) }
-
-// NewString returns a String value.
-func NewString(s string) Value { return String(s) }
-
-// NewBool returns a Bool value.
-func NewBool(b bool) Value { return Bool(b) }
-
 // IsAbsent reports whether v is NULL or MISSING.
 func IsAbsent(v Value) bool {
 	k := v.Kind()
 	return k == KindMissing || k == KindNull
-}
-
-// IsCollection reports whether v is an array or a bag.
-func IsCollection(v Value) bool {
-	k := v.Kind()
-	return k == KindArray || k == KindBag
 }
 
 // IsNumeric reports whether v is an integer or float scalar.

@@ -143,9 +143,6 @@ func TestHelpers(t *testing.T) {
 	if !IsAbsent(Missing) || !IsAbsent(Null) || IsAbsent(Int(0)) {
 		t.Error("IsAbsent wrong")
 	}
-	if !IsCollection(Array{}) || !IsCollection(Bag{}) || IsCollection(EmptyTuple()) {
-		t.Error("IsCollection wrong")
-	}
 	if !IsNumeric(Int(1)) || !IsNumeric(Float(1)) || IsNumeric(String("1")) {
 		t.Error("IsNumeric wrong")
 	}
